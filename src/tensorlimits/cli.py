@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .measures import (
     admissible_N,
     eta_extended_measure,
     eta_measure,
+    factor_counts,
     measure_to_csv,
     measure_to_json,
     xi_measure,
@@ -45,11 +47,23 @@ from .repchar import (
     racah_decompose,
     save_multiplicity_map,
     tensor_power_table,
+    weyl_dim,
 )
 from .rootsys import CartanType, build_root_system, rootsys_to_json
 
 SIGMA_CONVENTIONS = ("consistent", "paper")
 FORMATS = ("json", "csv")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a positive integer, or a usage error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 class BadField(Exception):
@@ -69,7 +83,6 @@ class ExperimentConfig:
     sigma_convention: str = "consistent"
     format: str = "csv"
     cache_dir: str | None = None
-    plot: bool = False
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -100,7 +113,6 @@ class ExperimentConfig:
             sigma_convention=str(doc.get("sigma_convention", "consistent")),
             format=str(doc.get("format", "csv")),
             cache_dir=doc.get("cache_dir"),
-            plot=bool(doc.get("plot", False)),
         )
         cfg.validate()
         return cfg
@@ -174,24 +186,41 @@ def _cache_key(spec: TensorSpec, n: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _load_cached(spec: TensorSpec, n: int, path: str):
+    """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
+
+    A map is consistent when its entries sum to its total_dim and that total
+    is prod_l dim(V_lam_l)^(tau_l N).
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        m = load_multiplicity_map(path)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    expected = prod(weyl_dim(spec.rs, lam) ** k for lam, k in factor_counts(spec, n))
+    if m.total_dim != expected or sum(m.entries.values()) != expected:
+        return None
+    return m
+
+
 def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
-    """Multiplicity maps for each N, reading and filling the cache if set."""
+    """Multiplicity maps for each N, reading the cache if set and overwriting its misses."""
     if cache_dir is None:
         return tensor_power_table(spec.rs, spec.factors, n_values)
     os.makedirs(cache_dir, exist_ok=True)
+    paths = {n: os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.json") for n in n_values}
     table = {}
-    missing = []
-    for n in n_values:
-        path = os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.json")
-        if os.path.exists(path):
-            table[n] = load_multiplicity_map(path)
-        else:
-            missing.append(n)
+    for n, path in paths.items():
+        m = _load_cached(spec, n, path)
+        if m is not None:
+            table[n] = m
+    missing = [n for n in n_values if n not in table]
     if missing:
         fresh = tensor_power_table(spec.rs, spec.factors, missing)
         for n in missing:
             table[n] = fresh[n]
-            save_multiplicity_map(fresh[n], os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.json"))
+            save_multiplicity_map(fresh[n], paths[n])
     return table
 
 
@@ -319,8 +348,7 @@ def cmd_density(args) -> int:
         "norm_const": model.norm_const,
     }
     if args.check_normalization:
-        resolution = args.resolution
-        doc["quadrature_mass"] = normalization_quadrature(model, resolution)
+        doc["quadrature_mass"] = normalization_quadrature(model, args.resolution)
     if args.plot:
         base = args.output or f"density_{rs.cartan_type}_{args.kind}"
         _plot_files(model, base)
@@ -408,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("kind", choices=["xi", "eta", "eta_extended", "gue"])
     p_den.add_argument("--type", required=True)
     p_den.add_argument("--check-normalization", action="store_true")
-    p_den.add_argument("--resolution", type=int)
+    p_den.add_argument("--resolution", type=_positive_int)
     p_den.add_argument("--plot", action="store_true")
     p_den.add_argument("--output")
     p_den.set_defaults(handler=cmd_density)
@@ -418,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--factor", action="append", metavar="COORDS:TAU")
     p_con.add_argument("--N", help="comma-separated list, e.g. 4,16,64")
     p_con.add_argument("--t-grid", dest="t_grid")
-    p_con.add_argument("--bins", type=int)
+    p_con.add_argument("--bins", type=_positive_int)
     p_con.add_argument("--sigma-convention", choices=SIGMA_CONVENTIONS)
     p_con.add_argument("--format", choices=FORMATS)
     p_con.add_argument("--config", help="JSON experiment config; flags override")

@@ -34,20 +34,6 @@ def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_int(a) -> tuple[tuple[int, ...], ...]:
-    """Cast to an integer matrix, failing loudly on non-integer entries."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"non-integer entry {x}")
-            r.append(f.numerator)
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def inverse(a: Matrix) -> Matrix:
     """Invert by Gauss-Jordan elimination with exact pivots."""
     n = len(a)

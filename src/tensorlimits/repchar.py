@@ -5,16 +5,15 @@ A character is stored as a MultiplicityMap: a sparse dict from weights
 irreducibles come from the Freudenthal recursion; characters of tensor powers
 prod_l V_lam_l^(n_l) from Miller's power recurrence, which finds each
 multiplicity from higher ones by one exact integer division, at a cost per
-weight of the support sizes of the factors.  General products of characters are
-convolutions (convolve), kept as an independent cross-check of the power
-recurrence: small ones by a dict loop, large ones by packing each map into a
-single big integer (Kronecker substitution), multiplied with gmpy2 when it is
-installed and with CPython ints otherwise.
+weight of the support sizes of the factors.  It is the only product of
+characters the package computes; the test suite checks it against plain
+convolution of the factor characters (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -22,14 +21,6 @@ from math import lcm, prod
 from .errors import NegativeMultiplicity, NotDominant
 from .linalg import bilinear
 from .rootsys import IntVector, RootSystemData, casimir_eigenvalue, is_dominant, to_dominant
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # gmpy2 is optional: Kronecker products then multiply CPython ints
-    _mpz = None
-
-# convolutions with at most this many coefficient pairs stay on the dict path
-DICT_CONV_MAX_OPS = 1_000_000
 
 
 @dataclass(eq=False)
@@ -166,84 +157,6 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     return MultiplicityMap(entries, total)
 
 
-def _convolve_dict(a: MultiplicityMap, b: MultiplicityMap) -> dict:
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    out: dict = {}
-    for ws, cs in small.entries.items():
-        for wb, cb in big.entries.items():
-            key = tuple(x + y for x, y in zip(ws, wb))
-            out[key] = out.get(key, 0) + cs * cb
-    return out
-
-
-def _convolve_kronecker(a: MultiplicityMap, b: MultiplicityMap) -> dict:
-    """Convolve by packing both maps into big integers and multiplying.
-
-    Weights are laid out in a mixed-radix grid padded to the output bounding
-    box, one byte-aligned slot per grid point; slot width is chosen so that no
-    output coefficient can overflow into its neighbor.  Valid because all
-    multiplicities are nonnegative.
-    """
-    rank = len(next(iter(a.entries)))
-    amin = [min(w[i] for w in a.entries) for i in range(rank)]
-    amax = [max(w[i] for w in a.entries) for i in range(rank)]
-    bmin = [min(w[i] for w in b.entries) for i in range(rank)]
-    bmax = [max(w[i] for w in b.entries) for i in range(rank)]
-    widths = [(amax[i] - amin[i]) + (bmax[i] - bmin[i]) + 1 for i in range(rank)]
-    strides = [0] * rank
-    acc = 1
-    for i in range(rank - 1, -1, -1):
-        strides[i] = acc
-        acc *= widths[i]
-    slots = acc
-    peak = max(a.entries.values()) * max(b.entries.values()) * min(len(a), len(b))
-    slot_bytes = (peak.bit_length() + 8) // 8
-
-    def pack(m: MultiplicityMap, mins) -> int:
-        buf = bytearray(slots * slot_bytes)
-        for w, c in m.entries.items():
-            idx = sum((w[i] - mins[i]) * strides[i] for i in range(rank))
-            off = idx * slot_bytes
-            buf[off : off + slot_bytes] = c.to_bytes(slot_bytes, "little")
-        return int.from_bytes(buf, "little")
-
-    pa, pb = pack(a, amin), pack(b, bmin)
-    if _mpz is not None:
-        product = int(_mpz(pa) * _mpz(pb))
-    else:
-        product = pa * pb
-    raw = product.to_bytes(slots * slot_bytes, "little")
-    view = memoryview(raw)
-    omin = [amin[i] + bmin[i] for i in range(rank)]
-    out: dict = {}
-    for idx in range(slots):
-        chunk = view[idx * slot_bytes : (idx + 1) * slot_bytes]
-        c = int.from_bytes(chunk, "little")
-        if c:
-            rem = idx
-            w = []
-            for i in range(rank):
-                q, rem = divmod(rem, strides[i])
-                w.append(omin[i] + q)
-            out[tuple(w)] = c
-    return out
-
-
-def convolve(a: MultiplicityMap, b: MultiplicityMap, method: str | None = None) -> MultiplicityMap:
-    """Product of characters: entries[nu] = sum_mu a[mu] * b[nu - mu]."""
-    if not a.entries or not b.entries:
-        return MultiplicityMap({}, 0)
-    if method is None:
-        method = "kronecker" if len(a) * len(b) > DICT_CONV_MAX_OPS else "dict"
-    if method == "dict":
-        out = _convolve_dict(a, b)
-    elif method == "kronecker":
-        out = _convolve_kronecker(a, b)
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-    return MultiplicityMap(out, a.total_dim * b.total_dim)
-
-
 def _height_vector(rs: RootSystemData) -> IntVector:
     """Integer functional on omega-coords, positive on every simple root.
 
@@ -359,26 +272,17 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
     """Character of the tensor product of irreducible powers.
 
-    factors is a list of (lam, n) pairs meaning V_lam tensored n times; the
-    result is computed by Miller's power recurrence.
+    factors is a list of (lam, n) pairs meaning V_lam tensored n times; this
+    is tensor_power_table at N = 1 with each n as tau.
     """
-    powers = []
-    for lam, n in factors:
-        lam = tuple(lam)
-        if not is_dominant(lam):
-            raise NotDominant(f"{lam} is not dominant")
-        if n < 0:
-            raise ValueError(f"negative tensor power {n}")
-        if n:
-            powers.append((lam, freudenthal_multiplicities(rs, lam), n))
-    return _miller_power(rs, powers)
+    return tensor_power_table(rs, factors, [1])[1]
 
 
 def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
     """Characters of prod_l V_{lam_l}^(tau_l * N) for several N at once.
 
-    factors is a list of (lam, tau) with rational tau; every tau_l * N must be
-    an integer (the caller validates).  The factor characters are computed
+    factors is a list of (lam, tau) with rational tau; a tau_l * N that is not
+    a nonnegative integer raises ValueError.  The factor characters are computed
     once; each N then costs one run of Miller's power recurrence, linear in
     the size of its support for fixed factors.
     """
@@ -490,15 +394,26 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
 
 
 def save_multiplicity_map(m: MultiplicityMap, path) -> None:
-    """Write a map as JSON: weights as integer arrays, counts as decimal strings."""
+    """Write a map as JSON: weights as integer arrays, counts as decimal strings.
+
+    The document goes to a temporary file beside path that then replaces
+    path, so a reader sees the old file or the whole new one, never a part.
+    """
     items = sorted(m.entries.items())
     doc = {
         "weights": [list(w) for w, _ in items],
         "multiplicities": [str(c) for _, c in items],
         "total_dim": str(m.total_dim),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_multiplicity_map(path) -> MultiplicityMap:

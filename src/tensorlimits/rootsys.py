@@ -22,7 +22,7 @@ from fractions import Fraction
 import re
 
 from .errors import BasisMismatch, NotDominant, UnsupportedType, WeylCapExceeded
-from .linalg import Matrix, bilinear, identity, inverse, mat, mat_int, mat_mul, mat_vec, transpose
+from .linalg import Matrix, bilinear, inverse, mat, mat_mul, mat_vec, transpose
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -297,10 +297,6 @@ def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> 
     expected = weyl_group_order(t)
     weyl = _enumerate_weyl(c, weyl_cap, expected)
     dim_g = 2 * len(pos) + t.rank
-    # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
-    # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
-    pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
-    rho_pair = tuple(sum(vec) for vec in pair_vecs)
     return RootSystemData(
         cartan_type=t,
         C=c,
@@ -313,11 +309,21 @@ def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> 
         weyl=weyl,
         b_g=b_g_constant(t),
         dim_g=dim_g,
-        C_inv=inverse(mat(c)),
-        positive_roots_omega=tuple(mat_int([mat_vec(mat(c), root)])[0] for root in pos),
+        **_derived_caches(c, d, pos, weyl),
+    )
+
+
+def _derived_caches(c: IntMatrix, d, pos, weyl) -> dict:
+    """The cache fields of RootSystemData, derived from its public fields."""
+    # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
+    # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
+    pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
+    return dict(
+        C_inv=inverse(c),
+        positive_roots_omega=tuple(mat_vec(c, root) for root in pos),
         root_pair_vectors=pair_vecs,
-        rho_root_pairings=rho_pair,
-        simple_reflections=tuple(_simple_reflection(c, i) for i in range(t.rank)),
+        rho_root_pairings=tuple(sum(vec) for vec in pair_vecs),
+        simple_reflections=tuple(_simple_reflection(c, i) for i in range(len(c))),
         weyl_by_matrix={w.matrix: w for w in weyl},
     )
 
@@ -382,7 +388,7 @@ def to_dominant_shifted(rs: RootSystemData, mu):
         if i is None:
             break
         s = rs.simple_reflections[i]
-        acc = s if acc is None else mat_int(mat_mul(mat(acc), mat(s)))
+        acc = s if acc is None else mat_mul(acc, s)
         vi = v[i]
         v = [v[j] - rs.C[j][i] * vi for j in range(r)]
     if any(x == 0 for x in v):
@@ -441,7 +447,6 @@ def rootsys_from_json(doc: dict) -> RootSystemData:
         WeylElement(tuple(tuple(int(x) for x in row) for row in w["matrix"]), int(w["length"]), int(w["sign"]))
         for w in doc["weyl"]
     )
-    pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
     return RootSystemData(
         cartan_type=t,
         C=c,
@@ -454,10 +459,5 @@ def rootsys_from_json(doc: dict) -> RootSystemData:
         weyl=weyl,
         b_g=int(doc["b_g"]),
         dim_g=int(doc["dim_g"]),
-        C_inv=inverse(mat(c)),
-        positive_roots_omega=tuple(mat_int([mat_vec(mat(c), root)])[0] for root in pos),
-        root_pair_vectors=pair_vecs,
-        rho_root_pairings=tuple(sum(vec) for vec in pair_vecs),
-        simple_reflections=tuple(_simple_reflection(c, i) for i in range(t.rank)),
-        weyl_by_matrix={w.matrix: w for w in weyl},
+        **_derived_caches(c, d, pos, weyl),
     )

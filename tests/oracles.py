@@ -1,14 +1,15 @@
 """Independent slow oracles used by the test suite.
 
 These deliberately avoid the algorithms under test: characters come from
-exact division of Weyl alternants, and rank-1 tensor powers from the ballot
-closed form.
+exact division of Weyl alternants, products of characters from the plain
+convolution sum, and rank-1 tensor powers from the ballot closed form.
 """
 
 from fractions import Fraction
 from math import comb
 
 from tensorlimits.linalg import bilinear
+from tensorlimits.repchar import MultiplicityMap
 
 
 def character_by_weyl_formula(rs, lam) -> dict:
@@ -48,6 +49,16 @@ def character_by_weyl_formula(rs, lam) -> dict:
                 rem.pop(key, None)
     assert all(c > 0 for c in quotient.values())
     return quotient
+
+
+def convolve(a: MultiplicityMap, b: MultiplicityMap) -> MultiplicityMap:
+    """Product of characters: entries[nu] = sum_mu a[mu] * b[nu - mu]."""
+    out: dict = {}
+    for wa, ca in a.entries.items():
+        for wb, cb in b.entries.items():
+            key = tuple(x + y for x, y in zip(wa, wb))
+            out[key] = out.get(key, 0) + ca * cb
+    return MultiplicityMap(out, a.total_dim * b.total_dim)
 
 
 def sl2_power_components(n: int) -> dict:

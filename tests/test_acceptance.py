@@ -28,7 +28,6 @@ from tensorlimits.measures import (
     xi_measure,
 )
 from tensorlimits.repchar import (
-    convolve,
     freudenthal_multiplicities,
     peel_off_decompose,
     racah_decompose,
@@ -38,6 +37,8 @@ from tensorlimits.repchar import (
 from tensorlimits.rootsys import CartanType, build_root_system
 
 import numpy as np
+
+from oracles import convolve
 
 
 def system(name):

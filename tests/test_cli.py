@@ -140,6 +140,7 @@ def test_converge_config_file(tmp_path, capsys):
         "factors": [{"weight": [1], "tau": "1"}],
         "N_list": [4, 16],
         "format": "json",
+        "plot": True,  # an unknown key, ignored
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -174,6 +175,31 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert os.listdir(cache) == files
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[:20],  # truncated write
+        lambda text: json.dumps({"weights": [[0]], "multiplicities": ["5"], "total_dim": "5"}),  # forged entry
+    ],
+    ids=["truncated", "forged"],
+)
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
+    cache = tmp_path / "cache"
+    argv = ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "8", "--cache-dir", str(cache)]
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    (path,) = cache.iterdir()
+    good = path.read_text()
+    path.write_text(corrupt(good))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == cold
+    assert err == ""
+    # the entry was overwritten with the recomputed map and nothing else was left behind
+    assert list(cache.iterdir()) == [path]
+    assert path.read_text() == good
 
 
 def test_cache_env_fallback(tmp_path, capsys, monkeypatch):
@@ -212,6 +238,21 @@ def test_weyl_cap_exit_3(capsys):
     code, out, err = run(capsys, "rootsys", "info", "--type", "A9")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--bins", ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--bins", "0"]),
+        ("--bins", ["converge", "--type", "A1", "--factor", "1:1", "--N", "4", "--bins", "-3"]),
+        ("--resolution", ["density", "eta", "--type", "A2", "--check-normalization", "--resolution", "0"]),
+    ],
+)
+def test_nonpositive_count_flag_exit_2(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 def test_missing_converge_flags_exit_2(capsys):

@@ -9,7 +9,6 @@ import pytest
 from tensorlimits.errors import NegativeMultiplicity, NotDominant
 from tensorlimits.repchar import (
     MultiplicityMap,
-    convolve,
     freudenthal_multiplicities,
     load_multiplicity_map,
     peel_off_decompose,
@@ -23,7 +22,7 @@ from tensorlimits.repchar import (
 )
 from tensorlimits.rootsys import build_root_system, casimir_eigenvalue
 
-from oracles import character_by_weyl_formula, sl2_power_components
+from oracles import character_by_weyl_formula, convolve, sl2_power_components
 
 RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "G2"]}
 
@@ -123,7 +122,7 @@ def test_freudenthal_dimension_sweep():
             assert m.entries[tuple(lam)] == 1
 
 
-# ------------------------------------------------------------------ convolution
+# ------------------------------------------------------------------ convolution oracle
 
 
 def test_convolve_identity_and_binomial():
@@ -133,36 +132,6 @@ def test_convolve_identity_and_binomial():
     sq = convolve(v, v)
     assert sq.entries == {(2,): 1, (0,): 2, (-2,): 1}
     assert sq.total_dim == 4
-
-
-def _random_map(rng, rank, npts, cmax):
-    entries = {}
-    while len(entries) < npts:
-        w = tuple(rng.randint(-6, 6) for _ in range(rank))
-        entries[w] = rng.randint(1, cmax)
-    return MultiplicityMap(entries)
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_convolve_methods_agree(rank):
-    rng = random.Random(rank * 101)
-    for _ in range(5):
-        a = _random_map(rng, rank, rng.randint(1, 12), 10**6)
-        b = _random_map(rng, rank, rng.randint(1, 12), 10**6)
-        via_dict = convolve(a, b, method="dict")
-        via_kron = convolve(a, b, method="kronecker")
-        assert via_dict.entries == via_kron.entries
-        assert via_dict.total_dim == a.total_dim * b.total_dim == via_kron.total_dim
-
-
-def test_convolve_kronecker_without_gmpy2(monkeypatch):
-    import tensorlimits.repchar as rc
-
-    monkeypatch.setattr(rc, "_mpz", None)
-    rng = random.Random(9)
-    a = _random_map(rng, 2, 9, 50)
-    b = _random_map(rng, 2, 7, 50)
-    assert convolve(a, b, method="kronecker").entries == convolve(a, b, method="dict").entries
 
 
 def test_convolve_empty():
@@ -186,10 +155,14 @@ def test_tensor_power_examples():
     # brute-force triple convolution oracle
     v1 = freudenthal_multiplicities(a2, (1, 0))
     v2 = freudenthal_multiplicities(a2, (0, 1))
-    direct = convolve(convolve(v1, v1, method="dict"), v2, method="dict")
+    direct = convolve(convolve(v1, v1), v2)
     assert m.entries == direct.entries
     # zero powers are allowed and act as the unit
     assert tensor_power_multiplicities(a2, [((1, 0), 0)]).entries == unit_map(2).entries
+    with pytest.raises(NotDominant):
+        tensor_power_multiplicities(a2, [((-1, 1), 2)])
+    with pytest.raises(ValueError):
+        tensor_power_multiplicities(a2, [((1, 0), -1)])
 
 
 def test_tensor_power_matches_repeated_convolution():
@@ -197,7 +170,7 @@ def test_tensor_power_matches_repeated_convolution():
     v = freudenthal_multiplicities(b2, (0, 1))
     direct = v
     for _ in range(4):
-        direct = convolve(direct, v, method="dict")
+        direct = convolve(direct, v)
     fast = tensor_power_multiplicities(b2, [((0, 1), 5)])
     assert fast.entries == direct.entries
 
@@ -218,7 +191,7 @@ def _power_by_repeated_convolution(rs, counts):
     for lam, n in counts:
         v = freudenthal_multiplicities(rs, lam)
         for _ in range(n):
-            out = convolve(out, v, method="dict")
+            out = convolve(out, v)
     return out
 
 
