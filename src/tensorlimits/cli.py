@@ -2,9 +2,11 @@
 
 Subcommands: rootsys, measure, decompose, density, converge.  Weights are
 comma-separated fundamental-weight coordinates; a tensor factor is written
-as `coords:tau`, e.g. `1,0:1` or `2,1:1/2`.  Exit codes: 0 success, 2 bad
-configuration (the diagnostic names the offending field), 3 computation cap
-exceeded.
+as `coords:tau`, e.g. `1,0:1` or `2,1:1/2`.  Measures use the one variance
+scale of measures.sigma_squared, and decompose uses Racah's formula.  Exit
+codes: 0 success, 2 bad configuration, including a --cache-dir or --output
+path that cannot be written (the diagnostic names the offending field), 3
+computation cap exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -43,7 +46,6 @@ from .measures import (
 )
 from .repchar import (
     load_multiplicity_map,
-    peel_off_decompose,
     racah_decompose,
     save_multiplicity_map,
     tensor_power_table,
@@ -51,7 +53,6 @@ from .repchar import (
 )
 from .rootsys import CartanType, build_root_system, rootsys_to_json
 
-SIGMA_CONVENTIONS = ("consistent", "paper")
 FORMATS = ("json", "csv")
 
 
@@ -75,12 +76,20 @@ class BadField(Exception):
         self.message = message
 
 
+@contextmanager
+def _os_errors(field: str):
+    """Turn a file-system error inside the block into a BadField naming field."""
+    try:
+        yield
+    except OSError as exc:
+        raise BadField(field, str(exc))
+
+
 @dataclass
 class ExperimentConfig:
     cartan_type: str
     factors: tuple
     N_list: tuple
-    sigma_convention: str = "consistent"
     format: str = "csv"
     cache_dir: str | None = None
 
@@ -96,6 +105,8 @@ class ExperimentConfig:
         for key in ("cartan_type", "factors", "N_list"):
             if key not in doc:
                 raise BadField(key, "missing from config file")
+        if doc.get("sigma_convention", "consistent") != "consistent":
+            raise BadField("sigma_convention", "the only variance scale is 'consistent'")
         factors = []
         for item in doc["factors"]:
             try:
@@ -110,7 +121,6 @@ class ExperimentConfig:
             cartan_type=str(doc["cartan_type"]),
             factors=tuple(factors),
             N_list=n_list,
-            sigma_convention=str(doc.get("sigma_convention", "consistent")),
             format=str(doc.get("format", "csv")),
             cache_dir=doc.get("cache_dir"),
         )
@@ -118,8 +128,6 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.sigma_convention not in SIGMA_CONVENTIONS:
-            raise BadField("sigma_convention", f"must be one of {SIGMA_CONVENTIONS}")
         if self.format not in FORMATS:
             raise BadField("format", f"must be one of {FORMATS}")
         if not self.factors:
@@ -208,7 +216,8 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
     """Multiplicity maps for each N, reading the cache if set and overwriting its misses."""
     if cache_dir is None:
         return tensor_power_table(spec.rs, spec.factors, n_values)
-    os.makedirs(cache_dir, exist_ok=True)
+    with _os_errors("--cache-dir"):
+        os.makedirs(cache_dir, exist_ok=True)
     paths = {n: os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.json") for n in n_values}
     table = {}
     for n, path in paths.items():
@@ -220,13 +229,14 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
         fresh = tensor_power_table(spec.rs, spec.factors, missing)
         for n in missing:
             table[n] = fresh[n]
-            save_multiplicity_map(fresh[n], paths[n])
+            with _os_errors("--cache-dir"):
+                save_multiplicity_map(fresh[n], paths[n])
     return table
 
 
 def _emit(text: str, args) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+        with _os_errors("--output"), open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -254,7 +264,7 @@ def cmd_measure(args) -> int:
     _check_admissible(spec, [n])
     table = _power_table(spec, [n], _cache_dir(args))
     builder = {"xi": xi_measure, "eta": eta_measure, "eta_extended": eta_extended_measure}[args.kind]
-    measure = builder(spec, n, args.sigma_convention, multiplicities=table[n])
+    measure = builder(spec, n, multiplicities=table[n])
     if args.format == "csv":
         _emit(measure_to_csv(measure), args)
     else:
@@ -273,8 +283,7 @@ def cmd_decompose(args) -> int:
     n = n_values[0]
     _check_admissible(spec, [n])
     table = _power_table(spec, [n], _cache_dir(args))
-    decompose = racah_decompose if args.method == "racah" else peel_off_decompose
-    result = decompose(spec.rs, table[n])
+    result = racah_decompose(spec.rs, table[n])
     items = sorted(result.components.items())
     if args.format == "csv":
         rank = spec.rs.rank
@@ -287,7 +296,7 @@ def cmd_decompose(args) -> int:
         doc = {
             "spec": spec.describe(),
             "N": n,
-            "method": args.method,
+            "method": "racah",
             "components": [{"weight": list(w), "multiplicity": str(c)} for w, c in items],
             "total_dim": str(table[n].total_dim),
         }
@@ -328,10 +337,11 @@ def _plot_files(model, base: str) -> None:
             "set pm3d map\nset size ratio -1\n"
             f'splot "{base}.dat" using 1:2:3 notitle\n'
         )
-    with open(base + ".dat", "w") as fh:
-        fh.write(dat)
-    with open(base + ".gp", "w") as fh:
-        fh.write(script)
+    with _os_errors("--output"):
+        with open(base + ".dat", "w") as fh:
+            fh.write(dat)
+        with open(base + ".gp", "w") as fh:
+            fh.write(script)
 
 
 def cmd_density(args) -> int:
@@ -365,7 +375,6 @@ def cmd_converge(args) -> int:
         type_str = args.type or cfg.cartan_type
         factors = [_parse_factor(f) for f in args.factor] if args.factor else cfg.factors
         n_values = _parse_n_list(args.N) if args.N else cfg.N_list
-        convention = args.sigma_convention or cfg.sigma_convention
         fmt = args.format or cfg.format
         cache_dir = getattr(args, "cache_dir", None) or cfg.cache_dir or os.environ.get("LTL_CACHE_DIR")
     else:
@@ -375,23 +384,14 @@ def cmd_converge(args) -> int:
         type_str = args.type
         factors = [_parse_factor(f) for f in args.factor]
         n_values = _parse_n_list(args.N)
-        convention = args.sigma_convention or "consistent"
         fmt = args.format or "csv"
         cache_dir = _cache_dir(args)
-    if args.t_grid not in (None, "default"):
-        raise BadField("--t-grid", f"only 'default' is supported, got {args.t_grid!r}")
     spec = _build_spec(type_str, factors)
     _check_admissible(spec, n_values)
     if spec.rs.rank > 3:
         raise RankTooLarge(f"converge needs rank <= 3 for the TV metric, got {spec.rs.rank}")
     table = _power_table(spec, sorted(set(n_values)), cache_dir)
-    report = convergence_report(
-        spec,
-        n_values,
-        bins_per_axis=args.bins,
-        convention=convention,
-        table=table,
-    )
+    report = convergence_report(spec, n_values, bins_per_axis=args.bins, table=table)
     if fmt == "csv":
         _emit(report_to_csv(report), args)
     else:
@@ -416,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--type", required=True)
     p_meas.add_argument("--factor", action="append", required=True, metavar="COORDS:TAU")
     p_meas.add_argument("--N", required=True)
-    p_meas.add_argument("--sigma-convention", choices=SIGMA_CONVENTIONS, default="consistent")
     p_meas.add_argument("--format", choices=FORMATS, default="csv")
     p_meas.add_argument("--cache-dir")
     p_meas.add_argument("--output")
@@ -426,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--type", required=True)
     p_dec.add_argument("--factor", action="append", required=True, metavar="COORDS:TAU")
     p_dec.add_argument("--N", required=True)
-    p_dec.add_argument("--method", choices=["racah", "peel"], default="racah")
     p_dec.add_argument("--format", choices=FORMATS, default="csv")
     p_dec.add_argument("--cache-dir")
     p_dec.add_argument("--output")
@@ -445,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--type")
     p_con.add_argument("--factor", action="append", metavar="COORDS:TAU")
     p_con.add_argument("--N", help="comma-separated list, e.g. 4,16,64")
-    p_con.add_argument("--t-grid", dest="t_grid")
     p_con.add_argument("--bins", type=_positive_int)
-    p_con.add_argument("--sigma-convention", choices=SIGMA_CONVENTIONS)
     p_con.add_argument("--format", choices=FORMATS)
     p_con.add_argument("--config", help="JSON experiment config; flags override")
     p_con.add_argument("--cache-dir")

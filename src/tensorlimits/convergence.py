@@ -103,9 +103,9 @@ def default_t_grid(rank: int, points_per_axis: int = DEFAULT_T_POINTS_PER_AXIS, 
     return [tuple(v) for v in itertools.product(axis, repeat=rank)]
 
 
-def sup_char_error(spec: TensorSpec, N: int, t_grid=None, convention: str = "consistent") -> float:
+def sup_char_error(spec: TensorSpec, N: int, t_grid=None) -> float:
     """Max over the grid of |empirical phi of xi(N) - Gaussian limit|."""
-    measure = xi_measure(spec, N, convention)
+    measure = xi_measure(spec, N)
     return _sup_char_error_measure(spec.rs, measure, t_grid)
 
 
@@ -231,16 +231,15 @@ def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: i
 def convergence_report(
     spec: TensorSpec,
     N_list,
-    t_grid=None,
     bins_per_axis: int | None = None,
-    convention: str = "consistent",
-    max_moment_order: int = DEFAULT_MOMENT_ORDER,
     table: dict | None = None,
 ) -> ConvergenceReport:
     """Full metric table for xi and eta across a list of tensor powers.
 
-    The character table is computed once, by Miller's power recurrence for
-    each N; each N then reuses its entry for both measures.  A precomputed
+    A row holds the char-fn sup error of xi over default_t_grid, its moment
+    errors up to DEFAULT_MOMENT_ORDER and the binned TV distance of eta.  The
+    character table is computed once, by Miller's power recurrence for each
+    N; each N then reuses its entry for both measures.  A precomputed
     table mapping N to its multiplicity map (e.g. from a cache) can be passed
     to skip that step.
     """
@@ -254,13 +253,13 @@ def convergence_report(
     eta_model = make_density_model(rs, "eta")
     rows = []
     for n in n_values:
-        xi = xi_measure(spec, n, convention, multiplicities=table[n])
-        eta = eta_measure(spec, n, convention, multiplicities=table[n])
+        xi = xi_measure(spec, n, multiplicities=table[n])
+        eta = eta_measure(spec, n, multiplicities=table[n])
         rows.append(
             ReportRow(
                 N=n,
-                char_fn_sup_error=_sup_char_error_measure(rs, xi, t_grid),
-                moment_errors=moment_errors_xi(rs, xi, max_moment_order),
+                char_fn_sup_error=_sup_char_error_measure(rs, xi),
+                moment_errors=moment_errors_xi(rs, xi),
                 histogram_tv=histogram_tv(eta, eta_model, bins_per_axis),
             )
         )

@@ -11,6 +11,8 @@ tensor power bundle of a TensorSpec:
 Atoms keep their integer weight vector and exact rational probability; the
 scale sigma*sqrt(N) is carried symbolically as the rational sigma^2*N, so
 every identity at this layer is exact.  Floats appear only downstream.
+There is one variance scale, sigma^2 = sum_l tau_l (lam_l, lam_l + 2 rho) /
+dim g: the one under which xi(N) tends to exp(-(t, t)/2).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateSpec, InadmissibleN, NotDominant
 from .repchar import (
@@ -97,33 +100,27 @@ class DiscreteMeasure:
     def scale(self) -> float:
         return math.sqrt(float(self.sigma_sq * self.N))
 
+    @cached_property
+    def _lookup(self) -> dict:
+        return dict(self.atoms)
+
     def prob_at(self, weight) -> Fraction:
-        key = tuple(weight)
-        table = getattr(self, "_lookup", None)
-        if table is None:
-            table = {w: p for w, p in self.atoms}
-            object.__setattr__(self, "_lookup", table)
-        return table.get(key, Fraction(0))
+        return self._lookup.get(tuple(weight), Fraction(0))
 
     def total_mass(self) -> Fraction:
         return sum((p for _, p in self.atoms), Fraction(0))
 
 
-def sigma_squared(spec: TensorSpec, convention: str = "consistent") -> Fraction:
+def sigma_squared(spec: TensorSpec) -> Fraction:
     """Variance scale sigma^2 = sum_l tau_l (lam_l, lam_l + 2 rho) / dim g.
 
-    The 'paper' convention multiplies by b_g; it is kept for comparison only,
-    the consistent convention is the one under which the exact second-moment
-    identity and the closed-form limits hold.
+    This is the scale under which the exact second-moment identity and the
+    closed-form limits hold.
     """
-    if convention not in ("consistent", "paper"):
-        raise ValueError(f"unknown sigma convention {convention!r}")
     total = Fraction(0)
     for lam, tau in spec.factors:
         total += tau * casimir_eigenvalue(spec.rs, lam)
     total /= spec.rs.dim_g
-    if convention == "paper":
-        total *= spec.rs.b_g
     if total == 0:
         raise DegenerateSpec("all highest weights are zero, sigma^2 = 0")
     return total
@@ -152,7 +149,6 @@ def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
 def xi_measure(
     spec: TensorSpec,
     N: int,
-    convention: str = "consistent",
     multiplicities: MultiplicityMap | None = None,
 ) -> DiscreteMeasure:
     """Weight measure of V_N: mass dim V_N(mu) / dim V_N at scaled mu.
@@ -160,7 +156,7 @@ def xi_measure(
     multiplicities, when given, must be the precomputed character of V_N
     (cache hook used by the convergence module and the CLI).
     """
-    sig = sigma_squared(spec, convention)
+    sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
     total = m.total_dim
     atoms = tuple((w, Fraction(c, total)) for w, c in sorted(m.entries.items()))
@@ -170,11 +166,10 @@ def xi_measure(
 def eta_measure(
     spec: TensorSpec,
     N: int,
-    convention: str = "consistent",
     multiplicities: MultiplicityMap | None = None,
 ) -> DiscreteMeasure:
     """Component measure of V_N: mass [V_N : V_mu] dim V_mu / dim V_N."""
-    sig = sigma_squared(spec, convention)
+    sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
     dec = racah_decompose(spec.rs, m)
     total = m.total_dim
@@ -188,7 +183,6 @@ def eta_measure(
 def eta_extended_measure(
     spec: TensorSpec,
     N: int,
-    convention: str = "consistent",
     multiplicities: MultiplicityMap | None = None,
 ) -> DiscreteMeasure:
     """Extension of eta to the whole weight lattice by shifted Weyl orbits.
@@ -199,7 +193,7 @@ def eta_extended_measure(
     as explicit zero atoms while the box stays below WALL_ATOM_BOX_LIMIT.
     """
     rs = spec.rs
-    eta = eta_measure(spec, N, convention, multiplicities)
+    eta = eta_measure(spec, N, multiplicities)
     order = len(rs.weyl)
     masses: dict = {}
     for mu, p in eta.atoms:

@@ -7,7 +7,9 @@ prod_l V_lam_l^(n_l) from Miller's power recurrence, which finds each
 multiplicity from higher ones by one exact integer division, at a cost per
 weight of the support sizes of the factors.  It is the only product of
 characters the package computes; the test suite checks it against plain
-convolution of the factor characters (tests/oracles.py).
+convolution of the factor characters (tests/oracles.py).  Characters are
+split into irreducibles by Racah's alternating Weyl sum, which the tests
+check against peeling off highest weights.
 """
 
 from __future__ import annotations
@@ -333,44 +335,6 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
         raise NegativeMultiplicity(
             f"components account for dimension {total} of {m.total_dim}; input was not a character"
         )
-    return IrrepDecomposition(components)
-
-
-def peel_off_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecomposition:
-    """Decompose by repeatedly peeling the highest dominant weight.
-
-    Independent of racah_decompose: the dominant weight of maximal height in
-    the remaining support is a highest weight; subtract its full multiplicity
-    map and recurse.  Meant as a cross-check oracle, not a production path.
-    """
-    height_vec = _height_vector(rs)
-    work = dict(m.entries)
-    components: dict = {}
-    irrep_cache: dict = {}
-    while work:
-        best = None
-        best_height = None
-        for mu in work:
-            if is_dominant(mu):
-                h = sum(hv * x for hv, x in zip(height_vec, mu))
-                if best is None or (h, mu) > (best_height, best):
-                    best, best_height = mu, h
-        if best is None:
-            raise NegativeMultiplicity(f"no dominant weight left in nonempty support {sorted(work)[:3]}...")
-        c = work[best]
-        if c < 0:
-            raise NegativeMultiplicity(f"multiplicity {c} at {best}")
-        if best not in irrep_cache:
-            irrep_cache[best] = freudenthal_multiplicities(rs, best)
-        for nu, cnt in irrep_cache[best].entries.items():
-            rem = work.get(nu, 0) - c * cnt
-            if rem < 0:
-                raise NegativeMultiplicity(f"oversubtraction at {nu}")
-            if rem:
-                work[nu] = rem
-            else:
-                work.pop(nu, None)
-        components[best] = c
     return IrrepDecomposition(components)
 
 

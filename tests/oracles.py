@@ -2,14 +2,17 @@
 
 These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
-convolution sum, and rank-1 tensor powers from the ballot closed form.
+convolution sum, decompositions from peeling off highest weights, and rank-1
+tensor powers from the ballot closed form.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
-from tensorlimits.repchar import MultiplicityMap
+from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities
+from tensorlimits.rootsys import is_dominant
 
 
 def character_by_weyl_formula(rs, lam) -> dict:
@@ -59,6 +62,46 @@ def convolve(a: MultiplicityMap, b: MultiplicityMap) -> MultiplicityMap:
             key = tuple(x + y for x, y in zip(wa, wb))
             out[key] = out.get(key, 0) + ca * cb
     return MultiplicityMap(out, a.total_dim * b.total_dim)
+
+
+def peel_off_decompose(rs, m: MultiplicityMap) -> IrrepDecomposition:
+    """Decompose by repeatedly peeling the highest dominant weight.
+
+    Independent of racah_decompose: the dominant weight of maximal height
+    (mu, rho) in the remaining support is a highest weight; subtract its full
+    multiplicity map and recurse.
+    """
+    rho_pairing = [sum(row) for row in rs.gram_omega]  # (omega_i, rho), rho = (1, ..., 1)
+    scale = lcm(*(x.denominator for x in rho_pairing))
+    height_vec = [int(x * scale) for x in rho_pairing]
+    work = dict(m.entries)
+    components: dict = {}
+    irrep_cache: dict = {}
+    while work:
+        best = None
+        best_height = None
+        for mu in work:
+            if is_dominant(mu):
+                h = sum(hv * x for hv, x in zip(height_vec, mu))
+                if best is None or (h, mu) > (best_height, best):
+                    best, best_height = mu, h
+        if best is None:
+            raise NegativeMultiplicity(f"no dominant weight left in nonempty support {sorted(work)[:3]}...")
+        c = work[best]
+        if c < 0:
+            raise NegativeMultiplicity(f"multiplicity {c} at {best}")
+        if best not in irrep_cache:
+            irrep_cache[best] = freudenthal_multiplicities(rs, best)
+        for nu, cnt in irrep_cache[best].entries.items():
+            rem = work.get(nu, 0) - c * cnt
+            if rem < 0:
+                raise NegativeMultiplicity(f"oversubtraction at {nu}")
+            if rem:
+                work[nu] = rem
+            else:
+                work.pop(nu, None)
+        components[best] = c
+    return IrrepDecomposition(components)
 
 
 def sl2_power_components(n: int) -> dict:

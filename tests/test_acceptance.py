@@ -29,7 +29,6 @@ from tensorlimits.measures import (
 )
 from tensorlimits.repchar import (
     freudenthal_multiplicities,
-    peel_off_decompose,
     racah_decompose,
     tensor_power_table,
     weyl_dim,
@@ -38,7 +37,7 @@ from tensorlimits.rootsys import CartanType, build_root_system
 
 import numpy as np
 
-from oracles import convolve
+from oracles import convolve, peel_off_decompose
 
 
 def system(name):

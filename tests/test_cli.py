@@ -3,7 +3,11 @@ import os
 
 import pytest
 
-from tensorlimits.cli import ExperimentConfig, main
+from tensorlimits.cli import main
+from tensorlimits.repchar import tensor_power_multiplicities
+from tensorlimits.rootsys import build_root_system
+
+from oracles import peel_off_decompose
 
 
 def run(capsys, *argv):
@@ -47,15 +51,13 @@ def test_measure_json_reparses(capsys):
 
 
 def test_decompose_methods_agree(capsys):
-    code_r, out_r, _ = run(
-        capsys, "decompose", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--method", "racah"
-    )
-    code_p, out_p, _ = run(
-        capsys, "decompose", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--method", "peel"
-    )
-    assert code_r == code_p == 0
-    assert out_r == out_p
-    assert out_r.startswith("weight_1,weight_2,multiplicity")
+    code, out, _ = run(capsys, "decompose", "--type", "A2", "--factor", "1,0:1", "--N", "4")
+    assert code == 0
+    a2 = build_root_system("A2")
+    peel = peel_off_decompose(a2, tensor_power_multiplicities(a2, [((1, 0), 4)]))
+    lines = ["weight_1,weight_2,multiplicity"]
+    lines += [f"{w[0]},{w[1]},{c}" for w, c in sorted(peel.components.items())]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_decompose_json_total_dim(capsys):
@@ -114,7 +116,7 @@ def test_density_plot_2d(tmp_path, capsys):
 
 def test_converge_csv(capsys):
     code, out, _ = run(
-        capsys, "converge", "--type", "A1", "--factor", "1:1", "--N", "4,16", "--t-grid", "default"
+        capsys, "converge", "--type", "A1", "--factor", "1:1", "--N", "4,16"
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -140,6 +142,7 @@ def test_converge_config_file(tmp_path, capsys):
         "factors": [{"weight": [1], "tau": "1"}],
         "N_list": [4, 16],
         "format": "json",
+        "sigma_convention": "consistent",  # the one scale there is, still accepted
         "plot": True,  # an unknown key, ignored
     }
     path = tmp_path / "cfg.json"
@@ -261,13 +264,51 @@ def test_missing_converge_flags_exit_2(capsys):
     assert "--factor" in err
 
 
-def test_config_validation():
-    cfg = ExperimentConfig(
-        cartan_type="A1", factors=(((1,), 1),), N_list=(4,), sigma_convention="bogus"
-    )
-    with pytest.raises(Exception) as info:
-        cfg.validate()
-    assert "sigma_convention" in str(info.value)
+def test_config_validation(tmp_path, capsys):
+    cfg = {
+        "cartan_type": "A1",
+        "factors": [{"weight": [1], "tau": "1"}],
+        "N_list": [4],
+        "sigma_convention": "paper",
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "converge", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "sigma_convention" in err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--sigma-convention", ["converge", "--type", "A1", "--factor", "1:1", "--N", "4", "--sigma-convention", "paper"]),
+        ("--sigma-convention", ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "2", "--sigma-convention", "consistent"]),
+        ("--method", ["decompose", "--type", "A1", "--factor", "1:1", "--N", "2", "--method", "peel"]),
+        ("--t-grid", ["converge", "--type", "A1", "--factor", "1:1", "--N", "4", "--t-grid", "default"]),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--cache-dir", ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "2", "--cache-dir", "{tmp}/file"]),
+        ("--output", ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "2", "--output", "{tmp}/missing/x.csv"]),
+        ("--output", ["density", "eta", "--type", "A1", "--plot", "--output", "{tmp}/missing/a1eta"]),
+    ],
+)
+def test_unusable_path_exit_2(tmp_path, capsys, flag, argv):
+    (tmp_path / "file").write_text("")
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 def test_rootsys_output_file(tmp_path, capsys):

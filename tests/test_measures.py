@@ -47,11 +47,8 @@ def test_tensor_spec_validation():
 
 def test_sigma_squared():
     assert sigma_squared(SPEC_A1) == Fraction(1, 2)
-    assert sigma_squared(SPEC_A1, "paper") == 2
     with pytest.raises(DegenerateSpec):
         sigma_squared(TensorSpec(A1, (((0,), 1),)))
-    with pytest.raises(ValueError):
-        sigma_squared(SPEC_A1, "standard")
     two = TensorSpec(A2, (((1, 0), 1), ((1, 1), Fraction(1, 2))))
     expected = (Fraction(8, 3) + Fraction(1, 2) * 6) / 8
     assert sigma_squared(two) == expected

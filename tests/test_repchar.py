@@ -11,7 +11,6 @@ from tensorlimits.repchar import (
     MultiplicityMap,
     freudenthal_multiplicities,
     load_multiplicity_map,
-    peel_off_decompose,
     racah_decompose,
     save_multiplicity_map,
     tensor_power_multiplicities,
@@ -22,7 +21,7 @@ from tensorlimits.repchar import (
 )
 from tensorlimits.rootsys import build_root_system, casimir_eigenvalue
 
-from oracles import character_by_weyl_formula, convolve, sl2_power_components
+from oracles import character_by_weyl_formula, convolve, peel_off_decompose, sl2_power_components
 
 RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "G2"]}
 
