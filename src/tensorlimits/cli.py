@@ -189,16 +189,30 @@ def _cache_dir(args) -> str | None:
 
 
 def _cache_key(spec: TensorSpec, n: int) -> str:
+    """Hash of the spec, N, the algorithm that wrote the entry and the file format."""
     factors = sorted(spec.factors)
-    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|v1"
+    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|miller|v2"
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _positive_and_w_invariant(rs, m) -> bool:
+    """True iff m's weights have rank rs.rank and its multiplicities are positive
+    and invariant under each simple reflection."""
+    for w, c in m.entries.items():
+        if c <= 0 or len(w) != rs.rank:
+            return False
+        for i, wi in enumerate(w):
+            if wi and m.entries.get(tuple(x - rs.C[j][i] * wi for j, x in enumerate(w))) != c:
+                return False
+    return True
 
 
 def _load_cached(spec: TensorSpec, n: int, path: str):
     """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
 
-    A map is consistent when its entries sum to its total_dim and that total
-    is prod_l dim(V_lam_l)^(tau_l N).
+    A map is consistent when its entries sum to its total_dim, that total is
+    prod_l dim(V_lam_l)^(tau_l N), and its multiplicities are positive and
+    W-invariant.
     """
     if not os.path.exists(path):
         return None
@@ -208,6 +222,8 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
         return None
     expected = prod(weyl_dim(spec.rs, lam) ** k for lam, k in factor_counts(spec, n))
     if m.total_dim != expected or sum(m.entries.values()) != expected:
+        return None
+    if not _positive_and_w_invariant(spec.rs, m):
         return None
     return m
 

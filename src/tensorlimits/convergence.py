@@ -146,10 +146,10 @@ def _gaussian_moment(cov: np.ndarray, kappa) -> float:
     return float(pairings(coords))
 
 
-def moment_errors_xi(rs: RootSystemData, measure: DiscreteMeasure, max_order: int = DEFAULT_MOMENT_ORDER) -> dict:
-    """|empirical - Gaussian| for every scaled moment up to max_order."""
-    cov = np.array([[float(x) for x in row] for row in rs.gram_omega_inv])
-    raw = mixed_moments(measure, max_order)
+def moment_errors_xi(spec: TensorSpec, N: int, max_order: int = DEFAULT_MOMENT_ORDER) -> dict:
+    """|empirical - Gaussian| for every scaled moment of xi(N) up to max_order."""
+    cov = np.array([[float(x) for x in row] for row in spec.rs.gram_omega_inv])
+    raw = mixed_moments(spec, N, max_order)
     out = {}
     for kappa, value in sorted(raw.items()):
         if sum(kappa) == 0:
@@ -159,13 +159,19 @@ def moment_errors_xi(rs: RootSystemData, measure: DiscreteMeasure, max_order: in
     return out
 
 
-def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: int | None = None) -> float:
-    """Binned total-variation distance between an atomic measure and a density.
+@dataclass(frozen=True)
+class _DensityBoxes:
+    """The density side of histogram_tv: box grid and limit mass per box."""
 
-    Equal-width boxes cover [-6, 6] (or [0, 6] for cone-supported kinds) times
-    the limit's per-axis standard deviation; mass escaping the box is added as
-    tail on both sides.  Always in [0, 1].
-    """
+    lo: list
+    width: list
+    bins: int
+    q: np.ndarray
+    q_tail: float
+
+
+def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBoxes:
+    """The boxes of histogram_tv and the density's mass in each, by the midpoint rule on a subgrid."""
     rs = model.rs
     rank = rs.rank
     if rank > 3:
@@ -177,29 +183,6 @@ def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: i
     lo = [0.0 if cone else -6.0 * s for s in sig]
     hi = [6.0 * s for s in sig]
     width = [(b - a) / bins_per_axis for a, b in zip(lo, hi)]
-
-    # atomic side: exact box masses, converted to float at the end
-    box_mass: dict = {}
-    tail_mass = Fraction(0)
-    scale = measure.scale
-    for w, p in measure.atoms:
-        if p == 0:
-            continue
-        idx = []
-        inside = True
-        for i in range(rank):
-            x = float(w[i]) / scale
-            k = int(math.floor((x - lo[i]) / width[i]))
-            if k < 0 or k >= bins_per_axis:
-                inside = False
-                break
-            idx.append(k)
-        if inside:
-            key = tuple(idx)
-            box_mass[key] = box_mass.get(key, Fraction(0)) + p
-        else:
-            tail_mass += p
-    # density side: midpoint rule on a subgrid of each box
     target = {1: 2400, 2: 480, 3: 96}[rank]
     sub = max(2, round(target / bins_per_axis))
     axes = [
@@ -215,8 +198,35 @@ def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: i
     # collapse the subgrid: reshape each axis into (bins, sub) and sum the subs
     shaped = vals.reshape(tuple(x for i in range(rank) for x in (bins_per_axis, sub)))
     q = shaped.sum(axis=tuple(range(1, 2 * rank, 2))) * cell
-    q_total = float(q.sum())
-    q_tail = max(0.0, 1.0 - q_total)
+    q_tail = max(0.0, 1.0 - float(q.sum()))
+    return _DensityBoxes(lo, width, bins_per_axis, q, q_tail)
+
+
+def _boxes_tv(measure: DiscreteMeasure, boxes: _DensityBoxes) -> float:
+    """Binned total-variation distance between an atomic measure and the boxes' density."""
+    rank = len(boxes.lo)
+    # atomic side: exact box masses, converted to float at the end
+    box_mass: dict = {}
+    tail_mass = Fraction(0)
+    scale = measure.scale
+    for w, p in measure.atoms:
+        if p == 0:
+            continue
+        idx = []
+        inside = True
+        for i in range(rank):
+            x = float(w[i]) / scale
+            k = int(math.floor((x - boxes.lo[i]) / boxes.width[i]))
+            if k < 0 or k >= boxes.bins:
+                inside = False
+                break
+            idx.append(k)
+        if inside:
+            key = tuple(idx)
+            box_mass[key] = box_mass.get(key, Fraction(0)) + p
+        else:
+            tail_mass += p
+    q = boxes.q
     distance = 0.0
     seen = np.zeros_like(q, dtype=bool)
     for key in sorted(box_mass):
@@ -224,8 +234,18 @@ def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: i
         distance += abs(m_val - float(q[key]))
         seen[key] = True
     distance += float(q[~seen].sum())
-    distance += float(tail_mass) + q_tail
+    distance += float(tail_mass) + boxes.q_tail
     return 0.5 * distance
+
+
+def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: int | None = None) -> float:
+    """Binned total-variation distance between an atomic measure and a density.
+
+    Equal-width boxes cover [-6, 6] (or [0, 6] for cone-supported kinds) times
+    the limit's per-axis standard deviation; mass escaping the box is added as
+    tail on both sides.  Always in [0, 1].
+    """
+    return _boxes_tv(measure, _density_boxes(model, bins_per_axis))
 
 
 def convergence_report(
@@ -239,9 +259,10 @@ def convergence_report(
     A row holds the char-fn sup error of xi over default_t_grid, its moment
     errors up to DEFAULT_MOMENT_ORDER and the binned TV distance of eta.  The
     character table is computed once, by Miller's power recurrence for each
-    N; each N then reuses its entry for both measures.  A precomputed
-    table mapping N to its multiplicity map (e.g. from a cache) can be passed
-    to skip that step.
+    N; each N then reuses its entry for both measures.  The moments come
+    from the factor characters alone, and the density side of the TV boxes
+    is evaluated once for all N.  A precomputed table mapping N to its
+    multiplicity map (e.g. from a cache) can be passed to skip that step.
     """
     rs = spec.rs
     n_values = sorted(set(int(n) for n in N_list))
@@ -250,7 +271,7 @@ def convergence_report(
             raise InadmissibleN(f"N = {n} is not admissible")
     if table is None or any(n not in table for n in n_values):
         table = tensor_power_table(rs, spec.factors, n_values)
-    eta_model = make_density_model(rs, "eta")
+    eta_boxes = _density_boxes(make_density_model(rs, "eta"), bins_per_axis)
     rows = []
     for n in n_values:
         xi = xi_measure(spec, n, multiplicities=table[n])
@@ -259,8 +280,8 @@ def convergence_report(
             ReportRow(
                 N=n,
                 char_fn_sup_error=_sup_char_error_measure(rs, xi),
-                moment_errors=moment_errors_xi(rs, xi),
-                histogram_tv=histogram_tv(eta, eta_model, bins_per_axis),
+                moment_errors=moment_errors_xi(spec, n),
+                histogram_tv=_boxes_tv(eta, eta_boxes),
             )
         )
     char_seq = [row.char_fn_sup_error for row in rows]

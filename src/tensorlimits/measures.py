@@ -11,6 +11,8 @@ tensor power bundle of a TensorSpec:
 Atoms keep their integer weight vector and exact rational probability; the
 scale sigma*sqrt(N) is carried symbolically as the rational sigma^2*N, so
 every identity at this layer is exact.  Floats appear only downstream.
+The moments of xi (mixed_moments) come from the factor characters alone,
+without the atoms of xi.
 There is one variance scale, sigma^2 = sum_l tau_l (lam_l, lam_l + 2 rho) /
 dim g: the one under which xi(N) tends to exp(-(t, t)/2).
 """
@@ -26,6 +28,7 @@ from functools import cached_property
 from .errors import DegenerateSpec, InadmissibleN, NotDominant
 from .repchar import (
     MultiplicityMap,
+    freudenthal_multiplicities,
     racah_decompose,
     tensor_power_multiplicities,
     weyl_dim,
@@ -229,8 +232,57 @@ def pushforward_dominant_shifted(rs: RootSystemData, measure: DiscreteMeasure) -
     return DiscreteMeasure(atoms, measure.sigma_sq, measure.N)
 
 
-def mixed_moments(measure: DiscreteMeasure, max_order: int) -> dict:
-    """Raw moments of the scaled measure for all multi-indices up to max_order.
+def _power_sums(m: MultiplicityMap, kappas) -> dict:
+    """p_kappa = sum_mu m(mu) mu^kappa for each multi-index kappa.
+
+    sum_kappa p_kappa s^kappa / kappa! is the character evaluated at exp(s),
+    the moment series of the weight measure times its dimension.
+    """
+    return {
+        kappa: sum(c * math.prod(x**k for x, k in zip(w, kappa)) for w, c in m.entries.items())
+        for kappa in kappas
+    }
+
+
+def _binomial_terms(kappas) -> dict:
+    """For each kappa, the (binomial(kappa, alpha), alpha, kappa - alpha) over alpha <= kappa."""
+    terms = {}
+    for kappa in kappas:
+        terms[kappa] = []
+        for alpha in itertools.product(*(range(k + 1) for k in kappa)):
+            binom = math.prod(math.comb(k, a) for k, a in zip(kappa, alpha))
+            terms[kappa].append((binom, alpha, tuple(k - a for k, a in zip(kappa, alpha))))
+    return terms
+
+
+def _times_power(acc: dict, p: dict, n: int, terms: dict) -> dict:
+    """Power sums of acc * p^n, by repeated squaring.
+
+    Power sums of a product of characters are the binomial convolution of
+    the factors' power sums (their moment series multiply); truncating at
+    the largest order in terms is exact, since no order feeds a lower one.
+    """
+
+    def times(a, b):
+        return {kappa: sum(c * a[x] * b[y] for c, x, y in pairs) for kappa, pairs in terms.items()}
+
+    while n:
+        if n & 1:
+            acc = times(acc, p)
+        n >>= 1
+        if n:
+            p = times(p, p)
+    return acc
+
+
+def mixed_moments(spec: TensorSpec, N: int, max_order: int) -> dict:
+    """Raw moments of scaled xi(N) for all multi-indices up to max_order.
+
+    xi(N) is the law of a sum of tau_l N independent draws from each factor's
+    normalized character, so its moments come from the factor characters
+    alone: their power sums, raised to tau_l N by repeated squaring, give
+    the exact integer power sums of V_N.  The cost grows with log N and the
+    factor supports, not with the support of V_N.
 
     Even total orders divide exactly by (sigma^2 N)^(|kappa|/2) and stay
     rational; odd total orders involve sqrt(sigma^2 N) and are returned as
@@ -238,22 +290,20 @@ def mixed_moments(measure: DiscreteMeasure, max_order: int) -> dict:
     """
     if max_order > 6:
         raise ValueError("moments above order 6 are not supported")
-    rank = measure.rank
+    rs = spec.rs
+    kappas = [kappa for kappa in itertools.product(range(max_order + 1), repeat=rs.rank) if sum(kappa) <= max_order]
+    terms = _binomial_terms(kappas)
+    sums = {kappa: int(not any(kappa)) for kappa in kappas}  # the trivial character
+    total = 1
+    for lam, n in factor_counts(spec, N):
+        m = freudenthal_multiplicities(rs, lam)
+        sums = _times_power(sums, _power_sums(m, kappas), n, terms)
+        total *= m.total_dim**n
+    scale_sq = sigma_squared(spec) * N
     out: dict = {}
-    scale_sq = measure.scale_sq
-    for kappa in itertools.product(range(max_order + 1), repeat=rank):
+    for kappa in kappas:
         order = sum(kappa)
-        if order > max_order:
-            continue
-        raw = Fraction(0)
-        for w, p in measure.atoms:
-            if p == 0:
-                continue
-            term = p
-            for x, k in zip(w, kappa):
-                for _ in range(k):
-                    term *= x
-            raw += term
+        raw = Fraction(sums[kappa], total)
         if order % 2 == 0:
             out[kappa] = raw / scale_sq ** (order // 2)
         else:

@@ -2,10 +2,12 @@
 
 These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
-convolution sum, decompositions from peeling off highest weights, and rank-1
-tensor powers from the ballot closed form.
+convolution sum, decompositions from peeling off highest weights, rank-1
+tensor powers from the ballot closed form, and the moments of a measure
+from a sum over its atoms.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb, lcm
 
@@ -122,3 +124,31 @@ def second_moment_direct(entries: dict, pair_vec) -> Fraction:
         p = sum(v * x for v, x in zip(pair_vec, mu))
         acc += c * p * p
     return acc
+
+
+def mixed_moments(measure, max_order: int) -> dict:
+    """Raw moments of a scaled DiscreteMeasure by summing over its atoms.
+
+    Even total orders are exact Fractions; odd ones are floats, through the
+    same expression as measures.mixed_moments.
+    """
+    if max_order > 6:
+        raise ValueError("moments above order 6 are not supported")
+    out: dict = {}
+    scale_sq = measure.scale_sq
+    for kappa in itertools.product(range(max_order + 1), repeat=measure.rank):
+        order = sum(kappa)
+        if order > max_order:
+            continue
+        raw = Fraction(0)
+        for w, p in measure.atoms:
+            term = p
+            for x, k in zip(w, kappa):
+                for _ in range(k):
+                    term *= x
+            raw += term
+        if order % 2 == 0:
+            out[kappa] = raw / scale_sq ** (order // 2)
+        else:
+            out[kappa] = float(raw) / float(scale_sq) ** (order / 2)
+    return out

@@ -180,13 +180,22 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert os.listdir(cache) == files
 
 
+def _swap_first_multiplicities(text):
+    """Swap the multiplicities of the two lowest weights: same total, not W-invariant."""
+    doc = json.loads(text)
+    mults = doc["multiplicities"]
+    mults[0], mults[1] = mults[1], mults[0]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda text: text[:20],  # truncated write
         lambda text: json.dumps({"weights": [[0]], "multiplicities": ["5"], "total_dim": "5"}),  # forged entry
+        _swap_first_multiplicities,
     ],
-    ids=["truncated", "forged"],
+    ids=["truncated", "forged", "swapped"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     cache = tmp_path / "cache"

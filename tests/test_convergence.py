@@ -115,8 +115,7 @@ def test_default_t_grid_shape():
 def test_moment_errors_low_orders_exact():
     # first and second scaled moments match the Gaussian limit exactly at
     # every N, so those entries must be identically zero
-    m = xi_measure(A2, 4)
-    errs = moment_errors_xi(A2.rs, m)
+    errs = moment_errors_xi(A2, 4)
     for kappa, err in errs.items():
         if sum(kappa) <= 2:
             assert err == 0.0
@@ -124,8 +123,8 @@ def test_moment_errors_low_orders_exact():
 
 
 def test_fourth_moment_error_shrinks():
-    e_small = moment_errors_xi(A1.rs, xi_measure(A1, 4))[(4,)]
-    e_big = moment_errors_xi(A1.rs, xi_measure(A1, 64))[(4,)]
+    e_small = moment_errors_xi(A1, 4)[(4,)]
+    e_big = moment_errors_xi(A1, 64)[(4,)]
     assert e_big < e_small
 
 

@@ -20,7 +20,10 @@ from tensorlimits.measures import (
     sigma_squared,
     xi_measure,
 )
+from tensorlimits.repchar import weyl_dim
 from tensorlimits.rootsys import build_root_system
+
+import oracles
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -179,24 +182,54 @@ def test_eta_extended_walls_are_zero():
 
 
 def test_mixed_moments():
-    m = xi_measure(SPEC_A1, 4)
-    mom = mixed_moments(m, 4)
+    mom = mixed_moments(SPEC_A1, 4, 4)
     assert mom[(0,)] == 1
     assert mom[(1,)] == 0.0
     assert mom[(2,)] == 2
-    m2 = xi_measure(SPEC_A1, 10)
-    assert mixed_moments(m2, 2)[(2,)] == 2
+    assert mixed_moments(SPEC_A1, 10, 2)[(2,)] == 2
     with pytest.raises(ValueError):
-        mixed_moments(m, 7)
+        mixed_moments(SPEC_A1, 4, 7)
 
 
 def test_mixed_moments_a2_first_order():
-    m = xi_measure(SPEC_A2, 3)
-    mom = mixed_moments(m, 2)
+    mom = mixed_moments(SPEC_A2, 3, 2)
     assert mom[(1, 0)] == 0.0 and mom[(0, 1)] == 0.0
     assert mom[(0, 0)] == 1
     # second moments are exact rationals
     assert isinstance(mom[(2, 0)], Fraction) and isinstance(mom[(1, 1)], Fraction)
+
+
+def test_mixed_moments_match_atom_sums_randomized():
+    # moments from the factor characters against the per-atom sum over xi(N)
+    rng = random.Random(5150)
+    taus = [Fraction(1), Fraction(1, 2)]
+    seen_taus, seen_trivial, seen_two_factor = set(), False, False
+    for label in ["A1", "A2", "A3", "B2", "C3", "G2"]:
+        rs = build_root_system(label)
+        for _ in range(4):
+            factors = []
+            while not any(any(lam) for lam, _ in factors):
+                factors = []
+                for _ in range(rng.randint(1, 2)):
+                    lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
+                    while weyl_dim(rs, lam) > 16:
+                        lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
+                    factors.append((lam, rng.choice(taus)))
+            seen_taus.update(tau for _, tau in factors)
+            seen_trivial |= any(not any(lam) for lam, _ in factors)
+            seen_two_factor |= len(factors) == 2
+            spec = TensorSpec(rs, tuple(factors))
+            n = rng.choice([2, 4])
+            xi = xi_measure(spec, n)
+            for k in (rng.randint(0, 5), 6):
+                got = mixed_moments(spec, n, k)
+                want = oracles.mixed_moments(xi, k)
+                assert list(got) == list(want), (label, factors, n, k)
+                for kappa, value in want.items():
+                    assert got[kappa] == value, (label, factors, n, kappa)
+                    assert type(got[kappa]) is type(value), (label, factors, n, kappa)
+    assert seen_taus == set(taus)
+    assert seen_trivial and seen_two_factor
 
 
 # ------------------------------------------------------------------ export

@@ -20,12 +20,14 @@ from tensorlimits.measures import (
     eta_extended_measure,
     eta_measure,
     factor_counts,
+    mixed_moments,
     pushforward_dominant_shifted,
     xi_measure,
 )
 from tensorlimits.repchar import racah_decompose, tensor_power_table, weyl_dim
 from tensorlimits.rootsys import build_root_system
 
+import oracles
 from oracles import peel_off_decompose
 
 # largest coordinate of a drawn highest weight, by type
@@ -97,3 +99,14 @@ def test_xi_directional_second_moment_is_t_squared(case, data):
     t = data.draw(st.tuples(*[coord] * rs.rank))
     xi = xi_measure(spec, n, multiplicities=_table(spec, n))
     assert directional_second_moment(rs, xi, t) == bilinear(t, rs.Cbar, t)
+
+
+@settings(max_examples=25)
+@given(specs(), st.integers(0, 6))
+def test_mixed_moments_match_atom_sums(case, k):
+    spec, n = case
+    got = mixed_moments(spec, n, k)
+    want = oracles.mixed_moments(xi_measure(spec, n, multiplicities=_table(spec, n)), k)
+    assert list(got) == list(want)
+    for kappa, value in want.items():
+        assert got[kappa] == value and type(got[kappa]) is type(value), kappa
