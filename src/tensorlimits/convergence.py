@@ -5,6 +5,10 @@ closed-form limits.  Directions t for characteristic functions are given in
 simple-root coordinates; atom positions are weight / sqrt(sigma^2 N) in
 fundamental-weight coordinates, and the pairing between the two is the
 standard bilinear form.
+
+The xi side (characteristic function and moments) reads only the factor
+characters: xi(N) is the law of a sum of independent draws from them.  The
+character of V_N is read only through its decomposition, for eta.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .measures import (
     factor_counts,
     mixed_moments,
     sigma_squared,
-    xi_measure,
 )
 from .repchar import freudenthal_multiplicities, tensor_power_table
 from .rootsys import RootSystemData
@@ -56,20 +59,6 @@ class ConvergenceReport:
     monotone_histogram_tv: bool
 
 
-def _atom_arrays(measure: DiscreteMeasure):
-    weights = np.array([[float(x) for x in w] for w, _ in measure.atoms])
-    probs = np.array([float(p) for _, p in measure.atoms])
-    return weights, probs
-
-
-def char_fn_empirical(rs: RootSystemData, measure: DiscreteMeasure, t) -> complex:
-    """E[exp(i (t, X))] over the scaled atoms, t in simple-root coordinates."""
-    weights, probs = _atom_arrays(measure)
-    dvec = np.array([float(x) for x in rs.d])
-    theta = weights @ (dvec * np.asarray(t, dtype=float)) / measure.scale
-    return complex(np.sum(probs * np.exp(1j * theta)))
-
-
 def char_fn_limit_xi(rs: RootSystemData, t) -> float:
     """Limiting characteristic function exp(-(t,t)/2), t in simple-root coords."""
     t = np.asarray(t, dtype=float)
@@ -77,51 +66,47 @@ def char_fn_limit_xi(rs: RootSystemData, t) -> float:
     return float(math.exp(-0.5 * float(t @ cbar @ t)))
 
 
-def char_fn_product_form(rs: RootSystemData, spec: TensorSpec, N: int, t) -> complex:
-    """phi of xi(N) via the factor characters: prod_l (ch V_l(it/s) / dim V_l)^N_l.
-
-    Independent of the convolution pipeline; used as a cross-check.
-    """
-    counts = factor_counts(spec, N)
-    scale = math.sqrt(float(sigma_squared(spec) * N))
-    dvec = np.array([float(x) for x in rs.d])
-    tvec = dvec * np.asarray(t, dtype=float)
-    out = complex(1.0)
-    for lam, n in counts:
-        m = freudenthal_multiplicities(rs, lam)
-        acc = complex(0.0)
-        for w, c in sorted(m.entries.items()):
-            theta = sum(tv * x for tv, x in zip(tvec, w)) / scale
-            acc += c * complex(math.cos(theta), math.sin(theta))
-        out *= (acc / m.total_dim) ** n
-    return out
-
-
-def default_t_grid(rank: int, points_per_axis: int = DEFAULT_T_POINTS_PER_AXIS, extent: float = DEFAULT_T_EXTENT):
-    """Tensor grid in simple-root coordinates covering [-extent, extent]^rank."""
-    axis = np.linspace(-extent, extent, points_per_axis)
+def default_t_grid(rank: int):
+    """Tensor grid in simple-root coordinates covering [-DEFAULT_T_EXTENT, DEFAULT_T_EXTENT]^rank."""
+    axis = np.linspace(-DEFAULT_T_EXTENT, DEFAULT_T_EXTENT, DEFAULT_T_POINTS_PER_AXIS)
     return [tuple(v) for v in itertools.product(axis, repeat=rank)]
 
 
-def sup_char_error(spec: TensorSpec, N: int, t_grid=None) -> float:
-    """Max over the grid of |empirical phi of xi(N) - Gaussian limit|."""
-    measure = xi_measure(spec, N)
-    return _sup_char_error_measure(spec.rs, measure, t_grid)
-
-
-def _sup_char_error_measure(rs: RootSystemData, measure: DiscreteMeasure, t_grid=None) -> float:
+def _t_array(rank: int, t_grid) -> np.ndarray:
+    """The grid (default_t_grid when None) as a (points, rank) float array."""
     if t_grid is None:
-        t_grid = default_t_grid(rs.rank)
+        t_grid = default_t_grid(rank)
     t_arr = np.asarray(list(t_grid), dtype=float)
-    if t_arr.ndim == 1:
-        t_arr = t_arr[:, None]
-    weights, probs = _atom_arrays(measure)
+    return t_arr[:, None] if t_arr.ndim == 1 else t_arr
+
+
+def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
+    """phi of scaled xi(N) at every t of the grid (default_t_grid when None).
+
+    xi(N) is the law of a sum of tau_l N independent draws from each factor's
+    normalized character, so phi(t) = prod_l (ch V_l(i t / s) / dim V_l)^(tau_l N)
+    with s = sqrt(sigma^2 N): one product over each factor's support for the
+    whole grid, at a cost independent of the support of V_N.
+    """
+    rs = spec.rs
+    t_arr = _t_array(rs.rank, t_grid)
     dvec = np.array([float(x) for x in rs.d])
-    thetas = weights @ (t_arr * dvec).T / measure.scale
-    emp = (probs[None, :] @ np.exp(1j * thetas)).ravel()
-    cbar = np.array([[float(x) for x in row] for row in rs.Cbar])
+    directions = (t_arr * dvec).T / math.sqrt(float(sigma_squared(spec) * N))
+    out = np.ones(len(t_arr), dtype=complex)
+    for lam, n in factor_counts(spec, N):
+        m = freudenthal_multiplicities(rs, lam)
+        weights = np.array(list(m.entries), dtype=float)
+        mults = np.array(list(m.entries.values()), dtype=float)
+        out *= (np.exp(1j * weights @ directions).T @ mults / m.total_dim) ** n
+    return out
+
+
+def sup_char_error(spec: TensorSpec, N: int, t_grid=None) -> float:
+    """Max over the grid of |phi of xi(N) - Gaussian limit|."""
+    t_arr = _t_array(spec.rs.rank, t_grid)
+    cbar = np.array([[float(x) for x in row] for row in spec.rs.Cbar])
     limits = np.exp(-0.5 * np.einsum("ki,ij,kj->k", t_arr, cbar, t_arr))
-    return float(np.max(np.abs(emp - limits)))
+    return float(np.max(np.abs(char_fn_xi(spec, N, t_arr) - limits)))
 
 
 def _gaussian_moment(cov: np.ndarray, kappa) -> float:
@@ -146,10 +131,10 @@ def _gaussian_moment(cov: np.ndarray, kappa) -> float:
     return float(pairings(coords))
 
 
-def moment_errors_xi(spec: TensorSpec, N: int, max_order: int = DEFAULT_MOMENT_ORDER) -> dict:
-    """|empirical - Gaussian| for every scaled moment of xi(N) up to max_order."""
+def moment_errors_xi(spec: TensorSpec, N: int) -> dict:
+    """|exact - Gaussian| for every scaled moment of xi(N) up to DEFAULT_MOMENT_ORDER."""
     cov = np.array([[float(x) for x in row] for row in spec.rs.gram_omega_inv])
-    raw = mixed_moments(spec, N, max_order)
+    raw = mixed_moments(spec, N, DEFAULT_MOMENT_ORDER)
     out = {}
     for kappa, value in sorted(raw.items()):
         if sum(kappa) == 0:
@@ -258,11 +243,11 @@ def convergence_report(
 
     A row holds the char-fn sup error of xi over default_t_grid, its moment
     errors up to DEFAULT_MOMENT_ORDER and the binned TV distance of eta.  The
-    character table is computed once, by Miller's power recurrence for each
-    N; each N then reuses its entry for both measures.  The moments come
-    from the factor characters alone, and the density side of the TV boxes
-    is evaluated once for all N.  A precomputed table mapping N to its
-    multiplicity map (e.g. from a cache) can be passed to skip that step.
+    char-fn and the moments of xi come from the factor characters alone, so
+    the character table, computed once by Miller's power recurrence, is read
+    only for eta.  The density side of the TV boxes is evaluated once for
+    all N.  A precomputed table mapping N to its multiplicity map (e.g. from
+    a cache) can be passed to skip the table step.
     """
     rs = spec.rs
     n_values = sorted(set(int(n) for n in N_list))
@@ -274,12 +259,11 @@ def convergence_report(
     eta_boxes = _density_boxes(make_density_model(rs, "eta"), bins_per_axis)
     rows = []
     for n in n_values:
-        xi = xi_measure(spec, n, multiplicities=table[n])
         eta = eta_measure(spec, n, multiplicities=table[n])
         rows.append(
             ReportRow(
                 N=n,
-                char_fn_sup_error=_sup_char_error_measure(rs, xi),
+                char_fn_sup_error=sup_char_error(spec, n),
                 moment_errors=moment_errors_xi(spec, n),
                 histogram_tv=_boxes_tv(eta, eta_boxes),
             )

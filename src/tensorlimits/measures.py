@@ -96,10 +96,6 @@ class DiscreteMeasure:
         return self.sigma_sq * self.N
 
     @property
-    def sigma(self) -> float:
-        return math.sqrt(float(self.sigma_sq))
-
-    @property
     def scale(self) -> float:
         return math.sqrt(float(self.sigma_sq * self.N))
 

@@ -68,16 +68,25 @@ def unit_map(rank: int) -> MultiplicityMap:
 
 
 def weyl_dim(rs: RootSystemData, lam) -> int:
-    """Dimension of the irreducible with highest weight lam (Weyl formula)."""
+    """Dimension of the irreducible with highest weight lam (Weyl formula).
+
+    prod over positive roots beta of (lam + rho, beta) / (rho, beta), with
+    every pairing scaled to an integer by the lcm of the symmetrizers' denominators
+    and one exact division at the end.
+    """
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    num = Fraction(1)
-    for vec, rho_pair in zip(rs.root_pair_vectors, rs.rho_root_pairings):
-        pairing = sum((l + 1) * v for l, v in zip(lam, vec))
-        num *= pairing / rho_pair
-    if num.denominator != 1:
-        raise AssertionError(f"Weyl dimension {num} is not an integer")
-    return num.numerator
+    scale = lcm(*(x.denominator for x in rs.d))
+    dint = [x.numerator * (scale // x.denominator) for x in rs.d]
+    lam_rho = [(l + 1) * x for l, x in zip(lam, dint)]
+    num = den = 1
+    for root in rs.positive_roots:
+        num *= sum(a * k for a, k in zip(lam_rho, root))
+        den *= sum(x * k for x, k in zip(dint, root))
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"Weyl dimension {Fraction(num, den)} is not an integer")
+    return dim
 
 
 def _weight_support(rs: RootSystemData, lam) -> list[list[IntVector]]:

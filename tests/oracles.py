@@ -3,13 +3,15 @@
 These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
 convolution sum, decompositions from peeling off highest weights, rank-1
-tensor powers from the ballot closed form, and the moments of a measure
-from a sum over its atoms.
+tensor powers from the ballot closed form, and the moments and the
+characteristic function of a measure from sums over its atoms.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb, lcm
+
+import numpy as np
 
 from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
@@ -152,3 +154,18 @@ def mixed_moments(measure, max_order: int) -> dict:
         else:
             out[kappa] = float(raw) / float(scale_sq) ** (order / 2)
     return out
+
+
+def char_fn_atoms(rs, measure, t_grid):
+    """phi of a scaled DiscreteMeasure at every t of the grid, by summing over its atoms.
+
+    t in simple-root coordinates, as for convergence.char_fn_xi.
+    """
+    t_arr = np.asarray(list(t_grid), dtype=float)
+    if t_arr.ndim == 1:
+        t_arr = t_arr[:, None]
+    weights = np.array([[float(x) for x in w] for w, _ in measure.atoms])
+    probs = np.array([float(p) for _, p in measure.atoms])
+    dvec = np.array([float(x) for x in rs.d])
+    thetas = weights @ (t_arr * dvec).T / measure.scale
+    return (probs[None, :] @ np.exp(1j * thetas)).ravel()

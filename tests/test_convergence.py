@@ -1,13 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorlimits.convergence import (
     ConvergenceReport,
-    char_fn_empirical,
     char_fn_limit_xi,
-    char_fn_product_form,
+    char_fn_xi,
     convergence_report,
     default_t_grid,
     histogram_tv,
@@ -18,8 +19,11 @@ from tensorlimits.convergence import (
 )
 from tensorlimits.densities import make_density_model
 from tensorlimits.errors import InadmissibleN, RankTooLarge
-from tensorlimits.measures import DiscreteMeasure, TensorSpec, eta_measure, xi_measure
+from tensorlimits.measures import DiscreteMeasure, TensorSpec, admissible_N, eta_measure, xi_measure
+from tensorlimits.repchar import weyl_dim
 from tensorlimits.rootsys import CartanType, build_root_system
+
+import oracles
 
 
 def make_spec(family, rank, lam=None, tau=1):
@@ -34,26 +38,22 @@ A2 = make_spec("A", 2)
 
 
 def test_char_fn_at_zero_is_one():
-    m = xi_measure(A1, 8)
-    val = char_fn_empirical(A1.rs, m, (0.0,))
+    val = char_fn_xi(A1, 8, [(0.0,)])[0]
     assert abs(val - 1.0) < 1e-14
 
 
 def test_char_fn_single_factor_closed_form():
     # one copy of the 2-dimensional representation: atoms +-1 with mass 1/2,
     # scale sqrt(1/2), so phi(t) = cos(t * sqrt(2))
-    m = xi_measure(A1, 1)
-    for t in (0.3, 1.0, -2.2):
-        val = char_fn_empirical(A1.rs, m, (t,))
+    ts = (0.3, 1.0, -2.2)
+    for t, val in zip(ts, char_fn_xi(A1, 1, [(t,) for t in ts])):
         assert abs(val - math.cos(t * math.sqrt(2))) < 1e-12
 
 
 def test_char_fn_conjugate_symmetry():
-    m = xi_measure(A2, 4)
     t = (0.7, -1.3)
     neg = tuple(-x for x in t)
-    a = char_fn_empirical(A2.rs, m, t)
-    b = char_fn_empirical(A2.rs, m, neg)
+    a, b = char_fn_xi(A2, 4, [t, neg])
     assert abs(a - b.conjugate()) < 1e-13
 
 
@@ -65,7 +65,7 @@ def test_char_fn_matches_direct_sum():
     for w, p in m.atoms:
         theta = sum(t[j] * float(d[j]) * w[j] for j in range(2)) / m.scale
         expect += float(p) * complex(math.cos(theta), math.sin(theta))
-    got = char_fn_empirical(A2.rs, m, t)
+    got = char_fn_xi(A2, 4, [t])[0]
     assert abs(got - expect) < 1e-12
 
 
@@ -94,14 +94,34 @@ def test_sup_error_bounded_by_two():
         assert sup_char_error(A2, n) <= 2.0
 
 
-def test_product_form_cross_check():
-    spec = TensorSpec(A2.rs, (((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2))))
-    for n in (2, 4):
-        m = xi_measure(spec, n)
-        for t in ((0.8, -0.3), (1.5, 1.5)):
-            a = char_fn_empirical(spec.rs, m, t)
-            b = char_fn_product_form(spec.rs, spec, n, t)
-            assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+def test_char_fn_xi_matches_atom_sums_randomized():
+    # the factor-character product against the sum over the atoms of xi(N)
+    rng = random.Random(6160)
+    taus = [Fraction(1), Fraction(1, 2)]
+    seen_taus, seen_trivial, seen_sizes = set(), False, set()
+    for label in ["A1", "A2", "A3", "B2", "C3", "G2"]:
+        rs = build_root_system(label)
+        grid = default_t_grid(rs.rank)
+        for _ in range(4):
+            factors = []
+            while not any(any(lam) for lam, _ in factors):
+                factors = []
+                for _ in range(rng.randint(1, 2)):
+                    lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+                    while weyl_dim(rs, lam) > 16:
+                        lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+                    factors.append((lam, rng.choice(taus)))
+            seen_taus.update(tau for _, tau in factors)
+            seen_trivial |= any(not any(lam) for lam, _ in factors)
+            seen_sizes.add(len(factors))
+            spec = TensorSpec(rs, tuple(factors))
+            n = rng.choice([n for n in range(1, 17) if admissible_N(spec, n)])
+            got = char_fn_xi(spec, n)
+            want = oracles.char_fn_atoms(rs, xi_measure(spec, n), grid)
+            assert got.shape == want.shape == (len(grid),)
+            assert np.max(np.abs(got - want)) <= 1e-12, (label, factors, n)
+    assert seen_taus == set(taus)
+    assert seen_trivial and seen_sizes == {1, 2}
 
 
 def test_default_t_grid_shape():

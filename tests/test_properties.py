@@ -9,9 +9,11 @@ enough that dim V_N stays below DIM_LIMIT.
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tensorlimits.convergence import char_fn_xi, default_t_grid
 from tensorlimits.linalg import bilinear
 from tensorlimits.measures import (
     TensorSpec,
@@ -110,3 +112,12 @@ def test_mixed_moments_match_atom_sums(case, k):
     assert list(got) == list(want)
     for kappa, value in want.items():
         assert got[kappa] == value and type(got[kappa]) is type(value), kappa
+
+
+@settings(max_examples=25)
+@given(specs())
+def test_char_fn_xi_matches_atom_sums(case):
+    spec, n = case
+    xi = xi_measure(spec, n, multiplicities=_table(spec, n))
+    want = oracles.char_fn_atoms(spec.rs, xi, default_t_grid(spec.rs.rank))
+    assert np.max(np.abs(char_fn_xi(spec, n) - want)) <= 1e-12
