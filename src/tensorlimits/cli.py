@@ -102,11 +102,15 @@ class ExperimentConfig:
             raise BadField("--config", f"cannot read {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise BadField("--config", f"{path} is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise BadField("--config", f"{path} must hold a JSON object, got {type(doc).__name__}")
         for key in ("cartan_type", "factors", "N_list"):
             if key not in doc:
                 raise BadField(key, "missing from config file")
         if doc.get("sigma_convention", "consistent") != "consistent":
             raise BadField("sigma_convention", "the only variance scale is 'consistent'")
+        if not isinstance(doc["factors"], list):
+            raise BadField("factors", f"must be a list, got {doc['factors']!r}")
         factors = []
         for item in doc["factors"]:
             try:
@@ -117,12 +121,15 @@ class ExperimentConfig:
             n_list = tuple(int(n) for n in doc["N_list"])
         except (TypeError, ValueError) as exc:
             raise BadField("N_list", str(exc))
+        cache_dir = doc.get("cache_dir")
+        if cache_dir is not None and not isinstance(cache_dir, str):
+            raise BadField("cache_dir", f"must be a path string, got {cache_dir!r}")
         cfg = cls(
             cartan_type=str(doc["cartan_type"]),
             factors=tuple(factors),
             N_list=n_list,
             format=str(doc.get("format", "csv")),
-            cache_dir=doc.get("cache_dir"),
+            cache_dir=cache_dir,
         )
         cfg.validate()
         return cfg

@@ -8,6 +8,10 @@ tensor power bundle of a TensorSpec:
 * eta extended: the eta mass spread uniformly over shifted Weyl orbits,
   with zero mass on shifted walls.
 
+The wall test of eta extended and its pushforward back to eta read only the
+shifted-dominant weight (rootsys.shifted_dominant), never a Weyl element.
+eta takes the Weyl dimensions of its components from racah_decompose.
+
 Atoms keep their integer weight vector and exact rational probability; the
 scale sigma*sqrt(N) is carried symbolically as the rational sigma^2*N, so
 every identity at this layer is exact.  Floats appear only downstream.
@@ -31,7 +35,6 @@ from .repchar import (
     freudenthal_multiplicities,
     racah_decompose,
     tensor_power_multiplicities,
-    weyl_dim,
 )
 from .rootsys import (
     ON_WALL,
@@ -39,7 +42,7 @@ from .rootsys import (
     casimir_eigenvalue,
     is_dominant,
     shifted_action,
-    to_dominant_shifted,
+    shifted_dominant,
 )
 
 # above this bounding-box volume, explicit zero-mass wall atoms are omitted
@@ -173,7 +176,7 @@ def eta_measure(
     dec = racah_decompose(spec.rs, m)
     total = m.total_dim
     atoms = tuple(
-        (mu, Fraction(c * weyl_dim(spec.rs, mu), total))
+        (mu, Fraction(c * dec.dims[mu], total))
         for mu, c in sorted(dec.components.items())
     )
     return DiscreteMeasure(atoms, sig, N)
@@ -207,7 +210,7 @@ def eta_extended_measure(
             volume *= b - a + 1
         if volume <= WALL_ATOM_BOX_LIMIT:
             for w in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-                if w not in masses and to_dominant_shifted(rs, w) is ON_WALL:
+                if w not in masses and shifted_dominant(rs, w) is ON_WALL:
                     masses[w] = Fraction(0)
     atoms = tuple(sorted(masses.items()))
     return DiscreteMeasure(atoms, eta.sigma_sq, N)
@@ -217,12 +220,11 @@ def pushforward_dominant_shifted(rs: RootSystemData, measure: DiscreteMeasure) -
     """Push every atom to its shifted-dominant representative (walls carry no mass)."""
     masses: dict = {}
     for w, p in measure.atoms:
-        res = to_dominant_shifted(rs, w)
-        if res is ON_WALL:
+        lam = shifted_dominant(rs, w)
+        if lam is ON_WALL:
             if p != 0:
                 raise AssertionError(f"nonzero mass {p} on wall point {w}")
             continue
-        _, lam = res
         masses[lam] = masses.get(lam, Fraction(0)) + p
     atoms = tuple(sorted((w, p) for w, p in masses.items() if p != 0))
     return DiscreteMeasure(atoms, measure.sigma_sq, measure.N)

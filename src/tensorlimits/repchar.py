@@ -51,9 +51,13 @@ class MultiplicityMap:
 
 @dataclass(eq=False)
 class IrrepDecomposition:
-    """Multiset of irreducible components: dominant weight -> multiplicity."""
+    """Multiset of irreducible components: dominant weight -> multiplicity.
+
+    dims, when set, maps each component to its Weyl dimension.
+    """
 
     components: dict
+    dims: dict | None = None
 
     def __getitem__(self, weight) -> int:
         return self.components.get(tuple(weight), 0)
@@ -319,7 +323,8 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
 
     [V : V_mu] = sum over w of sign(w) * m(mu + rho - w rho), evaluated at
     every dominant weight in the support.  Negative counts mean the input was
-    not a genuine character.
+    not a genuine character.  The Weyl dimensions of the dimension check are
+    kept in the result's dims.
     """
     deltas = [
         (w.sign, tuple(1 - x for x in w.apply(rs.rho)))
@@ -339,12 +344,13 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
             raise NegativeMultiplicity(f"[V : V_{mu}] = {c}")
         if c:
             components[mu] = c
-    total = sum(c * weyl_dim(rs, mu) for mu, c in components.items())
+    dims = {mu: weyl_dim(rs, mu) for mu in components}
+    total = sum(c * dims[mu] for mu, c in components.items())
     if total != m.total_dim:
         raise NegativeMultiplicity(
             f"components account for dimension {total} of {m.total_dim}; input was not a character"
         )
-    return IrrepDecomposition(components)
+    return IrrepDecomposition(components, dims)
 
 
 def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction]:

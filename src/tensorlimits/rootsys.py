@@ -13,6 +13,13 @@ Conventions, fixed once and used everywhere else in the package:
   simple roots of squared length 2, hence d_i in {1, 1/2, 1/3}.
 * The Gram matrix of the fundamental weights is (C^t)^-1 diag(d), and
   (omega_i, alpha_j) = d_i delta_ij.
+
+Dominant forms come from one integer reflection loop, to_dominant: while some
+coordinate v_i is negative, apply s_i as v_j -= C[j][i] v_i.  The shifted
+form shifted_dominant(mu) runs it on mu + rho and returns ON_WALL when the
+dominant point has a zero coordinate; neither builds a Weyl matrix.
+to_dominant_shifted adds the Weyl element w with w * lam = mu for callers
+that need it.
 """
 
 from __future__ import annotations
@@ -365,39 +372,44 @@ def shifted_action(rs: RootSystemData, w: WeylElement, beta) -> IntVector:
 def to_dominant(rs: RootSystemData, mu) -> IntVector:
     """Dominant representative of the W-orbit of mu (ordinary, unshifted action)."""
     v = list(mu)
-    r = rs.rank
+    c = rs.C
+    indices = range(rs.rank)
     while True:
-        i = next((k for k in range(r) if v[k] < 0), None)
-        if i is None:
+        for i in indices:
+            if v[i] < 0:
+                break
+        else:
             return tuple(v)
         vi = v[i]
-        v = [v[j] - rs.C[j][i] * vi for j in range(r)]
+        for j in indices:
+            v[j] -= c[j][i] * vi
+
+
+def shifted_dominant(rs: RootSystemData, mu):
+    """lam with lam + rho the dominant point of W(mu + rho), or ON_WALL.
+
+    The dominant point has a zero coordinate exactly when mu + rho lies on a
+    wall, i.e. when some shifted reflection fixes mu.
+    """
+    v = to_dominant(rs, [x + 1 for x in mu])
+    if 0 in v:
+        return ON_WALL
+    return tuple(x - 1 for x in v)
 
 
 def to_dominant_shifted(rs: RootSystemData, mu):
     """Shifted-dominant form of mu: (w, lam) with w * lam = mu, or ON_WALL.
 
-    mu + rho is reflected into the dominant cone; landing on a chamber wall
-    means mu is fixed by some shifted reflection and ON_WALL is returned.
+    lam comes from shifted_dominant; w is the unique Weyl element with
+    w * lam = mu (unique because lam + rho is strictly dominant), found by
+    scanning the group.
     """
-    v = list(x + 1 for x in mu)
-    r = rs.rank
-    acc = None  # accumulates w = s_{i1} s_{i2} ... applied right to left
-    while True:
-        i = next((k for k in range(r) if v[k] < 0), None)
-        if i is None:
-            break
-        s = rs.simple_reflections[i]
-        acc = s if acc is None else mat_mul(acc, s)
-        vi = v[i]
-        v = [v[j] - rs.C[j][i] * vi for j in range(r)]
-    if any(x == 0 for x in v):
+    lam = shifted_dominant(rs, mu)
+    if lam is ON_WALL:
         return ON_WALL
-    if acc is None:
-        w = rs.weyl[0]
-    else:
-        w = rs.weyl_by_matrix[acc]
-    return w, tuple(x - 1 for x in v)
+    mu = tuple(mu)
+    w = next(w for w in rs.weyl if shifted_action(rs, w, lam) == mu)
+    return w, lam
 
 
 def casimir_eigenvalue(rs: RootSystemData, lam) -> Fraction:

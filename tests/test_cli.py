@@ -288,6 +288,27 @@ def test_config_validation(tmp_path, capsys):
     assert "sigma_convention" in err
 
 
+_GOOD_CONFIG = {"cartan_type": "A1", "factors": [{"weight": [1], "tau": "1"}], "N_list": [4]}
+
+
+@pytest.mark.parametrize(
+    "field,doc",
+    [
+        ("--config", 5),
+        ("--config", None),
+        ("factors", {**_GOOD_CONFIG, "factors": 5}),
+        ("cache_dir", {**_GOOD_CONFIG, "cache_dir": 5}),
+    ],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, field, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "converge", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: {field}:" in err
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [

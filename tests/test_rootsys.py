@@ -26,6 +26,7 @@ from tensorlimits.rootsys import (
     rootsys_from_json,
     rootsys_to_json,
     shifted_action,
+    shifted_dominant,
     to_dominant_shifted,
     weyl_group_order,
 )
@@ -287,6 +288,34 @@ def test_to_dominant_shifted_roundtrip(label):
         # uniqueness: strictly dominant mu+rho has trivial stabilizer
         assert all(x + 1 > 0 for x in lam)
     assert walls > 0  # the sample should hit some walls
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_shifted_dominant_matches_orbit_scan_randomized(label):
+    # oracle: mu is on a shifted wall iff (mu + rho, beta) = 0 for some
+    # positive root beta; otherwise lam + rho is the one strictly dominant
+    # point of the orbit W(mu + rho), found by applying every Weyl element
+    rs = build_root_system(label)
+    rng = random.Random(11)
+    walls = regular = 0
+    for _ in range(100):
+        mu = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+        shifted = tuple(x + 1 for x in mu)
+        on_wall = any(sum(x * p for x, p in zip(shifted, vec)) == 0 for vec in rs.root_pair_vectors)
+        lam = shifted_dominant(rs, mu)
+        if on_wall:
+            walls += 1
+            assert lam is ON_WALL, mu
+            assert to_dominant_shifted(rs, mu) is ON_WALL
+            continue
+        regular += 1
+        chamber = [v for v in (w.apply(shifted) for w in rs.weyl) if all(x > 0 for x in v)]
+        assert len(chamber) == 1, mu
+        assert lam == tuple(x - 1 for x in chamber[0]), mu
+        w, lam2 = to_dominant_shifted(rs, mu)
+        assert lam2 == lam
+        assert shifted_action(rs, w, lam) == mu
+    assert walls > 0 and regular > 0
 
 
 def test_shifted_orbit_partition_a2():
