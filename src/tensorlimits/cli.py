@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -25,7 +24,7 @@ from math import prod
 import numpy as np
 
 from .convergence import convergence_report, report_to_csv, report_to_json
-from .densities import make_density_model, normalization_quadrature
+from .densities import density_box, make_density_model, normalization_quadrature
 from .errors import (
     DegenerateSpec,
     InadmissibleN,
@@ -85,6 +84,13 @@ def _os_errors(field: str):
         raise BadField(field, str(exc))
 
 
+def _int_list(value) -> tuple:
+    """A JSON list of integers as a tuple; TypeError for anything else (a string, 4.9, true)."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class ExperimentConfig:
     cartan_type: str
@@ -114,12 +120,12 @@ class ExperimentConfig:
         factors = []
         for item in doc["factors"]:
             try:
-                factors.append((tuple(int(x) for x in item["weight"]), Fraction(str(item["tau"]))))
+                factors.append((_int_list(item["weight"]), Fraction(str(item["tau"]))))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise BadField("factors", f"bad entry {item!r}: {exc}")
         try:
-            n_list = tuple(int(n) for n in doc["N_list"])
-        except (TypeError, ValueError) as exc:
+            n_list = _int_list(doc["N_list"])
+        except TypeError as exc:
             raise BadField("N_list", str(exc))
         cache_dir = doc.get("cache_dir")
         if cache_dir is not None and not isinstance(cache_dir, str):
@@ -332,11 +338,9 @@ def _plot_files(model, base: str) -> None:
     rank = rs.rank
     if rank > 2:
         raise BadField("--plot", "plotting supports rank <= 2 only")
-    cone = model.kind in ("eta", "gue")
-    sig = [math.sqrt(float(rs.gram_omega_inv[i][i])) for i in range(rank)]
+    lo, hi = density_box(model, 6.0)
     if rank == 1:
-        lo = 0.0 if cone else -6.0 * sig[0]
-        xs = np.linspace(lo, 6.0 * sig[0], 401)
+        xs = np.linspace(lo[0], hi[0], 401)
         vals = model.evaluate(xs[:, None])
         dat = "\n".join(f"{x:.12g} {v:.12g}" for x, v in zip(xs, vals)) + "\n"
         script = (
@@ -345,8 +349,7 @@ def _plot_files(model, base: str) -> None:
             f'plot "{base}.dat" using 1:2 with lines notitle\n'
         )
     else:
-        los = [0.0 if cone else -6.0 * s for s in sig]
-        axes = [np.linspace(lo, 6.0 * s, 101) for lo, s in zip(los, sig)]
+        axes = [np.linspace(a, b, 101) for a, b in zip(lo, hi)]
         rows = []
         for x in axes[0]:
             pts = np.stack([np.full_like(axes[1], x), axes[1]], axis=-1)

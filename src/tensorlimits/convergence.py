@@ -8,7 +8,8 @@ standard bilinear form.
 
 The xi side (characteristic function and moments) reads only the factor
 characters: xi(N) is the law of a sum of independent draws from them.  The
-character of V_N is read only through its decomposition, for eta.
+character of V_N is read only through its decomposition, for eta.  The
+density side of the TV comes from densities.box_masses, once per report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import DensityModel, make_density_model
+from .densities import DensityModel, box_masses, density_box, make_density_model
 from .errors import InadmissibleN, RankTooLarge
 from .measures import (
     DiscreteMeasure,
@@ -59,11 +60,15 @@ class ConvergenceReport:
     monotone_histogram_tv: bool
 
 
-def char_fn_limit_xi(rs: RootSystemData, t) -> float:
-    """Limiting characteristic function exp(-(t,t)/2), t in simple-root coords."""
+def char_fn_limit_xi(rs: RootSystemData, t):
+    """Limiting characteristic function exp(-(t,t)/2), t in simple-root coords.
+
+    One point t gives a float; a (points, rank) grid gives an array of values.
+    """
     t = np.asarray(t, dtype=float)
     cbar = np.array([[float(x) for x in row] for row in rs.Cbar])
-    return float(math.exp(-0.5 * float(t @ cbar @ t)))
+    values = np.exp(-0.5 * np.einsum("...i,ij,...j->...", t, cbar, t))
+    return float(values) if t.ndim == 1 else values
 
 
 def default_t_grid(rank: int):
@@ -104,9 +109,7 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
 def sup_char_error(spec: TensorSpec, N: int, t_grid=None) -> float:
     """Max over the grid of |phi of xi(N) - Gaussian limit|."""
     t_arr = _t_array(spec.rs.rank, t_grid)
-    cbar = np.array([[float(x) for x in row] for row in spec.rs.Cbar])
-    limits = np.exp(-0.5 * np.einsum("ki,ij,kj->k", t_arr, cbar, t_arr))
-    return float(np.max(np.abs(char_fn_xi(spec, N, t_arr) - limits)))
+    return float(np.max(np.abs(char_fn_xi(spec, N, t_arr) - char_fn_limit_xi(spec.rs, t_arr))))
 
 
 def _gaussian_moment(cov: np.ndarray, kappa) -> float:
@@ -157,33 +160,17 @@ class _DensityBoxes:
 
 def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBoxes:
     """The boxes of histogram_tv and the density's mass in each, by the midpoint rule on a subgrid."""
-    rs = model.rs
-    rank = rs.rank
+    rank = model.rs.rank
     if rank > 3:
         raise RankTooLarge(f"histogram_tv supports rank <= 3, got rank {rank}")
     if bins_per_axis is None:
         bins_per_axis = DEFAULT_BINS[rank]
-    cone = model.kind in ("eta", "gue")
-    sig = [math.sqrt(float(rs.gram_omega_inv[i][i])) for i in range(rank)]
-    lo = [0.0 if cone else -6.0 * s for s in sig]
-    hi = [6.0 * s for s in sig]
-    width = [(b - a) / bins_per_axis for a, b in zip(lo, hi)]
+    lo, hi = density_box(model, 6.0)
     target = {1: 2400, 2: 480, 3: 96}[rank]
     sub = max(2, round(target / bins_per_axis))
-    axes = [
-        lo[i] + (np.arange(bins_per_axis * sub) + 0.5) * (width[i] / sub)
-        for i in range(rank)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = model.evaluate(pts)
-    cell = 1.0
-    for i in range(rank):
-        cell *= width[i] / sub
-    # collapse the subgrid: reshape each axis into (bins, sub) and sum the subs
-    shaped = vals.reshape(tuple(x for i in range(rank) for x in (bins_per_axis, sub)))
-    q = shaped.sum(axis=tuple(range(1, 2 * rank, 2))) * cell
+    q = box_masses(model, lo, hi, bins_per_axis, sub)
     q_tail = max(0.0, 1.0 - float(q.sum()))
+    width = [(b - a) / bins_per_axis for a, b in zip(lo, hi)]
     return _DensityBoxes(lo, width, bins_per_axis, q, q_tail)
 
 

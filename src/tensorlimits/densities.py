@@ -11,6 +11,9 @@ K = sqrt(det(diag(d)) / det(C)) / (2 pi)^(r/2) = sqrt(det gram_omega) / (2 pi)^(
                  squared-Vandermonde eigenvalue density of traceless GUE
 
 The polynomial is even, so the extended formula is W-invariant as written.
+
+Every density grid (this module's normalization quadrature, the convergence
+module's TV boxes) is box_masses over a box from density_box.
 """
 
 from __future__ import annotations
@@ -144,43 +147,49 @@ def _gue_root_system(rank: int) -> RootSystemData:
     return _GUE_CACHE[rank]
 
 
-def quadrature_box(model: DensityModel) -> tuple[list[float], list[float]]:
-    """Truncation box: per-axis extent where the Gaussian exponent reaches -50."""
-    rs = model.rs
-    extents = [10.0 * math.sqrt(float(rs.gram_omega_inv[i][i])) for i in range(rs.rank)]
-    if model.kind in ("eta", "gue"):
-        lo = [0.0] * rs.rank
-    else:
-        lo = [-e for e in extents]
-    return lo, extents
+def density_box(model: DensityModel, extent: float) -> tuple[list[float], list[float]]:
+    """Box [-extent s_i, extent s_i] per axis, or [0, extent s_i] for the cone-supported
+    kinds, where s_i = sqrt((G^-1)_ii) is the limit's standard deviation along axis i."""
+    hi = [extent * math.sqrt(float(row[i])) for i, row in enumerate(model.rs.gram_omega_inv)]
+    lo = [0.0 if model.kind in ("eta", "gue") else -h for h in hi]
+    return lo, hi
+
+
+def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
+    """Midpoint-rule mass of the density in each of the bins^rank equal boxes of [lo, hi].
+
+    Each box is split into sub^rank equal cells, valued at their centres.  The
+    density is evaluated one slab of boxes along the first axis at a time, so
+    memory is bounded by sub * (bins * sub)^(rank - 1) points.
+    """
+    rank = len(lo)
+    axes = [a + (np.arange(bins * sub) + 0.5) * ((b - a) / bins / sub) for a, b in zip(lo, hi)]
+    cell = 1.0
+    for a, b in zip(lo, hi):
+        cell *= (b - a) / bins / sub
+    # a slab's values, reshaped so that every sub-cell axis can be summed out
+    slab_shape = (sub,) + (bins, sub) * (rank - 1)
+    sub_axes = (0,) + tuple(range(2, 2 * rank, 2))
+    masses = np.empty((bins,) * rank)
+    for k in range(bins):
+        mesh = np.meshgrid(axes[0][k * sub : (k + 1) * sub], *axes[1:], indexing="ij")
+        vals = model.evaluate(np.stack(mesh, axis=-1))
+        masses[k] = vals.reshape(slab_shape).sum(axis=sub_axes)
+    masses *= cell
+    return masses
 
 
 def normalization_quadrature(model: DensityModel, resolution: int | None = None) -> float:
-    """Composite-midpoint integral of the density over its truncated domain.
+    """Composite-midpoint integral of the density over density_box(model, 10).
 
     Superalgebraically accurate here because the integrand decays to machine
-    zero at the outer box faces and vanishes to second order on cone walls.
-    numpy's pairwise summation keeps the reduction order deterministic.
+    zero at the outer box faces (Gaussian exponent -50) and vanishes to second
+    order on cone walls.  numpy's pairwise summation keeps the order fixed.
     """
     rank = model.rs.rank
     if resolution is None:
         if rank > 3:
             raise RankTooLarge(f"default quadrature supports rank <= 3, got rank {rank}")
         resolution = _DEFAULT_RESOLUTION[rank]
-    lo, hi = quadrature_box(model)
-    axes = []
-    cell = 1.0
-    for a, b in zip(lo, hi):
-        h = (b - a) / resolution
-        axes.append(a + h * (np.arange(resolution) + 0.5))
-        cell *= h
-    total = 0.0
-    # slab over the first axis to bound memory
-    rest = axes[1:]
-    mesh_rest = np.meshgrid(*rest, indexing="ij") if rest else []
-    for x0 in axes[0]:
-        coords = [np.full(mesh_rest[0].shape if mesh_rest else (1,), x0)]
-        coords.extend(mesh_rest)
-        pts = np.stack(coords, axis=-1)
-        total += float(np.sum(model.evaluate(pts)))
-    return total * cell
+    lo, hi = density_box(model, 10.0)
+    return float(box_masses(model, lo, hi, resolution, 1).sum())

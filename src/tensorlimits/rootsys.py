@@ -254,7 +254,7 @@ class RootSystemData:
     """Immutable bundle of everything downstream modules need about one type.
 
     The first block of fields is the public contract; the trailing fields are
-    precomputed caches (roots in omega-coords, pairing vectors, lookup tables)
+    precomputed caches (C^-1, roots in omega-coords, pairing vectors)
     that exist purely to keep the hot loops in other modules simple.
     """
 
@@ -274,8 +274,6 @@ class RootSystemData:
     positive_roots_omega: tuple[IntVector, ...]
     root_pair_vectors: tuple[tuple[Fraction, ...], ...]
     rho_root_pairings: tuple[Fraction, ...]
-    simple_reflections: tuple[IntMatrix, ...]
-    weyl_by_matrix: dict
 
     @property
     def rank(self) -> int:
@@ -316,11 +314,11 @@ def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> 
         weyl=weyl,
         b_g=b_g_constant(t),
         dim_g=dim_g,
-        **_derived_caches(c, d, pos, weyl),
+        **_derived_caches(c, d, pos),
     )
 
 
-def _derived_caches(c: IntMatrix, d, pos, weyl) -> dict:
+def _derived_caches(c: IntMatrix, d, pos) -> dict:
     """The cache fields of RootSystemData, derived from its public fields."""
     # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
     # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
@@ -330,8 +328,6 @@ def _derived_caches(c: IntMatrix, d, pos, weyl) -> dict:
         positive_roots_omega=tuple(mat_vec(c, root) for root in pos),
         root_pair_vectors=pair_vecs,
         rho_root_pairings=tuple(sum(vec) for vec in pair_vecs),
-        simple_reflections=tuple(_simple_reflection(c, i) for i in range(len(c))),
-        weyl_by_matrix={w.matrix: w for w in weyl},
     )
 
 
@@ -471,5 +467,5 @@ def rootsys_from_json(doc: dict) -> RootSystemData:
         weyl=weyl,
         b_g=int(doc["b_g"]),
         dim_g=int(doc["dim_g"]),
-        **_derived_caches(c, d, pos, weyl),
+        **_derived_caches(c, d, pos),
     )

@@ -298,6 +298,11 @@ _GOOD_CONFIG = {"cartan_type": "A1", "factors": [{"weight": [1], "tau": "1"}], "
         ("--config", None),
         ("factors", {**_GOOD_CONFIG, "factors": 5}),
         ("cache_dir", {**_GOOD_CONFIG, "cache_dir": 5}),
+        # each of these used to run on other inputs: N = 4 and 8, weight (2,), N = 4, weight (1, 0)
+        ("N_list", {**_GOOD_CONFIG, "N_list": "48"}),
+        ("factors", {**_GOOD_CONFIG, "factors": [{"weight": "2", "tau": "1"}]}),
+        ("N_list", {**_GOOD_CONFIG, "N_list": [4.9]}),
+        ("factors", {"cartan_type": "A2", "factors": [{"weight": [1.7, 0], "tau": "1"}], "N_list": [4]}),
     ],
 )
 def test_config_type_errors_exit_2(tmp_path, capsys, field, doc):

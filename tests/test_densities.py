@@ -6,17 +6,20 @@ import random
 import numpy as np
 import pytest
 
+from tensorlimits.convergence import DEFAULT_BINS, histogram_tv
 from tensorlimits.densities import (
     DensityModel,
+    box_masses,
+    density_box,
     gue_identity_check,
     make_density_model,
     normalization_quadrature,
     p_eta,
     p_eta_extended,
     p_xi,
-    quadrature_box,
 )
 from tensorlimits.errors import OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
+from tensorlimits.measures import TensorSpec, eta_measure
 from tensorlimits.rootsys import build_root_system
 
 A1 = build_root_system("A1")
@@ -166,10 +169,57 @@ def test_quadrature_rank_cap():
     assert 0.5 < val < 1.5
 
 
+def _full_mesh_box_masses(model, lo, hi, bins, sub):
+    """Direct midpoint sum: evaluate the whole (bins * sub)^rank mesh at once, sum each box."""
+    rank = len(lo)
+    n = bins * sub
+    axes = [a + (np.arange(n) + 0.5) * ((b - a) / n) for a, b in zip(lo, hi)]
+    vals = model.evaluate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+    boxes = vals.reshape((bins, sub) * rank).sum(axis=tuple(range(1, 2 * rank, 2)))
+    return boxes * math.prod((b - a) / n for a, b in zip(lo, hi))
+
+
+def test_box_masses_match_full_mesh_sum_randomized():
+    rng = random.Random(20261018)
+    for rs in (A1, A2, B2, build_root_system("A3")):
+        for kind in ("eta", "eta_extended"):
+            model = make_density_model(rs, kind)
+            for _ in range(3):
+                bins, sub = rng.randint(1, 6), rng.randint(1, 6)
+                lo, hi = density_box(model, rng.choice([3.0, 6.0, 10.0]))
+                got = box_masses(model, lo, hi, bins, sub)
+                expected = _full_mesh_box_masses(model, lo, hi, bins, sub)
+                assert got.shape == (bins,) * rs.rank
+                assert np.allclose(got, expected, rtol=1e-14, atol=0), (rs, kind, bins, sub)
+
+
+def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
+    # normalization_quadrature and the TV boxes call evaluate once per box
+    # along the first axis, each time on an equal share of the points
+    a3 = build_root_system("A3")
+    sizes = []
+    evaluate = DensityModel.evaluate
+
+    def recording(self, points):
+        sizes.append(np.asarray(points).size // a3.rank)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(DensityModel, "evaluate", recording)
+    eta = eta_measure(TensorSpec(a3, (((1, 0, 0), 1),)), 4)
+    for slabs, run in (
+        (30, lambda: normalization_quadrature(make_density_model(a3, "eta_extended"), resolution=30)),
+        (DEFAULT_BINS[3], lambda: histogram_tv(eta, make_density_model(a3, "eta"))),
+    ):
+        sizes.clear()
+        run()
+        assert len(sizes) == slabs
+        assert all(size * slabs == sum(sizes) for size in sizes)
+
+
 def test_xi_covariance_matches_gram_inverse():
     for rs in (A1, A2):
         model = make_density_model(rs, "xi")
-        lo, hi = quadrature_box(model)
+        lo, hi = density_box(model, 10.0)
         res = 400
         axes = [np.linspace(a + (b - a) / (2 * res), b - (b - a) / (2 * res), res) for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")

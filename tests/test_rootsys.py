@@ -139,13 +139,15 @@ def test_structural_invariants(label):
 @pytest.mark.parametrize("label", ALL_RANK4)
 def test_weyl_group_axioms(label):
     rs = build_root_system(label)
-    matrices = set(rs.weyl_by_matrix)
+    matrices = {w.matrix for w in rs.weyl}
     assert len(matrices) == len(rs.weyl)
     # identity is the unique length-0 element and comes first
     assert rs.weyl[0].length == 0
     assert all(rs.weyl[0].matrix[i][i] == 1 for i in range(rs.rank))
     # each simple reflection permutes the element set
-    for s in rs.simple_reflections:
+    simple = [w.matrix for w in rs.weyl if w.length == 1]
+    assert len(simple) == rs.rank
+    for s in simple:
         sm = mat(s)
         images = {tuple(tuple(int(x) for x in row) for row in mat_mul(mat(w.matrix), sm)) for w in rs.weyl}
         assert images == matrices
@@ -255,7 +257,8 @@ def test_shifted_action_examples():
     a2 = build_root_system("A2")
     e = a2.weyl[0]
     assert shifted_action(a2, e, (3, 5)) == (3, 5)
-    s1 = a2.weyl_by_matrix[a2.simple_reflections[0]]
+    # s_1 is the length-1 element that negates the first coordinate's diagonal entry
+    s1 = next(w for w in a2.weyl if w.length == 1 and w.matrix[0][0] == -1)
     assert shifted_action(a2, s1, (0, 0)) == (-2, 1)
 
 
