@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .repchar import (
     tensor_power_table,
     weyl_dim,
 )
-from .rootsys import CartanType, build_root_system, rootsys_to_json
+from .rootsys import CartanType, build_root_system, casimir_eigenvalue, is_dominant, orbit, rootsys_to_json
 
 FORMATS = ("json", "csv")
 
@@ -208,24 +208,34 @@ def _cache_key(spec: TensorSpec, n: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _positive_and_w_invariant(rs, m) -> bool:
-    """True iff m's weights have rank rs.rank and its multiplicities are positive
-    and invariant under each simple reflection."""
+def _w_invariant_second_moment(rs, m):
+    """sum_mu m(mu) (mu, mu), or None unless m's weights have rank rs.rank, each
+    dominant entry's orbit carries its one positive multiplicity, and the orbit
+    sizes sum to len(m).  (mu, mu) is W-invariant; gram_omega is scaled to integers."""
+    scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
+    gram = [[int(x * scale) for x in row] for row in rs.gram_omega]
+    covered = second = 0
     for w, c in m.entries.items():
-        if c <= 0 or len(w) != rs.rank:
-            return False
-        for i, wi in enumerate(w):
-            if wi and m.entries.get(tuple(x - rs.C[j][i] * wi for j, x in enumerate(w))) != c:
-                return False
-    return True
+        if len(w) != rs.rank:
+            return None
+        if is_dominant(w):
+            points = orbit(rs, w)
+            if c <= 0 or any(m.entries.get(v) != c for v in points):
+                return None
+            covered += len(points)
+            second += c * len(points) * sum(x * g * y for x, row in zip(w, gram) for g, y in zip(row, w))
+    if covered != len(m.entries):
+        return None
+    return Fraction(second, scale)
 
 
 def _load_cached(spec: TensorSpec, n: int, path: str):
     """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
 
     A map is consistent when its entries sum to its total_dim, that total is
-    prod_l dim(V_lam_l)^(tau_l N), and its multiplicities are positive and
-    W-invariant.
+    prod_l dim(V_lam_l)^(n_l), its multiplicities are positive and W-invariant,
+    and sum_mu m(mu) (mu, mu) = total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g
+    (criterion 3 summed over a basis), with n_l = tau_l N.
     """
     if not os.path.exists(path):
         return None
@@ -233,10 +243,12 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
         m = load_multiplicity_map(path)
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    expected = prod(weyl_dim(spec.rs, lam) ** k for lam, k in factor_counts(spec, n))
+    rs, counts = spec.rs, factor_counts(spec, n)
+    expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
     if m.total_dim != expected or sum(m.entries.values()) != expected:
         return None
-    if not _positive_and_w_invariant(spec.rs, m):
+    casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
+    if _w_invariant_second_moment(rs, m) != expected * rs.rank * casimirs / rs.dim_g:
         return None
     return m
 

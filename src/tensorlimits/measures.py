@@ -8,8 +8,9 @@ tensor power bundle of a TensorSpec:
 * eta extended: the eta mass spread uniformly over shifted Weyl orbits,
   with zero mass on shifted walls.
 
-The wall test of eta extended and its pushforward back to eta read only the
-shifted-dominant weight (rootsys.shifted_dominant), never a Weyl element.
+eta extended spreads each atom mu over rootsys.orbit(mu + rho) - rho; its wall
+test and its pushforward back to eta read rootsys.shifted_dominant, never a
+Weyl element.
 eta takes the Weyl dimensions of its components from racah_decompose.
 
 Atoms keep their integer weight vector and exact rational probability; the
@@ -41,7 +42,7 @@ from .rootsys import (
     RootSystemData,
     casimir_eigenvalue,
     is_dominant,
-    shifted_action,
+    orbit,
     shifted_dominant,
 )
 
@@ -200,8 +201,8 @@ def eta_extended_measure(
     masses: dict = {}
     for mu, p in eta.atoms:
         share = p / order
-        for w in rs.weyl:
-            masses[shifted_action(rs, w, mu)] = share
+        for v in orbit(rs, [x + 1 for x in mu]):
+            masses[tuple(x - 1 for x in v)] = share
     if masses:
         lo = [min(w[i] for w in masses) for i in range(rs.rank)]
         hi = [max(w[i] for w in masses) for i in range(rs.rank)]

@@ -2,14 +2,16 @@
 
 A character is stored as a MultiplicityMap: a sparse dict from weights
 (omega-coords) to arbitrary-precision multiplicities.  Characters of
-irreducibles come from the Freudenthal recursion; characters of tensor powers
-prod_l V_lam_l^(n_l) from Miller's power recurrence, which finds each
-multiplicity from higher ones by one exact integer division, at a cost per
-weight of the support sizes of the factors.  It is the only product of
-characters the package computes; the test suite checks it against plain
-convolution of the factor characters (tests/oracles.py).  Characters are
-split into irreducibles by Racah's alternating Weyl sum, which the tests
-check against peeling off highest weights.
+irreducibles come from the Freudenthal recursion at dominant weights, spread
+over W-orbits by the integer kernels rootsys.to_dominant and rootsys.orbit;
+characters of tensor powers prod_l V_lam_l^(n_l) from Miller's power
+recurrence, which finds each multiplicity from higher ones by one exact
+integer division, at a cost per weight of the support sizes of the factors.
+It is the only product of characters the package computes; the test suite
+checks it against plain convolution of the factor characters
+(tests/oracles.py).  Characters are split into irreducibles by Racah's
+alternating Weyl sum, which the tests check against peeling off highest
+weights.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import lcm, prod
 
 from .errors import NegativeMultiplicity, NotDominant
 from .linalg import bilinear
-from .rootsys import IntVector, RootSystemData, casimir_eigenvalue, is_dominant, to_dominant
+from .rootsys import IntVector, RootSystemData, casimir_eigenvalue, is_dominant, orbit, to_dominant
 
 
 @dataclass(eq=False)
@@ -93,78 +95,52 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
     return dim
 
 
-def _weight_support(rs: RootSystemData, lam) -> list[list[IntVector]]:
-    """Weights of V_lam grouped by depth below lam in the root lattice.
-
-    A vector nu in lam + Q is a weight iff its dominant representative is
-    below lam, i.e. lam - dominant(nu) is a nonnegative integer combination
-    of simple roots.  The levels are generated by subtracting simple roots.
-    """
-    r = rs.rank
-    simple_omega = [tuple(rs.C[j][i] for j in range(r)) for i in range(r)]
-
-    def admissible(nu) -> bool:
-        dom = to_dominant(rs, nu)
-        diff = tuple(l - x for l, x in zip(lam, dom))
-        for row in rs.C_inv:
-            coord = sum(c * x for c, x in zip(row, diff))
-            if coord.denominator != 1 or coord < 0:
-                return False
-        return True
-
-    levels = [[tuple(lam)]]
-    seen = {tuple(lam)}
-    current = levels[0]
-    while True:
-        nxt = set()
-        for nu in current:
-            for alpha in simple_omega:
-                cand = tuple(x - a for x, a in zip(nu, alpha))
-                if cand in seen:
-                    continue
+def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
+    """Dominant weights of V_lam by depth below lam: those reached from lam by
+    positive-root steps that stay dominant (Stembridge, "The partial order of
+    dominant weights", Adv. Math. 136, 1998)."""
+    seen = {lam}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        for alpha in rs.positive_roots_omega:
+            cand = tuple(x - a for x, a in zip(nu, alpha))
+            if cand not in seen and is_dominant(cand):
                 seen.add(cand)
-                if admissible(cand):
-                    nxt.add(cand)
-        if not nxt:
-            return levels
-        current = sorted(nxt)
-        levels.append(current)
+                stack.append(cand)
+    height = _height_vector(rs)
+    return sorted(seen, key=lambda mu: (sum(h * (l - x) for h, l, x in zip(height, lam, mu)), mu))
 
 
 def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     """Full weight multiplicity map of the irreducible V_lam.
 
-    Freudenthal recursion, evaluated only at dominant weights and spread over
-    Weyl orbits: m(mu) is determined level by level from the weights above mu
-    along positive root strings.
+    Freudenthal recursion at the dominant weights, highest first, expanded
+    over their W-orbits.  m(mu) sums the positive root strings above mu, read
+    at dominant representatives; a string ends at the first one not yet found.
     """
     lam = tuple(lam)
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    levels = _weight_support(rs, lam)
-    support = {nu for level in levels for nu in level}
+    dominant = _dominant_weights(rs, lam)
     lam_rho = tuple(x + 1 for x in lam)
     norm_top = bilinear(lam_rho, rs.gram_omega, lam_rho)
     mult_dom = {lam: 1}
-    for level in levels[1:]:
-        for mu in level:
-            if not is_dominant(mu):
-                continue
-            acc = Fraction(0)
-            for alpha, vec in zip(rs.positive_roots_omega, rs.root_pair_vectors):
-                nu = tuple(m + a for m, a in zip(mu, alpha))
-                while nu in support:
-                    pairing = sum(n * v for n, v in zip(nu, vec))
-                    acc += mult_dom[to_dominant(rs, nu)] * pairing
-                    nu = tuple(n + a for n, a in zip(nu, alpha))
-            mu_rho = tuple(x + 1 for x in mu)
-            denom = norm_top - bilinear(mu_rho, rs.gram_omega, mu_rho)
-            # denom > 0 for dominant mu strictly below lam
-            m = 2 * acc / denom
-            if m.denominator != 1:
-                raise AssertionError(f"non-integer multiplicity {m} at {mu}")
-            mult_dom[mu] = m.numerator
-    entries = {nu: mult_dom[to_dominant(rs, nu)] for nu in support}
+    for mu in dominant[1:]:
+        acc = Fraction(0)
+        for alpha, vec in zip(rs.positive_roots_omega, rs.root_pair_vectors):
+            nu = tuple(m + a for m, a in zip(mu, alpha))
+            while (m_nu := mult_dom.get(to_dominant(rs, nu))) is not None:
+                acc += m_nu * sum(n * v for n, v in zip(nu, vec))
+                nu = tuple(n + a for n, a in zip(nu, alpha))
+        mu_rho = tuple(x + 1 for x in mu)
+        denom = norm_top - bilinear(mu_rho, rs.gram_omega, mu_rho)
+        # denom > 0 for dominant mu strictly below lam
+        m = 2 * acc / denom
+        if m.denominator != 1:
+            raise AssertionError(f"non-integer multiplicity {m} at {mu}")
+        mult_dom[mu] = m.numerator
+    entries = {nu: m for mu, m in mult_dom.items() for nu in orbit(rs, mu)}
     total = sum(entries.values())
     expected = weyl_dim(rs, lam)
     if total != expected:
@@ -387,7 +363,7 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,12 +14,11 @@ Conventions, fixed once and used everywhere else in the package:
 * The Gram matrix of the fundamental weights is (C^t)^-1 diag(d), and
   (omega_i, alpha_j) = d_i delta_ij.
 
-Dominant forms come from one integer reflection loop, to_dominant: while some
-coordinate v_i is negative, apply s_i as v_j -= C[j][i] v_i.  The shifted
-form shifted_dominant(mu) runs it on mu + rho and returns ON_WALL when the
-dominant point has a zero coordinate; neither builds a Weyl matrix.
-to_dominant_shifted adds the Weyl element w with w * lam = mu for callers
-that need it.
+W-orbits come from one integer reflection, s_i: v_j -= C[j][i] v_i.
+to_dominant applies it while some v_i is negative; orbit(lam) walks back
+from a dominant lam, applying it wherever v_i is positive; shifted_dominant
+runs to_dominant on mu + rho and returns ON_WALL if a coordinate is zero.
+None builds a Weyl matrix; to_dominant_shifted adds the w with w * lam = mu.
 """
 
 from __future__ import annotations
@@ -379,6 +378,25 @@ def to_dominant(rs: RootSystemData, mu) -> IntVector:
         vi = v[i]
         for j in indices:
             v[j] -= c[j][i] * vi
+
+
+def orbit(rs: RootSystemData, lam) -> set:
+    """W-orbit of the dominant weight lam, as a set of integer tuples: to_dominant's
+    loop run backwards, applying s_i from lam wherever v_i > 0."""
+    if not is_dominant(lam):
+        raise NotDominant(f"{lam} is not dominant")
+    c = rs.C
+    seen = {tuple(lam)}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for i, vi in enumerate(v):
+            if vi > 0:
+                u = tuple(x - c[j][i] * vi for j, x in enumerate(v))
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return seen
 
 
 def shifted_dominant(rs: RootSystemData, mu):

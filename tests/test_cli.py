@@ -188,14 +188,29 @@ def _swap_first_multiplicities(text):
     return json.dumps(doc)
 
 
+def _move_mass_outward(text):
+    """A1 N=8: add 8 at the weights 8 and -8, take 16 from 0.
+
+    Still positive and W-invariant with the same total, but the second moment
+    sum_mu m(mu) (mu, mu) grows from 1024 to 1536.
+    """
+    doc = json.loads(text)
+    mults = dict(zip((w[0] for w in doc["weights"]), map(int, doc["multiplicities"])))
+    for w, delta in ((8, 8), (-8, 8), (0, -16)):
+        mults[w] += delta
+    doc["multiplicities"] = [str(mults[w[0]]) for w in doc["weights"]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda text: text[:20],  # truncated write
         lambda text: json.dumps({"weights": [[0]], "multiplicities": ["5"], "total_dim": "5"}),  # forged entry
         _swap_first_multiplicities,
+        _move_mass_outward,
     ],
-    ids=["truncated", "forged", "swapped"],
+    ids=["truncated", "forged", "swapped", "moved"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     cache = tmp_path / "cache"

@@ -23,6 +23,7 @@ from tensorlimits.rootsys import (
     casimir_eigenvalue,
     inner_product,
     is_dominant,
+    orbit,
     rootsys_from_json,
     rootsys_to_json,
     shifted_action,
@@ -319,6 +320,18 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
         assert lam2 == lam
         assert shifted_action(rs, w, lam) == mu
     assert walls > 0 and regular > 0
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_orbit_matches_weyl_group_randomized(label):
+    # oracle: the image of lam under every enumerated Weyl element
+    rs = build_root_system(label)
+    rng = random.Random(23)
+    for _ in range(6):
+        lam = tuple(rng.randint(0, 3) for _ in range(rs.rank))
+        assert orbit(rs, lam) == {w.apply(lam) for w in rs.weyl}, lam
+    with pytest.raises(NotDominant):
+        orbit(rs, (-1,) + (0,) * (rs.rank - 1))
 
 
 def test_shifted_orbit_partition_a2():
