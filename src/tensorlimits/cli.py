@@ -415,7 +415,17 @@ def cmd_converge(args) -> int:
         n_values = _parse_n_list(args.N) if args.N else cfg.N_list
         fmt = args.format or cfg.format
         cache_dir = getattr(args, "cache_dir", None) or cfg.cache_dir or os.environ.get("LTL_CACHE_DIR")
+        # a bad value read from the file is reported under its config key
+        source = {
+            flag: flag if given else key
+            for flag, key, given in (
+                ("--type", "cartan_type", args.type),
+                ("--factor", "factors", args.factor),
+                ("--N", "N_list", args.N),
+            )
+        }
     else:
+        source = {}
         for name, value in (("--type", args.type), ("--factor", args.factor), ("--N", args.N)):
             if not value:
                 raise BadField(name, "required unless --config is given")
@@ -424,8 +434,11 @@ def cmd_converge(args) -> int:
         n_values = _parse_n_list(args.N)
         fmt = args.format or "csv"
         cache_dir = _cache_dir(args)
-    spec = _build_spec(type_str, factors)
-    _check_admissible(spec, n_values)
+    try:
+        spec = _build_spec(type_str, factors)
+        _check_admissible(spec, n_values)
+    except BadField as exc:
+        raise BadField(source.get(exc.field, exc.field), exc.message) from None
     if spec.rs.rank > 3:
         raise RankTooLarge(f"converge needs rank <= 3 for the TV metric, got {spec.rs.rank}")
     table = _power_table(spec, sorted(set(n_values)), cache_dir)

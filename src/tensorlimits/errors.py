@@ -26,7 +26,7 @@ class BasisMismatch(TensorLimitsError):
 
 
 class NotDominant(TensorLimitsError):
-    """A highest weight argument has a negative fundamental coordinate."""
+    """A highest weight argument has a negative fundamental coordinate or the wrong rank."""
 
 
 class NegativeMultiplicity(TensorLimitsError):

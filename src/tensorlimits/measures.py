@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateSpec, InadmissibleN, NotDominant
+from .errors import DegenerateSpec, InadmissibleN
 from .repchar import (
     MultiplicityMap,
     freudenthal_multiplicities,
@@ -41,7 +41,7 @@ from .rootsys import (
     ON_WALL,
     RootSystemData,
     casimir_eigenvalue,
-    is_dominant,
+    highest_weight,
     orbit,
     shifted_dominant,
 )
@@ -62,12 +62,8 @@ class TensorSpec:
     def __post_init__(self):
         norm = []
         for lam, tau in self.factors:
-            lam = tuple(int(x) for x in lam)
+            lam = highest_weight(self.rs, (int(x) for x in lam))
             tau = Fraction(tau)
-            if len(lam) != self.rs.rank:
-                raise NotDominant(f"weight {lam} has wrong rank")
-            if not is_dominant(lam):
-                raise NotDominant(f"{lam} is not dominant")
             if tau <= 0:
                 raise ValueError(f"tau must be positive, got {tau}")
             norm.append((lam, tau))

@@ -1,12 +1,14 @@
 """Exact weight multiplicities of irreducibles, tensor powers, and decompositions.
 
 A character is stored as a MultiplicityMap: a sparse dict from weights
-(omega-coords) to arbitrary-precision multiplicities.  Characters of
-irreducibles come from the Freudenthal recursion at dominant weights, spread
-over W-orbits by the integer kernels rootsys.to_dominant and rootsys.orbit;
-characters of tensor powers prod_l V_lam_l^(n_l) from Miller's power
-recurrence, which finds each multiplicity from higher ones by one exact
-integer division, at a cost per weight of the support sizes of the factors.
+(omega-coords) to arbitrary-precision multiplicities.  Both recurrences run
+on dominant weights alone, reading W-invariant values through the integer
+kernel rootsys.to_dominant, and expand the result over W-orbits once by
+rootsys.orbit with a check of the total dimension.  Characters of
+irreducibles come from the Freudenthal recursion; characters of tensor
+powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which finds each
+multiplicity from higher ones by one exact integer division, at a cost per
+dominant weight of the support sizes of the factors.
 It is the only product of characters the package computes; the test suite
 checks it against plain convolution of the factor characters
 (tests/oracles.py).  Characters are split into irreducibles by Racah's
@@ -22,9 +24,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import NegativeMultiplicity, NotDominant
+from .errors import NegativeMultiplicity
 from .linalg import bilinear
-from .rootsys import IntVector, RootSystemData, casimir_eigenvalue, is_dominant, orbit, to_dominant
+from .rootsys import (
+    IntVector,
+    RootSystemData,
+    casimir_eigenvalue,
+    highest_weight,
+    is_dominant,
+    orbit,
+    to_dominant,
+)
 
 
 @dataclass(eq=False)
@@ -80,8 +90,7 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
     every pairing scaled to an integer by the lcm of the symmetrizers' denominators
     and one exact division at the end.
     """
-    if not is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    lam = highest_weight(rs, lam)
     scale = lcm(*(x.denominator for x in rs.d))
     dint = [x.numerator * (scale // x.denominator) for x in rs.d]
     lam_rho = [(l + 1) * x for l, x in zip(lam, dint)]
@@ -104,8 +113,8 @@ def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
     while stack:
         nu = stack.pop()
         for alpha in rs.positive_roots_omega:
-            cand = tuple(x - a for x, a in zip(nu, alpha))
-            if cand not in seen and is_dominant(cand):
+            cand = tuple([x - a for x, a in zip(nu, alpha)])
+            if min(cand) >= 0 and cand not in seen:
                 seen.add(cand)
                 stack.append(cand)
     height = _height_vector(rs)
@@ -119,9 +128,7 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     over their W-orbits.  m(mu) sums the positive root strings above mu, read
     at dominant representatives; a string ends at the first one not yet found.
     """
-    lam = tuple(lam)
-    if not is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    lam = highest_weight(rs, lam)
     dominant = _dominant_weights(rs, lam)
     lam_rho = tuple(x + 1 for x in lam)
     norm_top = bilinear(lam_rho, rs.gram_omega, lam_rho)
@@ -140,11 +147,16 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
         if m.denominator != 1:
             raise AssertionError(f"non-integer multiplicity {m} at {mu}")
         mult_dom[mu] = m.numerator
+    return _expand_orbits(rs, mult_dom, weyl_dim(rs, lam))
+
+
+def _expand_orbits(rs: RootSystemData, mult_dom: dict, expected: int) -> MultiplicityMap:
+    """The W-invariant character with multiplicities mult_dom at its dominant
+    weights, checked to have total dimension expected."""
     entries = {nu: m for mu, m in mult_dom.items() for nu in orbit(rs, mu)}
     total = sum(entries.values())
-    expected = weyl_dim(rs, lam)
     if total != expected:
-        raise AssertionError(f"multiplicity total {total} != dim {expected}")
+        raise AssertionError(f"multiplicity total {total} != dimension {expected}")
     return MultiplicityMap(entries, total)
 
 
@@ -168,96 +180,59 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     1 and every other term has positive depth d, the height of lam_l - weight.
     With theta the Euler operator along d, Q = prod_l g_l^(n_l) satisfies
     theta(Q) = sum_l n_l theta(g_l) A_l with Q = g_l A_l, where A_l is the
-    character with one copy of V_lam_l fewer.  Index the coefficients m of Q
-    and a_l of A_l by the weight of the tensor product at the same offset
-    from its top weight; comparing them at a weight nu of depth D > 0 gives
+    character with one copy of V_lam_l fewer.  Comparing coefficients at a
+    weight nu of depth D > 0 below top = sum_l n_l lam_l gives
 
-        D m(nu)  = sum_l n_l sum_(gamma != 0) d(gamma) g_l[gamma] a_l(nu + gamma)
-        a_l(nu)  = m(nu) - sum_(gamma != 0) g_l[gamma] a_l(nu + gamma)
+        D m(nu)           = sum_l n_l sum_(w != lam_l) d(lam_l - w) V_lam_l(w) A_l(nu - w)
+        A_l(nu - lam_l)   = m(nu) - sum_(w != lam_l) V_lam_l(w) A_l(nu - w)
 
-    where every nu + gamma lies higher, and the division by D is exact.  For
-    one factor this is J.C.P. Miller's formula for powers of a power series
-    (Knuth, TAOCP vol. 2, section 4.7); carrying the quotients A_l instead of
-    multiplying through by prod_l g_l keeps the cost per weight at
-    sum_l |supp V_lam_l| rather than the product.  Weights are visited level
-    by level from the top; a candidate whose multiplicity is zero lies outside
-    the support and spawns no further candidates.
+    where every nu - w lies higher in A_l than nu - lam_l, and the division
+    by D is exact.  For one factor this is J.C.P. Miller's formula for powers
+    of a power series (Knuth, TAOCP vol. 2, section 4.7); carrying the
+    quotients A_l instead of multiplying through by prod_l g_l keeps the cost
+    per weight at sum_l |supp V_lam_l| rather than the product.
+
+    Q and every A_l are W-invariant, so the recurrence visits only the
+    dominant weights nu below top, by depth: each is a weight of V_top, so
+    none is zero.  A_l is kept at the dominant weights nu - lam_l of its own
+    frame and read at to_dominant(nu - w), which lies no lower, so it was
+    found earlier or is zero.  The result is expanded over W-orbits once.
     """
     factors = [(lam, base, n) for lam, base, n in factors if n]
+    top = tuple(sum(n * lam[i] for lam, _, n in factors) for i in range(rs.rank))
     height = _height_vector(rs)
-    r = rs.rank
-    # The support lies in the box sum_l n_l [min, max] of each coordinate over
-    # V_lam_l.  Candidates lie within one factor's coordinate range of it and
-    # their lookups within two, so padding the box by twice the widest range
-    # gives every weight the recurrence touches its own mixed-radix code.
-    top, lo, hi, pad = [0] * r, [0] * r, [0] * r, [0] * r
-    expected = 1
-    for lam, base, n in factors:
-        expected *= base.total_dim**n
-        for i in range(r):
-            coords = [w[i] for w in base.entries]
-            top[i] += n * lam[i]
-            lo[i] += n * min(coords)
-            hi[i] += n * max(coords)
-            pad[i] = max(pad[i], max(coords) - min(coords))
-    origin = [x - 2 * p for x, p in zip(lo, pad)]
-    widths = [h - x + 4 * p + 1 for h, x, p in zip(hi, lo, pad)]
-    strides = [prod(widths[:i]) for i in range(r)]
-
-    def code(v) -> int:
-        return sum(x * s for x, s in zip(v, strides))
-
-    # per factor: (code(gamma), n d(gamma) g_l[gamma], g_l[gamma]) for gamma != 0
+    # per factor: (lam_l, [(w, n d(lam_l - w) V_lam_l(w), V_lam_l(w)) for w != lam_l], A_l)
     steps = []
-    offsets = {}
     for lam, base, n in factors:
-        row = []
-        for w, c in base.entries.items():
-            delta = tuple(a - b for a, b in zip(lam, w))
-            if any(delta):
-                d = sum(h * x for h, x in zip(height, delta))
-                row.append((code(delta), n * d * c, c))
-                offsets[code(delta)] = d
-        steps.append(row)
-
-    start = code([t - o for t, o in zip(top, origin)])
-    mults = {start: 1}
-    quotients = {start: (1,) * len(steps)}
-    levels: dict = {}
-    for g, d in offsets.items():
-        levels.setdefault(d, set()).add(start - g)
-    while levels:
-        level = min(levels)
-        for nu in levels.pop(level):
-            acc = 0
-            subs = []
-            for l, row in enumerate(steps):
-                sub = 0
-                for g, coeff, c in row:
-                    q = quotients.get(nu + g)
-                    if q:
-                        acc += coeff * q[l]
-                        sub += c * q[l]
-                subs.append(sub)
-            m, rem = divmod(acc, level)
-            if rem:
-                raise AssertionError(f"multiplicity sum {acc} at depth {level} is not divisible by the depth")
-            if m:
-                mults[nu] = m
-                quotients[nu] = tuple(m - sub for sub in subs)
-                for g, d in offsets.items():
-                    levels.setdefault(level + d, set()).add(nu - g)
-    entries = {}
-    for k, m in mults.items():
-        w = []
-        for width, o in zip(widths, origin):
-            k, x = divmod(k, width)
-            w.append(x + o)
-        entries[tuple(w)] = m
-    total = sum(entries.values())
-    if total != expected:
-        raise AssertionError(f"multiplicity total {total} != product of dimensions {expected}")
-    return MultiplicityMap(entries, total)
+        row = [
+            (w, n * sum(h * (l - x) for h, l, x in zip(height, lam, w)) * c, c)
+            for w, c in base.entries.items()
+            if w != lam
+        ]
+        steps.append((lam, row, {}))
+    mult_dom = {}
+    for nu in _dominant_weights(rs, top):
+        acc = 0
+        subs = []
+        for lam, row, quotient in steps:
+            sub = 0
+            for w, coeff, c in row:
+                a = quotient.get(to_dominant(rs, [x - y for x, y in zip(nu, w)]))
+                if a:
+                    acc += coeff * a
+                    sub += c * a
+            subs.append(sub)
+        depth = sum(h * (t - x) for h, t, x in zip(height, top, nu))
+        # only top has depth 0; its multiplicity is 1
+        m, rem = divmod(acc, depth) if depth else (1, 0)
+        if rem:
+            raise AssertionError(f"multiplicity sum {acc} at depth {depth} is not divisible by the depth")
+        mult_dom[nu] = m
+        for (lam, _, quotient), sub in zip(steps, subs):
+            mu = tuple(x - y for x, y in zip(nu, lam))
+            if is_dominant(mu):
+                quotient[mu] = m - sub
+    return _expand_orbits(rs, mult_dom, prod(base.total_dim**n for _, base, n in factors))
 
 
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
@@ -275,14 +250,13 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
     factors is a list of (lam, tau) with rational tau; a tau_l * N that is not
     a nonnegative integer raises ValueError.  The factor characters are computed
     once; each N then costs one run of Miller's power recurrence, linear in
-    the size of its support for fixed factors.
+    the number of dominant weights of V_N for fixed factors, plus one
+    expansion over their W-orbits.
     """
     n_values = sorted(set(int(n) for n in n_values))
     bases = []
     for lam, tau in factors:
-        lam, tau = tuple(lam), Fraction(tau)
-        if not is_dominant(lam):
-            raise NotDominant(f"{lam} is not dominant")
+        lam, tau = highest_weight(rs, lam), Fraction(tau)
         for n in n_values:
             e = tau * n
             if e.denominator != 1 or e < 0:

@@ -334,6 +334,16 @@ def is_dominant(mu) -> bool:
     return all(x >= 0 for x in mu)
 
 
+def highest_weight(rs: RootSystemData, lam) -> IntVector:
+    """lam as a tuple, or NotDominant unless it has rank coordinates, none negative."""
+    lam = tuple(lam)
+    if len(lam) != rs.rank:
+        raise NotDominant(f"{lam} has {len(lam)} coordinates; {rs.cartan_type} needs {rs.rank}")
+    if not is_dominant(lam):
+        raise NotDominant(f"{lam} is not dominant")
+    return lam
+
+
 def inner_product(rs: RootSystemData, u, v, basis: str = "omega", basis2: str | None = None):
     """Standard bilinear form of two vectors, each in a declared basis.
 
@@ -383,16 +393,14 @@ def to_dominant(rs: RootSystemData, mu) -> IntVector:
 def orbit(rs: RootSystemData, lam) -> set:
     """W-orbit of the dominant weight lam, as a set of integer tuples: to_dominant's
     loop run backwards, applying s_i from lam wherever v_i > 0."""
-    if not is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
     c = rs.C
-    seen = {tuple(lam)}
+    seen = {highest_weight(rs, lam)}
     stack = list(seen)
     while stack:
         v = stack.pop()
         for i, vi in enumerate(v):
             if vi > 0:
-                u = tuple(x - c[j][i] * vi for j, x in enumerate(v))
+                u = tuple([x - row[i] * vi for x, row in zip(v, c)])
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -428,8 +436,7 @@ def to_dominant_shifted(rs: RootSystemData, mu):
 
 def casimir_eigenvalue(rs: RootSystemData, lam) -> Fraction:
     """Casimir scalar (lam, lam + 2 rho) on the irreducible with highest weight lam."""
-    if not is_dominant(lam):
-        raise NotDominant(f"{lam} has a negative fundamental coordinate")
+    lam = highest_weight(rs, lam)
     shifted = tuple(x + 2 for x in lam)
     return bilinear(lam, rs.gram_omega, shifted)
 

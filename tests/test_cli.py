@@ -166,6 +166,12 @@ def test_converge_flags_override_config(tmp_path, capsys):
     assert code == 0
     assert out.startswith("N,")
     assert len(out.strip().split("\n")) == 2
+    # a bad value given as a flag is reported under the flag, not the config key
+    for flag, value in (("--type", "Q9"), ("--factor", "1,0:1"), ("--N", "0")):
+        code, out, err = run(capsys, "converge", "--config", str(path), flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag}:" in err
 
 
 def test_cache_roundtrip(tmp_path, capsys):
@@ -318,6 +324,11 @@ _GOOD_CONFIG = {"cartan_type": "A1", "factors": [{"weight": [1], "tau": "1"}], "
         ("factors", {**_GOOD_CONFIG, "factors": [{"weight": "2", "tau": "1"}]}),
         ("N_list", {**_GOOD_CONFIG, "N_list": [4.9]}),
         ("factors", {"cartan_type": "A2", "factors": [{"weight": [1.7, 0], "tau": "1"}], "N_list": [4]}),
+        # each of these used to name the flag (--type, --factor, --N) instead of the config key
+        ("cartan_type", {**_GOOD_CONFIG, "cartan_type": "Q9"}),
+        ("factors", {**_GOOD_CONFIG, "factors": [{"weight": [-1], "tau": "1"}]}),
+        ("factors", {**_GOOD_CONFIG, "factors": [{"weight": [1, 0], "tau": "1"}]}),
+        ("N_list", {**_GOOD_CONFIG, "factors": [{"weight": [1], "tau": "1/2"}], "N_list": [3]}),
     ],
 )
 def test_config_type_errors_exit_2(tmp_path, capsys, field, doc):

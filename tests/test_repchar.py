@@ -19,11 +19,12 @@ from tensorlimits.repchar import (
     unit_map,
     weyl_dim,
 )
-from tensorlimits.rootsys import build_root_system, casimir_eigenvalue
+from tensorlimits.measures import TensorSpec
+from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, orbit
 
 from oracles import character_by_weyl_formula, convolve, peel_off_decompose, sl2_power_components
 
-RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "G2"]}
+RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "D4", "G2", "F4"]}
 
 
 # ------------------------------------------------------------------ dimensions
@@ -39,6 +40,26 @@ def test_weyl_dim_examples():
     assert weyl_dim(a2, (1, 1)) == 8
     with pytest.raises(NotDominant):
         weyl_dim(a2, (-1, 0))
+
+
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 0)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        weyl_dim,
+        freudenthal_multiplicities,
+        lambda rs, lam: tensor_power_table(rs, [(lam, 1)], [2]),
+        orbit,
+        casimir_eigenvalue,
+        lambda rs, lam: TensorSpec(rs, ((lam, 1),)),
+    ],
+    ids=["weyl_dim", "freudenthal", "tensor_power_table", "orbit", "casimir", "TensorSpec"],
+)
+def test_wrong_rank_weight_is_not_dominant(entry, weight):
+    # zip used to truncate a short weight: weyl_dim gave 0, orbit {(1,), (-1,)},
+    # and the dominant-weight walk of freudenthal_multiplicities never ended
+    with pytest.raises(NotDominant):
+        entry(RS["A2"], weight)
 
 
 def test_weyl_dim_g2_fundamentals():
@@ -199,23 +220,27 @@ def test_tensor_powers_match_repeated_convolution_randomized():
     rng = random.Random(2024)
     taus = [Fraction(1), Fraction(1, 2), Fraction(2)]
     seen_taus, seen_zero_weight, seen_zero_exponent, seen_two_factor = set(), False, False, False
-    for label in ["A1", "A2", "A3", "B2", "C3", "G2"]:
+    # on B3, D4 and F4 the dominant recurrence reads its quotients through
+    # multi-step to_dominant runs; their factors stay small (dim <= 26, counts <= 3)
+    cases = [(label, 16, taus, 4) for label in ["A1", "A2", "A3", "B2", "C3", "G2"]]
+    cases += [(label, 26, taus[:2], 3) for label in ["B3", "D4", "F4"]]
+    for label, max_dim, label_taus, max_count in cases:
         rs = RS[label]
         for _ in range(6):
             factors = []
             for _ in range(rng.randint(1, 2)):
                 lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
-                while weyl_dim(rs, lam) > 16:
+                while weyl_dim(rs, lam) > max_dim:
                     lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
-                factors.append((lam, rng.choice(taus)))
+                factors.append((lam, rng.choice(label_taus)))
             seen_taus.update(tau for _, tau in factors)
             seen_zero_weight |= any(not any(lam) for lam, _ in factors)
             seen_two_factor |= len(factors) == 2
             n_values = [0, 2]
             table = tensor_power_table(rs, factors, n_values)
-            cases = [[(lam, (tau * n).numerator) for lam, tau in factors] for n in n_values]
-            cases.append([(lam, rng.randint(0, 4)) for lam, _ in factors])
-            for i, counts in enumerate(cases):
+            powers = [[(lam, (tau * n).numerator) for lam, tau in factors] for n in n_values]
+            powers.append([(lam, rng.randint(0, max_count)) for lam, _ in factors])
+            for i, counts in enumerate(powers):
                 seen_zero_exponent |= any(n == 0 for _, n in counts)
                 expected = _power_by_repeated_convolution(rs, counts)
                 got = [tensor_power_multiplicities(rs, counts)]
