@@ -23,10 +23,11 @@ from math import lcm, prod
 
 import numpy as np
 
-from .convergence import convergence_report, report_to_csv, report_to_json
+from .convergence import convergence_report, report_to_csv, report_to_json, tv_grid
 from .densities import density_box, make_density_model, normalization_quadrature
 from .errors import (
     DegenerateSpec,
+    GridCapExceeded,
     InadmissibleN,
     NotDominant,
     RankTooLarge,
@@ -82,6 +83,15 @@ def _os_errors(field: str):
         yield
     except OSError as exc:
         raise BadField(field, str(exc))
+
+
+@contextmanager
+def _grid_flag(flag: str):
+    """Name the flag that sized the density grid in a GridCapExceeded raised inside the block."""
+    try:
+        yield
+    except GridCapExceeded as exc:
+        raise GridCapExceeded(f"{flag}: {exc}") from None
 
 
 def _int_list(value) -> tuple:
@@ -353,7 +363,7 @@ def _plot_files(model, base: str) -> None:
     lo, hi = density_box(model, 6.0)
     if rank == 1:
         xs = np.linspace(lo[0], hi[0], 401)
-        vals = model.evaluate(xs[:, None])
+        vals = model.values([xs])
         dat = "\n".join(f"{x:.12g} {v:.12g}" for x, v in zip(xs, vals)) + "\n"
         script = (
             f'set title "{rs.cartan_type} {model.kind} limit density"\n'
@@ -362,11 +372,10 @@ def _plot_files(model, base: str) -> None:
         )
     else:
         axes = [np.linspace(a, b, 101) for a, b in zip(lo, hi)]
+        vals = model.values(np.ix_(*axes))
         rows = []
-        for x in axes[0]:
-            pts = np.stack([np.full_like(axes[1], x), axes[1]], axis=-1)
-            vals = model.evaluate(pts)
-            for y, v in zip(axes[1], vals):
+        for x, row in zip(axes[0], vals):
+            for y, v in zip(axes[1], row):
                 rows.append(f"{x:.12g} {y:.12g} {v:.12g}")
             rows.append("")
         dat = "\n".join(rows) + "\n"
@@ -396,7 +405,8 @@ def cmd_density(args) -> int:
         "norm_const": model.norm_const,
     }
     if args.check_normalization:
-        doc["quadrature_mass"] = normalization_quadrature(model, args.resolution)
+        with _grid_flag("--resolution"):
+            doc["quadrature_mass"] = normalization_quadrature(model, args.resolution)
     if args.plot:
         base = args.output or f"density_{rs.cartan_type}_{args.kind}"
         _plot_files(model, base)
@@ -439,8 +449,9 @@ def cmd_converge(args) -> int:
         _check_admissible(spec, n_values)
     except BadField as exc:
         raise BadField(source.get(exc.field, exc.field), exc.message) from None
-    if spec.rs.rank > 3:
-        raise RankTooLarge(f"converge needs rank <= 3 for the TV metric, got {spec.rs.rank}")
+    # the TV grid is checked (rank <= 3, points within the cap) before any table work
+    with _grid_flag("--bins"):
+        tv_grid(spec.rs.rank, args.bins)
     table = _power_table(spec, sorted(set(n_values)), cache_dir)
     report = convergence_report(spec, n_values, bins_per_axis=args.bins, table=table)
     if fmt == "csv":
@@ -518,7 +529,7 @@ def main(argv=None) -> int:
     except (InadmissibleN, NotDominant, DegenerateSpec, UnsupportedType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WeylCapExceeded, RankTooLarge) as exc:
+    except (WeylCapExceeded, RankTooLarge, GridCapExceeded) as exc:
         print(f"error: computation cap exceeded: {exc}", file=sys.stderr)
         return 3
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import DensityModel, box_masses, density_box, make_density_model
+from .densities import DensityModel, box_masses, check_grid, density_box, make_density_model
 from .errors import InadmissibleN, RankTooLarge
 from .measures import (
     DiscreteMeasure,
@@ -158,16 +158,25 @@ class _DensityBoxes:
     q_tail: float
 
 
-def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBoxes:
-    """The boxes of histogram_tv and the density's mass in each, by the midpoint rule on a subgrid."""
-    rank = model.rs.rank
+def tv_grid(rank: int, bins_per_axis: int | None = None) -> tuple[int, int]:
+    """Bins per axis of histogram_tv and midpoint cells per bin and axis.
+
+    Raises RankTooLarge above rank 3 and GridCapExceeded for a grid of more
+    than densities.MAX_GRID_POINTS points, before anything is evaluated.
+    """
     if rank > 3:
         raise RankTooLarge(f"histogram_tv supports rank <= 3, got rank {rank}")
     if bins_per_axis is None:
         bins_per_axis = DEFAULT_BINS[rank]
+    sub = max(2, round({1: 2400, 2: 480, 3: 96}[rank] / bins_per_axis))
+    check_grid(rank, bins_per_axis, sub)
+    return bins_per_axis, sub
+
+
+def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBoxes:
+    """The boxes of histogram_tv and the density's mass in each, by the midpoint rule on a subgrid."""
+    bins_per_axis, sub = tv_grid(model.rs.rank, bins_per_axis)
     lo, hi = density_box(model, 6.0)
-    target = {1: 2400, 2: 480, 3: 96}[rank]
-    sub = max(2, round(target / bins_per_axis))
     q = box_masses(model, lo, hi, bins_per_axis, sub)
     q_tail = max(0.0, 1.0 - float(q.sum()))
     width = [(b - a) / bins_per_axis for a, b in zip(lo, hi)]
@@ -241,9 +250,9 @@ def convergence_report(
     for n in n_values:
         if not admissible_N(spec, n):
             raise InadmissibleN(f"N = {n} is not admissible")
+    eta_boxes = _density_boxes(make_density_model(rs, "eta"), bins_per_axis)
     if table is None or any(n not in table for n in n_values):
         table = tensor_power_table(rs, spec.factors, n_values)
-    eta_boxes = _density_boxes(make_density_model(rs, "eta"), bins_per_axis)
     rows = []
     for n in n_values:
         eta = eta_measure(spec, n, multiplicities=table[n])

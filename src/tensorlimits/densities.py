@@ -12,55 +12,79 @@ K = sqrt(det(diag(d)) / det(C)) / (2 pi)^(r/2) = sqrt(det gram_omega) / (2 pi)^(
 
 The polynomial is even, so the extended formula is W-invariant as written.
 
+Each model has one kernel, DensityModel.values, which takes the coordinates
+as separate arrays that broadcast together: (x,x) as the sum of the terms
+(x_i g_ij) x_j, each root pairing (x,a) as a sum over the coordinates where
+a is nonzero, the squares multiplied in root order, and the cone mask from
+the tests x_i >= 0.  On the 1-D axes of a tensor grid, np.ix_(*axes), every
+term and pairing is built on only the axes it depends on, and no mesh of
+points is stacked.  A point array is the same kernel on its coordinates
+(evaluate), so the point and grid values agree to the last bit.
+
 Every density grid (this module's normalization quadrature, the convergence
-module's TV boxes) is box_masses over a box from density_box.
+module's TV boxes) is box_masses over a box from density_box, and no grid
+holds more than MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
+from .errors import GridCapExceeded, OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
 from .linalg import determinant
 from .rootsys import RootSystemData, build_root_system
 
 KINDS = ("xi", "eta", "eta_extended", "gue")
 
 _DEFAULT_RESOLUTION = {1: 4000, 2: 800, 3: 120}
+# the most points box_masses evaluates: about ten times the default rank-3
+# quadrature (120^3), and at most 128 MiB of box masses
+MAX_GRID_POINTS = 2**24
 
 
 @dataclass(frozen=True, eq=False)
 class DensityModel:
-    """One density with its precomputed constant and evaluation arrays."""
+    """One density with its precomputed constant and the float coefficients of its kernel."""
 
     rs: RootSystemData
     kind: str
     norm_const: float
 
     def __post_init__(self):
-        gram = np.array([[float(x) for x in row] for row in self.rs.gram_omega])
-        roots = np.array([[float(x) for x in vec] for vec in self.rs.root_pair_vectors])
+        gram = tuple(tuple(float(x) for x in row) for row in self.rs.gram_omega)
+        # (x, alpha) for each positive root, summed over the coordinates where alpha is nonzero
+        pairs = tuple(tuple((i, float(v)) for i, v in enumerate(vec) if v) for vec in self.rs.root_pair_vectors)
         object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_pairs", () if self.kind == "xi" else pairs)
+
+    def values(self, xs) -> np.ndarray:
+        """Density values at coordinate arrays xs[0], ..., xs[rank - 1] that broadcast together.
+
+        With xs = np.ix_(*axes) these are the values on the tensor grid of the
+        axes, and each product x_i g_ij x_j and each root pairing is built on
+        the axes it depends on alone.  For the cone-supported kinds (eta, gue)
+        the value is 0 outside the closed dominant cone, making this a density
+        on all of R^r.
+        """
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        q = reduce(operator.add, ((x * g) * y for x, row in zip(xs, self._gram) for g, y in zip(row, xs)))
+        vals = self.norm_const * np.exp(-0.5 * q)
+        if self._pairs:
+            pairings = (reduce(operator.add, (v * xs[i] for i, v in pair)) for pair in self._pairs)
+            vals = vals * reduce(operator.mul, (p * p for p in pairings))
+        if self.kind in ("eta", "gue"):
+            vals = np.where(reduce(operator.and_, (x >= 0 for x in xs)), vals, 0.0)
+        return vals
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Density values over an array of points with shape (..., r).
-
-        For the cone-supported kinds (eta, gue) the value is 0 outside the
-        closed dominant cone, making this a density on all of R^r.
-        """
+        """Density values over an array of points with shape (..., r): values on its coordinates."""
         pts = np.asarray(points, dtype=float)
-        q = np.einsum("...i,ij,...j->...", pts, self._gram, pts)
-        vals = self.norm_const * np.exp(-q / 2.0)
-        if self.kind != "xi":
-            pair = pts @ self._roots.T
-            vals = vals * np.prod(pair * pair, axis=-1)
-        if self.kind in ("eta", "gue"):
-            vals = np.where(np.all(pts >= 0, axis=-1), vals, 0.0)
-        return vals
+        return self.values([pts[..., i] for i in range(self.rs.rank)])
 
 
 def gaussian_constant(rs: RootSystemData) -> float:
@@ -155,14 +179,25 @@ def density_box(model: DensityModel, extent: float) -> tuple[list[float], list[f
     return lo, hi
 
 
+def check_grid(rank: int, bins: int, sub: int) -> None:
+    """Raise GridCapExceeded if a box_masses grid of bins * sub points per axis exceeds MAX_GRID_POINTS."""
+    points = (bins * sub) ** rank
+    if points > MAX_GRID_POINTS:
+        raise GridCapExceeded(f"a density grid of {points} points exceeds the cap of {MAX_GRID_POINTS}")
+
+
 def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     """Midpoint-rule mass of the density in each of the bins^rank equal boxes of [lo, hi].
 
     Each box is split into sub^rank equal cells, valued at their centres.  The
-    density is evaluated one slab of boxes along the first axis at a time, so
-    memory is bounded by sub * (bins * sub)^(rank - 1) points.
+    kernel runs once per slab of boxes along the first axis, on that slab's
+    sub centres of the first axis and the full axes of the others (np.ix_),
+    so memory is bounded by sub * (bins * sub)^(rank - 1) points.  A grid of
+    more than MAX_GRID_POINTS points raises GridCapExceeded before anything
+    is allocated.
     """
     rank = len(lo)
+    check_grid(rank, bins, sub)
     axes = [a + (np.arange(bins * sub) + 0.5) * ((b - a) / bins / sub) for a, b in zip(lo, hi)]
     cell = 1.0
     for a, b in zip(lo, hi):
@@ -172,8 +207,7 @@ def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     sub_axes = (0,) + tuple(range(2, 2 * rank, 2))
     masses = np.empty((bins,) * rank)
     for k in range(bins):
-        mesh = np.meshgrid(axes[0][k * sub : (k + 1) * sub], *axes[1:], indexing="ij")
-        vals = model.evaluate(np.stack(mesh, axis=-1))
+        vals = model.values(np.ix_(axes[0][k * sub : (k + 1) * sub], *axes[1:]))
         masses[k] = vals.reshape(slab_shape).sum(axis=sub_axes)
     masses *= cell
     return masses

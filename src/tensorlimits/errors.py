@@ -21,6 +21,10 @@ class RankTooLarge(TensorLimitsError):
     """The requested grid computation is limited to small rank."""
 
 
+class GridCapExceeded(TensorLimitsError):
+    """A density grid would hold more points than densities.MAX_GRID_POINTS."""
+
+
 class BasisMismatch(TensorLimitsError):
     """Vectors were given in incompatible or unknown coordinate bases."""
 

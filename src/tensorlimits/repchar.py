@@ -83,6 +83,29 @@ def unit_map(rank: int) -> MultiplicityMap:
     return MultiplicityMap({(0,) * rank: 1}, 1)
 
 
+def _weyl_dim_rows(rs: RootSystemData):
+    """Integer rows and denominator of Weyl's dimension formula.
+
+    Row beta holds d_j k_j scale for beta = sum_j k_j alpha_j, so that
+    (lam + rho, beta) scale = sum_j row_j (lam_j + 1), with scale the lcm of
+    the symmetrizers' denominators; the denominator is prod_beta (rho, beta) scale.
+    """
+    scale = lcm(*(x.denominator for x in rs.d))
+    dint = [x.numerator * (scale // x.denominator) for x in rs.d]
+    rows = [[x * k for x, k in zip(dint, root)] for root in rs.positive_roots]
+    return rows, prod(sum(row) for row in rows)
+
+
+def _weyl_dim_from_rows(rows, den: int, lam) -> int:
+    """prod_beta (lam + rho, beta) / (rho, beta) from _weyl_dim_rows, by one exact division."""
+    lam_rho = [l + 1 for l in lam]
+    num = prod(sum(r * x for r, x in zip(row, lam_rho)) for row in rows)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"Weyl dimension {Fraction(num, den)} is not an integer")
+    return dim
+
+
 def weyl_dim(rs: RootSystemData, lam) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula).
 
@@ -90,18 +113,7 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
     every pairing scaled to an integer by the lcm of the symmetrizers' denominators
     and one exact division at the end.
     """
-    lam = highest_weight(rs, lam)
-    scale = lcm(*(x.denominator for x in rs.d))
-    dint = [x.numerator * (scale // x.denominator) for x in rs.d]
-    lam_rho = [(l + 1) * x for l, x in zip(lam, dint)]
-    num = den = 1
-    for root in rs.positive_roots:
-        num *= sum(a * k for a, k in zip(lam_rho, root))
-        den *= sum(x * k for x, k in zip(dint, root))
-    dim, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"Weyl dimension {Fraction(num, den)} is not an integer")
-    return dim
+    return _weyl_dim_from_rows(*_weyl_dim_rows(rs), highest_weight(rs, lam))
 
 
 def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
@@ -294,7 +306,8 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
             raise NegativeMultiplicity(f"[V : V_{mu}] = {c}")
         if c:
             components[mu] = c
-    dims = {mu: weyl_dim(rs, mu) for mu in components}
+    rows, den = _weyl_dim_rows(rs)
+    dims = {mu: _weyl_dim_from_rows(rows, den, mu) for mu in components}
     total = sum(c * dims[mu] for mu, c in components.items())
     if total != m.total_dim:
         raise NegativeMultiplicity(

@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from tensorlimits import cli
 from tensorlimits.cli import main
+from tensorlimits.densities import DensityModel
 from tensorlimits.repchar import tensor_power_multiplicities
 from tensorlimits.rootsys import build_root_system
 
@@ -286,6 +289,27 @@ def test_nonpositive_count_flag_exit_2(capsys, flag, argv):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "reason,argv",
+    [
+        ("--bins: ", ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--bins", "1000000"]),
+        ("--resolution: ", ["density", "eta", "--type", "A3", "--check-normalization", "--resolution", "1000"]),
+        ("histogram_tv supports rank <= 3", ["converge", "--type", "F4", "--factor", "0,0,0,1:1", "--N", "2"]),
+    ],
+)
+def test_oversized_grid_exit_3_before_allocating(monkeypatch, capsys, reason, argv):
+    # the grid is checked before the character table, the grid arrays or the kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an oversized grid")
+
+    for owner, attr in ((np, "arange"), (np, "empty"), (cli, "tensor_power_table"), (DensityModel, "values")):
+        monkeypatch.setattr(owner, attr, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: computation cap exceeded: {reason}")
 
 
 def test_missing_converge_flags_exit_2(capsys):

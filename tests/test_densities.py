@@ -8,6 +8,8 @@ import pytest
 
 from tensorlimits.convergence import DEFAULT_BINS, histogram_tv
 from tensorlimits.densities import (
+    KINDS,
+    MAX_GRID_POINTS,
     DensityModel,
     box_masses,
     density_box,
@@ -18,7 +20,7 @@ from tensorlimits.densities import (
     p_eta_extended,
     p_xi,
 )
-from tensorlimits.errors import OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
+from tensorlimits.errors import GridCapExceeded, OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
 from tensorlimits.measures import TensorSpec, eta_measure
 from tensorlimits.rootsys import build_root_system
 
@@ -26,6 +28,14 @@ A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
 G2 = build_root_system("G2")
+A3 = build_root_system("A3")
+B3 = build_root_system("B3")
+C3 = build_root_system("C3")
+
+
+def kinds_of(rs):
+    """Every density kind defined on rs: gue only on type A."""
+    return [k for k in KINDS if k != "gue" or rs.cartan_type.family == "A"]
 
 SQ = math.sqrt
 
@@ -170,10 +180,13 @@ def test_quadrature_rank_cap():
 
 
 def _full_mesh_box_masses(model, lo, hi, bins, sub):
-    """Direct midpoint sum: evaluate the whole (bins * sub)^rank mesh at once, sum each box."""
+    """Direct midpoint sum: evaluate the whole (bins * sub)^rank mesh at once, sum each box.
+
+    The mesh has box_masses's midpoints to the last bit: a step of (b - a) / n
+    instead of (b - a) / bins / sub moves far-tail values by up to 2e-13."""
     rank = len(lo)
     n = bins * sub
-    axes = [a + (np.arange(n) + 0.5) * ((b - a) / n) for a, b in zip(lo, hi)]
+    axes = [a + (np.arange(n) + 0.5) * ((b - a) / bins / sub) for a, b in zip(lo, hi)]
     vals = model.evaluate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
     boxes = vals.reshape((bins, sub) * rank).sum(axis=tuple(range(1, 2 * rank, 2)))
     return boxes * math.prod((b - a) / n for a, b in zip(lo, hi))
@@ -181,8 +194,8 @@ def _full_mesh_box_masses(model, lo, hi, bins, sub):
 
 def test_box_masses_match_full_mesh_sum_randomized():
     rng = random.Random(20261018)
-    for rs in (A1, A2, B2, build_root_system("A3")):
-        for kind in ("eta", "eta_extended"):
+    for rs in (A1, A2, B2, G2, A3, B3, C3):
+        for kind in kinds_of(rs):
             model = make_density_model(rs, kind)
             for _ in range(3):
                 bins, sub = rng.randint(1, 6), rng.randint(1, 6)
@@ -194,26 +207,56 @@ def test_box_masses_match_full_mesh_sum_randomized():
 
 
 def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
-    # normalization_quadrature and the TV boxes call evaluate once per box
+    # normalization_quadrature and the TV boxes call the kernel once per box
     # along the first axis, each time on an equal share of the points
-    a3 = build_root_system("A3")
     sizes = []
-    evaluate = DensityModel.evaluate
+    values = DensityModel.values
 
-    def recording(self, points):
-        sizes.append(np.asarray(points).size // a3.rank)
-        return evaluate(self, points)
+    def recording(self, xs):
+        vals = values(self, xs)
+        sizes.append(vals.size)
+        return vals
 
-    monkeypatch.setattr(DensityModel, "evaluate", recording)
-    eta = eta_measure(TensorSpec(a3, (((1, 0, 0), 1),)), 4)
+    monkeypatch.setattr(DensityModel, "values", recording)
+    eta = eta_measure(TensorSpec(A3, (((1, 0, 0), 1),)), 4)
     for slabs, run in (
-        (30, lambda: normalization_quadrature(make_density_model(a3, "eta_extended"), resolution=30)),
-        (DEFAULT_BINS[3], lambda: histogram_tv(eta, make_density_model(a3, "eta"))),
+        (30, lambda: normalization_quadrature(make_density_model(A3, "eta_extended"), resolution=30)),
+        (DEFAULT_BINS[3], lambda: histogram_tv(eta, make_density_model(A3, "eta"))),
     ):
         sizes.clear()
         run()
         assert len(sizes) == slabs
         assert all(size * slabs == sum(sizes) for size in sizes)
+
+
+def test_grid_kernel_equals_point_evaluation_bitwise():
+    # the kernel on np.ix_ axes and evaluate on the stacked mesh do the same
+    # float operations per point, so every value agrees to the last bit
+    rng = np.random.default_rng(20261019)
+    for rs in (A1, A2, B2, G2, A3, B3, C3):
+        n = {1: 97, 2: 41, 3: 13}[rs.rank]
+        for kind in kinds_of(rs):
+            model = make_density_model(rs, kind)
+            axes = [np.sort(rng.uniform(-4.0, 4.0, n)) for _ in range(rs.rank)]
+            grid = model.values(np.ix_(*axes))
+            points = model.evaluate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+            assert grid.shape == points.shape == (n,) * rs.rank
+            assert grid.tobytes() == points.tobytes(), (rs, kind)
+            assert np.count_nonzero(grid) > 0
+
+
+def test_oversized_grid_is_refused_before_evaluation(monkeypatch):
+    def refuse(self, xs):
+        raise AssertionError("the kernel ran on an oversized grid")
+
+    monkeypatch.setattr(DensityModel, "values", refuse)
+    model = make_density_model(A3, "eta_extended")
+    side = round(MAX_GRID_POINTS ** (1 / 3)) + 1
+    with pytest.raises(GridCapExceeded):
+        normalization_quadrature(model, resolution=side)
+    lo, hi = density_box(model, 6.0)
+    with pytest.raises(GridCapExceeded):
+        box_masses(model, lo, hi, 10**6, 2)
 
 
 def test_xi_covariance_matches_gram_inverse():
