@@ -51,7 +51,15 @@ from .repchar import (
     tensor_power_table,
     weyl_dim,
 )
-from .rootsys import CartanType, build_root_system, casimir_eigenvalue, is_dominant, orbit, rootsys_to_json
+from .rootsys import (
+    CartanType,
+    build_root_system,
+    casimir_eigenvalue,
+    is_dominant,
+    orbit,
+    rootsys_to_json,
+    weyl_group_order,
+)
 
 FORMATS = ("json", "csv")
 
@@ -301,7 +309,7 @@ def cmd_rootsys(args) -> int:
     t = _parse_type(args.type)
     rs = build_root_system(t)
     doc = rootsys_to_json(rs)
-    doc["weyl_order"] = len(rs.weyl)
+    doc["weyl_order"] = weyl_group_order(t)
     _emit(_json_dumps(doc), args)
     return 0
 

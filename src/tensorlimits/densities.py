@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GridCapExceeded, OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
 from .linalg import determinant
-from .rootsys import RootSystemData, build_root_system
+from .rootsys import RootSystemData, build_root_system, weyl_group_order
 
 KINDS = ("xi", "eta", "eta_extended", "gue")
 
@@ -107,7 +107,7 @@ def make_density_model(rs: RootSystemData, kind: str) -> DensityModel:
             prod_rho *= float(pairing)
         const = k / prod_rho
         if kind == "eta_extended":
-            const /= len(rs.weyl)
+            const /= weyl_group_order(rs.cartan_type)
     return DensityModel(rs, kind, const)
 
 

@@ -44,6 +44,7 @@ from .rootsys import (
     highest_weight,
     orbit,
     shifted_dominant,
+    weyl_group_order,
 )
 
 # above this bounding-box volume, explicit zero-mass wall atoms are omitted
@@ -193,7 +194,7 @@ def eta_extended_measure(
     """
     rs = spec.rs
     eta = eta_measure(spec, N, multiplicities)
-    order = len(rs.weyl)
+    order = weyl_group_order(rs.cartan_type)
     masses: dict = {}
     for mu, p in eta.atoms:
         share = p / order

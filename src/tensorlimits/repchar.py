@@ -284,14 +284,17 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     """Irreducible components of a character by alternating Weyl sums.
 
     [V : V_mu] = sum over w of sign(w) * m(mu + rho - w rho), evaluated at
-    every dominant weight in the support.  Negative counts mean the input was
-    not a genuine character.  The Weyl dimensions of the dimension check are
-    kept in the result's dims.
+    every dominant weight in the support.  The shifts rho - v come from the
+    orbit v = w rho of rho, with sign(w) = (-1)^#{beta > 0 : (v, beta) < 0},
+    the pairings read from the integer rows of Weyl's dimension formula.
+    Negative counts mean the input was not a genuine character.  The Weyl
+    dimensions of the dimension check are kept in the result's dims.
     """
-    deltas = [
-        (w.sign, tuple(1 - x for x in w.apply(rs.rho)))
-        for w in rs.weyl
-    ]
+    rows, den = _weyl_dim_rows(rs)
+    deltas = []
+    for v in orbit(rs, rs.rho):
+        negative = sum(1 for row in rows if sum(r * x for r, x in zip(row, v)) < 0)
+        deltas.append((-1 if negative % 2 else 1, tuple(1 - x for x in v)))
     entries = m.entries
     components = {}
     for mu in entries:
@@ -306,7 +309,6 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
             raise NegativeMultiplicity(f"[V : V_{mu}] = {c}")
         if c:
             components[mu] = c
-    rows, den = _weyl_dim_rows(rs)
     dims = {mu: _weyl_dim_from_rows(rows, den, mu) for mu in components}
     total = sum(c * dims[mu] for mu, c in components.items())
     if total != m.total_dim:

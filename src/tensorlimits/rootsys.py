@@ -1,8 +1,8 @@
 """Root-system, Weyl-group, and bilinear-form data for simple Lie algebras.
 
 Supported families are A, B, C, D (rank >= 2), G2 and F4.  The E family is
-rejected because every downstream computation sums over the full Weyl group,
-which is enumerated explicitly here.
+rejected, and build_root_system refuses a Weyl group above its cap, because
+Racah's shift table and every eta^e atom walk a W-orbit of |W| points.
 
 Conventions, fixed once and used everywhere else in the package:
 
@@ -18,13 +18,16 @@ W-orbits come from one integer reflection, s_i: v_j -= C[j][i] v_i.
 to_dominant applies it while some v_i is negative; orbit(lam) walks back
 from a dominant lam, applying it wherever v_i is positive; shifted_dominant
 runs to_dominant on mu + rho and returns ON_WALL if a coordinate is zero.
-None builds a Weyl matrix; to_dominant_shifted adds the w with w * lam = mu.
+None builds a Weyl matrix.  The matrices themselves (RootSystemData.weyl)
+are enumerated on first read only, for rootsys info, to_dominant_shifted and
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import re
 
 from .errors import BasisMismatch, NotDominant, UnsupportedType, WeylCapExceeded
@@ -212,20 +215,13 @@ def b_g_constant(t: CartanType) -> int:
     return 18  # F4
 
 
-def _simple_reflection(c: IntMatrix, i: int) -> IntMatrix:
-    """Matrix of s_i on omega-coords: s_i(m) = m - m_i * (column i of C)."""
-    r = len(c)
-    return tuple(
-        tuple((1 if j == k else 0) - (c[j][i] if k == i else 0) for k in range(r))
-        for j in range(r)
-    )
+def _enumerate_weyl(c: IntMatrix, expected: int) -> tuple[WeylElement, ...]:
+    """All of W as matrices on omega-coords, by length, each length sorted.
 
-
-def _enumerate_weyl(c: IntMatrix, cap: int, expected: int) -> tuple[WeylElement, ...]:
-    if expected > cap:
-        raise WeylCapExceeded(f"Weyl group order {expected} exceeds cap {cap}")
+    Breadth first from the identity by left multiplication with s_i, which
+    is the integer reflection applied to rows: row j -= C[j][i] * row i.
+    """
     r = len(c)
-    gens = [_simple_reflection(c, i) for i in range(r)]
     ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     lengths = {ident: 0}
     frontier = [ident]
@@ -235,11 +231,11 @@ def _enumerate_weyl(c: IntMatrix, cap: int, expected: int) -> tuple[WeylElement,
         depth += 1
         nxt = []
         for w in frontier:
-            for g in gens:
-                wg = tuple(tuple(sum(w[a][b] * g[b][k] for b in range(r)) for k in range(r)) for a in range(r))
-                if wg not in lengths:
-                    lengths[wg] = depth
-                    nxt.append(wg)
+            for i in range(r):
+                sw = tuple(tuple([x - c[j][i] * y for x, y in zip(w[j], w[i])]) for j in range(r))
+                if sw not in lengths:
+                    lengths[sw] = depth
+                    nxt.append(sw)
         nxt.sort()
         order.extend(nxt)
         frontier = nxt
@@ -254,7 +250,9 @@ class RootSystemData:
 
     The first block of fields is the public contract; the trailing fields are
     precomputed caches (C^-1, roots in omega-coords, pairing vectors)
-    that exist purely to keep the hot loops in other modules simple.
+    that exist purely to keep the hot loops in other modules simple.  The
+    Weyl group as matrices, weyl, is built on first read; |W| itself comes
+    from weyl_group_order.
     """
 
     cartan_type: CartanType
@@ -265,7 +263,6 @@ class RootSystemData:
     rho: IntVector
     gram_omega: Matrix
     gram_omega_inv: Matrix
-    weyl: tuple[WeylElement, ...]
     b_g: int
     dim_g: int
     # caches
@@ -278,18 +275,27 @@ class RootSystemData:
     def rank(self) -> int:
         return self.cartan_type.rank
 
+    @cached_property
+    def weyl(self) -> tuple[WeylElement, ...]:
+        """Every Weyl element with its length and sign, shortest first."""
+        return _enumerate_weyl(self.C, weyl_group_order(self.cartan_type))
+
     def __repr__(self) -> str:
-        return f"RootSystemData({self.cartan_type}, |W|={len(self.weyl)}, dim_g={self.dim_g})"
+        order = weyl_group_order(self.cartan_type)
+        return f"RootSystemData({self.cartan_type}, |W|={order}, dim_g={self.dim_g})"
 
 
 def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> RootSystemData:
     """Construct the full root-system bundle for one Cartan type.
 
     Raises UnsupportedType for bad labels and WeylCapExceeded when the Weyl
-    group order (known from the tables before enumerating) exceeds weyl_cap.
+    group order, read from the tables, exceeds weyl_cap.
     """
     if isinstance(t, str):
         t = CartanType.parse(t)
+    expected = weyl_group_order(t)
+    if expected > weyl_cap:
+        raise WeylCapExceeded(f"Weyl group order {expected} exceeds cap {weyl_cap}")
     c = cartan_matrix(t)
     d = _symmetrizers(c)
     cbar = tuple(tuple(d[i] * c[i][j] for j in range(t.rank)) for i in range(t.rank))
@@ -298,9 +304,9 @@ def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> 
     c_t = transpose(mat(c))
     gram = mat_mul(inverse(c_t), tuple(tuple(d[i] if i == j else Fraction(0) for j in range(t.rank)) for i in range(t.rank)))
     gram_inv = inverse(gram)
-    expected = weyl_group_order(t)
-    weyl = _enumerate_weyl(c, weyl_cap, expected)
-    dim_g = 2 * len(pos) + t.rank
+    # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
+    # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
+    pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
     return RootSystemData(
         cartan_type=t,
         C=c,
@@ -310,19 +316,8 @@ def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> 
         rho=rho,
         gram_omega=gram,
         gram_omega_inv=gram_inv,
-        weyl=weyl,
         b_g=b_g_constant(t),
-        dim_g=dim_g,
-        **_derived_caches(c, d, pos),
-    )
-
-
-def _derived_caches(c: IntMatrix, d, pos) -> dict:
-    """The cache fields of RootSystemData, derived from its public fields."""
-    # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
-    # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
-    pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
-    return dict(
+        dim_g=2 * len(pos) + t.rank,
         C_inv=inverse(c),
         positive_roots_omega=tuple(mat_vec(c, root) for root in pos),
         root_pair_vectors=pair_vecs,
@@ -375,10 +370,15 @@ def shifted_action(rs: RootSystemData, w: WeylElement, beta) -> IntVector:
 
 
 def to_dominant(rs: RootSystemData, mu) -> IntVector:
-    """Dominant representative of the W-orbit of mu (ordinary, unshifted action)."""
+    """Dominant representative of the W-orbit of mu (ordinary, unshifted action).
+
+    A weight whose length is not the rank raises BasisMismatch.
+    """
     v = list(mu)
     c = rs.C
-    indices = range(rs.rank)
+    if len(v) != len(c):
+        raise BasisMismatch(f"weight of length {len(v)}; {rs.cartan_type} weights have length {rs.rank}")
+    indices = range(len(c))
     while True:
         for i in indices:
             if v[i] < 0:
@@ -446,10 +446,6 @@ def _frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_frac(s) -> Fraction:
-    return Fraction(s) if isinstance(s, str) else Fraction(int(s))
-
-
 def rootsys_to_json(rs: RootSystemData) -> dict:
     """Plain-JSON form: matrices as nested arrays, rationals as 'p/q' strings."""
     return {
@@ -468,29 +464,3 @@ def rootsys_to_json(rs: RootSystemData) -> dict:
         "b_g": rs.b_g,
         "dim_g": rs.dim_g,
     }
-
-
-def rootsys_from_json(doc: dict) -> RootSystemData:
-    """Rebuild a RootSystemData from rootsys_to_json output (no re-enumeration)."""
-    t = CartanType.parse(doc["cartan_type"])
-    c = tuple(tuple(int(x) for x in row) for row in doc["cartan_matrix"])
-    d = tuple(_parse_frac(x) for x in doc["symmetrizers"])
-    pos = tuple(tuple(int(x) for x in r) for r in doc["positive_roots"])
-    weyl = tuple(
-        WeylElement(tuple(tuple(int(x) for x in row) for row in w["matrix"]), int(w["length"]), int(w["sign"]))
-        for w in doc["weyl"]
-    )
-    return RootSystemData(
-        cartan_type=t,
-        C=c,
-        d=d,
-        Cbar=tuple(tuple(_parse_frac(x) for x in row) for row in doc["symmetrized_cartan"]),
-        positive_roots=pos,
-        rho=tuple(int(x) for x in doc["rho"]),
-        gram_omega=tuple(tuple(_parse_frac(x) for x in row) for row in doc["gram_omega"]),
-        gram_omega_inv=tuple(tuple(_parse_frac(x) for x in row) for row in doc["gram_omega_inv"]),
-        weyl=weyl,
-        b_g=int(doc["b_g"]),
-        dim_g=int(doc["dim_g"]),
-        **_derived_caches(c, d, pos),
-    )

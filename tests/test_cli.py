@@ -276,6 +276,25 @@ def test_weyl_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_weyl_group_stays_off_the_production_path(capsys, monkeypatch):
+    from tensorlimits import rootsys
+
+    def refuse(*args):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(rootsys, "_enumerate_weyl", refuse)
+    rootsys.build_root_system("F4")
+    b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
+    for argv in [
+        ["decompose", "--type", "F4", "--factor", "0,0,0,1:1", "--N", "2"],
+        ["measure", "eta_extended", *b2, "--N", "4"],
+        ["density", "eta_extended", "--type", "A3", "--check-normalization"],
+        ["converge", "--type", "B3", "--factor", "1,0,0:1", "--N", "4,8"],
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [

@@ -284,6 +284,17 @@ def test_peel_off_matches_racah():
             if m.total_dim > 20000:
                 continue
             assert racah_decompose(rs, m).components == peel_off_decompose(rs, m).components
+    # Racah's shift table at rank 4 and on the B, C, D and F families
+    for label, factors in [
+        ("B3", [((1, 0, 0), 3)]),
+        ("C3", [((1, 0, 0), 2), ((0, 0, 1), 1)]),
+        ("D4", [((1, 0, 0, 0), 3)]),
+        ("F4", [((0, 0, 0, 1), 2)]),
+        ("B4", [((1, 0, 0, 0), 2)]),
+    ]:
+        rs = build_root_system(label)
+        m = tensor_power_multiplicities(rs, factors)
+        assert racah_decompose(rs, m).components == peel_off_decompose(rs, m).components, label
 
 
 def test_decomposition_roundtrip():

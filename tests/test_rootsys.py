@@ -1,13 +1,13 @@
 """Root-system construction, Weyl enumeration, forms, and actions."""
 
-import dataclasses
-import json
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from tensorlimits.cli import main
 from tensorlimits.errors import (
     BasisMismatch,
     NotDominant,
@@ -24,10 +24,9 @@ from tensorlimits.rootsys import (
     inner_product,
     is_dominant,
     orbit,
-    rootsys_from_json,
-    rootsys_to_json,
     shifted_action,
     shifted_dominant,
+    to_dominant,
     to_dominant_shifted,
     weyl_group_order,
 )
@@ -219,6 +218,19 @@ def test_inner_product_basis_errors():
         inner_product(rs, (1,), (0, 1))
 
 
+def test_wrong_length_weight_is_rejected():
+    from tensorlimits.measures import TensorSpec, eta_extended_measure, pushforward_dominant_shifted
+
+    a2 = build_root_system("A2")
+    with pytest.raises(BasisMismatch, match="length 3.*length 2"):
+        to_dominant(a2, (1, 2, -3))
+    with pytest.raises(BasisMismatch, match="length 1.*length 2"):
+        shifted_dominant(a2, (1,))
+    ext = eta_extended_measure(TensorSpec(build_root_system("A3"), (((1, 0, 0), 1),)), 4)
+    with pytest.raises(BasisMismatch, match="length 3.*length 2"):
+        pushforward_dominant_shifted(a2, ext)
+
+
 def test_rho_duality():
     for label in ALL_RANK4:
         rs = build_root_system(label)
@@ -397,13 +409,20 @@ def test_d_family_low_rank():
 # ---------------------------------------------------------------- serialization
 
 
-def test_json_roundtrip():
-    for label in ["A1", "B2", "G2"]:
-        rs = build_root_system(label)
-        doc = rootsys_to_json(rs)
-        text = json.dumps(doc, sort_keys=True)
-        back = rootsys_from_json(json.loads(text))
-        # every public field and every derived cache agrees
-        for f in dataclasses.fields(rs):
-            assert getattr(back, f.name) == getattr(rs, f.name), f.name
-        assert json.dumps(rootsys_to_json(back), sort_keys=True) == text
+# sha256 of `ltl rootsys info --type X` stdout: the rootsys_to_json document
+# plus weyl_order, with W listed shortest first and sorted within each length
+ROOTSYS_INFO_SHA256 = {
+    "A1": "af8a507415152df52fdc3e64f6b2ffcf97efb658276d94c8f4f644b2935078c6",
+    "B2": "100210b881cf94e28fe43998b7a85e693d76a6794546d3d7e0a15010fc21a5eb",
+    "G2": "9cebf41f8b7969888a1c32dc22e76c36621016634b3445568bd611c199e3c18d",
+    "A3": "16beea218749bf520d4cb036c63b1c1cf5286f5a39ff668652108033d8e6e261",
+    "D4": "239dc3d5efb4b956ee5e72fb3bcbcd482b7c2e58a8b39e19fac64c546e6cd84e",
+    "F4": "7ac7248a4baf8f50cace47702833c153c18f74aeb601174434ab146b8b4754ef",
+}
+
+
+@pytest.mark.parametrize("label", sorted(ROOTSYS_INFO_SHA256))
+def test_rootsys_info_bytes(capsys, label):
+    assert main(["rootsys", "info", "--type", label]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTSYS_INFO_SHA256[label]
