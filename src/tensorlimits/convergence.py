@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .densities import DensityModel, box_masses, check_grid, density_box, make_density_model
-from .errors import InadmissibleN, RankTooLarge
+from .errors import BasisMismatch, InadmissibleN, RankTooLarge
 from .measures import (
     DiscreteMeasure,
     TensorSpec,
@@ -33,7 +33,7 @@ from .measures import (
     sigma_squared,
 )
 from .repchar import freudenthal_multiplicities, tensor_power_table
-from .rootsys import RootSystemData
+from .rootsys import RootSystemData, check_length
 
 DEFAULT_T_POINTS_PER_AXIS = 5
 DEFAULT_T_EXTENT = 2.0
@@ -66,6 +66,7 @@ def char_fn_limit_xi(rs: RootSystemData, t):
     One point t gives a float; a (points, rank) grid gives an array of values.
     """
     t = np.asarray(t, dtype=float)
+    check_length(rs, t.shape[-1] if t.ndim else 0, "direction")
     cbar = np.array([[float(x) for x in row] for row in rs.Cbar])
     values = np.exp(-0.5 * np.einsum("...i,ij,...j->...", t, cbar, t))
     return float(values) if t.ndim == 1 else values
@@ -77,12 +78,15 @@ def default_t_grid(rank: int):
     return [tuple(v) for v in itertools.product(axis, repeat=rank)]
 
 
-def _t_array(rank: int, t_grid) -> np.ndarray:
-    """The grid (default_t_grid when None) as a (points, rank) float array."""
+def _t_array(rs: RootSystemData, t_grid) -> np.ndarray:
+    """The grid (default_t_grid when None) as a (points, rank) float array, or BasisMismatch."""
     if t_grid is None:
-        t_grid = default_t_grid(rank)
+        t_grid = default_t_grid(rs.rank)
     t_arr = np.asarray(list(t_grid), dtype=float)
-    return t_arr[:, None] if t_arr.ndim == 1 else t_arr
+    if t_arr.ndim == 1:
+        t_arr = t_arr[:, None]
+    check_length(rs, t_arr.shape[-1], "direction")
+    return t_arr
 
 
 def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
@@ -94,7 +98,7 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
     whole grid, at a cost independent of the support of V_N.
     """
     rs = spec.rs
-    t_arr = _t_array(rs.rank, t_grid)
+    t_arr = _t_array(rs, t_grid)
     dvec = np.array([float(x) for x in rs.d])
     directions = (t_arr * dvec).T / math.sqrt(float(sigma_squared(spec) * N))
     out = np.ones(len(t_arr), dtype=complex)
@@ -108,7 +112,7 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
 
 def sup_char_error(spec: TensorSpec, N: int, t_grid=None) -> float:
     """Max over the grid of |phi of xi(N) - Gaussian limit|."""
-    t_arr = _t_array(spec.rs.rank, t_grid)
+    t_arr = _t_array(spec.rs, t_grid)
     return float(np.max(np.abs(char_fn_xi(spec, N, t_arr) - char_fn_limit_xi(spec.rs, t_arr))))
 
 
@@ -186,6 +190,8 @@ def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBo
 def _boxes_tv(measure: DiscreteMeasure, boxes: _DensityBoxes) -> float:
     """Binned total-variation distance between an atomic measure and the boxes' density."""
     rank = len(boxes.lo)
+    if measure.atoms and measure.rank != rank:
+        raise BasisMismatch(f"measure of rank {measure.rank}; the density has rank {rank}")
     # atomic side: exact box masses, converted to float at the end
     box_mass: dict = {}
     tail_mass = Fraction(0)
@@ -224,7 +230,7 @@ def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: i
 
     Equal-width boxes cover [-6, 6] (or [0, 6] for cone-supported kinds) times
     the limit's per-axis standard deviation; mass escaping the box is added as
-    tail on both sides.  Always in [0, 1].
+    tail on both sides.  Always in [0, 1].  A measure of another rank raises BasisMismatch.
     """
     return _boxes_tv(measure, _density_boxes(model, bins_per_axis))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -136,7 +136,8 @@ def gue_identity_check(a, tol: float = 1e-12) -> tuple[float, float]:
     """Both sides of the traceless-GUE eigenvalue density identity.
 
     lhs = exp(-0.5 sum a_k^2) prod_{i<j} (a_i - a_j)^2 for the eigenvalues a;
-    rhs is the type-A eta polynomial-times-Gaussian at x_j = a_j - a_{j+1}.
+    rhs is the type-A eta polynomial-times-Gaussian at x_j = a_j - a_{j+1},
+    evaluated by DensityModel.values, the kernel of every density.
     """
     a = [float(x) for x in a]
     n = len(a)
@@ -149,26 +150,16 @@ def gue_identity_check(a, tol: float = 1e-12) -> tuple[float, float]:
         for j in range(i + 1, n):
             diff = a[i] - a[j]
             lhs *= diff * diff
-    rs = _gue_root_system(n - 1)
     x = [a[j] - a[j + 1] for j in range(n - 1)]
-    xx = 0.0
-    for i in range(n - 1):
-        for j in range(n - 1):
-            xx += x[i] * float(rs.gram_omega[i][j]) * x[j]
-    rhs = math.exp(-xx / 2.0)
-    for vec in rs.root_pair_vectors:
-        pairing = sum(float(v) * xi for v, xi in zip(vec, x))
-        rhs *= pairing * pairing
+    # the eta kernel with constant 1; eta_extended, because x leaves the
+    # dominant cone when a is not sorted
+    rhs = float(DensityModel(_gue_root_system(n - 1), "eta_extended", 1.0).evaluate(x))
     return lhs, rhs
 
 
-_GUE_CACHE: dict = {}
-
-
+@cache
 def _gue_root_system(rank: int) -> RootSystemData:
-    if rank not in _GUE_CACHE:
-        _GUE_CACHE[rank] = build_root_system(f"A{rank}")
-    return _GUE_CACHE[rank]
+    return build_root_system(f"A{rank}")
 
 
 def density_box(model: DensityModel, extent: float) -> tuple[list[float], list[float]]:

@@ -36,11 +36,13 @@ from .repchar import (
     freudenthal_multiplicities,
     racah_decompose,
     tensor_power_multiplicities,
+    weyl_dim,
 )
 from .rootsys import (
     ON_WALL,
     RootSystemData,
     casimir_eigenvalue,
+    check_length,
     highest_weight,
     orbit,
     shifted_dominant,
@@ -141,9 +143,16 @@ def factor_counts(spec: TensorSpec, N: int) -> list:
 
 
 def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
-    if multiplicities is not None:
-        return multiplicities
-    return tensor_power_multiplicities(spec.rs, factor_counts(spec, N))
+    """multiplicities, or the character of V_N when None.  A map whose total_dim
+    is not prod_l weyl_dim(lam_l)^(n_l), e.g. that of another N, raises ValueError;
+    one of another spec with the same total (A2 omega1 for omega2) passes."""
+    counts = factor_counts(spec, N)
+    if multiplicities is None:
+        return tensor_power_multiplicities(spec.rs, counts)
+    expected = math.prod(weyl_dim(spec.rs, lam) ** n for lam, n in counts)
+    if multiplicities.total_dim != expected:
+        raise ValueError(f"multiplicities have total_dim {multiplicities.total_dim}; V_N at N = {N} has dim {expected}")
+    return multiplicities
 
 
 def xi_measure(
@@ -313,6 +322,7 @@ def directional_second_moment(rs: RootSystemData, measure: DiscreteMeasure, t) -
     Equals (t, t) for every xi measure and admissible N.
     """
     t = tuple(Fraction(x) for x in t)
+    check_length(rs, len(t), "direction")
     acc = Fraction(0)
     for w, p in measure.atoms:
         if p == 0:

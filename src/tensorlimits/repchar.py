@@ -30,6 +30,7 @@ from .rootsys import (
     IntVector,
     RootSystemData,
     casimir_eigenvalue,
+    check_length,
     highest_weight,
     is_dominant,
     orbit,
@@ -327,6 +328,7 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
     """
     lam = tuple(lam)
     t = tuple(Fraction(x) for x in t)
+    check_length(rs, len(t), "direction")
     m = freudenthal_multiplicities(rs, lam)
     lhs = Fraction(0)
     for mu, c in m.entries.items():

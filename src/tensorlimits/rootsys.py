@@ -11,15 +11,19 @@ Conventions, fixed once and used everywhere else in the package:
   so a root beta = sum l_i alpha_i has omega-coords C @ l.
 * The standard bilinear form is fixed by (alpha_i, alpha_j) = d_i c_ij with long
   simple roots of squared length 2, hence d_i in {1, 1/2, 1/3}.
-* The Gram matrix of the fundamental weights is (C^t)^-1 diag(d), and
-  (omega_i, alpha_j) = d_i delta_ij.
+* The Gram matrix of the fundamental weights is (C^-1)^t diag(d), its inverse
+  diag(d)^-1 C^t, and (omega_i, alpha_j) = d_i delta_ij.
 
-W-orbits come from one integer reflection, s_i: v_j -= C[j][i] v_i.
-to_dominant applies it while some v_i is negative; orbit(lam) walks back
-from a dominant lam, applying it wherever v_i is positive; shifted_dominant
-runs to_dominant on mu + rho and returns ON_WALL if a coordinate is zero.
-None builds a Weyl matrix.  The matrices themselves (RootSystemData.weyl)
-are enumerated on first read only, for rootsys info, to_dominant_shifted and
+All but the |W| table, which the cap reads first, comes from C by one integer
+reflection s_i or a closed formula.  On simple-root coordinates s_i is
+beta_i -= sum_j c_ij beta_j, and it generates the positive roots from the
+simple ones; b_g = 2 + 2 (rho, theta) for the highest root theta; one exact
+inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
+v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative;
+orbit(lam) walks back from a dominant lam, applying it wherever v_i is
+positive; shifted_dominant runs to_dominant on mu + rho and returns ON_WALL
+if a coordinate is zero.  None builds a Weyl matrix; RootSystemData.weyl
+enumerates them on first read, for rootsys info, to_dominant_shifted and
 the tests.
 """
 
@@ -28,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+import math
 import re
 
 from .errors import BasisMismatch, NotDominant, UnsupportedType, WeylCapExceeded
-from .linalg import Matrix, bilinear, inverse, mat, mat_mul, mat_vec, transpose
+from .linalg import Matrix, bilinear, inverse, mat_vec
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -147,44 +152,29 @@ def _symmetrizers(c: IntMatrix) -> tuple[Fraction, ...]:
 
 
 def _positive_roots(c: IntMatrix) -> tuple[IntVector, ...]:
-    """All positive roots in simple-root coordinates, by root-string closure.
-
-    Processes roots level by level in height.  For a root beta and simple
-    alpha_i, beta + alpha_i is a root iff q >= 1 where q = p - <beta, alpha_i^v>
-    and p is the length of the descending alpha_i-string through beta.
-    """
+    """Positive roots in simple-root coordinates, sorted by (height, root): the
+    closure of the simple roots under the s_i, which permute the positive roots
+    other than alpha_i (skipped); every root is W-conjugate to a simple one."""
     r = len(c)
     simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     found = set(simple)
-    level = list(simple)
-    while level:
-        nxt = set()
-        for beta in level:
-            for i in range(r):
-                pairing = sum(c[i][j] * beta[j] for j in range(r))
-                p = 0
-                while True:
-                    down = list(beta)
-                    down[i] -= p + 1
-                    if min(down) < 0 or tuple(down) not in found:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    nxt.add(tuple(up))
-        nxt -= found
-        found |= nxt
-        level = sorted(nxt)
+    stack = list(simple)
+    while stack:
+        beta = stack.pop()
+        for i in range(r):
+            pairing = sum(c[i][j] * beta[j] for j in range(r))
+            if pairing and beta != simple[i]:
+                image = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
+                if image not in found:
+                    found.add(image)
+                    stack.append(image)
     return tuple(sorted(found, key=lambda v: (sum(v), v)))
 
 
 def weyl_group_order(t: CartanType) -> int:
     """Order of the Weyl group, from the classical tables."""
     r = t.rank
-    fact = 1
-    for k in range(2, r + 1):
-        fact *= k
+    fact = math.factorial(r)
     if t.family == "A":
         return fact * (r + 1)
     if t.family in ("B", "C"):
@@ -194,25 +184,6 @@ def weyl_group_order(t: CartanType) -> int:
     if t.family == "G":
         return 12
     return 1152  # F4
-
-
-def b_g_constant(t: CartanType) -> int:
-    """Ratio of the Killing form to the standard form (twice the dual Coxeter number)."""
-    r = t.rank
-    if t.family == "A":
-        return 2 * (r + 1)
-    if r == 1:
-        # B1 and C1 coincide with A1
-        return 4
-    if t.family == "B":
-        return 4 * r - 2
-    if t.family == "C":
-        return 2 * (r + 1)
-    if t.family == "D":
-        return 4 * r - 4
-    if t.family == "G":
-        return 8
-    return 18  # F4
 
 
 def _enumerate_weyl(c: IntMatrix, expected: int) -> tuple[WeylElement, ...]:
@@ -249,10 +220,11 @@ class RootSystemData:
     """Immutable bundle of everything downstream modules need about one type.
 
     The first block of fields is the public contract; the trailing fields are
-    precomputed caches (C^-1, roots in omega-coords, pairing vectors)
-    that exist purely to keep the hot loops in other modules simple.  The
-    Weyl group as matrices, weyl, is built on first read; |W| itself comes
-    from weyl_group_order.
+    precomputed caches (C^-1, roots in omega-coords, pairing vectors) that keep
+    the hot loops in other modules simple.  All come from C: positive_roots by
+    reflection, b_g from the highest root, both Gram matrices from C and C^-1.
+    The Weyl group as matrices, weyl, is built on first read; |W| comes from
+    weyl_group_order.
     """
 
     cartan_type: CartanType
@@ -285,40 +257,41 @@ class RootSystemData:
         return f"RootSystemData({self.cartan_type}, |W|={order}, dim_g={self.dim_g})"
 
 
-def build_root_system(t: CartanType | str, weyl_cap: int = DEFAULT_WEYL_CAP) -> RootSystemData:
+def build_root_system(t: CartanType | str) -> RootSystemData:
     """Construct the full root-system bundle for one Cartan type.
 
-    Raises UnsupportedType for bad labels and WeylCapExceeded when the Weyl
-    group order, read from the tables, exceeds weyl_cap.
+    Raises UnsupportedType for bad labels and WeylCapExceeded, before any
+    root is generated, when the Weyl group order exceeds DEFAULT_WEYL_CAP.
     """
     if isinstance(t, str):
         t = CartanType.parse(t)
     expected = weyl_group_order(t)
-    if expected > weyl_cap:
-        raise WeylCapExceeded(f"Weyl group order {expected} exceeds cap {weyl_cap}")
+    if expected > DEFAULT_WEYL_CAP:
+        raise WeylCapExceeded(f"Weyl group order {expected} exceeds cap {DEFAULT_WEYL_CAP}")
     c = cartan_matrix(t)
     d = _symmetrizers(c)
-    cbar = tuple(tuple(d[i] * c[i][j] for j in range(t.rank)) for i in range(t.rank))
+    r = t.rank
+    cbar = tuple(tuple(d[i] * c[i][j] for j in range(r)) for i in range(r))
     pos = _positive_roots(c)
-    rho = (1,) * t.rank
-    c_t = transpose(mat(c))
-    gram = mat_mul(inverse(c_t), tuple(tuple(d[i] if i == j else Fraction(0) for j in range(t.rank)) for i in range(t.rank)))
-    gram_inv = inverse(gram)
+    c_inv = inverse(c)
     # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
     # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
     pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
+    # b_g = 2 h^v = 2 + 2 (rho, theta), theta the highest root (the last one)
+    b_g = 2 + 2 * sum(pair_vecs[-1])
+    assert b_g.denominator == 1, f"{t}: b_g = {b_g} is not an integer"
     return RootSystemData(
         cartan_type=t,
         C=c,
         d=d,
         Cbar=cbar,
         positive_roots=pos,
-        rho=rho,
-        gram_omega=gram,
-        gram_omega_inv=gram_inv,
-        b_g=b_g_constant(t),
-        dim_g=2 * len(pos) + t.rank,
-        C_inv=inverse(c),
+        rho=(1,) * r,
+        gram_omega=tuple(tuple(c_inv[j][i] * d[j] for j in range(r)) for i in range(r)),
+        gram_omega_inv=tuple(tuple(c[j][i] / d[i] for j in range(r)) for i in range(r)),
+        b_g=b_g.numerator,
+        dim_g=2 * len(pos) + r,
+        C_inv=c_inv,
         positive_roots_omega=tuple(mat_vec(c, root) for root in pos),
         root_pair_vectors=pair_vecs,
         rho_root_pairings=tuple(sum(vec) for vec in pair_vecs),
@@ -339,6 +312,12 @@ def highest_weight(rs: RootSystemData, lam) -> IntVector:
     return lam
 
 
+def check_length(rs: RootSystemData, n: int, what: str) -> None:
+    """Raise BasisMismatch, naming both lengths, unless a what of length n fits rs."""
+    if n != rs.rank:
+        raise BasisMismatch(f"{what} of length {n}; {rs.cartan_type} {what}s have length {rs.rank}")
+
+
 def inner_product(rs: RootSystemData, u, v, basis: str = "omega", basis2: str | None = None):
     """Standard bilinear form of two vectors, each in a declared basis.
 
@@ -350,8 +329,8 @@ def inner_product(rs: RootSystemData, u, v, basis: str = "omega", basis2: str | 
     for b in (basis, basis2):
         if b not in ("omega", "alpha"):
             raise BasisMismatch(f"unknown basis {b!r} (expected 'omega' or 'alpha')")
-    if len(u) != rs.rank or len(v) != rs.rank:
-        raise BasisMismatch(f"expected length-{rs.rank} vectors")
+    for vec in (u, v):
+        check_length(rs, len(vec), "vector")
     if basis == basis2 == "omega":
         return bilinear(u, rs.gram_omega, v)
     if basis == basis2 == "alpha":
@@ -376,8 +355,7 @@ def to_dominant(rs: RootSystemData, mu) -> IntVector:
     """
     v = list(mu)
     c = rs.C
-    if len(v) != len(c):
-        raise BasisMismatch(f"weight of length {len(v)}; {rs.cartan_type} weights have length {rs.rank}")
+    check_length(rs, len(v), "weight")
     indices = range(len(c))
     while True:
         for i in indices:

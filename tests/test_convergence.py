@@ -18,9 +18,16 @@ from tensorlimits.convergence import (
     sup_char_error,
 )
 from tensorlimits.densities import make_density_model
-from tensorlimits.errors import InadmissibleN, RankTooLarge
-from tensorlimits.measures import DiscreteMeasure, TensorSpec, admissible_N, eta_measure, xi_measure
-from tensorlimits.repchar import weyl_dim
+from tensorlimits.errors import BasisMismatch, InadmissibleN, RankTooLarge
+from tensorlimits.measures import (
+    DiscreteMeasure,
+    TensorSpec,
+    admissible_N,
+    directional_second_moment,
+    eta_measure,
+    xi_measure,
+)
+from tensorlimits.repchar import trace_identity_check, weyl_dim
 from tensorlimits.rootsys import CartanType, build_root_system
 
 import oracles
@@ -176,6 +183,32 @@ def test_histogram_tv_rank_cap():
     spec = TensorSpec(rs, (((1, 0, 0, 0), Fraction(1)),))
     with pytest.raises(RankTooLarge):
         histogram_tv(eta_measure(spec, 2), model)
+
+
+def test_histogram_tv_rejects_measure_of_another_rank():
+    a2, a3 = make_spec("A", 2), make_spec("A", 3)
+    with pytest.raises(BasisMismatch, match="rank 3.*rank 2"):
+        histogram_tv(eta_measure(a3, 8), make_density_model(a2.rs, "eta"))
+    with pytest.raises(BasisMismatch, match="rank 2.*rank 3"):
+        histogram_tv(eta_measure(a2, 8), make_density_model(a3.rs, "eta"))
+
+
+B2 = make_spec("B", 2)
+DIRECTION_FUNCTIONS = {
+    "directional_second_moment": lambda t: directional_second_moment(B2.rs, xi_measure(B2, 4), t),
+    "trace_identity_check": lambda t: trace_identity_check(B2.rs, (1, 0), t),
+    "char_fn_xi": lambda t: char_fn_xi(B2, 4, [t]),
+    "sup_char_error": lambda t: sup_char_error(B2, 4, [t]),
+    "char_fn_limit_xi": lambda t: char_fn_limit_xi(B2.rs, t),
+}
+
+
+@pytest.mark.parametrize("t", [(1,), (1, 0, 5)], ids=["short", "long"])
+@pytest.mark.parametrize("name", sorted(DIRECTION_FUNCTIONS))
+def test_direction_of_wrong_length_is_rejected(name, t):
+    # neither truncated by zip nor broadcast by numpy
+    with pytest.raises(BasisMismatch, match=f"length {len(t)}; B2 directions have length 2"):
+        DIRECTION_FUNCTIONS[name](t)
 
 
 def test_report_structure_and_flags():

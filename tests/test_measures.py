@@ -254,3 +254,16 @@ def test_measure_caching_hook():
     via_hook = xi_measure(SPEC_A1, 6, multiplicities=mmap)
     direct = xi_measure(SPEC_A1, 6)
     assert via_hook.atoms == direct.atoms
+
+
+def test_measure_hook_rejects_character_of_another_n():
+    from tensorlimits.convergence import convergence_report
+    from tensorlimits.repchar import tensor_power_table
+
+    table = tensor_power_table(A2, [((1, 0), 1)], [4, 8])
+    for build in (xi_measure, eta_measure, eta_extended_measure):
+        with pytest.raises(ValueError, match="total_dim 81.*dim 6561"):
+            build(SPEC_A2, 8, multiplicities=table[4])
+    with pytest.raises(ValueError, match="total_dim 81.*dim 6561"):
+        convergence_report(SPEC_A2, [8], table={8: table[4]})
+    assert eta_measure(SPEC_A2, 8, multiplicities=table[8]).atoms == eta_measure(SPEC_A2, 8).atoms

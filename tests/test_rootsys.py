@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorlimits import rootsys
 from tensorlimits.cli import main
 from tensorlimits.errors import (
     BasisMismatch,
@@ -19,7 +20,6 @@ from tensorlimits.rootsys import (
     ON_WALL,
     CartanType,
     build_root_system,
-    b_g_constant,
     casimir_eigenvalue,
     inner_product,
     is_dominant,
@@ -53,9 +53,18 @@ def test_rejected_types(bad):
 def test_weyl_cap_checked_before_enumeration():
     with pytest.raises(WeylCapExceeded):
         build_root_system("B7")  # 2^7 * 7! = 645120 > 10000
-    # and a custom cap can cut off small groups too
-    with pytest.raises(WeylCapExceeded):
-        build_root_system("A2", weyl_cap=5)
+
+
+def test_weyl_cap_checked_before_any_root(monkeypatch):
+    # the cap reads |W| from the tables, so a type over it never reaches
+    # root generation, which costs O(rank^4)
+    def no_roots(c):
+        raise AssertionError("positive roots generated before the cap check")
+
+    monkeypatch.setattr(rootsys, "_positive_roots", no_roots)
+    for label in ("A80", "B7"):
+        with pytest.raises(WeylCapExceeded):
+            build_root_system(label)
 
 
 # ---------------------------------------------------------------- construction
@@ -375,14 +384,15 @@ def test_casimir_values():
 
 
 def test_b_g_table():
-    assert b_g_constant(CartanType.parse("A1")) == 4
-    assert b_g_constant(CartanType.parse("A3")) == 8
-    assert b_g_constant(CartanType.parse("B2")) == 6
-    assert b_g_constant(CartanType.parse("B4")) == 14
-    assert b_g_constant(CartanType.parse("C3")) == 8
-    assert b_g_constant(CartanType.parse("D4")) == 12
-    assert b_g_constant(CartanType.parse("G2")) == 8
-    assert b_g_constant(CartanType.parse("F4")) == 18
+    # twice the dual Coxeter number, from the classical tables
+    assert build_root_system("A1").b_g == 4
+    assert build_root_system("A3").b_g == 8
+    assert build_root_system("B2").b_g == 6
+    assert build_root_system("B4").b_g == 14
+    assert build_root_system("C3").b_g == 8
+    assert build_root_system("D4").b_g == 12
+    assert build_root_system("G2").b_g == 8
+    assert build_root_system("F4").b_g == 18
 
 
 def test_b_g_a1_ad_trace_oracle():
@@ -393,7 +403,7 @@ def test_b_g_a1_ad_trace_oracle():
     trace = sum(ad_h[i][i] * ad_h[i][i] for i in range(3))
     rs = build_root_system("A1")
     alpha_sq = inner_product(rs, (1,), (1,), "alpha")
-    assert Fraction(trace) == b_g_constant(rs.cartan_type) * alpha_sq
+    assert Fraction(trace) == rs.b_g * alpha_sq
 
 
 def test_d_family_low_rank():
@@ -418,6 +428,12 @@ ROOTSYS_INFO_SHA256 = {
     "A3": "16beea218749bf520d4cb036c63b1c1cf5286f5a39ff668652108033d8e6e261",
     "D4": "239dc3d5efb4b956ee5e72fb3bcbcd482b7c2e58a8b39e19fac64c546e6cd84e",
     "F4": "7ac7248a4baf8f50cace47702833c153c18f74aeb601174434ab146b8b4754ef",
+    "B3": "373a402077a67caa82cd509b37a4777fd741a2dff33df9593250cd347a0dc8e0",
+    "C3": "c1577e73365fd26ea3143d51ab41bb8f0ae63b17f9f32b43d35869ebb7aa14a9",
+    "B4": "f65be02a47847085cb1059010ce0d93caed517b67318021e43ebf10a1481a60e",
+    "C4": "11ad00402fd2d8703e65378aa02e005a940c34a05524190c66dd465ef613900e",
+    "D3": "321f9f9e2af180b85cb5ed66179bf00a0bd495ffa88821ecd8e87f2ca66229d5",
+    "D5": "551728c29974402f07dff00738ca0abaa14b2482938793dc3879e33066eb07b0",
 }
 
 
