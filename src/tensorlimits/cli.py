@@ -31,9 +31,11 @@ from .errors import (
     InadmissibleN,
     NotDominant,
     RankTooLarge,
+    TensorLimitsError,
     UnsupportedType,
     WeylCapExceeded,
 )
+from .linalg import bilinear
 from .measures import (
     TensorSpec,
     admissible_N,
@@ -55,7 +57,6 @@ from .rootsys import (
     CartanType,
     build_root_system,
     casimir_eigenvalue,
-    is_dominant,
     orbit,
     rootsys_to_json,
     weyl_group_order,
@@ -222,51 +223,37 @@ def _cache_dir(args) -> str | None:
 def _cache_key(spec: TensorSpec, n: int) -> str:
     """Hash of the spec, N, the algorithm that wrote the entry and the file format."""
     factors = sorted(spec.factors)
-    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|miller|v2"
+    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|miller|v3"
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _w_invariant_second_moment(rs, m):
-    """sum_mu m(mu) (mu, mu), or None unless m's weights have rank rs.rank, each
-    dominant entry's orbit carries its one positive multiplicity, and the orbit
-    sizes sum to len(m).  (mu, mu) is W-invariant; gram_omega is scaled to integers."""
-    scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
-    gram = [[int(x * scale) for x in row] for row in rs.gram_omega]
-    covered = second = 0
-    for w, c in m.entries.items():
-        if len(w) != rs.rank:
-            return None
-        if is_dominant(w):
-            points = orbit(rs, w)
-            if c <= 0 or any(m.entries.get(v) != c for v in points):
-                return None
-            covered += len(points)
-            second += c * len(points) * sum(x * g * y for x, row in zip(w, gram) for g, y in zip(row, w))
-    if covered != len(m.entries):
-        return None
-    return Fraction(second, scale)
 
 
 def _load_cached(spec: TensorSpec, n: int, path: str):
     """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
 
-    A map is consistent when its entries sum to its total_dim, that total is
-    prod_l dim(V_lam_l)^(n_l), its multiplicities are positive and W-invariant,
-    and sum_mu m(mu) (mu, mu) = total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g
-    (criterion 3 summed over a basis), with n_l = tau_l N.
+    A map, W-invariant as loaded, is consistent when its type is the spec's, its
+    multiplicities are positive, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
+    and sum_mu m(mu) |W mu| (mu, mu) over its dominant weights is total_dim rank
+    sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis).
     """
-    if not os.path.exists(path):
-        return None
     try:
         m = load_multiplicity_map(path)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, TensorLimitsError):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
     expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
-    if m.total_dim != expected or sum(m.entries.values()) != expected:
+    if m.cartan_type != rs.cartan_type or m.total_dim != expected or min(m.dominant.values()) <= 0:
         return None
+    scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
+    gram = [[int(x * scale) for x in row] for row in rs.gram_omega]
+    orbit_sizes = {}  # |W mu| depends only on which coordinates of mu are zero
+    second = 0
+    for mu, c in m.dominant.items():
+        support = tuple(int(x > 0) for x in mu)
+        if support not in orbit_sizes:
+            orbit_sizes[support] = len(orbit(rs, support))
+        second += c * orbit_sizes[support] * bilinear(mu, gram, mu)
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
-    if _w_invariant_second_moment(rs, m) != expected * rs.rank * casimirs / rs.dim_g:
+    if Fraction(second, scale) != expected * rs.rank * casimirs / rs.dim_g:
         return None
     return m
 

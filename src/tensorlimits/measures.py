@@ -143,15 +143,17 @@ def factor_counts(spec: TensorSpec, N: int) -> list:
 
 
 def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
-    """multiplicities, or the character of V_N when None.  A map whose total_dim
-    is not prod_l weyl_dim(lam_l)^(n_l), e.g. that of another N, raises ValueError;
-    one of another spec with the same total (A2 omega1 for omega2) passes."""
+    """multiplicities, or the character of V_N when None.  A map whose total_dim is not
+    prod_l weyl_dim(lam_l)^(n_l), e.g. that of another N, raises ValueError, one of another
+    rank BasisMismatch; one of another spec with the same total (A2 omega1 for omega2) passes."""
     counts = factor_counts(spec, N)
     if multiplicities is None:
         return tensor_power_multiplicities(spec.rs, counts)
     expected = math.prod(weyl_dim(spec.rs, lam) ** n for lam, n in counts)
     if multiplicities.total_dim != expected:
         raise ValueError(f"multiplicities have total_dim {multiplicities.total_dim}; V_N at N = {N} has dim {expected}")
+    for length in {len(w) for w in multiplicities.entries}:
+        check_length(spec.rs, length, "weight")
     return multiplicities
 
 

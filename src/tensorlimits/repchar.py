@@ -27,8 +27,10 @@ from math import lcm, prod
 from .errors import NegativeMultiplicity
 from .linalg import bilinear
 from .rootsys import (
+    CartanType,
     IntVector,
     RootSystemData,
+    build_root_system,
     casimir_eigenvalue,
     check_length,
     highest_weight,
@@ -43,10 +45,13 @@ class MultiplicityMap:
     """Sparse character: weight (omega-coords) -> multiplicity.
 
     Treat instances as immutable; total_dim caches the sum of all entries.
+    _expand_orbits also records the Cartan type and the dominant entries.
     """
 
     entries: dict
     total_dim: int = field(default=None)
+    cartan_type: CartanType | None = None
+    dominant: dict | None = None
 
     def __post_init__(self):
         if self.total_dim is None:
@@ -165,12 +170,12 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
 
 def _expand_orbits(rs: RootSystemData, mult_dom: dict, expected: int) -> MultiplicityMap:
     """The W-invariant character with multiplicities mult_dom at its dominant
-    weights, checked to have total dimension expected."""
+    weights; ValueError unless its total dimension is expected."""
     entries = {nu: m for mu, m in mult_dom.items() for nu in orbit(rs, mu)}
     total = sum(entries.values())
     if total != expected:
-        raise AssertionError(f"multiplicity total {total} != dimension {expected}")
-    return MultiplicityMap(entries, total)
+        raise ValueError(f"multiplicity total {total} != dimension {expected}")
+    return MultiplicityMap(entries, total, rs.cartan_type, mult_dom)
 
 
 def _height_vector(rs: RootSystemData) -> IntVector:
@@ -340,13 +345,14 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
 
 
 def save_multiplicity_map(m: MultiplicityMap, path) -> None:
-    """Write a map as JSON: weights as integer arrays, counts as decimal strings.
+    """Write a map as JSON: its Cartan type, dominant weights as integer arrays, counts as decimal strings.
 
     The document goes to a temporary file beside path that then replaces
     path, so a reader sees the old file or the whole new one, never a part.
     """
-    items = sorted(m.entries.items())
+    items = sorted(m.dominant.items())
     doc = {
+        "cartan_type": str(m.cartan_type),
         "weights": [list(w) for w, _ in items],
         "multiplicities": [str(c) for _, c in items],
         "total_dim": str(m.total_dim),
@@ -363,10 +369,13 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
 
 
 def load_multiplicity_map(path) -> MultiplicityMap:
+    """The map save_multiplicity_map wrote to path, expanded over the W-orbits of its stored
+    type.  A bad file raises ValueError, UnsupportedType, WeylCapExceeded or NotDominant."""
     with open(path) as fh:
         doc = json.load(fh)
-    entries = {
+    rs = build_root_system(CartanType.parse(doc["cartan_type"]))
+    dominant = {
         tuple(int(x) for x in w): int(c)
-        for w, c in zip(doc["weights"], doc["multiplicities"])
+        for w, c in zip(doc["weights"], doc["multiplicities"], strict=True)
     }
-    return MultiplicityMap(entries, int(doc["total_dim"]))
+    return _expand_orbits(rs, dominant, int(doc["total_dim"]))

@@ -189,41 +189,89 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert os.listdir(cache) == files
 
 
-def _swap_first_multiplicities(text):
-    """Swap the multiplicities of the two lowest weights: same total, not W-invariant."""
+A1_XI = ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "8"]
+B2_XI = ["measure", "xi", "--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2", "--N", "8"]
+
+
+def _edit_dominant(edit):
+    """A corruption that applies edit to the {weight: count} dict a cache file stores."""
+
+    def corrupt(text):
+        doc = json.loads(text)
+        mults = {tuple(w): int(c) for w, c in zip(doc["weights"], doc["multiplicities"])}
+        edit(mults)
+        doc["weights"] = [list(w) for w in mults]
+        doc["multiplicities"] = [str(c) for c in mults.values()]
+        return json.dumps(doc)
+
+    return corrupt
+
+
+def _swap_first_multiplicities(mults):
+    """Swap the counts at the weights 0 and 2, whose orbits have 1 and 2 points:
+    the stored total no longer matches."""
+    mults[(0,)], mults[(2,)] = mults[(2,)], mults[(0,)]
+
+
+def _move_mass_outward(mults):
+    """A1 N=8: add 8 at the weight 8, whose orbit is {8, -8}, and take 16 from 0.
+
+    Positive with the same total, but the second moment sum_mu m(mu) (mu, mu)
+    grows from 1024 to 1536.
+    """
+    mults[(8,)] += 8
+    mults[(0,)] -= 16
+
+
+def _negate_weight(mults):
+    """Store the weight 2 as -2, which is not dominant."""
+    mults[(-2,)] = mults.pop((2,))
+
+
+def _zero_at_weight_10(mults):
+    """A zero count at the weight 10: total and second moment unchanged, but xi
+    would print atoms at 10 and -10."""
+    mults[(10,)] = 0
+
+
+def _pad_weight_0(text):
+    """One more at the weight 0, stored total raised to match: the file is
+    self-consistent and keeps the second moment, but is not V_N's character."""
     doc = json.loads(text)
-    mults = doc["multiplicities"]
-    mults[0], mults[1] = mults[1], mults[0]
+    assert doc["weights"][0] == [0]
+    doc["multiplicities"][0] = str(int(doc["multiplicities"][0]) + 1)
+    doc["total_dim"] = str(int(doc["total_dim"]) + 1)
     return json.dumps(doc)
 
 
-def _move_mass_outward(text):
-    """A1 N=8: add 8 at the weights 8 and -8, take 16 from 0.
-
-    Still positive and W-invariant with the same total, but the second moment
-    sum_mu m(mu) (mu, mu) grows from 1024 to 1536.
-    """
+def _relabel_c2(text):
+    """A B2 file relabelled C2: its dominant entries have the same orbit sizes,
+    total and second moment, but expand over C2's orbits to other weights."""
     doc = json.loads(text)
-    mults = dict(zip((w[0] for w in doc["weights"]), map(int, doc["multiplicities"])))
-    for w, delta in ((8, 8), (-8, 8), (0, -16)):
-        mults[w] += delta
-    doc["multiplicities"] = [str(mults[w[0]]) for w in doc["weights"]]
+    assert doc["cartan_type"] == "B2"
+    doc["cartan_type"] = "C2"
     return json.dumps(doc)
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "argv, corrupt",
     [
-        lambda text: text[:20],  # truncated write
-        lambda text: json.dumps({"weights": [[0]], "multiplicities": ["5"], "total_dim": "5"}),  # forged entry
-        _swap_first_multiplicities,
-        _move_mass_outward,
+        (A1_XI, lambda text: text[:20]),  # truncated write
+        (A1_XI, lambda text: json.dumps(
+            {"cartan_type": "A1", "weights": [[0]], "multiplicities": ["5"], "total_dim": "5"}
+        )),
+        (A1_XI, _edit_dominant(_swap_first_multiplicities)),
+        (A1_XI, _edit_dominant(_move_mass_outward)),
+        (A1_XI, _edit_dominant(_negate_weight)),
+        (A1_XI, _edit_dominant(_zero_at_weight_10)),
+        (A1_XI, _pad_weight_0),
+        (B2_XI, _relabel_c2),
     ],
-    ids=["truncated", "forged", "swapped", "moved"],
+    ids=["truncated", "forged", "swapped", "moved", "non-dominant", "zero", "padded", "relabelled"],
 )
-def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
     cache = tmp_path / "cache"
-    argv = ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "8", "--cache-dir", str(cache)]
+    argv = argv + ["--cache-dir", str(cache)]
     code, cold, _ = run(capsys, *argv)
     assert code == 0
     (path,) = cache.iterdir()

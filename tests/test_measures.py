@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlimits.errors import DegenerateSpec, InadmissibleN, NotDominant
+from tensorlimits.errors import BasisMismatch, DegenerateSpec, InadmissibleN, NotDominant
 from tensorlimits.measures import (
     DiscreteMeasure,
     TensorSpec,
@@ -267,3 +267,14 @@ def test_measure_hook_rejects_character_of_another_n():
     with pytest.raises(ValueError, match="total_dim 81.*dim 6561"):
         convergence_report(SPEC_A2, [8], table={8: table[4]})
     assert eta_measure(SPEC_A2, 8, multiplicities=table[8]).atoms == eta_measure(SPEC_A2, 8).atoms
+
+
+def test_measure_hook_rejects_character_of_another_rank():
+    """A1's V_(2) has A2 omega1's dimension 3 but rank-1 weights."""
+    from tensorlimits.repchar import freudenthal_multiplicities
+
+    spec = TensorSpec(A2, (((1, 0), 1),))
+    other = freudenthal_multiplicities(A1, (2,))
+    for build in (xi_measure, eta_measure, eta_extended_measure):
+        with pytest.raises(BasisMismatch, match="length 1; A2 weights have length 2"):
+            build(spec, 1, multiplicities=other)

@@ -1,12 +1,13 @@
 """Multiplicities, convolution, tensor powers, and decompositions."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from tensorlimits.errors import NegativeMultiplicity, NotDominant
+from tensorlimits.errors import NegativeMultiplicity, NotDominant, UnsupportedType, WeylCapExceeded
 from tensorlimits.repchar import (
     MultiplicityMap,
     freudenthal_multiplicities,
@@ -366,10 +367,50 @@ def test_trace_identity_random_sweep():
 
 
 def test_cache_roundtrip(tmp_path):
-    a2 = RS["A2"]
-    m = tensor_power_multiplicities(a2, [((1, 0), 4)])
+    """A file holds the type and the dominant entries only, the same map gives
+    the same bytes, and the loader, given no root system, returns the full
+    character: the benchmark loads cache files this way and sums their entries."""
+    cases = [
+        ("A2", [((1, 0), 1)], 4),
+        ("B2", [((0, 1), 1), ((1, 0), Fraction(1, 2))], 16),
+        ("A3", [((1, 0, 0), 1)], 8),
+    ]
+    path = tmp_path / "map.json"
+    for label, factors, n in cases:
+        m = tensor_power_table(RS[label], factors, [n])[n]
+        save_multiplicity_map(m, path)
+        text = path.read_text()
+        doc = json.loads(text)
+        assert sorted(doc) == ["cartan_type", "multiplicities", "total_dim", "weights"]
+        assert doc["cartan_type"] == label
+        assert sorted(map(tuple, doc["weights"])) == sorted(w for w in m.entries if min(w) >= 0)
+        save_multiplicity_map(m, path)
+        assert path.read_text() == text
+        back = load_multiplicity_map(path)
+        assert back.entries == m.entries
+        assert sum(back.entries.values()) == back.total_dim == m.total_dim
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("weights", [[0, 1], [2, -1]], NotDominant),
+        ("weights", [[0, 1], [2]], NotDominant),
+        ("total_dim", "8", ValueError),
+        ("multiplicities", ["2"], ValueError),
+        ("cartan_type", "E6", UnsupportedType),
+        ("cartan_type", "A80", WeylCapExceeded),
+    ],
+    ids=["non-dominant", "wrong-rank", "total", "short", "unknown-type", "weyl-cap"],
+)
+def test_load_rejects_bad_file(tmp_path, key, value, error):
+    """V_omega1^2 of A2 is stored as {(0, 1): 2, (2, 0): 1} with total 9; each
+    edit breaks one rule, and the loader raises its own error, not an assertion."""
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
     path = tmp_path / "map.json"
     save_multiplicity_map(m, path)
-    back = load_multiplicity_map(path)
-    assert back.entries == m.entries
-    assert back.total_dim == m.total_dim
+    doc = json.loads(path.read_text())
+    assert doc == {"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"], "total_dim": "9"}
+    path.write_text(json.dumps({**doc, key: value}))
+    with pytest.raises(error):
+        load_multiplicity_map(path)
