@@ -57,7 +57,7 @@ from .rootsys import (
     CartanType,
     build_root_system,
     casimir_eigenvalue,
-    orbit,
+    orbit_sizes,
     rootsys_to_json,
     weyl_group_order,
 )
@@ -241,17 +241,12 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
     expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
-    if m.cartan_type != rs.cartan_type or m.total_dim != expected or min(m.dominant.values()) <= 0:
+    if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected or min(m.dominant.values()) <= 0:
         return None
     scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
     gram = [[int(x * scale) for x in row] for row in rs.gram_omega]
-    orbit_sizes = {}  # |W mu| depends only on which coordinates of mu are zero
-    second = 0
-    for mu, c in m.dominant.items():
-        support = tuple(int(x > 0) for x in mu)
-        if support not in orbit_sizes:
-            orbit_sizes[support] = len(orbit(rs, support))
-        second += c * orbit_sizes[support] * bilinear(mu, gram, mu)
+    sizes = orbit_sizes(rs, m.dominant)
+    second = sum(c * size * bilinear(mu, gram, mu) for (mu, c), size in zip(m.dominant.items(), sizes))
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
     if Fraction(second, scale) != expected * rs.rank * casimirs / rs.dim_g:
         return None

@@ -11,7 +11,9 @@ tensor power bundle of a TensorSpec:
 eta extended spreads each atom mu over rootsys.orbit(mu + rho) - rho; its wall
 test and its pushforward back to eta read rootsys.shifted_dominant, never a
 Weyl element.
-eta takes the Weyl dimensions of its components from racah_decompose.
+eta takes the Weyl dimensions of its components from racah_decompose, which
+reads the character of V_N at its dominant weights alone; only xi reads its
+full entries, which expands their W-orbits.
 
 Atoms keep their integer weight vector and exact rational probability; the
 scale sigma*sqrt(N) is carried symbolically as the rational sigma^2*N, so
@@ -152,7 +154,7 @@ def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
     expected = math.prod(weyl_dim(spec.rs, lam) ** n for lam, n in counts)
     if multiplicities.total_dim != expected:
         raise ValueError(f"multiplicities have total_dim {multiplicities.total_dim}; V_N at N = {N} has dim {expected}")
-    for length in {len(w) for w in multiplicities.entries}:
+    for length in {len(w) for w in multiplicities.dominant}:
         check_length(spec.rs, length, "weight")
     return multiplicities
 

@@ -3,8 +3,11 @@
 A character is stored as a MultiplicityMap: a sparse dict from weights
 (omega-coords) to arbitrary-precision multiplicities.  Both recurrences run
 on dominant weights alone, reading W-invariant values through the integer
-kernel rootsys.to_dominant, and expand the result over W-orbits once by
-rootsys.orbit with a check of the total dimension.  Characters of
+kernel rootsys.to_dominant, and return the dominant multiplicities, checked
+against the total dimension by orbit sizes (rootsys.orbit_sizes).  The full
+map is expanded over W-orbits by rootsys.orbit only on demand, when its
+entries are read: by ltl measure xi, the trace identity, the factor
+characters' own consumers and the tests.  Characters of
 irreducibles come from the Freudenthal recursion; characters of tensor
 powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which finds each
 multiplicity from higher ones by one exact integer division, at a cost per
@@ -12,17 +15,19 @@ dominant weight of the support sizes of the factors.
 It is the only product of characters the package computes; the test suite
 checks it against plain convolution of the factor characters
 (tests/oracles.py).  Characters are split into irreducibles by Racah's
-alternating Weyl sum, which the tests check against peeling off highest
-weights.
+alternating Weyl sum on dominant weights, which the tests check against a
+scan of the full table and against peeling off highest weights.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
+from operator import mul
 
 from .errors import NegativeMultiplicity
 from .linalg import bilinear
@@ -36,35 +41,54 @@ from .rootsys import (
     highest_weight,
     is_dominant,
     orbit,
+    orbit_sizes,
     to_dominant,
 )
 
 
-@dataclass(eq=False)
 class MultiplicityMap:
     """Sparse character: weight (omega-coords) -> multiplicity.
 
     Treat instances as immutable; total_dim caches the sum of all entries.
-    _expand_orbits also records the Cartan type and the dominant entries.
+    A map from the recurrences or the loader holds its root system rs and its
+    dominant entries, and expands them over W-orbits into entries on first
+    read; until then len and repr count the orbit points by orbit_sizes.  A
+    map built from entries, with rs None, finds its dominant entries on first
+    read.
     """
 
-    entries: dict
-    total_dim: int = field(default=None)
-    cartan_type: CartanType | None = None
-    dominant: dict | None = None
+    def __init__(
+        self,
+        entries: dict | None = None,
+        total_dim: int | None = None,
+        rs: RootSystemData | None = None,
+        dominant: dict | None = None,
+    ):
+        if entries is not None:
+            self.entries = entries
+        if dominant is not None:
+            self.dominant = dominant
+        self.rs = rs
+        self.total_dim = sum(self.entries.values()) if total_dim is None else total_dim
 
-    def __post_init__(self):
-        if self.total_dim is None:
-            self.total_dim = sum(self.entries.values())
+    @cached_property
+    def entries(self) -> dict:
+        return {nu: m for mu, m in self.dominant.items() for nu in orbit(self.rs, mu)}
+
+    @cached_property
+    def dominant(self) -> dict:
+        return {mu: m for mu, m in self.entries.items() if is_dominant(mu)}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        if "entries" in self.__dict__:
+            return len(self.entries)
+        return sum(orbit_sizes(self.rs, self.dominant))
 
     def __getitem__(self, weight) -> int:
         return self.entries.get(tuple(weight), 0)
 
     def __repr__(self) -> str:
-        return f"MultiplicityMap({len(self.entries)} weights, total_dim={self.total_dim})"
+        return f"MultiplicityMap({len(self)} weights, total_dim={self.total_dim})"
 
 
 @dataclass(eq=False)
@@ -142,9 +166,10 @@ def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
 def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     """Full weight multiplicity map of the irreducible V_lam.
 
-    Freudenthal recursion at the dominant weights, highest first, expanded
-    over their W-orbits.  m(mu) sums the positive root strings above mu, read
-    at dominant representatives; a string ends at the first one not yet found.
+    Freudenthal recursion at the dominant weights, highest first; the
+    W-orbits are expanded on first read of entries.  m(mu) sums the positive
+    root strings above mu, read at dominant representatives; a string ends at
+    the first one not yet found.
     """
     lam = highest_weight(rs, lam)
     dominant = _dominant_weights(rs, lam)
@@ -170,12 +195,13 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
 
 def _expand_orbits(rs: RootSystemData, mult_dom: dict, expected: int) -> MultiplicityMap:
     """The W-invariant character with multiplicities mult_dom at its dominant
-    weights; ValueError unless its total dimension is expected."""
-    entries = {nu: m for mu, m in mult_dom.items() for nu in orbit(rs, mu)}
-    total = sum(entries.values())
+    weights, its orbits expanded on first read of entries.  NotDominant unless
+    every weight is dominant and of the rank; ValueError unless
+    sum_mu m(mu) |W mu|, the total dimension, is expected."""
+    total = sum(m * size for m, size in zip(mult_dom.values(), orbit_sizes(rs, mult_dom)))
     if total != expected:
         raise ValueError(f"multiplicity total {total} != dimension {expected}")
-    return MultiplicityMap(entries, total, rs.cartan_type, mult_dom)
+    return MultiplicityMap(None, total, rs, mult_dom)
 
 
 def _height_vector(rs: RootSystemData) -> IntVector:
@@ -214,7 +240,8 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     dominant weights nu below top, by depth: each is a weight of V_top, so
     none is zero.  A_l is kept at the dominant weights nu - lam_l of its own
     frame and read at to_dominant(nu - w), which lies no lower, so it was
-    found earlier or is zero.  The result is expanded over W-orbits once.
+    found earlier or is zero.  The result holds the dominant multiplicities;
+    its W-orbits are expanded only if its entries are read.
     """
     factors = [(lam, base, n) for lam, base, n in factors if n]
     top = tuple(sum(n * lam[i] for lam, _, n in factors) for i in range(rs.rank))
@@ -268,8 +295,9 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
     factors is a list of (lam, tau) with rational tau; a tau_l * N that is not
     a nonnegative integer raises ValueError.  The factor characters are computed
     once; each N then costs one run of Miller's power recurrence, linear in
-    the number of dominant weights of V_N for fixed factors, plus one
-    expansion over their W-orbits.
+    the number of dominant weights of V_N for fixed factors.  The maps hold
+    dominant multiplicities and expand their W-orbits only when entries is
+    read (ltl measure xi and the tests).
     """
     n_values = sorted(set(int(n) for n in n_values))
     bases = []
@@ -287,28 +315,42 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
 
 
 def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecomposition:
-    """Irreducible components of a character by alternating Weyl sums.
+    """Irreducible components of a W-invariant character by alternating Weyl sums.
 
     [V : V_mu] = sum over w of sign(w) * m(mu + rho - w rho), evaluated at
-    every dominant weight in the support.  The shifts rho - v come from the
+    every dominant weight mu of m.dominant.  The shifts rho - v come from the
     orbit v = w rho of rho, with sign(w) = (-1)^#{beta > 0 : (v, beta) < 0},
     the pairings read from the integer rows of Weyl's dimension formula.
-    Negative counts mean the input was not a genuine character.  The Weyl
-    dimensions of the dimension check are kept in the result's dims.
+    m is read only at dominant weights, a shifted weight at its dominant
+    representative, so its orbits are never expanded; this is right only
+    because m must be W-invariant, as every character is.  For the same
+    reason the shifts are taken by height, in the functional of
+    _height_vector, and stop where mu + rho - w rho rises above the highest
+    dominant weight of m: to_dominant only raises a weight, so no weight of
+    a W-invariant m lies higher.  Negative counts,
+    or components that do not account for total_dim, mean the input was not
+    a genuine character.  The Weyl dimensions of that dimension check are
+    kept in the result's dims.
     """
     rows, den = _weyl_dim_rows(rs)
+    height = _height_vector(rs)
     deltas = []
     for v in orbit(rs, rs.rho):
         negative = sum(1 for row in rows if sum(r * x for r, x in zip(row, v)) < 0)
-        deltas.append((-1 if negative % 2 else 1, tuple(1 - x for x in v)))
-    entries = m.entries
+        delta = tuple(1 - x for x in v)
+        deltas.append((sum(map(mul, height, delta)), -1 if negative % 2 else 1, delta))
+    deltas.sort()
+    dominant = m.dominant
+    top = max((sum(map(mul, height, mu)) for mu in dominant), default=0)
     components = {}
-    for mu in entries:
-        if not is_dominant(mu):
-            continue
+    for mu in dominant:
+        room = top - sum(map(mul, height, mu))
         c = 0
-        for sign, delta in deltas:
-            val = entries.get(tuple(x + d for x, d in zip(mu, delta)))
+        for rise, sign, delta in deltas:
+            if rise > room:
+                break
+            v = tuple([x + d for x, d in zip(mu, delta)])
+            val = dominant.get(v if min(v) >= 0 else to_dominant(rs, v))
             if val:
                 c += sign * val
         if c < 0:
@@ -352,7 +394,7 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
     """
     items = sorted(m.dominant.items())
     doc = {
-        "cartan_type": str(m.cartan_type),
+        "cartan_type": str(m.rs.cartan_type),
         "weights": [list(w) for w, _ in items],
         "multiplicities": [str(c) for _, c in items],
         "total_dim": str(m.total_dim),
@@ -369,8 +411,12 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
 
 
 def load_multiplicity_map(path) -> MultiplicityMap:
-    """The map save_multiplicity_map wrote to path, expanded over the W-orbits of its stored
-    type.  A bad file raises ValueError, UnsupportedType, WeylCapExceeded or NotDominant."""
+    """The map save_multiplicity_map wrote to path, W-invariant under its stored type.
+
+    It holds the stored dominant multiplicities and expands their W-orbits
+    only when entries is read.  A bad file raises ValueError (among them a
+    total that sum_mu m(mu) |W mu| does not match), UnsupportedType,
+    WeylCapExceeded or NotDominant at load time."""
     with open(path) as fh:
         doc = json.load(fh)
     rs = build_root_system(CartanType.parse(doc["cartan_type"]))

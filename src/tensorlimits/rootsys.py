@@ -21,7 +21,8 @@ simple ones; b_g = 2 + 2 (rho, theta) for the highest root theta; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
 v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative;
 orbit(lam) walks back from a dominant lam, applying it wherever v_i is
-positive; shifted_dominant runs to_dominant on mu + rho and returns ON_WALL
+positive, and orbit_sizes walks it once per pattern of zero coordinates;
+shifted_dominant runs to_dominant on mu + rho and returns ON_WALL
 if a coordinate is zero.  None builds a Weyl matrix; RootSystemData.weyl
 enumerates them on first read, for rootsys info, to_dominant_shifted and
 the tests.
@@ -383,6 +384,22 @@ def orbit(rs: RootSystemData, lam) -> set:
                     seen.add(u)
                     stack.append(u)
     return seen
+
+
+def orbit_sizes(rs: RootSystemData, weights) -> list[int]:
+    """|W mu| for each dominant mu of weights, by one orbit walk per sign pattern:
+    the stabilizer of a dominant mu is generated by the s_i with mu_i = 0, so
+    |W mu| depends on which coordinates are zero alone.  A weight that is not
+    dominant or not of the rank raises NotDominant, from orbit on its pattern."""
+    by_pattern = {}
+    sizes = []
+    for mu in weights:
+        pattern = tuple([(x > 0) - (x < 0) for x in mu])
+        size = by_pattern.get(pattern)
+        if size is None:
+            size = by_pattern[pattern] = len(orbit(rs, pattern))
+        sizes.append(size)
+    return sizes
 
 
 def shifted_dominant(rs: RootSystemData, mu):

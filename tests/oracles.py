@@ -2,7 +2,8 @@
 
 These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
-convolution sum, decompositions from peeling off highest weights, rank-1
+convolution sum, decompositions from peeling off highest weights or from
+Racah's sum over the full weight table with enumerated Weyl elements, rank-1
 tensor powers from the ballot closed form, and the moments and the
 characteristic function of a measure from sums over its atoms.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
-from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities
+from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities, weyl_dim
 from tensorlimits.rootsys import is_dominant
 
 
@@ -106,6 +107,31 @@ def peel_off_decompose(rs, m: MultiplicityMap) -> IrrepDecomposition:
                 work.pop(nu, None)
         components[best] = c
     return IrrepDecomposition(components)
+
+
+def racah_full_scan(rs, m: MultiplicityMap) -> IrrepDecomposition:
+    """Cross-check of racah_decompose: Racah's alternating sum read off the full entries.
+
+    Scans every weight of the expanded table for dominant ones and reads
+    m(mu + rho - w rho) at the shifted weight itself, with w and sign(w) from
+    the enumerated Weyl group, so it needs no W-invariance, no to_dominant and
+    no orbit walk.  Dimensions come from weyl_dim.
+    """
+    entries = m.entries
+    shifts = [(w.sign, tuple(r - x for r, x in zip(rs.rho, w.apply(rs.rho)))) for w in rs.weyl]
+    components = {}
+    for mu in entries:
+        if not is_dominant(mu):
+            continue
+        c = sum(sign * entries.get(tuple(x + d for x, d in zip(mu, delta)), 0) for sign, delta in shifts)
+        if c < 0:
+            raise NegativeMultiplicity(f"[V : V_{mu}] = {c}")
+        if c:
+            components[mu] = c
+    dims = {mu: weyl_dim(rs, mu) for mu in components}
+    if sum(c * dims[mu] for mu, c in components.items()) != m.total_dim:
+        raise NegativeMultiplicity("components do not account for total_dim")
+    return IrrepDecomposition(components, dims)
 
 
 def sl2_power_components(n: int) -> dict:

@@ -343,6 +343,44 @@ def test_weyl_group_stays_off_the_production_path(capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
+def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeypatch):
+    """converge (cold and warm cache), decompose, eta and eta^e read the character of
+    V_N at its dominant weights alone: with the lazy orbit expansion refused for every
+    map but an irreducible factor's, they print what they print without the guard.
+    measure xi does expand the orbits."""
+    from tensorlimits.repchar import MultiplicityMap, racah_decompose
+
+    b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
+    b3 = ["--type", "B3", "--factor", "1,0,0:1", "--N", "4"]
+
+    def outputs(root):
+        converge = [
+            ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4,16", "--cache-dir", str(root / "a2")],
+            ["converge", *b2, "--N", "4,8", "--cache-dir", str(root / "b2")],
+        ]
+        result = []
+        for argv in [argv for argv in converge for _ in ("cold", "warm")] + [
+            ["decompose", *b3], ["measure", "eta", *b3], ["measure", "eta_extended", *b3]
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            result.append(out)
+        return result
+
+    plain = outputs(tmp_path / "plain")
+    expand = MultiplicityMap.entries.func
+
+    def guarded(m):
+        if list(racah_decompose(m.rs, m).components.values()) != [1]:
+            raise AssertionError("the W-orbits of a reducible character were expanded")
+        return expand(m)
+
+    monkeypatch.setattr(MultiplicityMap.entries, "func", guarded)
+    assert outputs(tmp_path / "guarded") == plain
+    with pytest.raises(AssertionError, match="reducible"):
+        main(["measure", "xi", *b3])
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [

@@ -23,7 +23,7 @@ from tensorlimits.repchar import (
 from tensorlimits.measures import TensorSpec
 from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, orbit
 
-from oracles import character_by_weyl_formula, convolve, peel_off_decompose, sl2_power_components
+from oracles import character_by_weyl_formula, convolve, peel_off_decompose, racah_full_scan, sl2_power_components
 
 RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "D4", "G2", "F4"]}
 
@@ -312,8 +312,45 @@ def test_decomposition_roundtrip():
                 for w, cnt in freudenthal_multiplicities(rs, lam).entries.items():
                     total[w] = total.get(w, 0) + c * cnt
             m = MultiplicityMap(total)
-            assert racah_decompose(rs, m).components == combo
+            dec = racah_decompose(rs, m)
+            assert dec.components == combo
             assert peel_off_decompose(rs, m).components == combo
+            scan = racah_full_scan(rs, m)
+            assert (scan.components, scan.dims) == (dec.components, dec.dims)
+
+
+def test_racah_matches_full_scan_oracle():
+    """Racah on dominant weights against Racah over the full table with enumerated
+    Weyl elements, which reads every shifted weight where it lies."""
+    rng = random.Random(41)
+    cases = []
+    for label in ["A1", "A2", "A3", "B2", "G2", "C3"]:
+        rs = RS[label]
+        for _ in range(3):
+            factors = [
+                (tuple(rng.randint(0, 2 if rs.rank < 3 else 1) for _ in range(rs.rank)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))
+            ]
+            cases.append((label, factors))
+    cases += [("B3", [((1, 0, 0), 3)]), ("D4", [((1, 0, 0, 0), 3)]), ("F4", [((0, 0, 0, 1), 2)])]
+    for label, factors in cases:
+        rs = RS[label]
+        m = tensor_power_multiplicities(rs, factors)
+        dec, scan = racah_decompose(rs, m), racah_full_scan(rs, m)
+        assert (dec.components, dec.dims) == (scan.components, scan.dims), (label, factors)
+
+
+def test_len_and_repr_do_not_expand_orbits(tmp_path):
+    """len and repr of a map from the recurrence or the loader count the orbit
+    points of its dominant entries, without building the full entries."""
+    m = tensor_power_table(RS["B2"], [((0, 1), 1), ((1, 0), Fraction(1, 2))], [8])[8]
+    path = tmp_path / "map.json"
+    save_multiplicity_map(m, path)
+    for lazy in (m, load_multiplicity_map(path)):
+        size, text = len(lazy), repr(lazy)
+        assert "entries" not in vars(lazy)
+        assert size == len(lazy.entries) == len(MultiplicityMap(dict(lazy.entries)))
+        assert text == f"MultiplicityMap({size} weights, total_dim={m.total_dim})"
 
 
 def test_decompose_rejects_non_characters():
