@@ -32,7 +32,7 @@ from .measures import (
     mixed_moments,
     sigma_squared,
 )
-from .repchar import freudenthal_multiplicities, tensor_power_table
+from .repchar import tensor_power_table
 from .rootsys import RootSystemData, check_length
 
 DEFAULT_T_POINTS_PER_AXIS = 5
@@ -102,8 +102,7 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
     dvec = np.array([float(x) for x in rs.d])
     directions = (t_arr * dvec).T / math.sqrt(float(sigma_squared(spec) * N))
     out = np.ones(len(t_arr), dtype=complex)
-    for lam, n in factor_counts(spec, N):
-        m = freudenthal_multiplicities(rs, lam)
+    for (_, n), m in zip(factor_counts(spec, N), spec.factor_characters):
         weights = np.array(list(m.entries), dtype=float)
         mults = np.array(list(m.entries.values()), dtype=float)
         out *= (np.exp(1j * weights @ directions).T @ mults / m.total_dim) ** n

@@ -8,9 +8,10 @@ tensor power bundle of a TensorSpec:
 * eta extended: the eta mass spread uniformly over shifted Weyl orbits,
   with zero mass on shifted walls.
 
-eta extended spreads each atom mu over rootsys.orbit(mu + rho) - rho; its wall
-test and its pushforward back to eta read rootsys.shifted_dominant, never a
-Weyl element.
+eta extended spreads each atom mu over the W-orbit of mu + rho, shifted back by
+rho, for all atoms at once by rootsys.regular_orbit_rows; its wall test and its
+pushforward back to eta run rootsys.to_dominant_rows on whole arrays of weights,
+never a Weyl element.
 eta takes the Weyl dimensions of its components from racah_decompose, which
 reads the character of V_N at its dominant weights alone; only xi reads its
 full entries, which expands their W-orbits.
@@ -32,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DegenerateSpec, InadmissibleN
 from .repchar import (
     MultiplicityMap,
@@ -41,13 +44,12 @@ from .repchar import (
     weyl_dim,
 )
 from .rootsys import (
-    ON_WALL,
     RootSystemData,
     casimir_eigenvalue,
     check_length,
     highest_weight,
-    orbit,
-    shifted_dominant,
+    regular_orbit_rows,
+    to_dominant_rows,
     weyl_group_order,
 )
 
@@ -73,6 +75,11 @@ class TensorSpec:
                 raise ValueError(f"tau must be positive, got {tau}")
             norm.append((lam, tau))
         object.__setattr__(self, "factors", tuple(norm))
+
+    @cached_property
+    def factor_characters(self) -> tuple:
+        """The Freudenthal character of each V_lam_l, built once per spec."""
+        return tuple(freudenthal_multiplicities(self.rs, lam) for lam, _ in self.factors)
 
     def describe(self) -> str:
         parts = ",".join(f"{list(lam)}:{tau}" for lam, tau in self.factors)
@@ -201,44 +208,61 @@ def eta_extended_measure(
     """Extension of eta to the whole weight lattice by shifted Weyl orbits.
 
     Each dominant atom mu of eta donates mass P(mu)/|W| to every orbit point
-    w * mu = w(mu + rho) - rho.  Weights whose shifted orbit meets a wall get
-    zero mass; those inside the bounding box of the support are materialized
-    as explicit zero atoms while the box stays below WALL_ATOM_BOX_LIMIT.
+    w * mu = w(mu + rho) - rho, from one rootsys.regular_orbit_rows call on all
+    the mu + rho.  Weights whose shifted orbit meets a wall get zero mass;
+    those inside the bounding box of the support are materialized as explicit
+    zero atoms while the box stays below WALL_ATOM_BOX_LIMIT, found by one
+    rootsys.to_dominant_rows call on the whole box.
     """
     rs = spec.rs
     eta = eta_measure(spec, N, multiplicities)
     order = weyl_group_order(rs.cartan_type)
-    masses: dict = {}
-    for mu, p in eta.atoms:
-        share = p / order
-        for v in orbit(rs, [x + 1 for x in mu]):
-            masses[tuple(x - 1 for x in v)] = share
-    if masses:
-        lo = [min(w[i] for w in masses) for i in range(rs.rank)]
-        hi = [max(w[i] for w in masses) for i in range(rs.rank)]
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= b - a + 1
-        if volume <= WALL_ATOM_BOX_LIMIT:
-            for w in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-                if w not in masses and shifted_dominant(rs, w) is ON_WALL:
-                    masses[w] = Fraction(0)
-    atoms = tuple(sorted(masses.items()))
+    # |W| distinct points per orbit, and distinct orbits are disjoint
+    orbits = regular_orbit_rows(rs, np.asarray([mu for mu, _ in eta.atoms]) + 1)
+    weights = orbits.reshape(-1, rs.rank) - 1
+    probs = [p / order for _, p in eta.atoms] * order
+    lo, hi = weights.min(axis=0), weights.max(axis=0)
+    if math.prod((hi - lo + 1).tolist()) <= WALL_ATOM_BOX_LIMIT:
+        box = np.indices(hi - lo + 1).reshape(rs.rank, -1).T + lo
+        walls = box[(to_dominant_rows(rs, box + 1) == 0).any(axis=1)]
+        weights = np.concatenate([weights, walls])
+        probs += [Fraction(0)] * len(walls)
+    ranked = np.lexsort(weights.T[::-1]).tolist()
+    atoms = tuple(zip(map(tuple, weights[ranked].tolist()), [probs[k] for k in ranked]))
     return DiscreteMeasure(atoms, eta.sigma_sq, N)
 
 
 def pushforward_dominant_shifted(rs: RootSystemData, measure: DiscreteMeasure) -> DiscreteMeasure:
-    """Push every atom to its shifted-dominant representative (walls carry no mass)."""
-    masses: dict = {}
-    for w, p in measure.atoms:
-        lam = shifted_dominant(rs, w)
-        if lam is ON_WALL:
-            if p != 0:
-                raise AssertionError(f"nonzero mass {p} on wall point {w}")
-            continue
-        masses[lam] = masses.get(lam, Fraction(0)) + p
-    atoms = tuple(sorted((w, p) for w, p in masses.items() if p != 0))
-    return DiscreteMeasure(atoms, measure.sigma_sq, measure.N)
+    """Push every atom to its shifted-dominant representative (walls carry no mass).
+
+    One rootsys.to_dominant_rows call finds every w(mu + rho); the atoms are
+    grouped by it, and each group is summed once, as integer numerators over
+    the lcm of its denominators.  An atom with nonzero mass on a shifted wall
+    raises ValueError naming it.
+    """
+    if not measure.atoms:
+        return measure
+    probs = [p for _, p in measure.atoms]
+    dominant = to_dominant_rows(rs, np.asarray([w for w, _ in measure.atoms]) + 1)
+    on_wall = (dominant == 0).any(axis=1)
+    for k in np.flatnonzero(on_wall).tolist():
+        if probs[k] != 0:
+            raise ValueError(f"nonzero mass {probs[k]} on wall point {tuple(measure.atoms[k][0])}")
+    kept = np.flatnonzero(~on_wall)
+    lams = dominant[kept] - 1
+    ranked = np.lexsort(lams.T[::-1])
+    lams = lams[ranked]
+    grouped = [probs[k] for k in kept[ranked].tolist()]
+    nums = [p.numerator for p in grouped]
+    dens = [p.denominator for p in grouped]
+    starts = np.flatnonzero(np.r_[True, (lams[1:] != lams[:-1]).any(axis=1)]).tolist()
+    atoms = []
+    for a, b, lam in zip(starts, starts[1:] + [len(grouped)], lams[starts].tolist()):
+        den = math.lcm(*dens[a:b])
+        num = sum([n * (den // d) for n, d in zip(nums[a:b], dens[a:b])])
+        if num:
+            atoms.append((tuple(lam), Fraction(num, den)))
+    return DiscreteMeasure(tuple(atoms), measure.sigma_sq, measure.N)
 
 
 def _power_sums(m: MultiplicityMap, kappas) -> dict:
@@ -304,8 +328,7 @@ def mixed_moments(spec: TensorSpec, N: int, max_order: int) -> dict:
     terms = _binomial_terms(kappas)
     sums = {kappa: int(not any(kappa)) for kappa in kappas}  # the trivial character
     total = 1
-    for lam, n in factor_counts(spec, N):
-        m = freudenthal_multiplicities(rs, lam)
+    for (_, n), m in zip(factor_counts(spec, N), spec.factor_characters):
         sums = _times_power(sums, _power_sums(m, kappas), n, terms)
         total *= m.total_dim**n
     scale_sq = sigma_squared(spec) * N

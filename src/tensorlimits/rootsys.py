@@ -23,18 +23,24 @@ v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative;
 orbit(lam) walks back from a dominant lam, applying it wherever v_i is
 positive, and orbit_sizes walks it once per pattern of zero coordinates;
 shifted_dominant runs to_dominant on mu + rho and returns ON_WALL
-if a coordinate is zero.  None builds a Weyl matrix; RootSystemData.weyl
-enumerates them on first read, for rootsys info, to_dominant_shifted and
-the tests.
+if a coordinate is zero.  Two numpy kernels run the same rule on whole
+int64 arrays of weights, for eta^e and its pushforward: to_dominant_rows is
+to_dominant on every row, and regular_orbit_rows replays orbit's walk from
+rho on many strictly dominant weights at once.  Both refuse a coordinate of
+absolute value >= 2^31, so that no reflection can wrap around in int64.
+None builds a Weyl matrix; RootSystemData.weyl enumerates them on first
+read, for rootsys info, to_dominant_shifted and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 import math
 import re
+
+import numpy as np
 
 from .errors import BasisMismatch, NotDominant, UnsupportedType, WeylCapExceeded
 from .linalg import Matrix, bilinear, inverse, mat_vec
@@ -367,6 +373,96 @@ def to_dominant(rs: RootSystemData, mu) -> IntVector:
         vi = v[i]
         for j in indices:
             v[j] -= c[j][i] * vi
+
+
+# reflections of a weight whose coordinates stay below this bound in absolute
+# value cannot leave int64, so the array kernels refuse anything larger
+_ROW_LIMIT = 2**31
+
+
+def _int_rows(rs: RootSystemData, v) -> np.ndarray:
+    """v as an (n, rank) int64 array: BasisMismatch unless v is one weight of
+    the rank per row, ValueError naming the first weight with a coordinate of
+    |x| >= _ROW_LIMIT or one that is not an integer."""
+    a = np.asarray(v)
+    if a.size == 0:
+        return np.zeros((0, rs.rank), dtype=np.int64)
+    if a.ndim != 2:
+        raise BasisMismatch(f"weights must be the rows of a 2-d array, got shape {a.shape}")
+    check_length(rs, a.shape[1], "weight")
+    big = np.flatnonzero((np.abs(a) >= _ROW_LIMIT).any(axis=1))
+    if big.size:
+        raise ValueError(f"weight {tuple(a[big[0]].tolist())} has a coordinate of absolute value >= 2^31")
+    rows = a.astype(np.int64)
+    if a.dtype.kind not in "iu":
+        inexact = np.flatnonzero((rows != a).any(axis=1))
+        if inexact.size:
+            raise ValueError(f"weight {tuple(a[inexact[0]].tolist())} is not integral")
+    return rows
+
+
+def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
+    """to_dominant on every row of v at once, as a new (n, rank) int64 array.
+
+    Each pass applies v_j -= C[j][i] v_i, at the first negative v_i, to the
+    rows that still have one; a pass undoes one inverted root per row, so
+    there are at most |positive roots| passes.  A row of another length raises
+    BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
+    """
+    rows = _int_rows(rs, v)
+    c = np.array(rs.C, dtype=np.int64)
+    active = np.flatnonzero((rows < 0).any(axis=1))
+    while active.size:
+        sub = rows[active]
+        i = (sub < 0).argmax(axis=1)
+        sub -= c.T[i] * sub[np.arange(len(sub)), i][:, None]
+        rows[active] = sub
+        active = active[(sub < 0).any(axis=1)]
+    return rows
+
+
+@cache
+def _orbit_steps(c: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """orbit's walk from rho, one (parent, i) per new point: point k + 1 is
+    s_i of point parent, with point 0 = rho."""
+    rho = (1,) * len(c)
+    index = {rho: 0}
+    steps = []
+    stack = [rho]
+    while stack:
+        v = stack.pop()
+        for i, vi in enumerate(v):
+            if vi > 0:
+                u = tuple([x - row[i] * vi for x, row in zip(v, c)])
+                if u not in index:
+                    steps.append((index[v], i))
+                    index[u] = len(index)
+                    stack.append(u)
+    return tuple(steps)
+
+
+def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
+    """W-orbits of strictly dominant weights, as a (|W|, n, rank) int64 array
+    whose [:, k] holds the orbit of lams[k] once per point, lams[k] first.
+
+    For strictly dominant lam, (w lam)_i has the sign of (w rho)_i, since both
+    are pairings with the coroot w^-1 alpha_i^v; so orbit's walk from rho,
+    replayed on every row, reflects exactly where orbit would.  A row that is
+    not strictly dominant raises NotDominant, one of another length
+    BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
+    """
+    rows = _int_rows(rs, lams)
+    low = np.flatnonzero((rows <= 0).any(axis=1))
+    if low.size:
+        raise NotDominant(f"{tuple(rows[low[0]].tolist())} is not strictly dominant")
+    c = np.array(rs.C, dtype=np.int64)
+    steps = _orbit_steps(rs.C)
+    out = np.empty((len(steps) + 1,) + rows.shape, dtype=np.int64)
+    out[0] = rows
+    for k, (parent, i) in enumerate(steps, 1):
+        v = out[parent]
+        out[k] = v - v[:, i, None] * c[:, i]
+    return out
 
 
 def orbit(rs: RootSystemData, lam) -> set:

@@ -381,6 +381,53 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
         main(["measure", "xi", *b3])
 
 
+def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
+    """eta^e and its pushforward run the shifted Weyl action on whole arrays: with
+    the scalar shifted_dominant refused and to_dominant counted, they give what they
+    give unguarded, and they call to_dominant exactly as often as eta alone does
+    (Racah's reads of V_N), so never once per eta^e atom or per wall-box point."""
+    from tensorlimits import repchar, rootsys
+    from tensorlimits.measures import (
+        TensorSpec,
+        eta_extended_measure,
+        eta_measure,
+        pushforward_dominant_shifted,
+    )
+
+    a3 = build_root_system("A3")
+    spec = TensorSpec(a3, (((1, 0, 0), 1),))
+    b3 = ["--type", "B3", "--factor", "1,0,0:1", "--N", "4"]
+
+    def outputs():
+        ext = eta_extended_measure(spec, 8)
+        return ext.atoms, pushforward_dominant_shifted(a3, ext).atoms, run(capsys, "measure", "eta_extended", *b3)
+
+    plain = outputs()
+    calls = []
+    scalar = rootsys.to_dominant
+
+    def counted(rs, mu):
+        calls.append(tuple(mu))
+        return scalar(rs, mu)
+
+    def refuse(*args):
+        raise AssertionError("the scalar shifted_dominant was called")
+
+    monkeypatch.setattr(rootsys, "shifted_dominant", refuse)
+    monkeypatch.setattr(rootsys, "to_dominant", counted)
+    monkeypatch.setattr(repchar, "to_dominant", counted)
+    assert outputs() == plain
+    calls.clear()
+    eta_measure(spec, 8)
+    run(capsys, "measure", "eta", *b3)
+    racah = len(calls)
+    calls.clear()
+    ext = eta_extended_measure(spec, 8)
+    pushforward_dominant_shifted(a3, ext)
+    run(capsys, "measure", "eta_extended", *b3)
+    assert len(calls) == racah
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [

@@ -178,6 +178,24 @@ def test_eta_extended_walls_are_zero():
             assert to_dominant_shifted(A2, w) is not ON_WALL
 
 
+def test_pushforward_refuses_mass_on_a_wall():
+    # (-1, 0) + rho = (0, 1) is fixed by s_1, so no shifted orbit carries it
+    sig = sigma_squared(SPEC_A2)
+    measure = DiscreteMeasure((((-1, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))), sig, 2)
+    with pytest.raises(ValueError, match=r"nonzero mass 1/2 on wall point \(-1, 0\)"):
+        pushforward_dominant_shifted(A2, measure)
+    zero = DiscreteMeasure((((-1, 0), Fraction(0)), ((0, 0), Fraction(1))), sig, 2)
+    assert pushforward_dominant_shifted(A2, zero).atoms == (((0, 0), Fraction(1)),)
+
+
+def test_pushforward_sums_each_orbit_exactly():
+    # (-2, 1) and (0, 0) lie in one shifted orbit, with different denominators;
+    # (1, 0) and (-3, 2) lie in another and cancel
+    atoms = (((-2, 1), Fraction(1, 3)), ((0, 0), Fraction(1, 6)), ((1, 0), Fraction(1, 4)), ((-3, 2), Fraction(-1, 4)))
+    measure = DiscreteMeasure(atoms, sigma_squared(SPEC_A2), 2)
+    assert pushforward_dominant_shifted(A2, measure).atoms == (((0, 0), Fraction(1, 2)),)
+
+
 # ------------------------------------------------------------------ moments
 
 

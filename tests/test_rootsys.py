@@ -24,9 +24,11 @@ from tensorlimits.rootsys import (
     inner_product,
     is_dominant,
     orbit,
+    regular_orbit_rows,
     shifted_action,
     shifted_dominant,
     to_dominant,
+    to_dominant_rows,
     to_dominant_shifted,
     weyl_group_order,
 )
@@ -235,9 +237,33 @@ def test_wrong_length_weight_is_rejected():
         to_dominant(a2, (1, 2, -3))
     with pytest.raises(BasisMismatch, match="length 1.*length 2"):
         shifted_dominant(a2, (1,))
+    for kernel in (to_dominant_rows, regular_orbit_rows):
+        with pytest.raises(BasisMismatch, match="length 3.*length 2"):
+            kernel(a2, [(1, 2, 3)])
+        with pytest.raises(BasisMismatch, match="rows of a 2-d array"):
+            kernel(a2, (1, 2))
     ext = eta_extended_measure(TensorSpec(build_root_system("A3"), (((1, 0, 0), 1),)), 4)
     with pytest.raises(BasisMismatch, match="length 3.*length 2"):
         pushforward_dominant_shifted(a2, ext)
+
+
+def test_row_kernels_refuse_coordinates_beyond_int64_headroom():
+    # |x| >= 2^31 is refused by name, for int64 input and for Python ints
+    # too large for int64, before any reflection could wrap around
+    a2 = build_root_system("A2")
+    for big in (2**31, -(2**31), 2**40, 2**70):
+        with pytest.raises(ValueError, match="absolute value >= 2\\^31") as info:
+            to_dominant_rows(a2, [(0, 1), (big, -1)])
+        assert not isinstance(info.value, OverflowError)
+        assert str(big) in str(info.value)
+    assert to_dominant_rows(a2, [(2**31 - 1, -1)]).tolist() == [list(to_dominant(a2, (2**31 - 1, -1)))]
+    with pytest.raises(ValueError, match="absolute value"):
+        regular_orbit_rows(a2, [(2**31, 1)])
+    with pytest.raises(NotDominant, match="strictly dominant"):
+        regular_orbit_rows(a2, [(1, 1), (2, 0)])
+    # a rational weight is refused, never truncated
+    with pytest.raises(ValueError, match="not integral"):
+        to_dominant_rows(a2, [(1, 0), (Fraction(1, 2), -1)])
 
 
 def test_rho_duality():
@@ -319,12 +345,23 @@ def test_to_dominant_shifted_roundtrip(label):
 def test_shifted_dominant_matches_orbit_scan_randomized(label):
     # oracle: mu is on a shifted wall iff (mu + rho, beta) = 0 for some
     # positive root beta; otherwise lam + rho is the one strictly dominant
-    # point of the orbit W(mu + rho), found by applying every Weyl element
+    # point of the orbit W(mu + rho), found by applying every Weyl element.
+    # The array kernels agree with the scalar rules row by row.
     rs = build_root_system(label)
     rng = random.Random(11)
+    mus = [tuple(rng.randint(-6, 6) for _ in range(rs.rank)) for _ in range(100)]
+    assert to_dominant_rows(rs, mus).tolist() == [list(to_dominant(rs, mu)) for mu in mus]
+    rows = to_dominant_rows(rs, [[x + 1 for x in mu] for mu in mus])
+    lams = [tuple(rng.randint(1, 6) for _ in range(rs.rank)) for _ in range(8)]
+    orbits = regular_orbit_rows(rs, lams)
+    assert orbits.shape == (weyl_group_order(rs.cartan_type), len(lams), rs.rank)
+    for k, lam in enumerate(lams):
+        points = [tuple(v) for v in orbits[:, k].tolist()]
+        assert points[0] == lam
+        assert len(set(points)) == len(points) and set(points) == orbit(rs, lam), lam
     walls = regular = 0
-    for _ in range(100):
-        mu = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+    for mu, row in zip(mus, rows.tolist()):
+        assert (0 in row) == (shifted_dominant(rs, mu) is ON_WALL)
         shifted = tuple(x + 1 for x in mu)
         on_wall = any(sum(x * p for x, p in zip(shifted, vec)) == 0 for vec in rs.root_pair_vectors)
         lam = shifted_dominant(rs, mu)
