@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .densities import DensityModel, box_masses, check_grid, density_box, make_density_model
-from .errors import BasisMismatch, InadmissibleN, RankTooLarge
+from .errors import BasisMismatch, RankTooLarge
 from .measures import (
     DiscreteMeasure,
     TensorSpec,
-    admissible_N,
     eta_measure,
     factor_counts,
     mixed_moments,
@@ -171,6 +171,7 @@ def tv_grid(rank: int, bins_per_axis: int | None = None) -> tuple[int, int]:
         raise RankTooLarge(f"histogram_tv supports rank <= 3, got rank {rank}")
     if bins_per_axis is None:
         bins_per_axis = DEFAULT_BINS[rank]
+    check_grid(rank, bins_per_axis, 1, "bins_per_axis")
     sub = max(2, round({1: 2400, 2: 480, 3: 96}[rank] / bins_per_axis))
     check_grid(rank, bins_per_axis, sub)
     return bins_per_axis, sub
@@ -251,10 +252,9 @@ def convergence_report(
     a cache) can be passed to skip the table step.
     """
     rs = spec.rs
-    n_values = sorted(set(int(n) for n in N_list))
-    for n in n_values:
-        if not admissible_N(spec, n):
-            raise InadmissibleN(f"N = {n} is not admissible")
+    for n in N_list:
+        factor_counts(spec, n)  # InadmissibleN naming N and the taus
+    n_values = sorted({operator.index(n) for n in N_list})
     eta_boxes = _density_boxes(make_density_model(rs, "eta"), bins_per_axis)
     if table is None or any(n not in table for n in n_values):
         table = tensor_power_table(rs, spec.factors, n_values)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GridCapExceeded, OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
 from .linalg import determinant
-from .rootsys import RootSystemData, build_root_system, weyl_group_order
+from .rootsys import RootSystemData, build_root_system, check_length, weyl_group_order
 
 KINDS = ("xi", "eta", "eta_extended", "gue")
 
@@ -69,8 +69,9 @@ class DensityModel:
         axes, and each product x_i g_ij x_j and each root pairing is built on
         the axes it depends on alone.  For the cone-supported kinds (eta, gue)
         the value is 0 outside the closed dominant cone, making this a density
-        on all of R^r.
+        on all of R^r.  Coordinates for points of another length raise BasisMismatch.
         """
+        check_length(self.rs, len(xs), "point")
         xs = [np.asarray(x, dtype=float) for x in xs]
         q = reduce(operator.add, ((x * g) * y for x, row in zip(xs, self._gram) for g, y in zip(row, xs)))
         vals = self.norm_const * np.exp(-0.5 * q)
@@ -82,8 +83,10 @@ class DensityModel:
         return vals
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Density values over an array of points with shape (..., r): values on its coordinates."""
+        """Density values over an array of points with shape (..., r): values on its coordinates.
+        An array whose last axis is not of length r, or a 0-d one, raises BasisMismatch."""
         pts = np.asarray(points, dtype=float)
+        check_length(self.rs, pts.shape[-1] if pts.ndim else 0, "point")
         return self.values([pts[..., i] for i in range(self.rs.rank)])
 
 
@@ -170,8 +173,11 @@ def density_box(model: DensityModel, extent: float) -> tuple[list[float], list[f
     return lo, hi
 
 
-def check_grid(rank: int, bins: int, sub: int) -> None:
-    """Raise GridCapExceeded if a box_masses grid of bins * sub points per axis exceeds MAX_GRID_POINTS."""
+def check_grid(rank: int, bins: int, sub: int, what: str = "bins") -> None:
+    """Raise ValueError, naming bins as what, unless bins >= 1, and GridCapExceeded
+    if a box_masses grid of bins * sub points per axis exceeds MAX_GRID_POINTS."""
+    if bins < 1:
+        raise ValueError(f"{what} must be at least 1, got {bins}")
     points = (bins * sub) ** rank
     if points > MAX_GRID_POINTS:
         raise GridCapExceeded(f"a density grid of {points} points exceeds the cap of {MAX_GRID_POINTS}")
@@ -216,5 +222,6 @@ def normalization_quadrature(model: DensityModel, resolution: int | None = None)
         if rank > 3:
             raise RankTooLarge(f"default quadrature supports rank <= 3, got rank {rank}")
         resolution = _DEFAULT_RESOLUTION[rank]
+    check_grid(rank, resolution, 1, "resolution")
     lo, hi = density_box(model, 10.0)
     return float(box_masses(model, lo, hi, resolution, 1).sum())

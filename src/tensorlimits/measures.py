@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -138,7 +139,12 @@ def sigma_squared(spec: TensorSpec) -> Fraction:
 
 
 def admissible_N(spec: TensorSpec, N: int) -> bool:
-    """True iff tau_l * N is a nonnegative integer for every factor."""
+    """True iff N is an integer (operator.index takes it) of at least 1 and
+    tau_l * N is a nonnegative integer for every factor."""
+    try:
+        N = operator.index(N)
+    except TypeError:
+        return False
     if N < 1:
         return False
     return all((tau * N).denominator == 1 for _, tau in spec.factors)

@@ -22,6 +22,7 @@ scan of the full table and against peeling off highest weights.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .rootsys import (
     CartanType,
     IntVector,
     RootSystemData,
+    _weyl_walk,
     build_root_system,
     casimir_eigenvalue,
     check_length,
@@ -292,14 +294,18 @@ def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
 def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
     """Characters of prod_l V_{lam_l}^(tau_l * N) for several N at once.
 
-    factors is a list of (lam, tau) with rational tau; a tau_l * N that is not
-    a nonnegative integer raises ValueError.  The factor characters are computed
-    once; each N then costs one run of Miller's power recurrence, linear in
-    the number of dominant weights of V_N for fixed factors.  The maps hold
+    factors is a list of (lam, tau) with rational tau; an N that is not an
+    integer, or a tau_l * N that is not a nonnegative integer, raises
+    ValueError.  The factor characters are computed once; each N then costs
+    one run of Miller's power recurrence, linear in the number of dominant
+    weights of V_N for fixed factors.  The maps hold
     dominant multiplicities and expand their W-orbits only when entries is
     read (ltl measure xi and the tests).
     """
-    n_values = sorted(set(int(n) for n in n_values))
+    try:
+        n_values = sorted({operator.index(n) for n in n_values})
+    except TypeError:
+        raise ValueError(f"N values {n_values!r} are not all integers") from None
     bases = []
     for lam, tau in factors:
         lam, tau = highest_weight(rs, lam), Fraction(tau)
@@ -318,9 +324,8 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     """Irreducible components of a W-invariant character by alternating Weyl sums.
 
     [V : V_mu] = sum over w of sign(w) * m(mu + rho - w rho), evaluated at
-    every dominant weight mu of m.dominant.  The shifts rho - v come from the
-    orbit v = w rho of rho, with sign(w) = (-1)^#{beta > 0 : (v, beta) < 0},
-    the pairings read from the integer rows of Weyl's dimension formula.
+    every dominant weight mu of m.dominant.  The shifts rho - w rho and the
+    signs (-1)^l(w) come from the points and lengths of rootsys._weyl_walk.
     m is read only at dominant weights, a shifted weight at its dominant
     representative, so its orbits are never expanded; this is right only
     because m must be W-invariant, as every character is.  For the same
@@ -334,11 +339,11 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     """
     rows, den = _weyl_dim_rows(rs)
     height = _height_vector(rs)
+    points, _, lengths = _weyl_walk(rs.C)
     deltas = []
-    for v in orbit(rs, rs.rho):
-        negative = sum(1 for row in rows if sum(r * x for r, x in zip(row, v)) < 0)
+    for v, n in zip(points, lengths):
         delta = tuple(1 - x for x in v)
-        deltas.append((sum(map(mul, height, delta)), -1 if negative % 2 else 1, delta))
+        deltas.append((sum(map(mul, height, delta)), -1 if n % 2 else 1, delta))
     deltas.sort()
     dominant = m.dominant
     top = max((sum(map(mul, height, mu)) for mu in dominant), default=0)

@@ -19,17 +19,17 @@ reflection s_i or a closed formula.  On simple-root coordinates s_i is
 beta_i -= sum_j c_ij beta_j, and it generates the positive roots from the
 simple ones; b_g = 2 + 2 (rho, theta) for the highest root theta; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
-v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative;
-orbit(lam) walks back from a dominant lam, applying it wherever v_i is
-positive, and orbit_sizes walks it once per pattern of zero coordinates;
-shifted_dominant runs to_dominant on mu + rho and returns ON_WALL
-if a coordinate is zero.  Two numpy kernels run the same rule on whole
-int64 arrays of weights, for eta^e and its pushforward: to_dominant_rows is
-to_dominant on every row, and regular_orbit_rows replays orbit's walk from
-rho on many strictly dominant weights at once.  Both refuse a coordinate of
-absolute value >= 2^31, so that no reflection can wrap around in int64.
-None builds a Weyl matrix; RootSystemData.weyl enumerates them on first
-read, for rootsys info, to_dominant_shifted and the tests.
+v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative, and
+shifted_dominant runs to_dominant on mu + rho and returns ON_WALL if a
+coordinate is zero.  W is walked in one place, _weyl_walk, once per Cartan
+matrix: from rho, applying s_i wherever v_i is positive.  orbit,
+orbit_sizes, RootSystemData.weyl (built on first read, for rootsys info,
+to_dominant_shifted and the tests) and Racah's signed shifts in repchar all
+replay that walk.  Two numpy kernels run the rule on whole int64 arrays of
+weights, for eta^e and its pushforward: to_dominant_rows is to_dominant on
+every row, and regular_orbit_rows replays the walk on many strictly
+dominant weights at once.  Both refuse a coordinate of absolute value
+>= 2^31, so that no reflection can wrap around in int64.
 """
 
 from __future__ import annotations
@@ -193,35 +193,6 @@ def weyl_group_order(t: CartanType) -> int:
     return 1152  # F4
 
 
-def _enumerate_weyl(c: IntMatrix, expected: int) -> tuple[WeylElement, ...]:
-    """All of W as matrices on omega-coords, by length, each length sorted.
-
-    Breadth first from the identity by left multiplication with s_i, which
-    is the integer reflection applied to rows: row j -= C[j][i] * row i.
-    """
-    r = len(c)
-    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    lengths = {ident: 0}
-    frontier = [ident]
-    order = [ident]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for w in frontier:
-            for i in range(r):
-                sw = tuple(tuple([x - c[j][i] * y for x, y in zip(w[j], w[i])]) for j in range(r))
-                if sw not in lengths:
-                    lengths[sw] = depth
-                    nxt.append(sw)
-        nxt.sort()
-        order.extend(nxt)
-        frontier = nxt
-    if len(order) != expected:
-        raise WeylCapExceeded(f"enumerated {len(order)} Weyl elements, expected {expected}")
-    return tuple(WeylElement(m, lengths[m], -1 if lengths[m] % 2 else 1) for m in order)
-
-
 @dataclass(frozen=True, eq=False)
 class RootSystemData:
     """Immutable bundle of everything downstream modules need about one type.
@@ -256,8 +227,19 @@ class RootSystemData:
 
     @cached_property
     def weyl(self) -> tuple[WeylElement, ...]:
-        """Every Weyl element with its length and sign, shortest first."""
-        return _enumerate_weyl(self.C, weyl_group_order(self.cartan_type))
+        """Every Weyl element with its length and sign, sorted by (length, matrix):
+        _weyl_walk replayed on the identity, row j -= C[j][i] * row i per step."""
+        c = self.C
+        _, steps, lengths = _weyl_walk(c)
+        r = len(c)
+        mats = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
+        for parent, i in steps:
+            w = mats[parent]
+            mats.append(tuple(tuple([x - c[j][i] * y for x, y in zip(w[j], w[i])]) for j in range(r)))
+        expected = weyl_group_order(self.cartan_type)
+        if len(mats) != expected:
+            raise WeylCapExceeded(f"walked {len(mats)} Weyl elements, expected {expected}")
+        return tuple(WeylElement(m, n, -1 if n % 2 else 1) for n, m in sorted(zip(lengths, mats)))
 
     def __repr__(self) -> str:
         order = weyl_group_order(self.cartan_type)
@@ -422,23 +404,31 @@ def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
 
 
 @cache
-def _orbit_steps(c: IntMatrix) -> tuple[tuple[int, int], ...]:
-    """orbit's walk from rho, one (parent, i) per new point: point k + 1 is
-    s_i of point parent, with point 0 = rho."""
+def _weyl_walk(c: IntMatrix) -> tuple[tuple[IntVector, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The one walk of W, from rho, depth first: (points, steps, lengths).
+
+    Point k is w_k rho, with w_0 = 1; step k - 1 is (parent, i) with
+    w_k = s_i w_parent; lengths[k] is l(w_k), its depth.  A step is taken only
+    where (w rho)_i > 0, exactly where s_i w is longer than w, so each w is
+    reached once.  Orbits, the Weyl matrices and Racah's signed shifts all
+    replay it.
+    """
     rho = (1,) * len(c)
     index = {rho: 0}
-    steps = []
+    steps, lengths = [], [0]
     stack = [rho]
     while stack:
         v = stack.pop()
+        k = index[v]
         for i, vi in enumerate(v):
             if vi > 0:
                 u = tuple([x - row[i] * vi for x, row in zip(v, c)])
                 if u not in index:
-                    steps.append((index[v], i))
                     index[u] = len(index)
+                    steps.append((k, i))
+                    lengths.append(lengths[k] + 1)
                     stack.append(u)
-    return tuple(steps)
+    return tuple(index), tuple(steps), tuple(lengths)
 
 
 def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
@@ -446,8 +436,8 @@ def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
     whose [:, k] holds the orbit of lams[k] once per point, lams[k] first.
 
     For strictly dominant lam, (w lam)_i has the sign of (w rho)_i, since both
-    are pairings with the coroot w^-1 alpha_i^v; so orbit's walk from rho,
-    replayed on every row, reflects exactly where orbit would.  A row that is
+    are pairings with the coroot w^-1 alpha_i^v; so _weyl_walk, replayed on
+    every row, reflects exactly where the walk from rho does.  A row that is
     not strictly dominant raises NotDominant, one of another length
     BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
     """
@@ -456,7 +446,7 @@ def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
     if low.size:
         raise NotDominant(f"{tuple(rows[low[0]].tolist())} is not strictly dominant")
     c = np.array(rs.C, dtype=np.int64)
-    steps = _orbit_steps(rs.C)
+    _, steps, _ = _weyl_walk(rs.C)
     out = np.empty((len(steps) + 1,) + rows.shape, dtype=np.int64)
     out[0] = rows
     for k, (parent, i) in enumerate(steps, 1):
@@ -466,24 +456,23 @@ def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
 
 
 def orbit(rs: RootSystemData, lam) -> set:
-    """W-orbit of the dominant weight lam, as a set of integer tuples: to_dominant's
-    loop run backwards, applying s_i from lam wherever v_i > 0."""
+    """W-orbit of the dominant weight lam, as a set of integer tuples: _weyl_walk
+    replayed on lam.  A step with (w lam)_i = 0 fixes the point, so it is dropped
+    with every step below it; the steps left walk the minimal coset
+    representatives of W / Stab(lam) (Deodhar's lemma), each point once."""
     c = rs.C
-    seen = {highest_weight(rs, lam)}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for i, vi in enumerate(v):
-            if vi > 0:
-                u = tuple([x - row[i] * vi for x, row in zip(v, c)])
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return seen
+    _, steps, _ = _weyl_walk(c)
+    images = [highest_weight(rs, lam)] + [None] * len(steps)
+    for k, (parent, i) in enumerate(steps, 1):
+        v = images[parent]
+        if v is not None and v[i]:
+            vi = v[i]
+            images[k] = tuple([x - row[i] * vi for x, row in zip(v, c)])
+    return {v for v in images if v is not None}
 
 
 def orbit_sizes(rs: RootSystemData, weights) -> list[int]:
-    """|W mu| for each dominant mu of weights, by one orbit walk per sign pattern:
+    """|W mu| for each dominant mu of weights, by one orbit per sign pattern:
     the stabilizer of a dominant mu is generated by the s_i with mu_i = 0, so
     |W mu| depends on which coordinates are zero alone.  A weight that is not
     dominant or not of the rank raises NotDominant, from orbit on its pattern."""

@@ -327,10 +327,11 @@ def test_weyl_cap_exit_3(capsys):
 def test_weyl_group_stays_off_the_production_path(capsys, monkeypatch):
     from tensorlimits import rootsys
 
-    def refuse(*args):
-        raise AssertionError("the Weyl group was enumerated")
+    def refuse(self):
+        raise AssertionError("the Weyl matrices were read")
 
-    monkeypatch.setattr(rootsys, "_enumerate_weyl", refuse)
+    # a property is a data descriptor, so it wins over a value cached on an instance
+    monkeypatch.setattr(rootsys.RootSystemData, "weyl", property(refuse))
     rootsys.build_root_system("F4")
     b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
     for argv in [

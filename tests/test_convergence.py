@@ -223,8 +223,12 @@ def test_report_structure_and_flags():
 
 def test_report_rejects_inadmissible_n():
     spec = make_spec("A", 1, tau=Fraction(1, 2))
-    with pytest.raises(InadmissibleN):
+    with pytest.raises(InadmissibleN, match=r"N = 3 is not admissible for taus \['1/2'\]"):
         convergence_report(spec, [2, 3])
+    # not truncated to N = 4
+    with pytest.raises(InadmissibleN, match="N = 4.5 is not admissible"):
+        convergence_report(spec, [4.5])
+    assert convergence_report(spec, [np.int64(4), 2]).N_values == (2, 4)
 
 
 def test_report_csv_deterministic():

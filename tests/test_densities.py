@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from tensorlimits.convergence import DEFAULT_BINS, histogram_tv
+from tensorlimits.convergence import DEFAULT_BINS, convergence_report, histogram_tv, tv_grid
 from tensorlimits.densities import (
     KINDS,
     MAX_GRID_POINTS,
@@ -20,7 +20,14 @@ from tensorlimits.densities import (
     p_eta_extended,
     p_xi,
 )
-from tensorlimits.errors import GridCapExceeded, OutsideDomain, RankTooLarge, TraceNotZero, UnsupportedType
+from tensorlimits.errors import (
+    BasisMismatch,
+    GridCapExceeded,
+    OutsideDomain,
+    RankTooLarge,
+    TraceNotZero,
+    UnsupportedType,
+)
 from tensorlimits.measures import TensorSpec, eta_measure
 from tensorlimits.rootsys import build_root_system
 
@@ -257,6 +264,21 @@ def test_oversized_grid_is_refused_before_evaluation(monkeypatch):
     lo, hi = density_box(model, 6.0)
     with pytest.raises(GridCapExceeded):
         box_masses(model, lo, hi, 10**6, 2)
+    # grid sizes below 1: a ValueError naming the argument, not a ZeroDivisionError
+    # or numpy's negative dimensions
+    spec = TensorSpec(A1, (((1,), 1),))
+    eta = eta_measure(spec, 4)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"resolution must be at least 1, got {bad}"):
+            normalization_quadrature(model, resolution=bad)
+        with pytest.raises(ValueError, match=f"bins_per_axis must be at least 1, got {bad}"):
+            tv_grid(3, bad)
+        with pytest.raises(ValueError, match=f"bins_per_axis must be at least 1, got {bad}"):
+            histogram_tv(eta, make_density_model(A1, "eta"), bad)
+        with pytest.raises(ValueError, match=f"bins_per_axis must be at least 1, got {bad}"):
+            convergence_report(spec, [4], bins_per_axis=bad)
+        with pytest.raises(ValueError, match=f"bins must be at least 1, got {bad}"):
+            box_masses(model, lo, hi, bad, 2)
 
 
 def test_xi_covariance_matches_gram_inverse():
@@ -283,3 +305,16 @@ def test_density_model_shape_handling():
     assert rel_close(float(single), closed_form_a1_xi(0.0), 1e-14)
     grid = model.evaluate(np.zeros((5, 3, 1)))
     assert grid.shape == (5, 3)
+    # a point of another length is neither truncated nor an IndexError
+    a2 = make_density_model(A2, "xi")
+    for call, n in [
+        (lambda: p_xi(A2, [1.0, 2.0, 3.0]), 3),
+        (lambda: p_xi(A2, [1.0]), 1),
+        (lambda: p_xi(A2, 1.0), 0),
+        (lambda: a2.evaluate(np.zeros((4, 3))), 3),
+        (lambda: a2.evaluate(np.zeros((4, 1))), 1),
+        (lambda: a2.values([np.zeros(4)] * 3), 3),
+        (lambda: a2.values([np.zeros(4)]), 1),
+    ]:
+        with pytest.raises(BasisMismatch, match=f"point of length {n}; A2 points have length 2"):
+            call()

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorlimits.errors import BasisMismatch, DegenerateSpec, InadmissibleN, NotDominant
@@ -20,7 +21,7 @@ from tensorlimits.measures import (
     sigma_squared,
     xi_measure,
 )
-from tensorlimits.repchar import weyl_dim
+from tensorlimits.repchar import tensor_power_table, weyl_dim
 from tensorlimits.rootsys import build_root_system
 
 import oracles
@@ -65,6 +66,15 @@ def test_admissible_N():
     assert not admissible_N(half, 0)
     with pytest.raises(InadmissibleN):
         xi_measure(half, 3)
+    # one rule for an N that is not an integer: operator.index refuses it
+    assert admissible_N(half, np.int64(4))
+    for n in (4.5, 4.0, Fraction(4)):
+        assert not admissible_N(half, n)
+    for measure in (xi_measure, eta_measure):
+        with pytest.raises(InadmissibleN, match="N = 4.5 is not admissible"):
+            measure(half, 4.5)
+    with pytest.raises(ValueError, match="4.7"):
+        tensor_power_table(A1, [((1,), 1)], [4.7])
 
 
 # ------------------------------------------------------------------ xi

@@ -1,10 +1,12 @@
 """Root-system construction, Weyl enumeration, forms, and actions."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorlimits import rootsys
@@ -35,6 +37,8 @@ from tensorlimits.rootsys import (
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "G2"]
 ALL_RANK4 = SMALL_TYPES + ["A4", "B4", "C4", "D4", "F4"]
+# every type whose Weyl group is under the cap
+UNDER_CAP = ALL_RANK4 + ["A5", "A6", "B5", "C5", "D5"]
 
 
 # ---------------------------------------------------------------- cartan types
@@ -172,7 +176,7 @@ def test_weyl_group_axioms(label):
         assert g == rs.gram_omega
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "G2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "G2", "B4", "D4", "F4"])
 def test_length_counts_inverted_roots(label):
     rs = build_root_system(label)
     pos = set(rs.positive_roots)
@@ -380,14 +384,30 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
     assert walls > 0 and regular > 0
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
+@pytest.mark.parametrize("label", UNDER_CAP)
 def test_orbit_matches_weyl_group_randomized(label):
-    # oracle: the image of lam under every enumerated Weyl element
+    # oracle: the image of lam under every Weyl matrix, for every pattern of
+    # zero coordinates and for random lam
     rs = build_root_system(label)
+    weyl = np.array([w.matrix for w in rs.weyl])
+    _, steps, _ = rootsys._weyl_walk(rs.C)
     rng = random.Random(23)
-    for _ in range(6):
-        lam = tuple(rng.randint(0, 3) for _ in range(rs.rank))
-        assert orbit(rs, lam) == {w.apply(lam) for w in rs.weyl}, lam
+    lams = list(itertools.product((0, 1), repeat=rs.rank))
+    lams += [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(6)]
+    for lam in lams:
+        expected = set(map(tuple, (weyl @ np.array(lam)).tolist()))
+        assert orbit(rs, lam) == expected, lam
+        # the walk's steps that do not fix the point reach each point once
+        images = [lam]
+        kept = 0
+        for parent, i in steps:
+            v = images[parent]
+            if v is not None and v[i]:
+                kept += 1
+                images.append(tuple([x - row[i] * v[i] for x, row in zip(v, rs.C)]))
+            else:
+                images.append(None)
+        assert kept == len(expected) - 1, lam
     with pytest.raises(NotDominant):
         orbit(rs, (-1,) + (0,) * (rs.rank - 1))
 
@@ -471,6 +491,10 @@ ROOTSYS_INFO_SHA256 = {
     "C4": "11ad00402fd2d8703e65378aa02e005a940c34a05524190c66dd465ef613900e",
     "D3": "321f9f9e2af180b85cb5ed66179bf00a0bd495ffa88821ecd8e87f2ca66229d5",
     "D5": "551728c29974402f07dff00738ca0abaa14b2482938793dc3879e33066eb07b0",
+    # the largest groups under the cap: 5,040 and 3,840 elements
+    "A6": "ec44449eaa826441ee7e89004e2a16f23d9f0e40c27e0daaccc1370596aea902",
+    "B5": "7a57218f17f5caf75f59e61aefd0e39194df744bbf909a23775cd8ea4c4c6f32",
+    "C5": "0fa2825bb3427b04adb2b8433f835a73fa9f462c8ca9231768bcbc004db33d46",
 }
 
 
