@@ -39,6 +39,7 @@ import numpy as np
 from .errors import DegenerateSpec, InadmissibleN
 from .repchar import (
     MultiplicityMap,
+    check_character,
     freudenthal_multiplicities,
     racah_decompose,
     tensor_power_multiplicities,
@@ -70,7 +71,7 @@ class TensorSpec:
     def __post_init__(self):
         norm = []
         for lam, tau in self.factors:
-            lam = highest_weight(self.rs, (int(x) for x in lam))
+            lam = highest_weight(self.rs, lam)
             tau = Fraction(tau)
             if tau <= 0:
                 raise ValueError(f"tau must be positive, got {tau}")
@@ -160,15 +161,15 @@ def factor_counts(spec: TensorSpec, N: int) -> list:
 def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
     """multiplicities, or the character of V_N when None.  A map whose total_dim is not
     prod_l weyl_dim(lam_l)^(n_l), e.g. that of another N, raises ValueError, one of another
-    rank BasisMismatch; one of another spec with the same total (A2 omega1 for omega2) passes."""
+    rank or Cartan type BasisMismatch; one of another spec of the same type with the same
+    total (A2 omega1 for omega2) passes."""
     counts = factor_counts(spec, N)
     if multiplicities is None:
         return tensor_power_multiplicities(spec.rs, counts)
     expected = math.prod(weyl_dim(spec.rs, lam) ** n for lam, n in counts)
     if multiplicities.total_dim != expected:
         raise ValueError(f"multiplicities have total_dim {multiplicities.total_dim}; V_N at N = {N} has dim {expected}")
-    for length in {len(w) for w in multiplicities.dominant}:
-        check_length(spec.rs, length, "weight")
+    check_character(spec.rs, multiplicities)
     return multiplicities
 
 
@@ -352,10 +353,13 @@ def mixed_moments(spec: TensorSpec, N: int, max_order: int) -> dict:
 def directional_second_moment(rs: RootSystemData, measure: DiscreteMeasure, t) -> Fraction:
     """Exact sum of prob * (t, point)^2 along a direction t in simple-root coords.
 
-    Equals (t, t) for every xi measure and admissible N.
+    Equals (t, t) for every xi measure and admissible N.  A direction or a
+    measure of another rank raises BasisMismatch naming both lengths.
     """
     t = tuple(Fraction(x) for x in t)
     check_length(rs, len(t), "direction")
+    if measure.atoms:
+        check_length(rs, measure.rank, "weight")
     acc = Fraction(0)
     for w, p in measure.atoms:
         if p == 0:

@@ -30,7 +30,7 @@ from functools import cached_property
 from math import lcm, prod
 from operator import mul
 
-from .errors import NegativeMultiplicity
+from .errors import BasisMismatch, NegativeMultiplicity
 from .linalg import bilinear
 from .rootsys import (
     CartanType,
@@ -195,6 +195,15 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     return _expand_orbits(rs, mult_dom, weyl_dim(rs, lam))
 
 
+def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
+    """BasisMismatch unless every weight of m has the rank of rs and m, when it
+    holds its root system, is a character of the same Cartan type."""
+    for length in {len(w) for w in m.dominant}:
+        check_length(rs, length, "weight")
+    if m.rs is not None and m.rs.cartan_type != rs.cartan_type:
+        raise BasisMismatch(f"a character of {m.rs.cartan_type}, not of {rs.cartan_type}")
+
+
 def _expand_orbits(rs: RootSystemData, mult_dom: dict, expected: int) -> MultiplicityMap:
     """The W-invariant character with multiplicities mult_dom at its dominant
     weights, its orbits expanded on first read of entries.  NotDominant unless
@@ -335,11 +344,13 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     a W-invariant m lies higher.  Negative counts,
     or components that do not account for total_dim, mean the input was not
     a genuine character.  The Weyl dimensions of that dimension check are
-    kept in the result's dims.
+    kept in the result's dims.  A map of another rank or Cartan type raises
+    BasisMismatch (check_character).
     """
+    check_character(rs, m)
     rows, den = _weyl_dim_rows(rs)
     height = _height_vector(rs)
-    points, _, lengths = _weyl_walk(rs.C)
+    points, _, lengths = _weyl_walk(rs.C, rs.rho)
     deltas = []
     for v, n in zip(points, lengths):
         delta = tuple(1 - x for x in v)

@@ -21,14 +21,15 @@ simple ones; b_g = 2 + 2 (rho, theta) for the highest root theta; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
 v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative, and
 shifted_dominant runs to_dominant on mu + rho and returns ON_WALL if a
-coordinate is zero.  W is walked in one place, _weyl_walk, once per Cartan
-matrix: from rho, applying s_i wherever v_i is positive.  orbit,
-orbit_sizes, RootSystemData.weyl (built on first read, for rootsys info,
-to_dominant_shifted and the tests) and Racah's signed shifts in repchar all
-replay that walk.  Two numpy kernels run the rule on whole int64 arrays of
-weights, for eta^e and its pushforward: to_dominant_rows is to_dominant on
-every row, and regular_orbit_rows replays the walk on many strictly
-dominant weights at once.  Both refuse a coordinate of absolute value
+coordinate is zero.  W-orbits are walked in one place, _weyl_walk, once per
+Cartan matrix and 0/1 zero pattern, applying s_i wherever v_i is positive:
+orbit and orbit_sizes use the walk of a weight's pattern; RootSystemData.weyl
+(built on first read, for rootsys info, to_dominant_shifted and the tests)
+and Racah's signed shifts (repchar) use the walk from rho, all of W.  Two numpy
+kernels run the rule on whole int64 arrays of weights, for eta^e and its
+pushforward: to_dominant_rows is to_dominant on every row, and
+regular_orbit_rows replays the walk from rho on many strictly dominant
+weights at once.  Both refuse a coordinate of absolute value
 >= 2^31, so that no reflection can wrap around in int64.
 """
 
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 import math
+import operator
 import re
 
 import numpy as np
@@ -230,7 +232,7 @@ class RootSystemData:
         """Every Weyl element with its length and sign, sorted by (length, matrix):
         _weyl_walk replayed on the identity, row j -= C[j][i] * row i per step."""
         c = self.C
-        _, steps, lengths = _weyl_walk(c)
+        _, steps, lengths = _weyl_walk(c, self.rho)
         r = len(c)
         mats = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
         for parent, i in steps:
@@ -292,8 +294,15 @@ def is_dominant(mu) -> bool:
 
 
 def highest_weight(rs: RootSystemData, lam) -> IntVector:
-    """lam as a tuple, or NotDominant unless it has rank coordinates, none negative."""
+    """lam as a tuple of ints, or NotDominant unless it has rank coordinates,
+    each an integer (operator.index takes it) and none negative."""
     lam = tuple(lam)
+    # a tuple of ints is kept as is, so orbit's first point is the dominant entry's key
+    if any(type(x) is not int for x in lam):
+        try:
+            lam = tuple([operator.index(x) for x in lam])
+        except TypeError:
+            raise NotDominant(f"{lam} has a coordinate that is not an integer") from None
     if len(lam) != rs.rank:
         raise NotDominant(f"{lam} has {len(lam)} coordinates; {rs.cartan_type} needs {rs.rank}")
     if not is_dominant(lam):
@@ -404,19 +413,23 @@ def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
 
 
 @cache
-def _weyl_walk(c: IntMatrix) -> tuple[tuple[IntVector, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The one walk of W, from rho, depth first: (points, steps, lengths).
+def _weyl_walk(
+    c: IntMatrix, top: IntVector
+) -> tuple[tuple[IntVector, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The walk of the W-orbit of a dominant 0/1 vector top: (points, steps, lengths).
 
-    Point k is w_k rho, with w_0 = 1; step k - 1 is (parent, i) with
-    w_k = s_i w_parent; lengths[k] is l(w_k), its depth.  A step is taken only
-    where (w rho)_i > 0, exactly where s_i w is longer than w, so each w is
-    reached once.  Orbits, the Weyl matrices and Racah's signed shifts all
-    replay it.
+    Point k is w_k top, with w_0 = 1; step k - 1 is (parent, i) with
+    w_k = s_i w_parent; lengths[k] is l(w_k), its depth.  Depth first, a step
+    is taken only where (w top)_i > 0, so the w are the minimal coset
+    representatives of W / Stab(top), each reached once (Bjorner-Brenti,
+    ch. 2); from rho they are all of W.  The lemma behind every replay: for
+    dominant lam with the zeros of top, (w lam)_i has the sign of (w top)_i,
+    both being pairings with the coroot w^-1 alpha_i^v, whose coefficients
+    share one sign; so the steps, replayed on lam, are the walk from lam.
     """
-    rho = (1,) * len(c)
-    index = {rho: 0}
+    index = {top: 0}
     steps, lengths = [], [0]
-    stack = [rho]
+    stack = [top]
     while stack:
         v = stack.pop()
         k = index[v]
@@ -435,18 +448,16 @@ def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
     """W-orbits of strictly dominant weights, as a (|W|, n, rank) int64 array
     whose [:, k] holds the orbit of lams[k] once per point, lams[k] first.
 
-    For strictly dominant lam, (w lam)_i has the sign of (w rho)_i, since both
-    are pairings with the coroot w^-1 alpha_i^v; so _weyl_walk, replayed on
-    every row, reflects exactly where the walk from rho does.  A row that is
-    not strictly dominant raises NotDominant, one of another length
-    BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
+    The walk of W from rho, replayed on every row (the lemma of _weyl_walk).
+    A row that is not strictly dominant raises NotDominant, one of another
+    length BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
     """
     rows = _int_rows(rs, lams)
     low = np.flatnonzero((rows <= 0).any(axis=1))
     if low.size:
         raise NotDominant(f"{tuple(rows[low[0]].tolist())} is not strictly dominant")
     c = np.array(rs.C, dtype=np.int64)
-    _, steps, _ = _weyl_walk(rs.C)
+    _, steps, _ = _weyl_walk(rs.C, rs.rho)
     out = np.empty((len(steps) + 1,) + rows.shape, dtype=np.int64)
     out[0] = rows
     for k, (parent, i) in enumerate(steps, 1):
@@ -456,33 +467,30 @@ def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
 
 
 def orbit(rs: RootSystemData, lam) -> set:
-    """W-orbit of the dominant weight lam, as a set of integer tuples: _weyl_walk
-    replayed on lam.  A step with (w lam)_i = 0 fixes the point, so it is dropped
-    with every step below it; the steps left walk the minimal coset
-    representatives of W / Stab(lam) (Deodhar's lemma), each point once."""
+    """W-orbit of the dominant weight lam, as a set of integer tuples: the walk
+    of lam's zero pattern replayed on lam (the lemma of _weyl_walk)."""
+    lam = highest_weight(rs, lam)
     c = rs.C
-    _, steps, _ = _weyl_walk(c)
-    images = [highest_weight(rs, lam)] + [None] * len(steps)
-    for k, (parent, i) in enumerate(steps, 1):
+    _, steps, _ = _weyl_walk(c, tuple([int(x > 0) for x in lam]))
+    images = [lam]
+    for parent, i in steps:
         v = images[parent]
-        if v is not None and v[i]:
-            vi = v[i]
-            images[k] = tuple([x - row[i] * vi for x, row in zip(v, c)])
-    return {v for v in images if v is not None}
+        vi = v[i]
+        images.append(tuple([x - row[i] * vi for x, row in zip(v, c)]))
+    return set(images)
 
 
 def orbit_sizes(rs: RootSystemData, weights) -> list[int]:
-    """|W mu| for each dominant mu of weights, by one orbit per sign pattern:
-    the stabilizer of a dominant mu is generated by the s_i with mu_i = 0, so
-    |W mu| depends on which coordinates are zero alone.  A weight that is not
-    dominant or not of the rank raises NotDominant, from orbit on its pattern."""
+    """|W mu| for each dominant mu of weights: the points of the walk of mu's
+    zero pattern.  A weight that is not dominant or not of the rank raises
+    NotDominant, from highest_weight on its sign pattern."""
     by_pattern = {}
     sizes = []
     for mu in weights:
         pattern = tuple([(x > 0) - (x < 0) for x in mu])
         size = by_pattern.get(pattern)
         if size is None:
-            size = by_pattern[pattern] = len(orbit(rs, pattern))
+            size = by_pattern[pattern] = len(_weyl_walk(rs.C, highest_weight(rs, pattern))[0])
         sizes.append(size)
     return sizes
 

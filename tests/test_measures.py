@@ -47,6 +47,10 @@ def test_tensor_spec_validation():
         TensorSpec(A2, (((1, 0), 0),))
     spec = TensorSpec(A2, (((1, 0), "2/3"),))
     assert spec.factors == (((1, 0), Fraction(2, 3)),)
+    with pytest.raises(NotDominant, match=r"\(1.5, 0.7\) has a coordinate that is not an integer"):
+        TensorSpec(A2, (((1.5, 0.7), 1),))
+    lam = TensorSpec(A2, (((np.int64(1), np.int32(0)), 1),)).factors[0][0]
+    assert lam == (1, 0) and all(type(x) is int for x in lam)
 
 
 def test_sigma_squared():
@@ -120,6 +124,10 @@ def test_xi_second_moment_identity():
                 t = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rs.rank))
                 tt = sum(t[i] * tt_matrix[i][j] * t[j] for i in range(rs.rank) for j in range(rs.rank))
                 assert directional_second_moment(rs, m, t) == tt
+    # zip used to drop the third coordinate of A3 weights against A2, giving 2
+    a3 = xi_measure(TensorSpec(build_root_system("A3"), (((1, 0, 0), 1),)), 4)
+    with pytest.raises(BasisMismatch, match="length 3; A2 weights have length 2"):
+        directional_second_moment(A2, a3, (1, 0))
 
 
 # ------------------------------------------------------------------ eta
@@ -298,11 +306,17 @@ def test_measure_hook_rejects_character_of_another_n():
 
 
 def test_measure_hook_rejects_character_of_another_rank():
-    """A1's V_(2) has A2 omega1's dimension 3 but rank-1 weights."""
+    """A1's V_(2) has A2 omega1's dimension 3 but rank-1 weights; B2's V_(0,1)^2
+    has C2 V_(1,0)^2's dimension 16 and rank-2 weights, but another type."""
     from tensorlimits.repchar import freudenthal_multiplicities
 
     spec = TensorSpec(A2, (((1, 0), 1),))
     other = freudenthal_multiplicities(A1, (2,))
+    c2 = TensorSpec(build_root_system("C2"), (((1, 0), 1),))
+    b2 = tensor_power_table(B2, [((0, 1), 1)], [2])[2]
     for build in (xi_measure, eta_measure, eta_extended_measure):
         with pytest.raises(BasisMismatch, match="length 1; A2 weights have length 2"):
             build(spec, 1, multiplicities=other)
+        # xi used to return 9 B2 atoms as C2's, eta to call it "not a character"
+        with pytest.raises(BasisMismatch, match="a character of B2, not of C2"):
+            build(c2, 2, multiplicities=b2)

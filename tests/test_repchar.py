@@ -1,5 +1,6 @@
 """Multiplicities, convolution, tensor powers, and decompositions."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlimits.errors import NegativeMultiplicity, NotDominant, UnsupportedType, WeylCapExceeded
+from tensorlimits import rootsys
+from tensorlimits.errors import BasisMismatch, NegativeMultiplicity, NotDominant, UnsupportedType, WeylCapExceeded
 from tensorlimits.repchar import (
     MultiplicityMap,
     freudenthal_multiplicities,
@@ -43,8 +45,7 @@ def test_weyl_dim_examples():
         weyl_dim(a2, (-1, 0))
 
 
-@pytest.mark.parametrize("weight", [(1,), (1, 0, 0)])
-@pytest.mark.parametrize(
+WEIGHT_ENTRIES = pytest.mark.parametrize(
     "entry",
     [
         weyl_dim,
@@ -56,10 +57,23 @@ def test_weyl_dim_examples():
     ],
     ids=["weyl_dim", "freudenthal", "tensor_power_table", "orbit", "casimir", "TensorSpec"],
 )
+
+
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 0)])
+@WEIGHT_ENTRIES
 def test_wrong_rank_weight_is_not_dominant(entry, weight):
     # zip used to truncate a short weight: weyl_dim gave 0, orbit {(1,), (-1,)},
     # and the dominant-weight walk of freudenthal_multiplicities never ended
     with pytest.raises(NotDominant):
+        entry(RS["A2"], weight)
+
+
+@pytest.mark.parametrize("weight", [(1.5, 0.7), (1.5, 0), (1, Fraction(1, 2))])
+@WEIGHT_ENTRIES
+def test_non_integral_weight_is_not_dominant(entry, weight):
+    # TensorSpec used to truncate (1.5, 0.7) to omega1 by int(x), and weyl_dim
+    # and freudenthal_multiplicities raised a bare TypeError from fractions
+    with pytest.raises(NotDominant, match="not an integer"):
         entry(RS["A2"], weight)
 
 
@@ -340,17 +354,55 @@ def test_racah_matches_full_scan_oracle():
         assert (dec.components, dec.dims) == (scan.components, scan.dims), (label, factors)
 
 
-def test_len_and_repr_do_not_expand_orbits(tmp_path):
+def _no_orbit(rs, lam):
+    raise AssertionError(f"orbit({lam}) was called")
+
+
+def test_len_and_repr_do_not_expand_orbits(tmp_path, monkeypatch):
     """len and repr of a map from the recurrence or the loader count the orbit
-    points of its dominant entries, without building the full entries."""
-    m = tensor_power_table(RS["B2"], [((0, 1), 1), ((1, 0), Fraction(1, 2))], [8])[8]
+    points of its dominant entries, without building the full entries: the
+    orbit sizes come from the walks of the zero patterns, never from
+    rootsys.orbit (the factor characters' entries expand through repchar's)."""
     path = tmp_path / "map.json"
-    save_multiplicity_map(m, path)
-    for lazy in (m, load_multiplicity_map(path)):
-        size, text = len(lazy), repr(lazy)
+    with monkeypatch.context() as patch:
+        patch.setattr(rootsys, "orbit", _no_orbit)
+        m = tensor_power_table(RS["B2"], [((0, 1), 1), ((1, 0), Fraction(1, 2))], [8])[8]
+        save_multiplicity_map(m, path)
+        lazies = (m, load_multiplicity_map(path))
+        sizes = [len(lazy) for lazy in lazies]
+    for lazy, size in zip(lazies, sizes):
+        text = repr(lazy)
         assert "entries" not in vars(lazy)
         assert size == len(lazy.entries) == len(MultiplicityMap(dict(lazy.entries)))
         assert text == f"MultiplicityMap({size} weights, total_dim={m.total_dim})"
+
+
+# sha256 of repr([list(m.entries.items()) for m in maps]): each factor character,
+# then the table at each N, so the order in which orbits are expanded is pinned
+ENTRIES_SHA256 = {
+    "A2": ([((1, 0), 1)], [1, 4], "be25052992dda3de1653d961eed236a84566295a828ff345207831c4e88207d8"),
+    "B2": (
+        [((0, 1), 1), ((1, 0), Fraction(1, 2))],
+        [2, 4],
+        "05dd56f988297b5bf285df85f4c90456a641b64dbb5c00c3136d4cc75faaaa42",
+    ),
+    "G2": ([((1, 0), 1)], [3], "c4911450c3e2a881f7627b29dcd8c90f304cf34c78bfddcbf6dc9e1aaf6f54ad"),
+    "D4": ([((1, 0, 0, 0), 1)], [3], "a5da056cdcd66109ddea988b2defa4df2e5209d305e061ca11af89f123e35d9b"),
+    "F4": ([((0, 0, 0, 1), 1)], [3], "a6db196adbf7e573ecfd3d2ba3215c95277b4cf9392a2e4da702f50e0a670b88"),
+    "A6": ([((1, 0, 0, 0, 0, 0), 1)], [4], "52ebe87398fb5528493d93543e0c4aae19bea49ceb05c672564b445a3641d5c4"),
+    "B5": ([((1, 0, 0, 0, 0), 1)], [3], "899aed49f326ae67a10ff420edccbaafc635730f0969ed0f7e07edee3d30eac5"),
+    "C5": ([((0, 1, 0, 0, 0), 1)], [2], "c915ee2a07922b5fdc1bbfa0a9284309e41b28c143dd2b9be7b14763e1a9c5a9"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ENTRIES_SHA256))
+def test_entries_order_is_pinned(label):
+    # the float sums of char_fn_xi run over entries in this order
+    factors, n_values, digest = ENTRIES_SHA256[label]
+    rs = build_root_system(label)
+    table = tensor_power_table(rs, factors, n_values)
+    maps = [freudenthal_multiplicities(rs, lam) for lam, _ in factors] + [table[n] for n in n_values]
+    assert hashlib.sha256(repr([list(m.entries.items()) for m in maps]).encode()).hexdigest() == digest
 
 
 def test_decompose_rejects_non_characters():
@@ -363,6 +415,17 @@ def test_decompose_rejects_non_characters():
     no_dominant = MultiplicityMap({(-2,): 1})
     with pytest.raises(NegativeMultiplicity):
         peel_off_decompose(a1, no_dominant)
+
+
+def test_decompose_rejects_character_of_another_type():
+    # an A3 map used to fail as "dimension 0 of 256", a B2 one as C2 components
+    a3 = tensor_power_multiplicities(RS["A3"], [((1, 0, 0), 4)])
+    for m in (a3, MultiplicityMap(dict(a3.entries))):
+        with pytest.raises(BasisMismatch, match="length 3; A2 weights have length 2"):
+            racah_decompose(RS["A2"], m)
+    b2 = tensor_power_multiplicities(RS["B2"], [((0, 1), 2)])
+    with pytest.raises(BasisMismatch, match="B2, not of C2"):
+        racah_decompose(build_root_system("C2"), b2)
 
 
 def test_sl2_powers_ballot_closed_form():

@@ -387,27 +387,18 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
 @pytest.mark.parametrize("label", UNDER_CAP)
 def test_orbit_matches_weyl_group_randomized(label):
     # oracle: the image of lam under every Weyl matrix, for every pattern of
-    # zero coordinates and for random lam
+    # zero coordinates and random lam with that pattern; by the sign lemma the
+    # walk from lam takes the steps of the walk of its pattern, one per point
     rs = build_root_system(label)
     weyl = np.array([w.matrix for w in rs.weyl])
-    _, steps, _ = rootsys._weyl_walk(rs.C)
     rng = random.Random(23)
-    lams = list(itertools.product((0, 1), repeat=rs.rank))
-    lams += [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(6)]
-    for lam in lams:
-        expected = set(map(tuple, (weyl @ np.array(lam)).tolist()))
-        assert orbit(rs, lam) == expected, lam
-        # the walk's steps that do not fix the point reach each point once
-        images = [lam]
-        kept = 0
-        for parent, i in steps:
-            v = images[parent]
-            if v is not None and v[i]:
-                kept += 1
-                images.append(tuple([x - row[i] * v[i] for x, row in zip(v, rs.C)]))
-            else:
-                images.append(None)
-        assert kept == len(expected) - 1, lam
+    for pattern in itertools.product((0, 1), repeat=rs.rank):
+        _, steps, _ = rootsys._weyl_walk(rs.C, pattern)
+        for lam in [pattern] + [tuple(x * rng.randint(1, 4) for x in pattern) for _ in range(3)]:
+            expected = set(map(tuple, (weyl @ np.array(lam)).tolist()))
+            points, lam_steps, _ = rootsys._weyl_walk(rs.C, lam)
+            assert lam_steps == steps and len(steps) == len(expected) - 1, lam
+            assert set(points) == orbit(rs, lam) == expected, lam
     with pytest.raises(NotDominant):
         orbit(rs, (-1,) + (0,) * (rs.rank - 1))
 
