@@ -215,9 +215,9 @@ def _check_admissible(spec: TensorSpec, n_values) -> None:
             raise BadField("--N", f"N = {n} makes some tau*N non-integral")
 
 
-def _cache_dir(args) -> str | None:
-    explicit = getattr(args, "cache_dir", None)
-    return explicit or os.environ.get("LTL_CACHE_DIR")
+def _cache_dir(given: str | None) -> str | None:
+    """given (--cache-dir, or a config file's cache_dir), else $LTL_CACHE_DIR; an empty value counts as unset."""
+    return given or os.environ.get("LTL_CACHE_DIR") or None
 
 
 def _cache_key(spec: TensorSpec, n: int) -> str:
@@ -230,8 +230,8 @@ def _cache_key(spec: TensorSpec, n: int) -> str:
 def _load_cached(spec: TensorSpec, n: int, path: str):
     """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
 
-    A map, W-invariant as loaded, is consistent when its type is the spec's, its
-    multiplicities are positive, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
+    A map, W-invariant with positive multiplicities as loaded, is consistent when
+    its type is the spec's, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
     and sum_mu m(mu) |W mu| (mu, mu) over its dominant weights is total_dim rank
     sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis).
     """
@@ -241,7 +241,7 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
     expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
-    if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected or min(m.dominant.values()) <= 0:
+    if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
     scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
     gram = [[int(x * scale) for x in row] for row in rs.gram_omega]
@@ -303,7 +303,7 @@ def cmd_measure(args) -> int:
         raise BadField("--N", "measure takes exactly one tensor power")
     n = n_values[0]
     _check_admissible(spec, [n])
-    table = _power_table(spec, [n], _cache_dir(args))
+    table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     builder = {"xi": xi_measure, "eta": eta_measure, "eta_extended": eta_extended_measure}[args.kind]
     measure = builder(spec, n, multiplicities=table[n])
     if args.format == "csv":
@@ -323,7 +323,7 @@ def cmd_decompose(args) -> int:
         raise BadField("--N", "decompose takes exactly one tensor power")
     n = n_values[0]
     _check_admissible(spec, [n])
-    table = _power_table(spec, [n], _cache_dir(args))
+    table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     result = racah_decompose(spec.rs, table[n])
     items = sorted(result.components.items())
     if args.format == "csv":
@@ -414,7 +414,7 @@ def cmd_converge(args) -> int:
         factors = [_parse_factor(f) for f in args.factor] if args.factor else cfg.factors
         n_values = _parse_n_list(args.N) if args.N else cfg.N_list
         fmt = args.format or cfg.format
-        cache_dir = getattr(args, "cache_dir", None) or cfg.cache_dir or os.environ.get("LTL_CACHE_DIR")
+        cache_dir = _cache_dir(args.cache_dir or cfg.cache_dir)
         # a bad value read from the file is reported under its config key
         source = {
             flag: flag if given else key
@@ -433,7 +433,7 @@ def cmd_converge(args) -> int:
         factors = [_parse_factor(f) for f in args.factor]
         n_values = _parse_n_list(args.N)
         fmt = args.format or "csv"
-        cache_dir = _cache_dir(args)
+        cache_dir = _cache_dir(args.cache_dir)
     try:
         spec = _build_spec(type_str, factors)
         _check_admissible(spec, n_values)

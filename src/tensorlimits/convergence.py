@@ -98,11 +98,12 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
     whole grid, at a cost independent of the support of V_N.
     """
     rs = spec.rs
+    counts = factor_counts(spec, N)  # InadmissibleN naming N before N enters the scale
     t_arr = _t_array(rs, t_grid)
     dvec = np.array([float(x) for x in rs.d])
     directions = (t_arr * dvec).T / math.sqrt(float(sigma_squared(spec) * N))
     out = np.ones(len(t_arr), dtype=complex)
-    for (_, n), m in zip(factor_counts(spec, N), spec.factor_characters):
+    for (_, n), m in zip(counts, spec.factor_characters):
         weights = np.array(list(m.entries), dtype=float)
         mults = np.array(list(m.entries.values()), dtype=float)
         out *= (np.exp(1j * weights @ directions).T @ mults / m.total_dim) ** n

@@ -1,22 +1,23 @@
 """Exact weight multiplicities of irreducibles, tensor powers, and decompositions.
 
-A character is stored as a MultiplicityMap: a sparse dict from weights
-(omega-coords) to arbitrary-precision multiplicities.  Both recurrences run
-on dominant weights alone, reading W-invariant values through the integer
-kernel rootsys.to_dominant, and return the dominant multiplicities, checked
-against the total dimension by orbit sizes (rootsys.orbit_sizes).  The full
-map is expanded over W-orbits by rootsys.orbit only on demand, when its
-entries are read: by ltl measure xi, the trace identity, the factor
-characters' own consumers and the tests.  Characters of
-irreducibles come from the Freudenthal recursion; characters of tensor
-powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which finds each
-multiplicity from higher ones by one exact integer division, at a cost per
-dominant weight of the support sizes of the factors.
-It is the only product of characters the package computes; the test suite
-checks it against plain convolution of the factor characters
-(tests/oracles.py).  Characters are split into irreducibles by Racah's
-alternating Weyl sum on dominant weights, which the tests check against a
-scan of the full table and against peeling off highest weights.
+A character is stored as a MultiplicityMap, built one way only: from its root
+system, its arbitrary-precision multiplicities at dominant weights
+(omega-coords) and its total dimension, which the constructor checks against
+the orbit sizes (rootsys.orbit_sizes).  A map is thus W-invariant by
+construction, which Racah's sum and Miller's recurrence rely on: both read
+a character only at dominant weights, through the integer kernel
+rootsys.to_dominant.  The full map is expanded over W-orbits by
+rootsys.orbit only on demand, when its entries are read: by ltl measure xi,
+the trace identity, the factor characters' own consumers and the tests.
+Characters of irreducibles come from the Freudenthal recursion; characters
+of tensor powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which
+finds each multiplicity from higher ones by one exact integer division, at a
+cost per dominant weight of the support sizes of the factors.  It is the
+only product of characters the package computes; the test suite checks it
+against plain convolution of the factor characters (tests/oracles.py).
+Characters are split into irreducibles by Racah's alternating Weyl sum on
+dominant weights, which the tests check against a scan of the full table
+and against peeling off highest weights.
 """
 
 from __future__ import annotations
@@ -49,41 +50,33 @@ from .rootsys import (
 
 
 class MultiplicityMap:
-    """Sparse character: weight (omega-coords) -> multiplicity.
+    """W-invariant character: weight (omega-coords) -> multiplicity.
 
-    Treat instances as immutable; total_dim caches the sum of all entries.
-    A map from the recurrences or the loader holds its root system rs and its
-    dominant entries, and expands them over W-orbits into entries on first
-    read; until then len and repr count the orbit points by orbit_sizes.  A
-    map built from entries, with rs None, finds its dominant entries on first
-    read.
+    Treat instances as immutable.  A map holds its root system rs, its
+    multiplicities at dominant weights and its total dimension, and expands
+    them over W-orbits into entries on first read; len and repr count the
+    orbit points by orbit_sizes.  NotDominant unless every weight of
+    dominant is dominant and of the rank; ValueError unless every count is
+    positive and sum_mu m(mu) |W mu| is total_dim.
     """
 
-    def __init__(
-        self,
-        entries: dict | None = None,
-        total_dim: int | None = None,
-        rs: RootSystemData | None = None,
-        dominant: dict | None = None,
-    ):
-        if entries is not None:
-            self.entries = entries
-        if dominant is not None:
-            self.dominant = dominant
+    def __init__(self, rs: RootSystemData, dominant: dict, total_dim: int):
+        sizes = orbit_sizes(rs, dominant)
+        for mu, m in dominant.items():
+            if m <= 0:
+                raise ValueError(f"multiplicity {m} at {mu} is not positive")
+        total = sum(map(mul, dominant.values(), sizes))
+        if total != total_dim:
+            raise ValueError(f"multiplicity total {total} != dimension {total_dim}")
         self.rs = rs
-        self.total_dim = sum(self.entries.values()) if total_dim is None else total_dim
+        self.dominant = dominant
+        self.total_dim = total_dim
 
     @cached_property
     def entries(self) -> dict:
         return {nu: m for mu, m in self.dominant.items() for nu in orbit(self.rs, mu)}
 
-    @cached_property
-    def dominant(self) -> dict:
-        return {mu: m for mu, m in self.entries.items() if is_dominant(mu)}
-
     def __len__(self) -> int:
-        if "entries" in self.__dict__:
-            return len(self.entries)
         return sum(orbit_sizes(self.rs, self.dominant))
 
     def __getitem__(self, weight) -> int:
@@ -108,11 +101,6 @@ class IrrepDecomposition:
 
     def __repr__(self) -> str:
         return f"IrrepDecomposition({len(self.components)} components)"
-
-
-def unit_map(rank: int) -> MultiplicityMap:
-    """Character of the trivial representation."""
-    return MultiplicityMap({(0,) * rank: 1}, 1)
 
 
 def _weyl_dim_rows(rs: RootSystemData):
@@ -192,27 +180,14 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
         if m.denominator != 1:
             raise AssertionError(f"non-integer multiplicity {m} at {mu}")
         mult_dom[mu] = m.numerator
-    return _expand_orbits(rs, mult_dom, weyl_dim(rs, lam))
+    return MultiplicityMap(rs, mult_dom, weyl_dim(rs, lam))
 
 
 def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
-    """BasisMismatch unless every weight of m has the rank of rs and m, when it
-    holds its root system, is a character of the same Cartan type."""
-    for length in {len(w) for w in m.dominant}:
-        check_length(rs, length, "weight")
-    if m.rs is not None and m.rs.cartan_type != rs.cartan_type:
+    """BasisMismatch unless m is a character of rs's rank and Cartan type."""
+    check_length(rs, m.rs.rank, "weight")
+    if m.rs.cartan_type != rs.cartan_type:
         raise BasisMismatch(f"a character of {m.rs.cartan_type}, not of {rs.cartan_type}")
-
-
-def _expand_orbits(rs: RootSystemData, mult_dom: dict, expected: int) -> MultiplicityMap:
-    """The W-invariant character with multiplicities mult_dom at its dominant
-    weights, its orbits expanded on first read of entries.  NotDominant unless
-    every weight is dominant and of the rank; ValueError unless
-    sum_mu m(mu) |W mu|, the total dimension, is expected."""
-    total = sum(m * size for m, size in zip(mult_dom.values(), orbit_sizes(rs, mult_dom)))
-    if total != expected:
-        raise ValueError(f"multiplicity total {total} != dimension {expected}")
-    return MultiplicityMap(None, total, rs, mult_dom)
 
 
 def _height_vector(rs: RootSystemData) -> IntVector:
@@ -288,7 +263,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
             mu = tuple(x - y for x, y in zip(nu, lam))
             if is_dominant(mu):
                 quotient[mu] = m - sub
-    return _expand_orbits(rs, mult_dom, prod(base.total_dim**n for _, base, n in factors))
+    return MultiplicityMap(rs, mult_dom, prod(base.total_dim**n for _, base, n in factors))
 
 
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
@@ -337,8 +312,8 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     signs (-1)^l(w) come from the points and lengths of rootsys._weyl_walk.
     m is read only at dominant weights, a shifted weight at its dominant
     representative, so its orbits are never expanded; this is right only
-    because m must be W-invariant, as every character is.  For the same
-    reason the shifts are taken by height, in the functional of
+    because m is W-invariant, as every MultiplicityMap is by construction.
+    For the same reason the shifts are taken by height, in the functional of
     _height_vector, and stop where mu + rho - w rho rises above the highest
     dominant weight of m: to_dominant only raises a weight, so no weight of
     a W-invariant m lies higher.  Negative counts,
@@ -431,13 +406,15 @@ def load_multiplicity_map(path) -> MultiplicityMap:
 
     It holds the stored dominant multiplicities and expands their W-orbits
     only when entries is read.  A bad file raises ValueError (among them a
-    total that sum_mu m(mu) |W mu| does not match), UnsupportedType,
-    WeylCapExceeded or NotDominant at load time."""
+    weight coordinate that is not a JSON integer, a count that is not
+    positive and a total that sum_mu m(mu) |W mu| does not match),
+    UnsupportedType, WeylCapExceeded or NotDominant at load time."""
     with open(path) as fh:
         doc = json.load(fh)
     rs = build_root_system(CartanType.parse(doc["cartan_type"]))
-    dominant = {
-        tuple(int(x) for x in w): int(c)
-        for w, c in zip(doc["weights"], doc["multiplicities"], strict=True)
-    }
-    return _expand_orbits(rs, dominant, int(doc["total_dim"]))
+    dominant = {}
+    for w, c in zip(doc["weights"], doc["multiplicities"], strict=True):
+        if any(type(x) is not int for x in w):
+            raise ValueError(f"weight {w} has a coordinate that is not an integer")
+        dominant[tuple(w)] = int(c)
+    return MultiplicityMap(rs, dominant, int(doc["total_dim"]))

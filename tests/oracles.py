@@ -5,7 +5,9 @@ exact division of Weyl alternants, products of characters from the plain
 convolution sum, decompositions from peeling off highest weights or from
 Racah's sum over the full weight table with enumerated Weyl elements, rank-1
 tensor powers from the ballot closed form, and the moments and the
-characteristic function of a measure from sums over its atoms.
+characteristic function of a measure from sums over its atoms.  Convolution
+and peel-off work on full entries as plain dicts; character_map turns a
+W-invariant dict into a MultiplicityMap.
 """
 
 import itertools
@@ -59,18 +61,28 @@ def character_by_weyl_formula(rs, lam) -> dict:
     return quotient
 
 
-def convolve(a: MultiplicityMap, b: MultiplicityMap) -> MultiplicityMap:
-    """Product of characters: entries[nu] = sum_mu a[mu] * b[nu - mu]."""
+def character_map(rs, entries: dict) -> MultiplicityMap:
+    """The MultiplicityMap of rs with the dominant part of entries, or ValueError
+    unless its orbit expansion gives back entries weight for weight (entries
+    is not W-invariant, or holds a zero count)."""
+    m = MultiplicityMap(rs, {mu: c for mu, c in entries.items() if is_dominant(mu)}, sum(entries.values()))
+    if m.entries != entries:
+        raise ValueError("entries are not the orbit expansion of their dominant part")
+    return m
+
+
+def convolve(a: dict, b: dict) -> dict:
+    """Product of characters given as full entries: out[nu] = sum_mu a[mu] * b[nu - mu]."""
     out: dict = {}
-    for wa, ca in a.entries.items():
-        for wb, cb in b.entries.items():
+    for wa, ca in a.items():
+        for wb, cb in b.items():
             key = tuple(x + y for x, y in zip(wa, wb))
             out[key] = out.get(key, 0) + ca * cb
-    return MultiplicityMap(out, a.total_dim * b.total_dim)
+    return out
 
 
-def peel_off_decompose(rs, m: MultiplicityMap) -> IrrepDecomposition:
-    """Decompose by repeatedly peeling the highest dominant weight.
+def peel_off_decompose(rs, entries: dict) -> IrrepDecomposition:
+    """Decompose full entries, W-invariant or not, by peeling the highest dominant weight.
 
     Independent of racah_decompose: the dominant weight of maximal height
     (mu, rho) in the remaining support is a highest weight; subtract its full
@@ -79,7 +91,7 @@ def peel_off_decompose(rs, m: MultiplicityMap) -> IrrepDecomposition:
     rho_pairing = [sum(row) for row in rs.gram_omega]  # (omega_i, rho), rho = (1, ..., 1)
     scale = lcm(*(x.denominator for x in rho_pairing))
     height_vec = [int(x * scale) for x in rho_pairing]
-    work = dict(m.entries)
+    work = dict(entries)
     components: dict = {}
     irrep_cache: dict = {}
     while work:

@@ -57,7 +57,7 @@ def test_decompose_methods_agree(capsys):
     code, out, _ = run(capsys, "decompose", "--type", "A2", "--factor", "1,0:1", "--N", "4")
     assert code == 0
     a2 = build_root_system("A2")
-    peel = peel_off_decompose(a2, tensor_power_multiplicities(a2, [((1, 0), 4)]))
+    peel = peel_off_decompose(a2, tensor_power_multiplicities(a2, [((1, 0), 4)]).entries)
     lines = ["weight_1,weight_2,multiplicity"]
     lines += [f"{w[0]},{w[1]},{c}" for w, c in sorted(peel.components.items())]
     assert out == "\n".join(lines) + "\n"
@@ -286,12 +286,21 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
     assert path.read_text() == good
 
 
-def test_cache_env_fallback(tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path / "envcache")
-    monkeypatch.setenv("LTL_CACHE_DIR", cache)
-    code, out, _ = run(capsys, "measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "4")
-    assert code == 0
-    assert len(os.listdir(cache)) == 1
+@pytest.mark.parametrize("value", ["envcache", ""], ids=["dir", "empty"])
+def test_cache_env_fallback(tmp_path, capsys, monkeypatch, value):
+    """$LTL_CACHE_DIR stands in for --cache-dir; set to the empty string it counts as unset."""
+    argv = ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "4"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LTL_CACHE_DIR", raising=False)
+    _, plain, _ = run(capsys, *argv)
+    monkeypatch.setenv("LTL_CACHE_DIR", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == plain
+    if value:
+        assert len(os.listdir(value)) == 1
+    else:
+        assert os.listdir(tmp_path) == []
 
 
 def test_bad_type_exit_2(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,14 @@ def test_report_rejects_inadmissible_n():
     with pytest.raises(InadmissibleN, match="N = 4.5 is not admissible"):
         convergence_report(spec, [4.5])
     assert convergence_report(spec, [np.int64(4), 2]).N_values == (2, 4)
+    # the char-fn names N before N enters the scale sqrt(sigma^2 N): no math
+    # domain error, no division by zero, no str times Fraction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (-4, 0, "4"):
+            for fn in (char_fn_xi, sup_char_error):
+                with pytest.raises(InadmissibleN, match=f"N = {n} is not admissible"):
+                    fn(A1, n)
 
 
 def test_report_csv_deterministic():

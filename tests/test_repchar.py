@@ -19,13 +19,19 @@ from tensorlimits.repchar import (
     tensor_power_multiplicities,
     tensor_power_table,
     trace_identity_check,
-    unit_map,
     weyl_dim,
 )
 from tensorlimits.measures import TensorSpec
 from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, orbit
 
-from oracles import character_by_weyl_formula, convolve, peel_off_decompose, racah_full_scan, sl2_power_components
+from oracles import (
+    character_by_weyl_formula,
+    character_map,
+    convolve,
+    peel_off_decompose,
+    racah_full_scan,
+    sl2_power_components,
+)
 
 RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "D4", "G2", "F4"]}
 
@@ -162,18 +168,14 @@ def test_freudenthal_dimension_sweep():
 
 def test_convolve_identity_and_binomial():
     a1 = RS["A1"]
-    v = freudenthal_multiplicities(a1, (1,))
-    assert convolve(unit_map(1), v).entries == v.entries
-    sq = convolve(v, v)
-    assert sq.entries == {(2,): 1, (0,): 2, (-2,): 1}
-    assert sq.total_dim == 4
+    v = freudenthal_multiplicities(a1, (1,)).entries
+    assert convolve({(0,): 1}, v) == v
+    assert convolve(v, v) == {(2,): 1, (0,): 2, (-2,): 1}
 
 
 def test_convolve_empty():
-    empty = MultiplicityMap({})
-    v = freudenthal_multiplicities(RS["A1"], (3,))
-    assert convolve(empty, v).entries == {}
-    assert convolve(empty, v).total_dim == 0
+    v = freudenthal_multiplicities(RS["A1"], (3,)).entries
+    assert convolve({}, v) == {}
 
 
 # ------------------------------------------------------------------ powers
@@ -188,12 +190,11 @@ def test_tensor_power_examples():
     m = tensor_power_multiplicities(a2, [((1, 0), 2), ((0, 1), 1)])
     assert m.total_dim == 27
     # brute-force triple convolution oracle
-    v1 = freudenthal_multiplicities(a2, (1, 0))
-    v2 = freudenthal_multiplicities(a2, (0, 1))
-    direct = convolve(convolve(v1, v1), v2)
-    assert m.entries == direct.entries
+    v1 = freudenthal_multiplicities(a2, (1, 0)).entries
+    v2 = freudenthal_multiplicities(a2, (0, 1)).entries
+    assert m.entries == convolve(convolve(v1, v1), v2)
     # zero powers are allowed and act as the unit
-    assert tensor_power_multiplicities(a2, [((1, 0), 0)]).entries == unit_map(2).entries
+    assert tensor_power_multiplicities(a2, [((1, 0), 0)]).entries == {(0, 0): 1}
     with pytest.raises(NotDominant):
         tensor_power_multiplicities(a2, [((-1, 1), 2)])
     with pytest.raises(ValueError):
@@ -202,12 +203,12 @@ def test_tensor_power_examples():
 
 def test_tensor_power_matches_repeated_convolution():
     b2 = RS["B2"]
-    v = freudenthal_multiplicities(b2, (0, 1))
+    v = freudenthal_multiplicities(b2, (0, 1)).entries
     direct = v
     for _ in range(4):
         direct = convolve(direct, v)
     fast = tensor_power_multiplicities(b2, [((0, 1), 5)])
-    assert fast.entries == direct.entries
+    assert fast.entries == direct
 
 
 def test_tensor_power_table_consistency():
@@ -222,9 +223,9 @@ def test_tensor_power_table_consistency():
 
 
 def _power_by_repeated_convolution(rs, counts):
-    out = unit_map(rs.rank)
+    out = {(0,) * rs.rank: 1}
     for lam, n in counts:
-        v = freudenthal_multiplicities(rs, lam)
+        v = freudenthal_multiplicities(rs, lam).entries
         for _ in range(n):
             out = convolve(out, v)
     return out
@@ -262,8 +263,8 @@ def test_tensor_powers_match_repeated_convolution_randomized():
                 if i < len(n_values):
                     got.append(table[n_values[i]])
                 for m in got:
-                    assert m.entries == expected.entries, (label, counts)
-                    assert m.total_dim == expected.total_dim, (label, counts)
+                    assert m.entries == expected, (label, counts)
+                    assert m.total_dim == sum(expected.values()), (label, counts)
     assert seen_taus == set(taus)
     assert seen_zero_weight and seen_zero_exponent and seen_two_factor
 
@@ -273,8 +274,8 @@ def test_tensor_powers_match_repeated_convolution_randomized():
 
 def test_racah_examples():
     a1 = RS["A1"]
-    v = freudenthal_multiplicities(a1, (1,))
-    dec = racah_decompose(a1, convolve(v, v))
+    v = freudenthal_multiplicities(a1, (1,)).entries
+    dec = racah_decompose(a1, character_map(a1, convolve(v, v)))
     assert dec.components == {(2,): 1, (0,): 1}
     a2 = RS["A2"]
     m = tensor_power_multiplicities(a2, [((1, 0), 1), ((0, 1), 1)])
@@ -298,7 +299,7 @@ def test_peel_off_matches_racah():
             m = tensor_power_multiplicities(rs, factors)
             if m.total_dim > 20000:
                 continue
-            assert racah_decompose(rs, m).components == peel_off_decompose(rs, m).components
+            assert racah_decompose(rs, m).components == peel_off_decompose(rs, m.entries).components
     # Racah's shift table at rank 4 and on the B, C, D and F families
     for label, factors in [
         ("B3", [((1, 0, 0), 3)]),
@@ -309,7 +310,7 @@ def test_peel_off_matches_racah():
     ]:
         rs = build_root_system(label)
         m = tensor_power_multiplicities(rs, factors)
-        assert racah_decompose(rs, m).components == peel_off_decompose(rs, m).components, label
+        assert racah_decompose(rs, m).components == peel_off_decompose(rs, m.entries).components, label
 
 
 def test_decomposition_roundtrip():
@@ -325,10 +326,10 @@ def test_decomposition_roundtrip():
             for lam, c in combo.items():
                 for w, cnt in freudenthal_multiplicities(rs, lam).entries.items():
                     total[w] = total.get(w, 0) + c * cnt
-            m = MultiplicityMap(total)
+            m = character_map(rs, total)
             dec = racah_decompose(rs, m)
             assert dec.components == combo
-            assert peel_off_decompose(rs, m).components == combo
+            assert peel_off_decompose(rs, total).components == combo
             scan = racah_full_scan(rs, m)
             assert (scan.components, scan.dims) == (dec.components, dec.dims)
 
@@ -373,7 +374,7 @@ def test_len_and_repr_do_not_expand_orbits(tmp_path, monkeypatch):
     for lazy, size in zip(lazies, sizes):
         text = repr(lazy)
         assert "entries" not in vars(lazy)
-        assert size == len(lazy.entries) == len(MultiplicityMap(dict(lazy.entries)))
+        assert size == len(lazy.entries) == len(character_map(lazy.rs, lazy.entries))
         assert text == f"MultiplicityMap({size} weights, total_dim={m.total_dim})"
 
 
@@ -405,24 +406,57 @@ def test_entries_order_is_pinned(label):
     assert hashlib.sha256(repr([list(m.entries.items()) for m in maps]).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "dominant, total_dim, error",
+    [
+        ({(0, 1): 2, (2, -1): 1}, 9, NotDominant),
+        ({(0, 1): 2, (2,): 1}, 9, NotDominant),
+        ({(0, 1): 0, (2, 0): 1}, 3, ValueError),
+        ({(0, 1): -1, (2, 0): 1}, 0, ValueError),
+        ({(0, 1): 2, (2, 0): 1}, 8, ValueError),
+    ],
+    ids=["non-dominant", "wrong-rank", "zero-count", "negative-count", "total"],
+)
+def test_constructor_rejects_bad_characters(dominant, total_dim, error):
+    """MultiplicityMap(rs, dominant, total_dim) takes V_omega1^2 of A2 as
+    {(0, 1): 2, (2, 0): 1} with total 9, and refuses each edit of it."""
+    a2 = RS["A2"]
+    good = MultiplicityMap(a2, {(0, 1): 2, (2, 0): 1}, 9)
+    assert good.entries == tensor_power_multiplicities(a2, [((1, 0), 2)]).entries
+    with pytest.raises(error):
+        MultiplicityMap(a2, dominant, total_dim)
+
+
+def test_character_map_refuses_entries_that_are_not_w_invariant():
+    a1 = RS["A1"]
+    assert character_map(a1, {(1,): 1, (-1,): 1}).dominant == {(1,): 1}
+    # the same dominant part and total as V_omega1, but (-3,) is not in the orbit of (1,)
+    with pytest.raises(ValueError, match="not the orbit expansion"):
+        character_map(a1, {(1,): 1, (-3,): 1})
+    with pytest.raises(ValueError, match="total 2 != dimension 1"):
+        character_map(a1, {(1,): 1})
+    b2 = tensor_power_multiplicities(RS["B2"], [((0, 1), 2)])
+    assert character_map(RS["B2"], b2.entries).dominant == b2.dominant
+    with pytest.raises(ValueError):
+        character_map(build_root_system("C2"), b2.entries)
+
+
 def test_decompose_rejects_non_characters():
     a1 = RS["A1"]
-    lopsided = MultiplicityMap({(1,): 1})
+    # W-invariant with positive counts, but the character of V_2 minus V_0
     with pytest.raises(NegativeMultiplicity):
-        racah_decompose(a1, lopsided)
+        racah_decompose(a1, MultiplicityMap(a1, {(2,): 1}, 2))
     with pytest.raises(NegativeMultiplicity):
-        peel_off_decompose(a1, lopsided)
-    no_dominant = MultiplicityMap({(-2,): 1})
+        peel_off_decompose(a1, {(1,): 1})
     with pytest.raises(NegativeMultiplicity):
-        peel_off_decompose(a1, no_dominant)
+        peel_off_decompose(a1, {(-2,): 1})
 
 
 def test_decompose_rejects_character_of_another_type():
     # an A3 map used to fail as "dimension 0 of 256", a B2 one as C2 components
     a3 = tensor_power_multiplicities(RS["A3"], [((1, 0, 0), 4)])
-    for m in (a3, MultiplicityMap(dict(a3.entries))):
-        with pytest.raises(BasisMismatch, match="length 3; A2 weights have length 2"):
-            racah_decompose(RS["A2"], m)
+    with pytest.raises(BasisMismatch, match="length 3; A2 weights have length 2"):
+        racah_decompose(RS["A2"], a3)
     b2 = tensor_power_multiplicities(RS["B2"], [((0, 1), 2)])
     with pytest.raises(BasisMismatch, match="B2, not of C2"):
         racah_decompose(build_root_system("C2"), b2)
@@ -492,18 +526,35 @@ def test_cache_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value, error",
+    "edit, error",
     [
-        ("weights", [[0, 1], [2, -1]], NotDominant),
-        ("weights", [[0, 1], [2]], NotDominant),
-        ("total_dim", "8", ValueError),
-        ("multiplicities", ["2"], ValueError),
-        ("cartan_type", "E6", UnsupportedType),
-        ("cartan_type", "A80", WeylCapExceeded),
+        ({"weights": [[0, 1], [2, -1]]}, NotDominant),
+        ({"weights": [[0, 1], [2]]}, NotDominant),
+        ({"total_dim": "8"}, ValueError),
+        ({"multiplicities": ["2"]}, ValueError),
+        ({"cartan_type": "E6"}, UnsupportedType),
+        ({"cartan_type": "A80"}, WeylCapExceeded),
+        # int() would read these as (2, 0), (2, 0) and (1, 0), each with the stored total
+        ({"weights": [[0, 1], [2.5, 0]]}, ValueError),
+        ({"weights": [[0, 1], [2.0, 0]]}, ValueError),
+        ({"weights": [[0, 1], [True, 0]]}, ValueError),
+        # the orbit of (2, 0) alone, total 3, held at a zero count beside it
+        ({"multiplicities": ["0", "1"], "total_dim": "3"}, ValueError),
     ],
-    ids=["non-dominant", "wrong-rank", "total", "short", "unknown-type", "weyl-cap"],
+    ids=[
+        "non-dominant",
+        "wrong-rank",
+        "total",
+        "short",
+        "unknown-type",
+        "weyl-cap",
+        "fraction",
+        "float",
+        "bool",
+        "zero-count",
+    ],
 )
-def test_load_rejects_bad_file(tmp_path, key, value, error):
+def test_load_rejects_bad_file(tmp_path, edit, error):
     """V_omega1^2 of A2 is stored as {(0, 1): 2, (2, 0): 1} with total 9; each
     edit breaks one rule, and the loader raises its own error, not an assertion."""
     m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
@@ -511,6 +562,6 @@ def test_load_rejects_bad_file(tmp_path, key, value, error):
     save_multiplicity_map(m, path)
     doc = json.loads(path.read_text())
     assert doc == {"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"], "total_dim": "9"}
-    path.write_text(json.dumps({**doc, key: value}))
+    path.write_text(json.dumps({**doc, **edit}))
     with pytest.raises(error):
         load_multiplicity_map(path)
