@@ -23,7 +23,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from .convergence import convergence_report, report_to_csv, report_to_json, tv_grid
+from .convergence import check_simple, convergence_report, report_to_csv, report_to_json, tv_grid
 from .densities import density_box, make_density_model, normalization_quadrature
 from .errors import (
     DegenerateSpec,
@@ -436,9 +436,12 @@ def cmd_converge(args) -> int:
         cache_dir = _cache_dir(args.cache_dir)
     try:
         spec = _build_spec(type_str, factors)
+        check_simple(spec.rs)
         _check_admissible(spec, n_values)
     except BadField as exc:
         raise BadField(source.get(exc.field, exc.field), exc.message) from None
+    except UnsupportedType as exc:  # _build_spec names --type itself; this is check_simple
+        raise BadField(source.get("--type", "--type"), str(exc)) from None
     # the TV grid is checked (rank <= 3, points within the cap) before any table work
     with _grid_flag("--bins"):
         tv_grid(spec.rs.rank, args.bins)

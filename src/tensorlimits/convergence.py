@@ -18,12 +18,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .densities import DensityModel, box_masses, check_grid, density_box, make_density_model
-from .errors import BasisMismatch, RankTooLarge
+from .errors import BasisMismatch, RankTooLarge, UnsupportedType
 from .measures import (
     DiscreteMeasure,
     TensorSpec,
@@ -33,7 +32,7 @@ from .measures import (
     sigma_squared,
 )
 from .repchar import tensor_power_table
-from .rootsys import RootSystemData, check_length
+from .rootsys import RootSystemData, check_length, sums_by_row
 
 DEFAULT_T_POINTS_PER_AXIS = 5
 DEFAULT_T_EXTENT = 2.0
@@ -193,37 +192,20 @@ def _boxes_tv(measure: DiscreteMeasure, boxes: _DensityBoxes) -> float:
     rank = len(boxes.lo)
     if measure.atoms and measure.rank != rank:
         raise BasisMismatch(f"measure of rank {measure.rank}; the density has rank {rank}")
-    # atomic side: exact box masses, converted to float at the end
-    box_mass: dict = {}
-    tail_mass = Fraction(0)
-    scale = measure.scale
-    for w, p in measure.atoms:
-        if p == 0:
-            continue
-        idx = []
-        inside = True
-        for i in range(rank):
-            x = float(w[i]) / scale
-            k = int(math.floor((x - boxes.lo[i]) / boxes.width[i]))
-            if k < 0 or k >= boxes.bins:
-                inside = False
-                break
-            idx.append(k)
-        if inside:
-            key = tuple(idx)
-            box_mass[key] = box_mass.get(key, Fraction(0)) + p
-        else:
-            tail_mass += p
-    q = boxes.q
+    # atomic side: exact box masses over one denominator; the box index of an atom is
+    # floor((float(w_i) / scale - lo_i) / width_i), the same IEEE operations atom by atom
+    den = math.lcm(*{p.denominator for _, p in measure.atoms})
+    nums = np.array([p.numerator * (den // p.denominator) for _, p in measure.atoms], dtype=object)
+    x = np.array([w for w, _ in measure.atoms], dtype=float).reshape(-1, rank) / measure.scale
+    idx = np.floor((x - boxes.lo) / boxes.width).astype(np.int64)
+    inside = ((idx >= 0) & (idx < boxes.bins)).all(axis=1)
+    keys, sums = sums_by_row(idx[inside], nums[inside])
     distance = 0.0
-    seen = np.zeros_like(q, dtype=bool)
-    for key in sorted(box_mass):
-        m_val = float(box_mass[key])
-        distance += abs(m_val - float(q[key]))
-        seen[key] = True
-    distance += float(q[~seen].sum())
-    distance += float(tail_mass) + boxes.q_tail
-    return 0.5 * distance
+    for key, s in zip(map(tuple, keys.tolist()), sums):
+        distance += abs(s / den - float(boxes.q[key]))
+    seen = np.zeros_like(boxes.q, dtype=bool)
+    seen[tuple(keys.T)] = True
+    return 0.5 * (distance + float(boxes.q[~seen].sum()) + (sum(nums[~inside].tolist()) / den + boxes.q_tail))
 
 
 def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: int | None = None) -> float:
@@ -234,6 +216,12 @@ def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: i
     tail on both sides.  Always in [0, 1].  A measure of another rank raises BasisMismatch.
     """
     return _boxes_tv(measure, _density_boxes(model, bins_per_axis))
+
+
+def check_simple(rs: RootSystemData) -> None:
+    """UnsupportedType unless rs is simple, i.e. its highest root involves every simple root (D2 = A1 x A1 is not)."""
+    if 0 in rs.positive_roots[-1]:
+        raise UnsupportedType(f"{rs.cartan_type} is not simple, so sigma^2 and the Gaussian limit do not apply")
 
 
 def convergence_report(
@@ -250,9 +238,11 @@ def convergence_report(
     the character table, computed once by Miller's power recurrence, is read
     only for eta.  The density side of the TV boxes is evaluated once for
     all N.  A precomputed table mapping N to its multiplicity map (e.g. from
-    a cache) can be passed to skip the table step.
+    a cache) can be passed to skip the table step.  A type that is not simple
+    raises UnsupportedType (check_simple).
     """
     rs = spec.rs
+    check_simple(rs)
     for n in N_list:
         factor_counts(spec, n)  # InadmissibleN naming N and the taus
     n_values = sorted({operator.index(n) for n in N_list})

@@ -9,12 +9,12 @@ tensor power bundle of a TensorSpec:
   with zero mass on shifted walls.
 
 eta extended spreads each atom mu over the W-orbit of mu + rho, shifted back by
-rho, for all atoms at once by rootsys.regular_orbit_rows; its wall test and its
+rho, for all atoms at once by rootsys.orbit_rows; its wall test and its
 pushforward back to eta run rootsys.to_dominant_rows on whole arrays of weights,
-never a Weyl element.
-eta takes the Weyl dimensions of its components from racah_decompose, which
-reads the character of V_N at its dominant weights alone; only xi reads its
-full entries, which expands their W-orbits.
+never a Weyl element.  eta is the signed pushforward of the character of V_N
+under the same action (racah_decompose, which gives its Weyl dimensions too and
+reads the character at its dominant weights alone); only xi reads its full
+entries, which expands their W-orbits.
 
 Atoms keep their integer weight vector and exact rational probability; the
 scale sigma*sqrt(N) is carried symbolically as the rational sigma^2*N, so
@@ -50,7 +50,8 @@ from .rootsys import (
     casimir_eigenvalue,
     check_length,
     highest_weight,
-    regular_orbit_rows,
+    orbit_rows,
+    sums_by_row,
     to_dominant_rows,
     weyl_group_order,
 )
@@ -215,7 +216,7 @@ def eta_extended_measure(
     """Extension of eta to the whole weight lattice by shifted Weyl orbits.
 
     Each dominant atom mu of eta donates mass P(mu)/|W| to every orbit point
-    w * mu = w(mu + rho) - rho, from one rootsys.regular_orbit_rows call on all
+    w * mu = w(mu + rho) - rho, from one rootsys.orbit_rows call on all
     the mu + rho.  Weights whose shifted orbit meets a wall get zero mass;
     those inside the bounding box of the support are materialized as explicit
     zero atoms while the box stays below WALL_ATOM_BOX_LIMIT, found by one
@@ -225,8 +226,7 @@ def eta_extended_measure(
     eta = eta_measure(spec, N, multiplicities)
     order = weyl_group_order(rs.cartan_type)
     # |W| distinct points per orbit, and distinct orbits are disjoint
-    orbits = regular_orbit_rows(rs, np.asarray([mu for mu, _ in eta.atoms]) + 1)
-    weights = orbits.reshape(-1, rs.rank) - 1
+    weights = orbit_rows(rs, np.asarray([mu for mu, _ in eta.atoms]) + 1).reshape(-1, rs.rank) - 1
     probs = [p / order for _, p in eta.atoms] * order
     lo, hi = weights.min(axis=0), weights.max(axis=0)
     if math.prod((hi - lo + 1).tolist()) <= WALL_ATOM_BOX_LIMIT:
@@ -242,34 +242,22 @@ def eta_extended_measure(
 def pushforward_dominant_shifted(rs: RootSystemData, measure: DiscreteMeasure) -> DiscreteMeasure:
     """Push every atom to its shifted-dominant representative (walls carry no mass).
 
-    One rootsys.to_dominant_rows call finds every w(mu + rho); the atoms are
-    grouped by it, and each group is summed once, as integer numerators over
-    the lcm of its denominators.  An atom with nonzero mass on a shifted wall
-    raises ValueError naming it.
+    One rootsys.to_dominant_rows call finds every w(mu + rho); one
+    rootsys.sums_by_row call sums the atoms of each, as integer numerators
+    over the lcm of all denominators.  An atom with nonzero mass on a shifted
+    wall raises ValueError naming it.
     """
-    if not measure.atoms:
-        return measure
     probs = [p for _, p in measure.atoms]
     dominant = to_dominant_rows(rs, np.asarray([w for w, _ in measure.atoms]) + 1)
     on_wall = (dominant == 0).any(axis=1)
     for k in np.flatnonzero(on_wall).tolist():
         if probs[k] != 0:
             raise ValueError(f"nonzero mass {probs[k]} on wall point {tuple(measure.atoms[k][0])}")
-    kept = np.flatnonzero(~on_wall)
-    lams = dominant[kept] - 1
-    ranked = np.lexsort(lams.T[::-1])
-    lams = lams[ranked]
-    grouped = [probs[k] for k in kept[ranked].tolist()]
-    nums = [p.numerator for p in grouped]
-    dens = [p.denominator for p in grouped]
-    starts = np.flatnonzero(np.r_[True, (lams[1:] != lams[:-1]).any(axis=1)]).tolist()
-    atoms = []
-    for a, b, lam in zip(starts, starts[1:] + [len(grouped)], lams[starts].tolist()):
-        den = math.lcm(*dens[a:b])
-        num = sum([n * (den // d) for n, d in zip(nums[a:b], dens[a:b])])
-        if num:
-            atoms.append((tuple(lam), Fraction(num, den)))
-    return DiscreteMeasure(tuple(atoms), measure.sigma_sq, measure.N)
+    den = math.lcm(*{p.denominator for p in probs})  # 1 at the walls, which carry no mass
+    nums = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
+    lams, nums = sums_by_row(dominant[~on_wall] - 1, nums[~on_wall])
+    atoms = tuple((tuple(lam), Fraction(num, den)) for lam, num in zip(lams.tolist(), nums))
+    return DiscreteMeasure(atoms, measure.sigma_sq, measure.N)
 
 
 def _power_sums(m: MultiplicityMap, kappas) -> dict:

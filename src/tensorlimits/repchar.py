@@ -5,8 +5,8 @@ system, its arbitrary-precision multiplicities at dominant weights
 (omega-coords) and its total dimension, which the constructor checks against
 the orbit sizes (rootsys.orbit_sizes).  A map is thus W-invariant by
 construction, which Racah's sum and Miller's recurrence rely on: both read
-a character only at dominant weights, through the integer kernel
-rootsys.to_dominant.  The full map is expanded over W-orbits by
+a character only at dominant weights (Racah's sum walks their orbits by
+rootsys.orbit_rows).  The full map is expanded over W-orbits by
 rootsys.orbit only on demand, when its entries are read: by ltl measure xi,
 the trace identity, the factor characters' own consumers and the tests.
 Characters of irreducibles come from the Freudenthal recursion; characters
@@ -15,9 +15,9 @@ finds each multiplicity from higher ones by one exact integer division, at a
 cost per dominant weight of the support sizes of the factors.  It is the
 only product of characters the package computes; the test suite checks it
 against plain convolution of the factor characters (tests/oracles.py).
-Characters are split into irreducibles by Racah's alternating Weyl sum on
-dominant weights, which the tests check against a scan of the full table
-and against peeling off highest weights.
+Characters are split into irreducibles by Racah's alternating Weyl sum, as
+the signed pushforward under the shifted Weyl action, which the tests check
+against a scan of the full table and against peeling off highest weights.
 """
 
 from __future__ import annotations
@@ -31,22 +31,28 @@ from functools import cached_property
 from math import lcm, prod
 from operator import mul
 
+import numpy as np
+
 from .errors import BasisMismatch, NegativeMultiplicity
 from .linalg import bilinear
 from .rootsys import (
     CartanType,
     IntVector,
     RootSystemData,
-    _weyl_walk,
     build_root_system,
     casimir_eigenvalue,
     check_length,
     highest_weight,
     is_dominant,
     orbit,
+    orbit_rows,
     orbit_sizes,
+    sums_by_row,
     to_dominant,
+    to_dominant_rows,
 )
+
+_BLOCK_ROWS = 2**16  # orbit points per block of racah_decompose: its arrays stay a few MB
 
 
 class MultiplicityMap:
@@ -305,49 +311,39 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
 
 
 def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecomposition:
-    """Irreducible components of a W-invariant character by alternating Weyl sums.
+    """Irreducible components of a W-invariant character, as its signed shifted pushforward.
 
-    [V : V_mu] = sum over w of sign(w) * m(mu + rho - w rho), evaluated at
-    every dominant weight mu of m.dominant.  The shifts rho - w rho and the
-    signs (-1)^l(w) come from the points and lengths of rootsys._weyl_walk.
-    m is read only at dominant weights, a shifted weight at its dominant
-    representative, so its orbits are never expanded; this is right only
-    because m is W-invariant, as every MultiplicityMap is by construction.
-    For the same reason the shifts are taken by height, in the functional of
-    _height_vector, and stop where mu + rho - w rho rises above the highest
-    dominant weight of m: to_dominant only raises a weight, so no weight of
-    a W-invariant m lies higher.  Negative counts,
-    or components that do not account for total_dim, mean the input was not
-    a genuine character.  The Weyl dimensions of that dimension check are
-    kept in the result's dims.  A map of another rank or Cartan type raises
-    BasisMismatch (check_character).
+    ch V A_rho = sum_nu m(nu) A_(nu + rho) (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, section 24), where A_x = 0 for x on a
+    wall and sign(u) A_(u^-1 x) else: [V : V_lam] sums sign(u) m(nu) over the
+    nu with to_dominant(nu + rho) = lam + rho.  The nu come by rootsys.orbit_rows
+    from m.dominant, one zero pattern and at most _BLOCK_ROWS points at a time;
+    x = nu + rho pairs with the positive roots by the rows of _weyl_dim_rows,
+    to 0 on a wall and negatively with l(u) of them.  Negative counts, or
+    components short of total_dim (their Weyl dimensions are kept in dims),
+    mean the input was not a genuine character; a map of another rank or
+    Cartan type raises BasisMismatch (check_character).
     """
     check_character(rs, m)
     rows, den = _weyl_dim_rows(rs)
-    height = _height_vector(rs)
-    points, _, lengths = _weyl_walk(rs.C, rs.rho)
-    deltas = []
-    for v, n in zip(points, lengths):
-        delta = tuple(1 - x for x in v)
-        deltas.append((sum(map(mul, height, delta)), -1 if n % 2 else 1, delta))
-    deltas.sort()
-    dominant = m.dominant
-    top = max((sum(map(mul, height, mu)) for mu in dominant), default=0)
-    components = {}
-    for mu in dominant:
-        room = top - sum(map(mul, height, mu))
-        c = 0
-        for rise, sign, delta in deltas:
-            if rise > room:
-                break
-            v = tuple([x + d for x, d in zip(mu, delta)])
-            val = dominant.get(v if min(v) >= 0 else to_dominant(rs, v))
-            if val:
-                c += sign * val
-        if c < 0:
-            raise NegativeMultiplicity(f"[V : V_{mu}] = {c}")
-        if c:
-            components[mu] = c
+    by_pattern = {}
+    for (mu, c), size in zip(m.dominant.items(), orbit_sizes(rs, m.dominant)):
+        by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
+    lams, counts = np.zeros((0, rs.rank), dtype=np.int64), []
+    for size, items in by_pattern.values():
+        step = max(1, _BLOCK_ROWS // size)
+        for a in range(0, len(items), step):
+            block = items[a : a + step]
+            x = orbit_rows(rs, [mu for mu, _ in block]).reshape(-1, rs.rank) + 1
+            pairings = x @ np.array(rows, dtype=np.int64).T
+            regular = (pairings != 0).all(axis=1)
+            nums = np.tile(np.array([c for _, c in block], dtype=object), size)
+            nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
+            keys = np.concatenate([lams, to_dominant_rows(rs, x[regular]) - 1])
+            lams, counts = sums_by_row(keys, counts + nums)  # running sums: one block in memory at a time
+    components = dict(zip(map(tuple, lams.tolist()), counts))
+    if min(counts, default=0) < 0:
+        raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
     dims = {mu: _weyl_dim_from_rows(rows, den, mu) for mu in components}
     total = sum(c * dims[mu] for mu, c in components.items())
     if total != m.total_dim:

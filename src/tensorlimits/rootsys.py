@@ -2,7 +2,7 @@
 
 Supported families are A, B, C, D (rank >= 2), G2 and F4.  The E family is
 rejected, and build_root_system refuses a Weyl group above its cap, because
-Racah's shift table and every eta^e atom walk a W-orbit of |W| points.
+Racah's sum walks the W-orbits of a character and every eta^e atom one of |W| points.
 
 Conventions, fixed once and used everywhere else in the package:
 
@@ -23,14 +23,14 @@ v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative, and
 shifted_dominant runs to_dominant on mu + rho and returns ON_WALL if a
 coordinate is zero.  W-orbits are walked in one place, _weyl_walk, once per
 Cartan matrix and 0/1 zero pattern, applying s_i wherever v_i is positive:
-orbit and orbit_sizes use the walk of a weight's pattern; RootSystemData.weyl
-(built on first read, for rootsys info, to_dominant_shifted and the tests)
-and Racah's signed shifts (repchar) use the walk from rho, all of W.  Two numpy
-kernels run the rule on whole int64 arrays of weights, for eta^e and its
-pushforward: to_dominant_rows is to_dominant on every row, and
-regular_orbit_rows replays the walk from rho on many strictly dominant
-weights at once.  Both refuse a coordinate of absolute value
->= 2^31, so that no reflection can wrap around in int64.
+orbit, orbit_sizes and orbit_rows use the walk of a weight's pattern;
+RootSystemData.weyl (built on first read, for rootsys info,
+to_dominant_shifted and the tests) uses the walk from rho, all of W.  Two
+numpy kernels run the rule on whole int64 arrays of weights, for Racah's sum,
+eta^e and its pushforward: to_dominant_rows is to_dominant on every row,
+orbit_rows the walk of one zero pattern replayed on many dominant weights.
+Both refuse a coordinate of absolute value >= 2^31, so that no reflection
+can wrap around in int64.  sums_by_row is their exact grouped sum.
 """
 
 from __future__ import annotations
@@ -444,26 +444,40 @@ def _weyl_walk(
     return tuple(index), tuple(steps), tuple(lengths)
 
 
-def regular_orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
-    """W-orbits of strictly dominant weights, as a (|W|, n, rank) int64 array
-    whose [:, k] holds the orbit of lams[k] once per point, lams[k] first.
-
-    The walk of W from rho, replayed on every row (the lemma of _weyl_walk).
-    A row that is not strictly dominant raises NotDominant, one of another
-    length BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
-    """
+def orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
+    """W-orbits of dominant weights of one zero pattern, as a (|W lam|, n, rank)
+    int64 array whose [:, k] holds the orbit of lams[k] once per point, lams[k] first:
+    the walk of the pattern replayed on every row (the lemma of _weyl_walk), as
+    in orbit.  A row with a negative coordinate or the zeros of another row raises
+    NotDominant, one of another length BasisMismatch, a coordinate of |x| >= 2^31
+    ValueError."""
     rows = _int_rows(rs, lams)
-    low = np.flatnonzero((rows <= 0).any(axis=1))
-    if low.size:
-        raise NotDominant(f"{tuple(rows[low[0]].tolist())} is not strictly dominant")
+    pattern = (rows[:1] > 0).any(axis=0)
+    bad = np.flatnonzero((rows < 0).any(axis=1) | ((rows > 0) != pattern).any(axis=1))
+    if bad.size:
+        raise NotDominant(f"{tuple(rows[bad[0]].tolist())} is not dominant with the zeros of {tuple(rows[0].tolist())}")
     c = np.array(rs.C, dtype=np.int64)
-    _, steps, _ = _weyl_walk(rs.C, rs.rho)
+    _, steps, _ = _weyl_walk(rs.C, tuple(pattern.astype(int).tolist()))
     out = np.empty((len(steps) + 1,) + rows.shape, dtype=np.int64)
     out[0] = rows
     for k, (parent, i) in enumerate(steps, 1):
         v = out[parent]
         out[k] = v - v[:, i, None] * c[:, i]
     return out
+
+
+def sums_by_row(rows, nums) -> tuple[np.ndarray, list]:
+    """The distinct rows of an integer array in lexicographic order, each with the exact
+    sum of the Python-int nums of its copies, by one np.lexsort and np.add.reduceat on
+    an object array; rows whose sum is zero are dropped."""
+    rows = np.asarray(rows)
+    if not len(rows):
+        return rows, []
+    ranked = np.lexsort(rows.T[::-1])
+    rows = rows[ranked]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    sums = np.add.reduceat(np.asarray(nums, dtype=object)[ranked], starts)
+    return rows[starts[sums != 0]], sums[sums != 0].tolist()
 
 
 def orbit(rs: RootSystemData, lam) -> set:

@@ -4,13 +4,14 @@ These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
 convolution sum, decompositions from peeling off highest weights or from
 Racah's sum over the full weight table with enumerated Weyl elements, rank-1
-tensor powers from the ballot closed form, and the moments and the
-characteristic function of a measure from sums over its atoms.  Convolution
-and peel-off work on full entries as plain dicts; character_map turns a
-W-invariant dict into a MultiplicityMap.
+tensor powers from the ballot closed form, and the moments, the
+characteristic function and the binned TV of a measure from sums over its
+atoms.  Convolution and peel-off work on full entries as plain dicts;
+character_map turns a W-invariant dict into a MultiplicityMap.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import comb, lcm
 
@@ -207,3 +208,42 @@ def char_fn_atoms(rs, measure, t_grid):
     dvec = np.array([float(x) for x in rs.d])
     thetas = weights @ (t_arr * dvec).T / measure.scale
     return (probs[None, :] @ np.exp(1j * thetas)).ravel()
+
+
+def boxes_tv(measure, boxes) -> float:
+    """Binned TV of convergence._boxes_tv, binning and summing one atom at a time.
+
+    Each atom's box index is floor((float(w_i) / scale - lo_i) / width_i) per
+    axis, its mass is added as a Fraction, and every box mass becomes a float
+    only when it is compared with the density's mass, box by box in sorted order.
+    """
+    rank = len(boxes.lo)
+    box_mass: dict = {}
+    tail_mass = Fraction(0)
+    scale = measure.scale
+    for w, p in measure.atoms:
+        if p == 0:
+            continue
+        idx = []
+        inside = True
+        for i in range(rank):
+            x = float(w[i]) / scale
+            k = int(math.floor((x - boxes.lo[i]) / boxes.width[i]))
+            if k < 0 or k >= boxes.bins:
+                inside = False
+                break
+            idx.append(k)
+        if inside:
+            key = tuple(idx)
+            box_mass[key] = box_mass.get(key, Fraction(0)) + p
+        else:
+            tail_mass += p
+    q = boxes.q
+    distance = 0.0
+    seen = np.zeros_like(q, dtype=bool)
+    for key in sorted(box_mass):
+        distance += abs(float(box_mass[key]) - float(q[key]))
+        seen[key] = True
+    distance += float(q[~seen].sum())
+    distance += float(tail_mass) + boxes.q_tail
+    return 0.5 * distance

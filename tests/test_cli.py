@@ -309,6 +309,20 @@ def test_bad_type_exit_2(capsys):
     assert "--type" in err
 
 
+def test_converge_refuses_a_type_that_is_not_simple(tmp_path, capsys):
+    # D2 = A1 x A1: converge exits 2 naming --type before any table is read or
+    # computed, and writes no cache; the exact commands still accept D2
+    cache = tmp_path / "cache"
+    argv = ["--type", "D2", "--factor", "1,0:1", "--N", "4,16,64"]
+    code, out, err = run(capsys, "converge", *argv, "--cache-dir", str(cache))
+    assert code == 2 and out == ""
+    assert "--type" in err and "D2 is not simple" in err
+    assert not cache.exists()
+    for other in (["rootsys", "info", "--type", "D2"], ["decompose", *argv[:4], "--N", "4"]):
+        assert run(capsys, *other)[0] == 0, other
+    assert run(capsys, "measure", "eta", *argv[:4], "--N", "4")[0] == 0
+
+
 def test_bad_factor_exit_2(capsys):
     code, out, err = run(capsys, "measure", "xi", "--type", "A1", "--factor", "1", "--N", "2")
     assert code == 2
@@ -392,11 +406,13 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
 
 
 def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
-    """eta^e and its pushforward run the shifted Weyl action on whole arrays: with
-    the scalar shifted_dominant refused and to_dominant counted, they give what they
-    give unguarded, and they call to_dominant exactly as often as eta alone does
-    (Racah's reads of V_N), so never once per eta^e atom or per wall-box point."""
+    """Racah's sum, eta^e and its pushforward run the shifted Weyl action on whole
+    arrays: with the scalar shifted_dominant refused and to_dominant counted, they
+    give what they give unguarded, racah_decompose calls to_dominant not once, and
+    eta^e and its pushforward call it exactly as often as eta alone does (Miller's
+    recurrence building V_N), so never once per eta^e atom or per wall-box point."""
     from tensorlimits import repchar, rootsys
+    from tensorlimits.repchar import racah_decompose
     from tensorlimits.measures import (
         TensorSpec,
         eta_extended_measure,
@@ -427,6 +443,11 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
     monkeypatch.setattr(rootsys, "to_dominant", counted)
     monkeypatch.setattr(repchar, "to_dominant", counted)
     assert outputs() == plain
+    m = tensor_power_multiplicities(a3, [((1, 0, 0), 8)])
+    calls.clear()
+    dec = racah_decompose(a3, m)
+    assert calls == []
+    assert dec.components == peel_off_decompose(a3, m.entries).components
     calls.clear()
     eta_measure(spec, 8)
     run(capsys, "measure", "eta", *b3)

@@ -19,7 +19,7 @@ from tensorlimits.convergence import (
     sup_char_error,
 )
 from tensorlimits.densities import make_density_model
-from tensorlimits.errors import BasisMismatch, InadmissibleN, RankTooLarge
+from tensorlimits.errors import BasisMismatch, InadmissibleN, RankTooLarge, UnsupportedType
 from tensorlimits.measures import (
     DiscreteMeasure,
     TensorSpec,
@@ -238,6 +238,22 @@ def test_report_rejects_inadmissible_n():
             for fn in (char_fn_xi, sup_char_error):
                 with pytest.raises(InadmissibleN, match=f"N = {n} is not admissible"):
                     fn(A1, n)
+
+
+def test_report_refuses_a_type_that_is_not_simple(monkeypatch):
+    """D2 = A1 x A1 has no single scale sigma^2 and no Gaussian limit of the
+    simple theory: the report refuses it by name before any table is built."""
+    from tensorlimits import convergence
+
+    def refuse(*args):
+        raise AssertionError("a tensor-power table was computed")
+
+    monkeypatch.setattr(convergence, "tensor_power_table", refuse)
+    spec = make_spec("D", 2)
+    with pytest.raises(UnsupportedType, match="D2 is not simple"):
+        convergence_report(spec, [4, 16, 64])
+    for label in ["A1", "A3", "B2", "C3", "D3", "D4", "G2", "F4"]:
+        convergence.check_simple(build_root_system(label))
 
 
 def test_report_csv_deterministic():

@@ -7,13 +7,15 @@ enough that dim V_N stays below DIM_LIMIT.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tensorlimits.convergence import char_fn_xi, default_t_grid
+from tensorlimits.convergence import _density_boxes, char_fn_xi, default_t_grid, histogram_tv
+from tensorlimits.densities import make_density_model
 from tensorlimits.linalg import bilinear
 from tensorlimits.measures import (
     TensorSpec,
@@ -121,3 +123,22 @@ def test_char_fn_xi_matches_atom_sums(case):
     xi = xi_measure(spec, n, multiplicities=_table(spec, n))
     want = oracles.char_fn_atoms(spec.rs, xi, default_t_grid(spec.rs.rank))
     assert np.max(np.abs(char_fn_xi(spec, n) - want)) <= 1e-12
+
+
+@cache
+def _model(label, kind):
+    return make_density_model(SYSTEMS[label], kind)
+
+
+@settings(max_examples=10)
+@given(specs(), st.sampled_from([None, 5]))
+def test_histogram_tv_matches_atom_sums(case, bins):
+    """histogram_tv bins all atoms at once and sums each box over one denominator;
+    the per-atom Fraction sums of the oracle give the same float, bit for bit."""
+    spec, n = case
+    m = _table(spec, n)
+    label = str(spec.rs.cartan_type)
+    for kind, build in (("xi", xi_measure), ("eta", eta_measure), ("eta_extended", eta_extended_measure)):
+        measure = build(spec, n, multiplicities=m)
+        model = _model(label, kind)
+        assert histogram_tv(measure, model, bins) == oracles.boxes_tv(measure, _density_boxes(model, bins)), kind

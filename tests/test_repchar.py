@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlimits import rootsys
+from tensorlimits import repchar, rootsys
 from tensorlimits.errors import BasisMismatch, NegativeMultiplicity, NotDominant, UnsupportedType, WeylCapExceeded
 from tensorlimits.repchar import (
     MultiplicityMap,
@@ -334,9 +334,8 @@ def test_decomposition_roundtrip():
             assert (scan.components, scan.dims) == (dec.components, dec.dims)
 
 
-def test_racah_matches_full_scan_oracle():
-    """Racah on dominant weights against Racah over the full table with enumerated
-    Weyl elements, which reads every shifted weight where it lies."""
+def _full_scan_cases():
+    """18 seeded (label, factors) specs on ranks 1 to 3, then B3, D4 and F4 powers."""
     rng = random.Random(41)
     cases = []
     for label in ["A1", "A2", "A3", "B2", "G2", "C3"]:
@@ -347,12 +346,30 @@ def test_racah_matches_full_scan_oracle():
                 for _ in range(rng.randint(1, 2))
             ]
             cases.append((label, factors))
-    cases += [("B3", [((1, 0, 0), 3)]), ("D4", [((1, 0, 0, 0), 3)]), ("F4", [((0, 0, 0, 1), 2)])]
-    for label, factors in cases:
+    return cases + [("B3", [((1, 0, 0), 3)]), ("D4", [((1, 0, 0, 0), 3)]), ("F4", [((0, 0, 0, 1), 2)])]
+
+
+def test_racah_matches_full_scan_oracle():
+    """Racah on dominant weights against Racah over the full table with enumerated
+    Weyl elements, which reads every shifted weight where it lies."""
+    for label, factors in _full_scan_cases():
         rs = RS[label]
         m = tensor_power_multiplicities(rs, factors)
         dec, scan = racah_decompose(rs, m), racah_full_scan(rs, m)
         assert (dec.components, dec.dims) == (scan.components, scan.dims), (label, factors)
+
+
+def test_racah_sums_over_many_blocks(monkeypatch):
+    """With the block budget of racah_decompose cut to 7 orbit points, an orbit of
+    more than 7 points is a block of its own and every component sums over many
+    blocks; the result still matches the full-table scan and peel-off."""
+    monkeypatch.setattr(repchar, "_BLOCK_ROWS", 7)
+    for label, factors in _full_scan_cases():
+        rs = RS[label]
+        m = tensor_power_multiplicities(rs, factors)
+        dec, scan = racah_decompose(rs, m), racah_full_scan(rs, m)
+        assert (dec.components, dec.dims) == (scan.components, scan.dims), (label, factors)
+        assert dec.components == peel_off_decompose(rs, m.entries).components, (label, factors)
 
 
 def _no_orbit(rs, lam):

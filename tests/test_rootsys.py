@@ -26,9 +26,10 @@ from tensorlimits.rootsys import (
     inner_product,
     is_dominant,
     orbit,
-    regular_orbit_rows,
+    orbit_rows,
     shifted_action,
     shifted_dominant,
+    sums_by_row,
     to_dominant,
     to_dominant_rows,
     to_dominant_shifted,
@@ -241,7 +242,7 @@ def test_wrong_length_weight_is_rejected():
         to_dominant(a2, (1, 2, -3))
     with pytest.raises(BasisMismatch, match="length 1.*length 2"):
         shifted_dominant(a2, (1,))
-    for kernel in (to_dominant_rows, regular_orbit_rows):
+    for kernel in (to_dominant_rows, orbit_rows):
         with pytest.raises(BasisMismatch, match="length 3.*length 2"):
             kernel(a2, [(1, 2, 3)])
         with pytest.raises(BasisMismatch, match="rows of a 2-d array"):
@@ -262,9 +263,12 @@ def test_row_kernels_refuse_coordinates_beyond_int64_headroom():
         assert str(big) in str(info.value)
     assert to_dominant_rows(a2, [(2**31 - 1, -1)]).tolist() == [list(to_dominant(a2, (2**31 - 1, -1)))]
     with pytest.raises(ValueError, match="absolute value"):
-        regular_orbit_rows(a2, [(2**31, 1)])
-    with pytest.raises(NotDominant, match="strictly dominant"):
-        regular_orbit_rows(a2, [(1, 1), (2, 0)])
+        orbit_rows(a2, [(2**31, 1)])
+    # a negative coordinate, or rows of two zero patterns, are refused by name
+    with pytest.raises(NotDominant, match=r"\(2, 0\) is not dominant with the zeros of \(1, 1\)"):
+        orbit_rows(a2, [(1, 1), (2, 0)])
+    with pytest.raises(NotDominant, match=r"\(1, -1\) is not dominant"):
+        orbit_rows(a2, [(1, 0), (1, -1)])
     # a rational weight is refused, never truncated
     with pytest.raises(ValueError, match="not integral"):
         to_dominant_rows(a2, [(1, 0), (Fraction(1, 2), -1)])
@@ -357,7 +361,7 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
     assert to_dominant_rows(rs, mus).tolist() == [list(to_dominant(rs, mu)) for mu in mus]
     rows = to_dominant_rows(rs, [[x + 1 for x in mu] for mu in mus])
     lams = [tuple(rng.randint(1, 6) for _ in range(rs.rank)) for _ in range(8)]
-    orbits = regular_orbit_rows(rs, lams)
+    orbits = orbit_rows(rs, lams)
     assert orbits.shape == (weyl_group_order(rs.cartan_type), len(lams), rs.rank)
     for k, lam in enumerate(lams):
         points = [tuple(v) for v in orbits[:, k].tolist()]
@@ -401,6 +405,60 @@ def test_orbit_matches_weyl_group_randomized(label):
             assert set(points) == orbit(rs, lam) == expected, lam
     with pytest.raises(NotDominant):
         orbit(rs, (-1,) + (0,) * (rs.rank - 1))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_orbit_rows_is_orbit_on_every_zero_pattern(label):
+    # oracle: the scalar orbit of each weight; the rows hold it once per point, the weight first
+    rs = build_root_system(label)
+    rng = random.Random(29)
+    for pattern in itertools.product((0, 1), repeat=rs.rank):
+        lams = [pattern] + [tuple(x * rng.randint(1, 5) for x in pattern) for _ in range(3)]
+        rows = orbit_rows(rs, lams)
+        assert rows.shape == (len(orbit(rs, pattern)), len(lams), rs.rank)
+        for k, lam in enumerate(lams):
+            points = [tuple(v) for v in rows[:, k].tolist()]
+            assert points[0] == lam and len(set(points)) == len(points), lam
+            assert set(points) == orbit(rs, lam), lam
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"])
+def test_negative_root_pairings_count_the_length(label):
+    """The sign rule of racah_decompose: for strictly dominant x, w x pairs negatively
+    with exactly l(w) positive roots (the integer rows of _weyl_dim_rows), and a point
+    pairs to zero with some root exactly where to_dominant_rows leaves a zero."""
+    from tensorlimits.repchar import _weyl_dim_rows
+
+    rs = build_root_system(label)
+    roots = np.array(_weyl_dim_rows(rs)[0]).T
+    rng = random.Random(31)
+    xs = np.array([[rng.randint(1, 6) for _ in range(rs.rank)] for _ in range(5)])
+    for w in rs.weyl:
+        images = xs @ np.array(w.matrix).T
+        assert ((images @ roots) < 0).sum(axis=1).tolist() == [w.length] * len(xs), w
+    points = np.array([[rng.randint(-6, 6) for _ in range(rs.rank)] for _ in range(300)])
+    on_wall = (points @ roots == 0).any(axis=1)
+    assert on_wall.tolist() == (to_dominant_rows(rs, points) == 0).any(axis=1).tolist()
+    assert on_wall.any() and not on_wall.all()
+
+
+def test_sums_by_row():
+    rows, sums = sums_by_row(np.zeros((0, 2), dtype=np.int64), [])
+    assert rows.shape == (0, 2) and sums == []
+    # zero sums are dropped, rows come out in lexicographic order, sums stay exact beyond int64
+    rows, sums = sums_by_row(
+        [(1, 0), (0, 2), (1, 0), (0, 2), (-1, 5), (0, 1), (0, 1)], [2**70, 3, 2**70, -3, 7, 2, -2]
+    )
+    assert rows.tolist() == [[-1, 5], [1, 0]] and sums == [7, 2**71]
+    assert all(type(s) is int for s in sums)
+    rng = random.Random(3)
+    keys = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(200)]
+    nums = [rng.randint(-3, 3) * 2 ** rng.randint(0, 80) for _ in keys]
+    want: dict = {}
+    for key, n in zip(keys, nums):
+        want[key] = want.get(key, 0) + n
+    rows, sums = sums_by_row(np.array(keys), nums)
+    assert list(zip(map(tuple, rows.tolist()), sums)) == sorted((k, s) for k, s in want.items() if s)
 
 
 def test_shifted_orbit_partition_a2():
