@@ -19,17 +19,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 

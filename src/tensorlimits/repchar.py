@@ -60,8 +60,9 @@ class MultiplicityMap:
 
     Treat instances as immutable.  A map holds its root system rs, its
     multiplicities at dominant weights and its total dimension, and expands
-    them over W-orbits into entries on first read; len and repr count the
-    orbit points by orbit_sizes.  NotDominant unless every weight of
+    them over W-orbits into entries on first read, as it keeps the result of
+    the first racah_decompose call; len and repr count the orbit points by
+    orbit_sizes.  NotDominant unless every weight of
     dominant is dominant and of the rank; ValueError unless every count is
     positive and sum_mu m(mu) |W mu| is total_dim.
     """
@@ -81,6 +82,37 @@ class MultiplicityMap:
     @cached_property
     def entries(self) -> dict:
         return {nu: m for mu, m in self.dominant.items() for nu in orbit(self.rs, mu)}
+
+    @cached_property
+    def _decomposition(self) -> IrrepDecomposition:
+        """racah_decompose's sum, run once per map and then shared by every call."""
+        rs = self.rs
+        rows, den = _weyl_dim_rows(rs)
+        by_pattern = {}
+        for (mu, c), size in zip(self.dominant.items(), orbit_sizes(rs, self.dominant)):
+            by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
+        lams, counts = np.zeros((0, rs.rank), dtype=np.int64), []
+        for size, items in by_pattern.values():
+            step = max(1, _BLOCK_ROWS // size)
+            for a in range(0, len(items), step):
+                block = items[a : a + step]
+                x = orbit_rows(rs, [mu for mu, _ in block]).reshape(-1, rs.rank) + 1
+                pairings = x @ np.array(rows, dtype=np.int64).T
+                regular = (pairings != 0).all(axis=1)
+                nums = np.tile(np.array([c for _, c in block], dtype=object), size)
+                nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
+                keys = np.concatenate([lams, to_dominant_rows(rs, x[regular]) - 1])
+                lams, counts = sums_by_row(keys, counts + nums)  # running sums: one block in memory at a time
+        components = dict(zip(map(tuple, lams.tolist()), counts))
+        if min(counts, default=0) < 0:
+            raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
+        dims = {mu: _weyl_dim_from_rows(rows, den, mu) for mu in components}
+        total = sum(c * dims[mu] for mu, c in components.items())
+        if total != self.total_dim:
+            raise NegativeMultiplicity(
+                f"components account for dimension {total} of {self.total_dim}; input was not a character"
+            )
+        return IrrepDecomposition(components, dims)
 
     def __len__(self) -> int:
         return sum(orbit_sizes(self.rs, self.dominant))
@@ -165,24 +197,28 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     Freudenthal recursion at the dominant weights, highest first; the
     W-orbits are expanded on first read of entries.  m(mu) sums the positive
     root strings above mu, read at dominant representatives; a string ends at
-    the first one not yet found.
+    the first one not yet found.  The pairings (nu, beta) are summed as
+    integers, scaled by the lcm of the symmetrizers' denominators (the rows
+    of _weyl_dim_rows), with one division per weight.
     """
     lam = highest_weight(rs, lam)
     dominant = _dominant_weights(rs, lam)
     lam_rho = tuple(x + 1 for x in lam)
     norm_top = bilinear(lam_rho, rs.gram_omega, lam_rho)
+    rows, _ = _weyl_dim_rows(rs)
+    scale = lcm(*(x.denominator for x in rs.d))
     mult_dom = {lam: 1}
     for mu in dominant[1:]:
-        acc = Fraction(0)
-        for alpha, vec in zip(rs.positive_roots_omega, rs.root_pair_vectors):
+        acc = 0
+        for alpha, row in zip(rs.positive_roots_omega, rows):
             nu = tuple(m + a for m, a in zip(mu, alpha))
             while (m_nu := mult_dom.get(to_dominant(rs, nu))) is not None:
-                acc += m_nu * sum(n * v for n, v in zip(nu, vec))
+                acc += m_nu * sum(n * r for n, r in zip(nu, row))
                 nu = tuple(n + a for n, a in zip(nu, alpha))
         mu_rho = tuple(x + 1 for x in mu)
         denom = norm_top - bilinear(mu_rho, rs.gram_omega, mu_rho)
         # denom > 0 for dominant mu strictly below lam
-        m = 2 * acc / denom
+        m = 2 * acc / (scale * denom)
         if m.denominator != 1:
             raise AssertionError(f"non-integer multiplicity {m} at {mu}")
         mult_dom[mu] = m.numerator
@@ -322,35 +358,12 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     to 0 on a wall and negatively with l(u) of them.  Negative counts, or
     components short of total_dim (their Weyl dimensions are kept in dims),
     mean the input was not a genuine character; a map of another rank or
-    Cartan type raises BasisMismatch (check_character).
+    Cartan type raises BasisMismatch (check_character).  The sum runs once
+    per map: later calls return the same IrrepDecomposition, which, like the
+    map, must be treated as immutable.
     """
     check_character(rs, m)
-    rows, den = _weyl_dim_rows(rs)
-    by_pattern = {}
-    for (mu, c), size in zip(m.dominant.items(), orbit_sizes(rs, m.dominant)):
-        by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
-    lams, counts = np.zeros((0, rs.rank), dtype=np.int64), []
-    for size, items in by_pattern.values():
-        step = max(1, _BLOCK_ROWS // size)
-        for a in range(0, len(items), step):
-            block = items[a : a + step]
-            x = orbit_rows(rs, [mu for mu, _ in block]).reshape(-1, rs.rank) + 1
-            pairings = x @ np.array(rows, dtype=np.int64).T
-            regular = (pairings != 0).all(axis=1)
-            nums = np.tile(np.array([c for _, c in block], dtype=object), size)
-            nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
-            keys = np.concatenate([lams, to_dominant_rows(rs, x[regular]) - 1])
-            lams, counts = sums_by_row(keys, counts + nums)  # running sums: one block in memory at a time
-    components = dict(zip(map(tuple, lams.tolist()), counts))
-    if min(counts, default=0) < 0:
-        raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
-    dims = {mu: _weyl_dim_from_rows(rows, den, mu) for mu in components}
-    total = sum(c * dims[mu] for mu, c in components.items())
-    if total != m.total_dim:
-        raise NegativeMultiplicity(
-            f"components account for dimension {total} of {m.total_dim}; input was not a character"
-        )
-    return IrrepDecomposition(components, dims)
+    return m._decomposition
 
 
 def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction]:

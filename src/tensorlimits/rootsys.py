@@ -19,18 +19,19 @@ reflection s_i or a closed formula.  On simple-root coordinates s_i is
 beta_i -= sum_j c_ij beta_j, and it generates the positive roots from the
 simple ones; b_g = 2 + 2 (rho, theta) for the highest root theta; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
-v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative, and
-shifted_dominant runs to_dominant on mu + rho and returns ON_WALL if a
-coordinate is zero.  W-orbits are walked in one place, _weyl_walk, once per
-Cartan matrix and 0/1 zero pattern, applying s_i wherever v_i is positive:
-orbit, orbit_sizes and orbit_rows use the walk of a weight's pattern;
-RootSystemData.weyl (built on first read, for rootsys info,
-to_dominant_shifted and the tests) uses the walk from rho, all of W.  Two
-numpy kernels run the rule on whole int64 arrays of weights, for Racah's sum,
-eta^e and its pushforward: to_dominant_rows is to_dominant on every row,
-orbit_rows the walk of one zero pattern replayed on many dominant weights.
-Both refuse a coordinate of absolute value >= 2^31, so that no reflection
-can wrap around in int64.  sums_by_row is their exact grouped sum.
+v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative.
+W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
+zero pattern, applying s_i wherever v_i is positive: orbit, orbit_sizes and
+orbit_rows use the walk of a weight's pattern; RootSystemData.weyl (built on
+first read, for rootsys info and the tests) uses the walk from rho, all of W.
+Two numpy kernels run the rule on whole int64 arrays of weights, and they are
+the package's only shifted Weyl action w . mu = w(mu + rho) - rho, for
+Racah's sum, eta^e and its pushforward: to_dominant_rows is to_dominant on
+every row (mu + rho lies on a wall iff its dominant point has a zero
+coordinate), orbit_rows the walk of one zero pattern replayed on many
+dominant weights.  Both refuse a coordinate of absolute value >= 2^31, so
+that no reflection can wrap around in int64.  sums_by_row is their exact
+grouped sum.
 """
 
 from __future__ import annotations
@@ -95,22 +96,6 @@ class WeylElement:
     def apply(self, v: IntVector) -> IntVector:
         return tuple(sum(m * x for m, x in zip(row, v)) for row in self.matrix)
 
-
-class OnWall:
-    """Marker: mu + rho is fixed by some reflection, so mu has no shifted dominant form."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "OnWall"
-
-
-ON_WALL = OnWall()
 
 DEFAULT_WEYL_CAP = 10_000
 
@@ -230,7 +215,9 @@ class RootSystemData:
     @cached_property
     def weyl(self) -> tuple[WeylElement, ...]:
         """Every Weyl element with its length and sign, sorted by (length, matrix):
-        _weyl_walk replayed on the identity, row j -= C[j][i] * row i per step."""
+        _weyl_walk replayed on the identity, row j -= C[j][i] * row i per step.
+        Read by rootsys info and the tests only; the package's W computations
+        replay the walk on weights instead."""
         c = self.C
         _, steps, lengths = _weyl_walk(c, self.rho)
         r = len(c)
@@ -314,36 +301,6 @@ def check_length(rs: RootSystemData, n: int, what: str) -> None:
     """Raise BasisMismatch, naming both lengths, unless a what of length n fits rs."""
     if n != rs.rank:
         raise BasisMismatch(f"{what} of length {n}; {rs.cartan_type} {what}s have length {rs.rank}")
-
-
-def inner_product(rs: RootSystemData, u, v, basis: str = "omega", basis2: str | None = None):
-    """Standard bilinear form of two vectors, each in a declared basis.
-
-    basis / basis2 are 'omega' (fundamental-weight coords) or 'alpha'
-    (simple-root coords); basis2 defaults to basis.  Exact on rational input.
-    """
-    if basis2 is None:
-        basis2 = basis
-    for b in (basis, basis2):
-        if b not in ("omega", "alpha"):
-            raise BasisMismatch(f"unknown basis {b!r} (expected 'omega' or 'alpha')")
-    for vec in (u, v):
-        check_length(rs, len(vec), "vector")
-    if basis == basis2 == "omega":
-        return bilinear(u, rs.gram_omega, v)
-    if basis == basis2 == "alpha":
-        return bilinear(u, rs.Cbar, v)
-    if basis == "omega":
-        # (omega_j, alpha_i) = d_j delta_ij
-        return sum(x * dj * y for x, dj, y in zip(u, rs.d, v))
-    return sum(x * dj * y for x, dj, y in zip(v, rs.d, u))
-
-
-def shifted_action(rs: RootSystemData, w: WeylElement, beta) -> IntVector:
-    """Shifted Weyl action w * beta = w(beta + rho) - rho."""
-    shifted = tuple(b + 1 for b in beta)
-    image = w.apply(shifted)
-    return tuple(x - 1 for x in image)
 
 
 def to_dominant(rs: RootSystemData, mu) -> IntVector:
@@ -507,33 +464,6 @@ def orbit_sizes(rs: RootSystemData, weights) -> list[int]:
             size = by_pattern[pattern] = len(_weyl_walk(rs.C, highest_weight(rs, pattern))[0])
         sizes.append(size)
     return sizes
-
-
-def shifted_dominant(rs: RootSystemData, mu):
-    """lam with lam + rho the dominant point of W(mu + rho), or ON_WALL.
-
-    The dominant point has a zero coordinate exactly when mu + rho lies on a
-    wall, i.e. when some shifted reflection fixes mu.
-    """
-    v = to_dominant(rs, [x + 1 for x in mu])
-    if 0 in v:
-        return ON_WALL
-    return tuple(x - 1 for x in v)
-
-
-def to_dominant_shifted(rs: RootSystemData, mu):
-    """Shifted-dominant form of mu: (w, lam) with w * lam = mu, or ON_WALL.
-
-    lam comes from shifted_dominant; w is the unique Weyl element with
-    w * lam = mu (unique because lam + rho is strictly dominant), found by
-    scanning the group.
-    """
-    lam = shifted_dominant(rs, mu)
-    if lam is ON_WALL:
-        return ON_WALL
-    mu = tuple(mu)
-    w = next(w for w in rs.weyl if shifted_action(rs, w, lam) == mu)
-    return w, lam
 
 
 def casimir_eigenvalue(rs: RootSystemData, lam) -> Fraction:

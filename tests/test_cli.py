@@ -407,8 +407,8 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
 
 def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
     """Racah's sum, eta^e and its pushforward run the shifted Weyl action on whole
-    arrays: with the scalar shifted_dominant refused and to_dominant counted, they
-    give what they give unguarded, racah_decompose calls to_dominant not once, and
+    arrays: with to_dominant counted, they give what they give uncounted,
+    racah_decompose calls to_dominant not once, and
     eta^e and its pushforward call it exactly as often as eta alone does (Miller's
     recurrence building V_N), so never once per eta^e atom or per wall-box point."""
     from tensorlimits import repchar, rootsys
@@ -436,10 +436,6 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
         calls.append(tuple(mu))
         return scalar(rs, mu)
 
-    def refuse(*args):
-        raise AssertionError("the scalar shifted_dominant was called")
-
-    monkeypatch.setattr(rootsys, "shifted_dominant", refuse)
     monkeypatch.setattr(rootsys, "to_dominant", counted)
     monkeypatch.setattr(repchar, "to_dominant", counted)
     assert outputs() == plain

@@ -185,15 +185,42 @@ def test_eta_extended_pushforward():
 
 
 def test_eta_extended_walls_are_zero():
-    from tensorlimits.rootsys import ON_WALL, to_dominant_shifted
-
+    # w + rho lies on a wall iff (w + rho, beta) = 0 for some positive root beta
     m = eta_extended_measure(SPEC_A2, 2)
+    walls = 0
     for w, p in m.atoms:
-        if to_dominant_shifted(A2, w) is ON_WALL:
-            assert p == 0
-        # and every nonzero atom is off the walls
-        if p != 0:
-            assert to_dominant_shifted(A2, w) is not ON_WALL
+        shifted = [x + 1 for x in w]
+        if any(sum(x * v for x, v in zip(shifted, vec)) == 0 for vec in A2.root_pair_vectors):
+            walls += 1
+            assert p == 0, w
+        else:
+            # and every atom off the walls carries mass
+            assert p != 0, w
+    assert walls > 0
+
+
+def test_racah_runs_once_per_map(monkeypatch):
+    """eta_measure and eta_extended_measure on one map share its decomposition:
+    Racah's orbit walk (repchar's orbit_rows) runs for the first call only, the
+    atoms are those of fresh maps, and every call still checks the map's type."""
+    from tensorlimits import repchar
+    from tensorlimits.measures import factor_counts
+    from tensorlimits.repchar import racah_decompose, tensor_power_multiplicities
+
+    spec, n = TensorSpec(build_root_system("A3"), (((1, 0, 0), 1),)), 8
+    want = eta_measure(spec, n).atoms, eta_extended_measure(spec, n).atoms
+    m = tensor_power_multiplicities(spec.rs, factor_counts(spec, n))
+    calls = []
+    walk = repchar.orbit_rows
+    monkeypatch.setattr(repchar, "orbit_rows", lambda rs, lams: calls.append(len(lams)) or walk(rs, lams))
+    eta = eta_measure(spec, n, multiplicities=m).atoms
+    once = len(calls)
+    ext = eta_extended_measure(spec, n, multiplicities=m).atoms
+    assert once > 0 and len(calls) == once
+    assert (eta, ext) == want
+    assert racah_decompose(spec.rs, m) is racah_decompose(spec.rs, m)
+    with pytest.raises(BasisMismatch):
+        racah_decompose(build_root_system("B3"), m)
 
 
 def test_pushforward_refuses_mass_on_a_wall():

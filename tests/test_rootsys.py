@@ -17,22 +17,17 @@ from tensorlimits.errors import (
     UnsupportedType,
     WeylCapExceeded,
 )
-from tensorlimits.linalg import mat, mat_mul, transpose
+from tensorlimits.linalg import bilinear, mat_vec
 from tensorlimits.rootsys import (
-    ON_WALL,
     CartanType,
     build_root_system,
     casimir_eigenvalue,
-    inner_product,
     is_dominant,
     orbit,
     orbit_rows,
-    shifted_action,
-    shifted_dominant,
     sums_by_row,
     to_dominant,
     to_dominant_rows,
-    to_dominant_shifted,
     weyl_group_order,
 )
 
@@ -140,7 +135,7 @@ def test_structural_invariants(label):
         coord = sum(rs.C_inv[i][j] * rs.rho[j] for j in range(r))
         assert coord * 2 == total[i]
     # gram relations
-    ident = mat_mul(rs.gram_omega, rs.gram_omega_inv)
+    ident = np.array(rs.gram_omega, dtype=object) @ np.array(rs.gram_omega_inv, dtype=object)
     for i in range(r):
         for j in range(r):
             assert ident[i][j] == (1 if i == j else 0)
@@ -164,17 +159,17 @@ def test_weyl_group_axioms(label):
     simple = [w.matrix for w in rs.weyl if w.length == 1]
     assert len(simple) == rs.rank
     for s in simple:
-        sm = mat(s)
-        images = {tuple(tuple(int(x) for x in row) for row in mat_mul(mat(w.matrix), sm)) for w in rs.weyl}
+        sm = np.array(s, dtype=object)
+        images = {tuple(map(tuple, (np.array(w.matrix, dtype=object) @ sm).tolist())) for w in rs.weyl}
         assert images == matrices
     # signs
     for w in rs.weyl:
         assert w.sign == (-1) ** w.length
     # the form is W-invariant: w^t G w = G
     for w in random.Random(7).sample(rs.weyl, min(12, len(rs.weyl))):
-        wm = mat(w.matrix)
-        g = mat_mul(mat_mul(transpose(wm), rs.gram_omega), wm)
-        assert g == rs.gram_omega
+        wm = np.array(w.matrix, dtype=object)
+        g = wm.T @ np.array(rs.gram_omega, dtype=object) @ wm
+        assert g.tolist() == [list(row) for row in rs.gram_omega]
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "G2", "B4", "D4", "F4"])
@@ -198,40 +193,36 @@ def test_length_counts_inverted_roots(label):
 # ---------------------------------------------------------------- bilinear form
 
 
-def test_inner_product_values():
+def test_bilinear_form_values():
+    # (omega, omega) on gram_omega, (alpha, alpha) on Cbar; a root sum_i l_i alpha_i
+    # has omega-coords C @ l, and (omega_j, alpha_i) = d_j delta_ij
     a1 = build_root_system("A1")
-    assert inner_product(a1, (1,), (1,)) == Fraction(1, 2)
+    assert bilinear((1,), a1.gram_omega, (1,)) == Fraction(1, 2)
     b2 = build_root_system("B2")
-    assert inner_product(b2, b2.rho, (1, 2), "omega", "alpha") == 2
+    assert bilinear(b2.rho, b2.gram_omega, mat_vec(b2.C, (1, 2))) == 2
     for rs in (a1, b2, build_root_system("G2")):
         r = rs.rank
         for i in range(r):
             e = tuple(int(k == i) for k in range(r))
-            assert inner_product(rs, e, e, "alpha") == 2 * rs.d[i]
-            # (omega_i, alpha_j) = d_i delta_ij
+            assert bilinear(e, rs.Cbar, e) == 2 * rs.d[i]
             for j in range(r):
                 f = tuple(int(k == j) for k in range(r))
-                assert inner_product(rs, e, f, "omega", "alpha") == (rs.d[i] if i == j else 0)
+                assert bilinear(f, rs.gram_omega, mat_vec(rs.C, e)) == (rs.d[j] if i == j else 0)
 
 
-def test_inner_product_symmetry_and_mixed_consistency():
+def test_bilinear_symmetry_and_alpha_omega_consistency():
     rs = build_root_system("B3")
     rng = random.Random(3)
     for _ in range(20):
         u = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
-        assert inner_product(rs, u, v) == inner_product(rs, v, u)
-        # convert v from alpha to omega-coords and compare mixed vs pure
-        v_omega = tuple(sum(Fraction(rs.C[i][j]) * v[j] for j in range(3)) for i in range(3))
-        assert inner_product(rs, u, v, "omega", "alpha") == inner_product(rs, u, v_omega, "omega")
-
-
-def test_inner_product_basis_errors():
-    rs = build_root_system("A2")
-    with pytest.raises(BasisMismatch):
-        inner_product(rs, (1, 0), (0, 1), "weight")
-    with pytest.raises(BasisMismatch):
-        inner_product(rs, (1,), (0, 1))
+        for g in (rs.gram_omega, rs.Cbar):
+            assert bilinear(u, g, v) == bilinear(v, g, u)
+        # v in alpha-coords is C @ v in omega-coords: the pairing of omega-coords
+        # u with it is sum_j u_j d_j v_j, and Cbar is gram_omega in alpha-coords
+        v_omega = mat_vec(rs.C, v)
+        assert bilinear(u, rs.gram_omega, v_omega) == sum(x * dj * y for x, dj, y in zip(u, rs.d, v))
+        assert bilinear(mat_vec(rs.C, u), rs.gram_omega, v_omega) == bilinear(u, rs.Cbar, v)
 
 
 def test_wrong_length_weight_is_rejected():
@@ -240,8 +231,6 @@ def test_wrong_length_weight_is_rejected():
     a2 = build_root_system("A2")
     with pytest.raises(BasisMismatch, match="length 3.*length 2"):
         to_dominant(a2, (1, 2, -3))
-    with pytest.raises(BasisMismatch, match="length 1.*length 2"):
-        shifted_dominant(a2, (1,))
     for kernel in (to_dominant_rows, orbit_rows):
         with pytest.raises(BasisMismatch, match="length 3.*length 2"):
             kernel(a2, [(1, 2, 3)])
@@ -279,7 +268,7 @@ def test_rho_duality():
         rs = build_root_system(label)
         for i in range(rs.rank):
             e = tuple(int(k == i) for k in range(rs.rank))
-            assert inner_product(rs, rs.rho, e, "omega", "alpha") == rs.d[i]
+            assert bilinear(rs.rho, rs.gram_omega, mat_vec(rs.C, e)) == rs.d[i]
 
 
 def test_denominator_identity_numeric():
@@ -305,48 +294,49 @@ def test_denominator_identity_numeric():
 # ---------------------------------------------------------------- Weyl actions
 
 
-def test_shifted_action_examples():
+def test_shifted_weyl_action_examples():
+    # the shifted action w . mu = w(mu + rho) - rho by the Weyl matrices, and
+    # to_dominant_rows(mu + rho) - rho, which sends mu to the dominant weight
+    # of its shifted orbit (on A1 max(m, s . m); the wall m = -1 to -1)
     a1 = build_root_system("A1")
     s = a1.weyl[1]
-    for m in range(-4, 5):
-        assert shifted_action(a1, s, (m,)) == (-m - 2,)
+    ms = range(-4, 5)
+    assert [s.apply((m + 1,))[0] - 1 for m in ms] == [-m - 2 for m in ms]
+    assert (to_dominant_rows(a1, [(m + 1,) for m in ms]) - 1).ravel().tolist() == [max(m, -m - 2) for m in ms]
     a2 = build_root_system("A2")
-    e = a2.weyl[0]
-    assert shifted_action(a2, e, (3, 5)) == (3, 5)
+    assert a2.weyl[0].apply((4, 6)) == (4, 6)
     # s_1 is the length-1 element that negates the first coordinate's diagonal entry
     s1 = next(w for w in a2.weyl if w.length == 1 and w.matrix[0][0] == -1)
-    assert shifted_action(a2, s1, (0, 0)) == (-2, 1)
+    assert s1.apply((1, 1)) == (-1, 2)
+    assert (to_dominant_rows(a2, [(-1, 2)]) - 1).tolist() == [[0, 0]]
 
 
 def test_to_dominant_shifted():
+    # on A1, to_dominant_rows(mu + rho) - rho: -1 lies on the wall (a zero of
+    # mu + rho), -3 = s . 1 with s of length 1, and 5 is its own dominant form
     a1 = build_root_system("A1")
-    assert to_dominant_shifted(a1, (-1,)) is ON_WALL
-    w, lam = to_dominant_shifted(a1, (-3,))
-    assert lam == (1,) and w.length == 1
-    assert shifted_action(a1, w, lam) == (-3,)
-    w, lam = to_dominant_shifted(a1, (5,))
-    assert lam == (5,) and w.length == 0
+    assert to_dominant_rows(a1, [(0,), (-2,), (6,)]).tolist() == [[0], [2], [6]]
+    s = a1.weyl[1]
+    assert s.length == 1 and s.apply((2,)) == (-2,)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "B3", "C3", "D4", "G2", "F4"])
 def test_to_dominant_shifted_roundtrip(label):
+    # off the walls, lam = to_dominant_rows(mu + rho) - rho is dominant and
+    # exactly one w of the scanned group has w . lam = mu: lam + rho is strictly
+    # dominant, so its stabilizer is trivial
     rs = build_root_system(label)
     rng = random.Random(5)
-    walls = 0
-    for _ in range(200):
-        mu = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
-        res = to_dominant_shifted(rs, mu)
-        if res is ON_WALL:
-            walls += 1
-            # mu + rho should be fixed by some reflection: its W-orbit
-            # meets the closed dominant cone on a wall
+    mus = [tuple(rng.randint(-6, 6) for _ in range(rs.rank)) for _ in range(200)]
+    rows = to_dominant_rows(rs, np.array(mus) + 1)
+    on_wall = (rows == 0).any(axis=1)
+    for mu, x, wall in zip(mus, rows.tolist(), on_wall.tolist()):
+        if wall:
             continue
-        w, lam = res
-        assert is_dominant(lam)
-        assert shifted_action(rs, w, lam) == mu
-        # uniqueness: strictly dominant mu+rho has trivial stabilizer
-        assert all(x + 1 > 0 for x in lam)
-    assert walls > 0  # the sample should hit some walls
+        assert is_dominant([v - 1 for v in x])
+        shifted = tuple(m + 1 for m in mu)
+        assert sum(w.apply(x) == shifted for w in rs.weyl) == 1, mu
+    assert on_wall.any()  # the sample should hit some walls
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
@@ -369,22 +359,16 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
         assert len(set(points)) == len(points) and set(points) == orbit(rs, lam), lam
     walls = regular = 0
     for mu, row in zip(mus, rows.tolist()):
-        assert (0 in row) == (shifted_dominant(rs, mu) is ON_WALL)
         shifted = tuple(x + 1 for x in mu)
         on_wall = any(sum(x * p for x, p in zip(shifted, vec)) == 0 for vec in rs.root_pair_vectors)
-        lam = shifted_dominant(rs, mu)
+        assert (0 in row) == on_wall, mu
         if on_wall:
             walls += 1
-            assert lam is ON_WALL, mu
-            assert to_dominant_shifted(rs, mu) is ON_WALL
             continue
         regular += 1
         chamber = [v for v in (w.apply(shifted) for w in rs.weyl) if all(x > 0 for x in v)]
         assert len(chamber) == 1, mu
-        assert lam == tuple(x - 1 for x in chamber[0]), mu
-        w, lam2 = to_dominant_shifted(rs, mu)
-        assert lam2 == lam
-        assert shifted_action(rs, w, lam) == mu
+        assert tuple(row) == chamber[0], mu
     assert walls > 0 and regular > 0
 
 
@@ -464,15 +448,13 @@ def test_sums_by_row():
 def test_shifted_orbit_partition_a2():
     # each weight is either on a wall or in exactly one shifted orbit of P_+
     rs = build_root_system("A2")
-    for m1 in range(-5, 4):
-        for m2 in range(-5, 4):
-            res = to_dominant_shifted(rs, (m1, m2))
-            if res is ON_WALL:
-                continue
-            w, lam = res
-            orbit = {shifted_action(rs, u, lam) for u in rs.weyl}
-            assert (m1, m2) in orbit
-            assert len(orbit) == len(rs.weyl)
+    mus = [(m1, m2) for m1 in range(-5, 4) for m2 in range(-5, 4)]
+    for mu, x in zip(mus, to_dominant_rows(rs, np.array(mus) + 1).tolist()):
+        if 0 in x:
+            continue
+        orbit = {tuple(v - 1 for v in u.apply(x)) for u in rs.weyl}
+        assert mu in orbit
+        assert len(orbit) == len(rs.weyl)
 
 
 # ---------------------------------------------------------------- scalars
@@ -508,7 +490,7 @@ def test_b_g_a1_ad_trace_oracle():
     ad_h = ((2, 0, 0), (0, 0, 0), (0, 0, -2))
     trace = sum(ad_h[i][i] * ad_h[i][i] for i in range(3))
     rs = build_root_system("A1")
-    alpha_sq = inner_product(rs, (1,), (1,), "alpha")
+    alpha_sq = bilinear((1,), rs.Cbar, (1,))
     assert Fraction(trace) == rs.b_g * alpha_sq
 
 
