@@ -13,17 +13,29 @@ K = sqrt(det(diag(d)) / det(C)) / (2 pi)^(r/2) = sqrt(det gram_omega) / (2 pi)^(
 The polynomial is even, so the extended formula is W-invariant as written.
 
 Each model has one kernel, DensityModel.values, which takes the coordinates
-as separate arrays that broadcast together: (x,x) as the sum of the terms
-(x_i g_ij) x_j, each root pairing (x,a) as a sum over the coordinates where
-a is nonzero, the squares multiplied in root order, and the cone mask from
-the tests x_i >= 0.  On the 1-D axes of a tensor grid, np.ix_(*axes), every
-term and pairing is built on only the axes it depends on, and no mesh of
-points is stacked.  A point array is the same kernel on its coordinates
-(evaluate), so the point and grid values agree to the last bit.
+as separate arrays that broadcast together and is split in two halves along
+the first coordinate x_0:
+
+* hoist(xs[1:]), the terms free of x_0: -(1/2) sum_{i,j >= 1} x_i g_ij x_j,
+  the coefficient -sum_{j >= 1} g_0j x_j of x_0, norm_const times the
+  squared pairings (x,a) of the roots a with a_0 = 0, the partial pairings
+  of the other roots without their x_0 term, and the cone test x_i >= 0;
+* slab(x0, hoisted), which adds x_0: one exp of the exponent, then one
+  multiply-square per root whose pairing involves x_0, and the cone mask
+  only where some point lies outside the cone.
+
+values is slab(xs[0], hoist(xs[1:])).  On the 1-D axes of a tensor grid,
+np.ix_(*axes), every term and pairing is built on only the axes it depends
+on, and no mesh of points is stacked.  A point array is the same kernel on
+its coordinates (evaluate), so the point and grid values agree to the last
+bit.
 
 Every density grid (this module's normalization quadrature, the convergence
-module's TV boxes) is box_masses over a box from density_box, and no grid
-holds more than MAX_GRID_POINTS points.
+module's TV boxes) is box_masses over a box from density_box: it builds the
+hoisted half once per grid and calls slab once per slab of boxes along the
+first axis, so it holds one slab of sub * (bins * sub)^(r-1) values plus
+O((bins * sub)^(r-1)) hoisted arrays, and no grid has more than
+MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +60,16 @@ _DEFAULT_RESOLUTION = {1: 4000, 2: 800, 3: 120}
 MAX_GRID_POINTS = 2**24
 
 
+class Hoisted(NamedTuple):
+    """The terms of a density kernel that do not depend on x_0, on coordinates x_1, ..., x_(r-1)."""
+
+    exponent: np.ndarray  # -(1/2) sum_{i,j >= 1} x_i g_ij x_j
+    slope: np.ndarray  # the coefficient of x_0 in -(x,x)/2: -sum_{j >= 1} g_0j x_j
+    factor: np.ndarray  # norm_const prod (x,a)^2 over the roots a free of x_0
+    partials: tuple  # (x,a) without its x_0 term, for each root a whose pairing has one
+    inside: np.ndarray  # x_1, ..., x_(r-1) >= 0 for the cone-supported kinds, else True
+
+
 @dataclass(frozen=True, eq=False)
 class DensityModel:
     """One density with its precomputed constant and the float coefficients of its kernel."""
@@ -58,29 +81,58 @@ class DensityModel:
     def __post_init__(self):
         gram = tuple(tuple(float(x) for x in row) for row in self.rs.gram_omega)
         # (x, alpha) for each positive root, summed over the coordinates where alpha is nonzero
-        pairs = tuple(tuple((i, float(v)) for i, v in enumerate(vec) if v) for vec in self.rs.root_pair_vectors)
+        pairs = () if self.kind == "xi" else self.rs.root_pair_vectors
         object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_pairs", () if self.kind == "xi" else pairs)
+        object.__setattr__(self, "_cone", self.kind in ("eta", "gue"))
+        object.__setattr__(self, "_free", tuple(_terms(vec) for vec in pairs if not vec[0]))
+        object.__setattr__(self, "_x0_terms", tuple((float(vec[0]), _terms(vec)) for vec in pairs if vec[0]))
+
+    def hoist(self, rest) -> Hoisted:
+        """The x_0-free half of the kernel, on coordinate arrays rest = xs[1:] that broadcast together.
+
+        A grid builds it once, on the axes other than the first, and then
+        calls slab once per slab of first coordinates.
+        """
+        xs = [None, *(np.asarray(x, dtype=float) for x in rest)]  # xs[i] is x_i; x_0 is not here
+        g = self._gram
+        q = reduce(operator.add, ((xs[i] * g[i][j]) * xs[j] for i in range(1, len(xs)) for j in range(1, len(xs))), 0.0)
+        slope = reduce(operator.add, (g[0][j] * xs[j] for j in range(1, len(xs))), 0.0)
+        factor = reduce(operator.mul, (p * p for p in _pairings(self._free, xs)), self.norm_const)
+        partials = tuple(_pairings((t for _, t in self._x0_terms), xs))
+        inside = reduce(operator.and_, (x >= 0 for x in xs[1:]), True) if self._cone else True
+        return Hoisted(-0.5 * q, -slope, factor, partials, inside)
+
+    def slab(self, x0, hoisted: Hoisted) -> np.ndarray:
+        """Density values at first coordinates x0 that broadcast with the arrays of hoisted:
+        one exp, then one multiply-square per root whose pairing involves x_0."""
+        x0 = np.asarray(x0, dtype=float)
+        # a fresh array of the full shape, so the steps below can work in place
+        vals = np.asarray(hoisted.slope + (-0.5 * self._gram[0][0]) * x0)
+        vals *= x0
+        vals += hoisted.exponent
+        np.exp(vals, out=vals)
+        vals *= hoisted.factor
+        for (v, _), partial in zip(self._x0_terms, hoisted.partials):
+            p = partial + v * x0
+            p *= p
+            vals *= p
+        # the mask runs only on points outside the cone, never on a cone box's slabs
+        if self._cone and not (np.all(hoisted.inside) and np.all(x0 >= 0)):
+            vals = np.where(hoisted.inside & (x0 >= 0), vals, 0.0)
+        return vals
 
     def values(self, xs) -> np.ndarray:
         """Density values at coordinate arrays xs[0], ..., xs[rank - 1] that broadcast together.
 
-        With xs = np.ix_(*axes) these are the values on the tensor grid of the
-        axes, and each product x_i g_ij x_j and each root pairing is built on
-        the axes it depends on alone.  For the cone-supported kinds (eta, gue)
-        the value is 0 outside the closed dominant cone, making this a density
-        on all of R^r.  Coordinates for points of another length raise BasisMismatch.
+        The kernel is slab(xs[0], hoist(xs[1:])).  With xs = np.ix_(*axes)
+        these are the values on the tensor grid of the axes, and each term is
+        built on the axes it depends on alone.  For the cone-supported kinds
+        (eta, gue) the value is 0 outside the closed dominant cone, making
+        this a density on all of R^r.  Coordinates for points of another
+        length raise BasisMismatch.
         """
         check_length(self.rs, len(xs), "point")
-        xs = [np.asarray(x, dtype=float) for x in xs]
-        q = reduce(operator.add, ((x * g) * y for x, row in zip(xs, self._gram) for g, y in zip(row, xs)))
-        vals = self.norm_const * np.exp(-0.5 * q)
-        if self._pairs:
-            pairings = (reduce(operator.add, (v * xs[i] for i, v in pair)) for pair in self._pairs)
-            vals = vals * reduce(operator.mul, (p * p for p in pairings))
-        if self.kind in ("eta", "gue"):
-            vals = np.where(reduce(operator.and_, (x >= 0 for x in xs)), vals, 0.0)
-        return vals
+        return self.slab(xs[0], self.hoist(xs[1:]))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Density values over an array of points with shape (..., r): values on its coordinates.
@@ -88,6 +140,16 @@ class DensityModel:
         pts = np.asarray(points, dtype=float)
         check_length(self.rs, pts.shape[-1] if pts.ndim else 0, "point")
         return self.values([pts[..., i] for i in range(self.rs.rank)])
+
+
+def _terms(vec) -> tuple:
+    """The (i, v) with v != 0 of a root pairing vector, but for its x_0 term, as floats."""
+    return tuple((i, float(v)) for i, v in enumerate(vec) if i and v)
+
+
+def _pairings(terms, xs):
+    """Each sum_i v x_i over its terms (i, v); 0.0 for a root whose only term was x_0."""
+    return (reduce(operator.add, (v * xs[i] for i, v in t), 0.0) for t in terms)
 
 
 def gaussian_constant(rs: RootSystemData) -> float:
@@ -187,11 +249,13 @@ def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     """Midpoint-rule mass of the density in each of the bins^rank equal boxes of [lo, hi].
 
     Each box is split into sub^rank equal cells, valued at their centres.  The
-    kernel runs once per slab of boxes along the first axis, on that slab's
-    sub centres of the first axis and the full axes of the others (np.ix_),
-    so memory is bounded by sub * (bins * sub)^(rank - 1) points.  A grid of
-    more than MAX_GRID_POINTS points raises GridCapExceeded before anything
-    is allocated.
+    kernel's x_0-free half is built once on the full axes other than the
+    first (np.ix_), and its per-slab half runs once per slab of boxes along
+    the first axis, on that slab's sub centres of the first axis, so memory
+    is bounded by sub * (bins * sub)^(rank - 1) points plus the hoisted
+    arrays of (bins * sub)^(rank - 1) points each.  A grid of more than
+    MAX_GRID_POINTS points raises GridCapExceeded before anything is
+    allocated.
     """
     rank = len(lo)
     check_grid(rank, bins, sub)
@@ -199,13 +263,17 @@ def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     cell = 1.0
     for a, b in zip(lo, hi):
         cell *= (b - a) / bins / sub
-    # a slab's values, reshaped so that every sub-cell axis can be summed out
-    slab_shape = (sub,) + (bins, sub) * (rank - 1)
-    sub_axes = (0,) + tuple(range(2, 2 * rank, 2))
+    grid = np.ix_(*axes)
+    hoisted = model.hoist(grid[1:])
     masses = np.empty((bins,) * rank)
     for k in range(bins):
-        vals = model.values(np.ix_(axes[0][k * sub : (k + 1) * sub], *axes[1:]))
-        masses[k] = vals.reshape(slab_shape).sum(axis=sub_axes)
+        vals = model.slab(grid[0][k * sub : (k + 1) * sub], hoisted).sum(axis=0)
+        if sub > 1:
+            # one sub-cell axis at a time, the last first: much faster than all at once
+            vals = vals.reshape((bins, sub) * (rank - 1))
+            for axis in range(2 * rank - 3, 0, -2):
+                vals = vals.sum(axis=axis)
+        masses[k] = vals
     masses *= cell
     return masses
 

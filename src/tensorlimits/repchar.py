@@ -88,6 +88,7 @@ class MultiplicityMap:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs = self.rs
         rows, den = _weyl_dim_rows(rs)
+        rows = np.array(rows, dtype=np.int64)
         by_pattern = {}
         for (mu, c), size in zip(self.dominant.items(), orbit_sizes(rs, self.dominant)):
             by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
@@ -97,7 +98,7 @@ class MultiplicityMap:
             for a in range(0, len(items), step):
                 block = items[a : a + step]
                 x = orbit_rows(rs, [mu for mu, _ in block]).reshape(-1, rs.rank) + 1
-                pairings = x @ np.array(rows, dtype=np.int64).T
+                pairings = x @ rows.T
                 regular = (pairings != 0).all(axis=1)
                 nums = np.tile(np.array([c for _, c in block], dtype=object), size)
                 nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
@@ -106,7 +107,8 @@ class MultiplicityMap:
         components = dict(zip(map(tuple, lams.tolist()), counts))
         if min(counts, default=0) < 0:
             raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
-        dims = {mu: _weyl_dim_from_rows(rows, den, mu) for mu in components}
+        # one int64 matrix of the scaled pairings (lam + rho, beta), then exact Python ints
+        dims = {mu: _weyl_dim_from_pairings(p, den) for mu, p in zip(components, ((lams + 1) @ rows.T).tolist())}
         total = sum(c * dims[mu] for mu, c in components.items())
         if total != self.total_dim:
             raise NegativeMultiplicity(
@@ -154,10 +156,10 @@ def _weyl_dim_rows(rs: RootSystemData):
     return rows, prod(sum(row) for row in rows)
 
 
-def _weyl_dim_from_rows(rows, den: int, lam) -> int:
-    """prod_beta (lam + rho, beta) / (rho, beta) from _weyl_dim_rows, by one exact division."""
-    lam_rho = [l + 1 for l in lam]
-    num = prod(sum(r * x for r, x in zip(row, lam_rho)) for row in rows)
+def _weyl_dim_from_pairings(pairings, den: int) -> int:
+    """prod_beta (lam + rho, beta) / (rho, beta) from the scaled pairings (lam + rho, beta)
+    and the denominator of _weyl_dim_rows, by one exact division of Python ints."""
+    num = prod(pairings)
     dim, rem = divmod(num, den)
     if rem:
         raise AssertionError(f"Weyl dimension {Fraction(num, den)} is not an integer")
@@ -171,7 +173,9 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
     every pairing scaled to an integer by the lcm of the symmetrizers' denominators
     and one exact division at the end.
     """
-    return _weyl_dim_from_rows(*_weyl_dim_rows(rs), highest_weight(rs, lam))
+    rows, den = _weyl_dim_rows(rs)
+    lam_rho = [x + 1 for x in highest_weight(rs, lam)]
+    return _weyl_dim_from_pairings((sum(map(mul, row, lam_rho)) for row in rows), den)
 
 
 def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
@@ -199,14 +203,24 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     root strings above mu, read at dominant representatives; a string ends at
     the first one not yet found.  The pairings (nu, beta) are summed as
     integers, scaled by the lcm of the symmetrizers' denominators (the rows
-    of _weyl_dim_rows), with one division per weight.
+    of _weyl_dim_rows), and the norms (mu + rho, mu + rho) are integers from
+    gram_omega scaled by the lcm of its denominators, so each weight costs one
+    exact integer division.
     """
     lam = highest_weight(rs, lam)
     dominant = _dominant_weights(rs, lam)
-    lam_rho = tuple(x + 1 for x in lam)
-    norm_top = bilinear(lam_rho, rs.gram_omega, lam_rho)
     rows, _ = _weyl_dim_rows(rs)
     scale = lcm(*(x.denominator for x in rs.d))
+    # gram_omega scaled by the lcm of its denominators, an integer matrix
+    g_scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
+    gram = [[int(x * g_scale) for x in row] for row in rs.gram_omega]
+
+    def norm(weight) -> int:
+        """(weight + rho, weight + rho) g_scale."""
+        x = [c + 1 for c in weight]
+        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, gram))
+
+    norm_top = norm(lam)
     mult_dom = {lam: 1}
     for mu in dominant[1:]:
         acc = 0
@@ -215,13 +229,12 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
             while (m_nu := mult_dom.get(to_dominant(rs, nu))) is not None:
                 acc += m_nu * sum(n * r for n, r in zip(nu, row))
                 nu = tuple(n + a for n, a in zip(nu, alpha))
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = norm_top - bilinear(mu_rho, rs.gram_omega, mu_rho)
-        # denom > 0 for dominant mu strictly below lam
-        m = 2 * acc / (scale * denom)
-        if m.denominator != 1:
-            raise AssertionError(f"non-integer multiplicity {m} at {mu}")
-        mult_dom[mu] = m.numerator
+        # norm_top - norm(mu) > 0 for dominant mu strictly below lam
+        num, den = 2 * acc * g_scale, scale * (norm_top - norm(mu))
+        m, rem = divmod(num, den)
+        if rem:
+            raise AssertionError(f"non-integer multiplicity {Fraction(num, den)} at {mu}")
+        mult_dom[mu] = m
     return MultiplicityMap(rs, mult_dom, weyl_dim(rs, lam))
 
 

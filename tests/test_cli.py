@@ -479,11 +479,12 @@ def test_nonpositive_count_flag_exit_2(capsys, flag, argv):
     ],
 )
 def test_oversized_grid_exit_3_before_allocating(monkeypatch, capsys, reason, argv):
-    # the grid is checked before the character table, the grid arrays or the kernel
+    # the grid is checked before the character table, the grid arrays or either half of the kernel
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an oversized grid")
 
-    for owner, attr in ((np, "arange"), (np, "empty"), (cli, "tensor_power_table"), (DensityModel, "values")):
+    kernel = [(DensityModel, attr) for attr in ("hoist", "slab", "values")]
+    for owner, attr in [(np, "arange"), (np, "empty"), (cli, "tensor_power_table"), *kernel]:
         monkeypatch.setattr(owner, attr, refuse)
     code, out, err = run(capsys, *argv)
     assert code == 3

@@ -1,12 +1,14 @@
 """Limit densities: hand-expanded closed forms, GUE identity, quadrature."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tensorlimits.convergence import DEFAULT_BINS, convergence_report, histogram_tv, tv_grid
+from tensorlimits.convergence import convergence_report, histogram_tv, tv_grid
 from tensorlimits.densities import (
     KINDS,
     MAX_GRID_POINTS,
@@ -88,6 +90,56 @@ def test_closed_form_density_reproduction():
         assert rel_close(p_eta(A2, (abs(x), abs(y))), closed_form_a2_eta(abs(x), abs(y)), 1e-12)
         assert rel_close(p_xi(B2, (x, y)), closed_form_b2_xi(x, y), 1e-12)
         assert rel_close(p_eta(B2, (abs(x), abs(y))), closed_form_b2_eta(abs(x), abs(y)), 1e-12)
+
+
+def _exact_oracle(rs, kind, points, roots):
+    """Density values at rational points, exact up to one float exp and the constant.
+
+    (x,x) and each (x,a) in the product over roots are Fractions from
+    gram_omega and the roots in omega coordinates; the constant comes from a
+    float determinant, the positive roots and |W| = len(rs.weyl)."""
+    gram = rs.gram_omega
+    r = rs.rank
+    const = math.sqrt(np.linalg.det(np.array(gram, dtype=float))) / (2 * math.pi) ** (r / 2)
+    if kind != "xi":
+        rho_pairings = (sum(gram[i][j] * a[j] for i in range(r) for j in range(r)) for a in rs.positive_roots_omega)
+        const /= float(math.prod(rho_pairings))
+    if kind == "eta_extended":
+        const /= len(rs.weyl)
+    out = []
+    for x in points:
+        xx = sum(x[i] * gram[i][j] * x[j] for i in range(r) for j in range(r))
+        poly = Fraction(1)
+        if kind != "xi":
+            poly = math.prod(sum(x[i] * gram[i][j] * a[j] for i in range(r) for j in range(r)) ** 2 for a in roots)
+        inside = kind not in ("eta", "gue") or min(x) >= 0
+        out.append(const * float(poly) * math.exp(-float(xx) / 2) if inside else 0.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rs", [A3, B3, C3], ids=lambda rs: str(rs.cartan_type))
+def test_rank3_kernel_matches_exact_oracle(rs):
+    # dyadic points are exact as floats, so only the kernel's own rounding is compared
+    rng = random.Random(20261020)
+    dyadic = lambda: Fraction(rng.randint(-192, 192), 64)
+    points = [tuple(dyadic() for _ in range(3)) for _ in range(40)]
+    points += [tuple(abs(c) for c in pt) for pt in points[:20]]
+    axes = [sorted({dyadic() for _ in range(4)}) for _ in range(3)]
+    mesh = list(itertools.product(*axes))
+    for kind in kinds_of(rs):
+        model = make_density_model(rs, kind)
+        roots = rs.positive_roots_omega
+        expected = _exact_oracle(rs, kind, points, roots)
+        got = model.evaluate(np.array(points, dtype=float))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0), (rs, kind)
+        assert np.count_nonzero(expected) >= 20
+        grid = model.values(np.ix_(*(np.array(a, dtype=float) for a in axes)))
+        assert np.allclose(grid.ravel(), _exact_oracle(rs, kind, mesh, roots), rtol=1e-12, atol=0), (rs, kind)
+        if kind != "xi":
+            # mutation: with one root dropped from the product the oracle no longer matches
+            k = rng.randrange(len(roots))
+            dropped = _exact_oracle(rs, kind, points, roots[:k] + roots[k + 1 :])
+            assert not np.allclose(got, dropped, rtol=1e-12, atol=0), (rs, kind, k)
 
 
 def test_eta_domain_and_walls():
@@ -214,26 +266,35 @@ def test_box_masses_match_full_mesh_sum_randomized():
 
 
 def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
-    # normalization_quadrature and the TV boxes call the kernel once per box
-    # along the first axis, each time on an equal share of the points
-    sizes = []
-    values = DensityModel.values
+    # normalization_quadrature and the TV boxes build the x_0-free half of the
+    # kernel once per grid, then call the per-slab half once per box along the
+    # first axis, each time on an equal share of the points
+    hoists, sizes = [], []
+    hoist, slab = DensityModel.hoist, DensityModel.slab
 
-    def recording(self, xs):
-        vals = values(self, xs)
+    def recording_hoist(self, rest):
+        hoists.append(len(rest))
+        return hoist(self, rest)
+
+    def recording_slab(self, x0, hoisted):
+        vals = slab(self, x0, hoisted)
         sizes.append(vals.size)
         return vals
 
-    monkeypatch.setattr(DensityModel, "values", recording)
+    monkeypatch.setattr(DensityModel, "hoist", recording_hoist)
+    monkeypatch.setattr(DensityModel, "slab", recording_slab)
     eta = eta_measure(TensorSpec(A3, (((1, 0, 0), 1),)), 4)
-    for slabs, run in (
-        (30, lambda: normalization_quadrature(make_density_model(A3, "eta_extended"), resolution=30)),
-        (DEFAULT_BINS[3], lambda: histogram_tv(eta, make_density_model(A3, "eta"))),
+    bins, sub = tv_grid(3)
+    for slabs, points, run in (
+        (30, 30**3, lambda: normalization_quadrature(make_density_model(A3, "eta_extended"), resolution=30)),
+        (bins, (bins * sub) ** 3, lambda: histogram_tv(eta, make_density_model(A3, "eta"))),
     ):
+        hoists.clear()
         sizes.clear()
         run()
+        assert hoists == [2]
         assert len(sizes) == slabs
-        assert all(size * slabs == sum(sizes) for size in sizes)
+        assert all(size * slabs == sum(sizes) == points for size in sizes)
 
 
 def test_grid_kernel_equals_point_evaluation_bitwise():
@@ -253,10 +314,11 @@ def test_grid_kernel_equals_point_evaluation_bitwise():
 
 
 def test_oversized_grid_is_refused_before_evaluation(monkeypatch):
-    def refuse(self, xs):
+    def refuse(*args):
         raise AssertionError("the kernel ran on an oversized grid")
 
-    monkeypatch.setattr(DensityModel, "values", refuse)
+    for half in ("hoist", "slab", "values"):
+        monkeypatch.setattr(DensityModel, half, refuse)
     model = make_density_model(A3, "eta_extended")
     side = round(MAX_GRID_POINTS ** (1 / 3)) + 1
     with pytest.raises(GridCapExceeded):
