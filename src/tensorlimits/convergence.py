@@ -190,22 +190,21 @@ def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBo
 def _boxes_tv(measure: DiscreteMeasure, boxes: _DensityBoxes) -> float:
     """Binned total-variation distance between an atomic measure and the boxes' density."""
     rank = len(boxes.lo)
-    if measure.atoms and measure.rank != rank:
+    if measure.nums and measure.rank != rank:
         raise BasisMismatch(f"measure of rank {measure.rank}; the density has rank {rank}")
-    # atomic side: exact box masses over one denominator; the box index of an atom is
-    # floor((float(w_i) / scale - lo_i) / width_i), the same IEEE operations atom by atom
-    den = math.lcm(*{p.denominator for _, p in measure.atoms})
-    nums = np.array([p.numerator * (den // p.denominator) for _, p in measure.atoms], dtype=object)
-    x = np.array([w for w, _ in measure.atoms], dtype=float).reshape(-1, rank) / measure.scale
+    # atomic side: exact box masses over the measure's denominator; the box index of an atom
+    # is floor((float(w_i) / scale - lo_i) / width_i), the same IEEE operations atom by atom
+    nums = np.array(measure.nums, dtype=object)
+    x = measure.weights.reshape(-1, rank) / measure.scale
     idx = np.floor((x - boxes.lo) / boxes.width).astype(np.int64)
     inside = ((idx >= 0) & (idx < boxes.bins)).all(axis=1)
     keys, sums = sums_by_row(idx[inside], nums[inside])
     distance = 0.0
     for key, s in zip(map(tuple, keys.tolist()), sums):
-        distance += abs(s / den - float(boxes.q[key]))
+        distance += abs(s / measure.den - float(boxes.q[key]))
     seen = np.zeros_like(boxes.q, dtype=bool)
     seen[tuple(keys.T)] = True
-    return 0.5 * (distance + float(boxes.q[~seen].sum()) + (sum(nums[~inside].tolist()) / den + boxes.q_tail))
+    return 0.5 * (distance + float(boxes.q[~seen].sum()) + (sum(nums[~inside].tolist()) / measure.den + boxes.q_tail))
 
 
 def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: int | None = None) -> float:

@@ -16,9 +16,10 @@ under the same action (racah_decompose, which gives its Weyl dimensions too and
 reads the character at its dominant weights alone); only xi reads its full
 entries, which expands their W-orbits.
 
-Atoms keep their integer weight vector and exact rational probability; the
-scale sigma*sqrt(N) is carried symbolically as the rational sigma^2*N, so
-every identity at this layer is exact.  Floats appear only downstream.
+A measure keeps integer weights and numerators over one denominator (dim V_N,
+times |W| for eta extended); Fractions appear only at its edges.  The scale
+sigma*sqrt(N) is carried as the rational sigma^2*N, so every identity at this
+layer is exact.  Floats appear only downstream.
 The moments of xi (mixed_moments) come from the factor characters alone,
 without the atoms of xi.
 There is one variance scale, sigma^2 = sum_l tau_l (lam_l, lam_l + 2 rho) /
@@ -37,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSpec, InadmissibleN
+from .linalg import bilinear
 from .repchar import (
     MultiplicityMap,
     check_character,
@@ -47,6 +49,7 @@ from .repchar import (
 )
 from .rootsys import (
     RootSystemData,
+    _int_rows,
     casimir_eigenvalue,
     check_length,
     highest_weight,
@@ -89,22 +92,41 @@ class TensorSpec:
         return f"{self.rs.cartan_type}[{parts}]"
 
 
-@dataclass(frozen=True)
 class DiscreteMeasure:
-    """Atoms (weight vector, exact probability) at scale sqrt(sigma_sq * N).
+    """Atoms at scale sqrt(sigma_sq * N): the rows of weights, an (n, rank) int64 array
+    in fundamental-weight coordinates, with masses nums[k] / den in Python ints.
 
-    The physical atom position is weight / sqrt(sigma_sq * N); weight vectors
-    are exact rationals (integers for all measures built here) in
-    fundamental-weight coordinates.
-    """
+    DiscreteMeasure(atoms, sigma_sq, N) brings (weight, probability) pairs over the lcm
+    of their denominators (ValueError for a weight that is not integral or has a
+    coordinate of |x| >= 2^31); the builders pass their own den to _exact.  atoms and
+    prob_at are reduced views; == and hash compare the reduced atoms, sigma_sq and N."""
 
-    atoms: tuple
-    sigma_sq: Fraction
-    N: int
+    def __init__(self, atoms, sigma_sq: Fraction, N: int):
+        pairs = [(w, Fraction(p)) for w, p in atoms]
+        den = math.lcm(*{p.denominator for _, p in pairs})
+        nums = [p.numerator * (den // p.denominator) for _, p in pairs]
+        self.weights, self.nums, self.den, self.sigma_sq, self.N = _int_rows(None, [w for w, _ in pairs]), nums, den, sigma_sq, N
+
+    @classmethod
+    def _exact(cls, weights: np.ndarray, nums: list, den: int, sigma_sq: Fraction, N: int) -> DiscreteMeasure:
+        m = cls.__new__(cls)
+        m.weights, m.nums, m.den, m.sigma_sq, m.N = weights, nums, den, sigma_sq, N
+        return m
+
+    @cached_property
+    def atoms(self) -> tuple:
+        return tuple(zip(map(tuple, self.weights.tolist()), [Fraction(n, self.den) for n in self.nums]))
+
+    def __eq__(self, other):
+        key = self.atoms, self.sigma_sq, self.N
+        return isinstance(other, DiscreteMeasure) and key == (other.atoms, other.sigma_sq, other.N)
+
+    def __hash__(self):
+        return hash((self.atoms, self.sigma_sq, self.N))
 
     @property
     def rank(self) -> int:
-        return len(self.atoms[0][0]) if self.atoms else 0
+        return self.weights.shape[1]
 
     @property
     def scale_sq(self) -> Fraction:
@@ -122,7 +144,7 @@ class DiscreteMeasure:
         return self._lookup.get(tuple(weight), Fraction(0))
 
     def total_mass(self) -> Fraction:
-        return sum((p for _, p in self.atoms), Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
 
 def sigma_squared(spec: TensorSpec) -> Fraction:
@@ -186,9 +208,8 @@ def xi_measure(
     """
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
-    total = m.total_dim
-    atoms = tuple((w, Fraction(c, total)) for w, c in sorted(m.entries.items()))
-    return DiscreteMeasure(atoms, sig, N)
+    weights = sorted(m.entries)
+    return DiscreteMeasure._exact(np.array(weights, dtype=np.int64), [m.entries[w] for w in weights], m.total_dim, sig, N)
 
 
 def eta_measure(
@@ -200,12 +221,9 @@ def eta_measure(
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
     dec = racah_decompose(spec.rs, m)
-    total = m.total_dim
-    atoms = tuple(
-        (mu, Fraction(c * dec.dims[mu], total))
-        for mu, c in sorted(dec.components.items())
-    )
-    return DiscreteMeasure(atoms, sig, N)
+    lams = sorted(dec.components)
+    nums = [dec.components[mu] * dec.dims[mu] for mu in lams]
+    return DiscreteMeasure._exact(np.array(lams, dtype=np.int64), nums, m.total_dim, sig, N)
 
 
 def eta_extended_measure(
@@ -226,38 +244,35 @@ def eta_extended_measure(
     eta = eta_measure(spec, N, multiplicities)
     order = weyl_group_order(rs.cartan_type)
     # |W| distinct points per orbit, and distinct orbits are disjoint
-    weights = orbit_rows(rs, np.asarray([mu for mu, _ in eta.atoms]) + 1).reshape(-1, rs.rank) - 1
-    probs = [p / order for _, p in eta.atoms] * order
+    weights = orbit_rows(rs, eta.weights + 1).reshape(-1, rs.rank) - 1
+    nums = eta.nums * order  # over eta.den * order
     lo, hi = weights.min(axis=0), weights.max(axis=0)
     if math.prod((hi - lo + 1).tolist()) <= WALL_ATOM_BOX_LIMIT:
         box = np.indices(hi - lo + 1).reshape(rs.rank, -1).T + lo
         walls = box[(to_dominant_rows(rs, box + 1) == 0).any(axis=1)]
         weights = np.concatenate([weights, walls])
-        probs += [Fraction(0)] * len(walls)
-    ranked = np.lexsort(weights.T[::-1]).tolist()
-    atoms = tuple(zip(map(tuple, weights[ranked].tolist()), [probs[k] for k in ranked]))
-    return DiscreteMeasure(atoms, eta.sigma_sq, N)
+        nums += [0] * len(walls)
+    ranked = np.lexsort(weights.T[::-1])
+    return DiscreteMeasure._exact(weights[ranked], [nums[k] for k in ranked.tolist()], eta.den * order, eta.sigma_sq, N)
 
 
 def pushforward_dominant_shifted(rs: RootSystemData, measure: DiscreteMeasure) -> DiscreteMeasure:
     """Push every atom to its shifted-dominant representative (walls carry no mass).
 
     One rootsys.to_dominant_rows call finds every w(mu + rho); one
-    rootsys.sums_by_row call sums the atoms of each, as integer numerators
-    over the lcm of all denominators.  An atom with nonzero mass on a shifted
-    wall raises ValueError naming it.
+    rootsys.sums_by_row call sums the numerators of each, over the measure's
+    own denominator.  An atom with nonzero mass on a shifted wall raises
+    ValueError naming it.
     """
-    probs = [p for _, p in measure.atoms]
-    dominant = to_dominant_rows(rs, np.asarray([w for w, _ in measure.atoms]) + 1)
+    dominant = to_dominant_rows(rs, measure.weights + 1)
     on_wall = (dominant == 0).any(axis=1)
-    for k in np.flatnonzero(on_wall).tolist():
-        if probs[k] != 0:
-            raise ValueError(f"nonzero mass {probs[k]} on wall point {tuple(measure.atoms[k][0])}")
-    den = math.lcm(*{p.denominator for p in probs})  # 1 at the walls, which carry no mass
-    nums = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
-    lams, nums = sums_by_row(dominant[~on_wall] - 1, nums[~on_wall])
-    atoms = tuple((tuple(lam), Fraction(num, den)) for lam, num in zip(lams.tolist(), nums))
-    return DiscreteMeasure(atoms, measure.sigma_sq, measure.N)
+    nums = np.array(measure.nums, dtype=object)
+    bad = np.flatnonzero(on_wall & (nums != 0))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"nonzero mass {Fraction(nums[k], measure.den)} on wall point {tuple(measure.weights[k].tolist())}")
+    lams, sums = sums_by_row(dominant[~on_wall] - 1, nums[~on_wall])
+    return DiscreteMeasure._exact(lams, sums, measure.den, measure.sigma_sq, measure.N)
 
 
 def _power_sums(m: MultiplicityMap, kappas) -> dict:
@@ -316,8 +331,12 @@ def mixed_moments(spec: TensorSpec, N: int, max_order: int) -> dict:
     rational; odd total orders involve sqrt(sigma^2 N) and are returned as
     floats.
     """
-    if max_order > 6:
-        raise ValueError("moments above order 6 are not supported")
+    try:
+        max_order = operator.index(max_order)
+    except TypeError:
+        raise ValueError(f"max_order must be an integer, got {max_order!r}") from None
+    if not 0 <= max_order <= 6:
+        raise ValueError(f"max_order must be in 0..6 (moments above order 6 are not supported), got {max_order}")
     rs = spec.rs
     kappas = [kappa for kappa in itertools.product(range(max_order + 1), repeat=rs.rank) if sum(kappa) <= max_order]
     terms = _binomial_terms(kappas)
@@ -346,15 +365,19 @@ def directional_second_moment(rs: RootSystemData, measure: DiscreteMeasure, t) -
     """
     t = tuple(Fraction(x) for x in t)
     check_length(rs, len(t), "direction")
-    if measure.atoms:
+    if measure.nums:
         check_length(rs, measure.rank, "weight")
-    acc = Fraction(0)
-    for w, p in measure.atoms:
-        if p == 0:
-            continue
-        pairing = sum(ti * di * xi for ti, di, xi in zip(t, rs.d, w))
-        acc += p * pairing * pairing
-    return acc / measure.scale_sq
+    td = [x * di for x, di in zip(t, rs.d)]
+    w = measure.weights.reshape(-1, rs.rank).astype(object)
+    # the Gram matrix sum_k nums[k] w_k w_k^T in exact integers, then one division
+    return bilinear(td, (w.T * np.array(measure.nums, dtype=object)) @ w, td) / (measure.den * measure.scale_sq)
+
+
+def _reduced(measure: DiscreteMeasure):
+    """(weight list, numerator, denominator) per atom, reduced by one gcd each."""
+    for w, n in zip(measure.weights.tolist(), measure.nums):
+        g = math.gcd(n, measure.den)
+        yield w, n // g, measure.den // g
 
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
@@ -362,8 +385,8 @@ def measure_to_csv(measure: DiscreteMeasure) -> str:
     rank = measure.rank
     header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",numerator,denominator"
     lines = [header]
-    for w, p in measure.atoms:
-        lines.append(",".join(str(x) for x in w) + f",{p.numerator},{p.denominator}")
+    for w, n, d in _reduced(measure):
+        lines.append(",".join(str(x) for x in w) + f",{n},{d}")
     return "\n".join(lines) + "\n"
 
 
@@ -371,8 +394,5 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
     return {
         "N": measure.N,
         "sigma_squared": f"{measure.sigma_sq.numerator}/{measure.sigma_sq.denominator}",
-        "atoms": [
-            {"weight": [int(x) for x in w], "prob": f"{p.numerator}/{p.denominator}"}
-            for w, p in measure.atoms
-        ],
+        "atoms": [{"weight": w, "prob": f"{n}/{d}"} for w, n, d in _reduced(measure)],
     }

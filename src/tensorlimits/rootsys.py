@@ -328,16 +328,17 @@ def to_dominant(rs: RootSystemData, mu) -> IntVector:
 _ROW_LIMIT = 2**31
 
 
-def _int_rows(rs: RootSystemData, v) -> np.ndarray:
+def _int_rows(rs: RootSystemData | None, v) -> np.ndarray:
     """v as an (n, rank) int64 array: BasisMismatch unless v is one weight of
-    the rank per row, ValueError naming the first weight with a coordinate of
-    |x| >= _ROW_LIMIT or one that is not an integer."""
+    the rank (any one rank when rs is None) per row, ValueError naming the first
+    weight with a coordinate of |x| >= _ROW_LIMIT or one that is not an integer."""
     a = np.asarray(v)
     if a.size == 0:
-        return np.zeros((0, rs.rank), dtype=np.int64)
+        return np.zeros((0, rs.rank) if rs else (len(a), 0), dtype=np.int64)
     if a.ndim != 2:
         raise BasisMismatch(f"weights must be the rows of a 2-d array, got shape {a.shape}")
-    check_length(rs, a.shape[1], "weight")
+    if rs:
+        check_length(rs, a.shape[1], "weight")
     big = np.flatnonzero((np.abs(a) >= _ROW_LIMIT).any(axis=1))
     if big.size:
         raise ValueError(f"weight {tuple(a[big[0]].tolist())} has a coordinate of absolute value >= 2^31")

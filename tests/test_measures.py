@@ -233,6 +233,49 @@ def test_pushforward_refuses_mass_on_a_wall():
     assert pushforward_dominant_shifted(A2, zero).atoms == (((0, 0), Fraction(1)),)
 
 
+def test_atoms_constructor_refuses_inexact_or_huge_weights():
+    # the weights become an int64 array: a half-integral weight would silently round, and
+    # the shifted Weyl action on rows refuses coordinates of |x| >= 2^31
+    sig = sigma_squared(SPEC_A2)
+    for weight, message in (
+        ((Fraction(1, 2), 0), r"weight \(Fraction\(1, 2\), 0\) is not integral"),
+        ((0, 0.5), r"weight \(0\.0, 0\.5\) is not integral"),
+        ((2**31, 0), r"weight \(2147483648, 0\) has a coordinate of absolute value >= 2\^31"),
+        ((0, -(2**31)), r"weight \(0, -2147483648\) has a coordinate"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure((((0, 0), Fraction(1, 2)), (weight, Fraction(1, 2))), sig, 2)
+    exact = DiscreteMeasure((((Fraction(2), 0.0), Fraction(1)),), sig, 2)
+    assert exact.atoms == (((2, 0), Fraction(1)),) and exact.weights.dtype == np.int64
+
+
+def test_one_denominator_with_reduced_views():
+    sig = sigma_squared(SPEC_A2)
+    m = DiscreteMeasure((((0, 0), Fraction(1, 2)), ((1, 0), Fraction(1, 3)), ((0, 1), Fraction(1, 6))), sig, 2)
+    assert (m.weights.tolist(), m.nums, m.den) == ([[0, 0], [1, 0], [0, 1]], [3, 2, 1], 6)
+    assert m.total_mass() == 1 and m.rank == 2
+    # the same atoms over another denominator: equal, with one hash
+    other = DiscreteMeasure._exact(m.weights, [6, 4, 2], 12, sig, 2)
+    assert other == m and hash(other) == hash(m) and other.prob_at((1, 0)) == Fraction(1, 3)
+    assert measure_to_csv(other) == measure_to_csv(m) == "weight_1,weight_2,numerator,denominator\n0,0,1,2\n1,0,1,3\n0,1,1,6\n"
+    assert other != DiscreteMeasure(m.atoms, sig, 4) and other != DiscreteMeasure(m.atoms, sig / 2, 2)
+    assert m != m.atoms
+
+
+def test_empty_measures():
+    sig = sigma_squared(SPEC_A2)
+    empty = DiscreteMeasure((), sig, 2)
+    assert (empty.atoms, empty.rank, empty.total_mass()) == ((), 0, 0)
+    assert measure_to_csv(empty) == ",numerator,denominator\n"
+    assert measure_to_json(empty)["atoms"] == []
+    assert directional_second_moment(A2, empty, (1, 0)) == 0
+    assert pushforward_dominant_shifted(A2, empty) == empty
+    # the only atom is a zero-mass wall atom, so nothing is left to push forward
+    wall = DiscreteMeasure((((-1, 0), Fraction(0)),), sig, 2)
+    pushed = pushforward_dominant_shifted(A2, wall)
+    assert pushed.atoms == () and pushed.total_mass() == 0 and pushed == empty
+
+
 def test_pushforward_sums_each_orbit_exactly():
     # (-2, 1) and (0, 0) lie in one shifted orbit, with different denominators;
     # (1, 0) and (-3, 2) lie in another and cancel
@@ -250,8 +293,11 @@ def test_mixed_moments():
     assert mom[(1,)] == 0.0
     assert mom[(2,)] == 2
     assert mixed_moments(SPEC_A1, 10, 2)[(2,)] == 2
-    with pytest.raises(ValueError):
-        mixed_moments(SPEC_A1, 4, 7)
+    for bad in (7, -1, 2.5, "2", None):
+        with pytest.raises(ValueError, match="max_order"):
+            mixed_moments(SPEC_A1, 4, bad)
+    assert mixed_moments(SPEC_A1, 4, np.int64(2)) == mixed_moments(SPEC_A1, 4, 2)
+    assert mixed_moments(SPEC_A1, 4, 0) == {(0,): 1}
 
 
 def test_mixed_moments_a2_first_order():

@@ -8,7 +8,7 @@ enough that dim V_N stays below DIM_LIMIT.
 
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -18,18 +18,20 @@ from tensorlimits.convergence import _density_boxes, char_fn_xi, default_t_grid,
 from tensorlimits.densities import make_density_model
 from tensorlimits.linalg import bilinear
 from tensorlimits.measures import (
+    DiscreteMeasure,
     TensorSpec,
     admissible_N,
     directional_second_moment,
     eta_extended_measure,
     eta_measure,
     factor_counts,
+    measure_to_csv,
     mixed_moments,
     pushforward_dominant_shifted,
     xi_measure,
 )
 from tensorlimits.repchar import racah_decompose, tensor_power_table, weyl_dim
-from tensorlimits.rootsys import build_root_system
+from tensorlimits.rootsys import build_root_system, weyl_group_order
 
 import oracles
 from oracles import peel_off_decompose
@@ -91,7 +93,27 @@ def test_eta_extended_pushes_forward_to_eta(case):
     m = _table(spec, n)
     eta = eta_measure(spec, n, multiplicities=m)
     ext = eta_extended_measure(spec, n, multiplicities=m)
-    assert pushforward_dominant_shifted(spec.rs, ext).atoms == eta.atoms
+    pushed = pushforward_dominant_shifted(spec.rs, ext)
+    assert pushed.den == ext.den != eta.den
+    assert pushed == eta and hash(pushed) == hash(eta) and pushed.atoms == eta.atoms
+
+
+@settings(max_examples=25)
+@given(specs())
+def test_measures_have_one_denominator_and_print_reduced(case):
+    """xi and eta are over dim V_N, eta^e over dim V_N |W|; the atoms constructor
+    rebuilds each measure; every CSV row is a reduced fraction, and they sum to 1."""
+    spec, n = case
+    m = _table(spec, n)
+    order = weyl_group_order(spec.rs.cartan_type)
+    for build, den in ((xi_measure, m.total_dim), (eta_measure, m.total_dim), (eta_extended_measure, m.total_dim * order)):
+        measure = build(spec, n, multiplicities=m)
+        assert measure.den == den and sum(measure.nums) == den, build.__name__
+        assert DiscreteMeasure(measure.atoms, measure.sigma_sq, measure.N) == measure
+        rows = [[int(x) for x in line.split(",")] for line in measure_to_csv(measure).splitlines()[1:]]
+        assert all(gcd(row[-2], row[-1]) == 1 and row[-1] > 0 for row in rows), build.__name__
+        assert [(tuple(row[:-2]), Fraction(row[-2], row[-1])) for row in rows] == list(measure.atoms)
+        assert sum(Fraction(row[-2], row[-1]) for row in rows) == 1
 
 
 @settings(max_examples=50)
