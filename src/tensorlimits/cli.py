@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import (
     UnsupportedType,
     WeylCapExceeded,
 )
-from .linalg import bilinear
 from .measures import (
     TensorSpec,
     admissible_N,
@@ -57,8 +56,8 @@ from .rootsys import (
     CartanType,
     build_root_system,
     casimir_eigenvalue,
-    orbit_sizes,
     rootsys_to_json,
+    scaled_norm,
     weyl_group_order,
 )
 
@@ -233,7 +232,8 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     A map, W-invariant with positive multiplicities as loaded, is consistent when
     its type is the spec's, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
     and sum_mu m(mu) |W mu| (mu, mu) over its dominant weights is total_dim rank
-    sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis).
+    sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis);
+    (mu, mu) is scaled_norm(rs, mu) over s^2 b_g / 2, s the pairing scale.
     """
     try:
         m = load_multiplicity_map(path)
@@ -243,12 +243,9 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
     if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
-    scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
-    gram = [[int(x * scale) for x in row] for row in rs.gram_omega]
-    sizes = orbit_sizes(rs, m.dominant)
-    second = sum(c * size * bilinear(mu, gram, mu) for (mu, c), size in zip(m.dominant.items(), sizes))
+    second = sum(c * size * scaled_norm(rs, mu) for (mu, c), size in zip(m.dominant.items(), m.sizes))
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
-    if Fraction(second, scale) != expected * rs.rank * casimirs / rs.dim_g:
+    if Fraction(2 * second, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:
         return None
     return m
 

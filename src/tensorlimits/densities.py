@@ -11,6 +11,7 @@ K = sqrt(det(diag(d)) / det(C)) / (2 pi)^(r/2) = sqrt(det gram_omega) / (2 pi)^(
                  squared-Vandermonde eigenvalue density of traceless GUE
 
 The polynomial is even, so the extended formula is W-invariant as written.
+(x,a) and (rho,a) come from the pairing row of a over its scale s, as int / int floats.
 
 Each model has one kernel, DensityModel.values, which takes the coordinates
 as separate arrays that broadcast together and is split in two halves along
@@ -81,11 +82,12 @@ class DensityModel:
     def __post_init__(self):
         gram = tuple(tuple(float(x) for x in row) for row in self.rs.gram_omega)
         # (x, alpha) for each positive root, summed over the coordinates where alpha is nonzero
-        pairs = () if self.kind == "xi" else self.rs.root_pair_vectors
+        s = self.rs.pairing_scale
+        pairs = () if self.kind == "xi" else [[x / s for x in row] for row in self.rs.pairing_rows]
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_cone", self.kind in ("eta", "gue"))
         object.__setattr__(self, "_free", tuple(_terms(vec) for vec in pairs if not vec[0]))
-        object.__setattr__(self, "_x0_terms", tuple((float(vec[0]), _terms(vec)) for vec in pairs if vec[0]))
+        object.__setattr__(self, "_x0_terms", tuple((vec[0], _terms(vec)) for vec in pairs if vec[0]))
 
     def hoist(self, rest) -> Hoisted:
         """The x_0-free half of the kernel, on coordinate arrays rest = xs[1:] that broadcast together.
@@ -143,8 +145,8 @@ class DensityModel:
 
 
 def _terms(vec) -> tuple:
-    """The (i, v) with v != 0 of a root pairing vector, but for its x_0 term, as floats."""
-    return tuple((i, float(v)) for i, v in enumerate(vec) if i and v)
+    """The (i, v) with v != 0 of a root's float pairing coefficients, but for its x_0 term."""
+    return tuple((i, v) for i, v in enumerate(vec) if i and v)
 
 
 def _pairings(terms, xs):
@@ -167,10 +169,7 @@ def make_density_model(rs: RootSystemData, kind: str) -> DensityModel:
     if kind == "xi":
         const = k
     else:
-        prod_rho = 1.0
-        for pairing in rs.rho_root_pairings:
-            prod_rho *= float(pairing)
-        const = k / prod_rho
+        const = k / math.prod(sum(row) / rs.pairing_scale for row in rs.pairing_rows)
         if kind == "eta_extended":
             const /= weyl_group_order(rs.cartan_type)
     return DensityModel(rs, kind, const)

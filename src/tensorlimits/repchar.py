@@ -47,6 +47,7 @@ from .rootsys import (
     orbit,
     orbit_rows,
     orbit_sizes,
+    scaled_norm,
     sums_by_row,
     to_dominant,
     to_dominant_rows,
@@ -61,9 +62,9 @@ class MultiplicityMap:
     Treat instances as immutable.  A map holds its root system rs, its
     multiplicities at dominant weights and its total dimension, and expands
     them over W-orbits into entries on first read, as it keeps the result of
-    the first racah_decompose call; len and repr count the orbit points by
-    orbit_sizes.  NotDominant unless every weight of
-    dominant is dominant and of the rank; ValueError unless every count is
+    the first racah_decompose call; sizes keeps the constructor's orbit_sizes,
+    in dominant's order, for len, repr and Racah's sum.  NotDominant unless every
+    weight of dominant is dominant and of the rank; ValueError unless every count is
     positive and sum_mu m(mu) |W mu| is total_dim.
     """
 
@@ -77,6 +78,7 @@ class MultiplicityMap:
             raise ValueError(f"multiplicity total {total} != dimension {total_dim}")
         self.rs = rs
         self.dominant = dominant
+        self.sizes = sizes
         self.total_dim = total_dim
 
     @cached_property
@@ -87,10 +89,9 @@ class MultiplicityMap:
     def _decomposition(self) -> IrrepDecomposition:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs = self.rs
-        rows, den = _weyl_dim_rows(rs)
-        rows = np.array(rows, dtype=np.int64)
+        rows = np.array(rs.pairing_rows, dtype=np.int64)
         by_pattern = {}
-        for (mu, c), size in zip(self.dominant.items(), orbit_sizes(rs, self.dominant)):
+        for (mu, c), size in zip(self.dominant.items(), self.sizes):
             by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
         lams, counts = np.zeros((0, rs.rank), dtype=np.int64), []
         for size, items in by_pattern.values():
@@ -108,7 +109,7 @@ class MultiplicityMap:
         if min(counts, default=0) < 0:
             raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
         # one int64 matrix of the scaled pairings (lam + rho, beta), then exact Python ints
-        dims = {mu: _weyl_dim_from_pairings(p, den) for mu, p in zip(components, ((lams + 1) @ rows.T).tolist())}
+        dims = dict(zip(components, _weyl_dims(rs, ((lams + 1) @ rows.T).tolist())))
         total = sum(c * dims[mu] for mu, c in components.items())
         if total != self.total_dim:
             raise NegativeMultiplicity(
@@ -117,7 +118,7 @@ class MultiplicityMap:
         return IrrepDecomposition(components, dims)
 
     def __len__(self) -> int:
-        return sum(orbit_sizes(self.rs, self.dominant))
+        return sum(self.sizes)
 
     def __getitem__(self, weight) -> int:
         return self.entries.get(tuple(weight), 0)
@@ -143,39 +144,28 @@ class IrrepDecomposition:
         return f"IrrepDecomposition({len(self.components)} components)"
 
 
-def _weyl_dim_rows(rs: RootSystemData):
-    """Integer rows and denominator of Weyl's dimension formula.
-
-    Row beta holds d_j k_j scale for beta = sum_j k_j alpha_j, so that
-    (lam + rho, beta) scale = sum_j row_j (lam_j + 1), with scale the lcm of
-    the symmetrizers' denominators; the denominator is prod_beta (rho, beta) scale.
-    """
-    scale = lcm(*(x.denominator for x in rs.d))
-    dint = [x.numerator * (scale // x.denominator) for x in rs.d]
-    rows = [[x * k for x, k in zip(dint, root)] for root in rs.positive_roots]
-    return rows, prod(sum(row) for row in rows)
-
-
-def _weyl_dim_from_pairings(pairings, den: int) -> int:
-    """prod_beta (lam + rho, beta) / (rho, beta) from the scaled pairings (lam + rho, beta)
-    and the denominator of _weyl_dim_rows, by one exact division of Python ints."""
-    num = prod(pairings)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"Weyl dimension {Fraction(num, den)} is not an integer")
-    return dim
+def _weyl_dims(rs: RootSystemData, pairings) -> list[int]:
+    """prod_beta (lam + rho, beta) / (rho, beta) for each list of pairings row_beta . (lam + rho)
+    of rs.pairing_rows in pairings, by one exact division by the product of the rows' sums."""
+    den = prod(map(sum, rs.pairing_rows))
+    dims = []
+    for p in pairings:
+        dim, rem = divmod(prod(p), den)
+        if rem:
+            raise AssertionError(f"Weyl dimension {Fraction(prod(p), den)} is not an integer")
+        dims.append(dim)
+    return dims
 
 
 def weyl_dim(rs: RootSystemData, lam) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula).
 
-    prod over positive roots beta of (lam + rho, beta) / (rho, beta), with
-    every pairing scaled to an integer by the lcm of the symmetrizers' denominators
-    and one exact division at the end.
+    prod over positive roots beta of (lam + rho, beta) / (rho, beta), every
+    pairing an integer row_beta . (lam + rho) of rs.pairing_rows (the scale s
+    cancels), and one exact division at the end.
     """
-    rows, den = _weyl_dim_rows(rs)
     lam_rho = [x + 1 for x in highest_weight(rs, lam)]
-    return _weyl_dim_from_pairings((sum(map(mul, row, lam_rho)) for row in rows), den)
+    return _weyl_dims(rs, [[sum(map(mul, row, lam_rho)) for row in rs.pairing_rows]])[0]
 
 
 def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
@@ -201,36 +191,25 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     Freudenthal recursion at the dominant weights, highest first; the
     W-orbits are expanded on first read of entries.  m(mu) sums the positive
     root strings above mu, read at dominant representatives; a string ends at
-    the first one not yet found.  The pairings (nu, beta) are summed as
-    integers, scaled by the lcm of the symmetrizers' denominators (the rows
-    of _weyl_dim_rows), and the norms (mu + rho, mu + rho) are integers from
-    gram_omega scaled by the lcm of its denominators, so each weight costs one
-    exact integer division.
+    the first one not yet found.  With the pairings (nu, beta) s = row_beta . nu
+    of rs.pairing_rows summed as acc and N = scaled_norm = s^2 (b_g / 2) (x, x),
+    ((lam + rho)^2 - (mu + rho)^2) m(mu) = 2 sum m(nu) (nu, beta) reads
+    m(mu) = acc s b_g / (N(lam + rho) - N(mu + rho)): one exact integer division.
     """
     lam = highest_weight(rs, lam)
     dominant = _dominant_weights(rs, lam)
-    rows, _ = _weyl_dim_rows(rs)
-    scale = lcm(*(x.denominator for x in rs.d))
-    # gram_omega scaled by the lcm of its denominators, an integer matrix
-    g_scale = lcm(*(x.denominator for row in rs.gram_omega for x in row))
-    gram = [[int(x * g_scale) for x in row] for row in rs.gram_omega]
-
-    def norm(weight) -> int:
-        """(weight + rho, weight + rho) g_scale."""
-        x = [c + 1 for c in weight]
-        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, gram))
-
-    norm_top = norm(lam)
+    scale = rs.pairing_scale * rs.b_g
+    norm_top = scaled_norm(rs, [x + 1 for x in lam])
     mult_dom = {lam: 1}
     for mu in dominant[1:]:
         acc = 0
-        for alpha, row in zip(rs.positive_roots_omega, rows):
+        for alpha, row in zip(rs.positive_roots_omega, rs.pairing_rows):
             nu = tuple(m + a for m, a in zip(mu, alpha))
             while (m_nu := mult_dom.get(to_dominant(rs, nu))) is not None:
                 acc += m_nu * sum(n * r for n, r in zip(nu, row))
                 nu = tuple(n + a for n, a in zip(nu, alpha))
-        # norm_top - norm(mu) > 0 for dominant mu strictly below lam
-        num, den = 2 * acc * g_scale, scale * (norm_top - norm(mu))
+        # N(lam + rho) - N(mu + rho) > 0 for dominant mu strictly below lam
+        num, den = acc * scale, norm_top - scaled_norm(rs, [x + 1 for x in mu])
         m, rem = divmod(num, den)
         if rem:
             raise AssertionError(f"non-integer multiplicity {Fraction(num, den)} at {mu}")
@@ -367,8 +346,8 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     wall and sign(u) A_(u^-1 x) else: [V : V_lam] sums sign(u) m(nu) over the
     nu with to_dominant(nu + rho) = lam + rho.  The nu come by rootsys.orbit_rows
     from m.dominant, one zero pattern and at most _BLOCK_ROWS points at a time;
-    x = nu + rho pairs with the positive roots by the rows of _weyl_dim_rows,
-    to 0 on a wall and negatively with l(u) of them.  Negative counts, or
+    x = nu + rho pairs with the positive roots by rs.pairing_rows, to 0 on a
+    wall and negatively with l(u) of them.  Negative counts, or
     components short of total_dim (their Weyl dimensions are kept in dims),
     mean the input was not a genuine character; a map of another rank or
     Cartan type raises BasisMismatch (check_character).  The sum runs once
@@ -428,9 +407,9 @@ def load_multiplicity_map(path) -> MultiplicityMap:
 
     It holds the stored dominant multiplicities and expands their W-orbits
     only when entries is read.  A bad file raises ValueError (among them a
-    weight coordinate that is not a JSON integer, a count that is not
-    positive and a total that sum_mu m(mu) |W mu| does not match),
-    UnsupportedType, WeylCapExceeded or NotDominant at load time."""
+    weight coordinate that is not a JSON integer, a count or total that is not
+    a string of ASCII decimal digits, a count that is not positive and a total that
+    sum_mu m(mu) |W mu| does not match), UnsupportedType, WeylCapExceeded or NotDominant."""
     with open(path) as fh:
         doc = json.load(fh)
     rs = build_root_system(CartanType.parse(doc["cartan_type"]))
@@ -438,5 +417,12 @@ def load_multiplicity_map(path) -> MultiplicityMap:
     for w, c in zip(doc["weights"], doc["multiplicities"], strict=True):
         if any(type(x) is not int for x in w):
             raise ValueError(f"weight {w} has a coordinate that is not an integer")
-        dominant[tuple(w)] = int(c)
-    return MultiplicityMap(rs, dominant, int(doc["total_dim"]))
+        dominant[tuple(w)] = _decimal("multiplicities", c)
+    return MultiplicityMap(rs, dominant, _decimal("total_dim", doc["total_dim"]))
+
+
+def _decimal(field: str, text) -> int:
+    """int(text) for a str of ASCII digits, else ValueError naming field (int() takes 2.5, true, "1_0")."""
+    if type(text) is not str or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{field} value {text!r} is not a string of ASCII decimal digits")
+    return int(text)

@@ -13,11 +13,13 @@ Conventions, fixed once and used everywhere else in the package:
   simple roots of squared length 2, hence d_i in {1, 1/2, 1/3}.
 * The Gram matrix of the fundamental weights is (C^-1)^t diag(d), its inverse
   diag(d)^-1 C^t, and (omega_i, alpha_j) = d_i delta_ij.
+* Exact pairings are integers (x, beta) s = row_beta . x of pairing_rows, s the
+  lcm of the d_j's denominators, and exact norms their sums of squares, scaled_norm.
 
 All but the |W| table, which the cap reads first, comes from C by one integer
 reflection s_i or a closed formula.  On simple-root coordinates s_i is
 beta_i -= sum_j c_ij beta_j, and it generates the positive roots from the
-simple ones; b_g = 2 + 2 (rho, theta) for the highest root theta; one exact
+simple ones; b_g = 2 + 2 (rho, theta) off theta's pairing row; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
 v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative.
 W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
@@ -185,9 +187,10 @@ class RootSystemData:
     """Immutable bundle of everything downstream modules need about one type.
 
     The first block of fields is the public contract; the trailing fields are
-    precomputed caches (C^-1, roots in omega-coords, pairing vectors) that keep
-    the hot loops in other modules simple.  All come from C: positive_roots by
-    reflection, b_g from the highest root, both Gram matrices from C and C^-1.
+    precomputed caches (C^-1, roots in omega-coords, the integer pairing rows
+    and their scale s) that keep the hot loops in other modules simple.  All
+    come from C: positive_roots by reflection, b_g from the highest root's
+    pairing row, both Gram matrices from C and C^-1.
     The Weyl group as matrices, weyl, is built on first read; |W| comes from
     weyl_group_order.
     """
@@ -205,8 +208,8 @@ class RootSystemData:
     # caches
     C_inv: Matrix
     positive_roots_omega: tuple[IntVector, ...]
-    root_pair_vectors: tuple[tuple[Fraction, ...], ...]
-    rho_root_pairings: tuple[Fraction, ...]
+    pairing_rows: tuple[IntVector, ...]
+    pairing_scale: int
 
     @property
     def rank(self) -> int:
@@ -252,11 +255,13 @@ def build_root_system(t: CartanType | str) -> RootSystemData:
     cbar = tuple(tuple(d[i] * c[i][j] for j in range(r)) for i in range(r))
     pos = _positive_roots(c)
     c_inv = inverse(c)
-    # (x, beta) for x in omega-coords and beta = sum l_i alpha_i is
-    # sum_j x_j d_j l_j, so cache the vector (d_j l_j)_j per positive root
-    pair_vecs = tuple(tuple(d[j] * l for j, l in enumerate(root)) for root in pos)
+    # (x, beta) s for x in omega-coords and beta = sum l_j alpha_j is sum_j x_j s d_j l_j,
+    # so row beta holds the integers s d_j l_j, for s the lcm of the d_j's denominators
+    s = math.lcm(*(x.denominator for x in d))
+    sd = [int(s * x) for x in d]
+    rows = tuple(tuple([a * l for a, l in zip(sd, root)]) for root in pos)
     # b_g = 2 h^v = 2 + 2 (rho, theta), theta the highest root (the last one)
-    b_g = 2 + 2 * sum(pair_vecs[-1])
+    b_g = 2 + Fraction(2 * sum(rows[-1]), s)
     assert b_g.denominator == 1, f"{t}: b_g = {b_g} is not an integer"
     return RootSystemData(
         cartan_type=t,
@@ -271,9 +276,15 @@ def build_root_system(t: CartanType | str) -> RootSystemData:
         dim_g=2 * len(pos) + r,
         C_inv=c_inv,
         positive_roots_omega=tuple(mat_vec(c, root) for root in pos),
-        root_pair_vectors=pair_vecs,
-        rho_root_pairings=tuple(sum(vec) for vec in pair_vecs),
+        pairing_rows=rows,
+        pairing_scale=s,
     )
+
+
+def scaled_norm(rs: RootSystemData, x) -> int:
+    """sum_beta (row_beta . x)^2 = s^2 (b_g / 2) (x, x) for x in omega-coords, s = pairing_scale:
+    the Killing form, sum_(beta > 0) (x, beta)^2 = (b_g / 2) (x, x) on the Cartan subalgebra."""
+    return sum(sum(map(operator.mul, row, x)) ** 2 for row in rs.pairing_rows)
 
 
 def is_dominant(mu) -> bool:

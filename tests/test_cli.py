@@ -4,11 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from tensorlimits import cli
+from tensorlimits import cli, repchar
 from tensorlimits.cli import main
 from tensorlimits.densities import DensityModel
-from tensorlimits.repchar import tensor_power_multiplicities
-from tensorlimits.rootsys import build_root_system
+from tensorlimits.repchar import (
+    MultiplicityMap,
+    racah_decompose,
+    save_multiplicity_map,
+    tensor_power_multiplicities,
+    tensor_power_table,
+)
+from tensorlimits.rootsys import build_root_system, orbit
 
 from oracles import peel_off_decompose
 
@@ -253,6 +259,19 @@ def _relabel_c2(text):
     return json.dumps(doc)
 
 
+def _restate_counts(restate):
+    """A corruption that stores each multiplicity and the total as restate(its decimal
+    string): values that int() reads back as the same counts, or as the counts less 1/2."""
+
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["multiplicities"] = [restate(c) for c in doc["multiplicities"]]
+        doc["total_dim"] = restate(doc["total_dim"])
+        return json.dumps(doc)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "argv, corrupt",
     [
@@ -266,8 +285,25 @@ def _relabel_c2(text):
         (A1_XI, _edit_dominant(_zero_at_weight_10)),
         (A1_XI, _pad_weight_0),
         (B2_XI, _relabel_c2),
+        (A1_XI, _restate_counts(lambda c: int(c) + 0.5)),
+        (A1_XI, _restate_counts(lambda c: True if c == "1" else c)),
+        (A1_XI, _restate_counts(lambda c: c + ".0")),
+        (A1_XI, _restate_counts(lambda c: c[0] + "_" + c[1:] if len(c) > 1 else c)),
     ],
-    ids=["truncated", "forged", "swapped", "moved", "non-dominant", "zero", "padded", "relabelled"],
+    ids=[
+        "truncated",
+        "forged",
+        "swapped",
+        "moved",
+        "non-dominant",
+        "zero",
+        "padded",
+        "relabelled",
+        "half",
+        "true",
+        "point-zero",
+        "underscore",
+    ],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
     cache = tmp_path / "cache"
@@ -284,6 +320,65 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
     # the entry was overwritten with the recomputed map and nothing else was left behind
     assert list(cache.iterdir()) == [path]
     assert path.read_text() == good
+
+
+@pytest.mark.parametrize(
+    "label, factors, n",
+    [
+        ("A1", ["1:1"], 8),
+        ("A2", ["1,0:1"], 6),
+        ("B2", ["0,1:1", "1,0:1/2"], 8),
+        ("G2", ["1,0:1"], 6),
+        ("G2", ["0,1:1"], 4),
+        ("B3", ["1,0,0:1"], 4),
+        ("C3", ["1,0,0:1"], 4),
+        ("D4", ["1,0,0,0:1"], 3),
+        ("F4", ["0,0,0,1:1"], 2),
+    ],
+    ids=["A1", "A2", "B2", "G2-w1", "G2-w2", "B3", "C3", "D4", "F4"],
+)
+def test_cache_hits_at_every_pairing_scale(tmp_path, label, factors, n):
+    """A saved map passes every check of _load_cached, whose second moment reads
+    scaled_norm, at the pairing scales s = 1 (A, D), 2 (B, C, F4) and 3 (G2): a hit
+    returns the saved map, where a miss would recompute it and rewrite the same bytes."""
+    spec = cli._build_spec(label, [cli._parse_factor(f) for f in factors])
+    m = tensor_power_table(spec.rs, spec.factors, [n])[n]
+    path = tmp_path / "map.json"
+    save_multiplicity_map(m, path)
+    back = cli._load_cached(spec, n, str(path))
+    assert back is not None
+    assert back.dominant == m.dominant and back.total_dim == m.total_dim
+
+
+def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
+    """One unit moved from the 6-point orbit of omega1 to that of 4 omega1 (G2, V_omega1^4):
+    a W-invariant map with positive counts and the same total, but a larger second moment."""
+    spec = cli._build_spec("G2", [cli._parse_factor("1,0:1")])
+    m = tensor_power_table(spec.rs, spec.factors, [4])[4]
+    dominant = dict(m.dominant)
+    assert dominant[(1, 0)] > 1
+    dominant[(4, 0)] += 1
+    dominant[(1, 0)] -= 1
+    path = tmp_path / "map.json"
+    save_multiplicity_map(MultiplicityMap(spec.rs, dominant, m.total_dim), path)
+    assert cli._load_cached(spec, 4, str(path)) is None
+
+
+def test_orbit_sizes_are_walked_once_per_loaded_map(tmp_path, monkeypatch):
+    """The constructor keeps its orbit sizes in dominant order; the cache check,
+    len and Racah's grouping read them instead of walking the orbits again."""
+    spec = cli._build_spec("B2", [cli._parse_factor("0,1:1"), cli._parse_factor("1,0:1/2")])
+    m = tensor_power_table(spec.rs, spec.factors, [8])[8]
+    assert m.sizes == [len(orbit(spec.rs, mu)) for mu in m.dominant]
+    path = tmp_path / "map.json"
+    save_multiplicity_map(m, path)
+    calls = []
+    walk = repchar.orbit_sizes
+    monkeypatch.setattr(repchar, "orbit_sizes", lambda rs, weights: calls.append(1) or walk(rs, weights))
+    back = cli._load_cached(spec, 8, str(path))
+    assert back is not None and back.sizes == [len(orbit(spec.rs, mu)) for mu in back.dominant]
+    assert len(back) == len(m) and racah_decompose(spec.rs, back).components == racah_decompose(spec.rs, m).components
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("value", ["envcache", ""], ids=["dir", "empty"])

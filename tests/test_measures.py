@@ -190,7 +190,7 @@ def test_eta_extended_walls_are_zero():
     walls = 0
     for w, p in m.atoms:
         shifted = [x + 1 for x in w]
-        if any(sum(x * v for x, v in zip(shifted, vec)) == 0 for vec in A2.root_pair_vectors):
+        if any(sum(x * v for x, v in zip(shifted, row)) == 0 for row in A2.pairing_rows):
             walls += 1
             assert p == 0, w
         else:

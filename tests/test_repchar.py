@@ -582,3 +582,33 @@ def test_load_rejects_bad_file(tmp_path, edit, error):
     path.write_text(json.dumps({**doc, **edit}))
     with pytest.raises(error):
         load_multiplicity_map(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("multiplicities", [2.5, "1"]),
+        ("multiplicities", ["2", True]),
+        ("multiplicities", ["2.0", "1"]),
+        ("multiplicities", ["2", "0_1"]),
+        ("multiplicities", ["٢", "1"]),
+        ("total_dim", 9.5),
+        ("total_dim", "9.0"),
+        ("total_dim", "0_9"),
+        ("total_dim", " 9"),
+    ],
+    ids=["half", "true", "point-zero", "underscore", "arabic-indic", "total-half", "total-point-zero",
+         "total-underscore", "total-space"],
+)
+def test_load_refuses_counts_that_are_not_decimal_strings(tmp_path, field, value):
+    """save_multiplicity_map writes every count as a string of ASCII decimal digits.
+    int() reads each of these values as the stored count, or as the count less a
+    half, so a file of them would pass for V_omega1^2 of A2; the loader refuses
+    it with ValueError naming the field."""
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
+    path = tmp_path / "map.json"
+    save_multiplicity_map(m, path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, field: value}))
+    with pytest.raises(ValueError, match=field):
+        load_multiplicity_map(path)

@@ -225,6 +225,27 @@ def test_bilinear_symmetry_and_alpha_omega_consistency():
         assert bilinear(mat_vec(rs.C, u), rs.gram_omega, v_omega) == bilinear(u, rs.Cbar, v)
 
 
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_pairing_rows_and_the_killing_identity(label):
+    """Row beta of the pairing table is (s d_j l_j)_j for beta = sum_j l_j alpha_j and s
+    the lcm of the d_j's denominators (1, 2 or 3 here), so row . x = s (x, beta) on
+    gram_omega; scaled_norm is s^2 (b_g / 2) (x, x), as sum_(beta > 0) (x, beta)^2
+    = (b_g / 2) (x, x) holds for the form with long roots of squared length 2."""
+    rs = build_root_system(label)
+    s = rs.pairing_scale
+    assert s == math.lcm(*(x.denominator for x in rs.d)) and s in (1, 2, 3)
+    assert len(rs.pairing_rows) == len(rs.positive_roots)
+    for row, root in zip(rs.pairing_rows, rs.positive_roots):
+        assert all(type(x) is int for x in row)
+        assert row == tuple(s * dj * l for dj, l in zip(rs.d, root))
+    rng = random.Random(37)
+    for _ in range(20):
+        x = tuple(rng.randint(-9, 9) for _ in range(rs.rank))
+        for row, root in zip(rs.pairing_rows, rs.positive_roots):
+            assert sum(a * b for a, b in zip(row, x)) == s * bilinear(x, rs.gram_omega, mat_vec(rs.C, root))
+        assert rootsys.scaled_norm(rs, x) == s * s * Fraction(rs.b_g, 2) * bilinear(x, rs.gram_omega, x)
+
+
 def test_wrong_length_weight_is_rejected():
     from tensorlimits.measures import TensorSpec, eta_extended_measure, pushforward_dominant_shifted
 
@@ -360,7 +381,7 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
     walls = regular = 0
     for mu, row in zip(mus, rows.tolist()):
         shifted = tuple(x + 1 for x in mu)
-        on_wall = any(sum(x * p for x, p in zip(shifted, vec)) == 0 for vec in rs.root_pair_vectors)
+        on_wall = any(sum(x * p for x, p in zip(shifted, vec)) == 0 for vec in rs.pairing_rows)
         assert (0 in row) == on_wall, mu
         if on_wall:
             walls += 1
@@ -409,12 +430,10 @@ def test_orbit_rows_is_orbit_on_every_zero_pattern(label):
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"])
 def test_negative_root_pairings_count_the_length(label):
     """The sign rule of racah_decompose: for strictly dominant x, w x pairs negatively
-    with exactly l(w) positive roots (the integer rows of _weyl_dim_rows), and a point
+    with exactly l(w) positive roots (their integer pairing rows), and a point
     pairs to zero with some root exactly where to_dominant_rows leaves a zero."""
-    from tensorlimits.repchar import _weyl_dim_rows
-
     rs = build_root_system(label)
-    roots = np.array(_weyl_dim_rows(rs)[0]).T
+    roots = np.array(rs.pairing_rows).T
     rng = random.Random(31)
     xs = np.array([[rng.randint(1, 6) for _ in range(rs.rank)] for _ in range(5)])
     for w in rs.weyl:
