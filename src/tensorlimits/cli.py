@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import prod
 
@@ -31,6 +32,7 @@ from .errors import (
     InadmissibleN,
     NotDominant,
     RankTooLarge,
+    TableCapExceeded,
     TensorLimitsError,
     UnsupportedType,
     WeylCapExceeded,
@@ -451,7 +453,9 @@ def cmd_converge(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ltl argument parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="ltl", description="Exact tensor-power weight measures and their limits."
     )
@@ -519,7 +523,7 @@ def main(argv=None) -> int:
     except (InadmissibleN, NotDominant, DegenerateSpec, UnsupportedType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WeylCapExceeded, RankTooLarge, GridCapExceeded) as exc:
+    except (WeylCapExceeded, RankTooLarge, GridCapExceeded, TableCapExceeded) as exc:
         print(f"error: computation cap exceeded: {exc}", file=sys.stderr)
         return 3
 

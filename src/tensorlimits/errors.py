@@ -17,6 +17,10 @@ class WeylCapExceeded(TensorLimitsError):
     """The Weyl group order exceeds the enumeration cap."""
 
 
+class TableCapExceeded(TensorLimitsError):
+    """Enumerating a tensor-power table would hold more rows than repchar.MAX_TABLE_ROWS."""
+
+
 class RankTooLarge(TensorLimitsError):
     """The requested grid computation is limited to small rank."""
 

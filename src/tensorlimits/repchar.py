@@ -15,6 +15,13 @@ finds each multiplicity from higher ones by one exact integer division, at a
 cost per dominant weight of the support sizes of the factors.  It is the
 only product of characters the package computes; the test suite checks it
 against plain convolution of the factor characters (tests/oracles.py).
+Both recurrences walk the dominant weights below their top by depth, as one
+numpy enumeration lists them (_dominant_weights, checked against a search
+along positive roots); Miller's recurrence reads its quotients at positions
+in that list, found a block of rows at a time by to_dominant_rows and packed
+int64 keys, while Freudenthal's root strings step with the scalar to_dominant.
+A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises
+TableCapExceeded before it is built.
 Characters are split into irreducibles by Racah's alternating Weyl sum, as
 the signed pushforward under the shifted Weyl action, which the tests check
 against a scan of the full table and against peeling off highest weights.
@@ -33,7 +40,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import BasisMismatch, NegativeMultiplicity
+from .errors import BasisMismatch, NegativeMultiplicity, TableCapExceeded
 from .linalg import bilinear
 from .rootsys import (
     CartanType,
@@ -43,7 +50,6 @@ from .rootsys import (
     casimir_eigenvalue,
     check_length,
     highest_weight,
-    is_dominant,
     orbit,
     orbit_rows,
     orbit_sizes,
@@ -53,7 +59,8 @@ from .rootsys import (
     to_dominant_rows,
 )
 
-_BLOCK_ROWS = 2**16  # orbit points per block of racah_decompose: its arrays stay a few MB
+_BLOCK_ROWS = 2**16  # orbit points per block of racah_decompose, lookups per block of _miller_power
+MAX_TABLE_ROWS = 2**24  # rows _dominant_weights may hold, as densities.MAX_GRID_POINTS
 
 
 class MultiplicityMap:
@@ -168,21 +175,52 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
     return _weyl_dims(rs, [[sum(map(mul, row, lam_rho)) for row in rs.pairing_rows]])[0]
 
 
-def _dominant_weights(rs: RootSystemData, lam) -> list[IntVector]:
-    """Dominant weights of V_lam by depth below lam: those reached from lam by
-    positive-root steps that stay dominant (Stembridge, "The partial order of
-    dominant weights", Adv. Math. 136, 1998)."""
-    seen = {lam}
-    stack = [lam]
-    while stack:
-        nu = stack.pop()
-        for alpha in rs.positive_roots_omega:
-            cand = tuple([x - a for x, a in zip(nu, alpha)])
-            if min(cand) >= 0 and cand not in seen:
-                seen.add(cand)
-                stack.append(cand)
-    height = _height_vector(rs)
-    return sorted(seen, key=lambda mu: (sum(h * (l - x) for h, l, x in zip(height, lam, mu)), mu))
+def _scaled_inverse_cartan(rs: RootSystemData) -> tuple[np.ndarray, int]:
+    """(den C^-1, den) as an int64 matrix and an int, den the least common denominator
+    of C^-1: den C^-1 x is den times the simple-root coordinates of x in omega-coords."""
+    den = lcm(*(x.denominator for row in rs.C_inv for x in row))
+    return np.array([[int(x * den) for x in row] for row in rs.C_inv], dtype=np.int64), den
+
+
+def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant weights of V_lam and their depths below lam, sorted by (depth, weight).
+
+    They are the nu >= 0 with k = C^-1 (lam - nu) >= 0 integral (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, section 21.3), and
+    the depth of nu is sum k, the height of lam - nu.  C^-1 >= 0 entrywise, so
+    {nu >= 0 : C^-1 nu <= C^-1 lam} is downward closed: nu grows one
+    coordinate at a time, each prefix repeated (np.repeat) once per next
+    coordinate from 0 to the largest its budget left = M (lam - prefix) allows,
+    M = den C^-1: the least over the j with M_ji > 0 of left_j // M_ji.  No
+    prefix is a dead end, so at most det C times the output is held; the rows
+    whose left den divides (the root-lattice coset) are kept, as
+    nu = lam - C k with k = left / den, and np.lexsort'ed.  TableCapExceeded,
+    before anything is allocated, if a step would hold more than
+    MAX_TABLE_ROWS rows.  Returns the weights as an (n, rank) int64 array and
+    their depths as an (n,) int64 array.
+    """
+    r = rs.rank
+    # each step holds (0, ..., 0, t) for t <= lam_i, so this also keeps den C^-1 lam in int64
+    if max(lam) >= MAX_TABLE_ROWS:
+        raise TableCapExceeded(f"the dominant weights below {lam} take more than {MAX_TABLE_ROWS} rows")
+    m, den = _scaled_inverse_cartan(rs)
+    left = (m @ np.array(lam, dtype=np.int64))[None]
+    for i in range(r):
+        col = m[:, i]
+        bounds = col > 0  # zeros (D2 only) bound nothing
+        counts = (left[:, bounds] // col[bounds]).min(axis=1) + 1
+        total = int(counts.sum())
+        if total > MAX_TABLE_ROWS:
+            raise TableCapExceeded(f"the dominant weights below {lam} take more than {MAX_TABLE_ROWS} rows")
+        x = np.arange(total)
+        x -= np.repeat(np.cumsum(counts) - counts, counts)
+        left = np.repeat(left, counts, axis=0)
+        for j in np.flatnonzero(bounds):
+            left[:, j] -= x * col[j]
+    k = left[(left % den == 0).all(axis=1)] // den
+    nus, depths = np.array(lam, dtype=np.int64) - k @ np.array(rs.C, dtype=np.int64).T, k.sum(axis=1)
+    order = np.lexsort((*nus.T[::-1], depths))
+    return nus[order], depths[order]
 
 
 def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
@@ -197,7 +235,7 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     m(mu) = acc s b_g / (N(lam + rho) - N(mu + rho)): one exact integer division.
     """
     lam = highest_weight(rs, lam)
-    dominant = _dominant_weights(rs, lam)
+    dominant = list(map(tuple, _dominant_weights(rs, lam)[0].tolist()))
     scale = rs.pairing_scale * rs.b_g
     norm_top = scaled_norm(rs, [x + 1 for x in lam])
     mult_dom = {lam: 1}
@@ -224,16 +262,30 @@ def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
         raise BasisMismatch(f"a character of {m.rs.cartan_type}, not of {rs.cartan_type}")
 
 
-def _height_vector(rs: RootSystemData) -> IntVector:
-    """Integer functional on omega-coords, positive on every simple root.
+def _positions(nus: np.ndarray):
+    """The function taking an (n, rank) array of nonnegative weights to their
+    positions in the rows nus, len(nus) for a weight not among them.
 
-    It is the sum of simple-root coordinates (pairing with rho^vee), scaled by
-    the least common denominator of C^-1 so that it is integral.
-    """
-    r = rs.rank
-    sums = [sum(rs.C_inv[i][j] for i in range(r)) for j in range(r)]
-    scale = lcm(*(x.denominator for x in sums))
-    return tuple(int(x * scale) for x in sums)
+    A weight is packed into one int64 key in the uniform radix one past the
+    largest coordinate of nus and found by np.searchsorted in nus's sorted
+    keys; a weight with a coordinate at or past the radix is absent.
+    TableCapExceeded unless radix^rank < 2^63."""
+    size, r = nus.shape
+    radix = int(nus.max()) + 1
+    if radix**r >= 2**63:
+        raise TableCapExceeded(f"weights with coordinates up to {radix - 1} do not pack into int64 keys")
+    powers = radix ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    keys = nus @ powers
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def find(rows: np.ndarray) -> np.ndarray:
+        inside = (rows < radix).all(axis=1)
+        k = np.where(inside, np.minimum(rows, radix - 1) @ powers, -1)
+        i = np.minimum(np.searchsorted(sorted_keys, k), size - 1)
+        return np.where(sorted_keys[i] == k, order[i], size)
+
+    return find
 
 
 def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
@@ -254,50 +306,66 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     by D is exact.  For one factor this is J.C.P. Miller's formula for powers
     of a power series (Knuth, TAOCP vol. 2, section 4.7); carrying the
     quotients A_l instead of multiplying through by prod_l g_l keeps the cost
-    per weight at sum_l |supp V_lam_l| rather than the product.
+    per weight at sum_l |supp V_lam_l| rather than the product.  The heights
+    are simple-root heights, unscaled: the recurrence is linear in the grading.
 
     Q and every A_l are W-invariant, so the recurrence visits only the
-    dominant weights nu below top, by depth: each is a weight of V_top, so
-    none is zero.  A_l is kept at the dominant weights nu - lam_l of its own
-    frame and read at to_dominant(nu - w), which lies no lower, so it was
-    found earlier or is zero.  The result holds the dominant multiplicities;
-    its W-orbits are expanded only if its entries are read.
+    dominant weights nu below top, by depth (_dominant_weights): each is a
+    weight of V_top, so none is zero.  A_l lives in the coset of
+    V_(top - lam_l), so A_l(mu) is kept at the position of mu + lam_l among
+    them, in A_l's part of one list of slots, and read at
+    to_dominant(nu - w) + lam_l, which lies higher than nu, so it was found
+    earlier or is zero; a weight not among them reads the part's last slot,
+    which stays 0.  Those positions come for a block of rows at a time, at
+    most _BLOCK_ROWS lookups, from one to_dominant_rows per factor and
+    _positions, so a row's step is one list of reads and one sum of products.
+    The result holds the dominant multiplicities; its W-orbits are expanded
+    only if its entries are read.
     """
     factors = [(lam, base, n) for lam, base, n in factors if n]
-    top = tuple(sum(n * lam[i] for lam, _, n in factors) for i in range(rs.rank))
-    height = _height_vector(rs)
-    # per factor: (lam_l, [(w, n d(lam_l - w) V_lam_l(w), V_lam_l(w)) for w != lam_l], A_l)
-    steps = []
+    r = rs.rank
+    top = tuple(sum(n * lam[i] for lam, _, n in factors) for i in range(r))
+    nus, depths = _dominant_weights(rs, top)
+    size = len(nus)
+    find = _positions(nus)
+    m_inv, den = _scaled_inverse_cartan(rs)
+    height = m_inv.sum(axis=0)  # den times the height of an omega-coords weight
+    # per factor with a weight w != lam_l: lam_l, those w, their V_lam_l(w), the offset of
+    # A_l's slots and the part of a row's lookups it reads; coeffs holds every n d(lam_l - w) V_lam_l(w)
+    steps, coeffs = [], []
     for lam, base, n in factors:
-        row = [
-            (w, n * sum(h * (l - x) for h, l, x in zip(height, lam, w)) * c, c)
-            for w, c in base.entries.items()
-            if w != lam
-        ]
-        steps.append((lam, row, {}))
-    mult_dom = {}
-    for nu in _dominant_weights(rs, top):
-        acc = 0
-        subs = []
-        for lam, row, quotient in steps:
-            sub = 0
-            for w, coeff, c in row:
-                a = quotient.get(to_dominant(rs, [x - y for x, y in zip(nu, w)]))
-                if a:
-                    acc += coeff * a
-                    sub += c * a
-            subs.append(sub)
-        depth = sum(h * (t - x) for h, t, x in zip(height, top, nu))
-        # only top has depth 0; its multiplicity is 1
-        m, rem = divmod(acc, depth) if depth else (1, 0)
-        if rem:
-            raise AssertionError(f"multiplicity sum {acc} at depth {depth} is not divisible by the depth")
-        mult_dom[nu] = m
-        for (lam, _, quotient), sub in zip(steps, subs):
-            mu = tuple(x - y for x, y in zip(nu, lam))
-            if is_dominant(mu):
-                quotient[mu] = m - sub
-    return MultiplicityMap(rs, mult_dom, prod(base.total_dim**n for _, base, n in factors))
+        items = [(w, c) for w, c in base.entries.items() if w != lam]
+        if items:
+            ws = np.array([w for w, _ in items], dtype=np.int64)
+            lam_row = np.array(lam, dtype=np.int64)
+            d = ((lam_row - ws) @ height // den).tolist()
+            part = slice(len(coeffs), len(coeffs) + len(items))
+            coeffs += [n * h * c for h, (_, c) in zip(d, items)]
+            steps.append((lam_row, ws, [c for _, c in items], len(steps) * (size + 1), part))
+    # the A_l side by side, size + 1 slots each; the last slot of each stays 0
+    quotients = [0] * (len(steps) * (size + 1))
+    block_rows = max(1, _BLOCK_ROWS // max(1, len(coeffs)))
+    mult = []
+    for a in range(0, size, block_rows):
+        block = nus[a : a + block_rows]
+        looks = [np.empty((len(block), 0), dtype=np.int64)]
+        for lam_row, ws, _, offset, _ in steps:
+            x = to_dominant_rows(rs, (block[:, None, :] - ws).reshape(-1, r)) + lam_row
+            looks.append(find(x).reshape(len(block), len(ws)) + offset)
+        owns = [(block >= lam_row).all(axis=1).tolist() for lam_row, *_ in steps]
+        for i, (look, depth) in enumerate(zip(np.hstack(looks).tolist(), depths[a : a + block_rows].tolist())):
+            vals = [quotients[j] for j in look]
+            acc = sum(map(mul, coeffs, vals))
+            # only top has depth 0; its multiplicity is 1
+            m, rem = divmod(acc, depth) if depth else (1, 0)
+            if rem:
+                raise AssertionError(f"multiplicity sum {acc} at depth {depth} is not divisible by the depth")
+            mult.append(m)
+            for (_, _, cs, offset, part), own in zip(steps, owns):
+                if own[i]:
+                    quotients[offset + a + i] = m - sum(map(mul, cs, vals[part]))
+    dominant = dict(zip(zip(*[col.tolist() for col in nus.T]), mult))
+    return MultiplicityMap(rs, dominant, prod(base.total_dim**n for _, base, n in factors))
 
 
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:

@@ -4,9 +4,9 @@ These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
 convolution sum, decompositions from peeling off highest weights or from
 Racah's sum over the full weight table with enumerated Weyl elements, rank-1
-tensor powers from the ballot closed form, and the moments, the
-characteristic function and the binned TV of a measure from sums over its
-atoms.  Convolution and peel-off work on full entries as plain dicts;
+tensor powers from the ballot closed form, dominant weights by a search
+along positive roots, and the moments, the characteristic function and the
+binned TV of a measure from sums over its atoms.  Convolution and peel-off work on full entries as plain dicts;
 character_map turns a W-invariant dict into a MultiplicityMap.
 """
 
@@ -80,6 +80,36 @@ def convolve(a: dict, b: dict) -> dict:
             key = tuple(x + y for x, y in zip(wa, wb))
             out[key] = out.get(key, 0) + ca * cb
     return out
+
+
+def _height_vector(rs):
+    """Integer functional on omega-coords, positive on every simple root.
+
+    It is the sum of simple-root coordinates (pairing with rho^vee), scaled by
+    the least common denominator of C^-1 so that it is integral.
+    """
+    r = rs.rank
+    sums = [sum(rs.C_inv[i][j] for i in range(r)) for j in range(r)]
+    scale = lcm(*(x.denominator for x in sums))
+    return tuple(int(x * scale) for x in sums)
+
+
+def dominant_weights_dfs(rs, lam) -> list:
+    """Dominant weights of V_lam by depth below lam: those reached from lam by
+    positive-root steps that stay dominant (Stembridge, "The partial order of
+    dominant weights", Adv. Math. 136, 1998).  The reference for
+    repchar._dominant_weights, which enumerates them coordinate by coordinate."""
+    seen = {lam}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        for alpha in rs.positive_roots_omega:
+            cand = tuple([x - a for x, a in zip(nu, alpha)])
+            if min(cand) >= 0 and cand not in seen:
+                seen.add(cand)
+                stack.append(cand)
+    height = _height_vector(rs)
+    return sorted(seen, key=lambda mu: (sum(h * (l - x) for h, l, x in zip(height, lam, mu)), mu))
 
 
 def peel_off_decompose(rs, entries: dict) -> IrrepDecomposition:

@@ -503,9 +503,10 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
 def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
     """Racah's sum, eta^e and its pushforward run the shifted Weyl action on whole
     arrays: with to_dominant counted, they give what they give uncounted,
-    racah_decompose calls to_dominant not once, and
-    eta^e and its pushforward call it exactly as often as eta alone does (Miller's
-    recurrence building V_N), so never once per eta^e atom or per wall-box point."""
+    racah_decompose and Miller's recurrence call to_dominant not once, and
+    eta^e and its pushforward call it exactly as often as eta alone does (the
+    Freudenthal recursion building the factor characters), so never once per
+    eta^e atom or per wall-box point."""
     from tensorlimits import repchar, rootsys
     from tensorlimits.repchar import racah_decompose
     from tensorlimits.measures import (
@@ -535,7 +536,9 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
     monkeypatch.setattr(repchar, "to_dominant", counted)
     assert outputs() == plain
     m = tensor_power_multiplicities(a3, [((1, 0, 0), 8)])
+    base = repchar.freudenthal_multiplicities(a3, (1, 0, 0))
     calls.clear()
+    assert repchar._miller_power(a3, [((1, 0, 0), base, 8)]).dominant == m.dominant
     dec = racah_decompose(a3, m)
     assert calls == []
     assert dec.components == peel_off_decompose(a3, m.entries).components
@@ -585,6 +588,49 @@ def test_oversized_grid_exit_3_before_allocating(monkeypatch, capsys, reason, ar
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: computation cap exceeded: {reason}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--type", "A2", "--factor", "1,0:1", "--N", "99999999999"],
+        ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4,99999999999"],
+        ["measure", "xi", "--type", "B3", "--factor", "99999999,0,0:1", "--N", "1"],
+    ],
+)
+def test_oversized_table_exit_3_before_allocating(monkeypatch, capsys, argv):
+    # the enumeration of dominant weights counts each step's rows before np.repeat builds them
+    repeat = np.repeat
+
+    def guarded(a, counts, axis=None):
+        if int(np.sum(counts)) > 2**20:
+            raise AssertionError("np.repeat asked for more than 2^20 rows")
+        return repeat(a, counts, axis=axis)
+
+    monkeypatch.setattr(np, "repeat", guarded)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: computation cap exceeded: the dominant weights below")
+
+
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, "decompose", "--type", "A1", "--factor", "1:1", "--N", "2")
+        assert (code, out) == (0, "weight_1,multiplicity\n0,1\n2,1\n")
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_usage_error_leaves_the_shared_parser_working(capsys):
+    # argparse exits 2 on a usage error; the next call parses with the same parser
+    code, out, err = run(capsys, "decompose", "--type", "A1", "--factor", "1:1", "--N", "2", "--bogus")
+    assert (code, out) == (2, "")
+    assert "--bogus" in err
+    code, out, _ = run(capsys, "decompose", "--type", "A1", "--factor", "1:1", "--N", "2")
+    assert (code, out) == (0, "weight_1,multiplicity\n0,1\n2,1\n")
+    code, _, err = run(capsys, "decompose", "--type", "A1", "--N", "2")
+    assert code == 2 and "--factor" in err
 
 
 def test_missing_converge_flags_exit_2(capsys):

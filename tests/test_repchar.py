@@ -6,10 +6,18 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorlimits import repchar, rootsys
-from tensorlimits.errors import BasisMismatch, NegativeMultiplicity, NotDominant, UnsupportedType, WeylCapExceeded
+from tensorlimits.errors import (
+    BasisMismatch,
+    NegativeMultiplicity,
+    NotDominant,
+    TableCapExceeded,
+    UnsupportedType,
+    WeylCapExceeded,
+)
 from tensorlimits.repchar import (
     MultiplicityMap,
     freudenthal_multiplicities,
@@ -28,6 +36,7 @@ from oracles import (
     character_by_weyl_formula,
     character_map,
     convolve,
+    dominant_weights_dfs,
     peel_off_decompose,
     racah_full_scan,
     sl2_power_components,
@@ -267,6 +276,127 @@ def test_tensor_powers_match_repeated_convolution_randomized():
                     assert m.total_dim == sum(expected.values()), (label, counts)
     assert seen_taus == set(taus)
     assert seen_zero_weight and seen_zero_exponent and seen_two_factor
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_tensor_powers_of_wide_factors_match_repeated_convolution(monkeypatch, blocks):
+    """Miller's recurrence against the convolution oracle on rank-5 vector
+    factors, adjoint factors whose zero weight has multiplicity > 1, a trivial
+    factor and N = 0 and 1; with the block budget cut to 5 lookups, every
+    table spans many blocks of a row or two."""
+    if blocks == "small":
+        monkeypatch.setattr(repchar, "_BLOCK_ROWS", 5)
+    cases = [
+        ("B5", [((1, 0, 0, 0, 0), Fraction(1))], [0, 1, 3]),
+        ("D5", [((1, 0, 0, 0, 0), Fraction(1))], [0, 1, 3]),
+        ("G2", [((1, 0), Fraction(1))], [0, 1, 3]),
+        ("F4", [((1, 0, 0, 0), Fraction(1))], [0, 1, 2]),
+        ("A2", [((0, 0), Fraction(1)), ((1, 0), Fraction(1))], [0, 1, 4]),
+        ("B2", [((0, 0), Fraction(1))], [0, 1, 2]),
+        ("C3", [((1, 0, 0), Fraction(1)), ((0, 1, 0), Fraction(1, 2))], [0, 2, 4]),
+    ]
+    for label, factors, n_values in cases:
+        rs = build_root_system(label)
+        table = tensor_power_table(rs, factors, n_values)
+        for n in n_values:
+            expected = _power_by_repeated_convolution(rs, [(lam, (tau * n).numerator) for lam, tau in factors])
+            assert table[n].entries == expected, (label, n)
+            assert table[n].total_dim == sum(expected.values()), (label, n)
+    # the adjoint factors (dimensions 14 and 52) have zero weights of multiplicity rank > 1
+    assert freudenthal_multiplicities(RS["G2"], (1, 0))[(0, 0)] == 2
+    assert freudenthal_multiplicities(RS["F4"], (1, 0, 0, 0))[(0, 0, 0, 0)] == 4
+
+
+# every type whose Weyl group is under the cap
+UNDER_CAP = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5"]
+UNDER_CAP += ["D2", "D3", "D4", "D5", "G2", "F4"]
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_dominant_weights_match_search_oracle(label):
+    """The coordinate-wise enumeration lists the dominant weights the search
+    along positive roots finds, in the same order, each with the height of
+    lam - mu as its depth; tops are 0 and seeded small weights."""
+    rs = build_root_system(label)
+    rng = random.Random(f"dominant weights {label}")
+    bound = {1: 9, 2: 6, 3: 4, 4: 3}.get(rs.rank, 2)
+    tops = [(0,) * rs.rank] + [tuple(rng.randrange(bound) for _ in range(rs.rank)) for _ in range(3)]
+    for top in tops:
+        nus, depths = repchar._dominant_weights(rs, top)
+        assert list(map(tuple, nus.tolist())) == dominant_weights_dfs(rs, top), top
+        heights = [sum(c * (t - x) for row in rs.C_inv for c, t, x in zip(row, top, mu)) for mu in nus.tolist()]
+        assert depths.tolist() == heights, top
+
+
+def _refuse_large_repeat(monkeypatch):
+    """Make np.repeat refuse any output of more than 2^20 rows."""
+    repeat = np.repeat
+
+    def guarded(a, counts, axis=None):
+        if int(np.sum(counts)) > 2**20:
+            raise AssertionError("np.repeat asked for more than 2^20 rows")
+        return repeat(a, counts, axis=axis)
+
+    monkeypatch.setattr(np, "repeat", guarded)
+
+
+@pytest.mark.parametrize(
+    "label,top",
+    [
+        ("A1", (2**24,)),
+        ("A2", (99999999999, 0)),
+        ("A2", (10**30, 1)),
+        # 6,001 prefixes in the first step, about 3.6e7 rows in the second
+        ("A2", (0, 12000)),
+        # D2 = A1 x A1: 4,097 ** 2 > 2^24 rows in the second step
+        ("D2", (4096, 4096)),
+    ],
+)
+def test_dominant_weights_refuse_tables_over_the_cap(monkeypatch, label, top):
+    _refuse_large_repeat(monkeypatch)
+    with pytest.raises(TableCapExceeded, match="more than 16777216 rows"):
+        repchar._dominant_weights(RS[label], top)
+
+
+def test_dominant_weights_at_the_cap_are_enumerated(monkeypatch):
+    # with the cap cut to 2^20, D2 (4095, 255) holds 4,096 * 256 = 2^20 rows in its second step: at the cap, not over it
+    monkeypatch.setattr(repchar, "MAX_TABLE_ROWS", 2**20)
+    _refuse_large_repeat(monkeypatch)
+    nus, _ = repchar._dominant_weights(RS["D2"], (4095, 255))
+    assert len(nus) == 2**11 * 2**7 and nus.tolist()[0] == [4095, 255]
+    with pytest.raises(TableCapExceeded):
+        repchar._dominant_weights(RS["D2"], (4095, 256))
+
+
+def test_positions_read_weights_past_the_radix_as_absent():
+    """A weight with a coordinate at the radix (one past the largest dominant
+    coordinate) packs to the key of a weight among the rows, as the carry would
+    have it, yet reads as absent: the last slot, which stays 0."""
+    rs = RS["B3"]
+    nus, _ = repchar._dominant_weights(rs, (3, 1, 2))
+    size, r = nus.shape
+    find = repchar._positions(nus)
+    assert find(nus).tolist() == list(range(size))
+    radix = int(nus.max()) + 1
+    aliases = []
+    for nu in nus.tolist():
+        for i in range(r):
+            past = list(nu)
+            past[i] = radix
+            aliases.append(past)
+            if i and nu[i - 1]:
+                carry = list(nu)  # the same mixed-radix key as nu itself
+                carry[i - 1] -= 1
+                carry[i] += radix
+                aliases.append(carry)
+    assert len(aliases) > size * r
+    assert find(np.array(aliases)).tolist() == [size] * len(aliases)
+
+
+def test_positions_refuse_keys_past_int64():
+    assert repchar._positions(np.array([[2**21 - 2, 0, 0]])) is not None
+    with pytest.raises(TableCapExceeded, match="int64"):
+        repchar._positions(np.array([[2**21, 0, 0]]))
 
 
 # ------------------------------------------------------------------ decomposition
