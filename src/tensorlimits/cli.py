@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -56,10 +57,10 @@ from .repchar import (
 )
 from .rootsys import (
     CartanType,
+    _int_rows,
     build_root_system,
     casimir_eigenvalue,
     rootsys_to_json,
-    scaled_norm,
     weyl_group_order,
 )
 
@@ -235,17 +236,18 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     its type is the spec's, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
     and sum_mu m(mu) |W mu| (mu, mu) over its dominant weights is total_dim rank
     sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis);
-    (mu, mu) is scaled_norm(rs, mu) over s^2 b_g / 2, s the pairing scale.
+    (mu, mu) is scaled_norm(rs, mu) over s^2 b_g / 2, s the pairing scale, from int64 pairings (|x| >= 2^31: a miss).
     """
     try:
         m = load_multiplicity_map(path)
+        pairings = _int_rows(m.rs, list(m.dominant)) @ np.array(m.rs.pairing_rows, dtype=np.int64).T
     except (OSError, ValueError, KeyError, TypeError, TensorLimitsError):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
     expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
     if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
-    second = sum(c * size * scaled_norm(rs, mu) for (mu, c), size in zip(m.dominant.items(), m.sizes))
+    second = sum(c * size * sum(map(mul, p, p)) for c, size, p in zip(m.dominant.values(), m.sizes, pairings.tolist()))
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
     if Fraction(2 * second, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:
         return None

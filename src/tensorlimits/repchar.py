@@ -4,9 +4,9 @@ A character is stored as a MultiplicityMap, built one way only: from its root
 system, its arbitrary-precision multiplicities at dominant weights
 (omega-coords) and its total dimension, which the constructor checks against
 the orbit sizes (rootsys.orbit_sizes).  A map is thus W-invariant by
-construction, which Racah's sum and Miller's recurrence rely on: both read
-a character only at dominant weights (Racah's sum walks their orbits by
-rootsys.orbit_rows).  The full map is expanded over W-orbits by
+construction, which the decomposition and Miller's recurrence rely on: both
+read a character only at dominant weights, by to_dominant_rows and _positions.
+The full map is expanded over W-orbits by
 rootsys.orbit only on demand, when its entries are read: by ltl measure xi,
 the trace identity, the factor characters' own consumers and the tests.
 Characters of irreducibles come from the Freudenthal recursion; characters
@@ -22,9 +22,9 @@ in that list, found a block of rows at a time by to_dominant_rows and packed
 int64 keys, while Freudenthal's root strings step with the scalar to_dominant.
 A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises
 TableCapExceeded before it is built.
-Characters are split into irreducibles by Racah's alternating Weyl sum, as
-the signed pushforward under the shifted Weyl action, which the tests check
-against a scan of the full table and against peeling off highest weights.
+Characters are split into irreducibles by the alternating Weyl sum, read at
+the dominant weights, which the tests check against Racah's signed pushforward,
+a scan of the full table and peeling off highest weights.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm, prod
 from operator import mul
 
@@ -44,22 +44,23 @@ from .errors import BasisMismatch, NegativeMultiplicity, TableCapExceeded
 from .linalg import bilinear
 from .rootsys import (
     CartanType,
+    IntMatrix,
     IntVector,
     RootSystemData,
+    _int_rows,
+    _weyl_walk,
     build_root_system,
     casimir_eigenvalue,
     check_length,
     highest_weight,
     orbit,
-    orbit_rows,
     orbit_sizes,
     scaled_norm,
-    sums_by_row,
     to_dominant,
     to_dominant_rows,
 )
 
-_BLOCK_ROWS = 2**16  # orbit points per block of racah_decompose, lookups per block of _miller_power
+_BLOCK_ROWS = 2**16  # reads per block of racah_decompose's W-sum, lookups per block of _miller_power
 MAX_TABLE_ROWS = 2**24  # rows _dominant_weights may hold, as densities.MAX_GRID_POINTS
 
 
@@ -70,7 +71,7 @@ class MultiplicityMap:
     multiplicities at dominant weights and its total dimension, and expands
     them over W-orbits into entries on first read, as it keeps the result of
     the first racah_decompose call; sizes keeps the constructor's orbit_sizes,
-    in dominant's order, for len, repr and Racah's sum.  NotDominant unless every
+    in dominant's order, for len, repr and the cache check.  NotDominant unless every
     weight of dominant is dominant and of the rank; ValueError unless every count is
     positive and sum_mu m(mu) |W mu| is total_dim.
     """
@@ -97,21 +98,21 @@ class MultiplicityMap:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs = self.rs
         rows = np.array(rs.pairing_rows, dtype=np.int64)
-        by_pattern = {}
-        for (mu, c), size in zip(self.dominant.items(), self.sizes):
-            by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
-        lams, counts = np.zeros((0, rs.rank), dtype=np.int64), []
-        for size, items in by_pattern.values():
-            step = max(1, _BLOCK_ROWS // size)
-            for a in range(0, len(items), step):
-                block = items[a : a + step]
-                x = orbit_rows(rs, [mu for mu, _ in block]).reshape(-1, rs.rank) + 1
-                pairings = x @ rows.T
-                regular = (pairings != 0).all(axis=1)
-                nums = np.tile(np.array([c for _, c in block], dtype=object), size)
-                nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
-                keys = np.concatenate([lams, to_dominant_rows(rs, x[regular]) - 1])
-                lams, counts = sums_by_row(keys, counts + nums)  # running sums: one block in memory at a time
+        (shifts, odd), nus = _weyl_shifts(rs.C), _int_rows(rs, list(self.dominant))
+        m_inv, _ = _scaled_inverse_cartan(rs)
+        bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
+        find, reads = _positions(nus), np.array([*self.dominant.values(), 0], dtype=object)
+        step, sums = max(1, _BLOCK_ROWS // len(shifts)), []
+        for a in range(0, len(nus), step):
+            block = nus[a : a + step]
+            slack, at = bound - block @ m_inv.T, np.arange(len(block))
+            row, k = np.nonzero(np.logical_and.reduce([lifts[:, i] <= slack[:, i, None] for i in range(rs.rank)]))
+            vals, even = reads[find(to_dominant_rows(rs, block[row] + shifts[k]))], ~odd[k]
+            # shift 0 is even and keeps every row: a row's sum is 2 (its even reads) - (all its reads)
+            alls = np.add.reduceat(vals, np.searchsorted(row, at))
+            sums += (2 * np.add.reduceat(vals[even], np.searchsorted(row[even], at)) - alls).tolist()
+        keep = [i for i in np.lexsort(nus.T[::-1]).tolist() if sums[i]]
+        lams, counts = nus[keep], [sums[i] for i in keep]
         components = dict(zip(map(tuple, lams.tolist()), counts))
         if min(counts, default=0) < 0:
             raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
@@ -173,6 +174,13 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
     """
     lam_rho = [x + 1 for x in highest_weight(rs, lam)]
     return _weyl_dims(rs, [[sum(map(mul, row, lam_rho)) for row in rs.pairing_rows]])[0]
+
+
+@cache
+def _weyl_shifts(c: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts rho - w rho of all w in W (int64 rows) and where sign(w) = -1: the walk from rho."""
+    points, _, lengths = _weyl_walk(c, (1,) * len(c))
+    return 1 - np.array(points, dtype=np.int64), np.array(lengths) % 2 == 1
 
 
 def _scaled_inverse_cartan(rs: RootSystemData) -> tuple[np.ndarray, int]:
@@ -271,7 +279,7 @@ def _positions(nus: np.ndarray):
     keys; a weight with a coordinate at or past the radix is absent.
     TableCapExceeded unless radix^rank < 2^63."""
     size, r = nus.shape
-    radix = int(nus.max()) + 1
+    radix = int(nus.max(initial=0)) + 1
     if radix**r >= 2**63:
         raise TableCapExceeded(f"weights with coordinates up to {radix - 1} do not pack into int64 keys")
     powers = radix ** np.arange(r - 1, -1, -1, dtype=np.int64)
@@ -407,15 +415,15 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
 
 
 def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecomposition:
-    """Irreducible components of a W-invariant character, as its signed shifted pushforward.
+    """Irreducible components of a W-invariant character, by one signed sum over W.
 
-    ch V A_rho = sum_nu m(nu) A_(nu + rho) (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, section 24), where A_x = 0 for x on a
-    wall and sign(u) A_(u^-1 x) else: [V : V_lam] sums sign(u) m(nu) over the
-    nu with to_dominant(nu + rho) = lam + rho.  The nu come by rootsys.orbit_rows
-    from m.dominant, one zero pattern and at most _BLOCK_ROWS points at a time;
-    x = nu + rho pairs with the positive roots by rs.pairing_rows, to 0 on a
-    wall and negatively with l(u) of them.  Negative counts, or
+    [V : V_lam] = sum_w sign(w) m(lam + rho - w rho) for dominant lam, the coefficient of
+    e^lam in ch V prod_(alpha > 0) (1 - e^-alpha) (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, section 24), read at m's dominant weights, where every
+    component lies, by _weyl_shifts, to_dominant_rows and _positions, _BLOCK_ROWS reads a
+    block; v = lam + rho - w rho is read only where den C^-1 v <= the coordinatewise max
+    of den C^-1 mu over m.dominant, which drops no m(v) != 0, as mu = to_dominant(v) has
+    mu - v in Q+.  Negative counts, or
     components short of total_dim (their Weyl dimensions are kept in dims),
     mean the input was not a genuine character; a map of another rank or
     Cartan type raises BasisMismatch (check_character).  The sum runs once

@@ -2,7 +2,7 @@
 
 Supported families are A, B, C, D (rank >= 2), G2 and F4.  The E family is
 rejected, and build_root_system refuses a Weyl group above its cap, because
-Racah's sum walks the W-orbits of a character and every eta^e atom one of |W| points.
+the decomposition reads |W| shifts per dominant weight and eta^e |W| points per atom.
 
 Conventions, fixed once and used everywhere else in the package:
 
@@ -25,15 +25,15 @@ v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative.
 W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
 zero pattern, applying s_i wherever v_i is positive: orbit, orbit_sizes and
 orbit_rows use the walk of a weight's pattern; RootSystemData.weyl (built on
-first read, for rootsys info and the tests) uses the walk from rho, all of W.
+first read, for rootsys info and the tests) and the decomposition's shifts
+rho - w rho use the walk from rho, all of W.
 Two numpy kernels run the rule on whole int64 arrays of weights, and they are
-the package's only shifted Weyl action w . mu = w(mu + rho) - rho, for
-Racah's sum, eta^e and its pushforward: to_dominant_rows is to_dominant on
-every row (mu + rho lies on a wall iff its dominant point has a zero
-coordinate), orbit_rows the walk of one zero pattern replayed on many
-dominant weights.  Both refuse a coordinate of absolute value >= 2^31, so
-that no reflection can wrap around in int64.  sums_by_row is their exact
-grouped sum.
+the package's only shifted Weyl action w . mu = w(mu + rho) - rho, for eta^e
+and its pushforward: to_dominant_rows is to_dominant on every row (mu + rho on
+a wall iff its dominant point has a zero; the decomposition reads there too),
+orbit_rows the walk of one zero pattern replayed on many dominant weights.
+Both refuse a coordinate of |x| >= 2^31, so no reflection wraps in int64;
+sums_by_row is their exact grouped sum.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 These deliberately avoid the algorithms under test: characters come from
 exact division of Weyl alternants, products of characters from the plain
-convolution sum, decompositions from peeling off highest weights or from
-Racah's sum over the full weight table with enumerated Weyl elements, rank-1
+convolution sum, decompositions from peeling off highest weights, from
+Racah's sum over the full weight table with enumerated Weyl elements or from
+Racah's sum as the signed pushforward over every W-orbit point, rank-1
 tensor powers from the ballot closed form, dominant weights by a search
 along positive roots, and the moments, the characteristic function and the
 binned TV of a measure from sums over its atoms.  Convolution and peel-off work on full entries as plain dicts;
@@ -17,10 +18,11 @@ from math import comb, lcm
 
 import numpy as np
 
+from tensorlimits import repchar
 from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
 from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities, weyl_dim
-from tensorlimits.rootsys import is_dominant
+from tensorlimits.rootsys import is_dominant, orbit_rows, sums_by_row, to_dominant_rows
 
 
 def character_by_weyl_formula(rs, lam) -> dict:
@@ -174,6 +176,48 @@ def racah_full_scan(rs, m: MultiplicityMap) -> IrrepDecomposition:
     dims = {mu: weyl_dim(rs, mu) for mu in components}
     if sum(c * dims[mu] for mu, c in components.items()) != m.total_dim:
         raise NegativeMultiplicity("components do not account for total_dim")
+    return IrrepDecomposition(components, dims)
+
+
+def racah_pushforward(rs, m: MultiplicityMap) -> IrrepDecomposition:
+    """Cross-check of racah_decompose: Racah's sum as the signed pushforward under the shifted Weyl action.
+
+    ch V A_rho = sum_nu m(nu) A_(nu + rho) (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, section 24), where A_x = 0 for x on a
+    wall and sign(u) A_(u^-1 x) else: [V : V_lam] sums sign(u) m(nu) over the
+    nu with to_dominant(nu + rho) = lam + rho.  The nu come by rootsys.orbit_rows
+    from m.dominant, one zero pattern and at most repchar._BLOCK_ROWS points at a
+    time; x = nu + rho pairs with the positive roots by rs.pairing_rows, to 0 on
+    a wall and negatively with l(u) of them.  It walks every orbit point where
+    racah_decompose reads |W| shifts at each dominant weight, so the two share
+    only to_dominant_rows and the checks.
+    """
+    rows = np.array(rs.pairing_rows, dtype=np.int64)
+    by_pattern = {}
+    for (mu, c), size in zip(m.dominant.items(), m.sizes):
+        by_pattern.setdefault(tuple([x > 0 for x in mu]), (size, []))[1].append((mu, c))
+    lams, counts = np.zeros((0, rs.rank), dtype=np.int64), []
+    for size, items in by_pattern.values():
+        step = max(1, repchar._BLOCK_ROWS // size)
+        for a in range(0, len(items), step):
+            block = items[a : a + step]
+            x = orbit_rows(rs, [mu for mu, _ in block]).reshape(-1, rs.rank) + 1
+            pairings = x @ rows.T
+            regular = (pairings != 0).all(axis=1)
+            nums = np.tile(np.array([c for _, c in block], dtype=object), size)
+            nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
+            keys = np.concatenate([lams, to_dominant_rows(rs, x[regular]) - 1])
+            lams, counts = sums_by_row(keys, counts + nums)  # running sums: one block in memory at a time
+    components = dict(zip(map(tuple, lams.tolist()), counts))
+    if min(counts, default=0) < 0:
+        raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
+    # one int64 matrix of the scaled pairings (lam + rho, beta), then exact Python ints
+    dims = dict(zip(components, repchar._weyl_dims(rs, ((lams + 1) @ rows.T).tolist())))
+    total = sum(c * dims[mu] for mu, c in components.items())
+    if total != m.total_dim:
+        raise NegativeMultiplicity(
+            f"components account for dimension {total} of {m.total_dim}; input was not a character"
+        )
     return IrrepDecomposition(components, dims)
 
 

@@ -201,8 +201,9 @@ def test_eta_extended_walls_are_zero():
 
 def test_racah_runs_once_per_map(monkeypatch):
     """eta_measure and eta_extended_measure on one map share its decomposition:
-    Racah's orbit walk (repchar's orbit_rows) runs for the first call only, the
-    atoms are those of fresh maps, and every call still checks the map's type."""
+    the W-sum's lookup of the dominant weights (repchar's _positions, which the
+    sum builds once per run) runs for the first call only, the atoms are those
+    of fresh maps, and every call still checks the map's type."""
     from tensorlimits import repchar
     from tensorlimits.measures import factor_counts
     from tensorlimits.repchar import racah_decompose, tensor_power_multiplicities
@@ -211,8 +212,8 @@ def test_racah_runs_once_per_map(monkeypatch):
     want = eta_measure(spec, n).atoms, eta_extended_measure(spec, n).atoms
     m = tensor_power_multiplicities(spec.rs, factor_counts(spec, n))
     calls = []
-    walk = repchar.orbit_rows
-    monkeypatch.setattr(repchar, "orbit_rows", lambda rs, lams: calls.append(len(lams)) or walk(rs, lams))
+    lookup = repchar._positions
+    monkeypatch.setattr(repchar, "_positions", lambda nus: calls.append(len(nus)) or lookup(nus))
     eta = eta_measure(spec, n, multiplicities=m).atoms
     once = len(calls)
     ext = eta_extended_measure(spec, n, multiplicities=m).atoms

@@ -83,7 +83,10 @@ def test_tensor_power_table_is_w_invariant_with_product_dimension(case):
 def test_racah_matches_peel_off(case):
     spec, n = case
     m = _table(spec, n)
-    assert racah_decompose(spec.rs, m).components == peel_off_decompose(spec.rs, m.entries).components
+    dec = racah_decompose(spec.rs, m)
+    assert dec.components == peel_off_decompose(spec.rs, m.entries).components
+    push, scan = oracles.racah_pushforward(spec.rs, m), oracles.racah_full_scan(spec.rs, m)
+    assert (dec.components, dec.dims) == (push.components, push.dims) == (scan.components, scan.dims)
 
 
 @settings(max_examples=25)

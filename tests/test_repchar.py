@@ -30,7 +30,7 @@ from tensorlimits.repchar import (
     weyl_dim,
 )
 from tensorlimits.measures import TensorSpec
-from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, orbit
+from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, orbit, weyl_group_order
 
 from oracles import (
     character_by_weyl_formula,
@@ -39,6 +39,7 @@ from oracles import (
     dominant_weights_dfs,
     peel_off_decompose,
     racah_full_scan,
+    racah_pushforward,
     sl2_power_components,
 )
 
@@ -411,6 +412,8 @@ def test_racah_examples():
     m = tensor_power_multiplicities(a2, [((1, 0), 1), ((0, 1), 1)])
     dec = racah_decompose(a2, m)
     assert dec.components == {(1, 1): 1, (0, 0): 1}
+    # the zero character has no dominant weight to read and no component
+    assert racah_decompose(a2, MultiplicityMap(a2, {}, 0)).components == {}
     for label in ["A1", "B2", "G2"]:
         rs = RS[label]
         lam = (1,) * rs.rank
@@ -479,27 +482,61 @@ def _full_scan_cases():
     return cases + [("B3", [((1, 0, 0), 3)]), ("D4", [((1, 0, 0, 0), 3)]), ("F4", [((0, 0, 0, 1), 2)])]
 
 
+def _check_against_oracles(rs, m, label):
+    """racah_decompose against Racah's signed pushforward and the full-table scan
+    (components and dims) and against peel-off (components); returns the decomposition."""
+    dec, push, scan = racah_decompose(rs, m), racah_pushforward(rs, m), racah_full_scan(rs, m)
+    assert (dec.components, dec.dims) == (push.components, push.dims) == (scan.components, scan.dims), label
+    assert dec.components == peel_off_decompose(rs, m.entries).components, label
+    return dec
+
+
 def test_racah_matches_full_scan_oracle():
-    """Racah on dominant weights against Racah over the full table with enumerated
-    Weyl elements, which reads every shifted weight where it lies."""
+    """The W-sum read at the dominant weights against Racah's signed pushforward over
+    every orbit point, Racah over the full table with enumerated Weyl elements, which
+    reads every shifted weight where it lies, and peel-off."""
     for label, factors in _full_scan_cases():
         rs = RS[label]
-        m = tensor_power_multiplicities(rs, factors)
-        dec, scan = racah_decompose(rs, m), racah_full_scan(rs, m)
-        assert (dec.components, dec.dims) == (scan.components, scan.dims), (label, factors)
+        _check_against_oracles(rs, tensor_power_multiplicities(rs, factors), (label, factors))
 
 
 def test_racah_sums_over_many_blocks(monkeypatch):
-    """With the block budget of racah_decompose cut to 7 orbit points, an orbit of
-    more than 7 points is a block of its own and every component sums over many
-    blocks; the result still matches the full-table scan and peel-off."""
+    """With the block budget of racah_decompose cut to 7 reads, a block holds
+    max(1, 7 // |W|) dominant rows, 3 on A1 and one elsewhere, so the sum runs
+    over many blocks, one to_dominant_rows call each; the result still matches
+    the signed pushforward, the full-table scan and peel-off."""
     monkeypatch.setattr(repchar, "_BLOCK_ROWS", 7)
+    calls = []
+    kernel = repchar.to_dominant_rows
+    monkeypatch.setattr(repchar, "to_dominant_rows", lambda rs, v: calls.append(len(v)) or kernel(rs, v))
     for label, factors in _full_scan_cases():
         rs = RS[label]
         m = tensor_power_multiplicities(rs, factors)
-        dec, scan = racah_decompose(rs, m), racah_full_scan(rs, m)
-        assert (dec.components, dec.dims) == (scan.components, scan.dims), (label, factors)
-        assert dec.components == peel_off_decompose(rs, m.entries).components, (label, factors)
+        calls.clear()
+        _check_against_oracles(rs, m, (label, factors))
+        assert len(calls) == -(-len(m.dominant) // max(1, 7 // weyl_group_order(rs.cartan_type))), (label, factors)
+
+
+@pytest.mark.parametrize(
+    "label,tops",
+    [("A2", [(4, 0), (0, 4), (1, 1)]), ("G2", [(3, 0), (0, 5), (1, 1)]), ("C3", [(2, 1, 0), (0, 0, 2), (1, 0, 0)])],
+)
+def test_racah_bound_drops_no_term_of_incomparable_tops(label, tops):
+    """The W-sum reads m(nu + rho - w rho) only where den C^-1 (nu + rho - w rho)
+    is at most B, the coordinatewise maximum of den C^-1 mu over the support.
+    The first two tops here are incomparable, each above the other in some
+    simple-root coordinate, so no weight of the support attains B in every
+    coordinate; the sum still gives back every top once, as Racah's signed
+    pushforward, the full-table scan and peel-off do."""
+    rs = RS[label]
+    k = [sum(x * (a - b) for x, a, b in zip(row, tops[0], tops[1])) for row in rs.C_inv]
+    assert min(k) < 0 < max(k)
+    total: dict = {}
+    for lam in tops:
+        for w, c in freudenthal_multiplicities(rs, lam).entries.items():
+            total[w] = total.get(w, 0) + c
+    dec = _check_against_oracles(rs, character_map(rs, total), label)
+    assert dec.components == {lam: 1 for lam in tops}
 
 
 def _no_orbit(rs, lam):
