@@ -330,10 +330,8 @@ def cmd_decompose(args) -> int:
     if args.format == "csv":
         rank = spec.rs.rank
         header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",multiplicity"
-        lines = [header]
-        for w, c in items:
-            lines.append(",".join(str(x) for x in w) + f",{c}")
-        _emit("\n".join(lines) + "\n", args)
+        row = ",".join(["%d"] * (rank + 1))
+        _emit("\n".join([header, *(row % (*w, c) for w, c in items)]) + "\n", args)
     else:
         doc = {
             "spec": spec.describe(),

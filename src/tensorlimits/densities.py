@@ -34,9 +34,10 @@ bit.
 Every density grid (this module's normalization quadrature, the convergence
 module's TV boxes) is box_masses over a box from density_box: it builds the
 hoisted half once per grid and calls slab once per slab of boxes along the
-first axis, so it holds one slab of sub * (bins * sub)^(r-1) values plus
-O((bins * sub)^(r-1)) hoisted arrays, and no grid has more than
-MAX_GRID_POINTS points.
+first axis (several one-box slabs per call, about SLAB_POINTS points, when
+boxes are not subdivided), so it holds one slab of sub * (bins * sub)^(r-1)
+values (or about SLAB_POINTS) plus O((bins * sub)^(r-1)) hoisted arrays, and
+no grid has more than MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +60,8 @@ _DEFAULT_RESOLUTION = {1: 4000, 2: 800, 3: 120}
 # the most points box_masses evaluates: about ten times the default rank-3
 # quadrature (120^3), and at most 128 MiB of box masses
 MAX_GRID_POINTS = 2**24
+# first-axis points box_masses hands one slab call when boxes are not subdivided
+SLAB_POINTS = 2**15
 
 
 class Hoisted(NamedTuple):
@@ -217,13 +220,8 @@ def gue_identity_check(a, tol: float = 1e-12) -> tuple[float, float]:
     x = [a[j] - a[j + 1] for j in range(n - 1)]
     # the eta kernel with constant 1; eta_extended, because x leaves the
     # dominant cone when a is not sorted
-    rhs = float(DensityModel(_gue_root_system(n - 1), "eta_extended", 1.0).evaluate(x))
+    rhs = float(DensityModel(build_root_system(f"A{n - 1}"), "eta_extended", 1.0).evaluate(x))
     return lhs, rhs
-
-
-@cache
-def _gue_root_system(rank: int) -> RootSystemData:
-    return build_root_system(f"A{rank}")
 
 
 def density_box(model: DensityModel, extent: float) -> tuple[list[float], list[float]]:
@@ -250,11 +248,12 @@ def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     Each box is split into sub^rank equal cells, valued at their centres.  The
     kernel's x_0-free half is built once on the full axes other than the
     first (np.ix_), and its per-slab half runs once per slab of boxes along
-    the first axis, on that slab's sub centres of the first axis, so memory
-    is bounded by sub * (bins * sub)^(rank - 1) points plus the hoisted
-    arrays of (bins * sub)^(rank - 1) points each.  A grid of more than
-    MAX_GRID_POINTS points raises GridCapExceeded before anything is
-    allocated.
+    the first axis, on that slab's sub centres of the first axis (at sub = 1,
+    on as many slabs as make about SLAB_POINTS points), so memory is bounded
+    by max(sub, SLAB_POINTS / bins^(rank - 1)) * (bins * sub)^(rank - 1)
+    points plus the hoisted arrays of (bins * sub)^(rank - 1) points each.
+    A grid of more than MAX_GRID_POINTS points raises GridCapExceeded before
+    anything is allocated.
     """
     rank = len(lo)
     check_grid(rank, bins, sub)
@@ -265,14 +264,16 @@ def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     grid = np.ix_(*axes)
     hoisted = model.hoist(grid[1:])
     masses = np.empty((bins,) * rank)
-    for k in range(bins):
-        vals = model.slab(grid[0][k * sub : (k + 1) * sub], hoisted).sum(axis=0)
+    # at sub = 1 a slab is one point thick, and one call takes step of them
+    step = max(1, SLAB_POINTS // bins ** (rank - 1)) if sub == 1 else 1
+    for k in range(0, bins, step):
+        vals = model.slab(grid[0][k * sub : (k + step) * sub], hoisted)
         if sub > 1:
             # one sub-cell axis at a time, the last first: much faster than all at once
-            vals = vals.reshape((bins, sub) * (rank - 1))
+            vals = vals.sum(axis=0).reshape((bins, sub) * (rank - 1))
             for axis in range(2 * rank - 3, 0, -2):
                 vals = vals.sum(axis=axis)
-        masses[k] = vals
+        masses[k : k + step] = vals
     masses *= cell
     return masses
 

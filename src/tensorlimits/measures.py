@@ -13,13 +13,15 @@ rho, for all atoms at once by rootsys.orbit_rows; its wall test and its
 pushforward back to eta run rootsys.to_dominant_rows on whole arrays of weights,
 never a Weyl element.  eta is the signed pushforward of the character of V_N
 under the same action (racah_decompose, which gives its Weyl dimensions too and
-reads the character at its dominant weights alone); only xi reads its full
-entries, which expands their W-orbits.
+reads the character at its dominant weights alone); xi spreads each dominant
+multiplicity over its W-orbit by rootsys.orbit_rows, once per zero pattern, so
+no measure reads a character's full entries.
 
 A measure keeps integer weights and numerators over one denominator (dim V_N,
-times |W| for eta extended); Fractions appear only at its edges.  The scale
-sigma*sqrt(N) is carried as the rational sigma^2*N, so every identity at this
-layer is exact.  Floats appear only downstream.
+times |W| for eta extended); Fractions appear only at its edges, where CSV and
+JSON output reduce each distinct numerator once.  The scale sigma*sqrt(N) is
+carried as the rational sigma^2*N, so every identity at this layer is exact.
+Floats appear only downstream.
 The moments of xi (mixed_moments) come from the factor characters alone,
 without the atoms of xi.
 There is one variance scale, sigma^2 = sum_l tau_l (lam_l, lam_l + 2 rho) /
@@ -204,12 +206,19 @@ def xi_measure(
     """Weight measure of V_N: mass dim V_N(mu) / dim V_N at scaled mu.
 
     multiplicities, when given, must be the precomputed character of V_N
-    (cache hook used by the convergence module and the CLI).
+    (cache hook used by the convergence module and the CLI).  Its entries are
+    not read: one rootsys.orbit_rows call per zero pattern of its dominant
+    weights, each count tiled over the orbit, and one np.lexsort.
     """
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
-    weights = sorted(m.entries)
-    return DiscreteMeasure._exact(np.array(weights, dtype=np.int64), [m.entries[w] for w in weights], m.total_dim, sig, N)
+    rows, counts = _int_rows(spec.rs, list(m.dominant)), np.array(list(m.dominant.values()), dtype=object)
+    patterns = (rows > 0) @ (1 << np.arange(spec.rs.rank))
+    parts = [(orbit_rows(spec.rs, rows[patterns == p]), counts[patterns == p]) for p in set(patterns.tolist())]
+    weights = np.concatenate([orbits.reshape(-1, spec.rs.rank) for orbits, _ in parts])
+    nums = np.concatenate([np.tile(c, len(orbits)) for orbits, c in parts])
+    ranked = np.lexsort(weights.T[::-1])
+    return DiscreteMeasure._exact(weights[ranked], nums[ranked].tolist(), m.total_dim, sig, N)
 
 
 def eta_measure(
@@ -373,26 +382,29 @@ def directional_second_moment(rs: RootSystemData, measure: DiscreteMeasure, t) -
     return bilinear(td, (w.T * np.array(measure.nums, dtype=object)) @ w, td) / (measure.den * measure.scale_sq)
 
 
-def _reduced(measure: DiscreteMeasure):
-    """(weight list, numerator, denominator) per atom, reduced by one gcd each."""
-    for w, n in zip(measure.weights.tolist(), measure.nums):
-        g = math.gcd(n, measure.den)
-        yield w, n // g, measure.den // g
+def _reduced(measure: DiscreteMeasure) -> list:
+    """(numerator, denominator) per atom, reduced by one gcd per distinct numerator: an
+    orbit of xi, the |W| atoms of one eta^e component and eta^e's wall atoms share one."""
+    den, memo = measure.den, {}
+    for n in measure.nums:
+        if n not in memo:
+            g = math.gcd(n, den)
+            memo[n] = n // g, den // g
+    return [memo[n] for n in measure.nums]
 
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
     """One atom per row: weight coordinates, then numerator and denominator."""
     rank = measure.rank
     header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",numerator,denominator"
-    lines = [header]
-    for w, n, d in _reduced(measure):
-        lines.append(",".join(str(x) for x in w) + f",{n},{d}")
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%d"] * (rank + 2))
+    rows = [row % (*w, *nd) for w, nd in zip(measure.weights.tolist(), _reduced(measure))]
+    return "\n".join([header, *rows]) + "\n"
 
 
 def measure_to_json(measure: DiscreteMeasure) -> dict:
     return {
         "N": measure.N,
         "sigma_squared": f"{measure.sigma_sq.numerator}/{measure.sigma_sq.denominator}",
-        "atoms": [{"weight": w, "prob": f"{n}/{d}"} for w, n, d in _reduced(measure)],
+        "atoms": [{"weight": w, "prob": "%d/%d" % nd} for w, nd in zip(measure.weights.tolist(), _reduced(measure))],
     }

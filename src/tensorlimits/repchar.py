@@ -7,8 +7,9 @@ the orbit sizes (rootsys.orbit_sizes).  A map is thus W-invariant by
 construction, which the decomposition and Miller's recurrence rely on: both
 read a character only at dominant weights, by to_dominant_rows and _positions.
 The full map is expanded over W-orbits by
-rootsys.orbit only on demand, when its entries are read: by ltl measure xi,
-the trace identity, the factor characters' own consumers and the tests.
+rootsys.orbit only on demand, when its entries are read: by the trace
+identity, the factor characters' own consumers and the tests (ltl measure xi
+replays the orbits of the dominant weights by rootsys.orbit_rows instead).
 Characters of irreducibles come from the Freudenthal recursion; characters
 of tensor powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which
 finds each multiplicity from higher ones by one exact integer division, at a
@@ -35,6 +36,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from math import lcm, prod
 from operator import mul
 
@@ -394,7 +396,7 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
     one run of Miller's power recurrence, linear in the number of dominant
     weights of V_N for fixed factors.  The maps hold
     dominant multiplicities and expand their W-orbits only when entries is
-    read (ltl measure xi and the tests).
+    read (the tests).
     """
     try:
         n_values = sorted({operator.index(n) for n in n_values})
@@ -489,11 +491,13 @@ def load_multiplicity_map(path) -> MultiplicityMap:
     with open(path) as fh:
         doc = json.load(fh)
     rs = build_root_system(CartanType.parse(doc["cartan_type"]))
-    dominant = {}
-    for w, c in zip(doc["weights"], doc["multiplicities"], strict=True):
-        if any(type(x) is not int for x in w):
-            raise ValueError(f"weight {w} has a coordinate that is not an integer")
-        dominant[tuple(w)] = _decimal("multiplicities", c)
+    weights = doc["weights"]
+    # one pass over every coordinate; a JSON true, 2.0 or "1" is not an int
+    if set(map(type, chain.from_iterable(weights))) - {int}:
+        bad = next(w for w in weights if any(type(x) is not int for x in w))
+        raise ValueError(f"weight {bad} has a coordinate that is not an integer")
+    counts = [_decimal("multiplicities", c) for c in doc["multiplicities"]]
+    dominant = dict(zip(map(tuple, weights), counts, strict=True))
     return MultiplicityMap(rs, dominant, _decimal("total_dim", doc["total_dim"]))
 
 

@@ -48,7 +48,7 @@ import re
 import numpy as np
 
 from .errors import BasisMismatch, NotDominant, UnsupportedType, WeylCapExceeded
-from .linalg import Matrix, bilinear, inverse, mat_vec
+from .linalg import Matrix, inverse, mat_vec
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -239,13 +239,17 @@ class RootSystemData:
 
 
 def build_root_system(t: CartanType | str) -> RootSystemData:
-    """Construct the full root-system bundle for one Cartan type.
+    """The full root-system bundle for one Cartan type, built once per type and process.
 
     Raises UnsupportedType for bad labels and WeylCapExceeded, before any
-    root is generated, when the Weyl group order exceeds DEFAULT_WEYL_CAP.
+    root is generated, when the Weyl group order exceeds DEFAULT_WEYL_CAP;
+    a refused type is refused again on every call.
     """
-    if isinstance(t, str):
-        t = CartanType.parse(t)
+    return _build_root_system(CartanType.parse(t) if isinstance(t, str) else t)
+
+
+@cache
+def _build_root_system(t: CartanType) -> RootSystemData:
     expected = weyl_group_order(t)
     if expected > DEFAULT_WEYL_CAP:
         raise WeylCapExceeded(f"Weyl group order {expected} exceeds cap {DEFAULT_WEYL_CAP}")
@@ -479,10 +483,11 @@ def orbit_sizes(rs: RootSystemData, weights) -> list[int]:
 
 
 def casimir_eigenvalue(rs: RootSystemData, lam) -> Fraction:
-    """Casimir scalar (lam, lam + 2 rho) on the irreducible with highest weight lam."""
+    """Casimir scalar (lam, lam + 2 rho) = (lam + rho)^2 - rho^2 on the irreducible with highest
+    weight lam: 2 (scaled_norm(lam + rho) - scaled_norm(rho)) / (s^2 b_g), s = pairing_scale."""
     lam = highest_weight(rs, lam)
-    shifted = tuple(x + 2 for x in lam)
-    return bilinear(lam, rs.gram_omega, shifted)
+    diff = scaled_norm(rs, [x + 1 for x in lam]) - scaled_norm(rs, rs.rho)
+    return Fraction(2 * diff, rs.pairing_scale**2 * rs.b_g)
 
 
 def _frac_str(x) -> str:

@@ -7,7 +7,9 @@ Racah's sum over the full weight table with enumerated Weyl elements or from
 Racah's sum as the signed pushforward over every W-orbit point, rank-1
 tensor powers from the ballot closed form, dominant weights by a search
 along positive roots, and the moments, the characteristic function and the
-binned TV of a measure from sums over its atoms.  Convolution and peel-off work on full entries as plain dicts;
+binned TV of a measure from sums over its atoms.  xi is read off the sorted
+full entries of its character, and a measure's CSV and JSON rows are reduced
+by one gcd per atom.  Convolution and peel-off work on full entries as plain dicts;
 character_map turns a W-invariant dict into a MultiplicityMap.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 from tensorlimits import repchar
 from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
+from tensorlimits.measures import DiscreteMeasure, sigma_squared
 from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities, weyl_dim
 from tensorlimits.rootsys import is_dominant, orbit_rows, sums_by_row, to_dominant_rows
 
@@ -321,3 +324,36 @@ def boxes_tv(measure, boxes) -> float:
     distance += float(q[~seen].sum())
     distance += float(tail_mass) + boxes.q_tail
     return 0.5 * distance
+
+
+def xi_from_entries(spec, N: int, m: MultiplicityMap) -> DiscreteMeasure:
+    """xi(N) from the character m of V_N: one atom per weight of its full entries,
+    an orbit walk per dominant weight, in sorted order, over dim V_N."""
+    weights = sorted(m.entries)
+    nums = [m.entries[w] for w in weights]
+    return DiscreteMeasure._exact(np.array(weights, dtype=np.int64), nums, m.total_dim, sigma_squared(spec), N)
+
+
+def _reduced_atoms(measure):
+    """(weight list, numerator, denominator) per atom, reduced by one gcd each."""
+    for w, n in zip(measure.weights.tolist(), measure.nums):
+        g = math.gcd(n, measure.den)
+        yield w, n // g, measure.den // g
+
+
+def measure_csv(measure) -> str:
+    """measures.measure_to_csv one atom and one gcd at a time."""
+    header = ",".join(f"weight_{i+1}" for i in range(measure.rank)) + ",numerator,denominator"
+    lines = [header]
+    for w, n, d in _reduced_atoms(measure):
+        lines.append(",".join(str(x) for x in w) + f",{n},{d}")
+    return "\n".join(lines) + "\n"
+
+
+def measure_json(measure) -> dict:
+    """measures.measure_to_json one atom and one gcd at a time."""
+    return {
+        "N": measure.N,
+        "sigma_squared": f"{measure.sigma_sq.numerator}/{measure.sigma_sq.denominator}",
+        "atoms": [{"weight": w, "prob": f"{n}/{d}"} for w, n, d in _reduced_atoms(measure)],
+    }

@@ -272,6 +272,18 @@ def _restate_counts(restate):
     return corrupt
 
 
+def _restate_coordinates(restate):
+    """A corruption that stores each weight coordinate as restate(it): a JSON value
+    that int() reads back as the same coordinate."""
+
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["weights"] = [[restate(x) for x in w] for w in doc["weights"]]
+        return json.dumps(doc)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "argv, corrupt",
     [
@@ -289,6 +301,9 @@ def _restate_counts(restate):
         (A1_XI, _restate_counts(lambda c: True if c == "1" else c)),
         (A1_XI, _restate_counts(lambda c: c + ".0")),
         (A1_XI, _restate_counts(lambda c: c[0] + "_" + c[1:] if len(c) > 1 else c)),
+        (B2_XI, _restate_coordinates(lambda x: True if x == 1 else x)),
+        (A1_XI, _restate_coordinates(float)),
+        (A1_XI, _restate_coordinates(str)),
     ],
     ids=[
         "truncated",
@@ -303,6 +318,9 @@ def _restate_counts(restate):
         "true",
         "point-zero",
         "underscore",
+        "coordinate-true",
+        "coordinate-float",
+        "coordinate-string",
     ],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
@@ -463,11 +481,11 @@ def test_weyl_group_stays_off_the_production_path(capsys, monkeypatch):
 
 
 def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeypatch):
-    """converge (cold and warm cache), decompose, eta and eta^e read the character of
-    V_N at its dominant weights alone: with the lazy orbit expansion refused for every
-    map but an irreducible factor's, they print what they print without the guard.
-    measure xi does expand the orbits."""
-    from tensorlimits.repchar import MultiplicityMap, racah_decompose
+    """converge (cold and warm cache), decompose, xi, eta and eta^e read the character
+    of V_N at its dominant weights alone: with the lazy orbit expansion refused for
+    every map but an irreducible factor's, they print what they print without the
+    guard.  measure xi builds its orbits by rootsys.orbit_rows, not from entries."""
+    from tensorlimits.repchar import MultiplicityMap, racah_decompose, tensor_power_multiplicities
 
     b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
     b3 = ["--type", "B3", "--factor", "1,0,0:1", "--N", "4"]
@@ -479,7 +497,8 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
         ]
         result = []
         for argv in [argv for argv in converge for _ in ("cold", "warm")] + [
-            ["decompose", *b3], ["measure", "eta", *b3], ["measure", "eta_extended", *b3]
+            ["decompose", *b3], ["measure", "eta", *b3], ["measure", "eta_extended", *b3],
+            ["measure", "xi", *b3], ["measure", "xi", *b2, "--N", "8", "--cache-dir", str(root / "b2")],
         ]:
             code, out, err = run(capsys, *argv)
             assert code == 0, (argv, err)
@@ -496,8 +515,9 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(MultiplicityMap.entries, "func", guarded)
     assert outputs(tmp_path / "guarded") == plain
+    # the guard is armed: a read of a reducible map's entries is refused
     with pytest.raises(AssertionError, match="reducible"):
-        main(["measure", "xi", *b3])
+        tensor_power_multiplicities(build_root_system("B3"), [((1, 0, 0), 4)]).entries
 
 
 def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tensorlimits import densities
 from tensorlimits.convergence import convergence_report, histogram_tv, tv_grid
 from tensorlimits.densities import (
     KINDS,
@@ -268,7 +269,9 @@ def test_box_masses_match_full_mesh_sum_randomized():
 def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
     # normalization_quadrature and the TV boxes build the x_0-free half of the
     # kernel once per grid, then call the per-slab half once per box along the
-    # first axis, each time on an equal share of the points
+    # first axis, each time on an equal share of the points; the quadrature's
+    # boxes are not subdivided, so SLAB_POINTS is set to one box-thick slab here
+    monkeypatch.setattr(densities, "SLAB_POINTS", 30**2)
     hoists, sizes = [], []
     hoist, slab = DensityModel.hoist, DensityModel.slab
 
@@ -295,6 +298,33 @@ def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
         assert hoists == [2]
         assert len(sizes) == slabs
         assert all(size * slabs == sum(sizes) == points for size in sizes)
+
+
+def test_unsubdivided_grids_take_several_slabs_per_call(monkeypatch):
+    # at sub = 1 box_masses hands slab about SLAB_POINTS points per call, as
+    # whole one-box slabs, and the masses are those of one slab per call to the bit
+    sizes = []
+    slab = DensityModel.slab
+
+    def recording_slab(self, x0, hoisted):
+        vals = slab(self, x0, hoisted)
+        sizes.append(vals.shape)
+        return vals
+
+    for rs, kind, bins in ((A1, "xi", 4000), (A2, "eta", 800), (G2, "eta_extended", 300), (A3, "eta_extended", 120)):
+        model = make_density_model(rs, kind)
+        lo, hi = density_box(model, 10.0)
+        monkeypatch.setattr(densities, "SLAB_POINTS", 1)
+        one = box_masses(model, lo, hi, bins, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(DensityModel, "slab", recording_slab)
+        sizes.clear()
+        got = box_masses(model, lo, hi, bins, 1)
+        monkeypatch.undo()
+        assert np.array_equal(got, one), (rs, kind)
+        step = max(1, densities.SLAB_POINTS // bins ** (rs.rank - 1))
+        assert [shape[0] for shape in sizes] == [min(step, bins - k) for k in range(0, bins, step)]
+        assert all(math.prod(shape[1:]) == bins ** (rs.rank - 1) for shape in sizes)
 
 
 def test_grid_kernel_equals_point_evaluation_bitwise():

@@ -11,7 +11,7 @@ from functools import cache
 from math import gcd, prod
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tensorlimits.convergence import _density_boxes, char_fn_xi, default_t_grid, histogram_tv
@@ -26,6 +26,7 @@ from tensorlimits.measures import (
     eta_measure,
     factor_counts,
     measure_to_csv,
+    measure_to_json,
     mixed_moments,
     pushforward_dominant_shifted,
     xi_measure,
@@ -117,6 +118,39 @@ def test_measures_have_one_denominator_and_print_reduced(case):
         assert all(gcd(row[-2], row[-1]) == 1 and row[-1] > 0 for row in rows), build.__name__
         assert [(tuple(row[:-2]), Fraction(row[-2], row[-1])) for row in rows] == list(measure.atoms)
         assert sum(Fraction(row[-2], row[-1]) for row in rows) == 1
+
+
+# a two-factor G2 spec (pairing scale s = 3) beside the drawn ones
+G2_CASE = (TensorSpec(SYSTEMS["G2"], (((1, 0), 1), ((0, 1), Fraction(1, 2)))), 4)
+
+
+@settings(max_examples=50)
+@example(G2_CASE)
+@given(specs())
+def test_xi_orbits_match_sorted_entries(case):
+    """xi_measure, built by orbit_rows per zero pattern and one lexsort, gives the atoms,
+    numerators and denominator of the sorted full entries of its character."""
+    spec, n = case
+    m = _table(spec, n)
+    got, want = xi_measure(spec, n, multiplicities=m), oracles.xi_from_entries(spec, n, m)
+    assert np.array_equal(got.weights, want.weights) and got.weights.dtype == want.weights.dtype
+    assert (got.nums, got.den, got.sigma_sq, got.N) == (want.nums, want.den, want.sigma_sq, want.N)
+    assert all(type(x) is int for x in got.nums)
+
+
+@settings(max_examples=25)
+@example(G2_CASE)
+@given(specs())
+def test_formatters_match_one_gcd_per_atom(case):
+    """measure_to_csv and measure_to_json, one gcd per distinct numerator, print what
+    one gcd per atom prints, on xi, eta and eta^e with its zero-mass wall atoms."""
+    spec, n = case
+    m = _table(spec, n)
+    for build in (xi_measure, eta_measure, eta_extended_measure):
+        measure = build(spec, n, multiplicities=m)
+        assert measure_to_csv(measure) == oracles.measure_csv(measure), build.__name__
+        assert measure_to_json(measure) == oracles.measure_json(measure), build.__name__
+    assert 0 in measure.nums  # eta^e holds wall atoms
 
 
 @settings(max_examples=50)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -748,6 +749,19 @@ def test_load_rejects_bad_file(tmp_path, edit, error):
     assert doc == {"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"], "total_dim": "9"}
     path.write_text(json.dumps({**doc, **edit}))
     with pytest.raises(error):
+        load_multiplicity_map(path)
+
+
+@pytest.mark.parametrize("coordinate", [True, 2.0, "1"], ids=["true", "float", "string"])
+def test_load_names_the_first_weight_with_a_coordinate_that_is_not_an_int(tmp_path, coordinate):
+    """A JSON true, 2.0 or "1" is a coordinate int() would read as an integer; the
+    loader refuses each with ValueError naming the first weight that holds one."""
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
+    path = tmp_path / "map.json"
+    save_multiplicity_map(m, path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "weights": [[0, 1], [2, coordinate], [coordinate, 0]]}))
+    with pytest.raises(ValueError, match=re.escape(f"weight {[2, coordinate]} has a coordinate that is not an integer")):
         load_multiplicity_map(path)
 
 

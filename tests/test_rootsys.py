@@ -46,6 +46,18 @@ def test_parse_and_str():
     assert str(t) == "B2"
 
 
+def test_one_root_system_per_type():
+    # a label and its CartanType give the one bundle built for that type in this process
+    b2 = build_root_system("B2")
+    assert b2 is build_root_system(CartanType("B", 2)) is build_root_system(" b2 ")
+    assert build_root_system("C2") is not b2 and build_root_system("C2").cartan_type == CartanType("C", 2)
+    # a refused label is refused again on every call, never served from the cache
+    for bad, error in (("E6", UnsupportedType), ("Z2", UnsupportedType), ("A80", WeylCapExceeded), ("B7", WeylCapExceeded)):
+        for _ in range(3):
+            with pytest.raises(error):
+                build_root_system(bad)
+
+
 @pytest.mark.parametrize("bad", ["E6", "E7", "E8", "G3", "G1", "F3", "F5", "D1", "H3", "A0"])
 def test_rejected_types(bad):
     with pytest.raises(UnsupportedType):
@@ -488,6 +500,16 @@ def test_casimir_values():
     # adjoint of A2: Casimir in Killing normalization is 1, standard form is b_g
     a2 = build_root_system("A2")
     assert casimir_eigenvalue(a2, (1, 1)) == a2.b_g
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_casimir_is_the_gram_form_of_lam_and_lam_plus_2rho(label):
+    # the pairing-row norms against (lam, lam + 2 rho) read off gram_omega
+    rs = build_root_system(label)
+    for lam in itertools.islice(itertools.product(range(3), repeat=rs.rank), 40):
+        want = bilinear(lam, rs.gram_omega, [x + 2 for x in lam])
+        got = casimir_eigenvalue(rs, lam)
+        assert type(got) is Fraction and got == want, lam
 
 
 def test_b_g_table():
