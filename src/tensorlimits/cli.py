@@ -57,7 +57,6 @@ from .repchar import (
 )
 from .rootsys import (
     CartanType,
-    _int_rows,
     build_root_system,
     casimir_eigenvalue,
     rootsys_to_json,
@@ -236,17 +235,17 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     its type is the spec's, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
     and sum_mu m(mu) |W mu| (mu, mu) over its dominant weights is total_dim rank
     sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis);
-    (mu, mu) is scaled_norm(rs, mu) over s^2 b_g / 2, s the pairing scale, from int64 pairings (|x| >= 2^31: a miss).
+    (mu, mu) is scaled_norm(rs, mu) over s^2 b_g / 2, s the pairing scale, from the map's int64 rows.
     """
     try:
         m = load_multiplicity_map(path)
-        pairings = _int_rows(m.rs, list(m.dominant)) @ np.array(m.rs.pairing_rows, dtype=np.int64).T
     except (OSError, ValueError, KeyError, TypeError, TensorLimitsError):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
     expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
     if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
+    pairings = m.rows @ np.array(rs.pairing_rows, dtype=np.int64).T
     second = sum(c * size * sum(map(mul, p, p)) for c, size, p in zip(m.dominant.values(), m.sizes, pairings.tolist()))
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
     if Fraction(2 * second, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:

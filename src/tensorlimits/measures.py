@@ -14,8 +14,8 @@ pushforward back to eta run rootsys.to_dominant_rows on whole arrays of weights,
 never a Weyl element.  eta is the signed pushforward of the character of V_N
 under the same action (racah_decompose, which gives its Weyl dimensions too and
 reads the character at its dominant weights alone); xi spreads each dominant
-multiplicity over its W-orbit by rootsys.orbit_rows, once per zero pattern, so
-no measure reads a character's full entries.
+multiplicity over its W-orbit, replayed from the character's array of dominant
+weights once per zero pattern, so no measure reads a character's full entries.
 
 A measure keeps integer weights and numerators over one denominator (dim V_N,
 times |W| for eta extended); Fractions appear only at its edges, where CSV and
@@ -43,8 +43,8 @@ from .errors import DegenerateSpec, InadmissibleN
 from .linalg import bilinear
 from .repchar import (
     MultiplicityMap,
+    _factor_character,
     check_character,
-    freudenthal_multiplicities,
     racah_decompose,
     tensor_power_multiplicities,
     weyl_dim,
@@ -86,8 +86,8 @@ class TensorSpec:
 
     @cached_property
     def factor_characters(self) -> tuple:
-        """The Freudenthal character of each V_lam_l, built once per spec."""
-        return tuple(freudenthal_multiplicities(self.rs, lam) for lam, _ in self.factors)
+        """The Freudenthal character of each V_lam_l, shared with tensor_power_table."""
+        return tuple(_factor_character(self.rs, lam) for lam, _ in self.factors)
 
     def describe(self) -> str:
         parts = ",".join(f"{list(lam)}:{tau}" for lam, tau in self.factors)
@@ -207,14 +207,13 @@ def xi_measure(
 
     multiplicities, when given, must be the precomputed character of V_N
     (cache hook used by the convergence module and the CLI).  Its entries are
-    not read: one rootsys.orbit_rows call per zero pattern of its dominant
-    weights, each count tiled over the orbit, and one np.lexsort.
+    not read: its orbits by zero pattern (MultiplicityMap.orbits_by_pattern),
+    each count tiled over its orbit, and one np.lexsort.
     """
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
-    rows, counts = _int_rows(spec.rs, list(m.dominant)), np.array(list(m.dominant.values()), dtype=object)
-    patterns = (rows > 0) @ (1 << np.arange(spec.rs.rank))
-    parts = [(orbit_rows(spec.rs, rows[patterns == p]), counts[patterns == p]) for p in set(patterns.tolist())]
+    counts = np.array(list(m.dominant.values()), dtype=object)
+    parts = [(orbits, counts[at]) for at, orbits in m.orbits_by_pattern()]
     weights = np.concatenate([orbits.reshape(-1, spec.rs.rank) for orbits, _ in parts])
     nums = np.concatenate([np.tile(c, len(orbits)) for orbits, c in parts])
     ranked = np.lexsort(weights.T[::-1])

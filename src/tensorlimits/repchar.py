@@ -3,13 +3,12 @@
 A character is stored as a MultiplicityMap, built one way only: from its root
 system, its arbitrary-precision multiplicities at dominant weights
 (omega-coords) and its total dimension, which the constructor checks against
-the orbit sizes (rootsys.orbit_sizes).  A map is thus W-invariant by
-construction, which the decomposition and Miller's recurrence rely on: both
-read a character only at dominant weights, by to_dominant_rows and _positions.
-The full map is expanded over W-orbits by
-rootsys.orbit only on demand, when its entries are read: by the trace
-identity, the factor characters' own consumers and the tests (ltl measure xi
-replays the orbits of the dominant weights by rootsys.orbit_rows instead).
+the orbit sizes, one walk per zero pattern of one int64 array of the dominant
+weights.  A map is thus W-invariant by construction, which the decomposition,
+Miller's recurrence and a lookup m[weight] rely on: they read a character at
+dominant weights alone.  Its orbits, one rootsys.orbit_rows call per zero
+pattern, are tiled by ltl measure xi and expanded into full entries only on
+demand: by the trace identity, the factor characters' consumers and the tests.
 Characters of irreducibles come from the Freudenthal recursion; characters
 of tensor powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which
 finds each multiplicity from higher ones by one exact integer division, at a
@@ -35,14 +34,14 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from math import lcm, prod
 from operator import mul
 
 import numpy as np
 
-from .errors import BasisMismatch, NegativeMultiplicity, TableCapExceeded
+from .errors import BasisMismatch, NegativeMultiplicity, NotDominant, TableCapExceeded
 from .linalg import bilinear
 from .rootsys import (
     CartanType,
@@ -55,8 +54,7 @@ from .rootsys import (
     casimir_eigenvalue,
     check_length,
     highest_weight,
-    orbit,
-    orbit_sizes,
+    orbit_rows,
     scaled_norm,
     to_dominant,
     to_dominant_rows,
@@ -69,38 +67,58 @@ MAX_TABLE_ROWS = 2**24  # rows _dominant_weights may hold, as densities.MAX_GRID
 class MultiplicityMap:
     """W-invariant character: weight (omega-coords) -> multiplicity.
 
-    Treat instances as immutable.  A map holds its root system rs, its
-    multiplicities at dominant weights and its total dimension, and expands
-    them over W-orbits into entries on first read, as it keeps the result of
-    the first racah_decompose call; sizes keeps the constructor's orbit_sizes,
-    in dominant's order, for len, repr and the cache check.  NotDominant unless every
-    weight of dominant is dominant and of the rank; ValueError unless every count is
-    positive and sum_mu m(mu) |W mu| is total_dim.
+    Treat instances as immutable.  A map holds rs, the multiplicities at dominant weights,
+    their weights as one read-only int64 array rows in dominant's order with each row's zero
+    pattern id sum_i [mu_i > 0] 2^i (pattern_ids), |W mu| per id present (pattern_sizes, the
+    length of its _weyl_walk) and per row (sizes), and total_dim; entries and the first
+    racah_decompose result are kept on first read.  NotDominant unless every weight is
+    dominant and of the rank; ValueError for a coordinate that is not an integer or of
+    |x| >= 2^31, a count that is not positive or sum_mu m(mu) |W mu| != total_dim.
     """
 
     def __init__(self, rs: RootSystemData, dominant: dict, total_dim: int):
-        sizes = orbit_sizes(rs, dominant)
-        for mu, m in dominant.items():
-            if m <= 0:
-                raise ValueError(f"multiplicity {m} at {mu} is not positive")
+        if set(map(len, dominant)) - {rs.rank}:
+            raise NotDominant(f"{rs.cartan_type} dominant weights have {rs.rank} coordinates")
+        rows = _int_rows(rs, list(dominant))
+        if (rows < 0).any():
+            raise NotDominant(f"{tuple(rows[(rows < 0).any(axis=1)][0].tolist())} is not dominant")
+        if min(dominant.values(), default=1) <= 0:
+            mu = next(mu for mu, m in dominant.items() if m <= 0)
+            raise ValueError(f"multiplicity {dominant[mu]} at {mu} is not positive")
+        ids = (rows > 0) @ (1 << np.arange(rs.rank))
+        # the ids present by np.bincount: np.unique imports numpy.ma, which a warm-cache run does not otherwise load
+        present = np.flatnonzero(np.bincount(ids)).tolist()
+        by_id = {p: len(_weyl_walk(rs.C, tuple([(p >> i) & 1 for i in range(rs.rank)]))[0]) for p in present}
+        sizes = list(map(by_id.__getitem__, ids.tolist()))
         total = sum(map(mul, dominant.values(), sizes))
         if total != total_dim:
             raise ValueError(f"multiplicity total {total} != dimension {total_dim}")
-        self.rs = rs
-        self.dominant = dominant
-        self.sizes = sizes
-        self.total_dim = total_dim
+        rows.setflags(write=False)
+        self.rs, self.dominant, self.total_dim = rs, dominant, total_dim
+        self.rows, self.pattern_ids, self.pattern_sizes, self.sizes = rows, ids, by_id, sizes
+
+    def orbits_by_pattern(self):
+        """(positions, rootsys.orbit_rows of those rows) for each zero pattern id present."""
+        for p in self.pattern_sizes:
+            at = np.flatnonzero(self.pattern_ids == p)
+            yield at, orbit_rows(self.rs, self.rows[at])
 
     @cached_property
     def entries(self) -> dict:
-        return {nu: m for mu, m in self.dominant.items() for nu in orbit(self.rs, mu)}
+        # dominant's order, each orbit in the iteration order of the set of its points as
+        # the walk lists them: the float sums of convergence.char_fn_xi run in this order
+        groups, column = {}, np.empty(len(self.rows), dtype=np.int64)
+        for p, (at, points) in zip(self.pattern_sizes, self.orbits_by_pattern()):
+            groups[p], column[at] = points.swapaxes(0, 1), np.arange(len(at))
+        return {nu: m for p, j, m in zip(self.pattern_ids.tolist(), column.tolist(), self.dominant.values())
+                for nu in set(map(tuple, groups[p][j].tolist()))}
 
     @cached_property
     def _decomposition(self) -> IrrepDecomposition:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs = self.rs
         rows = np.array(rs.pairing_rows, dtype=np.int64)
-        (shifts, odd), nus = _weyl_shifts(rs.C), _int_rows(rs, list(self.dominant))
+        (shifts, odd), nus = _weyl_shifts(rs.C), self.rows
         m_inv, _ = _scaled_inverse_cartan(rs)
         bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
         find, reads = _positions(nus), np.array([*self.dominant.values(), 0], dtype=object)
@@ -131,7 +149,8 @@ class MultiplicityMap:
         return sum(self.sizes)
 
     def __getitem__(self, weight) -> int:
-        return self.entries.get(tuple(weight), 0)
+        """The multiplicity at weight, read at its dominant point; BasisMismatch for another length."""
+        return self.dominant.get(to_dominant(self.rs, weight), 0)
 
     def __repr__(self) -> str:
         return f"MultiplicityMap({len(self)} weights, total_dim={self.total_dim})"
@@ -236,8 +255,7 @@ def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
 def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
     """Full weight multiplicity map of the irreducible V_lam.
 
-    Freudenthal recursion at the dominant weights, highest first; the
-    W-orbits are expanded on first read of entries.  m(mu) sums the positive
+    Freudenthal recursion at the dominant weights, highest first.  m(mu) sums the positive
     root strings above mu, read at dominant representatives; a string ends at
     the first one not yet found.  With the pairings (nu, beta) s = row_beta . nu
     of rs.pairing_rows summed as acc and N = scaled_norm = s^2 (b_g / 2) (x, x),
@@ -263,6 +281,13 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
             raise AssertionError(f"non-integer multiplicity {Fraction(num, den)} at {mu}")
         mult_dom[mu] = m
     return MultiplicityMap(rs, mult_dom, weyl_dim(rs, lam))
+
+
+@lru_cache(maxsize=32)
+def _factor_character(rs: RootSystemData, lam: IntVector) -> MultiplicityMap:
+    """freudenthal_multiplicities(rs, lam), kept for the last 32 asked: the factor characters of
+    tensor_power_table and TensorSpec.factor_characters, lam as highest_weight returns it."""
+    return freudenthal_multiplicities(rs, lam)
 
 
 def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
@@ -329,8 +354,6 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     which stays 0.  Those positions come for a block of rows at a time, at
     most _BLOCK_ROWS lookups, from one to_dominant_rows per factor and
     _positions, so a row's step is one list of reads and one sum of products.
-    The result holds the dominant multiplicities; its W-orbits are expanded
-    only if its entries are read.
     """
     factors = [(lam, base, n) for lam, base, n in factors if n]
     r = rs.rank
@@ -392,11 +415,9 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
 
     factors is a list of (lam, tau) with rational tau; an N that is not an
     integer, or a tau_l * N that is not a nonnegative integer, raises
-    ValueError.  The factor characters are computed once; each N then costs
-    one run of Miller's power recurrence, linear in the number of dominant
-    weights of V_N for fixed factors.  The maps hold
-    dominant multiplicities and expand their W-orbits only when entries is
-    read (the tests).
+    ValueError.  The factor characters come from _factor_character, shared with
+    TensorSpec.factor_characters; each N then costs one run of Miller's power
+    recurrence, linear in the number of dominant weights of V_N for fixed factors.
     """
     try:
         n_values = sorted({operator.index(n) for n in n_values})
@@ -409,7 +430,7 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
             e = tau * n
             if e.denominator != 1 or e < 0:
                 raise ValueError(f"tau * N = {e} is not a nonnegative integer")
-        bases.append((lam, tau, freudenthal_multiplicities(rs, lam)))
+        bases.append((lam, tau, _factor_character(rs, lam)))
     return {
         n: _miller_power(rs, [(lam, base, (tau * n).numerator) for lam, tau, base in bases])
         for n in n_values
@@ -483,11 +504,10 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
 def load_multiplicity_map(path) -> MultiplicityMap:
     """The map save_multiplicity_map wrote to path, W-invariant under its stored type.
 
-    It holds the stored dominant multiplicities and expands their W-orbits
-    only when entries is read.  A bad file raises ValueError (among them a
-    weight coordinate that is not a JSON integer, a count or total that is not
-    a string of ASCII decimal digits, a count that is not positive and a total that
-    sum_mu m(mu) |W mu| does not match), UnsupportedType, WeylCapExceeded or NotDominant."""
+    A bad file raises ValueError (among them a weight coordinate that is not a JSON
+    integer, a count or total that is not a string of ASCII decimal digits, a count
+    that is not positive and a total that sum_mu m(mu) |W mu| does not match),
+    UnsupportedType, WeylCapExceeded or NotDominant."""
     with open(path) as fh:
         doc = json.load(fh)
     rs = build_root_system(CartanType.parse(doc["cartan_type"]))
@@ -496,13 +516,15 @@ def load_multiplicity_map(path) -> MultiplicityMap:
     if set(map(type, chain.from_iterable(weights))) - {int}:
         bad = next(w for w in weights if any(type(x) is not int for x in w))
         raise ValueError(f"weight {bad} has a coordinate that is not an integer")
-    counts = [_decimal("multiplicities", c) for c in doc["multiplicities"]]
-    dominant = dict(zip(map(tuple, weights), counts, strict=True))
-    return MultiplicityMap(rs, dominant, _decimal("total_dim", doc["total_dim"]))
+    dominant = dict(zip(map(tuple, weights), _decimals("multiplicities", doc["multiplicities"]), strict=True))
+    return MultiplicityMap(rs, dominant, _decimals("total_dim", [doc["total_dim"]])[0])
 
 
-def _decimal(field: str, text) -> int:
-    """int(text) for a str of ASCII digits, else ValueError naming field (int() takes 2.5, true, "1_0")."""
-    if type(text) is not str or not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{field} value {text!r} is not a string of ASCII decimal digits")
-    return int(text)
+def _decimals(field: str, texts) -> list[int]:
+    """int(t) for each t of texts, each a nonempty str of ASCII digits (checked on their join, and by
+    all for ""), else ValueError naming field and the first bad value (int() takes 2.5, true, "1_0")."""
+    joined = "".join(texts) if set(map(type, texts)) <= {str} else "?"
+    if all(texts) and (not joined or joined.isascii() and joined.isdigit()):
+        return list(map(int, texts))
+    bad = next(t for t in texts if type(t) is not str or not (t.isascii() and t.isdigit()))
+    raise ValueError(f"{field} value {bad!r} is not a string of ASCII decimal digits")

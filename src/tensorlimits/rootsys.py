@@ -23,10 +23,10 @@ simple ones; b_g = 2 + 2 (rho, theta) off theta's pairing row; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
 v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative.
 W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
-zero pattern, applying s_i wherever v_i is positive: orbit, orbit_sizes and
-orbit_rows use the walk of a weight's pattern; RootSystemData.weyl (built on
-first read, for rootsys info and the tests) and the decomposition's shifts
-rho - w rho use the walk from rho, all of W.
+zero pattern, applying s_i wherever v_i is positive: orbit_rows replays it on
+dominant weights with the pattern's zeros, and |W mu| is its length;
+RootSystemData.weyl (built on first read, for rootsys info and the tests) and
+the decomposition's shifts rho - w rho use the walk from rho, all of W.
 Two numpy kernels run the rule on whole int64 arrays of weights, and they are
 the package's only shifted Weyl action w . mu = w(mu + rho) - rho, for eta^e
 and its pushforward: to_dominant_rows is to_dominant on every row (mu + rho on
@@ -299,7 +299,6 @@ def highest_weight(rs: RootSystemData, lam) -> IntVector:
     """lam as a tuple of ints, or NotDominant unless it has rank coordinates,
     each an integer (operator.index takes it) and none negative."""
     lam = tuple(lam)
-    # a tuple of ints is kept as is, so orbit's first point is the dominant entry's key
     if any(type(x) is not int for x in lam):
         try:
             lam = tuple([operator.index(x) for x in lam])
@@ -420,23 +419,32 @@ def _weyl_walk(
 def orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
     """W-orbits of dominant weights of one zero pattern, as a (|W lam|, n, rank)
     int64 array whose [:, k] holds the orbit of lams[k] once per point, lams[k] first:
-    the walk of the pattern replayed on every row (the lemma of _weyl_walk), as
-    in orbit.  A row with a negative coordinate or the zeros of another row raises
-    NotDominant, one of another length BasisMismatch, a coordinate of |x| >= 2^31
-    ValueError."""
+    the walk of the pattern replayed on every row (the lemma of _weyl_walk), one
+    length at a time.  A row with a negative coordinate or the zeros of another row
+    raises NotDominant, one of another length BasisMismatch, |x| >= 2^31 ValueError."""
     rows = _int_rows(rs, lams)
     pattern = (rows[:1] > 0).any(axis=0)
     bad = np.flatnonzero((rows < 0).any(axis=1) | ((rows > 0) != pattern).any(axis=1))
     if bad.size:
         raise NotDominant(f"{tuple(rows[bad[0]].tolist())} is not dominant with the zeros of {tuple(rows[0].tolist())}")
-    c = np.array(rs.C, dtype=np.int64)
-    _, steps, _ = _weyl_walk(rs.C, tuple(pattern.astype(int).tolist()))
-    out = np.empty((len(steps) + 1,) + rows.shape, dtype=np.int64)
+    top = tuple(pattern.astype(int).tolist())
+    out = np.empty((len(_weyl_walk(rs.C, top)[0]),) + rows.shape, dtype=np.int64)
     out[0] = rows
-    for k, (parent, i) in enumerate(steps, 1):
-        v = out[parent]
-        out[k] = v - v[:, i, None] * c[:, i]
+    cols = np.array(rs.C, dtype=np.int64).T
+    for k, parents, i in _walk_by_length(rs.C, top):
+        v = out[parents]
+        out[k] = v - v[np.arange(len(k)), :, i][:, :, None] * cols[i][:, None, :]
     return out
+
+
+@cache
+def _walk_by_length(c: IntMatrix, top: IntVector) -> tuple:
+    """The steps of _weyl_walk(c, top) by the length of the point they reach, as int arrays
+    (points, parents, i) per length: a parent is one shorter, so one numpy step takes them all."""
+    _, steps, lengths = _weyl_walk(c, top)
+    parents, i = np.array(steps, dtype=np.int64).reshape(-1, 2).T
+    k, depth = np.arange(1, len(lengths)), np.array(lengths[1:], dtype=np.int64)
+    return tuple((k[depth == d], parents[depth == d], i[depth == d]) for d in range(1, max(lengths) + 1))
 
 
 def sums_by_row(rows, nums) -> tuple[np.ndarray, list]:
@@ -451,35 +459,6 @@ def sums_by_row(rows, nums) -> tuple[np.ndarray, list]:
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
     sums = np.add.reduceat(np.asarray(nums, dtype=object)[ranked], starts)
     return rows[starts[sums != 0]], sums[sums != 0].tolist()
-
-
-def orbit(rs: RootSystemData, lam) -> set:
-    """W-orbit of the dominant weight lam, as a set of integer tuples: the walk
-    of lam's zero pattern replayed on lam (the lemma of _weyl_walk)."""
-    lam = highest_weight(rs, lam)
-    c = rs.C
-    _, steps, _ = _weyl_walk(c, tuple([int(x > 0) for x in lam]))
-    images = [lam]
-    for parent, i in steps:
-        v = images[parent]
-        vi = v[i]
-        images.append(tuple([x - row[i] * vi for x, row in zip(v, c)]))
-    return set(images)
-
-
-def orbit_sizes(rs: RootSystemData, weights) -> list[int]:
-    """|W mu| for each dominant mu of weights: the points of the walk of mu's
-    zero pattern.  A weight that is not dominant or not of the rank raises
-    NotDominant, from highest_weight on its sign pattern."""
-    by_pattern = {}
-    sizes = []
-    for mu in weights:
-        pattern = tuple([(x > 0) - (x < 0) for x in mu])
-        size = by_pattern.get(pattern)
-        if size is None:
-            size = by_pattern[pattern] = len(_weyl_walk(rs.C, highest_weight(rs, pattern))[0])
-        sizes.append(size)
-    return sizes
 
 
 def casimir_eigenvalue(rs: RootSystemData, lam) -> Fraction:

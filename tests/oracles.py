@@ -6,7 +6,8 @@ convolution sum, decompositions from peeling off highest weights, from
 Racah's sum over the full weight table with enumerated Weyl elements or from
 Racah's sum as the signed pushforward over every W-orbit point, rank-1
 tensor powers from the ballot closed form, dominant weights by a search
-along positive roots, and the moments, the characteristic function and the
+along positive roots, W-orbits one scalar reflection at a time (orbit), and
+the moments, the characteristic function and the
 binned TV of a measure from sums over its atoms.  xi is read off the sorted
 full entries of its character, and a measure's CSV and JSON rows are reduced
 by one gcd per atom.  Convolution and peel-off work on full entries as plain dicts;
@@ -25,7 +26,7 @@ from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
 from tensorlimits.measures import DiscreteMeasure, sigma_squared
 from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities, weyl_dim
-from tensorlimits.rootsys import is_dominant, orbit_rows, sums_by_row, to_dominant_rows
+from tensorlimits.rootsys import _weyl_walk, highest_weight, is_dominant, orbit_rows, sums_by_row, to_dominant_rows
 
 
 def character_by_weyl_formula(rs, lam) -> dict:
@@ -65,6 +66,21 @@ def character_by_weyl_formula(rs, lam) -> dict:
                 rem.pop(key, None)
     assert all(c > 0 for c in quotient.values())
     return quotient
+
+
+def orbit(rs, lam) -> set:
+    """W-orbit of the dominant weight lam, as a set of integer tuples: the walk of lam's
+    zero pattern replayed on lam one scalar reflection at a time (the lemma of
+    rootsys._weyl_walk).  NotDominant for a weight that is not dominant or not of the rank."""
+    lam = highest_weight(rs, lam)
+    c = rs.C
+    _, steps, _ = _weyl_walk(c, tuple([int(x > 0) for x in lam]))
+    images = [lam]
+    for parent, i in steps:
+        v = images[parent]
+        vi = v[i]
+        images.append(tuple([x - row[i] * vi for x, row in zip(v, c)]))
+    return set(images)
 
 
 def character_map(rs, entries: dict) -> MultiplicityMap:

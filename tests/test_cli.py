@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from tensorlimits.repchar import (
     tensor_power_multiplicities,
     tensor_power_table,
 )
-from tensorlimits.rootsys import build_root_system, orbit
+from tensorlimits.rootsys import build_root_system
 
-from oracles import peel_off_decompose
+from oracles import orbit, peel_off_decompose
 
 
 def run(capsys, *argv):
@@ -383,20 +384,43 @@ def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
 
 
 def test_orbit_sizes_are_walked_once_per_loaded_map(tmp_path, monkeypatch):
-    """The constructor keeps its orbit sizes in dominant order; the cache check,
-    len and Racah's grouping read them instead of walking the orbits again."""
+    """The constructor walks each zero pattern once and keeps the orbit sizes in
+    dominant order; the cache check, len and the decomposition read them instead
+    of walking again."""
     spec = cli._build_spec("B2", [cli._parse_factor("0,1:1"), cli._parse_factor("1,0:1/2")])
     m = tensor_power_table(spec.rs, spec.factors, [8])[8]
     assert m.sizes == [len(orbit(spec.rs, mu)) for mu in m.dominant]
+    components = racah_decompose(spec.rs, m).components
     path = tmp_path / "map.json"
     save_multiplicity_map(m, path)
     calls = []
-    walk = repchar.orbit_sizes
-    monkeypatch.setattr(repchar, "orbit_sizes", lambda rs, weights: calls.append(1) or walk(rs, weights))
+    walk = repchar._weyl_walk
+    monkeypatch.setattr(repchar, "_weyl_walk", lambda c, top: calls.append(top) or walk(c, top))
     back = cli._load_cached(spec, 8, str(path))
     assert back is not None and back.sizes == [len(orbit(spec.rs, mu)) for mu in back.dominant]
-    assert len(back) == len(m) and racah_decompose(spec.rs, back).components == racah_decompose(spec.rs, m).components
-    assert len(calls) == 1
+    assert len(calls) == len(set(calls)) == len(back.pattern_sizes) == 4
+    assert len(back) == len(m) and racah_decompose(spec.rs, back).components == components
+    assert len(calls) == 4
+
+
+def test_cold_converge_runs_freudenthal_once_per_factor(tmp_path, capsys, monkeypatch):
+    """The Miller table and the moments read one set of factor characters: a cold
+    converge runs the Freudenthal recursion once per distinct factor."""
+    calls = []
+    freudenthal = repchar.freudenthal_multiplicities
+    monkeypatch.setattr(repchar, "freudenthal_multiplicities", lambda rs, lam: calls.append(lam) or freudenthal(rs, lam))
+    cases = [
+        ("A2", ["1,0:1"], [(1, 0)]),
+        ("B2", ["0,1:1", "1,0:1/2"], [(0, 1), (1, 0)]),
+        ("A2", ["1,1:1", "1,1:1/2"], [(1, 1)]),
+    ]
+    for k, (label, factors, runs) in enumerate(cases):
+        repchar._factor_character.cache_clear()
+        calls.clear()
+        argv = ["converge", "--type", label, *[x for f in factors for x in ("--factor", f)], "--N", "2,4"]
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path / str(k)))
+        assert (code, err) == (0, "")
+        assert sorted(calls) == runs, factors
 
 
 @pytest.mark.parametrize("value", ["envcache", ""], ids=["dir", "empty"])
@@ -518,6 +542,38 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
     # the guard is armed: a read of a reducible map's entries is refused
     with pytest.raises(AssertionError, match="reducible"):
         tensor_power_multiplicities(build_root_system("B3"), [((1, 0, 0), 4)]).entries
+
+
+def test_lookup_reads_the_dominant_point_without_expanding(monkeypatch):
+    """m[w] is the multiplicity at the dominant point of w: on a box around the
+    support of a G2 map and of the two-factor B2 map it reads what m.entries
+    holds, with the orbit expansion of a reducible map refused while it reads;
+    a weight of another length raises BasisMismatch."""
+    from tensorlimits.errors import BasisMismatch
+
+    expand = MultiplicityMap.entries.func
+
+    def guarded(m):
+        if list(racah_decompose(m.rs, m).components.values()) != [1]:
+            raise AssertionError("the W-orbits of a reducible character were expanded")
+        return expand(m)
+
+    for label, factors, n in [("G2", [((1, 0), 1)], 4), ("B2", [((0, 1), 1), ((1, 0), Fraction(1, 2))], 6)]:
+        rs = build_root_system(label)
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiplicityMap.entries, "func", guarded)
+            m = tensor_power_table(rs, factors, [n])[n]
+            support = [nu for mu in m.dominant for nu in orbit(rs, mu)]
+            lo, hi = np.min(support, axis=0) - 1, np.max(support, axis=0) + 1
+            box = [tuple(w) for w in (np.indices(hi - lo + 1).reshape(rs.rank, -1).T + lo).tolist()]
+            read = [m[w] for w in box]
+            assert "entries" not in vars(m)
+            with pytest.raises(AssertionError, match="reducible"):
+                m.entries
+            with pytest.raises(BasisMismatch):
+                m[(1, 0, 0)]
+        assert read == [m.entries.get(w, 0) for w in box]
+        assert sum(read) == m.total_dim and min(read) == 0
 
 
 def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):

@@ -276,9 +276,9 @@ def test_report_json_round_trip_fields():
 
 
 def test_factor_characters_built_once_per_spec(monkeypatch):
-    # one convergence_report over four N builds each factor's character twice:
-    # once for the table and once for the spec's char-fn and moments
-    from tensorlimits import measures, repchar
+    # one convergence_report over four N builds each factor's character once:
+    # the table and the spec's char-fn and moments share it
+    from tensorlimits import repchar
 
     built = []
     freudenthal = repchar.freudenthal_multiplicities
@@ -288,9 +288,9 @@ def test_factor_characters_built_once_per_spec(monkeypatch):
         return freudenthal(rs, lam)
 
     monkeypatch.setattr(repchar, "freudenthal_multiplicities", counted)
-    monkeypatch.setattr(measures, "freudenthal_multiplicities", counted)
     b2 = build_root_system("B2")
     for spec in (make_spec("A", 2), TensorSpec(b2, (((0, 1), 1), ((1, 0), Fraction(1, 2))))):
+        repchar._factor_character.cache_clear()
         built.clear()
         convergence_report(spec, [4, 8, 16, 32])
-        assert sorted(built) == sorted(lam for lam, _ in spec.factors for _ in range(2))
+        assert sorted(built) == sorted(lam for lam, _ in spec.factors)

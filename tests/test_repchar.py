@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tensorlimits import repchar, rootsys
+from tensorlimits import repchar
 from tensorlimits.errors import (
     BasisMismatch,
     NegativeMultiplicity,
@@ -31,13 +31,14 @@ from tensorlimits.repchar import (
     weyl_dim,
 )
 from tensorlimits.measures import TensorSpec
-from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, orbit, weyl_group_order
+from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, weyl_group_order
 
 from oracles import (
     character_by_weyl_formula,
     character_map,
     convolve,
     dominant_weights_dfs,
+    orbit,
     peel_off_decompose,
     racah_full_scan,
     racah_pushforward,
@@ -540,24 +541,24 @@ def test_racah_bound_drops_no_term_of_incomparable_tops(label, tops):
     assert dec.components == {lam: 1 for lam in tops}
 
 
-def _no_orbit(rs, lam):
-    raise AssertionError(f"orbit({lam}) was called")
+def _no_orbit(rs, lams):
+    raise AssertionError(f"the orbits of {len(lams)} weights were replayed")
 
 
 def test_len_and_repr_do_not_expand_orbits(tmp_path, monkeypatch):
     """len and repr of a map from the recurrence or the loader count the orbit
     points of its dominant entries, without building the full entries: the
-    orbit sizes come from the walks of the zero patterns, never from
-    rootsys.orbit (the factor characters' entries expand through repchar's)."""
+    orbit sizes come from one walk per zero pattern, never from orbit_rows
+    (Miller's recurrence expands the factor characters' entries first)."""
     path = tmp_path / "map.json"
+    m = tensor_power_table(RS["B2"], [((0, 1), 1), ((1, 0), Fraction(1, 2))], [8])[8]
     with monkeypatch.context() as patch:
-        patch.setattr(rootsys, "orbit", _no_orbit)
-        m = tensor_power_table(RS["B2"], [((0, 1), 1), ((1, 0), Fraction(1, 2))], [8])[8]
+        patch.setattr(repchar, "orbit_rows", _no_orbit)
         save_multiplicity_map(m, path)
         lazies = (m, load_multiplicity_map(path))
         sizes = [len(lazy) for lazy in lazies]
-    for lazy, size in zip(lazies, sizes):
-        text = repr(lazy)
+        texts = [repr(lazy) for lazy in lazies]
+    for lazy, size, text in zip(lazies, sizes, texts):
         assert "entries" not in vars(lazy)
         assert size == len(lazy.entries) == len(character_map(lazy.rs, lazy.entries))
         assert text == f"MultiplicityMap({size} weights, total_dim={m.total_dim})"
@@ -610,6 +611,41 @@ def test_constructor_rejects_bad_characters(dominant, total_dim, error):
     assert good.entries == tensor_power_multiplicities(a2, [((1, 0), 2)]).entries
     with pytest.raises(error):
         MultiplicityMap(a2, dominant, total_dim)
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_sizes_match_the_orbit_oracle_on_every_zero_pattern(label):
+    """One map holding every zero pattern, each at the pattern itself and at a
+    random multiple: sizes, one walk length per pattern looked up by pattern id,
+    are the scalar orbits' sizes, in dominant's order."""
+    rs = build_root_system(label)
+    rng = random.Random(31)
+    lams = []
+    for pattern in itertools.product((0, 1), repeat=rs.rank):
+        lams += [pattern, tuple(x * rng.randint(2, 5) for x in pattern)]
+    lams = list(dict.fromkeys(lams))
+    rng.shuffle(lams)
+    expected = [len(orbit(rs, lam)) for lam in lams]
+    m = MultiplicityMap(rs, dict.fromkeys(lams, 1), sum(expected))
+    assert m.sizes == expected and len(m) == sum(expected)
+    assert sorted(m.pattern_sizes) == list(range(2**rs.rank))
+    assert m.rows.tolist() == [list(lam) for lam in lams] and not m.rows.flags.writeable
+
+
+def test_zero_character(tmp_path):
+    """MultiplicityMap(rs, {}, 0) has no weights, no components and reads 0
+    everywhere, and survives a save and load; a total other than 0 is refused."""
+    b2 = RS["B2"]
+    zero = MultiplicityMap(b2, {}, 0)
+    assert (len(zero), repr(zero), zero.sizes, zero.rows.shape) == (0, "MultiplicityMap(0 weights, total_dim=0)", [], (0, 2))
+    assert zero.entries == {} and zero[(0, 0)] == zero[(-3, 1)] == 0
+    assert racah_decompose(b2, zero).components == {}
+    path = tmp_path / "zero.json"
+    save_multiplicity_map(zero, path)
+    back = load_multiplicity_map(path)
+    assert (back.dominant, back.total_dim, len(back)) == ({}, 0, 0)
+    with pytest.raises(ValueError, match="total 0 != dimension 1"):
+        MultiplicityMap(b2, {}, 1)
 
 
 def test_character_map_refuses_entries_that_are_not_w_invariant():
@@ -773,23 +809,26 @@ def test_load_names_the_first_weight_with_a_coordinate_that_is_not_an_int(tmp_pa
         ("multiplicities", ["2.0", "1"]),
         ("multiplicities", ["2", "0_1"]),
         ("multiplicities", ["٢", "1"]),
+        ("multiplicities", ["2", ""]),
         ("total_dim", 9.5),
         ("total_dim", "9.0"),
         ("total_dim", "0_9"),
         ("total_dim", " 9"),
     ],
-    ids=["half", "true", "point-zero", "underscore", "arabic-indic", "total-half", "total-point-zero",
+    ids=["half", "true", "point-zero", "underscore", "arabic-indic", "empty", "total-half", "total-point-zero",
          "total-underscore", "total-space"],
 )
 def test_load_refuses_counts_that_are_not_decimal_strings(tmp_path, field, value):
     """save_multiplicity_map writes every count as a string of ASCII decimal digits.
     int() reads each of these values as the stored count, or as the count less a
-    half, so a file of them would pass for V_omega1^2 of A2; the loader refuses
-    it with ValueError naming the field."""
+    half, so a file of them would pass for V_omega1^2 of A2 (and a check of the
+    joined counts alone would pass "2", ""); the loader refuses it with
+    ValueError naming the field and the first bad value."""
     m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
     path = tmp_path / "map.json"
     save_multiplicity_map(m, path)
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, field: value}))
-    with pytest.raises(ValueError, match=field):
+    bad = next(x for x in ([value] if field == "total_dim" else value) if x not in ("1", "2"))
+    with pytest.raises(ValueError, match=re.escape(f"{field} value {bad!r} is not")):
         load_multiplicity_map(path)

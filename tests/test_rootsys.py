@@ -23,13 +23,14 @@ from tensorlimits.rootsys import (
     build_root_system,
     casimir_eigenvalue,
     is_dominant,
-    orbit,
     orbit_rows,
     sums_by_row,
     to_dominant,
     to_dominant_rows,
     weyl_group_order,
 )
+
+from oracles import orbit
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "G2"]
 ALL_RANK4 = SMALL_TYPES + ["A4", "B4", "C4", "D4", "F4"]
