@@ -19,10 +19,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def mat_vec(a: Matrix, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def inverse(a: Matrix) -> Matrix:
     """Invert by Gauss-Jordan elimination with exact pivots."""
     n = len(a)

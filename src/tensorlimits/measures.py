@@ -86,7 +86,7 @@ class TensorSpec:
 
     @cached_property
     def factor_characters(self) -> tuple:
-        """The Freudenthal character of each V_lam_l, shared with tensor_power_table."""
+        """The character of each V_lam_l (repchar.irreducible_character), shared with tensor_power_table."""
         return tuple(_factor_character(self.rs, lam) for lam, _ in self.factors)
 
     def describe(self) -> str:

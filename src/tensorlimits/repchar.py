@@ -9,22 +9,23 @@ Miller's recurrence and a lookup m[weight] rely on: they read a character at
 dominant weights alone.  Its orbits, one rootsys.orbit_rows call per zero
 pattern, are tiled by ltl measure xi and expanded into full entries only on
 demand: by the trace identity, the factor characters' consumers and the tests.
-Characters of irreducibles come from the Freudenthal recursion; characters
-of tensor powers prod_l V_lam_l^(n_l) from Miller's power recurrence, which
-finds each multiplicity from higher ones by one exact integer division, at a
-cost per dominant weight of the support sizes of the factors.  It is the
-only product of characters the package computes; the test suite checks it
-against plain convolution of the factor characters (tests/oracles.py).
-Both recurrences walk the dominant weights below their top by depth, as one
-numpy enumeration lists them (_dominant_weights, checked against a search
-along positive roots); Miller's recurrence reads its quotients at positions
-in that list, found a block of rows at a time by to_dominant_rows and packed
-int64 keys, while Freudenthal's root strings step with the scalar to_dominant.
-A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises
-TableCapExceeded before it is built.
-Characters are split into irreducibles by the alternating Weyl sum, read at
-the dominant weights, which the tests check against Racah's signed pushforward,
-a scan of the full table and peeling off highest weights.
+One signed sum over W, sum_w sign(w) m(mu + rho - w rho) at each dominant mu
+(_alternating_sums), does two jobs: it splits a character into irreducibles,
+which the tests check against Racah's signed pushforward, a scan of the full
+table and peeling off highest weights, and, as Racah's recursion, it builds
+the characters of irreducibles, which the tests check against the Freudenthal
+recursion and the division of Weyl alternants.  Characters of tensor powers
+prod_l V_lam_l^(n_l) come from Miller's power recurrence, which finds each
+multiplicity from higher ones by one exact integer division, at a cost per
+dominant weight of the support sizes of the factors.  It is the only product
+of characters the package computes; the test suite checks it against plain
+convolution of the factor characters (tests/oracles.py).  Both recursions
+walk the dominant weights below their top by depth, as one numpy enumeration
+lists them (_dominant_weights, checked against a search along positive
+roots), and read at positions in that list, found a block of rows at a time
+by to_dominant_rows and packed int64 keys; only m[weight] calls the scalar
+to_dominant.  A table whose enumeration would hold more than MAX_TABLE_ROWS
+rows raises TableCapExceeded before it is built.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ from .rootsys import (
     check_length,
     highest_weight,
     orbit_rows,
-    scaled_norm,
     to_dominant,
     to_dominant_rows,
 )
 
-_BLOCK_ROWS = 2**16  # reads per block of racah_decompose's W-sum, lookups per block of _miller_power
+_BLOCK_ROWS = 2**16  # reads per block of _alternating_sums, lookups per block of _miller_power
 MAX_TABLE_ROWS = 2**24  # rows _dominant_weights may hold, as densities.MAX_GRID_POINTS
 
 
@@ -116,21 +116,10 @@ class MultiplicityMap:
     @cached_property
     def _decomposition(self) -> IrrepDecomposition:
         """racah_decompose's sum, run once per map and then shared by every call."""
-        rs = self.rs
+        rs, nus = self.rs, self.rows
         rows = np.array(rs.pairing_rows, dtype=np.int64)
-        (shifts, odd), nus = _weyl_shifts(rs.C), self.rows
-        m_inv, _ = _scaled_inverse_cartan(rs)
-        bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
-        find, reads = _positions(nus), np.array([*self.dominant.values(), 0], dtype=object)
-        step, sums = max(1, _BLOCK_ROWS // len(shifts)), []
-        for a in range(0, len(nus), step):
-            block = nus[a : a + step]
-            slack, at = bound - block @ m_inv.T, np.arange(len(block))
-            row, k = np.nonzero(np.logical_and.reduce([lifts[:, i] <= slack[:, i, None] for i in range(rs.rank)]))
-            vals, even = reads[find(to_dominant_rows(rs, block[row] + shifts[k]))], ~odd[k]
-            # shift 0 is even and keeps every row: a row's sum is 2 (its even reads) - (all its reads)
-            alls = np.add.reduceat(vals, np.searchsorted(row, at))
-            sums += (2 * np.add.reduceat(vals[even], np.searchsorted(row[even], at)) - alls).tolist()
+        reads = np.array([*self.dominant.values(), 0], dtype=object)
+        sums = next(_alternating_sums(rs, nus, reads, [0, len(nus)]))
         keep = [i for i in np.lexsort(nus.T[::-1]).tolist() if sums[i]]
         lams, counts = nus[keep], [sums[i] for i in keep]
         components = dict(zip(map(tuple, lams.tolist()), counts))
@@ -252,42 +241,57 @@ def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
     return nus[order], depths[order]
 
 
-def freudenthal_multiplicities(rs: RootSystemData, lam) -> MultiplicityMap:
-    """Full weight multiplicity map of the irreducible V_lam.
+def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cuts):
+    """For each part nus[a:b] between consecutive cuts, the list of sum_w sign(w) reads[i]
+    over w in W, i the position of to_dominant(nu + rho - w rho) among the rows nus and
+    len(nus) for a weight not among them (reads has one more slot than nus).
 
-    Freudenthal recursion at the dominant weights, highest first.  m(mu) sums the positive
-    root strings above mu, read at dominant representatives; a string ends at
-    the first one not yet found.  With the pairings (nu, beta) s = row_beta . nu
-    of rs.pairing_rows summed as acc and N = scaled_norm = s^2 (b_g / 2) (x, x),
-    ((lam + rho)^2 - (mu + rho)^2) m(mu) = 2 sum m(nu) (nu, beta) reads
-    m(mu) = acc s b_g / (N(lam + rho) - N(mu + rho)): one exact integer division.
+    A term is read only where den C^-1 (nu + rho - w rho) <= the coordinatewise max of
+    den C^-1 mu over nus, which drops no read of a weight among them, as mu = to_dominant(v)
+    has mu - v in Q+; by _weyl_shifts, to_dominant_rows and _positions, _BLOCK_ROWS reads a
+    block.  Each part is summed only when asked for, so a caller may write reads in between.
+    """
+    (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs)
+    bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
+    find, step = _positions(nus), max(1, _BLOCK_ROWS // len(shifts))
+    for a, b in zip(cuts, cuts[1:]):
+        sums = []
+        for c in range(a, b, step):
+            block = nus[c : min(c + step, b)]
+            slack, at = bound - block @ m_inv.T, np.arange(len(block))
+            row, k = np.nonzero(np.logical_and.reduce([lifts[:, i] <= slack[:, i, None] for i in range(rs.rank)]))
+            vals, even = reads[find(to_dominant_rows(rs, block[row] + shifts[k]))], ~odd[k]
+            # shift 0 is even and keeps every row: a row's sum is 2 (its even reads) - (all its reads)
+            alls = np.add.reduceat(vals, np.searchsorted(row, at))
+            sums += (2 * np.add.reduceat(vals[even], np.searchsorted(row[even], at)) - alls).tolist()
+        yield sums
+
+
+def irreducible_character(rs: RootSystemData, lam) -> MultiplicityMap:
+    """Character of the irreducible V_lam, by Racah's recursion on its dominant weights.
+
+    [V_lam : V_mu] = sum_w sign(w) m(mu + rho - w rho) is 0 for dominant mu != lam (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, section 24), and every w != 1
+    reads a weight higher than mu: so the weights are visited a depth at a time
+    (_dominant_weights), each level's m(mu) = -(its _alternating_sums), read while the
+    w = 1 slot is still 0.  The recursion divides nothing; the constructor's checks of
+    positive counts and sum_mu m(mu) |W mu| = weyl_dim guard it.
     """
     lam = highest_weight(rs, lam)
-    dominant = list(map(tuple, _dominant_weights(rs, lam)[0].tolist()))
-    scale = rs.pairing_scale * rs.b_g
-    norm_top = scaled_norm(rs, [x + 1 for x in lam])
-    mult_dom = {lam: 1}
-    for mu in dominant[1:]:
-        acc = 0
-        for alpha, row in zip(rs.positive_roots_omega, rs.pairing_rows):
-            nu = tuple(m + a for m, a in zip(mu, alpha))
-            while (m_nu := mult_dom.get(to_dominant(rs, nu))) is not None:
-                acc += m_nu * sum(n * r for n, r in zip(nu, row))
-                nu = tuple(n + a for n, a in zip(nu, alpha))
-        # N(lam + rho) - N(mu + rho) > 0 for dominant mu strictly below lam
-        num, den = acc * scale, norm_top - scaled_norm(rs, [x + 1 for x in mu])
-        m, rem = divmod(num, den)
-        if rem:
-            raise AssertionError(f"non-integer multiplicity {Fraction(num, den)} at {mu}")
-        mult_dom[mu] = m
-    return MultiplicityMap(rs, mult_dom, weyl_dim(rs, lam))
+    nus, depths = _dominant_weights(rs, lam)
+    reads = np.zeros(len(nus) + 1, dtype=object)
+    reads[0] = 1
+    cuts = [*(np.flatnonzero(np.diff(depths)) + 1).tolist(), len(nus)]
+    for a, sums in zip(cuts, _alternating_sums(rs, nus, reads, cuts)):
+        reads[a : a + len(sums)] = [-s for s in sums]
+    return MultiplicityMap(rs, dict(zip(map(tuple, nus.tolist()), reads[:-1].tolist())), weyl_dim(rs, lam))
 
 
 @lru_cache(maxsize=32)
 def _factor_character(rs: RootSystemData, lam: IntVector) -> MultiplicityMap:
-    """freudenthal_multiplicities(rs, lam), kept for the last 32 asked: the factor characters of
+    """irreducible_character(rs, lam), kept for the last 32 asked: the factor characters of
     tensor_power_table and TensorSpec.factor_characters, lam as highest_weight returns it."""
-    return freudenthal_multiplicities(rs, lam)
+    return irreducible_character(rs, lam)
 
 
 def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
@@ -443,10 +447,7 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     [V : V_lam] = sum_w sign(w) m(lam + rho - w rho) for dominant lam, the coefficient of
     e^lam in ch V prod_(alpha > 0) (1 - e^-alpha) (Humphreys, Introduction to Lie Algebras
     and Representation Theory, section 24), read at m's dominant weights, where every
-    component lies, by _weyl_shifts, to_dominant_rows and _positions, _BLOCK_ROWS reads a
-    block; v = lam + rho - w rho is read only where den C^-1 v <= the coordinatewise max
-    of den C^-1 mu over m.dominant, which drops no m(v) != 0, as mu = to_dominant(v) has
-    mu - v in Q+.  Negative counts, or
+    component lies, by _alternating_sums.  Negative counts, or
     components short of total_dim (their Weyl dimensions are kept in dims),
     mean the input was not a genuine character; a map of another rank or
     Cartan type raises BasisMismatch (check_character).  The sum runs once
@@ -467,7 +468,7 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
     lam = tuple(lam)
     t = tuple(Fraction(x) for x in t)
     check_length(rs, len(t), "direction")
-    m = freudenthal_multiplicities(rs, lam)
+    m = irreducible_character(rs, lam)
     lhs = Fraction(0)
     for mu, c in m.entries.items():
         pairing = sum(ti * di * xi for ti, di, xi in zip(t, rs.d, mu))

@@ -48,7 +48,7 @@ import re
 import numpy as np
 
 from .errors import BasisMismatch, NotDominant, UnsupportedType, WeylCapExceeded
-from .linalg import Matrix, inverse, mat_vec
+from .linalg import Matrix, inverse
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -187,10 +187,10 @@ class RootSystemData:
     """Immutable bundle of everything downstream modules need about one type.
 
     The first block of fields is the public contract; the trailing fields are
-    precomputed caches (C^-1, roots in omega-coords, the integer pairing rows
-    and their scale s) that keep the hot loops in other modules simple.  All
-    come from C: positive_roots by reflection, b_g from the highest root's
-    pairing row, both Gram matrices from C and C^-1.
+    precomputed caches (C^-1, the integer pairing rows and their scale s) that
+    keep the hot loops in other modules simple.  All come from C:
+    positive_roots by reflection, b_g from the highest root's pairing row,
+    both Gram matrices from C and C^-1.
     The Weyl group as matrices, weyl, is built on first read; |W| comes from
     weyl_group_order.
     """
@@ -207,7 +207,6 @@ class RootSystemData:
     dim_g: int
     # caches
     C_inv: Matrix
-    positive_roots_omega: tuple[IntVector, ...]
     pairing_rows: tuple[IntVector, ...]
     pairing_scale: int
 
@@ -279,7 +278,6 @@ def _build_root_system(t: CartanType) -> RootSystemData:
         b_g=b_g.numerator,
         dim_g=2 * len(pos) + r,
         C_inv=c_inv,
-        positive_roots_omega=tuple(mat_vec(c, root) for root in pos),
         pairing_rows=rows,
         pairing_scale=s,
     )

@@ -1,8 +1,8 @@
 """Independent slow oracles used by the test suite.
 
 These deliberately avoid the algorithms under test: characters come from
-exact division of Weyl alternants, products of characters from the plain
-convolution sum, decompositions from peeling off highest weights, from
+exact division of Weyl alternants or from the Freudenthal recursion, products
+of characters from the plain convolution sum, decompositions from peeling off highest weights, from
 Racah's sum over the full weight table with enumerated Weyl elements or from
 Racah's sum as the signed pushforward over every W-orbit point, rank-1
 tensor powers from the ballot closed form, dominant weights by a search
@@ -11,7 +11,8 @@ the moments, the characteristic function and the
 binned TV of a measure from sums over its atoms.  xi is read off the sorted
 full entries of its character, and a measure's CSV and JSON rows are reduced
 by one gcd per atom.  Convolution and peel-off work on full entries as plain dicts;
-character_map turns a W-invariant dict into a MultiplicityMap.
+character_map turns a W-invariant dict into a MultiplicityMap, and mat_vec
+gives a root's omega-coords as C @ root.
 """
 
 import itertools
@@ -25,8 +26,21 @@ from tensorlimits import repchar
 from tensorlimits.errors import NegativeMultiplicity
 from tensorlimits.linalg import bilinear
 from tensorlimits.measures import DiscreteMeasure, sigma_squared
-from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, freudenthal_multiplicities, weyl_dim
-from tensorlimits.rootsys import _weyl_walk, highest_weight, is_dominant, orbit_rows, sums_by_row, to_dominant_rows
+from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, _dominant_weights, weyl_dim
+from tensorlimits.rootsys import (
+    _weyl_walk,
+    highest_weight,
+    is_dominant,
+    orbit_rows,
+    scaled_norm,
+    sums_by_row,
+    to_dominant,
+    to_dominant_rows,
+)
+
+
+def mat_vec(a, v) -> tuple:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def character_by_weyl_formula(rs, lam) -> dict:
@@ -66,6 +80,39 @@ def character_by_weyl_formula(rs, lam) -> dict:
                 rem.pop(key, None)
     assert all(c > 0 for c in quotient.values())
     return quotient
+
+
+def freudenthal_multiplicities(rs, lam) -> MultiplicityMap:
+    """Full weight multiplicity map of the irreducible V_lam.
+
+    Freudenthal recursion at the dominant weights, highest first.  m(mu) sums the positive
+    root strings above mu, read at dominant representatives; a string ends at
+    the first one not yet found.  With the pairings (nu, beta) s = row_beta . nu
+    of rs.pairing_rows summed as acc and N = scaled_norm = s^2 (b_g / 2) (x, x),
+    ((lam + rho)^2 - (mu + rho)^2) m(mu) = 2 sum m(nu) (nu, beta) reads
+    m(mu) = acc s b_g / (N(lam + rho) - N(mu + rho)): one exact integer division.
+    The reference for repchar.irreducible_character, which reads Racah's recursion.
+    """
+    lam = highest_weight(rs, lam)
+    dominant = list(map(tuple, _dominant_weights(rs, lam)[0].tolist()))
+    scale = rs.pairing_scale * rs.b_g
+    norm_top = scaled_norm(rs, [x + 1 for x in lam])
+    roots_omega = [mat_vec(rs.C, root) for root in rs.positive_roots]
+    mult_dom = {lam: 1}
+    for mu in dominant[1:]:
+        acc = 0
+        for alpha, row in zip(roots_omega, rs.pairing_rows):
+            nu = tuple(m + a for m, a in zip(mu, alpha))
+            while (m_nu := mult_dom.get(to_dominant(rs, nu))) is not None:
+                acc += m_nu * sum(n * r for n, r in zip(nu, row))
+                nu = tuple(n + a for n, a in zip(nu, alpha))
+        # N(lam + rho) - N(mu + rho) > 0 for dominant mu strictly below lam
+        num, den = acc * scale, norm_top - scaled_norm(rs, [x + 1 for x in mu])
+        m, rem = divmod(num, den)
+        if rem:
+            raise AssertionError(f"non-integer multiplicity {Fraction(num, den)} at {mu}")
+        mult_dom[mu] = m
+    return MultiplicityMap(rs, mult_dom, weyl_dim(rs, lam))
 
 
 def orbit(rs, lam) -> set:
@@ -124,8 +171,8 @@ def dominant_weights_dfs(rs, lam) -> list:
     stack = [lam]
     while stack:
         nu = stack.pop()
-        for alpha in rs.positive_roots_omega:
-            cand = tuple([x - a for x, a in zip(nu, alpha)])
+        for root in rs.positive_roots:
+            cand = tuple([x - a for x, a in zip(nu, mat_vec(rs.C, root))])
             if min(cand) >= 0 and cand not in seen:
                 seen.add(cand)
                 stack.append(cand)

@@ -28,7 +28,6 @@ from tensorlimits.measures import (
     xi_measure,
 )
 from tensorlimits.repchar import (
-    freudenthal_multiplicities,
     racah_decompose,
     tensor_power_table,
     weyl_dim,
@@ -37,7 +36,7 @@ from tensorlimits.rootsys import CartanType, build_root_system
 
 import numpy as np
 
-from oracles import character_map, convolve, peel_off_decompose
+from oracles import character_map, convolve, freudenthal_multiplicities, peel_off_decompose
 
 
 def system(name):

@@ -403,12 +403,12 @@ def test_orbit_sizes_are_walked_once_per_loaded_map(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
-def test_cold_converge_runs_freudenthal_once_per_factor(tmp_path, capsys, monkeypatch):
+def test_cold_converge_builds_each_factor_character_once(tmp_path, capsys, monkeypatch):
     """The Miller table and the moments read one set of factor characters: a cold
-    converge runs the Freudenthal recursion once per distinct factor."""
+    converge runs irreducible_character once per distinct factor."""
     calls = []
-    freudenthal = repchar.freudenthal_multiplicities
-    monkeypatch.setattr(repchar, "freudenthal_multiplicities", lambda rs, lam: calls.append(lam) or freudenthal(rs, lam))
+    build = repchar.irreducible_character
+    monkeypatch.setattr(repchar, "irreducible_character", lambda rs, lam: calls.append(lam) or build(rs, lam))
     cases = [
         ("A2", ["1,0:1"], [(1, 0)]),
         ("B2", ["0,1:1", "1,0:1/2"], [(0, 1), (1, 0)]),
@@ -577,12 +577,12 @@ def test_lookup_reads_the_dominant_point_without_expanding(monkeypatch):
 
 
 def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
-    """Racah's sum, eta^e and its pushforward run the shifted Weyl action on whole
-    arrays: with to_dominant counted, they give what they give uncounted,
-    racah_decompose and Miller's recurrence call to_dominant not once, and
-    eta^e and its pushforward call it exactly as often as eta alone does (the
-    Freudenthal recursion building the factor characters), so never once per
-    eta^e atom or per wall-box point."""
+    """Racah's sum and recursion, eta^e and its pushforward run the shifted Weyl
+    action on whole arrays: with to_dominant counted and the factor characters
+    rebuilt, they give what they give uncounted, and the factor characters,
+    Miller's recurrence, racah_decompose, eta, eta^e, its pushforward and ltl
+    measure eta|eta_extended call to_dominant not once, so never once per
+    weight, eta^e atom or wall-box point."""
     from tensorlimits import repchar, rootsys
     from tensorlimits.repchar import racah_decompose
     from tensorlimits.measures import (
@@ -610,23 +610,20 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
 
     monkeypatch.setattr(rootsys, "to_dominant", counted)
     monkeypatch.setattr(repchar, "to_dominant", counted)
+    repchar._factor_character.cache_clear()
     assert outputs() == plain
     m = tensor_power_multiplicities(a3, [((1, 0, 0), 8)])
-    base = repchar.freudenthal_multiplicities(a3, (1, 0, 0))
-    calls.clear()
+    base = repchar.irreducible_character(a3, (1, 0, 0))
     assert repchar._miller_power(a3, [((1, 0, 0), base, 8)]).dominant == m.dominant
     dec = racah_decompose(a3, m)
-    assert calls == []
-    assert dec.components == peel_off_decompose(a3, m.entries).components
-    calls.clear()
+    repchar._factor_character.cache_clear()
     eta_measure(spec, 8)
     run(capsys, "measure", "eta", *b3)
-    racah = len(calls)
-    calls.clear()
     ext = eta_extended_measure(spec, 8)
     pushforward_dominant_shifted(a3, ext)
     run(capsys, "measure", "eta_extended", *b3)
-    assert len(calls) == racah
+    assert calls == []
+    assert dec.components == peel_off_decompose(a3, m.entries).components
 
 
 @pytest.mark.parametrize(

@@ -281,13 +281,13 @@ def test_factor_characters_built_once_per_spec(monkeypatch):
     from tensorlimits import repchar
 
     built = []
-    freudenthal = repchar.freudenthal_multiplicities
+    build = repchar.irreducible_character
 
     def counted(rs, lam):
         built.append(tuple(lam))
-        return freudenthal(rs, lam)
+        return build(rs, lam)
 
-    monkeypatch.setattr(repchar, "freudenthal_multiplicities", counted)
+    monkeypatch.setattr(repchar, "irreducible_character", counted)
     b2 = build_root_system("B2")
     for spec in (make_spec("A", 2), TensorSpec(b2, (((0, 1), 1), ((1, 0), Fraction(1, 2))))):
         repchar._factor_character.cache_clear()

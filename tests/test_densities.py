@@ -34,6 +34,8 @@ from tensorlimits.errors import (
 from tensorlimits.measures import TensorSpec, eta_measure
 from tensorlimits.rootsys import build_root_system
 
+from oracles import mat_vec
+
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
@@ -103,7 +105,8 @@ def _exact_oracle(rs, kind, points, roots):
     r = rs.rank
     const = math.sqrt(np.linalg.det(np.array(gram, dtype=float))) / (2 * math.pi) ** (r / 2)
     if kind != "xi":
-        rho_pairings = (sum(gram[i][j] * a[j] for i in range(r) for j in range(r)) for a in rs.positive_roots_omega)
+        roots_omega = [mat_vec(rs.C, root) for root in rs.positive_roots]
+        rho_pairings = (sum(gram[i][j] * a[j] for i in range(r) for j in range(r)) for a in roots_omega)
         const /= float(math.prod(rho_pairings))
     if kind == "eta_extended":
         const /= len(rs.weyl)
@@ -129,7 +132,7 @@ def test_rank3_kernel_matches_exact_oracle(rs):
     mesh = list(itertools.product(*axes))
     for kind in kinds_of(rs):
         model = make_density_model(rs, kind)
-        roots = rs.positive_roots_omega
+        roots = [mat_vec(rs.C, root) for root in rs.positive_roots]
         expected = _exact_oracle(rs, kind, points, roots)
         got = model.evaluate(np.array(points, dtype=float))
         assert np.allclose(got, expected, rtol=1e-12, atol=0), (rs, kind)

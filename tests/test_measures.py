@@ -382,10 +382,10 @@ def test_measure_hook_rejects_character_of_another_n():
 def test_measure_hook_rejects_character_of_another_rank():
     """A1's V_(2) has A2 omega1's dimension 3 but rank-1 weights; B2's V_(0,1)^2
     has C2 V_(1,0)^2's dimension 16 and rank-2 weights, but another type."""
-    from tensorlimits.repchar import freudenthal_multiplicities
+    from tensorlimits.repchar import irreducible_character
 
     spec = TensorSpec(A2, (((1, 0), 1),))
-    other = freudenthal_multiplicities(A1, (2,))
+    other = irreducible_character(A1, (2,))
     c2 = TensorSpec(build_root_system("C2"), (((1, 0), 1),))
     b2 = tensor_power_table(B2, [((0, 1), 1)], [2])[2]
     for build in (xi_measure, eta_measure, eta_extended_measure):

@@ -21,7 +21,7 @@ from tensorlimits.errors import (
 )
 from tensorlimits.repchar import (
     MultiplicityMap,
-    freudenthal_multiplicities,
+    irreducible_character,
     load_multiplicity_map,
     racah_decompose,
     save_multiplicity_map,
@@ -38,6 +38,7 @@ from oracles import (
     character_map,
     convolve,
     dominant_weights_dfs,
+    freudenthal_multiplicities,
     orbit,
     peel_off_decompose,
     racah_full_scan,
@@ -68,12 +69,13 @@ WEIGHT_ENTRIES = pytest.mark.parametrize(
     [
         weyl_dim,
         freudenthal_multiplicities,
+        irreducible_character,
         lambda rs, lam: tensor_power_table(rs, [(lam, 1)], [2]),
         orbit,
         casimir_eigenvalue,
         lambda rs, lam: TensorSpec(rs, ((lam, 1),)),
     ],
-    ids=["weyl_dim", "freudenthal", "tensor_power_table", "orbit", "casimir", "TensorSpec"],
+    ids=["weyl_dim", "freudenthal", "irreducible_character", "tensor_power_table", "orbit", "casimir", "TensorSpec"],
 )
 
 
@@ -81,7 +83,7 @@ WEIGHT_ENTRIES = pytest.mark.parametrize(
 @WEIGHT_ENTRIES
 def test_wrong_rank_weight_is_not_dominant(entry, weight):
     # zip used to truncate a short weight: weyl_dim gave 0, orbit {(1,), (-1,)},
-    # and the dominant-weight walk of freudenthal_multiplicities never ended
+    # and the dominant-weight walk of the Freudenthal recursion never ended
     with pytest.raises(NotDominant):
         entry(RS["A2"], weight)
 
@@ -90,7 +92,7 @@ def test_wrong_rank_weight_is_not_dominant(entry, weight):
 @WEIGHT_ENTRIES
 def test_non_integral_weight_is_not_dominant(entry, weight):
     # TensorSpec used to truncate (1.5, 0.7) to omega1 by int(x), and weyl_dim
-    # and freudenthal_multiplicities raised a bare TypeError from fractions
+    # and the Freudenthal recursion raised a bare TypeError from fractions
     with pytest.raises(NotDominant, match="not an integer"):
         entry(RS["A2"], weight)
 
@@ -105,16 +107,16 @@ def test_weyl_dim_g2_fundamentals():
             assert casimir_eigenvalue(g2, lam) == g2.b_g
 
 
-# -------------------------------------------------------------- freudenthal
+# -------------------------------------------------------------- irreducibles
 
 
 def test_freudenthal_small_examples():
     a1 = RS["A1"]
-    m = freudenthal_multiplicities(a1, (2,))
+    m = irreducible_character(a1, (2,))
     assert m.entries == {(2,): 1, (0,): 1, (-2,): 1}
-    assert freudenthal_multiplicities(a1, (0,)).entries == {(0,): 1}
+    assert irreducible_character(a1, (0,)).entries == {(0,): 1}
     a2 = RS["A2"]
-    adj = freudenthal_multiplicities(a2, (1, 1))
+    adj = irreducible_character(a2, (1, 1))
     assert adj.total_dim == 8
     assert adj.entries[(0, 0)] == 2
     nonzero = {w: c for w, c in adj.entries.items() if w != (0, 0)}
@@ -135,18 +137,19 @@ def test_freudenthal_small_examples():
     ],
 )
 def test_freudenthal_matches_alternant_oracle(label, lams):
+    # Racah's recursion and the Freudenthal oracle that peel-off reads both divide the alternants
     rs = RS[label]
     for lam in lams:
-        got = freudenthal_multiplicities(rs, lam)
         expected = character_by_weyl_formula(rs, lam)
-        assert got.entries == expected
-        assert got.total_dim == weyl_dim(rs, lam)
+        for got in (irreducible_character(rs, lam), freudenthal_multiplicities(rs, lam)):
+            assert got.entries == expected
+            assert got.total_dim == weyl_dim(rs, lam)
 
 
 def test_freudenthal_w_symmetry():
     for label in ["A2", "B2", "G2"]:
         rs = RS[label]
-        m = freudenthal_multiplicities(rs, (2, 1))
+        m = irreducible_character(rs, (2, 1))
         for s in (w.matrix for w in rs.weyl if w.length == 1):
             for w, c in m.entries.items():
                 image = tuple(sum(s[i][j] * w[j] for j in range(rs.rank)) for i in range(rs.rank))
@@ -170,7 +173,7 @@ def test_freudenthal_dimension_sweep():
         for lam in lams:
             if weyl_dim(rs, lam) > 10_000:
                 continue
-            m = freudenthal_multiplicities(rs, lam)
+            m = irreducible_character(rs, lam)
             assert m.total_dim == weyl_dim(rs, lam)
             assert m.entries[tuple(lam)] == 1
 
@@ -306,8 +309,8 @@ def test_tensor_powers_of_wide_factors_match_repeated_convolution(monkeypatch, b
             assert table[n].entries == expected, (label, n)
             assert table[n].total_dim == sum(expected.values()), (label, n)
     # the adjoint factors (dimensions 14 and 52) have zero weights of multiplicity rank > 1
-    assert freudenthal_multiplicities(RS["G2"], (1, 0))[(0, 0)] == 2
-    assert freudenthal_multiplicities(RS["F4"], (1, 0, 0, 0))[(0, 0, 0, 0)] == 4
+    assert irreducible_character(RS["G2"], (1, 0))[(0, 0)] == 2
+    assert irreducible_character(RS["F4"], (1, 0, 0, 0))[(0, 0, 0, 0)] == 4
 
 
 # every type whose Weyl group is under the cap
@@ -329,6 +332,44 @@ def test_dominant_weights_match_search_oracle(label):
         assert list(map(tuple, nus.tolist())) == dominant_weights_dfs(rs, top), top
         heights = [sum(c * (t - x) for row in rs.C_inv for c, t, x in zip(row, top, mu)) for mu in nus.tolist()]
         assert depths.tolist() == heights, top
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_irreducible_character_matches_freudenthal(label):
+    """Racah's recursion gives the Freudenthal oracle's dominant multiplicities in
+    the same order, so the order of entries and of the float sums over them is
+    the recursion's too; tops are 0, every omega_i and two seeded weights."""
+    rs = build_root_system(label)
+    rng = random.Random(f"irreducible {label}")
+    tops = [(0,) * rs.rank] + [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    tops += [tuple(rng.randrange(3) for _ in range(rs.rank)) for _ in range(2)]
+    for top in tops:
+        got, expected = irreducible_character(rs, top), freudenthal_multiplicities(rs, top)
+        assert list(got.dominant.items()) == list(expected.dominant.items()), top
+        assert got.total_dim == expected.total_dim, top
+
+
+@pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("B2", (1, 1)), ("G2", (1, 1)), ("A3", (1, 0, 1))])
+def test_irreducible_character_with_one_sign_flipped_never_returns_a_wrong_map(monkeypatch, label, lam):
+    """Racah's recursion divides nothing, so no remainder flags a wrong sum: with the
+    sign of one w != 1 flipped in _weyl_shifts, the map is either the right one (the
+    shift reads no weight of V_lam) or the constructor refuses it, its counts not all
+    positive or its orbits not summing to weyl_dim; some flip is refused."""
+    rs = RS[label]
+    expected = freudenthal_multiplicities(rs, lam).dominant
+    shifts, odd = repchar._weyl_shifts(rs.C)
+    refused = 0
+    for k in range(1, len(shifts)):
+        flipped = odd.copy()
+        flipped[k] = not flipped[k]
+        monkeypatch.setattr(repchar, "_weyl_shifts", lambda c, flipped=flipped: (shifts, flipped))
+        try:
+            got = irreducible_character(rs, lam).dominant
+        except ValueError:
+            refused += 1
+        else:
+            assert list(got.items()) == list(expected.items()), k
+    assert refused
 
 
 def _refuse_large_repeat(monkeypatch):
@@ -588,7 +629,7 @@ def test_entries_order_is_pinned(label):
     factors, n_values, digest = ENTRIES_SHA256[label]
     rs = build_root_system(label)
     table = tensor_power_table(rs, factors, n_values)
-    maps = [freudenthal_multiplicities(rs, lam) for lam, _ in factors] + [table[n] for n in n_values]
+    maps = [irreducible_character(rs, lam) for lam, _ in factors] + [table[n] for n in n_values]
     assert hashlib.sha256(repr([list(m.entries.items()) for m in maps]).encode()).hexdigest() == digest
 
 
