@@ -246,7 +246,7 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
     pairings = m.rows @ np.array(rs.pairing_rows, dtype=np.int64).T
-    second = sum(c * size * sum(map(mul, p, p)) for c, size, p in zip(m.dominant.values(), m.sizes, pairings.tolist()))
+    second = sum(c * size * sum(map(mul, p, p)) for c, size, p in zip(m.counts, m.sizes, pairings.tolist()))
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
     if Fraction(2 * second, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:
         return None

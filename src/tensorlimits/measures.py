@@ -212,7 +212,7 @@ def xi_measure(
     """
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
-    counts = np.array(list(m.dominant.values()), dtype=object)
+    counts = np.array(m.counts, dtype=object)
     parts = [(orbits, counts[at]) for at, orbits in m.orbits_by_pattern()]
     weights = np.concatenate([orbits.reshape(-1, spec.rs.rank) for orbits, _ in parts])
     nums = np.concatenate([np.tile(c, len(orbits)) for orbits, c in parts])

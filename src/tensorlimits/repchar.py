@@ -1,14 +1,16 @@
 """Exact weight multiplicities of irreducibles, tensor powers, and decompositions.
 
 A character is stored as a MultiplicityMap, built one way only: from its root
-system, its arbitrary-precision multiplicities at dominant weights
-(omega-coords) and its total dimension, which the constructor checks against
-the orbit sizes, one walk per zero pattern of one int64 array of the dominant
-weights.  A map is thus W-invariant by construction, which the decomposition,
-Miller's recurrence and a lookup m[weight] rely on: they read a character at
-dominant weights alone.  Its orbits, one rootsys.orbit_rows call per zero
-pattern, are tiled by ltl measure xi and expanded into full entries only on
-demand: by the trace identity, the factor characters' consumers and the tests.
+system, one int64 array of its dominant weights (omega-coords), the list of
+their arbitrary-precision multiplicities and its total dimension, which the
+constructor checks against the orbit sizes, one walk per zero pattern of the
+array.  That array and that list are its one store; the dict of dominant
+multiplicities is a view built on first read.  A map is thus W-invariant by
+construction, which the decomposition, Miller's recurrence and a lookup
+m[weight] rely on: they read a character at dominant weights alone.  Its
+orbits, one rootsys.orbit_rows call per zero pattern, are tiled by ltl
+measure xi and expanded into full entries only on demand: by the trace
+identity, the factor characters' consumers and the tests.
 One signed sum over W, sum_w sign(w) m(mu + rho - w rho) at each dominant mu
 (_alternating_sums), does two jobs: it splits a character into irreducibles,
 which the tests check against Racah's signed pushforward, a scan of the full
@@ -23,9 +25,8 @@ convolution of the factor characters (tests/oracles.py).  Both recursions
 walk the dominant weights below their top by depth, as one numpy enumeration
 lists them (_dominant_weights, checked against a search along positive
 roots), and read at positions in that list, found a block of rows at a time
-by to_dominant_rows and packed int64 keys; only m[weight] calls the scalar
-to_dominant.  A table whose enumeration would hold more than MAX_TABLE_ROWS
-rows raises TableCapExceeded before it is built.
+by to_dominant_rows and packed int64 keys.  A table whose enumeration would
+hold more than MAX_TABLE_ROWS rows raises TableCapExceeded before it is built.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .rootsys import (
     check_length,
     highest_weight,
     orbit_rows,
-    to_dominant,
     to_dominant_rows,
 )
 
@@ -67,35 +67,50 @@ MAX_TABLE_ROWS = 2**24  # rows _dominant_weights may hold, as densities.MAX_GRID
 class MultiplicityMap:
     """W-invariant character: weight (omega-coords) -> multiplicity.
 
-    Treat instances as immutable.  A map holds rs, the multiplicities at dominant weights,
-    their weights as one read-only int64 array rows in dominant's order with each row's zero
-    pattern id sum_i [mu_i > 0] 2^i (pattern_ids), |W mu| per id present (pattern_sizes, the
-    length of its _weyl_walk) and per row (sizes), and total_dim; entries and the first
-    racah_decompose result are kept on first read.  NotDominant unless every weight is
-    dominant and of the rank; ValueError for a coordinate that is not an integer or of
-    |x| >= 2^31, a count that is not positive or sum_mu m(mu) |W mu| != total_dim.
+    Treat instances as immutable.  A map holds rs, its dominant weights as one read-only
+    int64 array rows, their multiplicities as the list counts of Python ints in the same
+    order, each row's zero pattern id sum_i [mu_i > 0] 2^i (pattern_ids), |W mu| per id
+    present (pattern_sizes, the length of its _weyl_walk) and per row (sizes), and total_dim;
+    dominant (weight tuple -> count, in row order), entries and the first racah_decompose
+    result are built on first read.  NotDominant unless every weight is dominant and of
+    the rank; ValueError for a coordinate that is not an integer or of |x| >= 2^31, a weight
+    listed twice, a count list of another length than rows, a count that is not a positive
+    int (bool excluded), a total_dim that is not an int or sum_mu m(mu) |W mu| != total_dim.
     """
 
-    def __init__(self, rs: RootSystemData, dominant: dict, total_dim: int):
-        if set(map(len, dominant)) - {rs.rank}:
+    def __init__(self, rs: RootSystemData, rows, counts: list, total_dim: int):
+        lengths = {rows.shape[1]} if isinstance(rows, np.ndarray) and rows.ndim == 2 else set(map(len, rows))
+        if lengths - {rs.rank}:
             raise NotDominant(f"{rs.cartan_type} dominant weights have {rs.rank} coordinates")
-        rows = _int_rows(rs, list(dominant))
+        rows = _int_rows(rs, rows)
         if (rows < 0).any():
             raise NotDominant(f"{tuple(rows[(rows < 0).any(axis=1)][0].tolist())} is not dominant")
-        if min(dominant.values(), default=1) <= 0:
-            mu = next(mu for mu, m in dominant.items() if m <= 0)
-            raise ValueError(f"multiplicity {dominant[mu]} at {mu} is not positive")
+        ranked = rows[np.lexsort(rows.T[::-1])]
+        if len(twice := ranked[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]):
+            raise ValueError(f"weight {tuple(twice[0].tolist())} is listed twice")
+        if len(counts) != len(rows):
+            raise ValueError(f"{len(counts)} multiplicities for {len(rows)} weights")
+        if set(map(type, counts)) - {int} or min(counts, default=1) <= 0:
+            i = next(i for i, c in enumerate(counts) if type(c) is not int or c <= 0)
+            raise ValueError(f"multiplicity {counts[i]!r} at {tuple(rows[i].tolist())} is not a positive int")
+        if type(total_dim) is not int:
+            raise ValueError(f"dimension {total_dim!r} is not an int")
         ids = (rows > 0) @ (1 << np.arange(rs.rank))
         # the ids present by np.bincount: np.unique imports numpy.ma, which a warm-cache run does not otherwise load
         present = np.flatnonzero(np.bincount(ids)).tolist()
         by_id = {p: len(_weyl_walk(rs.C, tuple([(p >> i) & 1 for i in range(rs.rank)]))[0]) for p in present}
         sizes = list(map(by_id.__getitem__, ids.tolist()))
-        total = sum(map(mul, dominant.values(), sizes))
+        total = sum(map(mul, counts, sizes))
         if total != total_dim:
             raise ValueError(f"multiplicity total {total} != dimension {total_dim}")
         rows.setflags(write=False)
-        self.rs, self.dominant, self.total_dim = rs, dominant, total_dim
-        self.rows, self.pattern_ids, self.pattern_sizes, self.sizes = rows, ids, by_id, sizes
+        self.rs, self.rows, self.counts, self.total_dim = rs, rows, counts, total_dim
+        self.pattern_ids, self.pattern_sizes, self.sizes = ids, by_id, sizes
+
+    @cached_property
+    def dominant(self) -> dict:
+        """weight tuple -> multiplicity, in row order: for m[weight], the tests and library users."""
+        return dict(zip(map(tuple, self.rows.tolist()), self.counts))
 
     def orbits_by_pattern(self):
         """(positions, rootsys.orbit_rows of those rows) for each zero pattern id present."""
@@ -105,12 +120,12 @@ class MultiplicityMap:
 
     @cached_property
     def entries(self) -> dict:
-        # dominant's order, each orbit in the iteration order of the set of its points as
+        # row order, each orbit in the iteration order of the set of its points as
         # the walk lists them: the float sums of convergence.char_fn_xi run in this order
         groups, column = {}, np.empty(len(self.rows), dtype=np.int64)
         for p, (at, points) in zip(self.pattern_sizes, self.orbits_by_pattern()):
             groups[p], column[at] = points.swapaxes(0, 1), np.arange(len(at))
-        return {nu: m for p, j, m in zip(self.pattern_ids.tolist(), column.tolist(), self.dominant.values())
+        return {nu: m for p, j, m in zip(self.pattern_ids.tolist(), column.tolist(), self.counts)
                 for nu in set(map(tuple, groups[p][j].tolist()))}
 
     @cached_property
@@ -118,7 +133,7 @@ class MultiplicityMap:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs, nus = self.rs, self.rows
         rows = np.array(rs.pairing_rows, dtype=np.int64)
-        reads = np.array([*self.dominant.values(), 0], dtype=object)
+        reads = np.array([*self.counts, 0], dtype=object)
         sums = next(_alternating_sums(rs, nus, reads, [0, len(nus)]))
         keep = [i for i in np.lexsort(nus.T[::-1]).tolist() if sums[i]]
         lams, counts = nus[keep], [sums[i] for i in keep]
@@ -138,8 +153,9 @@ class MultiplicityMap:
         return sum(self.sizes)
 
     def __getitem__(self, weight) -> int:
-        """The multiplicity at weight, read at its dominant point; BasisMismatch for another length."""
-        return self.dominant.get(to_dominant(self.rs, weight), 0)
+        """The multiplicity at weight, read at its dominant point (to_dominant_rows): BasisMismatch
+        for another length, ValueError for a coordinate that is not an integer or of |x| >= 2^31."""
+        return self.dominant.get(tuple(to_dominant_rows(self.rs, [weight])[0].tolist()), 0)
 
     def __repr__(self) -> str:
         return f"MultiplicityMap({len(self)} weights, total_dim={self.total_dim})"
@@ -243,12 +259,12 @@ def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
 
 def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cuts):
     """For each part nus[a:b] between consecutive cuts, the list of sum_w sign(w) reads[i]
-    over w in W, i the position of to_dominant(nu + rho - w rho) among the rows nus and
+    over w in W, i the position of the dominant point of nu + rho - w rho among the rows nus and
     len(nus) for a weight not among them (reads has one more slot than nus).
 
     A term is read only where den C^-1 (nu + rho - w rho) <= the coordinatewise max of
-    den C^-1 mu over nus, which drops no read of a weight among them, as mu = to_dominant(v)
-    has mu - v in Q+; by _weyl_shifts, to_dominant_rows and _positions, _BLOCK_ROWS reads a
+    den C^-1 mu over nus, which drops no read of a weight among them, as the dominant point mu
+    of v has mu - v in Q+; by _weyl_shifts, to_dominant_rows and _positions, _BLOCK_ROWS reads a
     block.  Each part is summed only when asked for, so a caller may write reads in between.
     """
     (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs)
@@ -284,7 +300,7 @@ def irreducible_character(rs: RootSystemData, lam) -> MultiplicityMap:
     cuts = [*(np.flatnonzero(np.diff(depths)) + 1).tolist(), len(nus)]
     for a, sums in zip(cuts, _alternating_sums(rs, nus, reads, cuts)):
         reads[a : a + len(sums)] = [-s for s in sums]
-    return MultiplicityMap(rs, dict(zip(map(tuple, nus.tolist()), reads[:-1].tolist())), weyl_dim(rs, lam))
+    return MultiplicityMap(rs, nus, reads[:-1].tolist(), weyl_dim(rs, lam))
 
 
 @lru_cache(maxsize=32)
@@ -353,7 +369,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     weight of V_top, so none is zero.  A_l lives in the coset of
     V_(top - lam_l), so A_l(mu) is kept at the position of mu + lam_l among
     them, in A_l's part of one list of slots, and read at
-    to_dominant(nu - w) + lam_l, which lies higher than nu, so it was found
+    (the dominant point of nu - w) + lam_l, which lies higher than nu, so it was found
     earlier or is zero; a weight not among them reads the part's last slot,
     which stays 0.  Those positions come for a block of rows at a time, at
     most _BLOCK_ROWS lookups, from one to_dominant_rows per factor and
@@ -401,8 +417,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
             for (_, _, cs, offset, part), own in zip(steps, owns):
                 if own[i]:
                     quotients[offset + a + i] = m - sum(map(mul, cs, vals[part]))
-    dominant = dict(zip(zip(*[col.tolist() for col in nus.T]), mult))
-    return MultiplicityMap(rs, dominant, prod(base.total_dim**n for _, base, n in factors))
+    return MultiplicityMap(rs, nus, mult, prod(base.total_dim**n for _, base, n in factors))
 
 
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
@@ -484,11 +499,11 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
     The document goes to a temporary file beside path that then replaces
     path, so a reader sees the old file or the whole new one, never a part.
     """
-    items = sorted(m.dominant.items())
+    order = np.lexsort(m.rows.T[::-1]).tolist()
     doc = {
         "cartan_type": str(m.rs.cartan_type),
-        "weights": [list(w) for w, _ in items],
-        "multiplicities": [str(c) for _, c in items],
+        "weights": m.rows[order].tolist(),
+        "multiplicities": [str(m.counts[i]) for i in order],
         "total_dim": str(m.total_dim),
     }
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -505,23 +520,27 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
 def load_multiplicity_map(path) -> MultiplicityMap:
     """The map save_multiplicity_map wrote to path, W-invariant under its stored type.
 
-    A bad file raises ValueError (among them a weight coordinate that is not a JSON
-    integer, a count or total that is not a string of ASCII decimal digits, a count
-    that is not positive and a total that sum_mu m(mu) |W mu| does not match),
-    UnsupportedType, WeylCapExceeded or NotDominant."""
+    A bad file raises ValueError (among them weights or multiplicities that are not a
+    JSON list, a weight coordinate that is not a JSON integer, a count or total that is
+    not a string of ASCII decimal digits, a count that is not positive, a weight listed
+    twice and a total that sum_mu m(mu) |W mu| does not match), UnsupportedType,
+    WeylCapExceeded or NotDominant."""
     with open(path) as fh:
         doc = json.load(fh)
     rs = build_root_system(CartanType.parse(doc["cartan_type"]))
+    for field in ("weights", "multiplicities"):
+        if type(doc[field]) is not list:  # a string would iterate by character
+            raise ValueError(f"{field} is not a JSON list")
     weights = doc["weights"]
     # one pass over every coordinate; a JSON true, 2.0 or "1" is not an int
     if set(map(type, chain.from_iterable(weights))) - {int}:
         bad = next(w for w in weights if any(type(x) is not int for x in w))
         raise ValueError(f"weight {bad} has a coordinate that is not an integer")
-    dominant = dict(zip(map(tuple, weights), _decimals("multiplicities", doc["multiplicities"]), strict=True))
-    return MultiplicityMap(rs, dominant, _decimals("total_dim", [doc["total_dim"]])[0])
+    counts = _decimals("multiplicities", doc["multiplicities"])
+    return MultiplicityMap(rs, weights, counts, _decimals("total_dim", [doc["total_dim"]])[0])
 
 
-def _decimals(field: str, texts) -> list[int]:
+def _decimals(field: str, texts: list) -> list[int]:
     """int(t) for each t of texts, each a nonempty str of ASCII digits (checked on their join, and by
     all for ""), else ValueError naming field and the first bad value (int() takes 2.5, true, "1_0")."""
     joined = "".join(texts) if set(map(type, texts)) <= {str} else "?"

@@ -21,7 +21,7 @@ reflection s_i or a closed formula.  On simple-root coordinates s_i is
 beta_i -= sum_j c_ij beta_j, and it generates the positive roots from the
 simple ones; b_g = 2 + 2 (rho, theta) off theta's pairing row; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
-v_j -= C[j][i] v_i: to_dominant applies it while some v_i is negative.
+v_j -= C[j][i] v_i; applied while some v_i < 0, it reaches v's dominant point.
 W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
 zero pattern, applying s_i wherever v_i is positive: orbit_rows replays it on
 dominant weights with the pattern's zeros, and |W mu| is its length;
@@ -29,11 +29,11 @@ RootSystemData.weyl (built on first read, for rootsys info and the tests) and
 the decomposition's shifts rho - w rho use the walk from rho, all of W.
 Two numpy kernels run the rule on whole int64 arrays of weights, and they are
 the package's only shifted Weyl action w . mu = w(mu + rho) - rho, for eta^e
-and its pushforward: to_dominant_rows is to_dominant on every row (mu + rho on
-a wall iff its dominant point has a zero; the decomposition reads there too),
-orbit_rows the walk of one zero pattern replayed on many dominant weights.
-Both refuse a coordinate of |x| >= 2^31, so no reflection wraps in int64;
-sums_by_row is their exact grouped sum.
+and its pushforward: to_dominant_rows finds the dominant point of every row
+(mu + rho on a wall iff it has a zero; the decomposition, both recursions and
+m[weight] read there too), orbit_rows the walk of one zero pattern replayed
+on many dominant weights.  Both refuse a coordinate of |x| >= 2^31, so no
+reflection wraps in int64; sums_by_row is their exact grouped sum.
 """
 
 from __future__ import annotations
@@ -315,26 +315,6 @@ def check_length(rs: RootSystemData, n: int, what: str) -> None:
         raise BasisMismatch(f"{what} of length {n}; {rs.cartan_type} {what}s have length {rs.rank}")
 
 
-def to_dominant(rs: RootSystemData, mu) -> IntVector:
-    """Dominant representative of the W-orbit of mu (ordinary, unshifted action).
-
-    A weight whose length is not the rank raises BasisMismatch.
-    """
-    v = list(mu)
-    c = rs.C
-    check_length(rs, len(v), "weight")
-    indices = range(len(c))
-    while True:
-        for i in indices:
-            if v[i] < 0:
-                break
-        else:
-            return tuple(v)
-        vi = v[i]
-        for j in indices:
-            v[j] -= c[j][i] * vi
-
-
 # reflections of a weight whose coordinates stay below this bound in absolute
 # value cannot leave int64, so the array kernels refuse anything larger
 _ROW_LIMIT = 2**31
@@ -363,7 +343,8 @@ def _int_rows(rs: RootSystemData | None, v) -> np.ndarray:
 
 
 def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
-    """to_dominant on every row of v at once, as a new (n, rank) int64 array.
+    """The dominant point of the W-orbit of every row of v (ordinary, unshifted action),
+    as a new (n, rank) int64 array.
 
     Each pass applies v_j -= C[j][i] v_i, at the first negative v_i, to the
     rows that still have one; a pass undoes one inverted root per row, so

@@ -6,7 +6,8 @@ of characters from the plain convolution sum, decompositions from peeling off hi
 Racah's sum over the full weight table with enumerated Weyl elements or from
 Racah's sum as the signed pushforward over every W-orbit point, rank-1
 tensor powers from the ballot closed form, dominant weights by a search
-along positive roots, W-orbits one scalar reflection at a time (orbit), and
+along positive roots, W-orbits and dominant points one scalar reflection at
+a time (orbit, and to_dominant, the reference for rootsys.to_dominant_rows), and
 the moments, the characteristic function and the
 binned TV of a measure from sums over its atoms.  xi is read off the sorted
 full entries of its character, and a measure's CSV and JSON rows are reduced
@@ -28,19 +29,41 @@ from tensorlimits.linalg import bilinear
 from tensorlimits.measures import DiscreteMeasure, sigma_squared
 from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, _dominant_weights, weyl_dim
 from tensorlimits.rootsys import (
+    IntVector,
     _weyl_walk,
+    check_length,
     highest_weight,
     is_dominant,
     orbit_rows,
+    check_length,
     scaled_norm,
     sums_by_row,
-    to_dominant,
     to_dominant_rows,
 )
 
 
 def mat_vec(a, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def to_dominant(rs, mu) -> IntVector:
+    """Dominant representative of the W-orbit of mu (ordinary, unshifted action).
+
+    A weight whose length is not the rank raises BasisMismatch.
+    """
+    v = list(mu)
+    c = rs.C
+    check_length(rs, len(v), "weight")
+    indices = range(len(c))
+    while True:
+        for i in indices:
+            if v[i] < 0:
+                break
+        else:
+            return tuple(v)
+        vi = v[i]
+        for j in indices:
+            v[j] -= c[j][i] * vi
 
 
 def character_by_weyl_formula(rs, lam) -> dict:
@@ -112,7 +135,7 @@ def freudenthal_multiplicities(rs, lam) -> MultiplicityMap:
         if rem:
             raise AssertionError(f"non-integer multiplicity {Fraction(num, den)} at {mu}")
         mult_dom[mu] = m
-    return MultiplicityMap(rs, mult_dom, weyl_dim(rs, lam))
+    return MultiplicityMap(rs, list(mult_dom), list(mult_dom.values()), weyl_dim(rs, lam))
 
 
 def orbit(rs, lam) -> set:
@@ -134,7 +157,8 @@ def character_map(rs, entries: dict) -> MultiplicityMap:
     """The MultiplicityMap of rs with the dominant part of entries, or ValueError
     unless its orbit expansion gives back entries weight for weight (entries
     is not W-invariant, or holds a zero count)."""
-    m = MultiplicityMap(rs, {mu: c for mu, c in entries.items() if is_dominant(mu)}, sum(entries.values()))
+    d = {mu: c for mu, c in entries.items() if is_dominant(mu)}
+    m = MultiplicityMap(rs, list(d), list(d.values()), sum(entries.values()))
     if m.entries != entries:
         raise ValueError("entries are not the orbit expansion of their dominant part")
     return m

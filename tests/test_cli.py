@@ -198,6 +198,7 @@ def test_cache_roundtrip(tmp_path, capsys):
 
 A1_XI = ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "8"]
 B2_XI = ["measure", "xi", "--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2", "--N", "8"]
+A2_XI = ["measure", "xi", "--type", "A2", "--factor", "1,0:1", "--N", "2"]
 
 
 def _edit_dominant(edit):
@@ -273,6 +274,15 @@ def _restate_counts(restate):
     return corrupt
 
 
+def _join_counts(text):
+    """The counts ["2", "1"] of A2 V_omega1^2 stored as the one string "21": a loader that
+    iterates it reads the same counts back digit by digit."""
+    doc = json.loads(text)
+    assert doc["multiplicities"] == ["2", "1"]
+    doc["multiplicities"] = "".join(doc["multiplicities"])
+    return json.dumps(doc)
+
+
 def _restate_coordinates(restate):
     """A corruption that stores each weight coordinate as restate(it): a JSON value
     that int() reads back as the same coordinate."""
@@ -305,6 +315,7 @@ def _restate_coordinates(restate):
         (B2_XI, _restate_coordinates(lambda x: True if x == 1 else x)),
         (A1_XI, _restate_coordinates(float)),
         (A1_XI, _restate_coordinates(str)),
+        (A2_XI, _join_counts),
     ],
     ids=[
         "truncated",
@@ -322,6 +333,7 @@ def _restate_coordinates(restate):
         "coordinate-true",
         "coordinate-float",
         "coordinate-string",
+        "joined-counts",
     ],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
@@ -379,7 +391,7 @@ def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
     dominant[(4, 0)] += 1
     dominant[(1, 0)] -= 1
     path = tmp_path / "map.json"
-    save_multiplicity_map(MultiplicityMap(spec.rs, dominant, m.total_dim), path)
+    save_multiplicity_map(MultiplicityMap(spec.rs, list(dominant), list(dominant.values()), m.total_dim), path)
     assert cli._load_cached(spec, 4, str(path)) is None
 
 
@@ -544,6 +556,51 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
         tensor_power_multiplicities(build_root_system("B3"), [((1, 0, 0), 4)]).entries
 
 
+def test_production_paths_never_build_the_dominant_dict(tmp_path, capsys, monkeypatch):
+    """A map's one store is its int64 rows and its list of counts: with the dict view
+    dominant refused, ltl measure xi|eta|eta_extended, decompose and converge on the
+    two-factor B2 spec (cold and warm cache), tensor_power_table, eta^e and its pushforward
+    on A3 and convergence_report on A2 give what they give unguarded, factor characters
+    rebuilt."""
+    from tensorlimits.convergence import convergence_report, report_to_json
+    from tensorlimits.measures import TensorSpec, eta_extended_measure, pushforward_dominant_shifted
+
+    b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
+    a3, a2 = build_root_system("A3"), build_root_system("A2")
+
+    def outputs(root):
+        repchar._factor_character.cache_clear()
+        result = []
+        for k, argv in enumerate([
+            ["measure", "xi", *b2, "--N", "8"],
+            ["measure", "eta", *b2, "--N", "8"],
+            ["measure", "eta_extended", *b2, "--N", "8"],
+            ["decompose", *b2, "--N", "16"],
+            ["converge", *b2, "--N", "4,8"],
+        ]):
+            for _ in ("cold", "warm"):
+                code, out, err = run(capsys, *argv, "--cache-dir", str(root / str(k)))
+                assert code == 0, (argv, err)
+                result.append(out)
+        table = tensor_power_table(a3, [((1, 0, 0), 1)], [8, 12])
+        for n, m in table.items():
+            ext = eta_extended_measure(TensorSpec(a3, (((1, 0, 0), 1),)), n, multiplicities=m)
+            result.append((ext.atoms, pushforward_dominant_shifted(a3, ext).atoms))
+        result.append(report_to_json(convergence_report(TensorSpec(a2, (((1, 0), 1),)), [4, 16, 32])))
+        return result
+
+    plain = outputs(tmp_path / "plain")
+
+    def refuse(m):
+        raise AssertionError("the dict of dominant multiplicities was built")
+
+    monkeypatch.setattr(MultiplicityMap, "dominant", property(refuse))
+    assert outputs(tmp_path / "guarded") == plain
+    # the guard is armed: a lookup m[w] reads the view, and is refused
+    with pytest.raises(AssertionError, match="was built"):
+        tensor_power_multiplicities(a2, [((1, 0), 2)])[(0, 1)]
+
+
 def test_lookup_reads_the_dominant_point_without_expanding(monkeypatch):
     """m[w] is the multiplicity at the dominant point of w: on a box around the
     support of a G2 map and of the two-factor B2 map it reads what m.entries
@@ -576,14 +633,13 @@ def test_lookup_reads_the_dominant_point_without_expanding(monkeypatch):
         assert sum(read) == m.total_dim and min(read) == 0
 
 
-def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
+def test_shifted_weyl_action_stays_on_the_array_kernels(capsys):
     """Racah's sum and recursion, eta^e and its pushforward run the shifted Weyl
-    action on whole arrays: with to_dominant counted and the factor characters
-    rebuilt, they give what they give uncounted, and the factor characters,
+    action on whole arrays: the package has no scalar to_dominant (the tests keep
+    it in oracles), and with the factor characters rebuilt, the factor characters,
     Miller's recurrence, racah_decompose, eta, eta^e, its pushforward and ltl
-    measure eta|eta_extended call to_dominant not once, so never once per
-    weight, eta^e atom or wall-box point."""
-    from tensorlimits import repchar, rootsys
+    measure eta|eta_extended give what they gave before."""
+    from tensorlimits import rootsys
     from tensorlimits.repchar import racah_decompose
     from tensorlimits.measures import (
         TensorSpec,
@@ -601,15 +657,7 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
         return ext.atoms, pushforward_dominant_shifted(a3, ext).atoms, run(capsys, "measure", "eta_extended", *b3)
 
     plain = outputs()
-    calls = []
-    scalar = rootsys.to_dominant
-
-    def counted(rs, mu):
-        calls.append(tuple(mu))
-        return scalar(rs, mu)
-
-    monkeypatch.setattr(rootsys, "to_dominant", counted)
-    monkeypatch.setattr(repchar, "to_dominant", counted)
+    assert not hasattr(rootsys, "to_dominant") and not hasattr(repchar, "to_dominant")
     repchar._factor_character.cache_clear()
     assert outputs() == plain
     m = tensor_power_multiplicities(a3, [((1, 0, 0), 8)])
@@ -617,12 +665,10 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys, monkeypatch):
     assert repchar._miller_power(a3, [((1, 0, 0), base, 8)]).dominant == m.dominant
     dec = racah_decompose(a3, m)
     repchar._factor_character.cache_clear()
-    eta_measure(spec, 8)
-    run(capsys, "measure", "eta", *b3)
+    eta = eta_measure(spec, 8)
+    assert run(capsys, "measure", "eta", *b3)[0] == 0
     ext = eta_extended_measure(spec, 8)
-    pushforward_dominant_shifted(a3, ext)
-    run(capsys, "measure", "eta_extended", *b3)
-    assert calls == []
+    assert pushforward_dominant_shifted(a3, ext).atoms == eta.atoms
     assert dec.components == peel_off_decompose(a3, m.entries).components
 
 

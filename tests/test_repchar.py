@@ -456,7 +456,7 @@ def test_racah_examples():
     dec = racah_decompose(a2, m)
     assert dec.components == {(1, 1): 1, (0, 0): 1}
     # the zero character has no dominant weight to read and no component
-    assert racah_decompose(a2, MultiplicityMap(a2, {}, 0)).components == {}
+    assert racah_decompose(a2, MultiplicityMap(a2, [], [], 0)).components == {}
     for label in ["A1", "B2", "G2"]:
         rs = RS[label]
         lam = (1,) * rs.rank
@@ -641,17 +641,53 @@ def test_entries_order_is_pinned(label):
         ({(0, 1): 0, (2, 0): 1}, 3, ValueError),
         ({(0, 1): -1, (2, 0): 1}, 0, ValueError),
         ({(0, 1): 2, (2, 0): 1}, 8, ValueError),
+        # each sums to the total 9 over orbits of size 3 and 3, so only the count's type is wrong
+        ({(0, 1): 2.5, (2, 0): 0.5}, 9, ValueError),
+        ({(0, 1): 2.0, (2, 0): 1}, 9, ValueError),
+        ({(0, 1): 2, (2, 0): True}, 9, ValueError),
+        ({(0, 1): np.int64(2), (2, 0): 1}, 9, ValueError),
+        ({(0, 1): 2, (2, 0): 1}, 9.0, ValueError),
+        ({(0, 1): 2, (2, 0): 1}, np.int64(9), ValueError),
     ],
-    ids=["non-dominant", "wrong-rank", "zero-count", "negative-count", "total"],
+    ids=["non-dominant", "wrong-rank", "zero-count", "negative-count", "total", "half", "float", "bool",
+         "numpy-count", "float-total", "numpy-total"],
 )
 def test_constructor_rejects_bad_characters(dominant, total_dim, error):
-    """MultiplicityMap(rs, dominant, total_dim) takes V_omega1^2 of A2 as
-    {(0, 1): 2, (2, 0): 1} with total 9, and refuses each edit of it."""
+    """MultiplicityMap(rs, rows, counts, total_dim) takes V_omega1^2 of A2 as
+    [(0, 1), (2, 0)] with counts [2, 1] and total 9, and refuses each edit of it;
+    a count or total of another type than int is refused with the weight or value named."""
     a2 = RS["A2"]
-    good = MultiplicityMap(a2, {(0, 1): 2, (2, 0): 1}, 9)
+    d = {(0, 1): 2, (2, 0): 1}
+    good = MultiplicityMap(a2, list(d), list(d.values()), 9)
     assert good.entries == tensor_power_multiplicities(a2, [((1, 0), 2)]).entries
     with pytest.raises(error):
-        MultiplicityMap(a2, dominant, total_dim)
+        MultiplicityMap(a2, list(dominant), list(dominant.values()), total_dim)
+
+
+def test_constructor_names_what_it_refuses():
+    """The refusals name the weight of a bad count, both lengths of mismatched lists and a
+    weight listed twice; a bool count is refused though True == 1, and an int64 count, which
+    could wrap, though it equals 2."""
+    a2 = RS["A2"]
+    with pytest.raises(ValueError, match=re.escape("multiplicity True at (2, 0) is not a positive int")):
+        MultiplicityMap(a2, [(0, 1), (2, 0)], [2, True], 9)
+    with pytest.raises(ValueError, match=re.escape("at (0, 1) is not a positive int")):
+        MultiplicityMap(a2, [(0, 1), (2, 0)], [np.int64(2), 1], 9)
+    with pytest.raises(ValueError, match="1 multiplicities for 2 weights"):
+        MultiplicityMap(a2, [(0, 1), (2, 0)], [2], 9)
+    with pytest.raises(ValueError, match="3 multiplicities for 2 weights"):
+        MultiplicityMap(a2, [(0, 1), (2, 0)], [2, 1, 1], 9)
+    with pytest.raises(ValueError, match=re.escape("weight (0, 1) is listed twice")):
+        MultiplicityMap(a2, [(0, 1), (2, 0), (0, 1)], [1, 1, 1], 9)
+    with pytest.raises(ValueError, match="dimension 9.0 is not an int"):
+        MultiplicityMap(a2, [(0, 1), (2, 0)], [2, 1], 9.0)
+    with pytest.raises(NotDominant):
+        MultiplicityMap(a2, np.array([[0, 1, 0], [2, 0, 0]]), [2, 1], 9)
+    # the rows of an int64 array are copied: the caller's array stays writable and its own
+    nus = np.array([[0, 1], [2, 0]])
+    m = MultiplicityMap(a2, nus, [2, 1], 9)
+    nus[0, 0] = 5
+    assert m.rows.tolist() == [[0, 1], [2, 0]] and m.dominant == {(0, 1): 2, (2, 0): 1}
 
 
 @pytest.mark.parametrize("label", UNDER_CAP)
@@ -667,17 +703,18 @@ def test_sizes_match_the_orbit_oracle_on_every_zero_pattern(label):
     lams = list(dict.fromkeys(lams))
     rng.shuffle(lams)
     expected = [len(orbit(rs, lam)) for lam in lams]
-    m = MultiplicityMap(rs, dict.fromkeys(lams, 1), sum(expected))
+    d = dict.fromkeys(lams, 1)
+    m = MultiplicityMap(rs, list(d), list(d.values()), sum(expected))
     assert m.sizes == expected and len(m) == sum(expected)
     assert sorted(m.pattern_sizes) == list(range(2**rs.rank))
     assert m.rows.tolist() == [list(lam) for lam in lams] and not m.rows.flags.writeable
 
 
 def test_zero_character(tmp_path):
-    """MultiplicityMap(rs, {}, 0) has no weights, no components and reads 0
+    """MultiplicityMap(rs, [], [], 0) has no weights, no components and reads 0
     everywhere, and survives a save and load; a total other than 0 is refused."""
     b2 = RS["B2"]
-    zero = MultiplicityMap(b2, {}, 0)
+    zero = MultiplicityMap(b2, [], [], 0)
     assert (len(zero), repr(zero), zero.sizes, zero.rows.shape) == (0, "MultiplicityMap(0 weights, total_dim=0)", [], (0, 2))
     assert zero.entries == {} and zero[(0, 0)] == zero[(-3, 1)] == 0
     assert racah_decompose(b2, zero).components == {}
@@ -686,7 +723,17 @@ def test_zero_character(tmp_path):
     back = load_multiplicity_map(path)
     assert (back.dominant, back.total_dim, len(back)) == ({}, 0, 0)
     with pytest.raises(ValueError, match="total 0 != dimension 1"):
-        MultiplicityMap(b2, {}, 1)
+        MultiplicityMap(b2, [], [], 1)
+
+
+def test_lookup_refuses_what_the_array_kernel_refuses():
+    """m[w] reads at the to_dominant_rows point of w: an integral float reads as its integer,
+    while a coordinate that is not an integer or of |x| >= 2^31 raises ValueError."""
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
+    assert m[(1.0, -1)] == m[(1, -1)] == m[(0, 1)] == 2 and m[(-2**31 + 1, 0)] == 0
+    for weight in [(0.5, 0), (2**31, 0), (0, -2**31)]:
+        with pytest.raises(ValueError):
+            m[weight]
 
 
 def test_character_map_refuses_entries_that_are_not_w_invariant():
@@ -707,7 +754,7 @@ def test_decompose_rejects_non_characters():
     a1 = RS["A1"]
     # W-invariant with positive counts, but the character of V_2 minus V_0
     with pytest.raises(NegativeMultiplicity):
-        racah_decompose(a1, MultiplicityMap(a1, {(2,): 1}, 2))
+        racah_decompose(a1, MultiplicityMap(a1, [(2,)], [1], 2))
     with pytest.raises(NegativeMultiplicity):
         peel_off_decompose(a1, {(1,): 1})
     with pytest.raises(NegativeMultiplicity):
@@ -802,6 +849,12 @@ def test_cache_roundtrip(tmp_path):
         ({"weights": [[0, 1], [True, 0]]}, ValueError),
         # the orbit of (2, 0) alone, total 3, held at a zero count beside it
         ({"multiplicities": ["0", "1"], "total_dim": "3"}, ValueError),
+        # a string would iterate by character: "21" as the counts [2, 1], "02" as the weight [0, 2]
+        ({"multiplicities": "21"}, ValueError),
+        ({"weights": ["01", "20"]}, ValueError),
+        ({"weights": {"0": [0, 1]}}, ValueError),
+        # (0, 1) twice at count 1: the stored total 9, but not a map of distinct weights
+        ({"weights": [[0, 1], [0, 1], [2, 0]], "multiplicities": ["1", "1", "1"]}, ValueError),
     ],
     ids=[
         "non-dominant",
@@ -814,6 +867,10 @@ def test_cache_roundtrip(tmp_path):
         "float",
         "bool",
         "zero-count",
+        "string-counts",
+        "string-weights",
+        "object-weights",
+        "duplicate",
     ],
 )
 def test_load_rejects_bad_file(tmp_path, edit, error):
@@ -826,6 +883,17 @@ def test_load_rejects_bad_file(tmp_path, edit, error):
     assert doc == {"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"], "total_dim": "9"}
     path.write_text(json.dumps({**doc, **edit}))
     with pytest.raises(error):
+        load_multiplicity_map(path)
+
+
+@pytest.mark.parametrize("field", ["weights", "multiplicities"])
+def test_load_names_a_field_that_is_not_a_list(tmp_path, field):
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
+    path = tmp_path / "map.json"
+    save_multiplicity_map(m, path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, field: "21"}))
+    with pytest.raises(ValueError, match=f"{field} is not a JSON list"):
         load_multiplicity_map(path)
 
 

@@ -25,12 +25,11 @@ from tensorlimits.rootsys import (
     is_dominant,
     orbit_rows,
     sums_by_row,
-    to_dominant,
     to_dominant_rows,
     weyl_group_order,
 )
 
-from oracles import mat_vec, orbit
+from oracles import mat_vec, orbit, to_dominant
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "G2"]
 ALL_RANK4 = SMALL_TYPES + ["A4", "B4", "C4", "D4", "F4"]
