@@ -9,9 +9,12 @@ tensor power bundle of a TensorSpec:
   with zero mass on shifted walls.
 
 eta extended spreads each atom mu over the W-orbit of mu + rho, shifted back by
-rho, for all atoms at once by rootsys.orbit_rows; its wall test and its
-pushforward back to eta run rootsys.to_dominant_rows on whole arrays of weights,
-never a Weyl element.  eta is the signed pushforward of the character of V_N
+rho, for all atoms at once by rootsys.orbit_rows; its wall atoms are the
+points mu of a box with (mu + rho, beta) = 0 for some positive root beta, one
+product with rs.pairing_rows, and its pushforward back to eta is one
+rootsys.to_dominant_rows call on the whole array of weights, which finds the
+Weyl element folding each row by its inversion set (one table lookup, no
+reflection passes).  eta is the signed pushforward of the character of V_N
 under the same action (racah_decompose, which gives its Weyl dimensions too and
 reads the character at its dominant weights alone); xi spreads each dominant
 multiplicity over its W-orbit, replayed from the character's array of dominant
@@ -245,8 +248,9 @@ def eta_extended_measure(
     w * mu = w(mu + rho) - rho, from one rootsys.orbit_rows call on all
     the mu + rho.  Weights whose shifted orbit meets a wall get zero mass;
     those inside the bounding box of the support are materialized as explicit
-    zero atoms while the box stays below WALL_ATOM_BOX_LIMIT, found by one
-    rootsys.to_dominant_rows call on the whole box.
+    zero atoms while the box stays below WALL_ATOM_BOX_LIMIT: the box points mu
+    with (mu + rho, beta) = 0 for some positive root beta, from one product of
+    the box with rs.pairing_rows.
     """
     rs = spec.rs
     eta = eta_measure(spec, N, multiplicities)
@@ -257,7 +261,7 @@ def eta_extended_measure(
     lo, hi = weights.min(axis=0), weights.max(axis=0)
     if math.prod((hi - lo + 1).tolist()) <= WALL_ATOM_BOX_LIMIT:
         box = np.indices(hi - lo + 1).reshape(rs.rank, -1).T + lo
-        walls = box[(to_dominant_rows(rs, box + 1) == 0).any(axis=1)]
+        walls = box[((box + 1) @ np.array(rs.pairing_rows, dtype=np.int64).T == 0).any(axis=1)]
         weights = np.concatenate([weights, walls])
         nums += [0] * len(walls)
     ranked = np.lexsort(weights.T[::-1])

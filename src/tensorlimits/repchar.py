@@ -109,7 +109,7 @@ class MultiplicityMap:
 
     @cached_property
     def dominant(self) -> dict:
-        """weight tuple -> multiplicity, in row order: for m[weight], the tests and library users."""
+        """weight tuple -> multiplicity, in row order: for the tests and library users."""
         return dict(zip(map(tuple, self.rows.tolist()), self.counts))
 
     def orbits_by_pattern(self):
@@ -153,9 +153,11 @@ class MultiplicityMap:
         return sum(self.sizes)
 
     def __getitem__(self, weight) -> int:
-        """The multiplicity at weight, read at its dominant point (to_dominant_rows): BasisMismatch
-        for another length, ValueError for a coordinate that is not an integer or of |x| >= 2^31."""
-        return self.dominant.get(tuple(to_dominant_rows(self.rs, [weight])[0].tolist()), 0)
+        """The multiplicity at weight, read at the row of rows equal to its dominant point
+        (to_dominant_rows), 0 if there is none: BasisMismatch for another length, ValueError
+        for a coordinate that is not an integer or of |x| >= 2^31."""
+        at = np.flatnonzero((self.rows == to_dominant_rows(self.rs, [weight])).all(axis=1))
+        return self.counts[at[0]] if at.size else 0
 
     def __repr__(self) -> str:
         return f"MultiplicityMap({len(self)} weights, total_dim={self.total_dim})"

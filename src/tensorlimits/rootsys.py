@@ -21,19 +21,22 @@ reflection s_i or a closed formula.  On simple-root coordinates s_i is
 beta_i -= sum_j c_ij beta_j, and it generates the positive roots from the
 simple ones; b_g = 2 + 2 (rho, theta) off theta's pairing row; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
-v_j -= C[j][i] v_i; applied while some v_i < 0, it reaches v's dominant point.
+v_j -= C[j][i] v_i.
 W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
 zero pattern, applying s_i wherever v_i is positive: orbit_rows replays it on
 dominant weights with the pattern's zeros, and |W mu| is its length;
-RootSystemData.weyl (built on first read, for rootsys info and the tests) and
-the decomposition's shifts rho - w rho use the walk from rho, all of W.
-Two numpy kernels run the rule on whole int64 arrays of weights, and they are
-the package's only shifted Weyl action w . mu = w(mu + rho) - rho, for eta^e
-and its pushforward: to_dominant_rows finds the dominant point of every row
+RootSystemData.weyl (built on first read, for rootsys info and the tests),
+the decomposition's shifts rho - w rho and the chamber table of
+to_dominant_rows use the walk from rho, all of W.
+Two numpy kernels act on whole int64 arrays of weights, and they are the
+package's only shifted Weyl action w . mu = w(mu + rho) - rho, for eta^e and
+its pushforward: to_dominant_rows finds the dominant point of every row
 (mu + rho on a wall iff it has a zero; the decomposition, both recursions and
-m[weight] read there too), orbit_rows the walk of one zero pattern replayed
-on many dominant weights.  Both refuse a coordinate of |x| >= 2^31, so no
-reflection wraps in int64; sums_by_row is their exact grouped sum.
+m[weight] read there too) by one lookup of the Weyl element that folds it,
+named by the set of positive roots the row pairs negatively with; orbit_rows
+replays the walk of one zero pattern on many dominant weights.  Both refuse a
+coordinate of |x| >= 2^31, so no product wraps in int64 or leaves the exact
+range of a float; sums_by_row is their exact grouped sum.
 """
 
 from __future__ import annotations
@@ -217,16 +220,10 @@ class RootSystemData:
     @cached_property
     def weyl(self) -> tuple[WeylElement, ...]:
         """Every Weyl element with its length and sign, sorted by (length, matrix):
-        _weyl_walk replayed on the identity, row j -= C[j][i] * row i per step.
-        Read by rootsys info and the tests only; the package's W computations
-        replay the walk on weights instead."""
-        c = self.C
-        _, steps, lengths = _weyl_walk(c, self.rho)
-        r = len(c)
-        mats = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
-        for parent, i in steps:
-            w = mats[parent]
-            mats.append(tuple(tuple([x - c[j][i] * y for x, y in zip(w[j], w[i])]) for j in range(r)))
+        the matrices of _weyl_matrices.  Read by rootsys info and the tests only; the
+        package's W computations replay the walk on weights or read _chamber_table."""
+        lengths = _weyl_walk(self.C, self.rho)[2]
+        mats = [tuple(map(tuple, m)) for m in _weyl_matrices(self.C).tolist()]
         expected = weyl_group_order(self.cartan_type)
         if len(mats) != expected:
             raise WeylCapExceeded(f"walked {len(mats)} Weyl elements, expected {expected}")
@@ -315,8 +312,9 @@ def check_length(rs: RootSystemData, n: int, what: str) -> None:
         raise BasisMismatch(f"{what} of length {n}; {rs.cartan_type} {what}s have length {rs.rank}")
 
 
-# reflections of a weight whose coordinates stay below this bound in absolute
-# value cannot leave int64, so the array kernels refuse anything larger
+# a weight whose coordinates stay below this bound in absolute value has exact
+# products with the pairing rows and Weyl matrices, in int64 and in float64,
+# so the array kernels refuse anything larger
 _ROW_LIMIT = 2**31
 
 
@@ -346,21 +344,72 @@ def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
     """The dominant point of the W-orbit of every row of v (ordinary, unshifted action),
     as a new (n, rank) int64 array.
 
-    Each pass applies v_j -= C[j][i] v_i, at the first negative v_i, to the
-    rows that still have one; a pass undoes one inverted root per row, so
-    there are at most |positive roots| passes.  A row of another length raises
-    BasisMismatch, a coordinate of |x| >= 2^31 ValueError.
+    A row with no negative coordinate is its own dominant point.  Any other row v
+    is moved by the shortest u in W with u v dominant, and u is named by its
+    inversion set N(u) = {beta > 0 : u beta < 0}, which equals
+    N(v) = {beta > 0 : (v, beta) < 0} (Humphreys, Reflection Groups and Coxeter
+    Groups, sections 1.6-1.7; a beta with u beta < 0 and (v, beta) = 0 would make
+    u s_beta shorter and still send v to u v).  So each such row takes one product
+    with the pairing rows, its bitmask key over the positive roots, one
+    np.searchsorted among the |W| keys of _chamber_table and one product with the
+    integer matrix of u found there.  The float product is exact: with |x| < 2^31
+    and each pairing row of absolute sum at most 16, |row . x| <= 16 (2^31 - 1) < 2^53,
+    and under the Weyl cap there are at most 25 positive roots, so the keys stay
+    below 2^25.  A row of another length raises BasisMismatch, a coordinate of
+    |x| >= 2^31 ValueError.
     """
     rows = _int_rows(rs, v)
-    c = np.array(rs.C, dtype=np.int64)
-    active = np.flatnonzero((rows < 0).any(axis=1))
-    while active.size:
-        sub = rows[active]
-        i = (sub < 0).argmax(axis=1)
-        sub -= c.T[i] * sub[np.arange(len(sub)), i][:, None]
-        rows[active] = sub
-        active = active[(sub < 0).any(axis=1)]
+    moved = np.flatnonzero((rows < 0).any(axis=1))
+    if moved.size:
+        pairings, bits, keys, maps = _chamber_table(rs)
+        sub = rows[moved]
+        at = np.searchsorted(keys, (sub @ pairings < 0) @ bits)
+        rows[moved] = np.einsum("nij,nj->ni", maps[at], sub)
     return rows
+
+
+@cache
+def _chamber_table(rs: RootSystemData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup of to_dominant_rows: (pairings, bits, keys, maps).
+
+    pairings is the transposed pairing rows as a float (rank, |positive roots|)
+    matrix, bits the float 2^k of the k-th positive root, keys the |W| inversion-set
+    keys in increasing order and maps[k] the int64 matrix, in omega-coords, of the
+    u in W whose inversion set has key keys[k].  For every w of the walk from rho,
+    the point w rho pairs negatively with exactly the beta in N(w^-1), so its key
+    names u = w^-1, whose matrix is G^-1 M_w^t G, M_w from _weyl_matrices and
+    G = gram_omega (W preserves the form): an integer matrix after one exact
+    division by the common denominator of G.
+    """
+    mats = _weyl_matrices(rs.C)
+    den = math.lcm(*(x.denominator for row in rs.gram_omega for x in row))
+    g = np.array([[int(x * den) for x in row] for row in rs.gram_omega], dtype=np.int64)
+    # G^-1 = diag(d)^-1 C^t is an integer matrix: each 1/d_i is 1, 2 or 3
+    g_inv = np.array([[int(x) for x in row] for row in rs.gram_omega_inv], dtype=np.int64)
+    scaled = np.einsum("ij,wkj,kl->wil", g_inv, mats, g)
+    inverses = scaled // den
+    if (inverses * den != scaled).any():
+        raise AssertionError(f"{rs.cartan_type}: G^-1 M^t G is not an integer matrix")
+    pairings = np.array(rs.pairing_rows, dtype=np.int64).T
+    bits = 2.0 ** np.arange(pairings.shape[1])
+    keys = (np.array(_weyl_walk(rs.C, rs.rho)[0], dtype=np.int64) @ pairings < 0) @ bits
+    order = np.argsort(keys)
+    return pairings.astype(float), bits, keys[order], inverses[order]
+
+
+def _weyl_matrices(c: IntMatrix) -> np.ndarray:
+    """The omega-coords matrix M_w of every w in W, as a (|W|, rank, rank) int64 array in
+    the order of _weyl_walk(c, rho): the walk replayed on the identity, row j -= C[j][i] row i
+    per step s_i, one numpy step per length."""
+    r = len(c)
+    rho = (1,) * r
+    mats = np.empty((len(_weyl_walk(c, rho)[0]), r, r), dtype=np.int64)
+    mats[0] = np.eye(r, dtype=np.int64)
+    cols = np.array(c, dtype=np.int64).T
+    for k, parents, i in _walk_by_length(c, rho):
+        m = mats[parents]
+        mats[k] = m - cols[i][:, :, None] * m[np.arange(len(k)), i][:, None, :]
+    return mats
 
 
 @cache

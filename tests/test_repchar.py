@@ -44,6 +44,7 @@ from oracles import (
     racah_full_scan,
     racah_pushforward,
     sl2_power_components,
+    to_dominant,
 )
 
 RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "D4", "G2", "F4"]}
@@ -734,6 +735,20 @@ def test_lookup_refuses_what_the_array_kernel_refuses():
     for weight in [(0.5, 0), (2**31, 0), (0, -2**31)]:
         with pytest.raises(ValueError):
             m[weight]
+
+
+def test_lookup_reads_one_row_without_the_dominant_dict():
+    """m[w] finds the one row of m.rows at the dominant point of w: on a large map it
+    builds no dominant dict, and it reads what the dict view reads at the scalar walk's point."""
+    rs = RS["A2"]
+    m = tensor_power_multiplicities(rs, [((1, 0), 128)])
+    assert len(m.rows) > 1000
+    rng = random.Random(41)
+    weights = [tuple(rng.randint(-40, 40) for _ in range(2)) for _ in range(200)]
+    got = [m[w] for w in weights]
+    assert "dominant" not in vars(m)
+    assert got == [m.dominant.get(to_dominant(rs, w), 0) for w in weights]
+    assert any(got) and not all(got)
 
 
 def test_character_map_refuses_entries_that_are_not_w_invariant():

@@ -406,6 +406,42 @@ def test_shifted_dominant_matches_orbit_scan_randomized(label):
 
 
 @pytest.mark.parametrize("label", UNDER_CAP)
+def test_to_dominant_rows_is_the_scalar_walk_on_every_type(label):
+    # oracle: the scalar reflection walk, row by row, on coordinates in [-6, 6]
+    # (many rows on walls), in [-2^20, 2^20], at +-(2^31 - 1), already dominant, and none
+    rs = build_root_system(label)
+    rng = np.random.default_rng(37)
+    top = 2**31 - 1
+    near = rng.integers(-6, 7, size=(150, rs.rank))
+    far = rng.integers(-(2**20), 2**20 + 1, size=(150, rs.rank))
+    edge = rng.choice([-top, -1, 0, 1, top], size=(40, rs.rank))
+    dominant = rng.integers(0, 7, size=(10, rs.rank))
+    mus = np.concatenate([near, far, edge, dominant, -dominant])
+    assert to_dominant_rows(rs, mus).tolist() == [list(to_dominant(rs, mu)) for mu in mus.tolist()]
+    assert to_dominant_rows(rs, dominant).tolist() == dominant.tolist()
+    assert (np.array(rs.pairing_rows) @ (near.T + 1) == 0).any()  # the sample hits walls
+    empty = to_dominant_rows(rs, np.zeros((0, rs.rank), dtype=np.int64))
+    assert empty.shape == (0, rs.rank) and empty.dtype == np.int64
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_chamber_table_names_each_weyl_element_by_its_inversion_set(label):
+    # every w rho has its own key, rho has key 0, the key of w rho has l(w) bits (one
+    # per positive root it pairs negatively with) and the table's map sends w rho to rho
+    rs = build_root_system(label)
+    pairings, bits, keys, maps = rootsys._chamber_table(rs)
+    points, _, lengths = rootsys._weyl_walk(rs.C, rs.rho)
+    order = weyl_group_order(rs.cartan_type)
+    assert len(keys) == len(set(keys.tolist())) == len(maps) == order and (np.diff(keys) > 0).all()
+    assert pairings.shape == (rs.rank, len(rs.positive_roots)) and bits.tolist() == [2**k for k in range(len(bits))]
+    point_keys = [sum(2**k for k, row in enumerate(rs.pairing_rows) if np.dot(row, p) < 0) for p in points]
+    assert point_keys[0] == 0 and sorted(point_keys) == keys.tolist()
+    assert [bin(key).count("1") for key in point_keys] == list(lengths)
+    at = np.searchsorted(keys, point_keys)
+    assert (np.einsum("nij,nj->ni", maps[at], np.array(points)) == 1).all()
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
 def test_orbit_matches_weyl_group_randomized(label):
     # oracle: the image of lam under every Weyl matrix, for every pattern of
     # zero coordinates and random lam with that pattern; by the sign lemma the
