@@ -22,8 +22,9 @@ the first coordinate x_0:
   squared pairings (x,a) of the roots a with a_0 = 0, the partial pairings
   of the other roots without their x_0 term, and the cone test x_i >= 0;
 * slab(x0, hoisted), which adds x_0: one exp of the exponent, then one
-  multiply-square per root whose pairing involves x_0, and the cone mask
-  only where some point lies outside the cone.
+  multiply-square per root whose pairing involves x_0, into an array that
+  the hoisted half keeps for the next slab, and the cone mask only where
+  some point lies outside the cone.
 
 values is slab(xs[0], hoist(xs[1:])).  On the 1-D axes of a tensor grid,
 np.ix_(*axes), every term and pairing is built on only the axes it depends
@@ -32,12 +33,17 @@ its coordinates (evaluate), so the point and grid values agree to the last
 bit.
 
 Every density grid (this module's normalization quadrature, the convergence
-module's TV boxes) is box_masses over a box from density_box: it builds the
-hoisted half once per grid and calls slab once per slab of boxes along the
-first axis (several one-box slabs per call, about SLAB_POINTS points, when
-boxes are not subdivided), so it holds one slab of sub * (bins * sub)^(r-1)
-values (or about SLAB_POINTS) plus O((bins * sub)^(r-1)) hoisted arrays, and
-no grid has more than MAX_GRID_POINTS points.
+module's TV boxes) is one walk of _grid_slabs over a box from density_box: it
+builds the hoisted half once per grid and calls slab once per slab of boxes
+along the first axis (several one-box slabs per call, about SLAB_POINTS
+points, when boxes are not subdivided), and its consumer uses each slab before
+the next is made.  box_masses sums each slab into its boxes; the quadrature
+sums each slab's values, adds the slab sums in slab order and multiplies once
+by the cell volume, holding no array of the grid.  So memory is one slab of
+sub * (bins * sub)^(r-1) values (or about SLAB_POINTS) plus the
+O((bins * sub)^(r-1)) hoisted arrays and slab's reused squares, besides
+box_masses's bins^r masses, and MAX_GRID_POINTS bounds the work of a grid:
+no grid has more points.
 """
 
 from __future__ import annotations
@@ -57,10 +63,10 @@ from .rootsys import RootSystemData, build_root_system, check_length, weyl_group
 KINDS = ("xi", "eta", "eta_extended", "gue")
 
 _DEFAULT_RESOLUTION = {1: 4000, 2: 800, 3: 120}
-# the most points box_masses evaluates: about ten times the default rank-3
-# quadrature (120^3), and at most 128 MiB of box masses
+# the most points a density grid evaluates: about ten times the default rank-3
+# quadrature (120^3); it bounds the work, as memory is one slab (_grid_slabs)
 MAX_GRID_POINTS = 2**24
-# first-axis points box_masses hands one slab call when boxes are not subdivided
+# points _grid_slabs hands one slab call when boxes are not subdivided
 SLAB_POINTS = 2**15
 
 
@@ -72,6 +78,7 @@ class Hoisted(NamedTuple):
     factor: np.ndarray  # norm_const prod (x,a)^2 over the roots a free of x_0
     partials: tuple  # (x,a) without its x_0 term, for each root a whose pairing has one
     inside: np.ndarray  # x_1, ..., x_(r-1) >= 0 for the cone-supported kinds, else True
+    squares: dict  # slab's arrays for (x,a)^2 by shape, reused by every slab of a grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +112,7 @@ class DensityModel:
         factor = reduce(operator.mul, (p * p for p in _pairings(self._free, xs)), self.norm_const)
         partials = tuple(_pairings((t for _, t in self._x0_terms), xs))
         inside = reduce(operator.and_, (x >= 0 for x in xs[1:]), True) if self._cone else True
-        return Hoisted(-0.5 * q, -slope, factor, partials, inside)
+        return Hoisted(-0.5 * q, -slope, factor, partials, inside, {})
 
     def slab(self, x0, hoisted: Hoisted) -> np.ndarray:
         """Density values at first coordinates x0 that broadcast with the arrays of hoisted:
@@ -118,7 +125,13 @@ class DensityModel:
         np.exp(vals, out=vals)
         vals *= hoisted.factor
         for (v, _), partial in zip(self._x0_terms, hoisted.partials):
-            p = partial + v * x0
+            # one array per shape and grid: freeing and taking a fresh slab-sized
+            # array per root costs the process page faults on every slab
+            shape = np.broadcast_shapes(np.shape(partial), x0.shape)
+            p = hoisted.squares.get(shape)
+            if p is None:
+                p = hoisted.squares[shape] = np.empty(shape)
+            np.add(partial, v * x0, out=p)
             p *= p
             vals *= p
         # the mask runs only on points outside the cone, never on a cone box's slabs
@@ -242,39 +255,53 @@ def check_grid(rank: int, bins: int, sub: int, what: str = "bins") -> None:
         raise GridCapExceeded(f"a density grid of {points} points exceeds the cap of {MAX_GRID_POINTS}")
 
 
+def _grid_slabs(model: DensityModel, lo, hi, bins: int, sub: int):
+    """The density values of the midpoint grid of [lo, hi], bins * sub points per axis,
+    one slab along the first axis at a time: (ks, vals) for each slab, ks the slice of
+    its boxes along axis 0 and vals the values of their sub centres each along that axis
+    by every point of the other axes.
+
+    The kernel's x_0-free half is built once on the full axes other than the
+    first (np.ix_), and its per-slab half runs once per slab, on that slab's
+    centres of the first axis: one box thick when sub > 1, and at sub = 1 a
+    run of one-box slabs of about SLAB_POINTS points.  So a consumer that
+    drops each slab before taking the next holds max(sub, SLAB_POINTS /
+    bins^(rank - 1)) * (bins * sub)^(rank - 1) values, the squares slab keeps
+    in the hoisted half (one array per shape, none larger than a slab; a
+    thinner last slab adds its own) and the hoisted arrays of
+    (bins * sub)^(rank - 1) points each.
+    The caller checks the grid against MAX_GRID_POINTS (check_grid) first.
+    """
+    rank = len(lo)
+    axes = [a + (np.arange(bins * sub) + 0.5) * ((b - a) / bins / sub) for a, b in zip(lo, hi)]
+    grid = np.ix_(*axes)
+    hoisted = model.hoist(grid[1:])
+    # at sub = 1 a slab is one point thick, and one call takes step of them
+    step = max(1, SLAB_POINTS // bins ** (rank - 1)) if sub == 1 else 1
+    for k in range(0, bins, step):
+        yield slice(k, min(k + step, bins)), model.slab(grid[0][k * sub : (k + step) * sub], hoisted)
+
+
 def box_masses(model: DensityModel, lo, hi, bins: int, sub: int) -> np.ndarray:
     """Midpoint-rule mass of the density in each of the bins^rank equal boxes of [lo, hi].
 
-    Each box is split into sub^rank equal cells, valued at their centres.  The
-    kernel's x_0-free half is built once on the full axes other than the
-    first (np.ix_), and its per-slab half runs once per slab of boxes along
-    the first axis, on that slab's sub centres of the first axis (at sub = 1,
-    on as many slabs as make about SLAB_POINTS points), so memory is bounded
-    by max(sub, SLAB_POINTS / bins^(rank - 1)) * (bins * sub)^(rank - 1)
-    points plus the hoisted arrays of (bins * sub)^(rank - 1) points each.
+    Each box is split into sub^rank equal cells, valued at their centres, one
+    slab of boxes along the first axis at a time (_grid_slabs), so memory is
+    one slab of values and the hoisted arrays besides the bins^rank masses.
     A grid of more than MAX_GRID_POINTS points raises GridCapExceeded before
     anything is allocated.
     """
     rank = len(lo)
     check_grid(rank, bins, sub)
-    axes = [a + (np.arange(bins * sub) + 0.5) * ((b - a) / bins / sub) for a, b in zip(lo, hi)]
-    cell = 1.0
-    for a, b in zip(lo, hi):
-        cell *= (b - a) / bins / sub
-    grid = np.ix_(*axes)
-    hoisted = model.hoist(grid[1:])
     masses = np.empty((bins,) * rank)
-    # at sub = 1 a slab is one point thick, and one call takes step of them
-    step = max(1, SLAB_POINTS // bins ** (rank - 1)) if sub == 1 else 1
-    for k in range(0, bins, step):
-        vals = model.slab(grid[0][k * sub : (k + step) * sub], hoisted)
+    for ks, vals in _grid_slabs(model, lo, hi, bins, sub):
         if sub > 1:
             # one sub-cell axis at a time, the last first: much faster than all at once
             vals = vals.sum(axis=0).reshape((bins, sub) * (rank - 1))
             for axis in range(2 * rank - 3, 0, -2):
                 vals = vals.sum(axis=axis)
-        masses[k : k + step] = vals
-    masses *= cell
+        masses[ks] = vals
+    masses *= math.prod((b - a) / bins / sub for a, b in zip(lo, hi))
     return masses
 
 
@@ -283,7 +310,9 @@ def normalization_quadrature(model: DensityModel, resolution: int | None = None)
 
     Superalgebraically accurate here because the integrand decays to machine
     zero at the outer box faces (Gaussian exponent -50) and vanishes to second
-    order on cone walls.  numpy's pairwise summation keeps the order fixed.
+    order on cone walls.  Each slab of _grid_slabs is summed as it comes
+    (numpy's pairwise sum), the slab sums are added in slab order and the total
+    is multiplied once by the cell volume, so no resolution^rank array is held.
     """
     rank = model.rs.rank
     if resolution is None:
@@ -292,4 +321,7 @@ def normalization_quadrature(model: DensityModel, resolution: int | None = None)
         resolution = _DEFAULT_RESOLUTION[rank]
     check_grid(rank, resolution, 1, "resolution")
     lo, hi = density_box(model, 10.0)
-    return float(box_masses(model, lo, hi, resolution, 1).sum())
+    total = 0.0
+    for _, vals in _grid_slabs(model, lo, hi, resolution, 1):
+        total += float(vals.sum())
+    return total * math.prod((b - a) / resolution for a, b in zip(lo, hi))

@@ -25,7 +25,7 @@ convolution of the factor characters (tests/oracles.py).  Both recursions
 walk the dominant weights below their top by depth, as one numpy enumeration
 lists them (_dominant_weights, checked against a search along positive
 roots), and read at positions in that list, found a block of rows at a time
-by to_dominant_rows and packed int64 keys.  A table whose enumeration would
+by rootsys._dominant_rows and packed int64 keys.  A table whose enumeration would
 hold more than MAX_TABLE_ROWS rows raises TableCapExceeded before it is built.
 """
 
@@ -50,6 +50,7 @@ from .rootsys import (
     IntMatrix,
     IntVector,
     RootSystemData,
+    _dominant_rows,
     _int_rows,
     _weyl_walk,
     build_root_system,
@@ -266,8 +267,11 @@ def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cu
 
     A term is read only where den C^-1 (nu + rho - w rho) <= the coordinatewise max of
     den C^-1 mu over nus, which drops no read of a weight among them, as the dominant point mu
-    of v has mu - v in Q+; by _weyl_shifts, to_dominant_rows and _positions, _BLOCK_ROWS reads a
+    of v has mu - v in Q+; by _weyl_shifts, _dominant_rows and _positions, _BLOCK_ROWS reads a
     block.  Each part is summed only when asked for, so a caller may write reads in between.
+    The rows nu + rho - w rho go to _dominant_rows unchecked: nus are a map's rows (|x| < 2^31,
+    which MultiplicityMap checks) or those of _dominant_weights (below 2^28, see _miller_power),
+    and a shift rho - w rho has |x| <= 12 under the Weyl cap, so every row is below the kernel's 2^32.
     """
     (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs)
     bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
@@ -278,7 +282,7 @@ def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cu
             block = nus[c : min(c + step, b)]
             slack, at = bound - block @ m_inv.T, np.arange(len(block))
             row, k = np.nonzero(np.logical_and.reduce([lifts[:, i] <= slack[:, i, None] for i in range(rs.rank)]))
-            vals, even = reads[find(to_dominant_rows(rs, block[row] + shifts[k]))], ~odd[k]
+            vals, even = reads[find(_dominant_rows(rs, block[row] + shifts[k]))], ~odd[k]
             # shift 0 is even and keeps every row: a row's sum is 2 (its even reads) - (all its reads)
             alls = np.add.reduceat(vals, np.searchsorted(row, at))
             sums += (2 * np.add.reduceat(vals[even], np.searchsorted(row[even], at)) - alls).tolist()
@@ -374,8 +378,12 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     (the dominant point of nu - w) + lam_l, which lies higher than nu, so it was found
     earlier or is zero; a weight not among them reads the part's last slot,
     which stays 0.  Those positions come for a block of rows at a time, at
-    most _BLOCK_ROWS lookups, from one to_dominant_rows per factor and
+    most _BLOCK_ROWS lookups, from one _dominant_rows per factor and
     _positions, so a row's step is one list of reads and one sum of products.
+    Those rows nu - w go to _dominant_rows unchecked: a weight mu of V_lam has
+    |mu_i| <= (lam, theta^v) <= (h - 1) max(lam), h <= 12 the Coxeter number under
+    the Weyl cap and max(lam) <= max(top) < MAX_TABLE_ROWS = 2^24 (_dominant_weights
+    refuses a larger top), so |nu - w| < 2^29, below the kernel's 2^32.
     """
     factors = [(lam, base, n) for lam, base, n in factors if n]
     r = rs.rank
@@ -405,7 +413,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
         block = nus[a : a + block_rows]
         looks = [np.empty((len(block), 0), dtype=np.int64)]
         for lam_row, ws, _, offset, _ in steps:
-            x = to_dominant_rows(rs, (block[:, None, :] - ws).reshape(-1, r)) + lam_row
+            x = _dominant_rows(rs, (block[:, None, :] - ws).reshape(-1, r)) + lam_row
             looks.append(find(x).reshape(len(block), len(ws)) + offset)
         owns = [(block >= lam_row).all(axis=1).tolist() for lam_row, *_ in steps]
         for i, (look, depth) in enumerate(zip(np.hstack(looks).tolist(), depths[a : a + block_rows].tolist())):

@@ -36,7 +36,9 @@ m[weight] read there too) by one lookup of the Weyl element that folds it,
 named by the set of positive roots the row pairs negatively with; orbit_rows
 replays the walk of one zero pattern on many dominant weights.  Both refuse a
 coordinate of |x| >= 2^31, so no product wraps in int64 or leaves the exact
-range of a float; sums_by_row is their exact grouped sum.
+range of a float; the decomposition and both recursions, whose rows the
+package builds itself within a stated bound, call the unchecked kernel
+_dominant_rows behind to_dominant_rows.  sums_by_row is their exact grouped sum.
 """
 
 from __future__ import annotations
@@ -342,7 +344,17 @@ def _int_rows(rs: RootSystemData | None, v) -> np.ndarray:
 
 def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
     """The dominant point of the W-orbit of every row of v (ordinary, unshifted action),
-    as a new (n, rank) int64 array.
+    as a new (n, rank) int64 array: _dominant_rows on v checked by _int_rows.
+
+    A row of another length raises BasisMismatch, a coordinate of |x| >= 2^31 or
+    one that is not an integer ValueError.
+    """
+    return _dominant_rows(rs, _int_rows(rs, v))
+
+
+def _dominant_rows(rs: RootSystemData, rows: np.ndarray) -> np.ndarray:
+    """to_dominant_rows without its checks: rows must be an (n, rank) int64 array
+    with every |x| < 2^32, and the result is a new array.
 
     A row with no negative coordinate is its own dominant point.  Any other row v
     is moved by the shortest u in W with u v dominant, and u is named by its
@@ -352,20 +364,20 @@ def to_dominant_rows(rs: RootSystemData, v) -> np.ndarray:
     u s_beta shorter and still send v to u v).  So each such row takes one product
     with the pairing rows, its bitmask key over the positive roots, one
     np.searchsorted among the |W| keys of _chamber_table and one product with the
-    integer matrix of u found there.  The float product is exact: with |x| < 2^31
-    and each pairing row of absolute sum at most 16, |row . x| <= 16 (2^31 - 1) < 2^53,
-    and under the Weyl cap there are at most 25 positive roots, so the keys stay
-    below 2^25.  A row of another length raises BasisMismatch, a coordinate of
-    |x| >= 2^31 ValueError.
+    integer matrix of u found there.  Both products are exact: each pairing row
+    has absolute sum at most 16 and each row of a matrix of W at most 11 under the
+    Weyl cap, so |row . x| < 16 * 2^32 < 2^53 in float64 and |M_u v| < 11 * 2^32
+    in int64, and there are at most 25 positive roots, so the keys stay below 2^25.
     """
-    rows = _int_rows(rs, v)
-    moved = np.flatnonzero((rows < 0).any(axis=1))
+    out = rows.copy()
+    # column by column: numpy's any(axis=1) over a few columns is several times slower
+    moved = np.flatnonzero(np.logical_or.reduce([col < 0 for col in rows.T]))
     if moved.size:
         pairings, bits, keys, maps = _chamber_table(rs)
         sub = rows[moved]
         at = np.searchsorted(keys, (sub @ pairings < 0) @ bits)
-        rows[moved] = np.einsum("nij,nj->ni", maps[at], sub)
-    return rows
+        out[moved] = np.einsum("nij,nj->ni", maps[at], sub)
+    return out
 
 
 @cache

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,42 @@ def test_quadrature_rank_cap():
     # an explicit resolution overrides the cap
     val = normalization_quadrature(model, resolution=40)
     assert 0.5 < val < 1.5
+
+
+@pytest.mark.parametrize("resolution", [17, 40, 64])
+def test_streamed_quadrature_is_the_sum_of_the_box_masses(resolution):
+    # the quadrature adds slab sums and multiplies once by the cell volume; box_masses
+    # multiplies each cell and keeps the whole grid: the same total up to rounding
+    for rs in (A1, A2, B2, G2, A3, B3, C3):
+        for kind in kinds_of(rs):
+            model = make_density_model(rs, kind)
+            lo, hi = density_box(model, 10.0)
+            expected = box_masses(model, lo, hi, resolution, 1).sum()
+            got = normalization_quadrature(model, resolution)
+            assert math.isclose(got, expected, rel_tol=1e-14, abs_tol=0), (rs, kind, resolution)
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of run() (numpy's buffers are traced)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_holds_one_slab_not_the_grid():
+    # a default-resolution grid has up to 120^3 cells, 13.8 MB as float64; 256^3 (the
+    # grid cap) 134 MB: the quadrature holds one slab and the hoisted arrays
+    for rs in (A1, A2, B2, G2, A3, B3, C3):
+        for kind in kinds_of(rs):
+            model = make_density_model(rs, kind)
+            peak = _traced_peak(lambda: normalization_quadrature(model))
+            assert peak <= 4 * 2**20, (rs, kind, peak)
+    model = make_density_model(A3, "eta_extended")
+    peak = _traced_peak(lambda: normalization_quadrature(model, resolution=256))
+    assert peak <= 16 * 2**20, peak
 
 
 def _full_mesh_box_masses(model, lo, hi, bins, sub):

@@ -547,12 +547,12 @@ def test_racah_matches_full_scan_oracle():
 def test_racah_sums_over_many_blocks(monkeypatch):
     """With the block budget of racah_decompose cut to 7 reads, a block holds
     max(1, 7 // |W|) dominant rows, 3 on A1 and one elsewhere, so the sum runs
-    over many blocks, one to_dominant_rows call each; the result still matches
+    over many blocks, one _dominant_rows call each; the result still matches
     the signed pushforward, the full-table scan and peel-off."""
     monkeypatch.setattr(repchar, "_BLOCK_ROWS", 7)
     calls = []
-    kernel = repchar.to_dominant_rows
-    monkeypatch.setattr(repchar, "to_dominant_rows", lambda rs, v: calls.append(len(v)) or kernel(rs, v))
+    kernel = repchar._dominant_rows
+    monkeypatch.setattr(repchar, "_dominant_rows", lambda rs, v: calls.append(len(v)) or kernel(rs, v))
     for label, factors in _full_scan_cases():
         rs = RS[label]
         m = tensor_power_multiplicities(rs, factors)

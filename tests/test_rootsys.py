@@ -425,6 +425,28 @@ def test_to_dominant_rows_is_the_scalar_walk_on_every_type(label):
 
 
 @pytest.mark.parametrize("label", UNDER_CAP)
+def test_unchecked_kernel_is_the_public_one_within_its_bound(label):
+    # the W-sum and Miller's recurrence call rootsys._dominant_rows on rows they build:
+    # on random int64 rows it gives the rows of to_dominant_rows, as a new array that
+    # leaves its input as it was, and up to its own bound of 2^32 the scalar walk's rows
+    rs = build_root_system(label)
+    rng = np.random.default_rng(41)
+    rows = np.concatenate([rng.integers(-9, 10, size=(300, rs.rank)), rng.integers(-(2**31) + 1, 2**31, size=(300, rs.rank))])
+    before = rows.copy()
+    got = rootsys._dominant_rows(rs, rows)
+    assert got.dtype == np.int64 and not np.shares_memory(got, rows)
+    assert np.array_equal(rows, before)
+    assert np.array_equal(got, to_dominant_rows(rs, rows))
+    edge = rng.choice([-(2**32) + 1, -(2**31), -1, 0, 1, 2**31, 2**32 - 1], size=(40, rs.rank))
+    assert rootsys._dominant_rows(rs, edge).tolist() == [list(to_dominant(rs, mu)) for mu in edge.tolist()]
+    # the bounds its docstring and its callers' rest on, under the Weyl cap
+    pairings, _, _, maps = rootsys._chamber_table(rs)
+    assert np.abs(pairings).sum(axis=0).max() <= 16 and np.abs(maps).sum(axis=2).max() <= 11
+    shifts = 1 - np.array(rootsys._weyl_walk(rs.C, (1,) * rs.rank)[0])
+    assert np.abs(shifts).max() <= 12
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
 def test_chamber_table_names_each_weyl_element_by_its_inversion_set(label):
     # every w rho has its own key, rho has key 0, the key of w rho has l(w) bits (one
     # per positive root it pairs negatively with) and the table's map sends w rho to rho
