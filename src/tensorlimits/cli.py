@@ -325,7 +325,7 @@ def cmd_decompose(args) -> int:
     _check_admissible(spec, [n])
     table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     result = racah_decompose(spec.rs, table[n])
-    items = sorted(result.components.items())
+    items = zip(result.rows.tolist(), result.counts)  # an iterator: no list of pairs is held beside the output
     if args.format == "csv":
         rank = spec.rs.rank
         header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",multiplicity"
@@ -336,7 +336,7 @@ def cmd_decompose(args) -> int:
             "spec": spec.describe(),
             "N": n,
             "method": "racah",
-            "components": [{"weight": list(w), "multiplicity": str(c)} for w, c in items],
+            "components": [{"weight": w, "multiplicity": str(c)} for w, c in items],
             "total_dim": str(table[n].total_dim),
         }
         _emit(_json_dumps(doc), args)

@@ -103,9 +103,8 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
     directions = (t_arr * dvec).T / math.sqrt(float(sigma_squared(spec) * N))
     out = np.ones(len(t_arr), dtype=complex)
     for (_, n), m in zip(counts, spec.factor_characters):
-        weights = np.array(list(m.entries), dtype=float)
-        mults = np.array(list(m.entries.values()), dtype=float)
-        out *= (np.exp(1j * weights @ directions).T @ mults / m.total_dim) ** n
+        weights, mults = m.support()
+        out *= (np.exp(1j * weights @ directions).T @ mults.astype(float) / m.total_dim) ** n
     return out
 
 

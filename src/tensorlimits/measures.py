@@ -15,10 +15,9 @@ product with rs.pairing_rows, and its pushforward back to eta is one
 rootsys.to_dominant_rows call on the whole array of weights, which finds the
 Weyl element folding each row by its inversion set (one table lookup, no
 reflection passes).  eta is the signed pushforward of the character of V_N
-under the same action (racah_decompose, which gives its Weyl dimensions too and
-reads the character at its dominant weights alone); xi spreads each dominant
-multiplicity over its W-orbit, replayed from the character's array of dominant
-weights once per zero pattern, so no measure reads a character's full entries.
+under the same action (racah_decompose: int64 rows, their counts and Weyl
+dimensions, read off the character at its dominant weights alone); xi tiles each
+dominant multiplicity over its W-orbit (MultiplicityMap.support).
 
 A measure keeps integer weights and numerators over one denominator (dim V_N,
 times |W| for eta extended); Fractions appear only at its edges, where CSV and
@@ -209,16 +208,12 @@ def xi_measure(
     """Weight measure of V_N: mass dim V_N(mu) / dim V_N at scaled mu.
 
     multiplicities, when given, must be the precomputed character of V_N
-    (cache hook used by the convergence module and the CLI).  Its entries are
-    not read: its orbits by zero pattern (MultiplicityMap.orbits_by_pattern),
-    each count tiled over its orbit, and one np.lexsort.
+    (cache hook used by the convergence module and the CLI).  Its support
+    (MultiplicityMap.support: each count tiled over its orbit), sorted by one np.lexsort.
     """
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
-    counts = np.array(m.counts, dtype=object)
-    parts = [(orbits, counts[at]) for at, orbits in m.orbits_by_pattern()]
-    weights = np.concatenate([orbits.reshape(-1, spec.rs.rank) for orbits, _ in parts])
-    nums = np.concatenate([np.tile(c, len(orbits)) for orbits, c in parts])
+    weights, nums = m.support()
     ranked = np.lexsort(weights.T[::-1])
     return DiscreteMeasure._exact(weights[ranked], nums[ranked].tolist(), m.total_dim, sig, N)
 
@@ -232,9 +227,7 @@ def eta_measure(
     sig = sigma_squared(spec)
     m = _resolve_map(spec, N, multiplicities)
     dec = racah_decompose(spec.rs, m)
-    lams = sorted(dec.components)
-    nums = [dec.components[mu] * dec.dims[mu] for mu in lams]
-    return DiscreteMeasure._exact(np.array(lams, dtype=np.int64), nums, m.total_dim, sig, N)
+    return DiscreteMeasure._exact(dec.rows, [c * d for c, d in zip(dec.counts, dec.dims)], m.total_dim, sig, N)
 
 
 def eta_extended_measure(
@@ -293,10 +286,9 @@ def _power_sums(m: MultiplicityMap, kappas) -> dict:
     sum_kappa p_kappa s^kappa / kappa! is the character evaluated at exp(s),
     the moment series of the weight measure times its dimension.
     """
-    return {
-        kappa: sum(c * math.prod(x**k for x, k in zip(w, kappa)) for w, c in m.entries.items())
-        for kappa in kappas
-    }
+    weights, counts = m.support()
+    items = list(zip(weights.tolist(), counts))
+    return {kappa: sum(c * math.prod(x**k for x, k in zip(w, kappa)) for w, c in items) for kappa in kappas}
 
 
 def _binomial_terms(kappas) -> dict:

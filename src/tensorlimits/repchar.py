@@ -8,9 +8,9 @@ array.  That array and that list are its one store; the dict of dominant
 multiplicities is a view built on first read.  A map is thus W-invariant by
 construction, which the decomposition, Miller's recurrence and a lookup
 m[weight] rely on: they read a character at dominant weights alone.  Its
-orbits, one rootsys.orbit_rows call per zero pattern, are tiled by ltl
-measure xi and expanded into full entries only on demand: by the trace
-identity, the factor characters' consumers and the tests.
+orbits are expanded in one place, support(), read by ltl measure xi, the trace
+identity and the factor characters' consumers.  A decomposition is stored as a
+map is: int64 rows with lists of their multiplicities and Weyl dimensions.
 One signed sum over W, sum_w sign(w) m(mu + rho - w rho) at each dominant mu
 (_alternating_sums), does two jobs: it splits a character into irreducibles,
 which the tests check against Racah's signed pushforward, a scan of the full
@@ -72,10 +72,10 @@ class MultiplicityMap:
     int64 array rows, their multiplicities as the list counts of Python ints in the same
     order, each row's zero pattern id sum_i [mu_i > 0] 2^i (pattern_ids), |W mu| per id
     present (pattern_sizes, the length of its _weyl_walk) and per row (sizes), and total_dim;
-    dominant (weight tuple -> count, in row order), entries and the first racah_decompose
-    result are built on first read.  NotDominant unless every weight is dominant and of
-    the rank; ValueError for a coordinate that is not an integer or of |x| >= 2^31, a weight
-    listed twice, a count list of another length than rows, a count that is not a positive
+    the dict views dominant (in row order) and entries (in support() order), m[weight]'s lookup
+    and racah_decompose's result are built on first read.  NotDominant unless every weight is
+    dominant and of the rank; ValueError for a coordinate that is not an integer or of |x| >= 2^31,
+    a weight listed twice, a count list of another length than rows, a count that is not a positive
     int (bool excluded), a total_dim that is not an int or sum_mu m(mu) |W mu| != total_dim.
     """
 
@@ -113,52 +113,56 @@ class MultiplicityMap:
         """weight tuple -> multiplicity, in row order: for the tests and library users."""
         return dict(zip(map(tuple, self.rows.tolist()), self.counts))
 
-    def orbits_by_pattern(self):
-        """(positions, rootsys.orbit_rows of those rows) for each zero pattern id present."""
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every weight (int64 rows) and its count (object array of Python ints), built afresh
+        per call: one orbit_rows call per zero pattern id, its counts tiled over the orbit points.
+        convergence.char_fn_xi sums floats in this order."""
+        counts = np.array(self.counts, dtype=object)
+        weights, tiled = [np.zeros((0, self.rs.rank), dtype=np.int64)], [counts[:0]]
         for p in self.pattern_sizes:
             at = np.flatnonzero(self.pattern_ids == p)
-            yield at, orbit_rows(self.rs, self.rows[at])
+            orbits = orbit_rows(self.rs, self.rows[at])
+            weights.append(orbits.reshape(-1, self.rs.rank))
+            tiled.append(np.tile(counts[at], len(orbits)))
+        return np.concatenate(weights), np.concatenate(tiled)
 
     @cached_property
     def entries(self) -> dict:
-        # row order, each orbit in the iteration order of the set of its points as
-        # the walk lists them: the float sums of convergence.char_fn_xi run in this order
-        groups, column = {}, np.empty(len(self.rows), dtype=np.int64)
-        for p, (at, points) in zip(self.pattern_sizes, self.orbits_by_pattern()):
-            groups[p], column[at] = points.swapaxes(0, 1), np.arange(len(at))
-        return {nu: m for p, j, m in zip(self.pattern_ids.tolist(), column.tolist(), self.counts)
-                for nu in set(map(tuple, groups[p][j].tolist()))}
+        weights, counts = self.support()
+        return dict(zip(map(tuple, weights.tolist()), counts))
 
     @cached_property
     def _decomposition(self) -> IrrepDecomposition:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs, nus = self.rs, self.rows
-        rows = np.array(rs.pairing_rows, dtype=np.int64)
         reads = np.array([*self.counts, 0], dtype=object)
         sums = next(_alternating_sums(rs, nus, reads, [0, len(nus)]))
         keep = [i for i in np.lexsort(nus.T[::-1]).tolist() if sums[i]]
         lams, counts = nus[keep], [sums[i] for i in keep]
-        components = dict(zip(map(tuple, lams.tolist()), counts))
         if min(counts, default=0) < 0:
-            raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
-        # one int64 matrix of the scaled pairings (lam + rho, beta), then exact Python ints
-        dims = dict(zip(components, _weyl_dims(rs, ((lams + 1) @ rows.T).tolist())))
-        total = sum(c * dims[mu] for mu, c in components.items())
+            raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {list(map(tuple, lams[np.less(counts, 0)].tolist()))}")
+        dims = _weyl_dims(rs, (lams + 1) @ np.array(rs.pairing_rows, dtype=np.int64).T)
+        total = sum(map(mul, counts, dims))
         if total != self.total_dim:
             raise NegativeMultiplicity(
                 f"components account for dimension {total} of {self.total_dim}; input was not a character"
             )
-        return IrrepDecomposition(components, dims)
+        lams.setflags(write=False)
+        return IrrepDecomposition(lams, counts, dims)
+
+    @cached_property
+    def _find(self):
+        return _positions(self.rows)
 
     def __len__(self) -> int:
         return sum(self.sizes)
 
     def __getitem__(self, weight) -> int:
-        """The multiplicity at weight, read at the row of rows equal to its dominant point
-        (to_dominant_rows), 0 if there is none: BasisMismatch for another length, ValueError
-        for a coordinate that is not an integer or of |x| >= 2^31."""
-        at = np.flatnonzero((self.rows == to_dominant_rows(self.rs, [weight])).all(axis=1))
-        return self.counts[at[0]] if at.size else 0
+        """The multiplicity at weight, read at the row of its dominant point (to_dominant_rows, one
+        _positions lookup), 0 if there is none: BasisMismatch for another length, ValueError for a
+        coordinate that is not an integer or of |x| >= 2^31, TableCapExceeded as in _positions."""
+        at = self._find(to_dominant_rows(self.rs, [weight]))[0]
+        return self.counts[at] if at < len(self.counts) else 0
 
     def __repr__(self) -> str:
         return f"MultiplicityMap({len(self)} weights, total_dim={self.total_dim})"
@@ -166,32 +170,35 @@ class MultiplicityMap:
 
 @dataclass(eq=False)
 class IrrepDecomposition:
-    """Multiset of irreducible components: dominant weight -> multiplicity.
+    """Irreducible components as int64 rows (dominant weights, in lexicographic order) with the
+    lists counts and dims of their multiplicities and Weyl dimensions; the view components
+    (weight tuple -> multiplicity, in row order) is built on first read."""
 
-    dims, when set, maps each component to its Weyl dimension.
-    """
+    rows: np.ndarray
+    counts: list
+    dims: list
 
-    components: dict
-    dims: dict | None = None
+    @cached_property
+    def components(self) -> dict:
+        return dict(zip(map(tuple, self.rows.tolist()), self.counts))
 
     def __getitem__(self, weight) -> int:
         return self.components.get(tuple(weight), 0)
 
     def __repr__(self) -> str:
-        return f"IrrepDecomposition({len(self.components)} components)"
+        return f"IrrepDecomposition({len(self.counts)} components)"
 
 
-def _weyl_dims(rs: RootSystemData, pairings) -> list[int]:
-    """prod_beta (lam + rho, beta) / (rho, beta) for each list of pairings row_beta . (lam + rho)
-    of rs.pairing_rows in pairings, by one exact division by the product of the rows' sums."""
-    den = prod(map(sum, rs.pairing_rows))
-    dims = []
-    for p in pairings:
-        dim, rem = divmod(prod(p), den)
-        if rem:
-            raise AssertionError(f"Weyl dimension {Fraction(prod(p), den)} is not an integer")
-        dims.append(dim)
-    return dims
+def _weyl_dims(rs: RootSystemData, pairings: np.ndarray) -> list[int]:
+    """prod_beta (lam + rho, beta) / (rho, beta) for each row of pairings, the (n, |Phi+|) matrix of
+    row_beta . (lam + rho) over rs.pairing_rows: its columns multiplied one at a time as Python ints
+    (an object array), then one exact division by the product of the rows' sums."""
+    den, num = prod(map(sum, rs.pairing_rows)), np.ones(len(pairings), dtype=object)
+    for col in pairings.T:
+        num *= col.astype(object)
+    if (rem := num % den).any():
+        raise AssertionError(f"Weyl dimension {Fraction(num[rem != 0][0], den)} is not an integer")
+    return (num // den).tolist()
 
 
 def weyl_dim(rs: RootSystemData, lam) -> int:
@@ -199,10 +206,10 @@ def weyl_dim(rs: RootSystemData, lam) -> int:
 
     prod over positive roots beta of (lam + rho, beta) / (rho, beta), every
     pairing an integer row_beta . (lam + rho) of rs.pairing_rows (the scale s
-    cancels), and one exact division at the end.
+    cancels), and one exact division at the end: _weyl_dims on one row of Python ints.
     """
-    lam_rho = [x + 1 for x in highest_weight(rs, lam)]
-    return _weyl_dims(rs, [[sum(map(mul, row, lam_rho)) for row in rs.pairing_rows]])[0]
+    lam_rho = np.array([[x + 1 for x in highest_weight(rs, lam)]], dtype=object)
+    return _weyl_dims(rs, lam_rho @ np.array(rs.pairing_rows, dtype=np.int64).T)[0]
 
 
 @cache
@@ -332,6 +339,8 @@ def _positions(nus: np.ndarray):
     keys; a weight with a coordinate at or past the radix is absent.
     TableCapExceeded unless radix^rank < 2^63."""
     size, r = nus.shape
+    if not size:
+        return lambda rows: np.zeros(len(rows), dtype=np.int64)
     radix = int(nus.max(initial=0)) + 1
     if radix**r >= 2**63:
         raise TableCapExceeded(f"weights with coordinates up to {radix - 1} do not pack into int64 keys")
@@ -397,14 +406,14 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     # A_l's slots and the part of a row's lookups it reads; coeffs holds every n d(lam_l - w) V_lam_l(w)
     steps, coeffs = [], []
     for lam, base, n in factors:
-        items = [(w, c) for w, c in base.entries.items() if w != lam]
-        if items:
-            ws = np.array([w for w, _ in items], dtype=np.int64)
-            lam_row = np.array(lam, dtype=np.int64)
+        lam_row, (ws, cs) = np.array(lam, dtype=np.int64), base.support()
+        below = (ws != lam_row).any(axis=1)
+        if below.any():
+            ws, cs = ws[below], cs[below].tolist()
             d = ((lam_row - ws) @ height // den).tolist()
-            part = slice(len(coeffs), len(coeffs) + len(items))
-            coeffs += [n * h * c for h, (_, c) in zip(d, items)]
-            steps.append((lam_row, ws, [c for _, c in items], len(steps) * (size + 1), part))
+            part = slice(len(coeffs), len(coeffs) + len(cs))
+            coeffs += [n * h * c for h, c in zip(d, cs)]
+            steps.append((lam_row, ws, cs, len(steps) * (size + 1), part))
     # the A_l side by side, size + 1 slots each; the last slot of each stays 0
     quotients = [0] * (len(steps) * (size + 1))
     block_rows = max(1, _BLOCK_ROWS // max(1, len(coeffs)))
@@ -472,10 +481,9 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     [V : V_lam] = sum_w sign(w) m(lam + rho - w rho) for dominant lam, the coefficient of
     e^lam in ch V prod_(alpha > 0) (1 - e^-alpha) (Humphreys, Introduction to Lie Algebras
     and Representation Theory, section 24), read at m's dominant weights, where every
-    component lies, by _alternating_sums.  Negative counts, or
-    components short of total_dim (their Weyl dimensions are kept in dims),
-    mean the input was not a genuine character; a map of another rank or
-    Cartan type raises BasisMismatch (check_character).  The sum runs once
+    component lies, by _alternating_sums, with their Weyl dimensions by _weyl_dims.  Negative
+    counts, or components short of total_dim, mean the input was not a genuine character; a map
+    of another rank or Cartan type raises BasisMismatch (check_character).  The sum runs once
     per map: later calls return the same IrrepDecomposition, which, like the
     map, must be treated as immutable.
     """
@@ -494,8 +502,8 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
     t = tuple(Fraction(x) for x in t)
     check_length(rs, len(t), "direction")
     m = irreducible_character(rs, lam)
-    lhs = Fraction(0)
-    for mu, c in m.entries.items():
+    lhs, (weights, counts) = Fraction(0), m.support()
+    for mu, c in zip(weights.tolist(), counts):
         pairing = sum(ti * di * xi for ti, di, xi in zip(t, rs.d, mu))
         lhs += c * pairing * pairing
     tt = bilinear(t, rs.Cbar, t)

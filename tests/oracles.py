@@ -204,6 +204,19 @@ def dominant_weights_dfs(rs, lam) -> list:
     return sorted(seen, key=lambda mu: (sum(h * (l - x) for h, l, x in zip(height, lam, mu)), mu))
 
 
+def decomposition_of(rs, components: dict) -> IrrepDecomposition:
+    """The IrrepDecomposition of {dominant weight: multiplicity}: its rows in lexicographic
+    order, each dimension by weyl_dim."""
+    lams = sorted(components)
+    rows = np.array(lams, dtype=np.int64).reshape(-1, rs.rank)
+    return IrrepDecomposition(rows, [components[mu] for mu in lams], [weyl_dim(rs, mu) for mu in lams])
+
+
+def fields(dec: IrrepDecomposition) -> tuple:
+    """(rows as lists, counts, dims) of a decomposition, to compare two of them field by field."""
+    return dec.rows.tolist(), dec.counts, dec.dims
+
+
 def peel_off_decompose(rs, entries: dict) -> IrrepDecomposition:
     """Decompose full entries, W-invariant or not, by peeling the highest dominant weight.
 
@@ -241,7 +254,7 @@ def peel_off_decompose(rs, entries: dict) -> IrrepDecomposition:
             else:
                 work.pop(nu, None)
         components[best] = c
-    return IrrepDecomposition(components)
+    return decomposition_of(rs, components)
 
 
 def racah_full_scan(rs, m: MultiplicityMap) -> IrrepDecomposition:
@@ -263,10 +276,10 @@ def racah_full_scan(rs, m: MultiplicityMap) -> IrrepDecomposition:
             raise NegativeMultiplicity(f"[V : V_{mu}] = {c}")
         if c:
             components[mu] = c
-    dims = {mu: weyl_dim(rs, mu) for mu in components}
-    if sum(c * dims[mu] for mu, c in components.items()) != m.total_dim:
+    dec = decomposition_of(rs, components)
+    if sum(c * d for c, d in zip(dec.counts, dec.dims)) != m.total_dim:
         raise NegativeMultiplicity("components do not account for total_dim")
-    return IrrepDecomposition(components, dims)
+    return dec
 
 
 def racah_pushforward(rs, m: MultiplicityMap) -> IrrepDecomposition:
@@ -280,7 +293,7 @@ def racah_pushforward(rs, m: MultiplicityMap) -> IrrepDecomposition:
     time; x = nu + rho pairs with the positive roots by rs.pairing_rows, to 0 on
     a wall and negatively with l(u) of them.  It walks every orbit point where
     racah_decompose reads |W| shifts at each dominant weight, so the two share
-    only to_dominant_rows and the checks.
+    only to_dominant_rows and the checks; its dimensions come from weyl_dim.
     """
     rows = np.array(rs.pairing_rows, dtype=np.int64)
     by_pattern = {}
@@ -298,17 +311,15 @@ def racah_pushforward(rs, m: MultiplicityMap) -> IrrepDecomposition:
             nums = np.where((pairings < 0).sum(axis=1) % 2, -nums, nums)[regular].tolist()
             keys = np.concatenate([lams, to_dominant_rows(rs, x[regular]) - 1])
             lams, counts = sums_by_row(keys, counts + nums)  # running sums: one block in memory at a time
-    components = dict(zip(map(tuple, lams.tolist()), counts))
+    dec = decomposition_of(rs, dict(zip(map(tuple, lams.tolist()), counts)))
     if min(counts, default=0) < 0:
-        raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in components.items() if c < 0]}")
-    # one int64 matrix of the scaled pairings (lam + rho, beta), then exact Python ints
-    dims = dict(zip(components, repchar._weyl_dims(rs, ((lams + 1) @ rows.T).tolist())))
-    total = sum(c * dims[mu] for mu, c in components.items())
+        raise NegativeMultiplicity(f"[V : V_mu] < 0 for mu in {[mu for mu, c in dec.components.items() if c < 0]}")
+    total = sum(c * d for c, d in zip(dec.counts, dec.dims))
     if total != m.total_dim:
         raise NegativeMultiplicity(
             f"components account for dimension {total} of {m.total_dim}; input was not a character"
         )
-    return IrrepDecomposition(components, dims)
+    return dec
 
 
 def sl2_power_components(n: int) -> dict:

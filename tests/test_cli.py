@@ -9,7 +9,9 @@ from tensorlimits import cli, repchar
 from tensorlimits.cli import main
 from tensorlimits.densities import DensityModel
 from tensorlimits.repchar import (
+    IrrepDecomposition,
     MultiplicityMap,
+    irreducible_character,
     racah_decompose,
     save_multiplicity_map,
     tensor_power_multiplicities,
@@ -516,17 +518,28 @@ def test_weyl_group_stays_off_the_production_path(capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
-def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeypatch):
-    """converge (cold and warm cache), decompose, xi, eta and eta^e read the character
-    of V_N at its dominant weights alone: with the lazy orbit expansion refused for
-    every map but an irreducible factor's, they print what they print without the
-    guard.  measure xi builds its orbits by rootsys.orbit_rows, not from entries."""
-    from tensorlimits.repchar import MultiplicityMap, racah_decompose, tensor_power_multiplicities
+def _refuse_reducible_support(patch):
+    """Make MultiplicityMap.support, and so entries, raise on a map whose decomposition is not one irreducible."""
+    expand = MultiplicityMap.support
 
+    def guarded(m):
+        if racah_decompose(m.rs, m).counts != [1]:
+            raise AssertionError("the W-orbits of a reducible character were expanded")
+        return expand(m)
+
+    patch.setattr(MultiplicityMap, "support", guarded)
+
+
+def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeypatch):
+    """converge (cold and warm cache), decompose, eta and eta^e read the character of V_N
+    at its dominant weights alone: with the orbit expansion MultiplicityMap.support refused
+    for every map but an irreducible factor's, they print what they print without the
+    guard.  ltl measure xi, which prints every weight, is the one reader of support() on
+    the character of V_N, and runs unguarded."""
     b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
     b3 = ["--type", "B3", "--factor", "1,0,0:1", "--N", "4"]
 
-    def outputs(root):
+    def outputs(root, guard):
         converge = [
             ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4,16", "--cache-dir", str(root / "a2")],
             ["converge", *b2, "--N", "4,8", "--cache-dir", str(root / "b2")],
@@ -536,32 +549,31 @@ def test_production_paths_stay_in_the_dominant_chamber(tmp_path, capsys, monkeyp
             ["decompose", *b3], ["measure", "eta", *b3], ["measure", "eta_extended", *b3],
             ["measure", "xi", *b3], ["measure", "xi", *b2, "--N", "8", "--cache-dir", str(root / "b2")],
         ]:
-            code, out, err = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                if guard and argv[:2] != ["measure", "xi"]:
+                    _refuse_reducible_support(patch)
+                code, out, err = run(capsys, *argv)
             assert code == 0, (argv, err)
             result.append(out)
         return result
 
-    plain = outputs(tmp_path / "plain")
-    expand = MultiplicityMap.entries.func
-
-    def guarded(m):
-        if list(racah_decompose(m.rs, m).components.values()) != [1]:
-            raise AssertionError("the W-orbits of a reducible character were expanded")
-        return expand(m)
-
-    monkeypatch.setattr(MultiplicityMap.entries, "func", guarded)
-    assert outputs(tmp_path / "guarded") == plain
-    # the guard is armed: a read of a reducible map's entries is refused
-    with pytest.raises(AssertionError, match="reducible"):
-        tensor_power_multiplicities(build_root_system("B3"), [((1, 0, 0), 4)]).entries
+    assert outputs(tmp_path / "guarded", True) == outputs(tmp_path / "plain", False)
+    # the guard is armed: the support of a reducible map, and the entries built from it, are refused
+    _refuse_reducible_support(monkeypatch)
+    m = tensor_power_multiplicities(build_root_system("B3"), [((1, 0, 0), 4)])
+    for read in (m.support, lambda: m.entries):
+        with pytest.raises(AssertionError, match="reducible"):
+            read()
+    assert len(irreducible_character(build_root_system("B3"), (1, 0, 0)).support()[0]) == 7
 
 
 def test_production_paths_never_build_the_dominant_dict(tmp_path, capsys, monkeypatch):
-    """A map's one store is its int64 rows and its list of counts: with the dict view
-    dominant refused, ltl measure xi|eta|eta_extended, decompose and converge on the
-    two-factor B2 spec (cold and warm cache), tensor_power_table, eta^e and its pushforward
-    on A3 and convergence_report on A2 give what they give unguarded, factor characters
-    rebuilt."""
+    """A map's one store is its int64 rows and its list of counts, and a decomposition's its
+    rows, counts and dims: with the dict views dominant and entries of every map, factor
+    characters included, and components of every decomposition refused, ltl measure
+    xi|eta|eta_extended, decompose and converge on the two-factor B2 spec (cold and warm
+    cache), tensor_power_table, eta^e and its pushforward on A3 and convergence_report on
+    A2 give what they give unguarded, factor characters rebuilt."""
     from tensorlimits.convergence import convergence_report, report_to_json
     from tensorlimits.measures import TensorSpec, eta_extended_measure, pushforward_dominant_shifted
 
@@ -576,6 +588,7 @@ def test_production_paths_never_build_the_dominant_dict(tmp_path, capsys, monkey
             ["measure", "eta", *b2, "--N", "8"],
             ["measure", "eta_extended", *b2, "--N", "8"],
             ["decompose", *b2, "--N", "16"],
+            ["decompose", *b2, "--N", "12", "--format", "json"],
             ["converge", *b2, "--N", "4,8"],
         ]):
             for _ in ("cold", "warm"):
@@ -591,16 +604,22 @@ def test_production_paths_never_build_the_dominant_dict(tmp_path, capsys, monkey
 
     plain = outputs(tmp_path / "plain")
 
-    def refuse(m):
-        raise AssertionError("the dict of dominant multiplicities was built")
+    def refuse(what):
+        def built(self):
+            raise AssertionError(f"the dict {what} was built")
+        return property(built)
 
-    monkeypatch.setattr(MultiplicityMap, "dominant", property(refuse))
+    monkeypatch.setattr(MultiplicityMap, "dominant", refuse("of dominant multiplicities"))
+    monkeypatch.setattr(MultiplicityMap, "entries", refuse("of full entries"))
+    monkeypatch.setattr(IrrepDecomposition, "components", refuse("of components"))
     assert outputs(tmp_path / "guarded") == plain
-    # the guard is armed: reading the view is refused, while a lookup m[w] reads the rows
+    # the guard is armed: reading a view is refused, while a lookup m[w] reads the rows
     m = tensor_power_multiplicities(a2, [((1, 0), 2)])
-    with pytest.raises(AssertionError, match="was built"):
-        m.dominant
-    assert m[(0, 1)] == 2
+    dec = racah_decompose(a2, m)
+    for read in (lambda: m.dominant, lambda: m.entries, lambda: dec.components, lambda: dec[(2, 0)]):
+        with pytest.raises(AssertionError, match="was built"):
+            read()
+    assert m[(0, 1)] == 2 and dec.rows.tolist() == [[0, 1], [2, 0]] and dec.counts == [1, 1]
 
 
 def test_lookup_reads_the_dominant_point_without_expanding(monkeypatch):
@@ -610,17 +629,10 @@ def test_lookup_reads_the_dominant_point_without_expanding(monkeypatch):
     a weight of another length raises BasisMismatch."""
     from tensorlimits.errors import BasisMismatch
 
-    expand = MultiplicityMap.entries.func
-
-    def guarded(m):
-        if list(racah_decompose(m.rs, m).components.values()) != [1]:
-            raise AssertionError("the W-orbits of a reducible character were expanded")
-        return expand(m)
-
     for label, factors, n in [("G2", [((1, 0), 1)], 4), ("B2", [((0, 1), 1), ((1, 0), Fraction(1, 2))], 6)]:
         rs = build_root_system(label)
         with monkeypatch.context() as patch:
-            patch.setattr(MultiplicityMap.entries, "func", guarded)
+            _refuse_reducible_support(patch)
             m = tensor_power_table(rs, factors, [n])[n]
             support = [nu for mu in m.dominant for nu in orbit(rs, mu)]
             lo, hi = np.min(support, axis=0) - 1, np.max(support, axis=0) + 1

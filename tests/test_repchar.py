@@ -38,6 +38,7 @@ from oracles import (
     character_map,
     convolve,
     dominant_weights_dfs,
+    fields,
     freudenthal_multiplicities,
     orbit,
     peel_off_decompose,
@@ -508,7 +509,7 @@ def test_decomposition_roundtrip():
             assert dec.components == combo
             assert peel_off_decompose(rs, total).components == combo
             scan = racah_full_scan(rs, m)
-            assert (scan.components, scan.dims) == (dec.components, dec.dims)
+            assert fields(scan) == fields(dec)
 
 
 def _full_scan_cases():
@@ -527,11 +528,10 @@ def _full_scan_cases():
 
 
 def _check_against_oracles(rs, m, label):
-    """racah_decompose against Racah's signed pushforward and the full-table scan
-    (components and dims) and against peel-off (components); returns the decomposition."""
+    """racah_decompose against Racah's signed pushforward, the full-table scan and peel-off
+    (rows, counts and dims); returns the decomposition."""
     dec, push, scan = racah_decompose(rs, m), racah_pushforward(rs, m), racah_full_scan(rs, m)
-    assert (dec.components, dec.dims) == (push.components, push.dims) == (scan.components, scan.dims), label
-    assert dec.components == peel_off_decompose(rs, m.entries).components, label
+    assert fields(dec) == fields(push) == fields(scan) == fields(peel_off_decompose(rs, m.entries)), label
     return dec
 
 
@@ -606,32 +606,37 @@ def test_len_and_repr_do_not_expand_orbits(tmp_path, monkeypatch):
         assert text == f"MultiplicityMap({size} weights, total_dim={m.total_dim})"
 
 
-# sha256 of repr([list(m.entries.items()) for m in maps]): each factor character,
-# then the table at each N, so the order in which orbits are expanded is pinned
-ENTRIES_SHA256 = {
-    "A2": ([((1, 0), 1)], [1, 4], "be25052992dda3de1653d961eed236a84566295a828ff345207831c4e88207d8"),
+# sha256 of repr([(weights.tolist(), counts.tolist()) for weights, counts in supports]), the
+# support() of each factor character, then of the table at each N: the order in which
+# orbits are expanded is pinned
+SUPPORT_SHA256 = {
+    "A2": ([((1, 0), 1)], [1, 4], "0504a83c1e3b57dcdf3990cbf1446f459301266b13ce1b0ecd092fea679fdfd6"),
     "B2": (
         [((0, 1), 1), ((1, 0), Fraction(1, 2))],
         [2, 4],
-        "05dd56f988297b5bf285df85f4c90456a641b64dbb5c00c3136d4cc75faaaa42",
+        "3cc9c61c812aff90120f196f07bc583948298a185e08a2a80d88ef878da73794",
     ),
-    "G2": ([((1, 0), 1)], [3], "c4911450c3e2a881f7627b29dcd8c90f304cf34c78bfddcbf6dc9e1aaf6f54ad"),
-    "D4": ([((1, 0, 0, 0), 1)], [3], "a5da056cdcd66109ddea988b2defa4df2e5209d305e061ca11af89f123e35d9b"),
-    "F4": ([((0, 0, 0, 1), 1)], [3], "a6db196adbf7e573ecfd3d2ba3215c95277b4cf9392a2e4da702f50e0a670b88"),
-    "A6": ([((1, 0, 0, 0, 0, 0), 1)], [4], "52ebe87398fb5528493d93543e0c4aae19bea49ceb05c672564b445a3641d5c4"),
-    "B5": ([((1, 0, 0, 0, 0), 1)], [3], "899aed49f326ae67a10ff420edccbaafc635730f0969ed0f7e07edee3d30eac5"),
-    "C5": ([((0, 1, 0, 0, 0), 1)], [2], "c915ee2a07922b5fdc1bbfa0a9284309e41b28c143dd2b9be7b14763e1a9c5a9"),
+    "G2": ([((1, 0), 1)], [3], "63c472b95e71ecb65632086681954cc420dcf25ff49dcbd0452ddf977f0625b8"),
+    "D4": ([((1, 0, 0, 0), 1)], [3], "16a7a64434e770c74b564b788f2a1a0311a86308d0c1ccd9522e595b3786ceb9"),
+    "F4": ([((0, 0, 0, 1), 1)], [3], "8225d30309eaa985c42674e1317c9691e4c785e8142dcf5e02291c71ae15f987"),
+    "A6": ([((1, 0, 0, 0, 0, 0), 1)], [4], "f627ceb4771516feb75e28c57ef4e74fc2f623c0ee3787bd15ea4819150b4bca"),
+    "B5": ([((1, 0, 0, 0, 0), 1)], [3], "d42bb6132ca33921269ef00216121dfbe4d49e687830360415d138e32238b740"),
+    "C5": ([((0, 1, 0, 0, 0), 1)], [2], "f237f09b630198ce98fb9e10bf96304dfde583b7a21f1a024c5fb715dc6c4707"),
 }
 
 
-@pytest.mark.parametrize("label", sorted(ENTRIES_SHA256))
+@pytest.mark.parametrize("label", sorted(SUPPORT_SHA256))
 def test_entries_order_is_pinned(label):
-    # the float sums of char_fn_xi run over entries in this order
-    factors, n_values, digest = ENTRIES_SHA256[label]
+    """The float sums of char_fn_xi run over support() in this order, and entries lists
+    the same weights in the same order."""
+    factors, n_values, digest = SUPPORT_SHA256[label]
     rs = build_root_system(label)
     table = tensor_power_table(rs, factors, n_values)
     maps = [irreducible_character(rs, lam) for lam, _ in factors] + [table[n] for n in n_values]
-    assert hashlib.sha256(repr([list(m.entries.items()) for m in maps]).encode()).hexdigest() == digest
+    supports = [m.support() for m in maps]
+    assert hashlib.sha256(repr([(w.tolist(), c.tolist()) for w, c in supports]).encode()).hexdigest() == digest
+    for m, (w, c) in zip(maps, supports):
+        assert list(m.entries.items()) == list(zip(map(tuple, w.tolist()), c))
 
 
 @pytest.mark.parametrize(
@@ -737,18 +742,84 @@ def test_lookup_refuses_what_the_array_kernel_refuses():
             m[weight]
 
 
-def test_lookup_reads_one_row_without_the_dominant_dict():
-    """m[w] finds the one row of m.rows at the dominant point of w: on a large map it
-    builds no dominant dict, and it reads what the dict view reads at the scalar walk's point."""
+def test_lookup_reads_one_row_without_the_dominant_dict(monkeypatch):
+    """m[w] finds the one row of m.rows at the dominant point of w by one _positions lookup,
+    built on the first read and kept: on a large map it builds no dominant dict and reads what
+    the dict view reads at the scalar walk's point, at every row and at weights off the support."""
     rs = RS["A2"]
-    m = tensor_power_multiplicities(rs, [((1, 0), 128)])
+    m, small = (tensor_power_multiplicities(rs, [((1, 0), n)]) for n in (128, 64))
     assert len(m.rows) > 1000
+    built = []
+    positions = repchar._positions
+    monkeypatch.setattr(repchar, "_positions", lambda nus: built.append(len(nus)) or positions(nus))
     rng = random.Random(41)
     weights = [tuple(rng.randint(-40, 40) for _ in range(2)) for _ in range(200)]
     got = [m[w] for w in weights]
-    assert "dominant" not in vars(m)
+    assert "dominant" not in vars(m) and built == [len(m.rows)]
     assert got == [m.dominant.get(to_dominant(rs, w), 0) for w in weights]
     assert any(got) and not all(got)
+    rows = [tuple(mu) for mu in small.rows.tolist()]
+    # off the support: past the top, in another coset of the root lattice, and a coordinate past every row's
+    absent = [(65, 0), (0, 65), (0, 1), (2, 2), (0, 200), (-300, 1)]
+    assert [small[mu] for mu in rows] == list(small.dominant.values())
+    assert [small[w] for w in absent] == [small.dominant.get(to_dominant(rs, w), 0) for w in absent] == [0] * 6
+    assert built == [len(m.rows), len(rows)]
+
+
+def test_weyl_dims_stay_exact_past_int64():
+    """_weyl_dims multiplies the pairing columns as Python ints: with coordinates near 2^30, where
+    the product of the pairings overflows int64, each row gives prod (lam + rho, beta) / (rho, beta)
+    as a Fraction product does, and weyl_dim agrees."""
+    rng = random.Random(5)
+    for label in ["A2", "B3", "G2"]:
+        rs = build_root_system(label)
+        lams = [[2**30 - rng.randrange(4) for _ in range(rs.rank)] for _ in range(6)] + [[2**30, 0, 1][: rs.rank]]
+        pairing = np.array(rs.pairing_rows, dtype=np.int64)
+        got = repchar._weyl_dims(rs, (np.array(lams, dtype=np.int64) + 1) @ pairing.T)
+        assert max(got) > 2**63
+        want = []
+        for lam in lams:
+            dim = Fraction(1)
+            for row in rs.pairing_rows:
+                dim *= Fraction(sum(c * (x + 1) for c, x in zip(row, lam)), sum(row))
+            want.append(dim)
+        assert got == want and [weyl_dim(rs, lam) for lam in lams] == want, label
+
+
+def test_decomposition_is_held_as_arrays():
+    """A decomposition holds its int64 rows and two lists: on A2 omega1 N=256, with the map built
+    first, racah_decompose keeps at most 1 MB of traced memory (its two dicts held about 1.4 MB)."""
+    import tracemalloc
+
+    rs = RS["A2"]
+    m = tensor_power_multiplicities(rs, [((1, 0), 256)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = racah_decompose(rs, m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dec.rows.dtype == np.int64 and len(dec.rows) == len(dec.counts) == len(dec.dims) > 1000
+    assert sum(c * d for c, d in zip(dec.counts, dec.dims)) == m.total_dim
+    assert held <= 1_000_000, held
+
+
+def test_xi_and_entries_share_the_one_orbit_expansion(monkeypatch):
+    """xi_measure and entries both read MultiplicityMap.support, one call each; xi is its
+    rows in lexicographic order, and entries lists them in support() order."""
+    from tensorlimits.measures import xi_measure
+
+    spec = TensorSpec(RS["B2"], (((0, 1), 1), ((1, 0), Fraction(1, 2))))
+    m = tensor_power_table(spec.rs, spec.factors, [6])[6]
+    calls = []
+    support = MultiplicityMap.support
+    monkeypatch.setattr(MultiplicityMap, "support", lambda m: calls.append(m) or support(m))
+    xi = xi_measure(spec, 6, multiplicities=m)
+    assert calls == [m]
+    assert list(m.entries) == list(map(tuple, support(m)[0].tolist())) and calls == [m, m]
+    assert [w for w, _ in xi.atoms] == sorted(m.entries)
+    assert [p * m.total_dim for _, p in xi.atoms] == [m.entries[w] for w, _ in xi.atoms]
 
 
 def test_character_map_refuses_entries_that_are_not_w_invariant():
