@@ -53,7 +53,6 @@ from .repchar import (
     racah_decompose,
     save_multiplicity_map,
     tensor_power_table,
-    weyl_dim,
 )
 from .rootsys import (
     CartanType,
@@ -64,6 +63,8 @@ from .rootsys import (
 )
 
 FORMATS = ("json", "csv")
+# rows of ltl decompose's CSV formatted and written a block at a time
+_CSV_BLOCK_ROWS = 2**14
 
 
 def _positive_int(text: str) -> int:
@@ -242,7 +243,7 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     except (OSError, ValueError, KeyError, TypeError, TensorLimitsError):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
-    expected = prod(weyl_dim(rs, lam) ** k for lam, k in counts)
+    expected = prod(d**k for d, (_, k) in zip(spec.factor_dims, counts))
     if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
     pairings = m.rows @ np.array(rs.pairing_rows, dtype=np.int64).T
@@ -275,12 +276,24 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
     return table
 
 
-def _emit(text: str, args) -> None:
+def _emit(text, args) -> None:
+    """Write text, one str or an iterable of str blocks, to --output or stdout, a block at a time."""
+    blocks = [text] if isinstance(text, str) else text
     if getattr(args, "output", None):
         with _os_errors("--output"), open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
+
+
+def _csv_blocks(header: str, rows: np.ndarray, counts: list):
+    """The CSV lines of header and of each row with its count, _CSV_BLOCK_ROWS rows a block,
+    so no list of every line or text of the whole table is held."""
+    line = ",".join(["%d"] * (rows.shape[1] + 1)) + "\n"
+    yield header + "\n"
+    for a in range(0, len(counts), _CSV_BLOCK_ROWS):
+        b = a + _CSV_BLOCK_ROWS
+        yield "".join(line % (*w, c) for w, c in zip(rows[a:b].tolist(), counts[a:b]))
 
 
 def _json_dumps(doc) -> str:
@@ -325,18 +338,15 @@ def cmd_decompose(args) -> int:
     _check_admissible(spec, [n])
     table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     result = racah_decompose(spec.rs, table[n])
-    items = zip(result.rows.tolist(), result.counts)  # an iterator: no list of pairs is held beside the output
     if args.format == "csv":
-        rank = spec.rs.rank
-        header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",multiplicity"
-        row = ",".join(["%d"] * (rank + 1))
-        _emit("\n".join([header, *(row % (*w, c) for w, c in items)]) + "\n", args)
+        header = ",".join(f"weight_{i+1}" for i in range(spec.rs.rank)) + ",multiplicity"
+        _emit(_csv_blocks(header, result.rows, result.counts), args)
     else:
         doc = {
             "spec": spec.describe(),
             "N": n,
             "method": "racah",
-            "components": [{"weight": w, "multiplicity": str(c)} for w, c in items],
+            "components": [{"weight": w, "multiplicity": str(c)} for w, c in zip(result.rows.tolist(), result.counts)],
             "total_dim": str(table[n].total_dim),
         }
         _emit(_json_dumps(doc), args)

@@ -102,9 +102,8 @@ def char_fn_xi(spec: TensorSpec, N: int, t_grid=None) -> np.ndarray:
     dvec = np.array([float(x) for x in rs.d])
     directions = (t_arr * dvec).T / math.sqrt(float(sigma_squared(spec) * N))
     out = np.ones(len(t_arr), dtype=complex)
-    for (_, n), m in zip(counts, spec.factor_characters):
-        weights, mults = m.support()
-        out *= (np.exp(1j * weights @ directions).T @ mults.astype(float) / m.total_dim) ** n
+    for (_, n), (weights, mults), dim in zip(counts, spec.factor_supports, spec.factor_dims):
+        out *= (np.exp(1j * weights @ directions).T @ mults.astype(float) / dim) ** n
     return out
 
 

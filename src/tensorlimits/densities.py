@@ -39,7 +39,10 @@ along the first axis (several one-box slabs per call, about SLAB_POINTS
 points, when boxes are not subdivided), and its consumer uses each slab before
 the next is made.  box_masses sums each slab into its boxes; the quadrature
 sums each slab's values, adds the slab sums in slab order and multiplies once
-by the cell volume, holding no array of the grid.  So memory is one slab of
+by the cell volume, holding no array of the grid.  Every kind is even in x,
+and the box of xi and eta_extended is symmetric about 0, so their quadrature
+walks only the slabs at x_0 >= 0 and counts each twice, the centre row
+x_0 = 0 of an odd grid once (the cone kinds walk the whole box).  So memory is one slab of
 sub * (bins * sub)^(r-1) values (or about SLAB_POINTS) plus the
 O((bins * sub)^(r-1)) hoisted arrays and slab's reused squares, besides
 box_masses's bins^r masses, and MAX_GRID_POINTS bounds the work of a grid:
@@ -255,11 +258,11 @@ def check_grid(rank: int, bins: int, sub: int, what: str = "bins") -> None:
         raise GridCapExceeded(f"a density grid of {points} points exceeds the cap of {MAX_GRID_POINTS}")
 
 
-def _grid_slabs(model: DensityModel, lo, hi, bins: int, sub: int):
+def _grid_slabs(model: DensityModel, lo, hi, bins: int, sub: int, start: int = 0):
     """The density values of the midpoint grid of [lo, hi], bins * sub points per axis,
     one slab along the first axis at a time: (ks, vals) for each slab, ks the slice of
     its boxes along axis 0 and vals the values of their sub centres each along that axis
-    by every point of the other axes.
+    by every point of the other axes.  The walk begins at box start along axis 0.
 
     The kernel's x_0-free half is built once on the full axes other than the
     first (np.ix_), and its per-slab half runs once per slab, on that slab's
@@ -278,7 +281,7 @@ def _grid_slabs(model: DensityModel, lo, hi, bins: int, sub: int):
     hoisted = model.hoist(grid[1:])
     # at sub = 1 a slab is one point thick, and one call takes step of them
     step = max(1, SLAB_POINTS // bins ** (rank - 1)) if sub == 1 else 1
-    for k in range(0, bins, step):
+    for k in range(start, bins, step):
         yield slice(k, min(k + step, bins)), model.slab(grid[0][k * sub : (k + step) * sub], hoisted)
 
 
@@ -313,6 +316,14 @@ def normalization_quadrature(model: DensityModel, resolution: int | None = None)
     order on cone walls.  Each slab of _grid_slabs is summed as it comes
     (numpy's pairwise sum), the slab sums are added in slab order and the total
     is multiplied once by the cell volume, so no resolution^rank array is held.
+
+    Every kind is even in x (exp(-(x,x)/2) and each (x,a)^2 are), and the box
+    of xi and eta_extended is symmetric (lo = -hi), so x -> -x maps their
+    midpoint grid onto itself and slab k along x_0 mirrors slab
+    resolution - 1 - k.  Their walk takes only the slabs at x_0 >= 0, from
+    resolution // 2 on, and counts each twice, but the centre row x_0 = 0 of
+    an odd grid, its own mirror, once: ceil(n / 2) n^(rank - 1) points for
+    n = resolution.  The cone kinds (eta, gue; lo = 0) walk the whole grid.
     """
     rank = model.rs.rank
     if resolution is None:
@@ -321,7 +332,13 @@ def normalization_quadrature(model: DensityModel, resolution: int | None = None)
         resolution = _DEFAULT_RESOLUTION[rank]
     check_grid(rank, resolution, 1, "resolution")
     lo, hi = density_box(model, 10.0)
-    total = 0.0
-    for _, vals in _grid_slabs(model, lo, hi, resolution, 1):
+    folded = lo[0] < 0
+    start = resolution // 2 if folded else 0
+    total = centre = 0.0
+    for ks, vals in _grid_slabs(model, lo, hi, resolution, 1, start):
         total += float(vals.sum())
+        if folded and resolution % 2 and ks.start == start:
+            centre = float(vals[:1].sum())
+    if folded:
+        total = 2.0 * total - centre
     return total * math.prod((b - a) / resolution for a, b in zip(lo, hi))

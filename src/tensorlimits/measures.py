@@ -45,7 +45,7 @@ from .errors import DegenerateSpec, InadmissibleN
 from .linalg import bilinear
 from .repchar import (
     MultiplicityMap,
-    _factor_character,
+    _factor_support,
     check_character,
     racah_decompose,
     tensor_power_multiplicities,
@@ -87,9 +87,15 @@ class TensorSpec:
         object.__setattr__(self, "factors", tuple(norm))
 
     @cached_property
-    def factor_characters(self) -> tuple:
-        """The character of each V_lam_l (repchar.irreducible_character), shared with tensor_power_table."""
-        return tuple(_factor_character(self.rs, lam) for lam, _ in self.factors)
+    def factor_supports(self) -> tuple:
+        """Each factor character's support() (weights, counts), from repchar._factor_support,
+        shared with tensor_power_table: read by char_fn_xi and mixed_moments at every N."""
+        return tuple(_factor_support(self.rs, lam) for lam, _ in self.factors)
+
+    @cached_property
+    def factor_dims(self) -> tuple:
+        """weyl_dim of each lam_l, computed once per spec: read by _resolve_map and the CLI's cache loader."""
+        return tuple(weyl_dim(self.rs, lam) for lam, _ in self.factors)
 
     def describe(self) -> str:
         parts = ",".join(f"{list(lam)}:{tau}" for lam, tau in self.factors)
@@ -193,7 +199,7 @@ def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
     counts = factor_counts(spec, N)
     if multiplicities is None:
         return tensor_power_multiplicities(spec.rs, counts)
-    expected = math.prod(weyl_dim(spec.rs, lam) ** n for lam, n in counts)
+    expected = math.prod(d**n for d, (_, n) in zip(spec.factor_dims, counts))
     if multiplicities.total_dim != expected:
         raise ValueError(f"multiplicities have total_dim {multiplicities.total_dim}; V_N at N = {N} has dim {expected}")
     check_character(spec.rs, multiplicities)
@@ -280,13 +286,14 @@ def pushforward_dominant_shifted(rs: RootSystemData, measure: DiscreteMeasure) -
     return DiscreteMeasure._exact(lams, sums, measure.den, measure.sigma_sq, measure.N)
 
 
-def _power_sums(m: MultiplicityMap, kappas) -> dict:
-    """p_kappa = sum_mu m(mu) mu^kappa for each multi-index kappa.
+def _power_sums(support, kappas) -> dict:
+    """p_kappa = sum_mu m(mu) mu^kappa for each multi-index kappa, over a character's
+    support() (weights, counts).
 
     sum_kappa p_kappa s^kappa / kappa! is the character evaluated at exp(s),
     the moment series of the weight measure times its dimension.
     """
-    weights, counts = m.support()
+    weights, counts = support
     items = list(zip(weights.tolist(), counts))
     return {kappa: sum(c * math.prod(x**k for x, k in zip(w, kappa)) for w, c in items) for kappa in kappas}
 
@@ -346,9 +353,9 @@ def mixed_moments(spec: TensorSpec, N: int, max_order: int) -> dict:
     terms = _binomial_terms(kappas)
     sums = {kappa: int(not any(kappa)) for kappa in kappas}  # the trivial character
     total = 1
-    for (_, n), m in zip(factor_counts(spec, N), spec.factor_characters):
-        sums = _times_power(sums, _power_sums(m, kappas), n, terms)
-        total *= m.total_dim**n
+    for (_, n), support, dim in zip(factor_counts(spec, N), spec.factor_supports, spec.factor_dims):
+        sums = _times_power(sums, _power_sums(support, kappas), n, terms)
+        total *= dim**n
     scale_sq = sigma_squared(spec) * N
     out: dict = {}
     for kappa in kappas:

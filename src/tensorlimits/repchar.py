@@ -9,7 +9,8 @@ multiplicities is a view built on first read.  A map is thus W-invariant by
 construction, which the decomposition, Miller's recurrence and a lookup
 m[weight] rely on: they read a character at dominant weights alone.  Its
 orbits are expanded in one place, support(), read by ltl measure xi, the trace
-identity and the factor characters' consumers.  A decomposition is stored as a
+identity and, once per factor and process (_factor_support), the factor
+characters' consumers.  A decomposition is stored as a
 map is: int64 rows with lists of their multiplicities and Weyl dimensions.
 One signed sum over W, sum_w sign(w) m(mu + rho - w rho) at each dominant mu
 (_alternating_sums), does two jobs: it splits a character into irreducibles,
@@ -319,8 +320,19 @@ def irreducible_character(rs: RootSystemData, lam) -> MultiplicityMap:
 @lru_cache(maxsize=32)
 def _factor_character(rs: RootSystemData, lam: IntVector) -> MultiplicityMap:
     """irreducible_character(rs, lam), kept for the last 32 asked: the factor characters of
-    tensor_power_table and TensorSpec.factor_characters, lam as highest_weight returns it."""
+    tensor_power_table and _factor_support, lam as highest_weight returns it."""
     return irreducible_character(rs, lam)
+
+
+@lru_cache(maxsize=32)
+def _factor_support(rs: RootSystemData, lam: IntVector) -> tuple[np.ndarray, np.ndarray]:
+    """_factor_character(rs, lam).support(), read-only and kept for the last 32 asked: each
+    factor's orbits are expanded once per process, for Miller's steps at every N of every
+    table and for TensorSpec.factor_supports (the char-fn and the moments of xi)."""
+    weights, counts = _factor_character(rs, lam).support()
+    weights.setflags(write=False)
+    counts.setflags(write=False)
+    return weights, counts
 
 
 def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
@@ -361,7 +373,8 @@ def _positions(nus: np.ndarray):
 def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     """Character of prod_l V_lam_l^(n_l) by Miller's power recurrence.
 
-    factors is a list of (lam, character of V_lam, n).  Write g_l for the
+    factors is a list of (lam, support of V_lam, dim V_lam, n), the support as
+    MultiplicityMap.support returns it.  Write g_l for the
     character of V_lam_l in the variable lam_l - weight: its constant term is
     1 and every other term has positive depth d, the height of lam_l - weight.
     With theta the Euler operator along d, Q = prod_l g_l^(n_l) satisfies
@@ -394,9 +407,9 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     the Weyl cap and max(lam) <= max(top) < MAX_TABLE_ROWS = 2^24 (_dominant_weights
     refuses a larger top), so |nu - w| < 2^29, below the kernel's 2^32.
     """
-    factors = [(lam, base, n) for lam, base, n in factors if n]
+    factors = [(lam, support, dim, n) for lam, support, dim, n in factors if n]
     r = rs.rank
-    top = tuple(sum(n * lam[i] for lam, _, n in factors) for i in range(r))
+    top = tuple(sum(n * lam[i] for lam, _, _, n in factors) for i in range(r))
     nus, depths = _dominant_weights(rs, top)
     size = len(nus)
     find = _positions(nus)
@@ -405,8 +418,8 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     # per factor with a weight w != lam_l: lam_l, those w, their V_lam_l(w), the offset of
     # A_l's slots and the part of a row's lookups it reads; coeffs holds every n d(lam_l - w) V_lam_l(w)
     steps, coeffs = [], []
-    for lam, base, n in factors:
-        lam_row, (ws, cs) = np.array(lam, dtype=np.int64), base.support()
+    for lam, (ws, cs), _, n in factors:
+        lam_row = np.array(lam, dtype=np.int64)
         below = (ws != lam_row).any(axis=1)
         if below.any():
             ws, cs = ws[below], cs[below].tolist()
@@ -436,7 +449,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
             for (_, _, cs, offset, part), own in zip(steps, owns):
                 if own[i]:
                     quotients[offset + a + i] = m - sum(map(mul, cs, vals[part]))
-    return MultiplicityMap(rs, nus, mult, prod(base.total_dim**n for _, base, n in factors))
+    return MultiplicityMap(rs, nus, mult, prod(dim**n for _, _, dim, n in factors))
 
 
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
@@ -453,8 +466,8 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
 
     factors is a list of (lam, tau) with rational tau; an N that is not an
     integer, or a tau_l * N that is not a nonnegative integer, raises
-    ValueError.  The factor characters come from _factor_character, shared with
-    TensorSpec.factor_characters; each N then costs one run of Miller's power
+    ValueError.  The factor characters and their supports come from _factor_character
+    and _factor_support, shared with TensorSpec; each N then costs one run of Miller's power
     recurrence, linear in the number of dominant weights of V_N for fixed factors.
     """
     try:
@@ -468,9 +481,9 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
             e = tau * n
             if e.denominator != 1 or e < 0:
                 raise ValueError(f"tau * N = {e} is not a nonnegative integer")
-        bases.append((lam, tau, _factor_character(rs, lam)))
+        bases.append((lam, tau, _factor_support(rs, lam), _factor_character(rs, lam).total_dim))
     return {
-        n: _miller_power(rs, [(lam, base, (tau * n).numerator) for lam, tau, base in bases])
+        n: _miller_power(rs, [(lam, support, dim, (tau * n).numerator) for lam, tau, support, dim in bases])
         for n in n_values
     }
 

@@ -676,7 +676,7 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys):
     assert outputs() == plain
     m = tensor_power_multiplicities(a3, [((1, 0, 0), 8)])
     base = repchar.irreducible_character(a3, (1, 0, 0))
-    assert repchar._miller_power(a3, [((1, 0, 0), base, 8)]).dominant == m.dominant
+    assert repchar._miller_power(a3, [((1, 0, 0), base.support(), base.total_dim, 8)]).dominant == m.dominant
     dec = racah_decompose(a3, m)
     repchar._factor_character.cache_clear()
     eta = eta_measure(spec, 8)
@@ -857,3 +857,34 @@ def test_rootsys_output_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["weyl_order"] == 8
+
+
+def test_decompose_csv_is_written_a_block_of_rows_at_a_time(tmp_path, capsys, monkeypatch):
+    """The CSV of ltl decompose goes out in blocks of _CSV_BLOCK_ROWS rows, to stdout and to
+    --output, with the bytes of one joined text: no block holds more than its rows."""
+    import io
+    import sys
+
+    argv = ["decompose", "--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2", "--N", "12"]
+    code, whole, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = whole.splitlines(keepends=True)
+    assert len(lines) > 20 and whole.endswith("\n")
+
+    class Blocks(io.StringIO):
+        def writelines(self, blocks):
+            self.blocks = list(blocks)
+            super().writelines(self.blocks)
+
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+    out = Blocks()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert out.getvalue() == whole
+    rows = len(lines) - 1
+    assert [b.count("\n") for b in out.blocks] == [1] + [min(7, rows - a) for a in range(0, rows, 7)]
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+    target = tmp_path / "dec.csv"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert target.read_text() == whole

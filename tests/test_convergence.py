@@ -294,3 +294,39 @@ def test_factor_characters_built_once_per_spec(monkeypatch):
         built.clear()
         convergence_report(spec, [4, 8, 16, 32])
         assert sorted(built) == sorted(lam for lam, _ in spec.factors)
+
+
+def test_factor_supports_and_dims_built_once_per_spec(monkeypatch):
+    # a cold three-N convergence_report expands each factor's support once, for
+    # Miller's steps, the char-fn and the moments at every N, and takes each
+    # factor's Weyl dimension once per spec, for the check of the table's totals;
+    # a second spec of the same factors reuses the process's supports
+    from tensorlimits import measures, repchar
+
+    expanded, dims = [], []
+    support, weyl_dim_ = repchar.MultiplicityMap.support, measures.weyl_dim
+
+    def counted_support(m):
+        expanded.append(m.total_dim)
+        return support(m)
+
+    def counted_dim(rs, lam):
+        dims.append(tuple(lam))
+        return weyl_dim_(rs, lam)
+
+    monkeypatch.setattr(repchar.MultiplicityMap, "support", counted_support)
+    monkeypatch.setattr(measures, "weyl_dim", counted_dim)
+    b2 = build_root_system("B2")
+    for spec in (make_spec("A", 2), TensorSpec(b2, (((0, 1), 1), ((1, 0), Fraction(1, 2))))):
+        repchar._factor_character.cache_clear()
+        repchar._factor_support.cache_clear()
+        expanded.clear()
+        dims.clear()
+        first = convergence_report(spec, [4, 8, 16])
+        assert sorted(expanded) == sorted(weyl_dim(spec.rs, lam) for lam, _ in spec.factors)
+        assert sorted(dims) == sorted(lam for lam, _ in spec.factors)
+        expanded.clear()
+        dims.clear()
+        again = TensorSpec(spec.rs, spec.factors)
+        assert convergence_report(again, [4, 8, 16]) == first
+        assert expanded == [] and sorted(dims) == sorted(lam for lam, _ in spec.factors)

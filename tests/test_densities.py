@@ -310,7 +310,9 @@ def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
     # normalization_quadrature and the TV boxes build the x_0-free half of the
     # kernel once per grid, then call the per-slab half once per box along the
     # first axis, each time on an equal share of the points; the quadrature's
-    # boxes are not subdivided, so SLAB_POINTS is set to one box-thick slab here
+    # boxes are not subdivided, so SLAB_POINTS is set to one box-thick slab here.
+    # eta_extended's quadrature walks the slabs at x_0 >= 0 only: 15 of 30, and
+    # 16 of 31 with the centre slab at x_0 = 0
     monkeypatch.setattr(densities, "SLAB_POINTS", 30**2)
     hoists, sizes = [], []
     hoist, slab = DensityModel.hoist, DensityModel.slab
@@ -329,7 +331,8 @@ def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
     eta = eta_measure(TensorSpec(A3, (((1, 0, 0), 1),)), 4)
     bins, sub = tv_grid(3)
     for slabs, points, run in (
-        (30, 30**3, lambda: normalization_quadrature(make_density_model(A3, "eta_extended"), resolution=30)),
+        (15, 15 * 30**2, lambda: normalization_quadrature(make_density_model(A3, "eta_extended"), resolution=30)),
+        (16, 16 * 31**2, lambda: normalization_quadrature(make_density_model(A3, "eta_extended"), resolution=31)),
         (bins, (bins * sub) ** 3, lambda: histogram_tv(eta, make_density_model(A3, "eta"))),
     ):
         hoists.clear()
@@ -338,6 +341,27 @@ def test_density_grids_evaluate_one_slab_per_call(monkeypatch):
         assert hoists == [2]
         assert len(sizes) == slabs
         assert all(size * slabs == sum(sizes) == points for size in sizes)
+
+
+def test_quadrature_of_the_even_kinds_walks_half_the_grid(monkeypatch):
+    # xi and eta_extended are even on a symmetric box: the slabs at x_0 >= 0,
+    # ceil(n / 2) n^(r - 1) points; the cone kinds walk all n^r
+    points = []
+    slab = DensityModel.slab
+
+    def recording_slab(self, x0, hoisted):
+        vals = slab(self, x0, hoisted)
+        points.append(vals.size)
+        return vals
+
+    monkeypatch.setattr(DensityModel, "slab", recording_slab)
+    for rs in (A1, A2, B2, G2, A3, B3, C3):
+        for n in (17, 40):
+            for kind in kinds_of(rs):
+                points.clear()
+                normalization_quadrature(make_density_model(rs, kind), n)
+                rows = -(-n // 2) if kind in ("xi", "eta_extended") else n
+                assert sum(points) == rows * n ** (rs.rank - 1), (rs, n, kind)
 
 
 def test_unsubdivided_grids_take_several_slabs_per_call(monkeypatch):
