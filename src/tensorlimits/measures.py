@@ -396,7 +396,8 @@ def _reduced(measure: DiscreteMeasure) -> list:
 
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
-    """One atom per row: weight coordinates, then numerator and denominator."""
+    """One atom per row: weight coordinates, then numerator and denominator.  A library caller keeps
+    CPython's limit on int-to-str digits (ValueError past 4,300 by default); ltl lifts it."""
     rank = measure.rank
     header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",numerator,denominator"
     row = ",".join(["%d"] * (rank + 2))

@@ -26,8 +26,8 @@ convolution of the factor characters (tests/oracles.py).  Both recursions
 walk the dominant weights below their top by depth, as one numpy enumeration
 lists them (_dominant_weights, checked against a search along positive
 roots), and read at positions in that list, found a block of rows at a time
-by rootsys._dominant_rows and packed int64 keys.  A table whose enumeration would
-hold more than MAX_TABLE_ROWS rows raises TableCapExceeded before it is built.
+by rootsys._dominant_rows and a walk down the enumeration's levels (_levels, _positions).
+A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises TableCapExceeded before it is built.
 """
 
 from __future__ import annotations
@@ -153,15 +153,15 @@ class MultiplicityMap:
 
     @cached_property
     def _find(self):
-        return _positions(self.rows)
+        return _positions(self.rs, self.rows)
 
     def __len__(self) -> int:
         return sum(self.sizes)
 
     def __getitem__(self, weight) -> int:
-        """The multiplicity at weight, read at the row of its dominant point (to_dominant_rows, one
-        _positions lookup), 0 if there is none: BasisMismatch for another length, ValueError for a
-        coordinate that is not an integer or of |x| >= 2^31, TableCapExceeded as in _positions."""
+        """The multiplicity at weight, read at the row of its to_dominant_rows point by one _positions
+        lookup (0 if none): BasisMismatch for another length, ValueError for a coordinate not an integer
+        or of |x| >= 2^31, TableCapExceeded for rows whose index passes MAX_TABLE_ROWS slots (hand-built)."""
         at = self._find(to_dominant_rows(self.rs, [weight]))[0]
         return self.counts[at] if at < len(self.counts) else 0
 
@@ -227,41 +227,41 @@ def _scaled_inverse_cartan(rs: RootSystemData) -> tuple[np.ndarray, int]:
     return np.array([[int(x * den) for x in row] for row in rs.C_inv], dtype=np.int64), den
 
 
-def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant weights of V_lam and their depths below lam, sorted by (depth, weight).
-
-    They are the nu >= 0 with k = C^-1 (lam - nu) >= 0 integral (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, section 21.3), and
-    the depth of nu is sum k, the height of lam - nu.  C^-1 >= 0 entrywise, so
-    {nu >= 0 : C^-1 nu <= C^-1 lam} is downward closed: nu grows one
-    coordinate at a time, each prefix repeated (np.repeat) once per next
-    coordinate from 0 to the largest its budget left = M (lam - prefix) allows,
-    M = den C^-1: the least over the j with M_ji > 0 of left_j // M_ji.  No
-    prefix is a dead end, so at most det C times the output is held; the rows
-    whose left den divides (the root-lattice coset) are kept, as
-    nu = lam - C k with k = left / den, and np.lexsort'ed.  TableCapExceeded,
-    before anything is allocated, if a step would hold more than
-    MAX_TABLE_ROWS rows.  Returns the weights as an (n, rank) int64 array and
-    their depths as an (n,) int64 array.
-    """
-    r = rs.rank
-    # each step holds (0, ..., 0, t) for t <= lam_i, so this also keeps den C^-1 lam in int64
-    if max(lam) >= MAX_TABLE_ROWS:
-        raise TableCapExceeded(f"the dominant weights below {lam} take more than {MAX_TABLE_ROWS} rows")
-    m, den = _scaled_inverse_cartan(rs)
-    left = (m @ np.array(lam, dtype=np.int64))[None]
-    for i in range(r):
+def _levels(rs: RootSystemData, budget: np.ndarray, what: str) -> tuple[list, np.ndarray]:
+    """The nu >= 0 with M nu <= budget, M = den C^-1, one coordinate at a time: C^-1 >= 0, so the set is
+    downward closed, and a prefix's next coordinate runs from 0 to the least left_j // M_ji over the j
+    with M_ji > 0, left = budget - M prefix.  Returns per coordinate i (starts_i, counts_i) over the
+    slots of the prefixes (nu_0, ..., nu_{i-1}), one before the first, slot p's children being
+    starts_i[p] + x for 0 <= x < counts_i[p], and the (n, rank) int64 left of the last level's slots.
+    TableCapExceeded ("what take more than ..."), before it is allocated, for a level over MAX_TABLE_ROWS."""
+    (m, _), left, levels = _scaled_inverse_cartan(rs), budget[None], []
+    for i in range(rs.rank):
         col = m[:, i]
         bounds = col > 0  # zeros (D2 only) bound nothing
         counts = (left[:, bounds] // col[bounds]).min(axis=1) + 1
-        total = int(counts.sum())
+        starts, total = np.cumsum(counts) - counts, int(counts.sum())
         if total > MAX_TABLE_ROWS:
-            raise TableCapExceeded(f"the dominant weights below {lam} take more than {MAX_TABLE_ROWS} rows")
-        x = np.arange(total)
-        x -= np.repeat(np.cumsum(counts) - counts, counts)
+            raise TableCapExceeded(f"{what} take more than {MAX_TABLE_ROWS} rows")
+        x = np.arange(total) - np.repeat(starts, counts)
         left = np.repeat(left, counts, axis=0)
         for j in np.flatnonzero(bounds):
             left[:, j] -= x * col[j]
+        levels.append((starts, counts))
+    return levels, left
+
+
+def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant weights of V_lam and their depths below lam, sorted by (depth, weight): the nu >= 0
+    with k = C^-1 (lam - nu) >= 0 integral (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, section 21.3), of depth sum k.  Of the slots of _levels under den C^-1 lam (at most det C
+    times the output) those whose left den divides, the root-lattice coset, are kept as nu = lam - C k,
+    k = left / den, and np.lexsort'ed.  TableCapExceeded as in _levels.  Returns the weights as an
+    (n, rank) int64 array and their depths as an (n,) int64 array."""
+    # each level holds (0, ..., 0, t) for t <= lam_i, so this also keeps den C^-1 lam in int64
+    if max(lam) >= MAX_TABLE_ROWS:
+        raise TableCapExceeded(f"the dominant weights below {lam} take more than {MAX_TABLE_ROWS} rows")
+    m, den = _scaled_inverse_cartan(rs)
+    _, left = _levels(rs, m @ np.array(lam, dtype=np.int64), f"the dominant weights below {lam}")
     k = left[(left % den == 0).all(axis=1)] // den
     nus, depths = np.array(lam, dtype=np.int64) - k @ np.array(rs.C, dtype=np.int64).T, k.sum(axis=1)
     order = np.lexsort((*nus.T[::-1], depths))
@@ -274,16 +274,18 @@ def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cu
     len(nus) for a weight not among them (reads has one more slot than nus).
 
     A term is read only where den C^-1 (nu + rho - w rho) <= the coordinatewise max of
-    den C^-1 mu over nus, which drops no read of a weight among them, as the dominant point mu
-    of v has mu - v in Q+; by _weyl_shifts, _dominant_rows and _positions, _BLOCK_ROWS reads a
-    block.  Each part is summed only when asked for, so a caller may write reads in between.
+    den C^-1 mu over nus (_positions' budget): the dominant point mu of v has mu - v in Q+, so a
+    term dropped would read as absent, and dropping it before the _dominant_rows fold pays
+    (decompose B5 omega1 N=16: 0.28 s with it, 0.74 s without; one process, 2-core Xeon).  By
+    _weyl_shifts, _dominant_rows and _positions, _BLOCK_ROWS reads a block; each part is summed
+    only when asked for, so a caller may write reads in between.
     The rows nu + rho - w rho go to _dominant_rows unchecked: nus are a map's rows (|x| < 2^31,
     which MultiplicityMap checks) or those of _dominant_weights (below 2^28, see _miller_power),
     and a shift rho - w rho has |x| <= 12 under the Weyl cap, so every row is below the kernel's 2^32.
     """
     (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs)
     bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
-    find, step = _positions(nus), max(1, _BLOCK_ROWS // len(shifts))
+    find, step = _positions(rs, nus), max(1, _BLOCK_ROWS // len(shifts))
     for a, b in zip(cuts, cuts[1:]):
         sums = []
         for c in range(a, b, step):
@@ -342,30 +344,26 @@ def check_character(rs: RootSystemData, m: MultiplicityMap) -> None:
         raise BasisMismatch(f"a character of {m.rs.cartan_type}, not of {rs.cartan_type}")
 
 
-def _positions(nus: np.ndarray):
-    """The function taking an (n, rank) array of nonnegative weights to their
-    positions in the rows nus, len(nus) for a weight not among them.
-
-    A weight is packed into one int64 key in the uniform radix one past the
-    largest coordinate of nus and found by np.searchsorted in nus's sorted
-    keys; a weight with a coordinate at or past the radix is absent.
-    TableCapExceeded unless radix^rank < 2^63."""
-    size, r = nus.shape
-    if not size:
-        return lambda rows: np.zeros(len(rows), dtype=np.int64)
-    radix = int(nus.max(initial=0)) + 1
-    if radix**r >= 2**63:
-        raise TableCapExceeded(f"weights with coordinates up to {radix - 1} do not pack into int64 keys")
-    powers = radix ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    keys = nus @ powers
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+def _positions(rs: RootSystemData, nus: np.ndarray):
+    """The function taking an (n, rank) array of nonnegative weights to their positions in the rows
+    nus, len(nus) for a weight not among them.  The index is _levels under b, the coordinatewise max
+    of den C^-1 nu over nus (its slots hold every nu >= 0 with den C^-1 nu <= b, nus among them), and
+    one array from slot to row of nus (len(nus) elsewhere); a weight walks down the levels by rank
+    gathers p <- starts_i[p] + x_i, absent once x_i >= counts_i[p].  TableCapExceeded as in _levels."""
+    b = (nus @ _scaled_inverse_cartan(rs)[0].T).max(axis=0, initial=0)
+    levels, _ = _levels(rs, b, f"the weights nu >= 0 with den C^-1 nu <= {tuple(b.tolist())}")
+    slot = np.zeros(len(nus), dtype=np.int64)
+    for (starts, _), x in zip(levels, nus.T):
+        slot = starts[slot] + x
+    at = np.full(int(levels[-1][1].sum()), len(nus))
+    at[slot] = np.arange(len(nus))
 
     def find(rows: np.ndarray) -> np.ndarray:
-        inside = (rows < radix).all(axis=1)
-        k = np.where(inside, np.minimum(rows, radix - 1) @ powers, -1)
-        i = np.minimum(np.searchsorted(sorted_keys, k), size - 1)
-        return np.where(sorted_keys[i] == k, order[i], size)
+        p, inside = np.zeros(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool)
+        for (starts, counts), x in zip(levels, rows.T):
+            inside &= x < counts[p]
+            p = starts[p] + np.where(inside, x, 0)
+        return np.where(inside, at[p], len(nus))
 
     return find
 
@@ -400,9 +398,9 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     (the dominant point of nu - w) + lam_l, which lies higher than nu, so it was found
     earlier or is zero; a weight not among them reads the part's last slot,
     which stays 0.  Those positions come for a block of rows at a time, at
-    most _BLOCK_ROWS lookups, from one _dominant_rows per factor and
-    _positions, so a row's step is one list of reads and one sum of products.
-    Those rows nu - w go to _dominant_rows unchecked: a weight mu of V_lam has
+    most _BLOCK_ROWS lookups, from one _dominant_rows per factor and _positions
+    (nus's own levels), so a row's step is one list of reads and one sum of
+    products.  Those rows nu - w go to _dominant_rows unchecked: a weight mu of V_lam has
     |mu_i| <= (lam, theta^v) <= (h - 1) max(lam), h <= 12 the Coxeter number under
     the Weyl cap and max(lam) <= max(top) < MAX_TABLE_ROWS = 2^24 (_dominant_weights
     refuses a larger top), so |nu - w| < 2^29, below the kernel's 2^32.
@@ -411,8 +409,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     r = rs.rank
     top = tuple(sum(n * lam[i] for lam, _, _, n in factors) for i in range(r))
     nus, depths = _dominant_weights(rs, top)
-    size = len(nus)
-    find = _positions(nus)
+    size, find = len(nus), _positions(rs, nus)
     m_inv, den = _scaled_inverse_cartan(rs)
     height = m_inv.sum(axis=0)  # den times the height of an omega-coords weight
     # per factor with a weight w != lam_l: lam_l, those w, their V_lam_l(w), the offset of
@@ -527,9 +524,9 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
 def save_multiplicity_map(m: MultiplicityMap, path) -> None:
     """Write a map as JSON: its Cartan type, dominant weights as integer arrays, counts as decimal strings.
 
-    The document goes to a temporary file beside path that then replaces
-    path, so a reader sees the old file or the whole new one, never a part.
-    """
+    The document goes to a temporary file beside path that then replaces path, so a reader sees the
+    old file or the whole new one, never a part.  A library caller keeps CPython's limit on int-to-str
+    digits (ValueError past 4,300 by default); ltl lifts it for its own process."""
     order = np.lexsort(m.rows.T[::-1]).tolist()
     doc = {
         "cartan_type": str(m.rs.cartan_type),

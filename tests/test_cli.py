@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +198,38 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert os.listdir(cache) == files
+
+
+@pytest.fixture
+def default_int_digits():
+    """CPython's default limit on int <-> str digits while the test runs, as a fresh process has it
+    (Python 3.10.0-3.10.6 have none); the limit in force before is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_counts_past_4300_digits_print(tmp_path, capsys, default_int_digits):
+    """ltl lifts CPython's limit on int <-> str digits for its own process: at A1 N=15000 the counts
+    pass 4,300 digits, yet decompose (cold, and warm from its cache) and measure eta exit 0 with
+    empty stderr.  Over the 7,501 components sum c (w + 1) = 2^15000; the warm run is a cache hit,
+    which rewrites no file and prints the same bytes; and the eta masses sum to 1."""
+    spec, cache = ["--type", "A1", "--factor", "1:1", "--N", "15000"], tmp_path / "cache"
+    cold = run(capsys, "decompose", *spec, "--cache-dir", str(cache))
+    files = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache.iterdir()}
+    warm = run(capsys, "decompose", *spec, "--cache-dir", str(cache))
+    assert cold == warm and (cold[0], cold[2]) == (0, "") and len(files) == 1
+    assert {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache.iterdir()} == files
+    rows = [list(map(int, line.split(","))) for line in cold[1].splitlines()[1:]]
+    assert len(rows) == 7501 and sum(c * (w + 1) for w, c in rows) == 2**15000
+    code, out, err = run(capsys, "measure", "eta", *spec)
+    masses = [list(map(int, line.split(",")[-2:])) for line in out.splitlines()[1:]]
+    den = math.lcm(*(d for _, d in masses))
+    assert (code, err) == (0, "") and sum(n * (den // d) for n, d in masses) == den
 
 
 A1_XI = ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "8"]

@@ -213,7 +213,7 @@ def test_racah_runs_once_per_map(monkeypatch):
     m = tensor_power_multiplicities(spec.rs, factor_counts(spec, n))
     calls = []
     lookup = repchar._positions
-    monkeypatch.setattr(repchar, "_positions", lambda nus: calls.append(len(nus)) or lookup(nus))
+    monkeypatch.setattr(repchar, "_positions", lambda rs, nus: calls.append(len(nus)) or lookup(rs, nus))
     eta = eta_measure(spec, n, multiplicities=m).atoms
     once = len(calls)
     ext = eta_extended_measure(spec, n, multiplicities=m).atoms

@@ -414,35 +414,101 @@ def test_dominant_weights_at_the_cap_are_enumerated(monkeypatch):
         repchar._dominant_weights(RS["D2"], (4095, 256))
 
 
-def test_positions_read_weights_past_the_radix_as_absent():
-    """A weight with a coordinate at the radix (one past the largest dominant
-    coordinate) packs to the key of a weight among the rows, as the carry would
-    have it, yet reads as absent: the last slot, which stays 0."""
+def _budget_slots(rs, nus) -> tuple[list, callable]:
+    """The weights nu >= 0 with den C^-1 nu <= b, b the coordinatewise max of den C^-1 mu over the
+    rows nus (0 for none), in lexicographic order, grown coordinate by coordinate in Python ints
+    (the set is downward closed), and the test fits(nu) of den C^-1 nu <= b."""
+    m = repchar._scaled_inverse_cartan(rs)[0].tolist()
+    b = [max((sum(c * x for c, x in zip(row, nu)) for nu in nus), default=0) for row in m]
+
+    def fits(nu):
+        return all(sum(c * x for c, x in zip(row, nu)) <= bj for row, bj in zip(m, b))
+
+    slots = [()]
+    for i in range(rs.rank):
+        pad = (0,) * (rs.rank - i - 1)
+        slots = [
+            s + (x,) for s in slots for x in itertools.takewhile(lambda x: fits(s + (x,) + pad), itertools.count())
+        ]
+    return slots, fits
+
+
+def _past_the_budget(rs, weights, fits) -> list:
+    """Each weight with one coordinate raised to the least value whose den C^-1 nu passes the budget:
+    the walk's starts_i[p] + x_i would land on the next prefix's first child, were it not absent."""
+    past = []
+    for nu, i in itertools.product(weights, range(rs.rank)):
+        past.append(next(w for w in (nu[:i] + (x,) + nu[i + 1 :] for x in itertools.count(nu[i])) if not fits(w)))
+    return past
+
+
+def test_positions_read_weights_past_the_budget_as_absent():
+    """A weight one step past its prefix's children, which the walk p <- starts_i[p] + x_i would
+    take to another prefix's child, reads as absent: len(nus), the slot whose read stays 0."""
     rs = RS["B3"]
     nus, _ = repchar._dominant_weights(rs, (3, 1, 2))
     size, r = nus.shape
-    find = repchar._positions(nus)
+    find = repchar._positions(rs, nus)
     assert find(nus).tolist() == list(range(size))
-    radix = int(nus.max()) + 1
-    aliases = []
-    for nu in nus.tolist():
-        for i in range(r):
-            past = list(nu)
-            past[i] = radix
-            aliases.append(past)
-            if i and nu[i - 1]:
-                carry = list(nu)  # the same mixed-radix key as nu itself
-                carry[i - 1] -= 1
-                carry[i] += radix
-                aliases.append(carry)
-    assert len(aliases) > size * r
-    assert find(np.array(aliases)).tolist() == [size] * len(aliases)
+    rows = list(map(tuple, nus.tolist()))
+    past = _past_the_budget(rs, rows, _budget_slots(rs, rows)[1])
+    assert len(past) == size * r
+    assert find(np.array(past)).tolist() == [size] * len(past)
 
 
-def test_positions_refuse_keys_past_int64():
-    assert repchar._positions(np.array([[2**21 - 2, 0, 0]])) is not None
-    with pytest.raises(TableCapExceeded, match="int64"):
-        repchar._positions(np.array([[2**21, 0, 0]]))
+def test_positions_refuse_an_index_over_the_cap(monkeypatch):
+    """A hand-built map whose index would hold more than MAX_TABLE_ROWS slots is refused before that
+    level is allocated, naming its budget in plain ints; one at the cap is read.  On B3 the index of
+    (1000, 0, 0) takes 55,973,223 slots, that of (100, 0, 0) 59,823.  Every map the package builds
+    fits, since _dominant_weights refuses a larger table as it is built."""
+    rs = RS["B3"]
+    far = MultiplicityMap(rs, [(1000, 0, 0)], [1], 6)
+    _refuse_large_repeat(monkeypatch)
+    with pytest.raises(TableCapExceeded, match=r"den C\^-1 nu <= \(2000, 2000, 2000\) take more than 16777216 rows$"):
+        far[(1000, 0, 0)]
+    monkeypatch.setattr(repchar, "MAX_TABLE_ROWS", 59_823)
+    near = MultiplicityMap(rs, [(100, 0, 0)], [1], 6)
+    assert (near[(100, 0, 0)], near[(-100, 0, 0)], near[(99, 0, 0)]) == (1, 1, 0)
+    monkeypatch.setattr(repchar, "MAX_TABLE_ROWS", 59_822)
+    with pytest.raises(TableCapExceeded, match="take more than 59822 rows"):
+        MultiplicityMap(rs, [(100, 0, 0)], [1], 6)[(100, 0, 0)]
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
+def test_positions_match_a_dict_oracle(label, monkeypatch):
+    """The index reads what a dict from weight to row reads, on every type under the Weyl cap, at every
+    row, every other weight inside the budget (in every root-lattice coset), the weights one step past
+    it and coordinates up to 2^31 - 1: for the rows of _dominant_weights below 2 rho, the empty map and
+    hand-built rows that are not downward closed; and a built find calls no np.searchsorted."""
+    rs = build_root_system(label)
+    r, rng = rs.rank, random.Random(f"positions {label}")
+    m, den = repchar._scaled_inverse_cartan(rs)
+    m = m.tolist()
+    loose = {tuple(rng.randrange(3) for _ in range(r)) for _ in range(12)} - {(0,) * r}
+    cosets = round(abs(np.linalg.det(np.array(rs.C, dtype=float))))
+
+    def coset(nu):  # a coset of the root lattice Q in P is a class of den C^-1 nu mod den
+        return tuple(sum(c * x for c, x in zip(row, nu)) % den for row in m)
+
+    top, absent = (2,) * r, set()
+    closed = repchar._dominant_weights(rs, top)[0]
+    for nus in [closed, np.zeros((0, r), dtype=np.int64), np.array(sorted(loose))]:
+        rows = list(map(tuple, nus.tolist()))
+        inside, fits = _budget_slots(rs, rows)
+        huge = [(2**31 - 1,) * r]
+        huge += [tuple(rng.choice([0, 1, 2**31 - 1, rng.randrange(2**31)]) for _ in range(r)) for _ in range(20)]
+        queries = rows + inside + _past_the_budget(rs, inside, fits) + huge
+        find = repchar._positions(rs, nus)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "searchsorted", lambda *a, **k: pytest.fail("find called np.searchsorted"))
+            got = find(np.array(queries, dtype=np.int64)).tolist()
+        oracle = {nu: i for i, nu in enumerate(rows)}
+        assert got == [oracle.get(w, len(rows)) for w in queries], (label, rows)
+        absent |= {coset(nu) for nu in set(inside) - set(rows)}
+        if nus is closed:  # below 2 rho the rows are the budget's slots in the coset of 2 rho
+            assert set(rows) == {nu for nu in inside if coset(nu) == coset(top)}, label
+    # the other cosets below 2 rho, and 0 below the hand-built rows, are read as absent
+    assert len(absent) == cosets and (0,) * r not in loose, label
 
 
 # ------------------------------------------------------------------ decomposition
@@ -751,7 +817,7 @@ def test_lookup_reads_one_row_without_the_dominant_dict(monkeypatch):
     assert len(m.rows) > 1000
     built = []
     positions = repchar._positions
-    monkeypatch.setattr(repchar, "_positions", lambda nus: built.append(len(nus)) or positions(nus))
+    monkeypatch.setattr(repchar, "_positions", lambda rs, nus: built.append(len(nus)) or positions(rs, nus))
     rng = random.Random(41)
     weights = [tuple(rng.randint(-40, 40) for _ in range(2)) for _ in range(200)]
     got = [m[w] for w in weights]
