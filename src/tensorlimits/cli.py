@@ -40,12 +40,14 @@ from .errors import (
 )
 from .measures import (
     TensorSpec,
+    _csv_blocks,
+    _measure_csv_blocks,
     admissible_N,
     eta_extended_measure,
     eta_measure,
     factor_counts,
-    measure_to_csv,
     measure_to_json,
+    sigma_squared,
     xi_measure,
 )
 from .repchar import (
@@ -63,8 +65,6 @@ from .rootsys import (
 )
 
 FORMATS = ("json", "csv")
-# rows of ltl decompose's CSV formatted and written a block at a time
-_CSV_BLOCK_ROWS = 2**14
 
 
 def _positive_int(text: str) -> int:
@@ -94,15 +94,6 @@ def _os_errors(field: str):
         yield
     except OSError as exc:
         raise BadField(field, str(exc))
-
-
-@contextmanager
-def _grid_flag(flag: str):
-    """Name the flag that sized the density grid in a GridCapExceeded raised inside the block."""
-    try:
-        yield
-    except GridCapExceeded as exc:
-        raise GridCapExceeded(f"{flag}: {exc}") from None
 
 
 def _int_list(value) -> tuple:
@@ -207,7 +198,15 @@ def _build_spec(type_str: str, factors) -> TensorSpec:
         raise BadField("--type", str(exc))
     try:
         return TensorSpec(rs, tuple(factors))
-    except (NotDominant, DegenerateSpec, ValueError) as exc:
+    except (NotDominant, ValueError) as exc:
+        raise BadField("--factor", str(exc))
+
+
+def _check_nondegenerate(spec: TensorSpec) -> None:
+    """A spec whose factors are all trivial has sigma^2 = 0: no scale for measures or their limits."""
+    try:
+        sigma_squared(spec)
+    except DegenerateSpec as exc:
         raise BadField("--factor", str(exc))
 
 
@@ -286,16 +285,6 @@ def _emit(text, args) -> None:
         sys.stdout.writelines(blocks)
 
 
-def _csv_blocks(header: str, rows: np.ndarray, counts: list):
-    """The CSV lines of header and of each row with its count, _CSV_BLOCK_ROWS rows a block,
-    so no list of every line or text of the whole table is held."""
-    line = ",".join(["%d"] * (rows.shape[1] + 1)) + "\n"
-    yield header + "\n"
-    for a in range(0, len(counts), _CSV_BLOCK_ROWS):
-        b = a + _CSV_BLOCK_ROWS
-        yield "".join(line % (*w, c) for w, c in zip(rows[a:b].tolist(), counts[a:b]))
-
-
 def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -315,12 +304,13 @@ def cmd_measure(args) -> int:
     if len(n_values) != 1:
         raise BadField("--N", "measure takes exactly one tensor power")
     n = n_values[0]
+    _check_nondegenerate(spec)
     _check_admissible(spec, [n])
     table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     builder = {"xi": xi_measure, "eta": eta_measure, "eta_extended": eta_extended_measure}[args.kind]
     measure = builder(spec, n, multiplicities=table[n])
     if args.format == "csv":
-        _emit(measure_to_csv(measure), args)
+        _emit(_measure_csv_blocks(measure), args)
     else:
         doc = measure_to_json(measure)
         doc["kind"] = args.kind
@@ -340,7 +330,7 @@ def cmd_decompose(args) -> int:
     result = racah_decompose(spec.rs, table[n])
     if args.format == "csv":
         header = ",".join(f"weight_{i+1}" for i in range(spec.rs.rank)) + ",multiplicity"
-        _emit(_csv_blocks(header, result.rows, result.counts), args)
+        _emit(_csv_blocks(header, result.rows, zip(result.counts)), args)
     else:
         doc = {
             "spec": spec.describe(),
@@ -403,8 +393,10 @@ def cmd_density(args) -> int:
         "norm_const": model.norm_const,
     }
     if args.check_normalization:
-        with _grid_flag("--resolution"):
+        try:
             doc["quadrature_mass"] = normalization_quadrature(model, args.resolution)
+        except GridCapExceeded as exc:  # name the flag that sized the grid
+            raise GridCapExceeded(f"--resolution: {exc}") from None
     if args.plot:
         base = args.output or f"density_{rs.cartan_type}_{args.kind}"
         _plot_files(model, base)
@@ -445,16 +437,15 @@ def cmd_converge(args) -> int:
     try:
         spec = _build_spec(type_str, factors)
         check_simple(spec.rs)
+        _check_nondegenerate(spec)
         _check_admissible(spec, n_values)
     except BadField as exc:
         raise BadField(source.get(exc.field, exc.field), exc.message) from None
     except UnsupportedType as exc:  # _build_spec names --type itself; this is check_simple
         raise BadField(source.get("--type", "--type"), str(exc)) from None
-    # the TV grid is checked (rank <= 3, points within the cap) before any table work
-    with _grid_flag("--bins"):
-        tv_grid(spec.rs.rank, args.bins)
+    tv_grid(spec.rs.rank)  # RankTooLarge above rank 3, before any table work
     table = _power_table(spec, sorted(set(n_values)), cache_dir)
-    report = convergence_report(spec, n_values, bins_per_axis=args.bins, table=table)
+    report = convergence_report(spec, n_values, table=table)
     if fmt == "csv":
         _emit(report_to_csv(report), args)
     else:
@@ -508,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--type")
     p_con.add_argument("--factor", action="append", metavar="COORDS:TAU")
     p_con.add_argument("--N", help="comma-separated list, e.g. 4,16,64")
-    p_con.add_argument("--bins", type=_positive_int)
     p_con.add_argument("--format", choices=FORMATS)
     p_con.add_argument("--config", help="JSON experiment config; flags override")
     p_con.add_argument("--cache-dir")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DensityModel, box_masses, check_grid, density_box, make_density_model
+from .densities import DensityModel, box_masses, density_box, make_density_model
 from .errors import BasisMismatch, RankTooLarge, UnsupportedType
 from .measures import (
     DiscreteMeasure,
@@ -36,9 +36,10 @@ from .rootsys import RootSystemData, check_length, sums_by_row
 
 DEFAULT_T_POINTS_PER_AXIS = 5
 DEFAULT_T_EXTENT = 2.0
-# bins per axis for the binned total-variation metric, by rank; calibrated
-# once on the rank-1 and rank-2 reference suites and pinned
-DEFAULT_BINS = {1: 10, 2: 8, 3: 8}
+# the grid of the binned total-variation metric by rank, bins per axis and midpoint cells per
+# bin and axis: calibrated once on the rank-1 and rank-2 reference suites and pinned (2,400,
+# 230,400 and 884,736 points, within densities.MAX_GRID_POINTS)
+TV_GRIDS = {1: (10, 240), 2: (8, 60), 3: (8, 12)}
 DEFAULT_MOMENT_ORDER = 4
 
 
@@ -159,30 +160,24 @@ class _DensityBoxes:
     q_tail: float
 
 
-def tv_grid(rank: int, bins_per_axis: int | None = None) -> tuple[int, int]:
-    """Bins per axis of histogram_tv and midpoint cells per bin and axis.
+def tv_grid(rank: int) -> tuple[int, int]:
+    """The pinned grid of histogram_tv at rank: bins per axis and midpoint cells per bin and axis.
 
-    Raises RankTooLarge above rank 3 and GridCapExceeded for a grid of more
-    than densities.MAX_GRID_POINTS points, before anything is evaluated.
+    Raises RankTooLarge above rank 3, before anything is evaluated.
     """
     if rank > 3:
         raise RankTooLarge(f"histogram_tv supports rank <= 3, got rank {rank}")
-    if bins_per_axis is None:
-        bins_per_axis = DEFAULT_BINS[rank]
-    check_grid(rank, bins_per_axis, 1, "bins_per_axis")
-    sub = max(2, round({1: 2400, 2: 480, 3: 96}[rank] / bins_per_axis))
-    check_grid(rank, bins_per_axis, sub)
-    return bins_per_axis, sub
+    return TV_GRIDS[rank]
 
 
-def _density_boxes(model: DensityModel, bins_per_axis: int | None) -> _DensityBoxes:
+def _density_boxes(model: DensityModel) -> _DensityBoxes:
     """The boxes of histogram_tv and the density's mass in each, by the midpoint rule on a subgrid."""
-    bins_per_axis, sub = tv_grid(model.rs.rank, bins_per_axis)
+    bins, sub = tv_grid(model.rs.rank)
     lo, hi = density_box(model, 6.0)
-    q = box_masses(model, lo, hi, bins_per_axis, sub)
+    q = box_masses(model, lo, hi, bins, sub)
     q_tail = max(0.0, 1.0 - float(q.sum()))
-    width = [(b - a) / bins_per_axis for a, b in zip(lo, hi)]
-    return _DensityBoxes(lo, width, bins_per_axis, q, q_tail)
+    width = [(b - a) / bins for a, b in zip(lo, hi)]
+    return _DensityBoxes(lo, width, bins, q, q_tail)
 
 
 def _boxes_tv(measure: DiscreteMeasure, boxes: _DensityBoxes) -> float:
@@ -205,14 +200,17 @@ def _boxes_tv(measure: DiscreteMeasure, boxes: _DensityBoxes) -> float:
     return 0.5 * (distance + float(boxes.q[~seen].sum()) + (sum(nums[~inside].tolist()) / measure.den + boxes.q_tail))
 
 
-def histogram_tv(measure: DiscreteMeasure, model: DensityModel, bins_per_axis: int | None = None) -> float:
+def histogram_tv(measure: DiscreteMeasure, model: DensityModel) -> float:
     """Binned total-variation distance between an atomic measure and a density.
 
-    Equal-width boxes cover [-6, 6] (or [0, 6] for cone-supported kinds) times
-    the limit's per-axis standard deviation; mass escaping the box is added as
-    tail on both sides.  Always in [0, 1].  A measure of another rank raises BasisMismatch.
+    Equal-width boxes, tv_grid(rank)'s bins per axis, cover [-6, 6] (or [0, 6]
+    for cone-supported kinds) times the limit's per-axis standard deviation;
+    the density's mass in each is the midpoint rule on tv_grid's subgrid, and
+    mass escaping the box is added as tail on both sides.  Always in [0, 1].
+    A measure of another rank raises BasisMismatch; a density above rank 3
+    raises RankTooLarge.
     """
-    return _boxes_tv(measure, _density_boxes(model, bins_per_axis))
+    return _boxes_tv(measure, _density_boxes(model))
 
 
 def check_simple(rs: RootSystemData) -> None:
@@ -221,29 +219,25 @@ def check_simple(rs: RootSystemData) -> None:
         raise UnsupportedType(f"{rs.cartan_type} is not simple, so sigma^2 and the Gaussian limit do not apply")
 
 
-def convergence_report(
-    spec: TensorSpec,
-    N_list,
-    bins_per_axis: int | None = None,
-    table: dict | None = None,
-) -> ConvergenceReport:
+def convergence_report(spec: TensorSpec, N_list, table: dict | None = None) -> ConvergenceReport:
     """Full metric table for xi and eta across a list of tensor powers.
 
     A row holds the char-fn sup error of xi over default_t_grid, its moment
-    errors up to DEFAULT_MOMENT_ORDER and the binned TV distance of eta.  The
-    char-fn and the moments of xi come from the factor characters alone, so
-    the character table, computed once by Miller's power recurrence, is read
-    only for eta.  The density side of the TV boxes is evaluated once for
-    all N.  A precomputed table mapping N to its multiplicity map (e.g. from
-    a cache) can be passed to skip the table step.  A type that is not simple
-    raises UnsupportedType (check_simple).
+    errors up to DEFAULT_MOMENT_ORDER and the binned TV distance of eta on
+    tv_grid's pinned grid (RankTooLarge above rank 3).  The char-fn and the
+    moments of xi come from the factor characters alone, so the character
+    table, computed once by Miller's power recurrence, is read only for eta.
+    The density side of the TV boxes is evaluated once for all N.  A
+    precomputed table mapping N to its multiplicity map (e.g. from a cache)
+    can be passed to skip the table step.  A type that is not simple raises
+    UnsupportedType (check_simple).
     """
     rs = spec.rs
     check_simple(rs)
     for n in N_list:
         factor_counts(spec, n)  # InadmissibleN naming N and the taus
     n_values = sorted({operator.index(n) for n in N_list})
-    eta_boxes = _density_boxes(make_density_model(rs, "eta"), bins_per_axis)
+    eta_boxes = _density_boxes(make_density_model(rs, "eta"))
     if table is None or any(n not in table for n in n_values):
         table = tensor_power_table(rs, spec.factors, n_values)
     rows = []

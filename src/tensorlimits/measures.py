@@ -67,6 +67,8 @@ from .rootsys import (
 # from the extended measure (probabilities at walls are still zero, they are
 # just not materialized)
 WALL_ATOM_BOX_LIMIT = 100_000
+# rows of a CSV table formatted and written a block at a time (_csv_blocks)
+_CSV_BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -395,14 +397,27 @@ def _reduced(measure: DiscreteMeasure) -> list:
     return [memo[n] for n in measure.nums]
 
 
+def _csv_blocks(header: str, rows: np.ndarray, tails):
+    """The CSV lines of header and of each int64 row followed by its tail, a tuple of ints from
+    tails, one %d per field of header, _CSV_BLOCK_ROWS rows a block, so no list of every line
+    or text of the whole table is held: the one CSV formatter, of ltl decompose and of measures."""
+    line = ",".join(["%d"] * len(header.split(","))) + "\n"
+    tails = iter(tails)
+    yield header + "\n"
+    for a in range(0, len(rows), _CSV_BLOCK_ROWS):
+        yield "".join(line % (*w, *t) for w, t in zip(rows[a : a + _CSV_BLOCK_ROWS].tolist(), tails))
+
+
+def _measure_csv_blocks(measure: DiscreteMeasure):
+    """The blocks of measure_to_csv, by _csv_blocks: ltl measure writes them one at a time."""
+    header = ",".join(f"weight_{i+1}" for i in range(measure.rank)) + ",numerator,denominator"
+    return _csv_blocks(header, measure.weights, _reduced(measure))
+
+
 def measure_to_csv(measure: DiscreteMeasure) -> str:
     """One atom per row: weight coordinates, then numerator and denominator.  A library caller keeps
     CPython's limit on int-to-str digits (ValueError past 4,300 by default); ltl lifts it."""
-    rank = measure.rank
-    header = ",".join(f"weight_{i+1}" for i in range(rank)) + ",numerator,denominator"
-    row = ",".join(["%d"] * (rank + 2))
-    rows = [row % (*w, *nd) for w, nd in zip(measure.weights.tolist(), _reduced(measure))]
-    return "\n".join([header, *rows]) + "\n"
+    return "".join(_measure_csv_blocks(measure))
 
 
 def measure_to_json(measure: DiscreteMeasure) -> dict:

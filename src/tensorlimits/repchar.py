@@ -320,18 +320,12 @@ def irreducible_character(rs: RootSystemData, lam) -> MultiplicityMap:
 
 
 @lru_cache(maxsize=32)
-def _factor_character(rs: RootSystemData, lam: IntVector) -> MultiplicityMap:
-    """irreducible_character(rs, lam), kept for the last 32 asked: the factor characters of
-    tensor_power_table and _factor_support, lam as highest_weight returns it."""
-    return irreducible_character(rs, lam)
-
-
-@lru_cache(maxsize=32)
 def _factor_support(rs: RootSystemData, lam: IntVector) -> tuple[np.ndarray, np.ndarray]:
-    """_factor_character(rs, lam).support(), read-only and kept for the last 32 asked: each
-    factor's orbits are expanded once per process, for Miller's steps at every N of every
-    table and for TensorSpec.factor_supports (the char-fn and the moments of xi)."""
-    weights, counts = _factor_character(rs, lam).support()
+    """irreducible_character(rs, lam).support(), read-only and kept for the last 32 asked, lam
+    as highest_weight returns it: each factor is built and its orbits expanded once per process,
+    for Miller's steps at every N of every table and for TensorSpec.factor_supports (the
+    char-fn and the moments of xi)."""
+    weights, counts = irreducible_character(rs, lam).support()
     weights.setflags(write=False)
     counts.setflags(write=False)
     return weights, counts
@@ -463,8 +457,8 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
 
     factors is a list of (lam, tau) with rational tau; an N that is not an
     integer, or a tau_l * N that is not a nonnegative integer, raises
-    ValueError.  The factor characters and their supports come from _factor_character
-    and _factor_support, shared with TensorSpec; each N then costs one run of Miller's power
+    ValueError.  The factor supports come from _factor_support, shared with TensorSpec,
+    and their dimensions from weyl_dim; each N then costs one run of Miller's power
     recurrence, linear in the number of dominant weights of V_N for fixed factors.
     """
     try:
@@ -478,7 +472,7 @@ def tensor_power_table(rs: RootSystemData, factors, n_values) -> dict:
             e = tau * n
             if e.denominator != 1 or e < 0:
                 raise ValueError(f"tau * N = {e} is not a nonnegative integer")
-        bases.append((lam, tau, _factor_support(rs, lam), _factor_character(rs, lam).total_dim))
+        bases.append((lam, tau, _factor_support(rs, lam), weyl_dim(rs, lam)))
     return {
         n: _miller_power(rs, [(lam, support, dim, (tau * n).numerator) for lam, tau, support, dim in bases])
         for n in n_values

@@ -463,7 +463,7 @@ def test_cold_converge_builds_each_factor_character_once(tmp_path, capsys, monke
         ("A2", ["1,1:1", "1,1:1/2"], [(1, 1)]),
     ]
     for k, (label, factors, runs) in enumerate(cases):
-        repchar._factor_character.cache_clear()
+        repchar._factor_support.cache_clear()
         calls.clear()
         argv = ["converge", "--type", label, *[x for f in factors for x in ("--factor", f)], "--N", "2,4"]
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path / str(k)))
@@ -615,7 +615,7 @@ def test_production_paths_never_build_the_dominant_dict(tmp_path, capsys, monkey
     a3, a2 = build_root_system("A3"), build_root_system("A2")
 
     def outputs(root):
-        repchar._factor_character.cache_clear()
+        repchar._factor_support.cache_clear()
         result = []
         for k, argv in enumerate([
             ["measure", "xi", *b2, "--N", "8"],
@@ -706,13 +706,13 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys):
 
     plain = outputs()
     assert not hasattr(rootsys, "to_dominant") and not hasattr(repchar, "to_dominant")
-    repchar._factor_character.cache_clear()
+    repchar._factor_support.cache_clear()
     assert outputs() == plain
     m = tensor_power_multiplicities(a3, [((1, 0, 0), 8)])
     base = repchar.irreducible_character(a3, (1, 0, 0))
     assert repchar._miller_power(a3, [((1, 0, 0), base.support(), base.total_dim, 8)]).dominant == m.dominant
     dec = racah_decompose(a3, m)
-    repchar._factor_character.cache_clear()
+    repchar._factor_support.cache_clear()
     eta = eta_measure(spec, 8)
     assert run(capsys, "measure", "eta", *b3)[0] == 0
     ext = eta_extended_measure(spec, 8)
@@ -723,8 +723,8 @@ def test_shifted_weyl_action_stays_on_the_array_kernels(capsys):
 @pytest.mark.parametrize(
     "flag,argv",
     [
-        ("--bins", ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--bins", "0"]),
-        ("--bins", ["converge", "--type", "A1", "--factor", "1:1", "--N", "4", "--bins", "-3"]),
+        ("--resolution", ["density", "eta", "--type", "A1", "--check-normalization", "--resolution", "-3"]),
+        ("--resolution", ["density", "eta_extended", "--type", "A3", "--check-normalization", "--resolution", "-1"]),
         ("--resolution", ["density", "eta", "--type", "A2", "--check-normalization", "--resolution", "0"]),
     ],
 )
@@ -738,7 +738,7 @@ def test_nonpositive_count_flag_exit_2(capsys, flag, argv):
 @pytest.mark.parametrize(
     "reason,argv",
     [
-        ("--bins: ", ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--bins", "1000000"]),
+        ("--resolution: ", ["density", "xi", "--type", "A2", "--check-normalization", "--resolution", "5000"]),
         ("--resolution: ", ["density", "eta", "--type", "A3", "--check-normalization", "--resolution", "1000"]),
         ("histogram_tv supports rank <= 3", ["converge", "--type", "F4", "--factor", "0,0,0,1:1", "--N", "2"]),
     ],
@@ -853,12 +853,44 @@ def test_config_type_errors_exit_2(tmp_path, capsys, field, doc):
 
 
 @pytest.mark.parametrize(
+    "field,argv",
+    [
+        ("--factor", ["converge", "--type", "A2", "--factor", "0,0:1", "--N", "4"]),
+        ("--factor", ["measure", "xi", "--type", "A2", "--factor", "0,0:1", "--N", "4"]),
+        ("--factor", ["measure", "eta", "--type", "A2", "--factor", "0,0:1", "--factor", "0,0:1/2", "--N", "4"]),
+        ("--factor", ["measure", "eta_extended", "--type", "B2", "--factor", "0,0:1", "--N", "2"]),
+        ("factors", ["converge", "--config", "{tmp}/cfg.json"]),
+    ],
+)
+def test_degenerate_spec_names_its_field(tmp_path, monkeypatch, capsys, field, argv):
+    # sigma^2 = 0 is found with the other spec checks, before any table work; from a
+    # config file it is reported under the config key
+    doc = {**_GOOD_CONFIG, "cartan_type": "A2", "factors": [{"weight": [0, 0], "tau": "1"}]}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("table work started on a degenerate spec")
+
+    monkeypatch.setattr(cli, "tensor_power_table", refuse)
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {field}: all highest weights are zero, sigma^2 = 0\n"
+
+
+def test_decompose_of_a_trivial_spec_is_its_one_row(capsys):
+    # a decomposition needs no variance scale: V_0^N is V_0
+    argv = ["decompose", "--type", "A2", "--factor", "0,0:1", "--N", "4"]
+    assert run(capsys, *argv) == (0, "weight_1,weight_2,multiplicity\n0,0,1\n", "")
+
+
+@pytest.mark.parametrize(
     "flag,argv",
     [
         ("--sigma-convention", ["converge", "--type", "A1", "--factor", "1:1", "--N", "4", "--sigma-convention", "paper"]),
         ("--sigma-convention", ["measure", "xi", "--type", "A1", "--factor", "1:1", "--N", "2", "--sigma-convention", "consistent"]),
         ("--method", ["decompose", "--type", "A1", "--factor", "1:1", "--N", "2", "--method", "peel"]),
         ("--t-grid", ["converge", "--type", "A1", "--factor", "1:1", "--N", "4", "--t-grid", "default"]),
+        ("--bins", ["converge", "--type", "A2", "--factor", "1,0:1", "--N", "4", "--bins", "8"]),
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, flag, argv):
@@ -894,31 +926,43 @@ def test_rootsys_output_file(tmp_path, capsys):
 
 
 def test_decompose_csv_is_written_a_block_of_rows_at_a_time(tmp_path, capsys, monkeypatch):
-    """The CSV of ltl decompose goes out in blocks of _CSV_BLOCK_ROWS rows, to stdout and to
-    --output, with the bytes of one joined text: no block holds more than its rows."""
+    """The CSV of ltl decompose and ltl measure goes out in blocks of _CSV_BLOCK_ROWS rows, to
+    stdout and to --output, with the bytes of one joined text, measure_to_csv's for a measure:
+    no block holds more than its rows."""
     import io
     import sys
 
-    argv = ["decompose", "--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2", "--N", "12"]
-    code, whole, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    lines = whole.splitlines(keepends=True)
-    assert len(lines) > 20 and whole.endswith("\n")
+    from tensorlimits import measures
+
+    b2 = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
+    spec = measures.TensorSpec(build_root_system("B2"), (((0, 1), 1), ((1, 0), Fraction(1, 2))))
 
     class Blocks(io.StringIO):
         def writelines(self, blocks):
             self.blocks = list(blocks)
             super().writelines(self.blocks)
 
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
-    out = Blocks()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(argv) == 0
-    monkeypatch.undo()
-    assert out.getvalue() == whole
-    rows = len(lines) - 1
-    assert [b.count("\n") for b in out.blocks] == [1] + [min(7, rows - a) for a in range(0, rows, 7)]
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
-    target = tmp_path / "dec.csv"
-    assert main([*argv, "--output", str(target)]) == 0
-    assert target.read_text() == whole
+    for argv, joined in [
+        (["decompose", *b2, "--N", "12"], None),
+        (["measure", "xi", *b2, "--N", "4"], lambda: measures.measure_to_csv(measures.xi_measure(spec, 4))),
+        (["measure", "eta_extended", *b2, "--N", "4"], lambda: measures.measure_to_csv(measures.eta_extended_measure(spec, 4))),
+    ]:
+        code, whole, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        lines = whole.splitlines(keepends=True)
+        assert len(lines) > 20 and whole.endswith("\n")
+        assert joined is None or joined() == whole
+
+        monkeypatch.setattr(measures, "_CSV_BLOCK_ROWS", 7)
+        out = Blocks()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert out.getvalue() == whole
+        rows = len(lines) - 1
+        assert [b.count("\n") for b in out.blocks] == [1] + [min(7, rows - a) for a in range(0, rows, 7)]
+        monkeypatch.setattr(measures, "_CSV_BLOCK_ROWS", 7)
+        target = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(target)]) == 0
+        monkeypatch.undo()
+        assert target.read_text() == whole

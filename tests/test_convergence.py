@@ -17,8 +17,9 @@ from tensorlimits.convergence import (
     report_to_csv,
     report_to_json,
     sup_char_error,
+    tv_grid,
 )
-from tensorlimits.densities import make_density_model
+from tensorlimits.densities import MAX_GRID_POINTS, make_density_model
 from tensorlimits.errors import BasisMismatch, InadmissibleN, RankTooLarge, UnsupportedType
 from tensorlimits.measures import (
     DiscreteMeasure,
@@ -186,6 +187,15 @@ def test_histogram_tv_rank_cap():
         histogram_tv(eta_measure(spec, 2), model)
 
 
+def test_tv_grid_is_pinned_per_rank():
+    # bins per axis and midpoint cells per bin and axis: one grid per rank, no caller's choice
+    grids = [tv_grid(r) for r in (1, 2, 3)]
+    assert grids == [(10, 240), (8, 60), (8, 12)]
+    assert all((bins * sub) ** r <= MAX_GRID_POINTS for r, (bins, sub) in enumerate(grids, 1))
+    with pytest.raises(RankTooLarge, match="histogram_tv supports rank <= 3, got rank 4"):
+        tv_grid(4)
+
+
 def test_histogram_tv_rejects_measure_of_another_rank():
     a2, a3 = make_spec("A", 2), make_spec("A", 3)
     with pytest.raises(BasisMismatch, match="rank 3.*rank 2"):
@@ -290,7 +300,7 @@ def test_factor_characters_built_once_per_spec(monkeypatch):
     monkeypatch.setattr(repchar, "irreducible_character", counted)
     b2 = build_root_system("B2")
     for spec in (make_spec("A", 2), TensorSpec(b2, (((0, 1), 1), ((1, 0), Fraction(1, 2))))):
-        repchar._factor_character.cache_clear()
+        repchar._factor_support.cache_clear()
         built.clear()
         convergence_report(spec, [4, 8, 16, 32])
         assert sorted(built) == sorted(lam for lam, _ in spec.factors)
@@ -318,7 +328,6 @@ def test_factor_supports_and_dims_built_once_per_spec(monkeypatch):
     monkeypatch.setattr(measures, "weyl_dim", counted_dim)
     b2 = build_root_system("B2")
     for spec in (make_spec("A", 2), TensorSpec(b2, (((0, 1), 1), ((1, 0), Fraction(1, 2))))):
-        repchar._factor_character.cache_clear()
         repchar._factor_support.cache_clear()
         expanded.clear()
         dims.clear()
