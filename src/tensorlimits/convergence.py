@@ -229,8 +229,8 @@ def convergence_report(spec: TensorSpec, N_list, table: dict | None = None) -> C
     table, computed once by Miller's power recurrence, is read only for eta.
     The density side of the TV boxes is evaluated once for all N.  A
     precomputed table mapping N to its multiplicity map (e.g. from a cache)
-    can be passed to skip the table step.  A type that is not simple raises
-    UnsupportedType (check_simple).
+    can be passed: its maps are used as given, and only the N it lacks are
+    built.  A type that is not simple raises UnsupportedType (check_simple).
     """
     rs = spec.rs
     check_simple(rs)
@@ -238,8 +238,10 @@ def convergence_report(spec: TensorSpec, N_list, table: dict | None = None) -> C
         factor_counts(spec, n)  # InadmissibleN naming N and the taus
     n_values = sorted({operator.index(n) for n in N_list})
     eta_boxes = _density_boxes(make_density_model(rs, "eta"))
-    if table is None or any(n not in table for n in n_values):
-        table = tensor_power_table(rs, spec.factors, n_values)
+    table = dict(table or {})
+    missing = [n for n in n_values if n not in table]
+    if missing:
+        table.update(tensor_power_table(rs, spec.factors, missing))
     rows = []
     for n in n_values:
         eta = eta_measure(spec, n, multiplicities=table[n])
@@ -267,38 +269,34 @@ def convergence_report(spec: TensorSpec, N_list, table: dict | None = None) -> C
 
 
 def report_to_csv(report: ConvergenceReport) -> str:
-    moment_keys = sorted(report.rows[0].moment_errors) if report.rows else []
-    header = ["N", "char_fn_sup_error", "char_fn_sup_error_times_sqrt_N", "histogram_tv"]
-    header += ["moment_err_" + "_".join(str(k) for k in kappa) for kappa in moment_keys]
-    lines = [",".join(header)]
-    for row in report.rows:
-        cells = [
-            str(row.N),
-            repr(row.char_fn_sup_error),
-            repr(row.char_fn_sup_error * math.sqrt(row.N)),
-            repr(row.histogram_tv),
-        ]
-        cells += [repr(row.moment_errors[kappa]) for kappa in moment_keys]
-        lines.append(",".join(cells))
+    """The rows of report_to_json flattened: its scalar columns, then moment_err_<key> per
+    moment error.  A report with no rows prints the header of a row with no moment errors."""
+    rows = [_flat_row(row) for row in report_to_json(report)["rows"]]
+    header = rows[0] if rows else _flat_row(_row_to_json(ReportRow(0, 0.0, {}, 0.0)))
+    lines = [",".join(header)] + [",".join(map(repr, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _flat_row(row: dict) -> dict:
+    errors = {"moment_err_" + key: err for key, err in row["moment_errors"].items()}
+    return {key: value for key, value in row.items() if key != "moment_errors"} | errors
+
+
+def _row_to_json(row: ReportRow) -> dict:
+    return {
+        "N": row.N,
+        "char_fn_sup_error": row.char_fn_sup_error,
+        "char_fn_sup_error_times_sqrt_N": row.char_fn_sup_error * math.sqrt(row.N),
+        "histogram_tv": row.histogram_tv,
+        "moment_errors": {"_".join(str(k) for k in kappa): err for kappa, err in sorted(row.moment_errors.items())},
+    }
 
 
 def report_to_json(report: ConvergenceReport) -> dict:
     return {
         "spec": report.spec_descriptor,
         "N_values": list(report.N_values),
-        "rows": [
-            {
-                "N": row.N,
-                "char_fn_sup_error": row.char_fn_sup_error,
-                "char_fn_sup_error_times_sqrt_N": row.char_fn_sup_error * math.sqrt(row.N),
-                "histogram_tv": row.histogram_tv,
-                "moment_errors": {
-                    "_".join(str(k) for k in kappa): err for kappa, err in sorted(row.moment_errors.items())
-                },
-            }
-            for row in report.rows
-        ],
+        "rows": [_row_to_json(row) for row in report.rows],
         "monotone_char_fn": report.monotone_char_fn,
         "monotone_histogram_tv": report.monotone_histogram_tv,
     }

@@ -23,11 +23,14 @@ simple ones; b_g = 2 + 2 (rho, theta) off theta's pairing row; one exact
 inverse C^-1 gives both Gram matrices.  On omega-coords s_i is
 v_j -= C[j][i] v_i.
 W-orbits are walked in one place, _weyl_walk, once per Cartan matrix and 0/1
-zero pattern, applying s_i wherever v_i is positive: orbit_rows replays it on
-dominant weights with the pattern's zeros, and |W mu| is its length;
-RootSystemData.weyl (built on first read, for rootsys info and the tests),
-the decomposition's shifts rho - w rho and the chamber table of
-to_dominant_rows use the walk from rho, all of W.
+zero pattern, applying s_i wherever v_i is positive, and replayed in one place,
+_replay, which takes the walk's steps on whole int64 arrays one length at a time:
+orbit_rows replays it on dominant weights with the pattern's zeros, and |W mu| is
+its length; _weyl_matrices replays the walk from rho, all of W, on the identity,
+for RootSystemData.weyl (built on first read, for rootsys info and the tests) and
+the chamber table of to_dominant_rows, which names each u in W by its own root
+images, the positive roots u sends below zero; the decomposition's shifts
+rho - w rho are the walk's points.
 Two numpy kernels act on whole int64 arrays of weights, and they are the
 package's only shifted Weyl action w . mu = w(mu + rho) - rho, for eta^e and
 its pushforward: to_dominant_rows finds the dominant point of every row
@@ -387,41 +390,25 @@ def _chamber_table(rs: RootSystemData) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pairings is the transposed pairing rows as a float (rank, |positive roots|)
     matrix, bits the float 2^k of the k-th positive root, keys the |W| inversion-set
     keys in increasing order and maps[k] the int64 matrix, in omega-coords, of the
-    u in W whose inversion set has key keys[k].  For every w of the walk from rho,
-    the point w rho pairs negatively with exactly the beta in N(w^-1), so its key
-    names u = w^-1, whose matrix is G^-1 M_w^t G, M_w from _weyl_matrices and
-    G = gram_omega (W preserves the form): an integer matrix after one exact
-    division by the common denominator of G.
+    u in W whose inversion set has key keys[k].  Each u is named by its own root
+    images: beta > 0 is in N(u) iff (u beta, rho) < 0, and M_u from _weyl_matrices
+    takes beta's omega-coords C @ l to u beta, whose pairing with rho has the sign
+    of its product with the column sums of pairing_rows, (u beta, 2 rho) s.
     """
     mats = _weyl_matrices(rs.C)
-    den = math.lcm(*(x.denominator for row in rs.gram_omega for x in row))
-    g = np.array([[int(x * den) for x in row] for row in rs.gram_omega], dtype=np.int64)
-    # G^-1 = diag(d)^-1 C^t is an integer matrix: each 1/d_i is 1, 2 or 3
-    g_inv = np.array([[int(x) for x in row] for row in rs.gram_omega_inv], dtype=np.int64)
-    scaled = np.einsum("ij,wkj,kl->wil", g_inv, mats, g)
-    inverses = scaled // den
-    if (inverses * den != scaled).any():
-        raise AssertionError(f"{rs.cartan_type}: G^-1 M^t G is not an integer matrix")
     pairings = np.array(rs.pairing_rows, dtype=np.int64).T
     bits = 2.0 ** np.arange(pairings.shape[1])
-    keys = (np.array(_weyl_walk(rs.C, rs.rho)[0], dtype=np.int64) @ pairings < 0) @ bits
+    roots = np.array(rs.C, dtype=np.int64) @ np.array(rs.positive_roots, dtype=np.int64).T
+    keys = (pairings.sum(axis=1) @ (mats @ roots) < 0) @ bits
     order = np.argsort(keys)
-    return pairings.astype(float), bits, keys[order], inverses[order]
+    return pairings.astype(float), bits, keys[order], mats[order]
 
 
 def _weyl_matrices(c: IntMatrix) -> np.ndarray:
     """The omega-coords matrix M_w of every w in W, as a (|W|, rank, rank) int64 array in
-    the order of _weyl_walk(c, rho): the walk replayed on the identity, row j -= C[j][i] row i
-    per step s_i, one numpy step per length."""
-    r = len(c)
-    rho = (1,) * r
-    mats = np.empty((len(_weyl_walk(c, rho)[0]), r, r), dtype=np.int64)
-    mats[0] = np.eye(r, dtype=np.int64)
-    cols = np.array(c, dtype=np.int64).T
-    for k, parents, i in _walk_by_length(c, rho):
-        m = mats[parents]
-        mats[k] = m - cols[i][:, :, None] * m[np.arange(len(k)), i][:, None, :]
-    return mats
+    the order of _weyl_walk(c, rho): _replay of the walk from rho on the identity, whose
+    row j at w is w omega_j, transposed so that it is column j."""
+    return _replay(c, (1,) * len(c), np.eye(len(c), dtype=np.int64)).transpose(0, 2, 1)
 
 
 @cache
@@ -459,19 +446,25 @@ def _weyl_walk(
 def orbit_rows(rs: RootSystemData, lams) -> np.ndarray:
     """W-orbits of dominant weights of one zero pattern, as a (|W lam|, n, rank)
     int64 array whose [:, k] holds the orbit of lams[k] once per point, lams[k] first:
-    the walk of the pattern replayed on every row (the lemma of _weyl_walk), one
-    length at a time.  A row with a negative coordinate or the zeros of another row
-    raises NotDominant, one of another length BasisMismatch, |x| >= 2^31 ValueError."""
+    _replay of the pattern's walk on every row (the lemma of _weyl_walk).  A row with a
+    negative coordinate or the zeros of another row raises NotDominant, one of another
+    length BasisMismatch, |x| >= 2^31 ValueError."""
     rows = _int_rows(rs, lams)
     pattern = (rows[:1] > 0).any(axis=0)
     bad = np.flatnonzero((rows < 0).any(axis=1) | ((rows > 0) != pattern).any(axis=1))
     if bad.size:
         raise NotDominant(f"{tuple(rows[bad[0]].tolist())} is not dominant with the zeros of {tuple(rows[0].tolist())}")
-    top = tuple(pattern.astype(int).tolist())
-    out = np.empty((len(_weyl_walk(rs.C, top)[0]),) + rows.shape, dtype=np.int64)
+    return _replay(rs.C, tuple(pattern.astype(int).tolist()), rows)
+
+
+def _replay(c: IntMatrix, top: IntVector, rows: np.ndarray) -> np.ndarray:
+    """The steps of _weyl_walk(c, top) applied to every row of an (n, rank) int64 array,
+    one length at a time, s_i being v -= v_i C[:, i]: a (len(walk), n, rank) array
+    whose [k] holds w_k applied to each row, the rows themselves first."""
+    out = np.empty((len(_weyl_walk(c, top)[0]),) + rows.shape, dtype=np.int64)
     out[0] = rows
-    cols = np.array(rs.C, dtype=np.int64).T
-    for k, parents, i in _walk_by_length(rs.C, top):
+    cols = np.array(c, dtype=np.int64).T
+    for k, parents, i in _walk_by_length(c, top):
         v = out[parents]
         out[k] = v - v[np.arange(len(k)), :, i][:, :, None] * cols[i][:, None, :]
     return out

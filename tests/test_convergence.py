@@ -285,6 +285,53 @@ def test_report_json_round_trip_fields():
     assert isinstance(doc["monotone_histogram_tv"], bool)
 
 
+def test_report_csv_is_the_json_rows_flattened():
+    # one definition of the columns: the CSV carries the JSON rows' scalar columns, then
+    # moment_err_<key> per moment error, with the same floats; a report with no rows
+    # prints the four-column header alone
+    b2 = build_root_system("B2")
+    rep = convergence_report(TensorSpec(b2, (((0, 1), 1), ((1, 0), Fraction(1, 2)))), [4, 8])
+    lines = report_to_csv(rep).splitlines()
+    rows = report_to_json(rep)["rows"]
+    scalars = ["N", "char_fn_sup_error", "char_fn_sup_error_times_sqrt_N", "histogram_tv"]
+    keys = list(rows[0]["moment_errors"])
+    assert len(keys) == 14 and lines[0].split(",") == scalars + ["moment_err_" + key for key in keys]
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert int(cells[0]) == row["N"]
+        assert [float(x) for x in cells[1:]] == [row[k] for k in scalars[1:]] + [row["moment_errors"][k] for k in keys]
+    empty = ConvergenceReport(rep.spec_descriptor, (), (), True, True)
+    assert report_to_csv(empty) == ",".join(scalars) + "\n"
+
+
+def test_report_builds_only_the_n_its_table_lacks(monkeypatch):
+    # a table holding N = 4 of [4, 8]: the report builds N = 8 alone, reads the given
+    # map for N = 4 as it is, leaves the caller's table as it was, and equals the
+    # report built with no table
+    from tensorlimits import convergence
+    from tensorlimits.repchar import tensor_power_table
+
+    table = tensor_power_table(A2.rs, A2.factors, [4])
+    given = table[4]
+    calls, read = [], []
+    build, eta = convergence.tensor_power_table, convergence.eta_measure
+
+    def counted(rs, factors, n_values):
+        calls.append(list(n_values))
+        return build(rs, factors, n_values)
+
+    def reading(spec, n, multiplicities):
+        read.append(multiplicities)
+        return eta(spec, n, multiplicities=multiplicities)
+
+    monkeypatch.setattr(convergence, "tensor_power_table", counted)
+    monkeypatch.setattr(convergence, "eta_measure", reading)
+    report = convergence_report(A2, [4, 8], table=table)
+    assert calls == [[8]] and read[0] is given and list(table) == [4]
+    assert report == convergence_report(A2, [4, 8])
+
+
 def test_factor_characters_built_once_per_spec(monkeypatch):
     # one convergence_report over four N builds each factor's character once:
     # the table and the spec's char-fn and moments share it

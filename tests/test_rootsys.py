@@ -464,6 +464,25 @@ def test_chamber_table_names_each_weyl_element_by_its_inversion_set(label):
 
 
 @pytest.mark.parametrize("label", UNDER_CAP)
+def test_weyl_matrices_and_chamber_maps_agree_with_the_replay(label):
+    # _weyl_matrices and orbit_rows are one replay of the walk: on strictly dominant lam,
+    # M_k lam is the k-th point of lam's orbit, in walk order; and maps[k] of the chamber
+    # table sends to negative roots exactly the positive roots in the bits of keys[k]
+    rs = build_root_system(label)
+    lams = np.random.default_rng(43).integers(1, 7, size=(4, rs.rank))
+    mats = rootsys._weyl_matrices(rs.C)
+    assert np.array_equal(np.einsum("kij,nj->kni", mats, lams), orbit_rows(rs, lams))
+    roots = np.array(rs.C) @ np.array(rs.positive_roots).T  # omega-coords, one root per column
+    positive = set(map(tuple, roots.T.tolist()))
+    negative = set(map(tuple, (-roots).T.tolist()))
+    _, _, keys, maps = rootsys._chamber_table(rs)
+    for key, m in zip(keys.astype(int).tolist(), maps):
+        images = list(map(tuple, (m @ roots).T.tolist()))
+        assert set(images) <= positive | negative
+        assert [v in negative for v in images] == [bool(key >> b & 1) for b in range(len(images))]
+
+
+@pytest.mark.parametrize("label", UNDER_CAP)
 def test_orbit_matches_weyl_group_randomized(label):
     # oracle: the image of lam under every Weyl matrix, for every pattern of
     # zero coordinates and random lam with that pattern; by the sign lemma the
