@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 import numpy as np
 
@@ -224,31 +223,30 @@ def _cache_dir(given: str | None) -> str | None:
 def _cache_key(spec: TensorSpec, n: int) -> str:
     """Hash of the spec, N, the algorithm that wrote the entry and the file format."""
     factors = sorted(spec.factors)
-    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|miller|v3"
+    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|miller|v4"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _load_cached(spec: TensorSpec, n: int, path: str):
     """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
 
-    A map, W-invariant with positive multiplicities as loaded, is consistent when
-    its type is the spec's, its total is prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N,
-    and sum_mu m(mu) |W mu| (mu, mu) over its dominant weights is total_dim rank
-    sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis);
-    (mu, mu) is scaled_norm(rs, mu) over s^2 b_g / 2, s the pairing scale, from the map's int64 rows.
+    load_multiplicity_map checks the file and returns a character with its decomposition
+    attached; it is the spec's when its type is the spec's, its total is
+    prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N, and its scaled_second_moment
+    sum_mu m(mu) |W mu| N(mu), which the loader formed for its Casimir check, is
+    total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis)
+    times s^2 b_g / 2, s the pairing scale: N = scaled_norm is s^2 b_g / 2 times (mu, mu).
     """
     try:
         m = load_multiplicity_map(path)
-    except (OSError, ValueError, KeyError, TypeError, TensorLimitsError):
+    except (OSError, ValueError, TensorLimitsError):
         return None
     rs, counts = spec.rs, factor_counts(spec, n)
     expected = prod(d**k for d, (_, k) in zip(spec.factor_dims, counts))
     if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
         return None
-    pairings = m.rows @ np.array(rs.pairing_rows, dtype=np.int64).T
-    second = sum(c * size * sum(map(mul, p, p)) for c, size, p in zip(m.counts, m.sizes, pairings.tolist()))
     casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
-    if Fraction(2 * second, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:
+    if Fraction(2 * m.scaled_second_moment, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:
         return None
     return m
 
@@ -259,7 +257,7 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
         return tensor_power_table(spec.rs, spec.factors, n_values)
     with _os_errors("--cache-dir"):
         os.makedirs(cache_dir, exist_ok=True)
-    paths = {n: os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.json") for n in n_values}
+    paths = {n: os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.bin") for n in n_values}
     table = {}
     for n, path in paths.items():
         m = _load_cached(spec, n, path)

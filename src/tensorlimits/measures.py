@@ -37,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -300,8 +300,10 @@ def _power_sums(support, kappas) -> dict:
     return {kappa: sum(c * math.prod(x**k for x, k in zip(w, kappa)) for w, c in items) for kappa in kappas}
 
 
-def _binomial_terms(kappas) -> dict:
-    """For each kappa, the (binomial(kappa, alpha), alpha, kappa - alpha) over alpha <= kappa."""
+@cache
+def _binomial_terms(kappas: tuple) -> dict:
+    """For each kappa, the (binomial(kappa, alpha), alpha, kappa - alpha) over alpha <= kappa, built
+    once per tuple of kappas and shared by every mixed_moments call: treat it as immutable."""
     terms = {}
     for kappa in kappas:
         terms[kappa] = []
@@ -352,7 +354,7 @@ def mixed_moments(spec: TensorSpec, N: int, max_order: int) -> dict:
         raise ValueError(f"max_order must be in 0..6 (moments above order 6 are not supported), got {max_order}")
     rs = spec.rs
     kappas = [kappa for kappa in itertools.product(range(max_order + 1), repeat=rs.rank) if sum(kappa) <= max_order]
-    terms = _binomial_terms(kappas)
+    terms = _binomial_terms(tuple(kappas))
     sums = {kappa: int(not any(kappa)) for kappa in kappas}  # the trivial character
     total = 1
     for (_, n), support, dim in zip(factor_counts(spec, N), spec.factor_supports, spec.factor_dims):

@@ -28,24 +28,33 @@ lists them (_dominant_weights, checked against a search along positive
 roots), and read at positions in that list, found a block of rows at a time
 by rootsys._dominant_rows and a walk down the enumeration's levels (_levels, _positions).
 A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises TableCapExceeded before it is built.
+
+A map is saved with its decomposition, in the one cache format, 4 (_encode): a JSON header line
+(the type, the numbers of rows and components, the sha256 of the body) and a binary body of int32
+rows, length-prefixed little-endian counts, the components' positions among the rows and their
+counts, and total_dim.  load_multiplicity_map reads it through one memoryview and checks the map
+(the constructor), the decomposition (sum c dim V_lam = total_dim) and both together by the Casimir
+identity rank sum c dim V_lam (lam, lam + 2 rho) = dim g sum_mu m(mu) (mu, mu), in the integers of
+scaled_norm, then attaches the decomposition: racah_decompose on a loaded map runs no W-sum.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import operator
 import os
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import chain
 from math import lcm, prod
 from operator import mul
 
 import numpy as np
 
 from .errors import BasisMismatch, NegativeMultiplicity, NotDominant, TableCapExceeded
-from .linalg import bilinear
+from .linalg import bilinear, inverse
 from .rootsys import (
     CartanType,
     IntMatrix,
@@ -59,6 +68,7 @@ from .rootsys import (
     check_length,
     highest_weight,
     orbit_rows,
+    scaled_norm,
     to_dominant_rows,
 )
 
@@ -73,8 +83,9 @@ class MultiplicityMap:
     int64 array rows, their multiplicities as the list counts of Python ints in the same
     order, each row's zero pattern id sum_i [mu_i > 0] 2^i (pattern_ids), |W mu| per id
     present (pattern_sizes, the length of its _weyl_walk) and per row (sizes), and total_dim;
-    the dict views dominant (in row order) and entries (in support() order), m[weight]'s lookup
-    and racah_decompose's result are built on first read.  NotDominant unless every weight is
+    the dict views dominant (in row order) and entries (in support() order), m[weight]'s lookup,
+    scaled_second_moment and racah_decompose's result (attached by load_multiplicity_map) are built
+    on first read.  NotDominant unless every weight is
     dominant and of the rank; ValueError for a coordinate that is not an integer or of |x| >= 2^31,
     a weight listed twice, a count list of another length than rows, a count that is not a positive
     int (bool excluded), a total_dim that is not an int or sum_mu m(mu) |W mu| != total_dim.
@@ -152,6 +163,14 @@ class MultiplicityMap:
         return IrrepDecomposition(lams, counts, dims)
 
     @cached_property
+    def scaled_second_moment(self) -> int:
+        """sum_mu m(mu) |W mu| N(mu) over the dominant rows, N = scaled_norm: s^2 b_g / 2 times the
+        second moment sum_mu m(mu) (mu, mu) over every weight.  One int64 product |W mu| N(mu) per row
+        (_squared_norms), then one sum with the counts."""
+        norms = _squared_norms(self.rows, self.rs.pairing_rows)
+        return sum(map(mul, self.counts, (np.array(self.sizes, dtype=np.int64) * norms).tolist()))
+
+    @cached_property
     def _find(self):
         return _positions(self.rs, self.rows)
 
@@ -202,6 +221,19 @@ def _weyl_dims(rs: RootSystemData, pairings: np.ndarray) -> list[int]:
     return (num // den).tolist()
 
 
+def _squared_norms(rows: np.ndarray, pairing_rows) -> np.ndarray:
+    """scaled_norm(rs, x) = sum_beta (x . row_beta)^2 for each row x of rows, one pairing row at a time.
+    int64 while every |x . row_beta| < 2^20, so that |W| times a norm stays below 2^63 under the Weyl cap
+    (|W| <= 10,000, |Phi+| <= 25), else Python ints in an object array."""
+    if rows.size and np.abs(rows).max() * max(map(sum, pairing_rows)) >= 2**20:  # pairing rows are >= 0
+        rows = rows.astype(object)
+    norms = np.zeros(len(rows), dtype=rows.dtype)
+    for row in pairing_rows:
+        p = rows @ np.array(row, dtype=rows.dtype)
+        norms += p * p
+    return norms
+
+
 def weyl_dim(rs: RootSystemData, lam) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula).
 
@@ -220,11 +252,15 @@ def _weyl_shifts(c: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
     return 1 - np.array(points, dtype=np.int64), np.array(lengths) % 2 == 1
 
 
-def _scaled_inverse_cartan(rs: RootSystemData) -> tuple[np.ndarray, int]:
-    """(den C^-1, den) as an int64 matrix and an int, den the least common denominator
+@cache
+def _scaled_inverse_cartan(c: IntMatrix) -> tuple[np.ndarray, int]:
+    """(den C^-1, den) as a read-only int64 matrix and an int, den the least common denominator
     of C^-1: den C^-1 x is den times the simple-root coordinates of x in omega-coords."""
-    den = lcm(*(x.denominator for row in rs.C_inv for x in row))
-    return np.array([[int(x * den) for x in row] for row in rs.C_inv], dtype=np.int64), den
+    c_inv = inverse(c)
+    den = lcm(*(x.denominator for row in c_inv for x in row))
+    m = np.array([[int(x * den) for x in row] for row in c_inv], dtype=np.int64)
+    m.setflags(write=False)
+    return m, den
 
 
 def _levels(rs: RootSystemData, budget: np.ndarray, what: str) -> tuple[list, np.ndarray]:
@@ -234,7 +270,7 @@ def _levels(rs: RootSystemData, budget: np.ndarray, what: str) -> tuple[list, np
     slots of the prefixes (nu_0, ..., nu_{i-1}), one before the first, slot p's children being
     starts_i[p] + x for 0 <= x < counts_i[p], and the (n, rank) int64 left of the last level's slots.
     TableCapExceeded ("what take more than ..."), before it is allocated, for a level over MAX_TABLE_ROWS."""
-    (m, _), left, levels = _scaled_inverse_cartan(rs), budget[None], []
+    (m, _), left, levels = _scaled_inverse_cartan(rs.C), budget[None], []
     for i in range(rs.rank):
         col = m[:, i]
         bounds = col > 0  # zeros (D2 only) bound nothing
@@ -260,7 +296,7 @@ def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
     # each level holds (0, ..., 0, t) for t <= lam_i, so this also keeps den C^-1 lam in int64
     if max(lam) >= MAX_TABLE_ROWS:
         raise TableCapExceeded(f"the dominant weights below {lam} take more than {MAX_TABLE_ROWS} rows")
-    m, den = _scaled_inverse_cartan(rs)
+    m, den = _scaled_inverse_cartan(rs.C)
     _, left = _levels(rs, m @ np.array(lam, dtype=np.int64), f"the dominant weights below {lam}")
     k = left[(left % den == 0).all(axis=1)] // den
     nus, depths = np.array(lam, dtype=np.int64) - k @ np.array(rs.C, dtype=np.int64).T, k.sum(axis=1)
@@ -283,7 +319,7 @@ def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cu
     which MultiplicityMap checks) or those of _dominant_weights (below 2^28, see _miller_power),
     and a shift rho - w rho has |x| <= 12 under the Weyl cap, so every row is below the kernel's 2^32.
     """
-    (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs)
+    (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs.C)
     bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
     find, step = _positions(rs, nus), max(1, _BLOCK_ROWS // len(shifts))
     for a, b in zip(cuts, cuts[1:]):
@@ -344,7 +380,7 @@ def _positions(rs: RootSystemData, nus: np.ndarray):
     of den C^-1 nu over nus (its slots hold every nu >= 0 with den C^-1 nu <= b, nus among them), and
     one array from slot to row of nus (len(nus) elsewhere); a weight walks down the levels by rank
     gathers p <- starts_i[p] + x_i, absent once x_i >= counts_i[p].  TableCapExceeded as in _levels."""
-    b = (nus @ _scaled_inverse_cartan(rs)[0].T).max(axis=0, initial=0)
+    b = (nus @ _scaled_inverse_cartan(rs.C)[0].T).max(axis=0, initial=0)
     levels, _ = _levels(rs, b, f"the weights nu >= 0 with den C^-1 nu <= {tuple(b.tolist())}")
     slot = np.zeros(len(nus), dtype=np.int64)
     for (starts, _), x in zip(levels, nus.T):
@@ -404,7 +440,7 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
     top = tuple(sum(n * lam[i] for lam, _, _, n in factors) for i in range(r))
     nus, depths = _dominant_weights(rs, top)
     size, find = len(nus), _positions(rs, nus)
-    m_inv, den = _scaled_inverse_cartan(rs)
+    m_inv, den = _scaled_inverse_cartan(rs.C)
     height = m_inv.sum(axis=0)  # den times the height of an omega-coords weight
     # per factor with a weight w != lam_l: lam_l, those w, their V_lam_l(w), the offset of
     # A_l's slots and the part of a row's lookups it reads; coeffs holds every n d(lam_l - w) V_lam_l(w)
@@ -515,23 +551,74 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
     return lhs, rhs
 
 
-def save_multiplicity_map(m: MultiplicityMap, path) -> None:
-    """Write a map as JSON: its Cartan type, dominant weights as integer arrays, counts as decimal strings.
+_FORMAT = 4
+_LENGTH = struct.Struct("<I")  # the length before each count
+_HEADER = {"format": int, "cartan_type": str, "rows": int, "components": int, "sha256": str}
 
-    The document goes to a temporary file beside path that then replaces path, so a reader sees the
-    old file or the whole new one, never a part.  A library caller keeps CPython's limit on int-to-str
-    digits (ValueError past 4,300 by default); ltl lifts it for its own process."""
-    order = np.lexsort(m.rows.T[::-1]).tolist()
-    doc = {
-        "cartan_type": str(m.rs.cartan_type),
-        "weights": m.rows[order].tolist(),
-        "multiplicities": [str(m.counts[i]) for i in order],
-        "total_dim": str(m.total_dim),
-    }
+
+def _put_counts(out: bytearray, counts) -> None:
+    """Append each count (an int >= 0) to out as the 4-byte little-endian length of its unsigned
+    little-endian bytes, then those bytes: 0 is a zero length."""
+    for c in counts:
+        size = (c.bit_length() + 7) // 8
+        out += _LENGTH.pack(size)
+        out += c.to_bytes(size, "little")
+
+
+def _read_ints(body: memoryview, at: int, n: int) -> tuple[np.ndarray, int]:
+    """n int32 little-endian integers from body[at:], as int64, and the offset past them."""
+    if at + 4 * n > len(body):
+        raise ValueError(f"{n} int32 values at byte {at} pass the end of a body of {len(body)} bytes")
+    return np.frombuffer(body, dtype="<i4", count=n, offset=at).astype(np.int64), at + 4 * n
+
+
+def _read_counts(body: memoryview, at: int, n: int) -> tuple[list, int]:
+    """n counts as _put_counts writes them from body[at:], and the offset past them.  ValueError for a
+    length that starts past the end; a count's bytes past the end read as fewer, so a caller compares
+    the final offset with len(body)."""
+    counts, length, read = [], _LENGTH.unpack_from, int.from_bytes
+    try:
+        for _ in range(n):
+            (size,) = length(body, at)
+            at += 4 + size
+            counts.append(read(body[at - size : at], "little"))
+    except struct.error:
+        raise ValueError(f"a count's length at byte {at} passes the end of a body of {len(body)} bytes") from None
+    return counts, at
+
+
+def _encode(cartan_type: str, rows, counts, lam_at, lam_counts, total_dim: int) -> tuple[bytes, bytearray]:
+    """The header line and the body of the format-4 file of a map's rows and counts, its components
+    (their positions lam_at among the rows, and their counts) and total_dim, each part written as
+    given.  The header is one JSON line: format 4, the type, the numbers of rows and of components
+    and the sha256 of the body.  The body holds the rows as int32 little-endian, their counts (each a
+    4-byte little-endian length, then that many bytes of the unsigned little-endian count), the
+    positions as int32 little-endian, the component counts as the counts are, and total_dim as one
+    more count.  A component is stored by its position, not its row, since it is one of the rows."""
+    body = bytearray(np.asarray(rows, dtype="<i4").tobytes())
+    _put_counts(body, counts)
+    body += np.asarray(lam_at, dtype="<i4").tobytes()
+    _put_counts(body, lam_counts)
+    _put_counts(body, [total_dim])
+    head = {"format": _FORMAT, "cartan_type": cartan_type, "rows": len(counts), "components": len(lam_counts),
+            "sha256": hashlib.sha256(body).hexdigest()}
+    return json.dumps(head).encode() + b"\n", body
+
+
+def save_multiplicity_map(m: MultiplicityMap, path) -> None:
+    """Write a map, its rows in lexicographic order, and its decomposition (racah_decompose's, so
+    NegativeMultiplicity unless m is a character) to path in format 4 (_encode).  The file goes to a
+    temporary name beside path that then replaces path, so a reader sees the old file or the whole
+    new one, never a part."""
+    dec, order = m._decomposition, np.lexsort(m.rows.T[::-1])
+    sorted_at = np.empty_like(order)
+    sorted_at[order] = np.arange(len(order))
+    parts = _encode(str(m.rs.cartan_type), m.rows[order], [m.counts[i] for i in order.tolist()],
+                    sorted_at[m._find(dec.rows)], dec.counts, m.total_dim)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(doc))
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -539,34 +626,70 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
         raise
 
 
+def _decode(data: bytes) -> tuple:
+    """(rs, rows, counts, component positions, component counts, total_dim) of a format-4 file's
+    bytes, the body read through one memoryview, which is gone when this returns; ValueError for a
+    header that is not one JSON line of _HEADER's fields and types and of format 4, a body whose
+    sha256 is not the stored one, or a body that does not hold exactly what the header counts."""
+    end = data.find(b"\n")
+    if end < 0:
+        raise ValueError("no header line")
+    head = json.loads(data[:end])
+    if type(head) is not dict or set(head) != set(_HEADER):
+        raise ValueError(f"header {head!r} does not hold exactly the fields {list(_HEADER)}")
+    for key, kind in _HEADER.items():
+        if type(head[key]) is not kind:
+            raise ValueError(f"header field {key!r} is {head[key]!r}, not a JSON {kind.__name__}")
+    if head["format"] != _FORMAT or min(head["rows"], head["components"]) < 0:
+        raise ValueError(f"header {head!r} is not of format {_FORMAT} with counts >= 0")
+    body = memoryview(data)[end + 1 :]
+    if hashlib.sha256(body).hexdigest() != head["sha256"]:
+        raise ValueError("the body's sha256 is not the stored one")
+    rs = build_root_system(CartanType.parse(head["cartan_type"]))
+    rows, at = _read_ints(body, 0, head["rows"] * rs.rank)
+    counts, at = _read_counts(body, at, head["rows"])
+    lam_at, at = _read_ints(body, at, head["components"])
+    lam_counts, at = _read_counts(body, at, head["components"])
+    (total_dim,), at = _read_counts(body, at, 1)
+    if at != len(body):
+        raise ValueError(f"the header's counts take {at} bytes of a body of {len(body)}")
+    return rs, rows.reshape(-1, rs.rank), counts, lam_at, lam_counts, total_dim
+
+
 def load_multiplicity_map(path) -> MultiplicityMap:
-    """The map save_multiplicity_map wrote to path, W-invariant under its stored type.
+    """The map save_multiplicity_map wrote to path, W-invariant under its stored type, with its
+    decomposition attached: racah_decompose on it runs no W-sum.
 
-    A bad file raises ValueError (among them weights or multiplicities that are not a
-    JSON list, a weight coordinate that is not a JSON integer, a count or total that is
-    not a string of ASCII decimal digits, a count that is not positive, a weight listed
-    twice and a total that sum_mu m(mu) |W mu| does not match), UnsupportedType,
-    WeylCapExceeded or NotDominant."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    rs = build_root_system(CartanType.parse(doc["cartan_type"]))
-    for field in ("weights", "multiplicities"):
-        if type(doc[field]) is not list:  # a string would iterate by character
-            raise ValueError(f"{field} is not a JSON list")
-    weights = doc["weights"]
-    # one pass over every coordinate; a JSON true, 2.0 or "1" is not an int
-    if set(map(type, chain.from_iterable(weights))) - {int}:
-        bad = next(w for w in weights if any(type(x) is not int for x in w))
-        raise ValueError(f"weight {bad} has a coordinate that is not an integer")
-    counts = _decimals("multiplicities", doc["multiplicities"])
-    return MultiplicityMap(rs, weights, counts, _decimals("total_dim", [doc["total_dim"]])[0])
-
-
-def _decimals(field: str, texts: list) -> list[int]:
-    """int(t) for each t of texts, each a nonempty str of ASCII digits (checked on their join, and by
-    all for ""), else ValueError naming field and the first bad value (int() takes 2.5, true, "1_0")."""
-    joined = "".join(texts) if set(map(type, texts)) <= {str} else "?"
-    if all(texts) and (not joined or joined.isascii() and joined.isdigit()):
-        return list(map(int, texts))
-    bad = next(t for t in texts if type(t) is not str or not (t.isascii() and t.isdigit()))
-    raise ValueError(f"{field} value {bad!r} is not a string of ASCII decimal digits")
+    The file is read once (_decode: ValueError for a bad header, a sha256 that is not the body's or
+    a body of another length than its header counts, so a truncated or bit-flipped file is refused;
+    UnsupportedType or WeylCapExceeded for its type).  The constructor's checks run as for any map
+    (ValueError, NotDominant).  Then, each failure a ValueError: every component position must lie
+    among the rows, the components be strictly increasing in lexicographic order with positive
+    counts, sum_lam c_lam dim V_lam be total_dim, and, with N = scaled_norm, the Casimir identity
+    rank sum_lam c_lam dim V_lam (N(lam + rho) - N(rho)) = dim g scaled_second_moment hold in
+    integers.  A unit moved between components of equal dimension and different Casimir fails it.
+    The checks cannot tell apart components exchanged by a diagram automorphism, such as (a, b) and
+    (b, a) on A2, which have the same dimension and Casimir; the digest guards against storage
+    faults, not against a wrong writer."""
+    with open(path, "rb") as fh:
+        rs, rows, counts, lam_at, lam_counts, total_dim = _decode(fh.read())
+    m = MultiplicityMap(rs, rows, counts, total_dim)
+    if lam_at.size and not 0 <= lam_at.min() <= lam_at.max() < len(rows):
+        raise ValueError(f"a component position is outside the {len(rows)} rows")
+    lams = m.rows[lam_at]
+    # row i + 1 follows row i iff their first differing coordinate grows
+    steps = lams[1:] - lams[:-1]
+    if (down := np.flatnonzero(steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)] <= 0)).size:
+        pair = tuple(lams[down[0]].tolist()), tuple(lams[down[0] + 1].tolist())
+        raise ValueError(f"components {pair[0]} and {pair[1]} are not in strictly increasing lexicographic order")
+    if 0 in lam_counts:
+        raise ValueError(f"component {tuple(lams[lam_counts.index(0)].tolist())} has count 0")
+    dims = _weyl_dims(rs, (lams + 1) @ np.array(rs.pairing_rows, dtype=np.int64).T)
+    if (total := sum(map(mul, lam_counts, dims))) != total_dim:
+        raise ValueError(f"the components account for dimension {total} of {total_dim}")
+    lifts = map(mul, dims, (_squared_norms(lams + 1, rs.pairing_rows) - scaled_norm(rs, rs.rho)).tolist())
+    if rs.rank * sum(map(mul, lam_counts, lifts)) != rs.dim_g * m.scaled_second_moment:
+        raise ValueError("the components' Casimir sum does not match the map's second moment")
+    lams.setflags(write=False)
+    m._decomposition = IrrepDecomposition(lams, lam_counts, dims)
+    return m

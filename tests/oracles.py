@@ -13,10 +13,14 @@ binned TV of a measure from sums over its atoms.  xi is read off the sorted
 full entries of its character, and a measure's CSV and JSON rows are reduced
 by one gcd per atom.  Convolution and peel-off work on full entries as plain dicts;
 character_map turns a W-invariant dict into a MultiplicityMap, and mat_vec
-gives a root's omega-coords as C @ root.
+gives a root's omega-coords as C @ root.  cache_parts, cache_file and
+edit_cache_body take a cache file apart and put edited parts back together, for
+the loader's tests.
 """
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import comb, lcm
@@ -455,3 +459,28 @@ def measure_json(measure) -> dict:
         "sigma_squared": f"{measure.sigma_sq.numerator}/{measure.sigma_sq.denominator}",
         "atoms": [{"weight": w, "prob": f"{n}/{d}"} for w, n, d in _reduced_atoms(measure)],
     }
+
+
+def cache_parts(data: bytes) -> dict:
+    """The parts of the cache file data (repchar._decode), as repchar._encode takes them: lists of
+    Python ints, the rows as lists."""
+    rs, rows, counts, lam_at, lam_counts, total_dim = repchar._decode(data)
+    return {"cartan_type": str(rs.cartan_type), "rows": rows.tolist(), "counts": counts,
+            "lam_at": lam_at.tolist(), "lam_counts": lam_counts, "total_dim": total_dim}
+
+
+def cache_file(parts: dict, **head) -> bytes:
+    """The cache file of parts (repchar._encode), with the header fields in head written over the ones
+    _encode writes; the sha256 stays that of the body."""
+    line, body = repchar._encode(**parts)
+    return json.dumps({**json.loads(line), **head}).encode() + b"\n" + bytes(body)
+
+
+def edit_cache_body(data: bytes, edit) -> bytes:
+    """The cache file data with edit applied to its body, a bytearray, and the header's sha256 that
+    of the edited body: only the loader's reading of the body can refuse it."""
+    end = data.index(b"\n")
+    body = bytearray(data[end + 1 :])
+    edit(body)
+    head = {**json.loads(data[:end]), "sha256": hashlib.sha256(body).hexdigest()}
+    return json.dumps(head).encode() + b"\n" + bytes(body)

@@ -21,7 +21,7 @@ from tensorlimits.repchar import (
 )
 from tensorlimits.rootsys import build_root_system
 
-from oracles import orbit, peel_off_decompose
+from oracles import cache_file, cache_parts, edit_cache_body, orbit, peel_off_decompose
 
 
 def run(capsys, *argv):
@@ -200,19 +200,6 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert os.listdir(cache) == files
 
 
-@pytest.fixture
-def default_int_digits():
-    """CPython's default limit on int <-> str digits while the test runs, as a fresh process has it
-    (Python 3.10.0-3.10.6 have none); the limit in force before is restored afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
-    sys.set_int_max_str_digits(before)
-
-
 def test_counts_past_4300_digits_print(tmp_path, capsys, default_int_digits):
     """ltl lifts CPython's limit on int <-> str digits for its own process: at A1 N=15000 the counts
     pass 4,300 digits, yet decompose (cold, and warm from its cache) and measure eta exit 0 with
@@ -237,18 +224,28 @@ B2_XI = ["measure", "xi", "--type", "B2", "--factor", "0,1:1", "--factor", "1,0:
 A2_XI = ["measure", "xi", "--type", "A2", "--factor", "1,0:1", "--N", "2"]
 
 
-def _edit_dominant(edit):
-    """A corruption that applies edit to the {weight: count} dict a cache file stores."""
+def _edit_parts(edit):
+    """A corruption that applies edit to the parts of a cache file (oracles.cache_parts) and writes
+    them back with the sha256 of the new body: only the loader's checks can refuse it."""
 
-    def corrupt(text):
-        doc = json.loads(text)
-        mults = {tuple(w): int(c) for w, c in zip(doc["weights"], doc["multiplicities"])}
-        edit(mults)
-        doc["weights"] = [list(w) for w in mults]
-        doc["multiplicities"] = [str(c) for c in mults.values()]
-        return json.dumps(doc)
+    def corrupt(data):
+        parts = cache_parts(data)
+        edit(parts)
+        return cache_file(parts)
 
     return corrupt
+
+
+def _edit_dominant(edit):
+    """A corruption that applies edit to the {weight: count} dict a cache file stores, keeping the
+    stored components."""
+
+    def corrupt(parts):
+        mults = {tuple(w): c for w, c in zip(parts["rows"], parts["counts"])}
+        edit(mults)
+        parts["rows"], parts["counts"] = [list(w) for w in mults], list(mults.values())
+
+    return _edit_parts(corrupt)
 
 
 def _swap_first_multiplicities(mults):
@@ -261,7 +258,7 @@ def _move_mass_outward(mults):
     """A1 N=8: add 8 at the weight 8, whose orbit is {8, -8}, and take 16 from 0.
 
     Positive with the same total, but the second moment sum_mu m(mu) (mu, mu)
-    grows from 1024 to 1536.
+    grows from 1024 to 1536, so the stored components' Casimir sum no longer matches.
     """
     mults[(8,)] += 8
     mults[(0,)] -= 16
@@ -278,80 +275,71 @@ def _zero_at_weight_10(mults):
     mults[(10,)] = 0
 
 
-def _pad_weight_0(text):
-    """One more at the weight 0, stored total raised to match: the file is
-    self-consistent and keeps the second moment, but is not V_N's character."""
-    doc = json.loads(text)
-    assert doc["weights"][0] == [0]
-    doc["multiplicities"][0] = str(int(doc["multiplicities"][0]) + 1)
-    doc["total_dim"] = str(int(doc["total_dim"]) + 1)
-    return json.dumps(doc)
+def _pad_weight_0(parts):
+    """One more at the weight 0, stored total raised to match: the map is
+    self-consistent, but its components account for one dimension less."""
+    assert parts["rows"][0] == [0]
+    parts["counts"][0] += 1
+    parts["total_dim"] += 1
 
 
-def _relabel_c2(text):
-    """A B2 file relabelled C2: its dominant entries have the same orbit sizes,
+def _relabel_c2(data):
+    """A B2 file whose header names C2: its dominant entries have the same orbit sizes,
     total and second moment, but expand over C2's orbits to other weights."""
-    doc = json.loads(text)
-    assert doc["cartan_type"] == "B2"
-    doc["cartan_type"] = "C2"
-    return json.dumps(doc)
+    parts = cache_parts(data)
+    assert parts["cartan_type"] == "B2"
+    return cache_file(parts, cartan_type="C2")
 
 
-def _restate_counts(restate):
-    """A corruption that stores each multiplicity and the total as restate(its decimal
-    string): values that int() reads back as the same counts, or as the counts less 1/2."""
-
-    def corrupt(text):
-        doc = json.loads(text)
-        doc["multiplicities"] = [restate(c) for c in doc["multiplicities"]]
-        doc["total_dim"] = restate(doc["total_dim"])
-        return json.dumps(doc)
-
-    return corrupt
+def _flip_body_byte(data):
+    """One bit of the last body byte flipped; the stored sha256 is the old body's."""
+    return data[:-1] + bytes([data[-1] ^ 1])
 
 
-def _join_counts(text):
-    """The counts ["2", "1"] of A2 V_omega1^2 stored as the one string "21": a loader that
-    iterates it reads the same counts back digit by digit."""
-    doc = json.loads(text)
-    assert doc["multiplicities"] == ["2", "1"]
-    doc["multiplicities"] = "".join(doc["multiplicities"])
-    return json.dumps(doc)
+def _v3_document(data):
+    """The format-3 JSON document of A2 V_omega1^2 (dominant weights, decimal-string counts and
+    total) under the format-4 name: no header line."""
+    assert cache_parts(data)["counts"] == [2, 1]
+    return json.dumps({"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"],
+                       "total_dim": "9"}).encode()
 
 
-def _restate_coordinates(restate):
-    """A corruption that stores each weight coordinate as restate(it): a JSON value
-    that int() reads back as the same coordinate."""
+def _stretch_first_length(data):
+    """A1 N=8: the first count's length, after the 5 rows of 4 bytes, one byte too long, so it
+    swallows the next length's first byte."""
+    assert cache_parts(data)["rows"] == [[0], [2], [4], [6], [8]]
+    return edit_cache_body(data, lambda body: body.__setitem__(slice(20, 24), (body[20] + 1).to_bytes(4, "little")))
 
-    def corrupt(text):
-        doc = json.loads(text)
-        doc["weights"] = [[restate(x) for x in w] for w in doc["weights"]]
-        return json.dumps(doc)
 
-    return corrupt
+def _swap_count_lists(parts):
+    """A2 V_omega1^2: the map's counts [2, 1] and the components' [1, 1] exchanged; over the orbits
+    of (0, 1) and (2, 0), 3 points each, the counts [1, 1] sum to 6, not to the stored total 9."""
+    parts["counts"], parts["lam_counts"] = parts["lam_counts"], parts["counts"]
 
 
 @pytest.mark.parametrize(
     "argv, corrupt",
     [
-        (A1_XI, lambda text: text[:20]),  # truncated write
-        (A1_XI, lambda text: json.dumps(
-            {"cartan_type": "A1", "weights": [[0]], "multiplicities": ["5"], "total_dim": "5"}
+        (A1_XI, lambda data: data[:-3]),  # truncated write
+        (A1_XI, lambda data: cache_file(
+            {"cartan_type": "A1", "rows": [[0]], "counts": [5], "lam_at": [0], "lam_counts": [5], "total_dim": 5}
         )),
         (A1_XI, _edit_dominant(_swap_first_multiplicities)),
         (A1_XI, _edit_dominant(_move_mass_outward)),
         (A1_XI, _edit_dominant(_negate_weight)),
         (A1_XI, _edit_dominant(_zero_at_weight_10)),
-        (A1_XI, _pad_weight_0),
+        (A1_XI, _edit_parts(_pad_weight_0)),
         (B2_XI, _relabel_c2),
-        (A1_XI, _restate_counts(lambda c: int(c) + 0.5)),
-        (A1_XI, _restate_counts(lambda c: True if c == "1" else c)),
-        (A1_XI, _restate_counts(lambda c: c + ".0")),
-        (A1_XI, _restate_counts(lambda c: c[0] + "_" + c[1:] if len(c) > 1 else c)),
-        (B2_XI, _restate_coordinates(lambda x: True if x == 1 else x)),
-        (A1_XI, _restate_coordinates(float)),
-        (A1_XI, _restate_coordinates(str)),
-        (A2_XI, _join_counts),
+        (A1_XI, _stretch_first_length),
+        (A1_XI, _edit_parts(lambda parts: parts["lam_counts"].__setitem__(0, 0))),
+        (A1_XI, lambda data: cache_file(cache_parts(data), sha256="0" * 64)),
+        (A1_XI, lambda data: cache_file(cache_parts(data), format=3)),
+        (B2_XI, _edit_parts(lambda parts: [parts[key].pop(0) for key in ("lam_at", "lam_counts")])),
+        (B2_XI, _edit_parts(lambda parts: [parts[key].reverse() for key in ("lam_at", "lam_counts")])),
+        (B2_XI, _edit_parts(lambda parts: parts["lam_at"].__setitem__(-1, len(parts["rows"])))),
+        (A2_XI, _edit_parts(_swap_count_lists)),
+        (A1_XI, _flip_body_byte),
+        (A2_XI, _v3_document),
     ],
     ids=[
         "truncated",
@@ -370,23 +358,33 @@ def _restate_coordinates(restate):
         "coordinate-float",
         "coordinate-string",
         "joined-counts",
+        "flipped-byte",
+        "v3-document",
     ],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
+    """Each corruption is a miss: exit 0, the same stdout, nothing on stderr, and the file rewritten
+    with the recomputed map.  Besides edits of the stored map and total, a truncated body, a flipped
+    body byte, a format-3 document and a header of another type, it covers a count's length one byte
+    too long (half), a component count of 0 (true), a stored sha256 of another body (point-zero),
+    format 3 in the header (underscore), a dropped component (coordinate-true), components out of
+    order (coordinate-float), a component position past the rows (coordinate-string) and the map's
+    and the components' counts exchanged (joined-counts)."""
     cache = tmp_path / "cache"
     argv = argv + ["--cache-dir", str(cache)]
     code, cold, _ = run(capsys, *argv)
     assert code == 0
     (path,) = cache.iterdir()
-    good = path.read_text()
-    path.write_text(corrupt(good))
+    assert path.suffix == ".bin"
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good))
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert out == cold
     assert err == ""
     # the entry was overwritten with the recomputed map and nothing else was left behind
     assert list(cache.iterdir()) == [path]
-    assert path.read_text() == good
+    assert path.read_bytes() == good
 
 
 @pytest.mark.parametrize(
@@ -418,17 +416,42 @@ def test_cache_hits_at_every_pairing_scale(tmp_path, label, factors, n):
 
 
 def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
-    """One unit moved from the 6-point orbit of omega1 to that of 4 omega1 (G2, V_omega1^4):
-    a W-invariant map with positive counts and the same total, but a larger second moment."""
+    """One component of V_omega1^4 (G2) moved from (0, 3) to (2, 0), both of dimension 77, with
+    Casimir values 16 and 20: a genuine character of the same total, which loads with its own
+    decomposition, but whose second moment is larger than the spec's."""
     spec = cli._build_spec("G2", [cli._parse_factor("1,0:1")])
     m = tensor_power_table(spec.rs, spec.factors, [4])[4]
-    dominant = dict(m.dominant)
-    assert dominant[(1, 0)] > 1
-    dominant[(4, 0)] += 1
-    dominant[(1, 0)] -= 1
-    path = tmp_path / "map.json"
-    save_multiplicity_map(MultiplicityMap(spec.rs, list(dominant), list(dominant.values()), m.total_dim), path)
+    components = dict(racah_decompose(spec.rs, m).components)
+    components[(0, 3)] -= 1
+    components[(2, 0)] += 1
+    dominant = {}
+    for lam, c in components.items():
+        for mu, k in irreducible_character(spec.rs, lam).dominant.items():
+            dominant[mu] = dominant.get(mu, 0) + c * k
+    moved = MultiplicityMap(spec.rs, list(dominant), list(dominant.values()), m.total_dim)
+    path = tmp_path / "map.bin"
+    save_multiplicity_map(moved, path)
+    assert repchar.load_multiplicity_map(path).dominant == moved.dominant
     assert cli._load_cached(spec, 4, str(path)) is None
+
+
+def test_warm_run_reads_the_stored_decomposition(tmp_path, capsys, monkeypatch):
+    """A cold measure xi runs the W-sum once, for the file it writes; a warm decompose, measure eta
+    and converge run none, since the loaded maps carry their decompositions, and print what they
+    print cold.  (racah_decompose's sum is the one call of _alternating_sums whose cuts start at 0.)"""
+    cuts = []
+    alternating = repchar._alternating_sums
+    monkeypatch.setattr(
+        repchar, "_alternating_sums", lambda rs, nus, reads, c: cuts.append(c) or alternating(rs, nus, reads, c)
+    )
+    b2, cache = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"], str(tmp_path / "cache")
+    assert run(capsys, "measure", "xi", *b2, "--N", "8", "--cache-dir", cache)[0] == 0
+    assert [c[0] for c in cuts].count(0) == 1
+    calls = [["decompose", *b2, "--N", "8"], ["measure", "eta", *b2, "--N", "8"], ["converge", *b2, "--N", "4,8"]]
+    cold = [run(capsys, *argv, "--cache-dir", cache) for argv in calls]
+    cuts.clear()
+    assert [run(capsys, *argv, "--cache-dir", cache) for argv in calls] == cold
+    assert [out[0] for out in cold] == [0, 0, 0] and [c[0] for c in cuts].count(0) == 0
 
 
 def test_orbit_sizes_are_walked_once_per_loaded_map(tmp_path, monkeypatch):

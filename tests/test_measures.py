@@ -1,11 +1,14 @@
 """Discrete measures xi, eta, eta-extended and their exact identities."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tensorlimits import measures
 from tensorlimits.errors import BasisMismatch, DegenerateSpec, InadmissibleN, NotDominant
 from tensorlimits.measures import (
     DiscreteMeasure,
@@ -299,6 +302,21 @@ def test_mixed_moments():
             mixed_moments(SPEC_A1, 4, bad)
     assert mixed_moments(SPEC_A1, 4, np.int64(2)) == mixed_moments(SPEC_A1, 4, 2)
     assert mixed_moments(SPEC_A1, 4, 0) == {(0,): 1}
+
+
+def test_binomial_terms_built_once_per_set_of_multi_indices():
+    """mixed_moments builds the binomial convolution table once per set of kappas and then shares
+    it: a second call at another N reads the cached table, and the moments are the same."""
+    measures._binomial_terms.cache_clear()
+    first = mixed_moments(SPEC_A2, 3, 4)
+    assert measures._binomial_terms.cache_info().misses == 1
+    assert mixed_moments(SPEC_A2, 5, 4) and measures._binomial_terms.cache_info()[:2] == (1, 1)
+    assert mixed_moments(SPEC_A2, 3, 4) == first
+    kappas = tuple(k for k in itertools.product(range(5), repeat=2) if sum(k) <= 4)
+    terms = measures._binomial_terms(kappas)
+    assert terms[(2, 1)] == [
+        (math.comb(2, a) * math.comb(1, b), (a, b), (2 - a, 1 - b)) for a in range(3) for b in range(2)
+    ]
 
 
 def test_mixed_moments_a2_first_order():

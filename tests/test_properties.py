@@ -31,11 +31,17 @@ from tensorlimits.measures import (
     pushforward_dominant_shifted,
     xi_measure,
 )
-from tensorlimits.repchar import racah_decompose, tensor_power_table, weyl_dim
+from tensorlimits.repchar import (
+    load_multiplicity_map,
+    racah_decompose,
+    save_multiplicity_map,
+    tensor_power_table,
+    weyl_dim,
+)
 from tensorlimits.rootsys import build_root_system, weyl_group_order
 
 import oracles
-from oracles import peel_off_decompose
+from oracles import fields, peel_off_decompose
 
 # largest coordinate of a drawn highest weight, by type
 MAX_COORD = {"A1": 4, "A2": 2, "A3": 1, "B2": 2, "C3": 1, "G2": 1}
@@ -201,3 +207,17 @@ def test_histogram_tv_matches_atom_sums(case):
         measure = build(spec, n, multiplicities=m)
         model = _model(label, kind)
         assert histogram_tv(measure, model) == oracles.boxes_tv(measure, _density_boxes(model)), kind
+
+
+@settings(max_examples=25)
+@given(specs())
+def test_stored_decomposition_is_the_w_sum(tmp_path_factory, case):
+    """A saved map loads with its decomposition attached, and it is, row for row, count for count
+    and dimension for dimension, what the W-sum gives on a freshly built table."""
+    spec, n = case
+    path = tmp_path_factory.mktemp("cache") / "map.bin"
+    save_multiplicity_map(_table(spec, n), path)
+    back = load_multiplicity_map(path)
+    assert "_decomposition" in vars(back)
+    fresh = tensor_power_table(spec.rs, spec.factors, [n])[n]
+    assert fields(racah_decompose(spec.rs, back)) == fields(racah_decompose(spec.rs, fresh))

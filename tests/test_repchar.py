@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -37,7 +38,10 @@ from oracles import (
     character_by_weyl_formula,
     character_map,
     convolve,
+    cache_file,
+    cache_parts,
     dominant_weights_dfs,
+    edit_cache_body,
     fields,
     freudenthal_multiplicities,
     orbit,
@@ -418,7 +422,7 @@ def _budget_slots(rs, nus) -> tuple[list, callable]:
     """The weights nu >= 0 with den C^-1 nu <= b, b the coordinatewise max of den C^-1 mu over the
     rows nus (0 for none), in lexicographic order, grown coordinate by coordinate in Python ints
     (the set is downward closed), and the test fits(nu) of den C^-1 nu <= b."""
-    m = repchar._scaled_inverse_cartan(rs)[0].tolist()
+    m = repchar._scaled_inverse_cartan(rs.C)[0].tolist()
     b = [max((sum(c * x for c, x in zip(row, nu)) for nu in nus), default=0) for row in m]
 
     def fits(nu):
@@ -440,6 +444,17 @@ def _past_the_budget(rs, weights, fits) -> list:
     for nu, i in itertools.product(weights, range(rs.rank)):
         past.append(next(w for w in (nu[:i] + (x,) + nu[i + 1 :] for x in itertools.count(nu[i])) if not fits(w)))
     return past
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "D4", "G2", "F4"])
+def test_scaled_inverse_cartan_is_built_once_per_cartan_matrix(label):
+    """(den C^-1, den) is den times rs.C_inv in integers, den the least common denominator; it is
+    built once per Cartan matrix, and the matrix every caller shares is read-only."""
+    rs = RS[label]
+    m, den = repchar._scaled_inverse_cartan(rs.C)
+    assert repchar._scaled_inverse_cartan(rs.C)[0] is m and not m.flags.writeable
+    assert m.tolist() == [[x * den for x in row] for row in rs.C_inv]
+    assert den == math.lcm(*(x.denominator for row in rs.C_inv for x in row))
 
 
 def test_positions_read_weights_past_the_budget_as_absent():
@@ -482,7 +497,7 @@ def test_positions_match_a_dict_oracle(label, monkeypatch):
     hand-built rows that are not downward closed; and a built find calls no np.searchsorted."""
     rs = build_root_system(label)
     r, rng = rs.rank, random.Random(f"positions {label}")
-    m, den = repchar._scaled_inverse_cartan(rs)
+    m, den = repchar._scaled_inverse_cartan(rs.C)
     m = m.tolist()
     loose = {tuple(rng.randrange(3) for _ in range(r)) for _ in range(12)} - {(0,) * r}
     cosets = round(abs(np.linalg.det(np.array(rs.C, dtype=float))))
@@ -962,51 +977,70 @@ def test_trace_identity_random_sweep():
 
 
 def test_cache_roundtrip(tmp_path):
-    """A file holds the type and the dominant entries only, the same map gives
-    the same bytes, and the loader, given no root system, returns the full
-    character: the benchmark loads cache files this way and sums their entries."""
+    """A file is one JSON header line (format 4, the type, the numbers of rows and components, the
+    body's sha256) and a body of the dominant entries only, in lexicographic order; the same map gives
+    the same bytes, and the loader, given no root system, returns the full character with its
+    decomposition attached: the benchmark loads cache files this way and sums their entries."""
     cases = [
         ("A2", [((1, 0), 1)], 4),
         ("B2", [((0, 1), 1), ((1, 0), Fraction(1, 2))], 16),
         ("A3", [((1, 0, 0), 1)], 8),
     ]
-    path = tmp_path / "map.json"
+    path = tmp_path / "map.bin"
     for label, factors, n in cases:
         m = tensor_power_table(RS[label], factors, [n])[n]
         save_multiplicity_map(m, path)
-        text = path.read_text()
-        doc = json.loads(text)
-        assert sorted(doc) == ["cartan_type", "multiplicities", "total_dim", "weights"]
-        assert doc["cartan_type"] == label
-        assert sorted(map(tuple, doc["weights"])) == sorted(w for w in m.entries if min(w) >= 0)
+        data = path.read_bytes()
+        head = json.loads(data[: data.index(b"\n")])
+        body = data[data.index(b"\n") + 1 :]
+        dec = racah_decompose(RS[label], m)
+        assert head == {"format": 4, "cartan_type": label, "rows": len(m.rows), "components": len(dec.rows),
+                        "sha256": hashlib.sha256(body).hexdigest()}
+        parts = cache_parts(data)
+        assert [tuple(w) for w in parts["rows"]] == sorted(w for w in m.entries if min(w) >= 0)
+        assert cache_file(parts) == data
         save_multiplicity_map(m, path)
-        assert path.read_text() == text
+        assert path.read_bytes() == data
         back = load_multiplicity_map(path)
+        assert "_decomposition" in vars(back) and fields(racah_decompose(back.rs, back)) == fields(dec)
         assert back.entries == m.entries
         assert sum(back.entries.values()) == back.total_dim == m.total_dim
 
 
+def _a2_square_file(path, parts=None, **head):
+    """Write V_omega1^2 of A2 (rows (0, 1), (2, 0) at counts 2, 1, total 9; components (0, 1) and (2, 0)
+    once each), its parts edited by parts and its header by head, and return the parts it wrote."""
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
+    save_multiplicity_map(m, path)
+    good = cache_parts(path.read_bytes())
+    assert good == {"cartan_type": "A2", "rows": [[0, 1], [2, 0]], "counts": [2, 1], "lam_at": [0, 1],
+                    "lam_counts": [1, 1], "total_dim": 9}
+    edited = {**good, **(parts or {})}
+    path.write_bytes(cache_file(edited, **head))
+    return edited
+
+
 @pytest.mark.parametrize(
-    "edit, error",
+    "parts, head, error",
     [
-        ({"weights": [[0, 1], [2, -1]]}, NotDominant),
-        ({"weights": [[0, 1], [2]]}, NotDominant),
-        ({"total_dim": "8"}, ValueError),
-        ({"multiplicities": ["2"]}, ValueError),
-        ({"cartan_type": "E6"}, UnsupportedType),
-        ({"cartan_type": "A80"}, WeylCapExceeded),
-        # int() would read these as (2, 0), (2, 0) and (1, 0), each with the stored total
-        ({"weights": [[0, 1], [2.5, 0]]}, ValueError),
-        ({"weights": [[0, 1], [2.0, 0]]}, ValueError),
-        ({"weights": [[0, 1], [True, 0]]}, ValueError),
+        ({"rows": [[0, 1], [2, -1]]}, {}, NotDominant),
+        # the body's rows read as A3's: 2 x 3 coordinates do not fit the bytes of 2 x 2
+        ({}, {"cartan_type": "A3"}, ValueError),
+        ({"total_dim": 8}, {}, ValueError),
+        ({"counts": [2]}, {}, ValueError),
+        ({}, {"cartan_type": "E6"}, UnsupportedType),
+        ({}, {"cartan_type": "A80"}, WeylCapExceeded),
+        # header counts int() would read as 2 (or 2 less a half), and format 4 as a string
+        ({}, {"rows": 2.5}, ValueError),
+        ({}, {"rows": 2.0}, ValueError),
+        ({}, {"components": True}, ValueError),
         # the orbit of (2, 0) alone, total 3, held at a zero count beside it
-        ({"multiplicities": ["0", "1"], "total_dim": "3"}, ValueError),
-        # a string would iterate by character: "21" as the counts [2, 1], "02" as the weight [0, 2]
-        ({"multiplicities": "21"}, ValueError),
-        ({"weights": ["01", "20"]}, ValueError),
-        ({"weights": {"0": [0, 1]}}, ValueError),
+        ({"counts": [0, 1], "total_dim": 3}, {}, ValueError),
+        ({}, {"rows": "2"}, ValueError),
+        ({}, {"format": "4"}, ValueError),
+        ({}, {"rows": {"0": 2}}, ValueError),
         # (0, 1) twice at count 1: the stored total 9, but not a map of distinct weights
-        ({"weights": [[0, 1], [0, 1], [2, 0]], "multiplicities": ["1", "1", "1"]}, ValueError),
+        ({"rows": [[0, 1], [0, 1], [2, 0]], "counts": [1, 1, 1]}, {}, ValueError),
     ],
     ids=[
         "non-dominant",
@@ -1025,71 +1059,150 @@ def test_cache_roundtrip(tmp_path):
         "duplicate",
     ],
 )
-def test_load_rejects_bad_file(tmp_path, edit, error):
-    """V_omega1^2 of A2 is stored as {(0, 1): 2, (2, 0): 1} with total 9; each
-    edit breaks one rule, and the loader raises its own error, not an assertion."""
-    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
-    path = tmp_path / "map.json"
-    save_multiplicity_map(m, path)
-    doc = json.loads(path.read_text())
-    assert doc == {"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"], "total_dim": "9"}
-    path.write_text(json.dumps({**doc, **edit}))
+def test_load_rejects_bad_file(tmp_path, parts, head, error):
+    """Each edit of V_omega1^2 of A2 breaks one rule of the body or the header (whose sha256 still
+    matches the body), and the loader raises its own error, not an assertion."""
+    path = tmp_path / "map.bin"
+    _a2_square_file(path, parts, **head)
     with pytest.raises(error):
         load_multiplicity_map(path)
 
 
-@pytest.mark.parametrize("field", ["weights", "multiplicities"])
-def test_load_names_a_field_that_is_not_a_list(tmp_path, field):
-    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
-    path = tmp_path / "map.json"
-    save_multiplicity_map(m, path)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps({**doc, field: "21"}))
-    with pytest.raises(ValueError, match=f"{field} is not a JSON list"):
-        load_multiplicity_map(path)
-
-
-@pytest.mark.parametrize("coordinate", [True, 2.0, "1"], ids=["true", "float", "string"])
-def test_load_names_the_first_weight_with_a_coordinate_that_is_not_an_int(tmp_path, coordinate):
-    """A JSON true, 2.0 or "1" is a coordinate int() would read as an integer; the
-    loader refuses each with ValueError naming the first weight that holds one."""
-    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
-    path = tmp_path / "map.json"
-    save_multiplicity_map(m, path)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps({**doc, "weights": [[0, 1], [2, coordinate], [coordinate, 0]]}))
-    with pytest.raises(ValueError, match=re.escape(f"weight {[2, coordinate]} has a coordinate that is not an integer")):
+@pytest.mark.parametrize("field, key", [("weights", "rows"), ("multiplicities", "components")],
+                         ids=["weights", "multiplicities"])
+def test_load_names_a_field_that_is_not_a_list(tmp_path, field, key):
+    """The header counts the weights (rows) and the components' multiplicities (components); a count
+    stored as the string "21" is refused with ValueError naming its field."""
+    path = tmp_path / "map.bin"
+    _a2_square_file(path, **{key: "21"})
+    with pytest.raises(ValueError, match=re.escape(f"header field {key!r} is '21', not a JSON int")):
         load_multiplicity_map(path)
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "parts, error, message",
     [
-        ("multiplicities", [2.5, "1"]),
-        ("multiplicities", ["2", True]),
-        ("multiplicities", ["2.0", "1"]),
-        ("multiplicities", ["2", "0_1"]),
-        ("multiplicities", ["٢", "1"]),
-        ("multiplicities", ["2", ""]),
-        ("total_dim", 9.5),
-        ("total_dim", "9.0"),
-        ("total_dim", "0_9"),
-        ("total_dim", " 9"),
+        ({"rows": [[0, 1], [2, -1]], "counts": [2, 1]}, NotDominant, "(2, -1) is not dominant"),
+        ({"rows": [[0, 1], [2, -2**31]]}, ValueError, "weight (2, -2147483648) has a coordinate of absolute value"),
+        ({"lam_at": [1, 0]}, ValueError, "components (2, 0) and (0, 1) are not in strictly increasing"),
     ],
+    ids=["true", "float", "string"],
+)
+def test_load_names_the_first_weight_with_a_coordinate_that_is_not_an_int(tmp_path, parts, error, message):
+    """Every stored coordinate is an int32, so none is a JSON true, 2.0 or "1"; a coordinate the
+    loader refuses (negative, -2^31, or one that puts the components out of order) is reported
+    with the weight that holds it."""
+    path = tmp_path / "map.bin"
+    _a2_square_file(path, parts)
+    with pytest.raises(error, match=re.escape(message)):
+        load_multiplicity_map(path)
+
+
+def _set(at: int, value: bytes):
+    def edit(body):
+        body[at : at + len(value)] = value
+
+    return edit
+
+
+# the body of V_omega1^2 of A2: rows at 0, the counts 2 and 1 as lengths at 16 and 21 with bytes at
+# 20 and 25, the component positions at 26, their counts at 34, the total 9 as a length at 44, byte at 48
+_COUNT_EDITS = [
+    ("multiplicities", _set(16, (2).to_bytes(4, "little"))),  # a length one byte too long
+    ("multiplicities", _set(25, b"\x00")),  # the count 1 stored as 0
+    ("multiplicities", _set(16, b"\xff\xff\xff\xff")),  # a length past the end of the body
+    ("multiplicities", _set(16, (1).to_bytes(4, "big"))),  # a length written big-endian
+    ("multiplicities", lambda body: body.__delitem__(20)),  # a count's byte cut from the body
+    ("multiplicities", _set(16, bytes(4))),  # a zero length, the count's byte left in place
+    ("total_dim", _set(44, (2).to_bytes(4, "little"))),  # the total's length one byte too long
+    ("total_dim", lambda body: body.append(0)),  # one byte after the total
+    ("total_dim", lambda body: body.__delitem__(slice(44, 48))),  # the total without its length
+    ("total_dim", lambda body: body.__delitem__(slice(44, 49)) or body.extend(bytes(4))),  # the total 0
+]
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    _COUNT_EDITS,
     ids=["half", "true", "point-zero", "underscore", "arabic-indic", "empty", "total-half", "total-point-zero",
          "total-underscore", "total-space"],
 )
-def test_load_refuses_counts_that_are_not_decimal_strings(tmp_path, field, value):
-    """save_multiplicity_map writes every count as a string of ASCII decimal digits.
-    int() reads each of these values as the stored count, or as the count less a
-    half, so a file of them would pass for V_omega1^2 of A2 (and a check of the
-    joined counts alone would pass "2", ""); the loader refuses it with
-    ValueError naming the field and the first bad value."""
-    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
-    path = tmp_path / "map.json"
-    save_multiplicity_map(m, path)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps({**doc, field: value}))
-    bad = next(x for x in ([value] if field == "total_dim" else value) if x not in ("1", "2"))
-    with pytest.raises(ValueError, match=re.escape(f"{field} value {bad!r} is not")):
+def test_load_refuses_counts_that_are_not_decimal_strings(tmp_path, field, edit):
+    """No count is stored as a decimal string: each is a 4-byte little-endian length and that many
+    unsigned little-endian bytes.  Each case breaks the encoding of one multiplicity or of the total
+    and stores the sha256 of the broken body, and the loader refuses it with ValueError: a length that
+    runs past the body or leaves bytes over, or a count the constructor refuses."""
+    path = tmp_path / "map.bin"
+    _a2_square_file(path)
+    path.write_bytes(edit_cache_body(path.read_bytes(), edit))
+    with pytest.raises(ValueError):
         load_multiplicity_map(path)
+
+
+def _a2_fourth_parts(tmp_path) -> dict:
+    """The parts of the cache file of V_omega1^4 of A2, whose components (2, 1) (3 times) and (4, 0)
+    (once) both have dimension 15, with Casimir values 32/3 and 56/3."""
+    path = tmp_path / "fourth.bin"
+    save_multiplicity_map(tensor_power_multiplicities(RS["A2"], [((1, 0), 4)]), path)
+    parts = cache_parts(path.read_bytes())
+    lams = [tuple(parts["rows"][i]) for i in parts["lam_at"]]
+    assert dict(zip(lams, parts["lam_counts"])) == {(0, 2): 2, (1, 0): 3, (2, 1): 3, (4, 0): 1}
+    return parts
+
+
+def _move_unit(parts):
+    at = [tuple(parts["rows"][i]) for i in parts["lam_at"]]
+    counts = list(parts["lam_counts"])
+    counts[at.index((2, 1))] -= 1
+    counts[at.index((4, 0))] += 1
+    return {"lam_counts": counts}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_move_unit, "Casimir sum"),
+        (lambda parts: {"lam_at": parts["lam_at"][1:], "lam_counts": parts["lam_counts"][1:]}, "account for dimension"),
+        (lambda parts: {"lam_at": parts["lam_at"][::-1], "lam_counts": parts["lam_counts"][::-1]}, "not in strictly"),
+    ],
+    ids=["unit-moved-between-equal-dims", "dropped-component", "unsorted-components"],
+)
+def test_load_refuses_a_decomposition_that_does_not_fit(tmp_path, edit, message):
+    """A stored decomposition must account for the map: sum c dim V_lam = total_dim catches a dropped
+    component, the Casimir identity a unit moved between two components of equal dimension, and the
+    order check components out of lexicographic order; each is a ValueError."""
+    parts = _a2_fourth_parts(tmp_path)
+    path = tmp_path / "map.bin"
+    path.write_bytes(cache_file({**parts, **edit(parts)}))
+    with pytest.raises(ValueError, match=message):
+        load_multiplicity_map(path)
+
+
+def test_load_cannot_tell_components_exchanged_by_a_diagram_automorphism(tmp_path):
+    """The blind spot of the load checks: (3, 0) and (0, 3) of A2 have the same dimension and Casimir
+    value, so V_omega1^6 with their counts exchanged loads, with a decomposition that is not its own."""
+    m = tensor_power_multiplicities(RS["A2"], [((1, 0), 6)])
+    path = tmp_path / "map.bin"
+    save_multiplicity_map(m, path)
+    parts = cache_parts(path.read_bytes())
+    at = [tuple(parts["rows"][i]) for i in parts["lam_at"]]
+    counts = list(parts["lam_counts"])
+    i, j = at.index((3, 0)), at.index((0, 3))
+    assert counts[i] != counts[j]
+    counts[i], counts[j] = counts[j], counts[i]
+    path.write_bytes(cache_file({**parts, "lam_counts": counts}))
+    back = load_multiplicity_map(path)
+    assert back.dominant == m.dominant
+    assert racah_decompose(back.rs, back).components != racah_decompose(m.rs, m).components
+
+
+def test_library_save_and_load_past_4300_digits(tmp_path, default_int_digits):
+    """The file stores no decimal strings, so a library save and load of A1 N=15000, whose counts pass
+    4,300 digits, works under CPython's default limit on int <-> str digits."""
+    m = tensor_power_multiplicities(RS["A1"], [((1,), 15000)])
+    assert max(m.counts).bit_length() > 4300 * 3.33
+    path = tmp_path / "map.bin"
+    save_multiplicity_map(m, path)
+    back = load_multiplicity_map(path)
+    assert back.dominant == m.dominant and back.total_dim == 2**15000
+    assert fields(racah_decompose(back.rs, back)) == fields(racah_decompose(m.rs, m))
