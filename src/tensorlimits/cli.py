@@ -3,7 +3,9 @@
 Subcommands: rootsys, measure, decompose, density, converge.  Weights are
 comma-separated fundamental-weight coordinates; a tensor factor is written
 as `coords:tau`, e.g. `1,0:1` or `2,1:1/2`.  Measures use the one variance
-scale of measures.sigma_squared, and decompose uses Racah's formula.  Exit
+scale of measures.sigma_squared, and decompose uses Racah's formula.
+measure, decompose and converge read their spec by one intake (_spec_and_n);
+converge's --config file fills in for the flags not given.  Exit
 codes: 0 success, 2 bad configuration, including a --cache-dir or --output
 path that cannot be written (the diagnostic names the offending field), 3
 computation cap exceeded.
@@ -12,15 +14,12 @@ computation cap exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .measures import (
     TensorSpec,
     _csv_blocks,
     _measure_csv_blocks,
+    _resolve_map,
     admissible_N,
     eta_extended_measure,
     eta_measure,
@@ -50,6 +50,7 @@ from .measures import (
     xi_measure,
 )
 from .repchar import (
+    cache_key,
     load_multiplicity_map,
     racah_decompose,
     save_multiplicity_map,
@@ -64,6 +65,8 @@ from .rootsys import (
 )
 
 FORMATS = ("json", "csv")
+# the key of a config file that fills in for each tensor option not given on the command line
+CONFIG_KEYS = {"--type": "cartan_type", "--factor": "factors", "--N": "N_list", "--format": "format", "--cache-dir": "cache_dir"}
 
 
 def _positive_int(text: str) -> int:
@@ -87,11 +90,11 @@ class BadField(Exception):
 
 
 @contextmanager
-def _os_errors(field: str):
-    """Turn a file-system error inside the block into a BadField naming field."""
+def _field_errors(field: str, *errors):
+    """Turn an error of one of the kinds errors inside the block into a BadField naming field."""
     try:
         yield
-    except OSError as exc:
+    except errors as exc:
         raise BadField(field, str(exc))
 
 
@@ -102,69 +105,9 @@ def _int_list(value) -> tuple:
     return tuple(value)
 
 
-@dataclass
-class ExperimentConfig:
-    cartan_type: str
-    factors: tuple
-    N_list: tuple
-    format: str = "csv"
-    cache_dir: str | None = None
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise BadField("--config", f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise BadField("--config", f"{path} is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise BadField("--config", f"{path} must hold a JSON object, got {type(doc).__name__}")
-        for key in ("cartan_type", "factors", "N_list"):
-            if key not in doc:
-                raise BadField(key, "missing from config file")
-        if doc.get("sigma_convention", "consistent") != "consistent":
-            raise BadField("sigma_convention", "the only variance scale is 'consistent'")
-        if not isinstance(doc["factors"], list):
-            raise BadField("factors", f"must be a list, got {doc['factors']!r}")
-        factors = []
-        for item in doc["factors"]:
-            try:
-                factors.append((_int_list(item["weight"]), Fraction(str(item["tau"]))))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise BadField("factors", f"bad entry {item!r}: {exc}")
-        try:
-            n_list = _int_list(doc["N_list"])
-        except TypeError as exc:
-            raise BadField("N_list", str(exc))
-        cache_dir = doc.get("cache_dir")
-        if cache_dir is not None and not isinstance(cache_dir, str):
-            raise BadField("cache_dir", f"must be a path string, got {cache_dir!r}")
-        cfg = cls(
-            cartan_type=str(doc["cartan_type"]),
-            factors=tuple(factors),
-            N_list=n_list,
-            format=str(doc.get("format", "csv")),
-            cache_dir=cache_dir,
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.format not in FORMATS:
-            raise BadField("format", f"must be one of {FORMATS}")
-        if not self.factors:
-            raise BadField("factors", "at least one factor is required")
-        if not self.N_list or any(n < 1 for n in self.N_list):
-            raise BadField("N_list", "need a nonempty list of positive integers")
-
-
 def _parse_type(text: str) -> CartanType:
-    try:
+    with _field_errors("--type", UnsupportedType, ValueError):
         return CartanType.parse(text)
-    except (UnsupportedType, ValueError) as exc:
-        raise BadField("--type", str(exc))
 
 
 def _parse_factor(text: str):
@@ -189,30 +132,83 @@ def _parse_n_list(text: str):
     return values
 
 
+def _read_config(path: str) -> dict:
+    """A JSON config file's values by the flag each fills in for, as that flag's parser gives them:
+    the type as text, the factors as (coords, tau) pairs, N as a tuple, the format ("csv" when
+    absent) and the cache directory (None when absent).  Every value is checked, also one that a
+    flag will override; BadField names the key of a bad value, or --config for a file that is not
+    a JSON object.  Other keys are ignored."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise BadField("--config", f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise BadField("--config", f"{path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise BadField("--config", f"{path} must hold a JSON object, got {type(doc).__name__}")
+    for key in ("cartan_type", "factors", "N_list"):
+        if key not in doc:
+            raise BadField(key, "missing from config file")
+    if doc.get("sigma_convention", "consistent") != "consistent":
+        raise BadField("sigma_convention", "the only variance scale is 'consistent'")
+    if not isinstance(doc["factors"], list) or not doc["factors"]:
+        raise BadField("factors", f"must be a nonempty list, got {doc['factors']!r}")
+    factors = []
+    for item in doc["factors"]:
+        try:
+            factors.append((_int_list(item["weight"]), Fraction(str(item["tau"]))))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadField("factors", f"bad entry {item!r}: {exc}")
+    try:
+        n_list = _int_list(doc["N_list"])
+    except TypeError as exc:
+        raise BadField("N_list", str(exc))
+    if not n_list or any(n < 1 for n in n_list):
+        raise BadField("N_list", "need a nonempty list of positive integers")
+    fmt, cache_dir = doc.get("format", "csv"), doc.get("cache_dir")
+    if fmt not in FORMATS:
+        raise BadField("format", f"must be one of {FORMATS}")
+    if cache_dir is not None and not isinstance(cache_dir, str):
+        raise BadField("cache_dir", f"must be a path string, got {cache_dir!r}")
+    return {"--type": str(doc["cartan_type"]), "--factor": factors, "--N": n_list, "--format": fmt, "--cache-dir": cache_dir}
+
+
+@contextmanager
+def _filled_from_config(args):
+    """Give each tensor option not on the command line its value from the --config file, if one is
+    given, and report a BadField raised in the block for an option so filled under its config key."""
+    filled = {}
+    if args.config:
+        for flag, value in _read_config(args.config).items():
+            dest = flag[2:].replace("-", "_")  # argparse's dest for the flag
+            if not getattr(args, dest):  # an empty flag counts as not given
+                setattr(args, dest, value)
+                filled[flag] = CONFIG_KEYS[flag]
+    try:
+        yield
+    except BadField as exc:
+        raise BadField(filled.get(exc.field, exc.field), exc.message) from None
+
+
 def _build_spec(type_str: str, factors) -> TensorSpec:
-    t = _parse_type(type_str)
-    try:
-        rs = build_root_system(t)
-    except UnsupportedType as exc:
-        raise BadField("--type", str(exc))
-    try:
+    with _field_errors("--type", UnsupportedType):
+        rs = build_root_system(_parse_type(type_str))
+    with _field_errors("--factor", NotDominant, ValueError):
         return TensorSpec(rs, tuple(factors))
-    except (NotDominant, ValueError) as exc:
-        raise BadField("--factor", str(exc))
 
 
-def _check_nondegenerate(spec: TensorSpec) -> None:
-    """A spec whose factors are all trivial has sigma^2 = 0: no scale for measures or their limits."""
-    try:
-        sigma_squared(spec)
-    except DegenerateSpec as exc:
-        raise BadField("--factor", str(exc))
-
-
-def _check_admissible(spec: TensorSpec, n_values) -> None:
-    for n in n_values:
+def _spec_and_n(args) -> tuple[TensorSpec, tuple]:
+    """The spec of --type and --factor and the tensor powers of --N, each admissible; BadField
+    naming the flag that is missing or bad."""
+    for flag, value in (("--type", args.type), ("--factor", args.factor), ("--N", args.N)):
+        if not value:
+            raise BadField(flag, "required")
+    spec = _build_spec(args.type, args.factor)
+    for n in args.N:
         if not admissible_N(spec, n):
             raise BadField("--N", f"N = {n} makes some tau*N non-integral")
+    return spec, args.N
 
 
 def _cache_dir(given: str | None) -> str | None:
@@ -220,33 +216,23 @@ def _cache_dir(given: str | None) -> str | None:
     return given or os.environ.get("LTL_CACHE_DIR") or None
 
 
-def _cache_key(spec: TensorSpec, n: int) -> str:
-    """Hash of the spec, N, the algorithm that wrote the entry and the file format."""
-    factors = sorted(spec.factors)
-    blob = f"{spec.rs.cartan_type}|{factors}|N={n}|miller|v4"
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _load_cached(spec: TensorSpec, n: int, path: str):
     """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
 
     load_multiplicity_map checks the file and returns a character with its decomposition
-    attached; it is the spec's when its type is the spec's, its total is
-    prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N, and its scaled_second_moment
-    sum_mu m(mu) |W mu| N(mu), which the loader formed for its Casimir check, is
-    total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a basis)
-    times s^2 b_g / 2, s the pairing scale: N = scaled_norm is s^2 b_g / 2 times (mu, mu).
+    attached; it is the spec's when measures._resolve_map takes it as V_N's (its type is the
+    spec's and its total prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N) and its
+    scaled_second_moment sum_mu m(mu) |W mu| N(mu), which the loader formed for its Casimir
+    check, is total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a
+    basis) times s^2 b_g / 2, s the pairing scale: N = scaled_norm is s^2 b_g / 2 times (mu, mu).
     """
     try:
-        m = load_multiplicity_map(path)
+        m = _resolve_map(spec, n, load_multiplicity_map(path))
     except (OSError, ValueError, TensorLimitsError):
         return None
-    rs, counts = spec.rs, factor_counts(spec, n)
-    expected = prod(d**k for d, (_, k) in zip(spec.factor_dims, counts))
-    if m.rs.cartan_type != rs.cartan_type or m.total_dim != expected:
-        return None
-    casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in counts)
-    if Fraction(2 * m.scaled_second_moment, rs.pairing_scale**2 * rs.b_g) != expected * rs.rank * casimirs / rs.dim_g:
+    rs = spec.rs
+    casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in factor_counts(spec, n))
+    if Fraction(2 * m.scaled_second_moment, rs.pairing_scale**2 * rs.b_g) != m.total_dim * rs.rank * casimirs / rs.dim_g:
         return None
     return m
 
@@ -255,9 +241,9 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
     """Multiplicity maps for each N, reading the cache if set and overwriting its misses."""
     if cache_dir is None:
         return tensor_power_table(spec.rs, spec.factors, n_values)
-    with _os_errors("--cache-dir"):
+    with _field_errors("--cache-dir", OSError):
         os.makedirs(cache_dir, exist_ok=True)
-    paths = {n: os.path.join(cache_dir, f"ltl_{_cache_key(spec, n)}.bin") for n in n_values}
+    paths = {n: os.path.join(cache_dir, f"ltl_{cache_key(spec.rs.cartan_type, spec.factors, n)}.bin") for n in n_values}
     table = {}
     for n, path in paths.items():
         m = _load_cached(spec, n, path)
@@ -268,7 +254,7 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
         fresh = tensor_power_table(spec.rs, spec.factors, missing)
         for n in missing:
             table[n] = fresh[n]
-            with _os_errors("--cache-dir"):
+            with _field_errors("--cache-dir", OSError):
                 save_multiplicity_map(fresh[n], paths[n])
     return table
 
@@ -277,7 +263,7 @@ def _emit(text, args) -> None:
     """Write text, one str or an iterable of str blocks, to --output or stdout, a block at a time."""
     blocks = [text] if isinstance(text, str) else text
     if getattr(args, "output", None):
-        with _os_errors("--output"), open(args.output, "w") as fh:
+        with _field_errors("--output", OSError), open(args.output, "w") as fh:
             fh.writelines(blocks)
     else:
         sys.stdout.writelines(blocks)
@@ -297,39 +283,33 @@ def cmd_rootsys(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    spec = _build_spec(args.type, [_parse_factor(f) for f in args.factor])
-    n_values = _parse_n_list(args.N)
+    spec, n_values = _spec_and_n(args)
     if len(n_values) != 1:
         raise BadField("--N", "measure takes exactly one tensor power")
-    n = n_values[0]
-    _check_nondegenerate(spec)
-    _check_admissible(spec, [n])
+    with _field_errors("--factor", DegenerateSpec):  # sigma^2 = 0: no scale for the measures
+        sigma_squared(spec)
+    (n,) = n_values
     table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     builder = {"xi": xi_measure, "eta": eta_measure, "eta_extended": eta_extended_measure}[args.kind]
     measure = builder(spec, n, multiplicities=table[n])
-    if args.format == "csv":
-        _emit(_measure_csv_blocks(measure), args)
-    else:
+    if args.format == "json":
         doc = measure_to_json(measure)
         doc["kind"] = args.kind
         doc["spec"] = spec.describe()
         _emit(_json_dumps(doc), args)
+    else:
+        _emit(_measure_csv_blocks(measure), args)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    spec = _build_spec(args.type, [_parse_factor(f) for f in args.factor])
-    n_values = _parse_n_list(args.N)
+    spec, n_values = _spec_and_n(args)
     if len(n_values) != 1:
         raise BadField("--N", "decompose takes exactly one tensor power")
-    n = n_values[0]
-    _check_admissible(spec, [n])
+    (n,) = n_values
     table = _power_table(spec, [n], _cache_dir(args.cache_dir))
     result = racah_decompose(spec.rs, table[n])
-    if args.format == "csv":
-        header = ",".join(f"weight_{i+1}" for i in range(spec.rs.rank)) + ",multiplicity"
-        _emit(_csv_blocks(header, result.rows, zip(result.counts)), args)
-    else:
+    if args.format == "json":
         doc = {
             "spec": spec.describe(),
             "N": n,
@@ -338,6 +318,9 @@ def cmd_decompose(args) -> int:
             "total_dim": str(table[n].total_dim),
         }
         _emit(_json_dumps(doc), args)
+    else:
+        header = ",".join(f"weight_{i+1}" for i in range(spec.rs.rank)) + ",multiplicity"
+        _emit(_csv_blocks(header, result.rows, zip(result.counts)), args)
     return 0
 
 
@@ -370,7 +353,7 @@ def _plot_files(model, base: str) -> None:
             "set pm3d map\nset size ratio -1\n"
             f'splot "{base}.dat" using 1:2:3 notitle\n'
         )
-    with _os_errors("--output"):
+    with _field_errors("--output", OSError):
         with open(base + ".dat", "w") as fh:
             fh.write(dat)
         with open(base + ".gp", "w") as fh:
@@ -406,48 +389,19 @@ def cmd_density(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        type_str = args.type or cfg.cartan_type
-        factors = [_parse_factor(f) for f in args.factor] if args.factor else cfg.factors
-        n_values = _parse_n_list(args.N) if args.N else cfg.N_list
-        fmt = args.format or cfg.format
-        cache_dir = _cache_dir(args.cache_dir or cfg.cache_dir)
-        # a bad value read from the file is reported under its config key
-        source = {
-            flag: flag if given else key
-            for flag, key, given in (
-                ("--type", "cartan_type", args.type),
-                ("--factor", "factors", args.factor),
-                ("--N", "N_list", args.N),
-            )
-        }
-    else:
-        source = {}
-        for name, value in (("--type", args.type), ("--factor", args.factor), ("--N", args.N)):
-            if not value:
-                raise BadField(name, "required unless --config is given")
-        type_str = args.type
-        factors = [_parse_factor(f) for f in args.factor]
-        n_values = _parse_n_list(args.N)
-        fmt = args.format or "csv"
-        cache_dir = _cache_dir(args.cache_dir)
-    try:
-        spec = _build_spec(type_str, factors)
-        check_simple(spec.rs)
-        _check_nondegenerate(spec)
-        _check_admissible(spec, n_values)
-    except BadField as exc:
-        raise BadField(source.get(exc.field, exc.field), exc.message) from None
-    except UnsupportedType as exc:  # _build_spec names --type itself; this is check_simple
-        raise BadField(source.get("--type", "--type"), str(exc)) from None
+    with _filled_from_config(args):
+        spec, n_values = _spec_and_n(args)
+        with _field_errors("--type", UnsupportedType):
+            check_simple(spec.rs)
+        with _field_errors("--factor", DegenerateSpec):  # sigma^2 = 0: no scale for the limits
+            sigma_squared(spec)
     tv_grid(spec.rs.rank)  # RankTooLarge above rank 3, before any table work
-    table = _power_table(spec, sorted(set(n_values)), cache_dir)
+    table = _power_table(spec, sorted(set(n_values)), _cache_dir(args.cache_dir))
     report = convergence_report(spec, n_values, table=table)
-    if fmt == "csv":
-        _emit(report_to_csv(report), args)
-    else:
+    if args.format == "json":
         _emit(_json_dumps(report_to_json(report)), args)
+    else:
+        _emit(report_to_csv(report), args)
     return 0
 
 
@@ -465,23 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_root.add_argument("--output")
     p_root.set_defaults(handler=cmd_rootsys)
 
-    p_meas = sub.add_parser("measure", help="exact weight measures of a tensor power")
+    # the tensor options of measure, decompose and converge; the parsers of --factor and --N raise
+    # BadField, which argparse lets through (it catches only ValueError, TypeError and
+    # ArgumentTypeError), so a bad value exits 2 naming its flag as every other bad field does
+    tensor = argparse.ArgumentParser(add_help=False)
+    tensor.add_argument("--type", help="Cartan type, e.g. A2, B3, G2")
+    tensor.add_argument("--factor", action="append", type=_parse_factor, metavar="COORDS:TAU")
+    tensor.add_argument("--N", type=_parse_n_list, help="tensor power; for converge a comma-separated list, e.g. 4,16,64")
+    tensor.add_argument("--format", choices=FORMATS, help="default csv")
+    tensor.add_argument("--cache-dir")
+    tensor.add_argument("--output")
+
+    p_meas = sub.add_parser("measure", parents=[tensor], help="exact weight measures of a tensor power")
     p_meas.add_argument("kind", choices=["xi", "eta", "eta_extended"])
-    p_meas.add_argument("--type", required=True)
-    p_meas.add_argument("--factor", action="append", required=True, metavar="COORDS:TAU")
-    p_meas.add_argument("--N", required=True)
-    p_meas.add_argument("--format", choices=FORMATS, default="csv")
-    p_meas.add_argument("--cache-dir")
-    p_meas.add_argument("--output")
     p_meas.set_defaults(handler=cmd_measure)
 
-    p_dec = sub.add_parser("decompose", help="irreducible components of a tensor power")
-    p_dec.add_argument("--type", required=True)
-    p_dec.add_argument("--factor", action="append", required=True, metavar="COORDS:TAU")
-    p_dec.add_argument("--N", required=True)
-    p_dec.add_argument("--format", choices=FORMATS, default="csv")
-    p_dec.add_argument("--cache-dir")
-    p_dec.add_argument("--output")
+    p_dec = sub.add_parser("decompose", parents=[tensor], help="irreducible components of a tensor power")
     p_dec.set_defaults(handler=cmd_decompose)
 
     p_den = sub.add_parser("density", help="closed-form limit densities")
@@ -493,14 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--output")
     p_den.set_defaults(handler=cmd_density)
 
-    p_con = sub.add_parser("converge", help="convergence report across tensor powers")
-    p_con.add_argument("--type")
-    p_con.add_argument("--factor", action="append", metavar="COORDS:TAU")
-    p_con.add_argument("--N", help="comma-separated list, e.g. 4,16,64")
-    p_con.add_argument("--format", choices=FORMATS)
-    p_con.add_argument("--config", help="JSON experiment config; flags override")
-    p_con.add_argument("--cache-dir")
-    p_con.add_argument("--output")
+    p_con = sub.add_parser("converge", parents=[tensor], help="convergence report across tensor powers")
+    p_con.add_argument("--config", help="JSON experiment config; each flag overrides its key")
     p_con.set_defaults(handler=cmd_converge)
 
     return parser
@@ -509,13 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact counts pass 4,300 digits; 3.10.0-3.10.6 lack the limit
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except BadField as exc:
         print(f"error: {exc.field}: {exc.message}", file=sys.stderr)
         return 2

@@ -556,6 +556,13 @@ _LENGTH = struct.Struct("<I")  # the length before each count
 _HEADER = {"format": int, "cartan_type": str, "rows": int, "components": int, "sha256": str}
 
 
+def cache_key(cartan_type, factors, n: int) -> str:
+    """The sha256 hex digest that names the cache file of the tensor power at N of factors, (lam,
+    tau) pairs of cartan_type: it hashes them in sorted order, N, the algorithm that wrote the
+    table (Miller's recurrence) and the file format, so a file of another format has another name."""
+    return hashlib.sha256(f"{cartan_type}|{sorted(factors)}|N={n}|miller|v{_FORMAT}".encode()).hexdigest()
+
+
 def _put_counts(out: bytearray, counts) -> None:
     """Append each count (an int >= 0) to out as the 4-byte little-endian length of its unsigned
     little-endian bytes, then those bytes: 0 is a zero length."""

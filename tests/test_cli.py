@@ -317,6 +317,15 @@ def _swap_count_lists(parts):
     parts["counts"], parts["lam_counts"] = parts["lam_counts"], parts["counts"]
 
 
+def _double_every_count(parts):
+    """Every count, component count and the total doubled: twice the character of V_N, which the
+    loader's checks and the second-moment check pass (the moment doubles with the total); only the
+    total of V_N refuses it."""
+    for key in ("counts", "lam_counts"):
+        parts[key] = [2 * c for c in parts[key]]
+    parts["total_dim"] *= 2
+
+
 @pytest.mark.parametrize(
     "argv, corrupt",
     [
@@ -340,6 +349,7 @@ def _swap_count_lists(parts):
         (A2_XI, _edit_parts(_swap_count_lists)),
         (A1_XI, _flip_body_byte),
         (A2_XI, _v3_document),
+        (B2_XI, _edit_parts(_double_every_count)),
     ],
     ids=[
         "truncated",
@@ -360,6 +370,7 @@ def _swap_count_lists(parts):
         "joined-counts",
         "flipped-byte",
         "v3-document",
+        "doubled",
     ],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
@@ -413,6 +424,25 @@ def test_cache_hits_at_every_pairing_scale(tmp_path, label, factors, n):
     back = cli._load_cached(spec, n, str(path))
     assert back is not None
     assert back.dominant == m.dominant and back.total_dim == m.total_dim
+
+
+@pytest.mark.parametrize(
+    "label, factors, n, key",
+    [
+        ("B2", ["0,1:1", "1,0:1/2"], 16, "1f0a3bb3985d0e2c1f9b14b0a767cda34889175d63c679ca8e7a28c6e9cbe878"),
+        ("A2", ["1,0:1"], 64, "b371b581ad890c5413ccf4ffd344846a9c3251c6c8665645143e74b21be35757"),
+    ],
+    ids=["B2", "A2"],
+)
+def test_cache_file_names_are_pinned(tmp_path, capsys, label, factors, n, key):
+    """repchar.cache_key names the file ltl writes, ltl_<key>.bin; its bytes are pinned, so a cache
+    written before stays readable under the same name."""
+    spec = cli._build_spec(label, [cli._parse_factor(f) for f in factors])
+    assert repchar.cache_key(spec.rs.cartan_type, spec.factors, n) == key
+    cache = tmp_path / "cache"
+    argv = ["decompose", "--type", label, *(x for f in factors for x in ("--factor", f)), "--N", str(n)]
+    assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
+    assert [p.name for p in cache.iterdir()] == [f"ltl_{key}.bin"]
 
 
 def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
@@ -864,6 +894,16 @@ _GOOD_CONFIG = {"cartan_type": "A1", "factors": [{"weight": [1], "tau": "1"}], "
         ("factors", {**_GOOD_CONFIG, "factors": [{"weight": [-1], "tau": "1"}]}),
         ("factors", {**_GOOD_CONFIG, "factors": [{"weight": [1, 0], "tau": "1"}]}),
         ("N_list", {**_GOOD_CONFIG, "factors": [{"weight": [1], "tau": "1/2"}], "N_list": [3]}),
+        # a key missing, a value out of range, a tau that does not parse, a type that is not simple
+        ("cartan_type", {key: _GOOD_CONFIG[key] for key in ("factors", "N_list")}),
+        ("factors", {key: _GOOD_CONFIG[key] for key in ("cartan_type", "N_list")}),
+        ("N_list", {key: _GOOD_CONFIG[key] for key in ("cartan_type", "factors")}),
+        ("factors", {**_GOOD_CONFIG, "factors": []}),
+        ("factors", {**_GOOD_CONFIG, "factors": [{"weight": [1], "tau": "x"}]}),
+        ("N_list", {**_GOOD_CONFIG, "N_list": [0]}),
+        ("N_list", {**_GOOD_CONFIG, "N_list": []}),
+        ("format", {**_GOOD_CONFIG, "format": "xml"}),
+        ("cartan_type", {**_GOOD_CONFIG, "cartan_type": "D2", "factors": [{"weight": [1, 0], "tau": "1"}]}),
     ],
 )
 def test_config_type_errors_exit_2(tmp_path, capsys, field, doc):
@@ -883,6 +923,9 @@ def test_config_type_errors_exit_2(tmp_path, capsys, field, doc):
         ("--factor", ["measure", "eta", "--type", "A2", "--factor", "0,0:1", "--factor", "0,0:1/2", "--N", "4"]),
         ("--factor", ["measure", "eta_extended", "--type", "B2", "--factor", "0,0:1", "--N", "2"]),
         ("factors", ["converge", "--config", "{tmp}/cfg.json"]),
+        # a flag that overrides another key leaves the file's factors named; one that overrides them is named
+        ("factors", ["converge", "--config", "{tmp}/cfg.json", "--N", "8"]),
+        ("--factor", ["converge", "--config", "{tmp}/cfg.json", "--factor", "0,0:1/2"]),
     ],
 )
 def test_degenerate_spec_names_its_field(tmp_path, monkeypatch, capsys, field, argv):
@@ -898,6 +941,68 @@ def test_degenerate_spec_names_its_field(tmp_path, monkeypatch, capsys, field, a
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert (code, out) == (2, "")
     assert err == f"error: {field}: all highest weights are zero, sigma^2 = 0\n"
+
+
+_A2_FLAGS = {"--type": "A2", "--factor": "1,0:1/2", "--N": "4"}
+_A2_CONFIG = {"cartan_type": "A2", "factors": [{"weight": [1, 0], "tau": "1/2"}], "N_list": [4]}
+_TENSOR_COMMANDS = {"measure": ["measure", "xi"], "decompose": ["decompose"], "converge": ["converge"]}
+# one bad value of one flag, with the field named; the flag left out if None
+_BAD_FLAGS = [
+    ("--type", None),
+    ("--factor", None),
+    ("--N", None),
+    ("--type", "Q9"),
+    ("--factor", "1,0"),
+    ("--factor", "x,0:1"),
+    ("--factor", "1,0:0"),
+    ("--factor", "1:1"),
+    ("--factor", "-1,0:1"),
+    ("--N", "x"),
+    ("--N", "0"),
+    ("--N", "3"),
+]
+
+
+def _flags(**changes) -> list:
+    """The A2 flags with changes (flag without its dashes: value, None to leave it out), as --flag=value."""
+    flags = {**_A2_FLAGS, **{f"--{name}": value for name, value in changes.items()}}
+    return [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+
+
+@pytest.mark.parametrize(
+    "field, argv, doc",
+    [
+        # each bad flag of measure, decompose and converge, the other flags good
+        *(
+            pytest.param(flag, [*command, *_flags(**{flag[2:]: value})], {}, id=f"{name}{flag}={value}")
+            for name, command in _TENSOR_COMMANDS.items()
+            for flag, value in _BAD_FLAGS
+        ),
+        # each bad value given as a flag that overrides a good config key
+        *(
+            pytest.param(flag, ["converge", "--config", "{tmp}/cfg.json", f"{flag}={value}"], {}, id=f"config{flag}={value}")
+            for flag, value in _BAD_FLAGS
+            if value is not None
+        ),
+        # a bad config key beside a flag that overrides another
+        ("cartan_type", ["converge", "--config", "{tmp}/cfg.json", "--N", "4"], {"cartan_type": "Q9"}),
+        ("factors", ["converge", "--config", "{tmp}/cfg.json", "--N", "4"], {"factors": [{"weight": [1], "tau": "1"}]}),
+        ("N_list", ["converge", "--config", "{tmp}/cfg.json", "--type", "A2"], {"N_list": [3]}),
+        ("cartan_type", ["converge", "--config", "{tmp}/cfg.json", "--N", "4"], {"cartan_type": "D2"}),
+        # one tensor power only for measure and decompose; converge refuses a type that is not simple
+        ("--N", ["measure", "xi", *_flags(N="4,8")], {}),
+        ("--N", ["decompose", *_flags(N="4,8")], {}),
+        ("--type", ["converge", *_flags(type="D2")], {}),
+        ("--type", ["converge", "--config", "{tmp}/cfg.json", "--type", "D2"], {}),
+    ],
+)
+def test_bad_tensor_field_exit_2(tmp_path, capsys, field, argv, doc):
+    """One bad field, from a flag or a config file: exit 2, nothing on stdout, and the field named,
+    a config key when the file gave the value and the flag when the command line did."""
+    (tmp_path / "cfg.json").write_text(json.dumps({**_A2_CONFIG, **doc}))
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: "), err
 
 
 def test_decompose_of_a_trivial_spec_is_its_one_row(capsys):
