@@ -39,6 +39,7 @@ from .errors import (
 from .measures import (
     TensorSpec,
     _csv_blocks,
+    _decomposition_of,
     _measure_csv_blocks,
     _resolve_map,
     admissible_N,
@@ -51,8 +52,8 @@ from .measures import (
 )
 from .repchar import (
     cache_key,
+    load_decomposition,
     load_multiplicity_map,
-    racah_decompose,
     save_multiplicity_map,
     tensor_power_table,
 )
@@ -216,17 +217,21 @@ def _cache_dir(given: str | None) -> str | None:
     return given or os.environ.get("LTL_CACHE_DIR") or None
 
 
-def _load_cached(spec: TensorSpec, n: int, path: str):
-    """The cached map for N at path, or None if it is missing, unreadable or inconsistent.
+def _load_cached(spec: TensorSpec, n: int, path: str, whole: bool):
+    """The cached entry for N at path, or None if it is missing, unreadable or inconsistent: with
+    whole its map, else its decomposition alone.
 
-    load_multiplicity_map checks the file and returns a character with its decomposition
-    attached; it is the spec's when measures._resolve_map takes it as V_N's (its type is the
-    spec's and its total prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N) and its
+    load_decomposition reads only the file's decomposition section and checks it against the spec.
+    load_multiplicity_map reads and checks the whole file and returns a character with its
+    decomposition attached; it is the spec's when measures._resolve_map takes it as V_N's (its type
+    is the spec's and its total prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N) and its
     scaled_second_moment sum_mu m(mu) |W mu| N(mu), which the loader formed for its Casimir
     check, is total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a
     basis) times s^2 b_g / 2, s the pairing scale: N = scaled_norm is s^2 b_g / 2 times (mu, mu).
     """
     try:
+        if not whole:
+            return load_decomposition(path, spec.rs, factor_counts(spec, n))
         m = _resolve_map(spec, n, load_multiplicity_map(path))
     except (OSError, ValueError, TensorLimitsError):
         return None
@@ -237,8 +242,9 @@ def _load_cached(spec: TensorSpec, n: int, path: str):
     return m
 
 
-def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
-    """Multiplicity maps for each N, reading the cache if set and overwriting its misses."""
+def _power_table(spec: TensorSpec, n_values, cache_dir: str | None, whole: bool = False) -> dict:
+    """For each N, V_N's map, or a cache hit's decomposition alone unless whole; the cache is read if
+    set and its misses are overwritten."""
     if cache_dir is None:
         return tensor_power_table(spec.rs, spec.factors, n_values)
     with _field_errors("--cache-dir", OSError):
@@ -246,9 +252,9 @@ def _power_table(spec: TensorSpec, n_values, cache_dir: str | None) -> dict:
     paths = {n: os.path.join(cache_dir, f"ltl_{cache_key(spec.rs.cartan_type, spec.factors, n)}.bin") for n in n_values}
     table = {}
     for n, path in paths.items():
-        m = _load_cached(spec, n, path)
-        if m is not None:
-            table[n] = m
+        entry = _load_cached(spec, n, path, whole)
+        if entry is not None:
+            table[n] = entry
     missing = [n for n in n_values if n not in table]
     if missing:
         fresh = tensor_power_table(spec.rs, spec.factors, missing)
@@ -289,7 +295,7 @@ def cmd_measure(args) -> int:
     with _field_errors("--factor", DegenerateSpec):  # sigma^2 = 0: no scale for the measures
         sigma_squared(spec)
     (n,) = n_values
-    table = _power_table(spec, [n], _cache_dir(args.cache_dir))
+    table = _power_table(spec, [n], _cache_dir(args.cache_dir), whole=args.kind == "xi")
     builder = {"xi": xi_measure, "eta": eta_measure, "eta_extended": eta_extended_measure}[args.kind]
     measure = builder(spec, n, multiplicities=table[n])
     if args.format == "json":
@@ -307,20 +313,19 @@ def cmd_decompose(args) -> int:
     if len(n_values) != 1:
         raise BadField("--N", "decompose takes exactly one tensor power")
     (n,) = n_values
-    table = _power_table(spec, [n], _cache_dir(args.cache_dir))
-    result = racah_decompose(spec.rs, table[n])
+    result, dim = _decomposition_of(spec, n, _power_table(spec, [n], _cache_dir(args.cache_dir))[n])
     if args.format == "json":
         doc = {
             "spec": spec.describe(),
             "N": n,
             "method": "racah",
             "components": [{"weight": w, "multiplicity": str(c)} for w, c in zip(result.rows.tolist(), result.counts)],
-            "total_dim": str(table[n].total_dim),
+            "total_dim": str(dim),
         }
         _emit(_json_dumps(doc), args)
     else:
         header = ",".join(f"weight_{i+1}" for i in range(spec.rs.rank)) + ",multiplicity"
-        _emit(_csv_blocks(header, result.rows, zip(result.counts)), args)
+        _emit(_csv_blocks(header, result.rows, (",%d\n" % c for c in result.counts)), args)
     return 0
 
 
@@ -389,14 +394,15 @@ def cmd_density(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    # a bad value the config file gave, the cache directory's too, is named by its key
     with _filled_from_config(args):
         spec, n_values = _spec_and_n(args)
         with _field_errors("--type", UnsupportedType):
             check_simple(spec.rs)
         with _field_errors("--factor", DegenerateSpec):  # sigma^2 = 0: no scale for the limits
             sigma_squared(spec)
-    tv_grid(spec.rs.rank)  # RankTooLarge above rank 3, before any table work
-    table = _power_table(spec, sorted(set(n_values)), _cache_dir(args.cache_dir))
+        tv_grid(spec.rs.rank)  # RankTooLarge above rank 3, before any table work
+        table = _power_table(spec, sorted(set(n_values)), _cache_dir(args.cache_dir))
     report = convergence_report(spec, n_values, table=table)
     if args.format == "json":
         _emit(_json_dumps(report_to_json(report)), args)
@@ -453,11 +459,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_factors(argv: list) -> list:
+    """argv with each `--factor VALUE` whose value starts with '-' and a digit joined as
+    `--factor=VALUE`: argparse takes such a value for an option (it is no number), so `--factor
+    -1,0:1` would stop at a usage error instead of reaching the check that names the weight."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--factor" and arg[1:2].isdigit() and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact counts pass 4,300 digits; 3.10.0-3.10.6 lack the limit
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_joined_factors(sys.argv[1:] if argv is None else list(argv)))
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -228,9 +228,10 @@ def convergence_report(spec: TensorSpec, N_list, table: dict | None = None) -> C
     moments of xi come from the factor characters alone, so the character
     table, computed once by Miller's power recurrence, is read only for eta.
     The density side of the TV boxes is evaluated once for all N.  A
-    precomputed table mapping N to its multiplicity map (e.g. from a cache)
-    can be passed: its maps are used as given, and only the N it lacks are
-    built.  A type that is not simple raises UnsupportedType (check_simple).
+    precomputed table mapping N to V_N's multiplicity map or decomposition
+    (e.g. from a cache) can be passed: eta reads each entry by
+    measures._decomposition_of, and only the N it lacks are built.  A type
+    that is not simple raises UnsupportedType (check_simple).
     """
     rs = spec.rs
     check_simple(rs)

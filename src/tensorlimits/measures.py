@@ -44,6 +44,7 @@ import numpy as np
 from .errors import DegenerateSpec, InadmissibleN
 from .linalg import bilinear
 from .repchar import (
+    IrrepDecomposition,
     MultiplicityMap,
     _factor_support,
     check_character,
@@ -193,19 +194,34 @@ def factor_counts(spec: TensorSpec, N: int) -> list:
     return [(lam, int(tau * N)) for lam, tau in spec.factors]
 
 
+def _dim_v(spec: TensorSpec, N: int) -> int:
+    """dim V_N = prod_l weyl_dim(lam_l)^(tau_l N); InadmissibleN for an N that is not admissible."""
+    return math.prod(d**n for d, (_, n) in zip(spec.factor_dims, factor_counts(spec, N)))
+
+
 def _resolve_map(spec: TensorSpec, N: int, multiplicities) -> MultiplicityMap:
     """multiplicities, or the character of V_N when None.  A map whose total_dim is not
     prod_l weyl_dim(lam_l)^(n_l), e.g. that of another N, raises ValueError, one of another
     rank or Cartan type BasisMismatch; one of another spec of the same type with the same
     total (A2 omega1 for omega2) passes."""
-    counts = factor_counts(spec, N)
     if multiplicities is None:
-        return tensor_power_multiplicities(spec.rs, counts)
-    expected = math.prod(d**n for d, (_, n) in zip(spec.factor_dims, counts))
-    if multiplicities.total_dim != expected:
+        return tensor_power_multiplicities(spec.rs, factor_counts(spec, N))
+    if multiplicities.total_dim != (expected := _dim_v(spec, N)):
         raise ValueError(f"multiplicities have total_dim {multiplicities.total_dim}; V_N at N = {N} has dim {expected}")
     check_character(spec.rs, multiplicities)
     return multiplicities
+
+
+def _decomposition_of(spec: TensorSpec, N: int, source) -> tuple[IrrepDecomposition, int]:
+    """V_N's decomposition and dim V_N, the one path from which eta, eta extended, the convergence
+    report and ltl decompose read it.  source is V_N's decomposition, as repchar.load_decomposition
+    returns it checked against the spec (BasisMismatch for rows of another rank), or its character
+    (racah_decompose of _resolve_map's map: None builds it)."""
+    if isinstance(source, IrrepDecomposition):
+        check_length(spec.rs, source.rows.shape[1], "weight")
+        return source, _dim_v(spec, N)
+    m = _resolve_map(spec, N, source)
+    return racah_decompose(spec.rs, m), m.total_dim
 
 
 def xi_measure(
@@ -229,19 +245,19 @@ def xi_measure(
 def eta_measure(
     spec: TensorSpec,
     N: int,
-    multiplicities: MultiplicityMap | None = None,
+    multiplicities: MultiplicityMap | IrrepDecomposition | None = None,
 ) -> DiscreteMeasure:
-    """Component measure of V_N: mass [V_N : V_mu] dim V_mu / dim V_N."""
+    """Component measure of V_N: mass [V_N : V_mu] dim V_mu / dim V_N.  multiplicities, when given,
+    is V_N's character or its decomposition (_decomposition_of)."""
     sig = sigma_squared(spec)
-    m = _resolve_map(spec, N, multiplicities)
-    dec = racah_decompose(spec.rs, m)
-    return DiscreteMeasure._exact(dec.rows, [c * d for c, d in zip(dec.counts, dec.dims)], m.total_dim, sig, N)
+    dec, dim = _decomposition_of(spec, N, multiplicities)
+    return DiscreteMeasure._exact(dec.rows, [c * d for c, d in zip(dec.counts, dec.dims)], dim, sig, N)
 
 
 def eta_extended_measure(
     spec: TensorSpec,
     N: int,
-    multiplicities: MultiplicityMap | None = None,
+    multiplicities: MultiplicityMap | IrrepDecomposition | None = None,
 ) -> DiscreteMeasure:
     """Extension of eta to the whole weight lattice by shifted Weyl orbits.
 
@@ -388,32 +404,33 @@ def directional_second_moment(rs: RootSystemData, measure: DiscreteMeasure, t) -
     return bilinear(td, (w.T * np.array(measure.nums, dtype=object)) @ w, td) / (measure.den * measure.scale_sq)
 
 
-def _reduced(measure: DiscreteMeasure) -> list:
-    """(numerator, denominator) per atom, reduced by one gcd per distinct numerator: an
-    orbit of xi, the |W| atoms of one eta^e component and eta^e's wall atoms share one."""
+def _reduced(measure: DiscreteMeasure, form: str) -> list:
+    """form % (numerator, denominator) per atom, each distinct numerator reduced by one gcd and
+    formatted once: an orbit of xi, the |W| atoms of one eta^e component and eta^e's wall atoms
+    share one."""
     den, memo = measure.den, {}
     for n in measure.nums:
         if n not in memo:
             g = math.gcd(n, den)
-            memo[n] = n // g, den // g
-    return [memo[n] for n in measure.nums]
+            memo[n] = form % (n // g, den // g)
+    return list(map(memo.__getitem__, measure.nums))
 
 
 def _csv_blocks(header: str, rows: np.ndarray, tails):
-    """The CSV lines of header and of each int64 row followed by its tail, a tuple of ints from
-    tails, one %d per field of header, _CSV_BLOCK_ROWS rows a block, so no list of every line
-    or text of the whole table is held: the one CSV formatter, of ltl decompose and of measures."""
-    line = ",".join(["%d"] * len(header.split(","))) + "\n"
-    tails = iter(tails)
+    """The CSV lines of header and of each int64 row, its coordinates by %d and then its tail, a
+    string from tails that starts with a comma and ends the line, _CSV_BLOCK_ROWS rows a block, so
+    no list of every line or text of the whole table is held: the one CSV formatter, of ltl
+    decompose and of measures."""
+    line, tails = ",".join(["%d"] * rows.shape[1]), iter(tails)
     yield header + "\n"
     for a in range(0, len(rows), _CSV_BLOCK_ROWS):
-        yield "".join(line % (*w, *t) for w, t in zip(rows[a : a + _CSV_BLOCK_ROWS].tolist(), tails))
+        yield "".join([line % tuple(w) + t for w, t in zip(rows[a : a + _CSV_BLOCK_ROWS].tolist(), tails)])
 
 
 def _measure_csv_blocks(measure: DiscreteMeasure):
     """The blocks of measure_to_csv, by _csv_blocks: ltl measure writes them one at a time."""
     header = ",".join(f"weight_{i+1}" for i in range(measure.rank)) + ",numerator,denominator"
-    return _csv_blocks(header, measure.weights, _reduced(measure))
+    return _csv_blocks(header, measure.weights, _reduced(measure, ",%d,%d\n"))
 
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
@@ -426,5 +443,5 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
     return {
         "N": measure.N,
         "sigma_squared": f"{measure.sigma_sq.numerator}/{measure.sigma_sq.denominator}",
-        "atoms": [{"weight": w, "prob": "%d/%d" % nd} for w, nd in zip(measure.weights.tolist(), _reduced(measure))],
+        "atoms": [{"weight": w, "prob": p} for w, p in zip(measure.weights.tolist(), _reduced(measure, "%d/%d"))],
     }

@@ -29,13 +29,17 @@ roots), and read at positions in that list, found a block of rows at a time
 by rootsys._dominant_rows and a walk down the enumeration's levels (_levels, _positions).
 A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises TableCapExceeded before it is built.
 
-A map is saved with its decomposition, in the one cache format, 4 (_encode): a JSON header line
-(the type, the numbers of rows and components, the sha256 of the body) and a binary body of int32
-rows, length-prefixed little-endian counts, the components' positions among the rows and their
-counts, and total_dim.  load_multiplicity_map reads it through one memoryview and checks the map
-(the constructor), the decomposition (sum c dim V_lam = total_dim) and both together by the Casimir
-identity rank sum c dim V_lam (lam, lam + 2 rho) = dim g sum_mu m(mu) (mu, mu), in the integers of
-scaled_norm, then attaches the decomposition: racah_decompose on a loaded map runs no W-sum.
+A map is saved with its decomposition, in the one cache format, 5 (_encode), a section at a time: a
+JSON header line (the type, the numbers of components and rows, the byte size of each section), the
+decomposition section (int32 component rows, an int32 byte length per count, the counts' bytes, total_dim
+last) and the table section (rows, lengths and counts alike), each followed by its sha256.
+load_decomposition reads the header and the decomposition section alone, for ltl decompose, converge and
+measure eta and eta_extended, and checks it against the spec: sum c dim V_lam = prod_l dim V_lam_l^n_l and
+the Casimir trace sum c dim V_lam (lam, lam + 2 rho) = dim V sum_l n_l (lam_l, lam_l + 2 rho).
+load_multiplicity_map reads the whole file, for ltl measure xi, and checks the map (the constructor), the
+decomposition and both together by the Casimir identity rank sum c dim V_lam (lam, lam + 2 rho) = dim g
+sum_mu m(mu) (mu, mu), in the integers of scaled_norm, then attaches the decomposition: racah_decompose
+on a loaded map runs no W-sum.  Neither read tells apart components exchanged by a diagram automorphism.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ import hashlib
 import json
 import operator
 import os
-import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from itertools import repeat
 from math import lcm, prod
 from operator import mul
 
@@ -148,7 +153,7 @@ class MultiplicityMap:
         """racah_decompose's sum, run once per map and then shared by every call."""
         rs, nus = self.rs, self.rows
         reads = np.array([*self.counts, 0], dtype=object)
-        sums = next(_alternating_sums(rs, nus, reads, [0, len(nus)]))
+        sums = next(_alternating_sums(rs, nus, reads, [0, len(nus)], self._find))
         keep = [i for i in np.lexsort(nus.T[::-1]).tolist() if sums[i]]
         lams, counts = nus[keep], [sums[i] for i in keep]
         if min(counts, default=0) < 0:
@@ -172,6 +177,8 @@ class MultiplicityMap:
 
     @cached_property
     def _find(self):
+        """The _positions lookup of rows: Miller's recurrence hands over its own, and any other map
+        builds it on first read."""
         return _positions(self.rs, self.rows)
 
     def __len__(self) -> int:
@@ -304,16 +311,16 @@ def _dominant_weights(rs: RootSystemData, lam) -> tuple[np.ndarray, np.ndarray]:
     return nus[order], depths[order]
 
 
-def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cuts):
+def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cuts, find):
     """For each part nus[a:b] between consecutive cuts, the list of sum_w sign(w) reads[i]
-    over w in W, i the position of the dominant point of nu + rho - w rho among the rows nus and
-    len(nus) for a weight not among them (reads has one more slot than nus).
+    over w in W, i = find(the dominant point of nu + rho - w rho), find the _positions lookup of the
+    rows nus: len(nus) for a weight not among them (reads has one more slot than nus).
 
     A term is read only where den C^-1 (nu + rho - w rho) <= the coordinatewise max of
     den C^-1 mu over nus (_positions' budget): the dominant point mu of v has mu - v in Q+, so a
     term dropped would read as absent, and dropping it before the _dominant_rows fold pays
     (decompose B5 omega1 N=16: 0.28 s with it, 0.74 s without; one process, 2-core Xeon).  By
-    _weyl_shifts, _dominant_rows and _positions, _BLOCK_ROWS reads a block; each part is summed
+    _weyl_shifts, _dominant_rows and find, _BLOCK_ROWS reads a block; each part is summed
     only when asked for, so a caller may write reads in between.
     The rows nu + rho - w rho go to _dominant_rows unchecked: nus are a map's rows (|x| < 2^31,
     which MultiplicityMap checks) or those of _dominant_weights (below 2^28, see _miller_power),
@@ -321,7 +328,7 @@ def _alternating_sums(rs: RootSystemData, nus: np.ndarray, reads: np.ndarray, cu
     """
     (shifts, odd), (m_inv, _) = _weyl_shifts(rs.C), _scaled_inverse_cartan(rs.C)
     bound, lifts = (nus @ m_inv.T).max(axis=0, initial=0), shifts @ m_inv.T
-    find, step = _positions(rs, nus), max(1, _BLOCK_ROWS // len(shifts))
+    step = max(1, _BLOCK_ROWS // len(shifts))
     for a, b in zip(cuts, cuts[1:]):
         sums = []
         for c in range(a, b, step):
@@ -347,10 +354,10 @@ def irreducible_character(rs: RootSystemData, lam) -> MultiplicityMap:
     """
     lam = highest_weight(rs, lam)
     nus, depths = _dominant_weights(rs, lam)
-    reads = np.zeros(len(nus) + 1, dtype=object)
+    reads, find = np.zeros(len(nus) + 1, dtype=object), _positions(rs, nus)
     reads[0] = 1
     cuts = [*(np.flatnonzero(np.diff(depths)) + 1).tolist(), len(nus)]
-    for a, sums in zip(cuts, _alternating_sums(rs, nus, reads, cuts)):
+    for a, sums in zip(cuts, _alternating_sums(rs, nus, reads, cuts, find)):
         reads[a : a + len(sums)] = [-s for s in sums]
     return MultiplicityMap(rs, nus, reads[:-1].tolist(), weyl_dim(rs, lam))
 
@@ -382,18 +389,19 @@ def _positions(rs: RootSystemData, nus: np.ndarray):
     gathers p <- starts_i[p] + x_i, absent once x_i >= counts_i[p].  TableCapExceeded as in _levels."""
     b = (nus @ _scaled_inverse_cartan(rs.C)[0].T).max(axis=0, initial=0)
     levels, _ = _levels(rs, b, f"the weights nu >= 0 with den C^-1 nu <= {tuple(b.tolist())}")
-    slot = np.zeros(len(nus), dtype=np.int64)
+    size, slot = len(nus), np.zeros(len(nus), dtype=np.int64)
     for (starts, _), x in zip(levels, nus.T):
         slot = starts[slot] + x
-    at = np.full(int(levels[-1][1].sum()), len(nus))
-    at[slot] = np.arange(len(nus))
+    at = np.full(int(levels[-1][1].sum()), size)
+    at[slot] = np.arange(size)
 
+    # find keeps the levels and at, not nus: a map that holds it keeps no second copy of its rows
     def find(rows: np.ndarray) -> np.ndarray:
         p, inside = np.zeros(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool)
         for (starts, counts), x in zip(levels, rows.T):
             inside &= x < counts[p]
             p = starts[p] + np.where(inside, x, 0)
-        return np.where(inside, at[p], len(nus))
+        return np.where(inside, at[p], size)
 
     return find
 
@@ -476,7 +484,9 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
             for (_, _, cs, offset, part), own in zip(steps, owns):
                 if own[i]:
                     quotients[offset + a + i] = m - sum(map(mul, cs, vals[part]))
-    return MultiplicityMap(rs, nus, mult, prod(dim**n for _, _, dim, n in factors))
+    m = MultiplicityMap(rs, nus, mult, prod(dim**n for _, _, dim, n in factors))
+    m._find = find  # the map's lookup (m[weight]) and its W-sum read Miller's index
+    return m
 
 
 def tensor_power_multiplicities(rs: RootSystemData, factors) -> MultiplicityMap:
@@ -551,9 +561,11 @@ def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction
     return lhs, rhs
 
 
-_FORMAT = 4
-_LENGTH = struct.Struct("<I")  # the length before each count
-_HEADER = {"format": int, "cartan_type": str, "rows": int, "components": int, "sha256": str}
+_FORMAT = 5
+_HEADER = {"format": int, "cartan_type": str, "components": int, "decomposition_bytes": int, "rows": int,
+           "table_bytes": int}
+_DIGEST = 32  # the bytes of the sha256 after each section
+_WRITE_COUNTS = 2**12  # counts encoded and written a part at a time
 
 
 def cache_key(cartan_type, factors, n: int) -> str:
@@ -563,69 +575,50 @@ def cache_key(cartan_type, factors, n: int) -> str:
     return hashlib.sha256(f"{cartan_type}|{sorted(factors)}|N={n}|miller|v{_FORMAT}".encode()).hexdigest()
 
 
-def _put_counts(out: bytearray, counts) -> None:
-    """Append each count (an int >= 0) to out as the 4-byte little-endian length of its unsigned
-    little-endian bytes, then those bytes: 0 is a zero length."""
-    for c in counts:
-        size = (c.bit_length() + 7) // 8
-        out += _LENGTH.pack(size)
-        out += c.to_bytes(size, "little")
+def _section(rows, counts: list) -> tuple[int, Iterator[bytes]]:
+    """The size in bytes of the section of rows and counts (ints >= 0), and its parts: the rows as int32
+    little-endian, the byte length of each count as int32 little-endian, then each count's unsigned
+    little-endian bytes (0 has none), _WRITE_COUNTS counts a part."""
+    lengths = [(c.bit_length() + 7) // 8 for c in counts]
+    head = np.asarray(rows, dtype="<i4").tobytes() + np.array(lengths, dtype="<i4").tobytes()
+
+    def parts():
+        yield head
+        for a in range(0, len(counts), _WRITE_COUNTS):
+            b = a + _WRITE_COUNTS
+            yield b"".join(map(int.to_bytes, counts[a:b], lengths[a:b], repeat("little")))
+
+    return len(head) + sum(lengths), parts()
 
 
-def _read_ints(body: memoryview, at: int, n: int) -> tuple[np.ndarray, int]:
-    """n int32 little-endian integers from body[at:], as int64, and the offset past them."""
-    if at + 4 * n > len(body):
-        raise ValueError(f"{n} int32 values at byte {at} pass the end of a body of {len(body)} bytes")
-    return np.frombuffer(body, dtype="<i4", count=n, offset=at).astype(np.int64), at + 4 * n
-
-
-def _read_counts(body: memoryview, at: int, n: int) -> tuple[list, int]:
-    """n counts as _put_counts writes them from body[at:], and the offset past them.  ValueError for a
-    length that starts past the end; a count's bytes past the end read as fewer, so a caller compares
-    the final offset with len(body)."""
-    counts, length, read = [], _LENGTH.unpack_from, int.from_bytes
-    try:
-        for _ in range(n):
-            (size,) = length(body, at)
-            at += 4 + size
-            counts.append(read(body[at - size : at], "little"))
-    except struct.error:
-        raise ValueError(f"a count's length at byte {at} passes the end of a body of {len(body)} bytes") from None
-    return counts, at
-
-
-def _encode(cartan_type: str, rows, counts, lam_at, lam_counts, total_dim: int) -> tuple[bytes, bytearray]:
-    """The header line and the body of the format-4 file of a map's rows and counts, its components
-    (their positions lam_at among the rows, and their counts) and total_dim, each part written as
-    given.  The header is one JSON line: format 4, the type, the numbers of rows and of components
-    and the sha256 of the body.  The body holds the rows as int32 little-endian, their counts (each a
-    4-byte little-endian length, then that many bytes of the unsigned little-endian count), the
-    positions as int32 little-endian, the component counts as the counts are, and total_dim as one
-    more count.  A component is stored by its position, not its row, since it is one of the rows."""
-    body = bytearray(np.asarray(rows, dtype="<i4").tobytes())
-    _put_counts(body, counts)
-    body += np.asarray(lam_at, dtype="<i4").tobytes()
-    _put_counts(body, lam_counts)
-    _put_counts(body, [total_dim])
-    head = {"format": _FORMAT, "cartan_type": cartan_type, "rows": len(counts), "components": len(lam_counts),
-            "sha256": hashlib.sha256(body).hexdigest()}
-    return json.dumps(head).encode() + b"\n", body
+def _encode(cartan_type: str, rows, counts, lams, lam_counts, total_dim: int) -> Iterator[bytes]:
+    """The format-5 file of a map's rows and counts, its components lams (rows) with their counts and
+    total_dim, each written as given, a part at a time: the header line, one JSON object of the format,
+    the type, the numbers of components and rows and the byte sizes of the two sections; then the
+    decomposition section (_section of lams and lam_counts with total_dim as one more count) and the
+    table section (_section of rows and counts), each followed by its sha256."""
+    (d_size, d_parts), (t_size, t_parts) = _section(lams, [*lam_counts, total_dim]), _section(rows, counts)
+    head = {"format": _FORMAT, "cartan_type": cartan_type, "components": len(lam_counts),
+            "decomposition_bytes": d_size, "rows": len(counts), "table_bytes": t_size}
+    yield json.dumps(head).encode() + b"\n"
+    for parts in (d_parts, t_parts):
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+            yield part
+        yield digest.digest()
 
 
 def save_multiplicity_map(m: MultiplicityMap, path) -> None:
-    """Write a map, its rows in lexicographic order, and its decomposition (racah_decompose's, so
-    NegativeMultiplicity unless m is a character) to path in format 4 (_encode).  The file goes to a
-    temporary name beside path that then replaces path, so a reader sees the old file or the whole
-    new one, never a part."""
-    dec, order = m._decomposition, np.lexsort(m.rows.T[::-1])
-    sorted_at = np.empty_like(order)
-    sorted_at[order] = np.arange(len(order))
-    parts = _encode(str(m.rs.cartan_type), m.rows[order], [m.counts[i] for i in order.tolist()],
-                    sorted_at[m._find(dec.rows)], dec.counts, m.total_dim)
+    """Write a map, its rows in their order, and its decomposition (racah_decompose's, so
+    NegativeMultiplicity unless m is a character) to path in format 5 (_encode), a part at a time.
+    The file goes to a temporary name beside path that then replaces path, so a reader sees the old
+    file or the whole new one, never a part."""
+    dec = m._decomposition
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines(parts)
+            fh.writelines(_encode(str(m.rs.cartan_type), m.rows, m.counts, dec.rows, dec.counts, m.total_dim))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -633,70 +626,127 @@ def save_multiplicity_map(m: MultiplicityMap, path) -> None:
         raise
 
 
-def _decode(data: bytes) -> tuple:
-    """(rs, rows, counts, component positions, component counts, total_dim) of a format-4 file's
-    bytes, the body read through one memoryview, which is gone when this returns; ValueError for a
-    header that is not one JSON line of _HEADER's fields and types and of format 4, a body whose
-    sha256 is not the stored one, or a body that does not hold exactly what the header counts."""
-    end = data.find(b"\n")
-    if end < 0:
-        raise ValueError("no header line")
-    head = json.loads(data[:end])
+def _header(line: bytes) -> dict:
+    """The fields of a header line; ValueError unless it is one JSON object of exactly _HEADER's fields
+    and types, of format 5, with its numbers and sizes >= 0."""
+    head = json.loads(line)
     if type(head) is not dict or set(head) != set(_HEADER):
         raise ValueError(f"header {head!r} does not hold exactly the fields {list(_HEADER)}")
     for key, kind in _HEADER.items():
         if type(head[key]) is not kind:
             raise ValueError(f"header field {key!r} is {head[key]!r}, not a JSON {kind.__name__}")
-    if head["format"] != _FORMAT or min(head["rows"], head["components"]) < 0:
-        raise ValueError(f"header {head!r} is not of format {_FORMAT} with counts >= 0")
-    body = memoryview(data)[end + 1 :]
-    if hashlib.sha256(body).hexdigest() != head["sha256"]:
-        raise ValueError("the body's sha256 is not the stored one")
-    rs = build_root_system(CartanType.parse(head["cartan_type"]))
-    rows, at = _read_ints(body, 0, head["rows"] * rs.rank)
-    counts, at = _read_counts(body, at, head["rows"])
-    lam_at, at = _read_ints(body, at, head["components"])
-    lam_counts, at = _read_counts(body, at, head["components"])
-    (total_dim,), at = _read_counts(body, at, 1)
-    if at != len(body):
-        raise ValueError(f"the header's counts take {at} bytes of a body of {len(body)}")
-    return rs, rows.reshape(-1, rs.rank), counts, lam_at, lam_counts, total_dim
+    if head["format"] != _FORMAT or min(v for k, v in head.items() if k != "cartan_type") < 0:
+        raise ValueError(f"header {head!r} is not of format {_FORMAT} with numbers >= 0")
+    return head
+
+
+def _read_section(data: bytes, at: int, size: int, what: str, rows: int, rank: int, counts: int) -> tuple[np.ndarray, list]:
+    """The rows ((rows, rank) int64) and the counts of the section data[at : at + size], after its
+    sha256 is checked against the 32 bytes that follow it; ValueError (naming the section what) for
+    another sha256, or for a section that the rows, the lengths and the count bytes they give do not
+    fill exactly.  Each count is read from its own slice of data."""
+    end, start = at + size, at + 4 * (rows * rank + counts)
+    with memoryview(data) as view:
+        if hashlib.sha256(view[at:end]).digest() != data[end : end + _DIGEST]:
+            raise ValueError(f"the {what} section's sha256 is not the stored one")
+    if start > end:
+        raise ValueError(f"the {what} section's rows and lengths pass its {size} bytes")
+    nus = np.frombuffer(data, dtype="<i4", count=rows * rank, offset=at).astype(np.int64).reshape(rows, rank)
+    lengths = np.frombuffer(data, dtype="<u4", count=counts, offset=at + 4 * rows * rank)
+    stops = (np.cumsum(lengths, dtype=np.int64) + start).tolist()
+    if (stops[-1] if stops else start) != end:
+        raise ValueError(f"the {what} section's lengths count {(stops[-1] if stops else start) - start} bytes of {end - start}")
+    return nus, list(map(int.from_bytes, map(data.__getitem__, map(slice, [start, *stops], stops)), repeat("little")))
+
+
+def _decomposition_section(rs: RootSystemData, head: dict, data: bytes, at: int) -> tuple[IrrepDecomposition, int]:
+    """The decomposition and total_dim of the decomposition section at data[at:] (_read_section);
+    ValueError for a component that is not dominant, components not strictly increasing in
+    lexicographic order, a count of 0 or sum_lam c_lam dim V_lam != total_dim."""
+    k = head["components"]
+    lams, counts = _read_section(data, at, head["decomposition_bytes"], "decomposition", k, rs.rank, k + 1)
+    total_dim = counts.pop()
+    if (lams < 0).any():
+        raise ValueError(f"component {tuple(lams[(lams < 0).any(axis=1)][0].tolist())} is not dominant")
+    # row i + 1 follows row i iff their first differing coordinate grows
+    steps = lams[1:] - lams[:-1]
+    if (down := np.flatnonzero(steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)] <= 0)).size:
+        pair = tuple(lams[down[0]].tolist()), tuple(lams[down[0] + 1].tolist())
+        raise ValueError(f"components {pair[0]} and {pair[1]} are not in strictly increasing lexicographic order")
+    if 0 in counts:
+        raise ValueError(f"component {tuple(lams[counts.index(0)].tolist())} has count 0")
+    dims = _weyl_dims(rs, (lams + 1) @ np.array(rs.pairing_rows, dtype=np.int64).T)
+    if (total := sum(map(mul, counts, dims))) != total_dim:
+        raise ValueError(f"the components account for dimension {total} of {total_dim}")
+    lams.setflags(write=False)
+    return IrrepDecomposition(lams, counts, dims), total_dim
+
+
+def _casimir_trace(rs: RootSystemData, dec: IrrepDecomposition) -> int:
+    """sum_lam c_lam dim V_lam (N(lam + rho) - N(rho)), N = scaled_norm: s^2 b_g / 2 times the trace of the
+    Casimir on the sum of the components, sum_lam c_lam dim V_lam (lam, lam + 2 rho)."""
+    lifts = (_squared_norms(dec.rows + 1, rs.pairing_rows) - scaled_norm(rs, rs.rho)).tolist()
+    return sum(map(mul, dec.counts, map(mul, dec.dims, lifts)))
+
+
+def load_decomposition(path, rs: RootSystemData, factors) -> IrrepDecomposition:
+    """The decomposition that save_multiplicity_map wrote to path, read from the header line and the
+    decomposition section alone, checked as that of V = prod_l V_lam_l^(n_l), factors its (lam_l, n_l)
+    pairs, of rs's type.
+
+    ValueError for a bad header, a file of another type, a section the file does not hold, and each
+    check of _decomposition_section; then unless the stored total is dim V = prod_l dim V_lam_l^n_l and
+    the Casimir trace sum_lam c_lam dim V_lam (lam, lam + 2 rho) = dim V sum_l n_l (lam_l, lam_l + 2 rho)
+    holds, in the integers of scaled_norm.  The Casimir acts on V_lam by (lam, lam + 2 rho) and on V as
+    sum_l of its factors' Casimirs plus the cross terms Omega_ij, each traceless, so the trace holds for
+    every genuine decomposition; it catches a unit moved between components of different Casimir, and
+    the total a dropped component.  Like load_multiplicity_map's checks, it cannot tell apart components
+    exchanged by a diagram automorphism, such as (a, b) and (b, a) on A2, which have the same dimension
+    and Casimir.  The table section is neither read nor checked."""
+    with open(path, "rb") as fh:
+        head = _header(fh.readline())
+        size = head["decomposition_bytes"] + _DIGEST
+        if fh.tell() + size > os.fstat(fh.fileno()).st_size:
+            raise ValueError(f"the decomposition section of {size} bytes passes the end of the file")
+        section = fh.read(size)
+    if head["cartan_type"] != str(rs.cartan_type):
+        raise ValueError(f"a decomposition of {head['cartan_type']}, not of {rs.cartan_type}")
+    dec, total_dim = _decomposition_section(rs, head, section, 0)
+    factors = [(highest_weight(rs, lam), n) for lam, n in factors]
+    if total_dim != (dim := prod(weyl_dim(rs, lam) ** n for lam, n in factors)):
+        raise ValueError(f"the components account for dimension {total_dim}; V has dimension {dim}")
+    rho = scaled_norm(rs, rs.rho)
+    if _casimir_trace(rs, dec) != dim * sum(n * (scaled_norm(rs, [x + 1 for x in lam]) - rho) for lam, n in factors):
+        raise ValueError("the components' Casimir trace is not V's")
+    return dec
 
 
 def load_multiplicity_map(path) -> MultiplicityMap:
     """The map save_multiplicity_map wrote to path, W-invariant under its stored type, with its
     decomposition attached: racah_decompose on it runs no W-sum.
 
-    The file is read once (_decode: ValueError for a bad header, a sha256 that is not the body's or
-    a body of another length than its header counts, so a truncated or bit-flipped file is refused;
-    UnsupportedType or WeylCapExceeded for its type).  The constructor's checks run as for any map
-    (ValueError, NotDominant).  Then, each failure a ValueError: every component position must lie
-    among the rows, the components be strictly increasing in lexicographic order with positive
-    counts, sum_lam c_lam dim V_lam be total_dim, and, with N = scaled_norm, the Casimir identity
-    rank sum_lam c_lam dim V_lam (N(lam + rho) - N(rho)) = dim g scaled_second_moment hold in
-    integers.  A unit moved between components of equal dimension and different Casimir fails it.
-    The checks cannot tell apart components exchanged by a diagram automorphism, such as (a, b) and
-    (b, a) on A2, which have the same dimension and Casimir; the digest guards against storage
-    faults, not against a wrong writer."""
+    The file is read once: ValueError for a bad header, a body of another
+    size than its sections, and each check of _decomposition_section and _read_section (so a truncated
+    or bit-flipped file is refused); UnsupportedType or WeylCapExceeded for its type.  The constructor's
+    checks run as for any map (ValueError, NotDominant).  Then, with N = scaled_norm, the components must
+    account for the table by the Casimir identity rank sum_lam c_lam dim V_lam (N(lam + rho) - N(rho)) =
+    dim g scaled_second_moment, in integers, or ValueError.  A unit moved between components of equal
+    dimension and different Casimir fails it.  The checks cannot tell apart components exchanged by a
+    diagram automorphism, such as (a, b) and (b, a) on A2, which have the same dimension and Casimir;
+    the digests guard against storage faults, not against a wrong writer."""
     with open(path, "rb") as fh:
-        rs, rows, counts, lam_at, lam_counts, total_dim = _decode(fh.read())
+        data = fh.read()
+    line = data.partition(b"\n")[0]
+    head = _header(line)
+    rs = build_root_system(CartanType.parse(head["cartan_type"]))
+    at = len(line) + 1
+    table = at + head["decomposition_bytes"] + _DIGEST
+    if len(data) != table + head["table_bytes"] + _DIGEST:
+        raise ValueError(f"the header's sections take {table + head['table_bytes'] + _DIGEST - at} bytes of a body of {len(data) - at}")
+    dec, total_dim = _decomposition_section(rs, head, data, at)
+    rows, counts = _read_section(data, table, head["table_bytes"], "table", head["rows"], rs.rank, head["rows"])
     m = MultiplicityMap(rs, rows, counts, total_dim)
-    if lam_at.size and not 0 <= lam_at.min() <= lam_at.max() < len(rows):
-        raise ValueError(f"a component position is outside the {len(rows)} rows")
-    lams = m.rows[lam_at]
-    # row i + 1 follows row i iff their first differing coordinate grows
-    steps = lams[1:] - lams[:-1]
-    if (down := np.flatnonzero(steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)] <= 0)).size:
-        pair = tuple(lams[down[0]].tolist()), tuple(lams[down[0] + 1].tolist())
-        raise ValueError(f"components {pair[0]} and {pair[1]} are not in strictly increasing lexicographic order")
-    if 0 in lam_counts:
-        raise ValueError(f"component {tuple(lams[lam_counts.index(0)].tolist())} has count 0")
-    dims = _weyl_dims(rs, (lams + 1) @ np.array(rs.pairing_rows, dtype=np.int64).T)
-    if (total := sum(map(mul, lam_counts, dims))) != total_dim:
-        raise ValueError(f"the components account for dimension {total} of {total_dim}")
-    lifts = map(mul, dims, (_squared_norms(lams + 1, rs.pairing_rows) - scaled_norm(rs, rs.rho)).tolist())
-    if rs.rank * sum(map(mul, lam_counts, lifts)) != rs.dim_g * m.scaled_second_moment:
+    if rs.rank * _casimir_trace(rs, dec) != rs.dim_g * m.scaled_second_moment:
         raise ValueError("the components' Casimir sum does not match the map's second moment")
-    lams.setflags(write=False)
-    m._decomposition = IrrepDecomposition(lams, lam_counts, dims)
+    m._decomposition = dec
     return m

@@ -5,7 +5,8 @@ exact division of Weyl alternants or from the Freudenthal recursion, products
 of characters from the plain convolution sum, decompositions from peeling off highest weights, from
 Racah's sum over the full weight table with enumerated Weyl elements or from
 Racah's sum as the signed pushforward over every W-orbit point, rank-1
-tensor powers from the ballot closed form, dominant weights by a search
+tensor powers from the ballot closed form and A_{n-1} omega1 powers from
+Frobenius's formula for the number of standard Young tableaux, dominant weights by a search
 along positive roots, W-orbits and dominant points one scalar reflection at
 a time (orbit, and to_dominant, the reference for rootsys.to_dominant_rows), and
 the moments, the characteristic function and the
@@ -14,8 +15,8 @@ full entries of its character, and a measure's CSV and JSON rows are reduced
 by one gcd per atom.  Convolution and peel-off work on full entries as plain dicts;
 character_map turns a W-invariant dict into a MultiplicityMap, and mat_vec
 gives a root's omega-coords as C @ root.  cache_parts, cache_file and
-edit_cache_body take a cache file apart and put edited parts back together, for
-the loader's tests.
+edit_cache_section take a cache file apart and put edited parts back together, for
+the loaders' tests.
 """
 
 import hashlib
@@ -337,6 +338,30 @@ def sl2_power_components(n: int) -> dict:
     return out
 
 
+def _partitions(total: int, parts: int, largest: int):
+    """The partitions of total into at most parts parts, each at most largest, as tuples of length parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, largest), (total + parts - 1) // parts - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def schur_weyl_components(n: int, N: int) -> dict:
+    """[(C^n)^(tensor N) : V_lam] for A_{n-1} omega1^N by Schur-Weyl duality: f^lam, the number of
+    standard Young tableaux of the partition lam of N into at most n parts, by Frobenius's formula
+    f^lam = N! prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = lam_i + n - i (Fulton & Harris,
+    Representation Theory, section 4.1); keyed by omega-coords a_i = lam_i - lam_(i+1)."""
+    out = {}
+    for lam in _partitions(N, n, N):
+        l = [x + n - 1 - i for i, x in enumerate(lam)]
+        num = math.factorial(N) * math.prod(l[i] - l[j] for i in range(n) for j in range(i + 1, n))
+        out[tuple(lam[i] - lam[i + 1] for i in range(n - 1))] = num // math.prod(map(math.factorial, l))
+    return out
+
+
 def second_moment_direct(entries: dict, pair_vec) -> Fraction:
     """Sum of mult * (t, mu)^2 with a precomputed pairing vector for t."""
     acc = Fraction(0)
@@ -461,26 +486,39 @@ def measure_json(measure) -> dict:
     }
 
 
+def _sections(data: bytes) -> tuple[dict, list]:
+    """The header of a cache file and its two sections' bytes, each without the sha256 after it."""
+    line, _, body = data.partition(b"\n")
+    head, cut = json.loads(line), json.loads(line)["decomposition_bytes"]
+    return head, [body[:cut], body[cut + 32 : len(body) - 32]]
+
+
 def cache_parts(data: bytes) -> dict:
-    """The parts of the cache file data (repchar._decode), as repchar._encode takes them: lists of
-    Python ints, the rows as lists."""
-    rs, rows, counts, lam_at, lam_counts, total_dim = repchar._decode(data)
-    return {"cartan_type": str(rs.cartan_type), "rows": rows.tolist(), "counts": counts,
-            "lam_at": lam_at.tolist(), "lam_counts": lam_counts, "total_dim": total_dim}
+    """The parts of the cache file data (repchar._header and repchar._read_section), as repchar._encode
+    takes them: lists of Python ints, the rows and the components' rows as lists."""
+    head = repchar._header(data.partition(b"\n")[0])
+    rank, at = repchar.CartanType.parse(head["cartan_type"]).rank, data.index(b"\n") + 1
+    size, k = head["decomposition_bytes"], head["components"]
+    lams, lam_counts = repchar._read_section(data, at, size, "decomposition", k, rank, k + 1)
+    rows, counts = repchar._read_section(data, at + size + 32, head["table_bytes"], "table", head["rows"], rank, head["rows"])
+    return {"cartan_type": head["cartan_type"], "rows": rows.tolist(), "counts": counts, "lams": lams.tolist(),
+            "lam_counts": lam_counts[:-1], "total_dim": lam_counts[-1]}
 
 
 def cache_file(parts: dict, **head) -> bytes:
     """The cache file of parts (repchar._encode), with the header fields in head written over the ones
-    _encode writes; the sha256 stays that of the body."""
-    line, body = repchar._encode(**parts)
-    return json.dumps({**json.loads(line), **head}).encode() + b"\n" + bytes(body)
+    _encode writes; each sha256 stays that of its section."""
+    line, *rest = repchar._encode(**parts)
+    return json.dumps({**json.loads(line), **head}).encode() + b"\n" + b"".join(rest)
 
 
-def edit_cache_body(data: bytes, edit) -> bytes:
-    """The cache file data with edit applied to its body, a bytearray, and the header's sha256 that
-    of the edited body: only the loader's reading of the body can refuse it."""
-    end = data.index(b"\n")
-    body = bytearray(data[end + 1 :])
-    edit(body)
-    head = {**json.loads(data[:end]), "sha256": hashlib.sha256(body).hexdigest()}
-    return json.dumps(head).encode() + b"\n" + bytes(body)
+def edit_cache_section(data: bytes, section: str, edit) -> bytes:
+    """The cache file data with edit applied to one section ("decomposition" or "table"), a bytearray,
+    and the header's size and the sha256 after it those of the edited section: only the loader's
+    reading of the section can refuse it."""
+    head, parts = _sections(data)
+    at = ["decomposition", "table"].index(section)
+    parts[at] = bytearray(parts[at])
+    edit(parts[at])
+    head[f"{section}_bytes"] = len(parts[at])
+    return json.dumps(head).encode() + b"\n" + b"".join(bytes(p) + hashlib.sha256(p).digest() for p in parts)

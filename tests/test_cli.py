@@ -21,7 +21,7 @@ from tensorlimits.repchar import (
 )
 from tensorlimits.rootsys import build_root_system
 
-from oracles import cache_file, cache_parts, edit_cache_body, orbit, peel_off_decompose
+from oracles import cache_file, cache_parts, edit_cache_section, fields, orbit, peel_off_decompose
 
 
 def run(capsys, *argv):
@@ -278,8 +278,8 @@ def _zero_at_weight_10(mults):
 def _pad_weight_0(parts):
     """One more at the weight 0, stored total raised to match: the map is
     self-consistent, but its components account for one dimension less."""
-    assert parts["rows"][0] == [0]
-    parts["counts"][0] += 1
+    assert parts["rows"][-1] == [0]
+    parts["counts"][-1] += 1
     parts["total_dim"] += 1
 
 
@@ -298,22 +298,24 @@ def _flip_body_byte(data):
 
 def _v3_document(data):
     """The format-3 JSON document of A2 V_omega1^2 (dominant weights, decimal-string counts and
-    total) under the format-4 name: no header line."""
-    assert cache_parts(data)["counts"] == [2, 1]
+    total) under the format-5 name: no header line."""
+    assert cache_parts(data)["counts"] == [1, 2]
     return json.dumps({"cartan_type": "A2", "weights": [[0, 1], [2, 0]], "multiplicities": ["2", "1"],
                        "total_dim": "9"}).encode()
 
 
 def _stretch_first_length(data):
-    """A1 N=8: the first count's length, after the 5 rows of 4 bytes, one byte too long, so it
-    swallows the next length's first byte."""
-    assert cache_parts(data)["rows"] == [[0], [2], [4], [6], [8]]
-    return edit_cache_body(data, lambda body: body.__setitem__(slice(20, 24), (body[20] + 1).to_bytes(4, "little")))
+    """A1 N=8: the first count's length, after the table's 5 rows of 4 bytes, one byte too long, so the
+    lengths count one byte more than the section holds."""
+    assert cache_parts(data)["rows"] == [[8], [6], [4], [2], [0]]
+    return edit_cache_section(
+        data, "table", lambda section: section.__setitem__(slice(20, 24), (section[20] + 1).to_bytes(4, "little"))
+    )
 
 
 def _swap_count_lists(parts):
-    """A2 V_omega1^2: the map's counts [2, 1] and the components' [1, 1] exchanged; over the orbits
-    of (0, 1) and (2, 0), 3 points each, the counts [1, 1] sum to 6, not to the stored total 9."""
+    """A2 V_omega1^2: the map's counts [1, 2] and the components' [1, 1] exchanged; over the orbits
+    of (2, 0) and (0, 1), 3 points each, the counts [1, 1] sum to 6, not to the stored total 9."""
     parts["counts"], parts["lam_counts"] = parts["lam_counts"], parts["counts"]
 
 
@@ -331,7 +333,7 @@ def _double_every_count(parts):
     [
         (A1_XI, lambda data: data[:-3]),  # truncated write
         (A1_XI, lambda data: cache_file(
-            {"cartan_type": "A1", "rows": [[0]], "counts": [5], "lam_at": [0], "lam_counts": [5], "total_dim": 5}
+            {"cartan_type": "A1", "rows": [[0]], "counts": [5], "lams": [[0]], "lam_counts": [5], "total_dim": 5}
         )),
         (A1_XI, _edit_dominant(_swap_first_multiplicities)),
         (A1_XI, _edit_dominant(_move_mass_outward)),
@@ -341,11 +343,11 @@ def _double_every_count(parts):
         (B2_XI, _relabel_c2),
         (A1_XI, _stretch_first_length),
         (A1_XI, _edit_parts(lambda parts: parts["lam_counts"].__setitem__(0, 0))),
-        (A1_XI, lambda data: cache_file(cache_parts(data), sha256="0" * 64)),
+        (A1_XI, lambda data: data[:-32] + bytes(32)),
         (A1_XI, lambda data: cache_file(cache_parts(data), format=3)),
-        (B2_XI, _edit_parts(lambda parts: [parts[key].pop(0) for key in ("lam_at", "lam_counts")])),
-        (B2_XI, _edit_parts(lambda parts: [parts[key].reverse() for key in ("lam_at", "lam_counts")])),
-        (B2_XI, _edit_parts(lambda parts: parts["lam_at"].__setitem__(-1, len(parts["rows"])))),
+        (B2_XI, _edit_parts(lambda parts: [parts[key].pop(0) for key in ("lams", "lam_counts")])),
+        (B2_XI, _edit_parts(lambda parts: [parts[key].reverse() for key in ("lams", "lam_counts")])),
+        (B2_XI, _edit_parts(lambda parts: parts["lams"][-1].__setitem__(0, parts["lams"][-1][0] + 1))),
         (A2_XI, _edit_parts(_swap_count_lists)),
         (A1_XI, _flip_body_byte),
         (A2_XI, _v3_document),
@@ -377,10 +379,10 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
     """Each corruption is a miss: exit 0, the same stdout, nothing on stderr, and the file rewritten
     with the recomputed map.  Besides edits of the stored map and total, a truncated body, a flipped
     body byte, a format-3 document and a header of another type, it covers a count's length one byte
-    too long (half), a component count of 0 (true), a stored sha256 of another body (point-zero),
+    too long (half), a component count of 0 (true), a stored sha256 of another table (point-zero),
     format 3 in the header (underscore), a dropped component (coordinate-true), components out of
-    order (coordinate-float), a component position past the rows (coordinate-string) and the map's
-    and the components' counts exchanged (joined-counts)."""
+    order (coordinate-float), the last component moved to a higher weight (coordinate-string) and the
+    map's and the components' counts exchanged (joined-counts)."""
     cache = tmp_path / "cache"
     argv = argv + ["--cache-dir", str(cache)]
     code, cold, _ = run(capsys, *argv)
@@ -414,23 +416,24 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, argv, corrupt):
     ids=["A1", "A2", "B2", "G2-w1", "G2-w2", "B3", "C3", "D4", "F4"],
 )
 def test_cache_hits_at_every_pairing_scale(tmp_path, label, factors, n):
-    """A saved map passes every check of _load_cached, whose second moment reads
-    scaled_norm, at the pairing scales s = 1 (A, D), 2 (B, C, F4) and 3 (G2): a hit
-    returns the saved map, where a miss would recompute it and rewrite the same bytes."""
+    """A saved map passes every check of _load_cached, whose second moment and Casimir trace read
+    scaled_norm, at the pairing scales s = 1 (A, D), 2 (B, C, F4) and 3 (G2): a hit returns the
+    saved map, or its decomposition alone, where a miss would recompute it and rewrite the same bytes."""
     spec = cli._build_spec(label, [cli._parse_factor(f) for f in factors])
     m = tensor_power_table(spec.rs, spec.factors, [n])[n]
     path = tmp_path / "map.json"
     save_multiplicity_map(m, path)
-    back = cli._load_cached(spec, n, str(path))
+    back = cli._load_cached(spec, n, str(path), whole=True)
     assert back is not None
     assert back.dominant == m.dominant and back.total_dim == m.total_dim
+    assert fields(cli._load_cached(spec, n, str(path), whole=False)) == fields(racah_decompose(spec.rs, m))
 
 
 @pytest.mark.parametrize(
     "label, factors, n, key",
     [
-        ("B2", ["0,1:1", "1,0:1/2"], 16, "1f0a3bb3985d0e2c1f9b14b0a767cda34889175d63c679ca8e7a28c6e9cbe878"),
-        ("A2", ["1,0:1"], 64, "b371b581ad890c5413ccf4ffd344846a9c3251c6c8665645143e74b21be35757"),
+        ("B2", ["0,1:1", "1,0:1/2"], 16, "91e090c7808f6ed7c7890ec959a22a0a8ca3f6708afe982c71ddb327f052b0d7"),
+        ("A2", ["1,0:1"], 64, "353ca82a35128862d3321bd199e6be1e7beb24c6c138854bc0957a40d829a0aa"),
     ],
     ids=["B2", "A2"],
 )
@@ -448,7 +451,7 @@ def test_cache_file_names_are_pinned(tmp_path, capsys, label, factors, n, key):
 def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
     """One component of V_omega1^4 (G2) moved from (0, 3) to (2, 0), both of dimension 77, with
     Casimir values 16 and 20: a genuine character of the same total, which loads with its own
-    decomposition, but whose second moment is larger than the spec's."""
+    decomposition, but whose second moment and Casimir trace are larger than the spec's."""
     spec = cli._build_spec("G2", [cli._parse_factor("1,0:1")])
     m = tensor_power_table(spec.rs, spec.factors, [4])[4]
     components = dict(racah_decompose(spec.rs, m).components)
@@ -462,7 +465,8 @@ def test_cache_misses_on_g2_mass_moved_outward(tmp_path):
     path = tmp_path / "map.bin"
     save_multiplicity_map(moved, path)
     assert repchar.load_multiplicity_map(path).dominant == moved.dominant
-    assert cli._load_cached(spec, 4, str(path)) is None
+    assert cli._load_cached(spec, 4, str(path), whole=True) is None
+    assert cli._load_cached(spec, 4, str(path), whole=False) is None
 
 
 def test_warm_run_reads_the_stored_decomposition(tmp_path, capsys, monkeypatch):
@@ -472,7 +476,7 @@ def test_warm_run_reads_the_stored_decomposition(tmp_path, capsys, monkeypatch):
     cuts = []
     alternating = repchar._alternating_sums
     monkeypatch.setattr(
-        repchar, "_alternating_sums", lambda rs, nus, reads, c: cuts.append(c) or alternating(rs, nus, reads, c)
+        repchar, "_alternating_sums", lambda rs, nus, reads, c, find: cuts.append(c) or alternating(rs, nus, reads, c, find)
     )
     b2, cache = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"], str(tmp_path / "cache")
     assert run(capsys, "measure", "xi", *b2, "--N", "8", "--cache-dir", cache)[0] == 0
@@ -497,7 +501,7 @@ def test_orbit_sizes_are_walked_once_per_loaded_map(tmp_path, monkeypatch):
     calls = []
     walk = repchar._weyl_walk
     monkeypatch.setattr(repchar, "_weyl_walk", lambda c, top: calls.append(top) or walk(c, top))
-    back = cli._load_cached(spec, 8, str(path))
+    back = cli._load_cached(spec, 8, str(path), whole=True)
     assert back is not None and back.sizes == [len(orbit(spec.rs, mu)) for mu in back.dominant]
     assert len(calls) == len(set(calls)) == len(back.pattern_sizes) == 4
     assert len(back) == len(m) and racah_decompose(spec.rs, back).components == components
@@ -1094,3 +1098,96 @@ def test_decompose_csv_is_written_a_block_of_rows_at_a_time(tmp_path, capsys, mo
         assert main([*argv, "--output", str(target)]) == 0
         monkeypatch.undo()
         assert target.read_text() == whole
+
+
+def test_config_cache_dir_that_cannot_be_made_names_its_key(tmp_path, capsys):
+    """A converge --config file's cache_dir that cannot be created exits 2 naming cache_dir, the key
+    the user gave; the same kind of path given as --cache-dir names the flag."""
+    (tmp_path / "file").write_text("")
+    cfg = {"cartan_type": "A1", "factors": [{"weight": [1], "tau": "1"}], "N_list": [4],
+           "cache_dir": str(tmp_path / "file" / "cache")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "converge", "--config", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: cache_dir: ")
+    code, out, err = run(capsys, "converge", "--config", str(path), "--cache-dir", str(tmp_path / "file" / "flag"))
+    assert (code, out) == (2, "") and err.startswith("error: --cache-dir: ")
+
+
+@pytest.mark.parametrize("command", [["measure", "eta"], ["decompose"], ["converge"]], ids=["measure", "decompose", "converge"])
+def test_negative_factor_as_its_own_argument_reaches_the_spec_check(capsys, command):
+    """`--factor -1,0:1`, its value a separate argument that argparse would take for an option, exits 2
+    as `--factor=-1,0:1` does, naming the weight that is not dominant; a flag after --factor is still
+    no value for it."""
+    argv = [*command, "--type", "A2", "--N", "2"]
+    joined = run(capsys, *argv, "--factor=-1,0:1")
+    assert run(capsys, *argv, "--factor", "-1,0:1") == joined == (2, "", "error: --factor: (-1, 0) is not dominant\n")
+    code, out, err = run(capsys, *command, "--type", "A2", "--factor", "--N", "2")
+    assert (code, out) == (2, "") and "argument --factor: expected one argument" in err
+
+
+B2_SPEC = ["--type", "B2", "--factor", "0,1:1", "--factor", "1,0:1/2"]
+
+
+def _stamp(path):
+    return path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes()
+
+
+def test_damaged_table_section_is_read_only_by_measure_xi(tmp_path, capsys):
+    """A byte of the table section's counts flipped, its sha256 left as it was: warm decompose, converge,
+    measure eta and eta_extended read the decomposition section alone, so each is a hit that prints its
+    cold bytes and rewrites nothing; warm measure xi reads the whole file, refuses it, prints its cold
+    bytes and rewrites the file."""
+    cache = tmp_path / "cache"
+    calls = [["decompose", *B2_SPEC, "--N", "8"], ["converge", *B2_SPEC, "--N", "8"], ["measure", "eta", *B2_SPEC, "--N", "8"],
+             ["measure", "eta_extended", *B2_SPEC, "--N", "8"], ["measure", "xi", *B2_SPEC, "--N", "8"]]
+    cold = [run(capsys, *argv, "--cache-dir", str(cache)) for argv in calls]
+    assert [c[0] for c in cold] == [0] * 5
+    (path,) = cache.iterdir()
+    good = path.read_bytes()
+    path.write_bytes(good[:-40] + bytes([good[-40] ^ 1]) + good[-39:])
+    damaged = _stamp(path)
+    assert [run(capsys, *argv, "--cache-dir", str(cache)) for argv in calls[:-1]] == cold[:-1]
+    assert _stamp(path) == damaged
+    assert run(capsys, *calls[-1], "--cache-dir", str(cache)) == cold[-1]
+    assert list(cache.iterdir()) == [path] and path.read_bytes() == good
+
+
+def _move_unit_between_casimirs(parts):
+    """A2 V_omega1^4: a unit moved from (2, 1) to (4, 0), both of dimension 15, of Casimir 32/3 and 56/3."""
+    lams = list(map(tuple, parts["lams"]))
+    parts["lam_counts"][lams.index((2, 1))] -= 1
+    parts["lam_counts"][lams.index((4, 0))] += 1
+
+
+def _flip_decomposition_byte(data):
+    at = data.index(b"\n") + 1
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _edit_parts(_move_unit_between_casimirs),
+        _edit_parts(lambda parts: [parts[key].pop(0) for key in ("lams", "lam_counts")]),
+        _edit_parts(lambda parts: parts.__setitem__("total_dim", parts["total_dim"] + 1)),
+        _flip_decomposition_byte,
+    ],
+    ids=["unit-moved-between-casimirs", "dropped-component", "total-off-by-one", "flipped-byte"],
+)
+def test_damaged_decomposition_is_a_miss_for_every_read(tmp_path, capsys, corrupt):
+    """Each damage of the decomposition section of A2 V_omega1^4 (a sha256 of the damaged section, but for
+    the flipped byte) is refused by the decomposition-only read of warm decompose, converge, measure eta
+    and eta_extended, and by measure xi's whole read: each prints its cold bytes with nothing on stderr
+    and rewrites the file."""
+    cache = tmp_path / "cache"
+    spec = ["--type", "A2", "--factor", "1,0:1", "--N", "4"]
+    calls = [["decompose", *spec], ["converge", *spec], ["measure", "eta", *spec], ["measure", "eta_extended", *spec],
+             ["measure", "xi", *spec]]
+    for argv in calls:
+        cold = run(capsys, *argv, "--cache-dir", str(cache))
+        (path,) = cache.iterdir()
+        good = path.read_bytes()
+        path.write_bytes(corrupt(good))
+        assert run(capsys, *argv, "--cache-dir", str(cache)) == cold and cold[0] == 0
+        assert list(cache.iterdir()) == [path] and path.read_bytes() == good, argv

@@ -204,8 +204,8 @@ def test_eta_extended_walls_are_zero():
 
 def test_racah_runs_once_per_map(monkeypatch):
     """eta_measure and eta_extended_measure on one map share its decomposition:
-    the W-sum's lookup of the dominant weights (repchar's _positions, which the
-    sum builds once per run) runs for the first call only, the atoms are those
+    the W-sum (repchar's _alternating_sums, which reads the index Miller's
+    recurrence handed the map) runs for the first call only, the atoms are those
     of fresh maps, and every call still checks the map's type."""
     from tensorlimits import repchar
     from tensorlimits.measures import factor_counts
@@ -215,8 +215,8 @@ def test_racah_runs_once_per_map(monkeypatch):
     want = eta_measure(spec, n).atoms, eta_extended_measure(spec, n).atoms
     m = tensor_power_multiplicities(spec.rs, factor_counts(spec, n))
     calls = []
-    lookup = repchar._positions
-    monkeypatch.setattr(repchar, "_positions", lambda rs, nus: calls.append(len(nus)) or lookup(rs, nus))
+    alternating = repchar._alternating_sums
+    monkeypatch.setattr(repchar, "_alternating_sums", lambda rs, nus, *rest: calls.append(len(nus)) or alternating(rs, nus, *rest))
     eta = eta_measure(spec, n, multiplicities=m).atoms
     once = len(calls)
     ext = eta_extended_measure(spec, n, multiplicities=m).atoms

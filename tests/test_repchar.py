@@ -23,6 +23,7 @@ from tensorlimits.errors import (
 from tensorlimits.repchar import (
     MultiplicityMap,
     irreducible_character,
+    load_decomposition,
     load_multiplicity_map,
     racah_decompose,
     save_multiplicity_map,
@@ -41,13 +42,14 @@ from oracles import (
     cache_file,
     cache_parts,
     dominant_weights_dfs,
-    edit_cache_body,
+    edit_cache_section,
     fields,
     freudenthal_multiplicities,
     orbit,
     peel_off_decompose,
     racah_full_scan,
     racah_pushforward,
+    schur_weyl_components,
     sl2_power_components,
     to_dominant,
 )
@@ -824,12 +826,14 @@ def test_lookup_refuses_what_the_array_kernel_refuses():
 
 
 def test_lookup_reads_one_row_without_the_dominant_dict(monkeypatch):
-    """m[w] finds the one row of m.rows at the dominant point of w by one _positions lookup,
-    built on the first read and kept: on a large map it builds no dominant dict and reads what
-    the dict view reads at the scalar walk's point, at every row and at weights off the support."""
+    """m[w] finds the one row of m.rows at the dominant point of w by one _positions lookup: a map
+    of Miller's recurrence reads Miller's own index, and a hand-built one builds its index on the
+    first read and keeps it.  On a large map it builds no dominant dict and reads what the dict view
+    reads at the scalar walk's point, at every row and at weights off the support."""
     rs = RS["A2"]
-    m, small = (tensor_power_multiplicities(rs, [((1, 0), n)]) for n in (128, 64))
-    assert len(m.rows) > 1000
+    miller, small = (tensor_power_multiplicities(rs, [((1, 0), n)]) for n in (128, 64))
+    m = MultiplicityMap(rs, miller.rows, miller.counts, miller.total_dim)
+    assert len(m.rows) > 1000 and "_find" in vars(miller) and "_find" not in vars(m)
     built = []
     positions = repchar._positions
     monkeypatch.setattr(repchar, "_positions", lambda rs, nus: built.append(len(nus)) or positions(rs, nus))
@@ -837,14 +841,14 @@ def test_lookup_reads_one_row_without_the_dominant_dict(monkeypatch):
     weights = [tuple(rng.randint(-40, 40) for _ in range(2)) for _ in range(200)]
     got = [m[w] for w in weights]
     assert "dominant" not in vars(m) and built == [len(m.rows)]
-    assert got == [m.dominant.get(to_dominant(rs, w), 0) for w in weights]
+    assert got == [m.dominant.get(to_dominant(rs, w), 0) for w in weights] == [miller[w] for w in weights]
     assert any(got) and not all(got)
     rows = [tuple(mu) for mu in small.rows.tolist()]
     # off the support: past the top, in another coset of the root lattice, and a coordinate past every row's
     absent = [(65, 0), (0, 65), (0, 1), (2, 2), (0, 200), (-300, 1)]
     assert [small[mu] for mu in rows] == list(small.dominant.values())
     assert [small[w] for w in absent] == [small.dominant.get(to_dominant(rs, w), 0) for w in absent] == [0] * 6
-    assert built == [len(m.rows), len(rows)]
+    assert built == [len(m.rows)]
 
 
 def test_weyl_dims_stay_exact_past_int64():
@@ -945,6 +949,21 @@ def test_sl2_powers_ballot_closed_form():
         assert racah_decompose(a1, m).components == sl2_power_components(n)
 
 
+@pytest.mark.parametrize("label, n", [("A2", 256), ("A3", 64)])
+def test_schur_weyl_components_at_scale(tmp_path, label, n):
+    """A_{r} omega1^N decomposes by Schur-Weyl duality: each component count is f^lam, Frobenius's
+    count of standard Young tableaux (oracles.schur_weyl_components), at A2 N=256 (5,590 components)
+    and A3 N=64 (2,280), on the cold W-sum and again after a decomposition-only read of its file."""
+    rs = RS[label]
+    omega1 = (1,) + (0,) * (rs.rank - 1)
+    want = schur_weyl_components(rs.rank + 1, n)
+    m = tensor_power_table(rs, [(omega1, 1)], [n])[n]
+    assert racah_decompose(rs, m).components == want
+    path = tmp_path / "map.bin"
+    save_multiplicity_map(m, path)
+    assert load_decomposition(path, rs, [(omega1, n)]).components == want
+
+
 # ------------------------------------------------------------------ trace identity
 
 
@@ -977,10 +996,11 @@ def test_trace_identity_random_sweep():
 
 
 def test_cache_roundtrip(tmp_path):
-    """A file is one JSON header line (format 4, the type, the numbers of rows and components, the
-    body's sha256) and a body of the dominant entries only, in lexicographic order; the same map gives
-    the same bytes, and the loader, given no root system, returns the full character with its
-    decomposition attached: the benchmark loads cache files this way and sums their entries."""
+    """A file is one JSON header line (format 5, the type, the numbers of components and rows and the
+    byte sizes of the two sections), the decomposition section and the table section of the dominant
+    entries only, in the map's row order, each followed by its sha256; the same map gives the same
+    bytes, and the loader, given no root system, returns the full character with its decomposition
+    attached: the benchmark loads cache files this way and sums their entries."""
     cases = [
         ("A2", [((1, 0), 1)], 4),
         ("B2", [((0, 1), 1), ((1, 0), Fraction(1, 2))], 16),
@@ -994,10 +1014,14 @@ def test_cache_roundtrip(tmp_path):
         head = json.loads(data[: data.index(b"\n")])
         body = data[data.index(b"\n") + 1 :]
         dec = racah_decompose(RS[label], m)
-        assert head == {"format": 4, "cartan_type": label, "rows": len(m.rows), "components": len(dec.rows),
-                        "sha256": hashlib.sha256(body).hexdigest()}
+        cut = head["decomposition_bytes"]
+        assert head == {"format": 5, "cartan_type": label, "components": len(dec.rows), "decomposition_bytes": cut,
+                        "rows": len(m.rows), "table_bytes": len(body) - cut - 64}
+        assert body[cut : cut + 32] == hashlib.sha256(body[:cut]).digest()
+        assert body[-32:] == hashlib.sha256(body[cut + 32 : -32]).digest()
         parts = cache_parts(data)
-        assert [tuple(w) for w in parts["rows"]] == sorted(w for w in m.entries if min(w) >= 0)
+        assert parts["rows"] == m.rows.tolist() and parts["counts"] == m.counts
+        assert (parts["lams"], parts["lam_counts"], parts["total_dim"]) == (dec.rows.tolist(), dec.counts, m.total_dim)
         assert cache_file(parts) == data
         save_multiplicity_map(m, path)
         assert path.read_bytes() == data
@@ -1008,12 +1032,12 @@ def test_cache_roundtrip(tmp_path):
 
 
 def _a2_square_file(path, parts=None, **head):
-    """Write V_omega1^2 of A2 (rows (0, 1), (2, 0) at counts 2, 1, total 9; components (0, 1) and (2, 0)
+    """Write V_omega1^2 of A2 (rows (2, 0), (0, 1) at counts 1, 2, total 9; components (0, 1) and (2, 0)
     once each), its parts edited by parts and its header by head, and return the parts it wrote."""
     m = tensor_power_multiplicities(RS["A2"], [((1, 0), 2)])
     save_multiplicity_map(m, path)
     good = cache_parts(path.read_bytes())
-    assert good == {"cartan_type": "A2", "rows": [[0, 1], [2, 0]], "counts": [2, 1], "lam_at": [0, 1],
+    assert good == {"cartan_type": "A2", "rows": [[2, 0], [0, 1]], "counts": [1, 2], "lams": [[0, 1], [2, 0]],
                     "lam_counts": [1, 1], "total_dim": 9}
     edited = {**good, **(parts or {})}
     path.write_bytes(cache_file(edited, **head))
@@ -1023,21 +1047,21 @@ def _a2_square_file(path, parts=None, **head):
 @pytest.mark.parametrize(
     "parts, head, error",
     [
-        ({"rows": [[0, 1], [2, -1]]}, {}, NotDominant),
-        # the body's rows read as A3's: 2 x 3 coordinates do not fit the bytes of 2 x 2
+        ({"rows": [[2, -1], [0, 1]]}, {}, NotDominant),
+        # the sections' rows read as A3's: 2 x 3 coordinates do not fit the bytes of 2 x 2
         ({}, {"cartan_type": "A3"}, ValueError),
         ({"total_dim": 8}, {}, ValueError),
         ({"counts": [2]}, {}, ValueError),
         ({}, {"cartan_type": "E6"}, UnsupportedType),
         ({}, {"cartan_type": "A80"}, WeylCapExceeded),
-        # header counts int() would read as 2 (or 2 less a half), and format 4 as a string
+        # header counts int() would read as 2 (or 2 less a half), and format 5 as a string
         ({}, {"rows": 2.5}, ValueError),
         ({}, {"rows": 2.0}, ValueError),
         ({}, {"components": True}, ValueError),
         # the orbit of (2, 0) alone, total 3, held at a zero count beside it
-        ({"counts": [0, 1], "total_dim": 3}, {}, ValueError),
+        ({"counts": [1, 0], "total_dim": 3}, {}, ValueError),
         ({}, {"rows": "2"}, ValueError),
-        ({}, {"format": "4"}, ValueError),
+        ({}, {"format": "5"}, ValueError),
         ({}, {"rows": {"0": 2}}, ValueError),
         # (0, 1) twice at count 1: the stored total 9, but not a map of distinct weights
         ({"rows": [[0, 1], [0, 1], [2, 0]], "counts": [1, 1, 1]}, {}, ValueError),
@@ -1060,8 +1084,8 @@ def _a2_square_file(path, parts=None, **head):
     ],
 )
 def test_load_rejects_bad_file(tmp_path, parts, head, error):
-    """Each edit of V_omega1^2 of A2 breaks one rule of the body or the header (whose sha256 still
-    matches the body), and the loader raises its own error, not an assertion."""
+    """Each edit of V_omega1^2 of A2 breaks one rule of a section or the header (each sha256 still
+    matches its section), and the loader raises its own error, not an assertion."""
     path = tmp_path / "map.bin"
     _a2_square_file(path, parts, **head)
     with pytest.raises(error):
@@ -1082,9 +1106,9 @@ def test_load_names_a_field_that_is_not_a_list(tmp_path, field, key):
 @pytest.mark.parametrize(
     "parts, error, message",
     [
-        ({"rows": [[0, 1], [2, -1]], "counts": [2, 1]}, NotDominant, "(2, -1) is not dominant"),
-        ({"rows": [[0, 1], [2, -2**31]]}, ValueError, "weight (2, -2147483648) has a coordinate of absolute value"),
-        ({"lam_at": [1, 0]}, ValueError, "components (2, 0) and (0, 1) are not in strictly increasing"),
+        ({"rows": [[2, -1], [0, 1]], "counts": [1, 2]}, NotDominant, "(2, -1) is not dominant"),
+        ({"rows": [[2, -2**31], [0, 1]]}, ValueError, "weight (2, -2147483648) has a coordinate of absolute value"),
+        ({"lams": [[2, 0], [0, 1]]}, ValueError, "components (2, 0) and (0, 1) are not in strictly increasing"),
     ],
     ids=["true", "float", "string"],
 )
@@ -1105,36 +1129,38 @@ def _set(at: int, value: bytes):
     return edit
 
 
-# the body of V_omega1^2 of A2: rows at 0, the counts 2 and 1 as lengths at 16 and 21 with bytes at
-# 20 and 25, the component positions at 26, their counts at 34, the total 9 as a length at 44, byte at 48
+# the table section of V_omega1^2 of A2: rows at 0, the lengths of the counts 1 and 2 at 16 and 20, their
+# bytes at 24 and 25; the decomposition section: components at 0, the lengths of their counts 1 and 1 at 16
+# and 20 and of the total 9 at 24, the bytes at 28, 29 and 30
 _COUNT_EDITS = [
-    ("multiplicities", _set(16, (2).to_bytes(4, "little"))),  # a length one byte too long
-    ("multiplicities", _set(25, b"\x00")),  # the count 1 stored as 0
-    ("multiplicities", _set(16, b"\xff\xff\xff\xff")),  # a length past the end of the body
-    ("multiplicities", _set(16, (1).to_bytes(4, "big"))),  # a length written big-endian
-    ("multiplicities", lambda body: body.__delitem__(20)),  # a count's byte cut from the body
-    ("multiplicities", _set(16, bytes(4))),  # a zero length, the count's byte left in place
-    ("total_dim", _set(44, (2).to_bytes(4, "little"))),  # the total's length one byte too long
-    ("total_dim", lambda body: body.append(0)),  # one byte after the total
-    ("total_dim", lambda body: body.__delitem__(slice(44, 48))),  # the total without its length
-    ("total_dim", lambda body: body.__delitem__(slice(44, 49)) or body.extend(bytes(4))),  # the total 0
+    ("table", _set(16, (2).to_bytes(4, "little"))),  # a length one byte too long
+    ("table", _set(24, b"\x00")),  # the count 1 stored as 0
+    ("table", _set(16, b"\xff\xff\xff\xff")),  # a length past the end of the section
+    ("table", _set(16, (1).to_bytes(4, "big"))),  # a length written big-endian
+    ("table", lambda section: section.__delitem__(24)),  # a count's byte cut from the section
+    ("table", _set(16, bytes(4))),  # a zero length, the count's byte left in place
+    ("decomposition", _set(24, (2).to_bytes(4, "little"))),  # the total's length one byte too long
+    ("decomposition", lambda section: section.append(0)),  # one byte after the total
+    ("decomposition", lambda section: section.__delitem__(slice(24, 28))),  # the total without its length
+    ("decomposition", lambda section: section.__delitem__(30) or _set(24, bytes(4))(section)),  # the total 0
 ]
 
 
 @pytest.mark.parametrize(
-    "field, edit",
+    "section, edit",
     _COUNT_EDITS,
     ids=["half", "true", "point-zero", "underscore", "arabic-indic", "empty", "total-half", "total-point-zero",
          "total-underscore", "total-space"],
 )
-def test_load_refuses_counts_that_are_not_decimal_strings(tmp_path, field, edit):
-    """No count is stored as a decimal string: each is a 4-byte little-endian length and that many
-    unsigned little-endian bytes.  Each case breaks the encoding of one multiplicity or of the total
-    and stores the sha256 of the broken body, and the loader refuses it with ValueError: a length that
-    runs past the body or leaves bytes over, or a count the constructor refuses."""
+def test_load_refuses_counts_that_are_not_decimal_strings(tmp_path, section, edit):
+    """No count is stored as a decimal string: each is a 4-byte little-endian length in the section's
+    length array and that many unsigned little-endian bytes after it.  Each case breaks the encoding of
+    one multiplicity or of the total and stores the size and the sha256 of the broken section, and the
+    loader refuses it with ValueError: lengths that run past the section or leave bytes over, or a count
+    the constructor refuses."""
     path = tmp_path / "map.bin"
     _a2_square_file(path)
-    path.write_bytes(edit_cache_body(path.read_bytes(), edit))
+    path.write_bytes(edit_cache_section(path.read_bytes(), section, edit))
     with pytest.raises(ValueError):
         load_multiplicity_map(path)
 
@@ -1145,13 +1171,12 @@ def _a2_fourth_parts(tmp_path) -> dict:
     path = tmp_path / "fourth.bin"
     save_multiplicity_map(tensor_power_multiplicities(RS["A2"], [((1, 0), 4)]), path)
     parts = cache_parts(path.read_bytes())
-    lams = [tuple(parts["rows"][i]) for i in parts["lam_at"]]
-    assert dict(zip(lams, parts["lam_counts"])) == {(0, 2): 2, (1, 0): 3, (2, 1): 3, (4, 0): 1}
+    assert dict(zip(map(tuple, parts["lams"]), parts["lam_counts"])) == {(0, 2): 2, (1, 0): 3, (2, 1): 3, (4, 0): 1}
     return parts
 
 
 def _move_unit(parts):
-    at = [tuple(parts["rows"][i]) for i in parts["lam_at"]]
+    at = list(map(tuple, parts["lams"]))
     counts = list(parts["lam_counts"])
     counts[at.index((2, 1))] -= 1
     counts[at.index((4, 0))] += 1
@@ -1162,8 +1187,8 @@ def _move_unit(parts):
     "edit, message",
     [
         (_move_unit, "Casimir sum"),
-        (lambda parts: {"lam_at": parts["lam_at"][1:], "lam_counts": parts["lam_counts"][1:]}, "account for dimension"),
-        (lambda parts: {"lam_at": parts["lam_at"][::-1], "lam_counts": parts["lam_counts"][::-1]}, "not in strictly"),
+        (lambda parts: {"lams": parts["lams"][1:], "lam_counts": parts["lam_counts"][1:]}, "account for dimension"),
+        (lambda parts: {"lams": parts["lams"][::-1], "lam_counts": parts["lam_counts"][::-1]}, "not in strictly"),
     ],
     ids=["unit-moved-between-equal-dims", "dropped-component", "unsorted-components"],
 )
@@ -1179,21 +1204,86 @@ def test_load_refuses_a_decomposition_that_does_not_fit(tmp_path, edit, message)
 
 
 def test_load_cannot_tell_components_exchanged_by_a_diagram_automorphism(tmp_path):
-    """The blind spot of the load checks: (3, 0) and (0, 3) of A2 have the same dimension and Casimir
-    value, so V_omega1^6 with their counts exchanged loads, with a decomposition that is not its own."""
+    """The blind spot of both reads: (3, 0) and (0, 3) of A2 have the same dimension and Casimir value,
+    so V_omega1^6 with their counts exchanged passes the decomposition-only read's checks against the
+    spec (total and Casimir trace) and the whole read's checks against the table, and each returns a
+    decomposition that is not V's own.  The digests guard against storage faults, not a wrong writer."""
     m = tensor_power_multiplicities(RS["A2"], [((1, 0), 6)])
     path = tmp_path / "map.bin"
     save_multiplicity_map(m, path)
     parts = cache_parts(path.read_bytes())
-    at = [tuple(parts["rows"][i]) for i in parts["lam_at"]]
+    at = list(map(tuple, parts["lams"]))
     counts = list(parts["lam_counts"])
     i, j = at.index((3, 0)), at.index((0, 3))
     assert counts[i] != counts[j]
     counts[i], counts[j] = counts[j], counts[i]
     path.write_bytes(cache_file({**parts, "lam_counts": counts}))
+    true = racah_decompose(m.rs, m).components
+    assert load_decomposition(path, RS["A2"], [((1, 0), 6)]).components != true
     back = load_multiplicity_map(path)
     assert back.dominant == m.dominant
-    assert racah_decompose(back.rs, back).components != racah_decompose(m.rs, m).components
+    assert racah_decompose(back.rs, back).components != true
+
+
+def _flip_decomposition_byte(data):
+    """One bit of the first component's first coordinate flipped; the stored sha256 is the old section's."""
+    at = data.index(b"\n") + 1
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: cache_file({**cache_parts(data), **_move_unit(cache_parts(data))}), "Casimir trace"),
+        (lambda data: cache_file({**(p := cache_parts(data)), "lams": p["lams"][1:], "lam_counts": p["lam_counts"][1:]}),
+         "account for dimension"),
+        (lambda data: cache_file({**(p := cache_parts(data)), "total_dim": p["total_dim"] + 1}), "account for dimension"),
+        (_flip_decomposition_byte, "sha256"),
+    ],
+    ids=["unit-moved-between-casimirs", "dropped-component", "total-off-by-one", "flipped-byte"],
+)
+def test_decomposition_read_refuses_what_does_not_fit_the_spec(tmp_path, edit, message):
+    """The decomposition-only read checks V_omega1^4 of A2 against its spec alone: a unit moved from
+    (2, 1) to (4, 0), of equal dimension 15 and Casimir values 32/3 and 56/3, fails the Casimir trace; a
+    dropped component and a total off by one fail sum c dim V_lam = total_dim; a flipped byte fails the
+    section's sha256.  Each is a ValueError, and the whole read refuses each file too."""
+    _a2_fourth_parts(tmp_path)
+    path = tmp_path / "fourth.bin"
+    good = path.read_bytes()
+    assert load_decomposition(path, RS["A2"], [((1, 0), 4)]).components == {(0, 2): 2, (1, 0): 3, (2, 1): 3, (4, 0): 1}
+    path.write_bytes(edit(good))
+    with pytest.raises(ValueError, match=message):
+        load_decomposition(path, RS["A2"], [((1, 0), 4)])
+    with pytest.raises(ValueError):
+        load_multiplicity_map(path)
+
+
+def test_decomposition_read_reads_no_table(tmp_path):
+    """load_decomposition reads the header line and the decomposition section and stops: a file cut
+    after its decomposition's sha256, or with a byte of its table flipped, reads as the whole file does,
+    while load_multiplicity_map refuses both.  A file of another N or of another type is refused."""
+    spec = TensorSpec(RS["B2"], (((0, 1), 1), ((1, 0), Fraction(1, 2))))
+    m = tensor_power_table(spec.rs, spec.factors, [8])[8]
+    path = tmp_path / "map.bin"
+    save_multiplicity_map(m, path)
+    good, factors = path.read_bytes(), [((0, 1), 8), ((1, 0), 4)]
+    head = json.loads(good.partition(b"\n")[0])
+    cut = good.index(b"\n") + 1 + head["decomposition_bytes"] + 32
+    want = fields(racah_decompose(spec.rs, m))
+    assert fields(load_decomposition(path, spec.rs, factors)) == want
+    for damaged in (good[:cut], good[:-1] + bytes([good[-1] ^ 1])):
+        path.write_bytes(damaged)
+        assert fields(load_decomposition(path, spec.rs, factors)) == want
+        with pytest.raises(ValueError, match="table section|sections take"):
+            load_multiplicity_map(path)
+    path.write_bytes(good[: cut - 1])
+    with pytest.raises(ValueError, match="passes the end"):
+        load_decomposition(path, spec.rs, factors)
+    path.write_bytes(good)
+    with pytest.raises(ValueError, match="dimension"):
+        load_decomposition(path, spec.rs, [((0, 1), 8), ((1, 0), 2)])
+    with pytest.raises(ValueError, match="not of C2"):
+        load_decomposition(path, build_root_system("C2"), factors)
 
 
 def test_library_save_and_load_past_4300_digits(tmp_path, default_int_digits):
