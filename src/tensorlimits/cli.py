@@ -41,7 +41,6 @@ from .measures import (
     _csv_blocks,
     _decomposition_of,
     _measure_csv_blocks,
-    _resolve_map,
     admissible_N,
     eta_extended_measure,
     eta_measure,
@@ -52,15 +51,16 @@ from .measures import (
 )
 from .repchar import (
     cache_key,
+    check_decomposition,
     load_decomposition,
     load_multiplicity_map,
+    racah_decompose,
     save_multiplicity_map,
     tensor_power_table,
 )
 from .rootsys import (
     CartanType,
     build_root_system,
-    casimir_eigenvalue,
     rootsys_to_json,
     weyl_group_order,
 )
@@ -218,28 +218,20 @@ def _cache_dir(given: str | None) -> str | None:
 
 
 def _load_cached(spec: TensorSpec, n: int, path: str, whole: bool):
-    """The cached entry for N at path, or None if it is missing, unreadable or inconsistent: with
-    whole its map, else its decomposition alone.
-
-    load_decomposition reads only the file's decomposition section and checks it against the spec.
-    load_multiplicity_map reads and checks the whole file and returns a character with its
-    decomposition attached; it is the spec's when measures._resolve_map takes it as V_N's (its type
-    is the spec's and its total prod_l dim(V_lam_l)^(n_l) with n_l = tau_l N) and its
-    scaled_second_moment sum_mu m(mu) |W mu| N(mu), which the loader formed for its Casimir
-    check, is total_dim rank sum_l n_l (lam_l, lam_l + 2 rho) / dim g (criterion 3 summed over a
-    basis) times s^2 b_g / 2, s the pairing scale: N = scaled_norm is s^2 b_g / 2 times (mu, mu).
-    """
+    """The cached entry for N at path, with whole its map, else its decomposition alone, or None if it is
+    missing, unreadable or not V_N's.  Each read checks what it reads (load_decomposition the
+    decomposition section, load_multiplicity_map the whole file and the table against its
+    decomposition), and the decomposition is then checked against the spec (check_decomposition; of
+    another type, racah_decompose refuses a loaded map)."""
     try:
+        factors = factor_counts(spec, n)
         if not whole:
-            return load_decomposition(path, spec.rs, factor_counts(spec, n))
-        m = _resolve_map(spec, n, load_multiplicity_map(path))
+            return load_decomposition(path, spec.rs, factors)
+        m = load_multiplicity_map(path)
+        check_decomposition(spec.rs, racah_decompose(spec.rs, m), m.total_dim, factors)
+        return m
     except (OSError, ValueError, TensorLimitsError):
         return None
-    rs = spec.rs
-    casimirs = sum(k * casimir_eigenvalue(rs, lam) for lam, k in factor_counts(spec, n))
-    if Fraction(2 * m.scaled_second_moment, rs.pairing_scale**2 * rs.b_g) != m.total_dim * rs.rank * casimirs / rs.dim_g:
-        return None
-    return m
 
 
 def _power_table(spec: TensorSpec, n_values, cache_dir: str | None, whole: bool = False) -> dict:

@@ -97,7 +97,8 @@ class TensorSpec:
 
     @cached_property
     def factor_dims(self) -> tuple:
-        """weyl_dim of each lam_l, computed once per spec: read by _resolve_map and the CLI's cache loader."""
+        """weyl_dim of each lam_l, computed once per spec: read by _dim_v (V_N's total for _resolve_map
+        and _decomposition_of), mixed_moments and convergence.char_fn_xi."""
         return tuple(weyl_dim(self.rs, lam) for lam, _ in self.factors)
 
     def describe(self) -> str:

@@ -8,10 +8,10 @@ array.  That array and that list are its one store; the dict of dominant
 multiplicities is a view built on first read.  A map is thus W-invariant by
 construction, which the decomposition, Miller's recurrence and a lookup
 m[weight] rely on: they read a character at dominant weights alone.  Its
-orbits are expanded in one place, support(), read by ltl measure xi, the trace
-identity and, once per factor and process (_factor_support), the factor
-characters' consumers.  A decomposition is stored as a
-map is: int64 rows with lists of their multiplicities and Weyl dimensions.
+orbits are expanded in one place, support(), read by ltl measure xi and, once
+per factor and process (_factor_support), the factor characters' consumers.
+A decomposition is stored as a map is: int64 rows with lists of their
+multiplicities and Weyl dimensions.
 One signed sum over W, sum_w sign(w) m(mu + rho - w rho) at each dominant mu
 (_alternating_sums), does two jobs: it splits a character into irreducibles,
 which the tests check against Racah's signed pushforward, a scan of the full
@@ -32,14 +32,17 @@ A table whose enumeration would hold more than MAX_TABLE_ROWS rows raises TableC
 A map is saved with its decomposition, in the one cache format, 5 (_encode), a section at a time: a
 JSON header line (the type, the numbers of components and rows, the byte size of each section), the
 decomposition section (int32 component rows, an int32 byte length per count, the counts' bytes, total_dim
-last) and the table section (rows, lengths and counts alike), each followed by its sha256.
+last) and the table section (rows, lengths and counts alike), each followed by its sha256.  A file holds
+V = prod_l V_lam_l^n_l by a chain of two links, one check each, both in the integers of scaled_norm and
+both on the components' Casimir trace sum c dim V_lam (lam, lam + 2 rho) (_casimir_trace, formed once per
+read).  check_decomposition ties the decomposition to the spec: sum c dim V_lam = prod_l dim V_lam_l^n_l
+and the trace is dim V sum_l n_l (lam_l, lam_l + 2 rho).  load_multiplicity_map ties the table to the
+decomposition: the constructor's checks, then rank times the trace is dim g sum_mu m(mu) (mu, mu).
 load_decomposition reads the header and the decomposition section alone, for ltl decompose, converge and
-measure eta and eta_extended, and checks it against the spec: sum c dim V_lam = prod_l dim V_lam_l^n_l and
-the Casimir trace sum c dim V_lam (lam, lam + 2 rho) = dim V sum_l n_l (lam_l, lam_l + 2 rho).
-load_multiplicity_map reads the whole file, for ltl measure xi, and checks the map (the constructor), the
-decomposition and both together by the Casimir identity rank sum c dim V_lam (lam, lam + 2 rho) = dim g
-sum_mu m(mu) (mu, mu), in the integers of scaled_norm, then attaches the decomposition: racah_decompose
-on a loaded map runs no W-sum.  Neither read tells apart components exchanged by a diagram automorphism.
+measure eta and eta_extended, and checks the first link; load_multiplicity_map reads the whole file, for
+ltl measure xi, checks the second and attaches the decomposition (racah_decompose on a loaded map runs no
+W-sum), on which ltl then checks the first.  Neither link tells apart components exchanged by a diagram
+automorphism, such as (a, b) and (b, a) on A2, which have the same dimension and Casimir.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from operator import mul
 import numpy as np
 
 from .errors import BasisMismatch, NegativeMultiplicity, NotDominant, TableCapExceeded
-from .linalg import bilinear, inverse
+from .linalg import inverse
 from .rootsys import (
     CartanType,
     IntMatrix,
@@ -69,7 +72,6 @@ from .rootsys import (
     _int_rows,
     _weyl_walk,
     build_root_system,
-    casimir_eigenvalue,
     check_length,
     highest_weight,
     orbit_rows,
@@ -88,12 +90,11 @@ class MultiplicityMap:
     int64 array rows, their multiplicities as the list counts of Python ints in the same
     order, each row's zero pattern id sum_i [mu_i > 0] 2^i (pattern_ids), |W mu| per id
     present (pattern_sizes, the length of its _weyl_walk) and per row (sizes), and total_dim;
-    the dict views dominant (in row order) and entries (in support() order), m[weight]'s lookup,
-    scaled_second_moment and racah_decompose's result (attached by load_multiplicity_map) are built
-    on first read.  NotDominant unless every weight is
-    dominant and of the rank; ValueError for a coordinate that is not an integer or of |x| >= 2^31,
-    a weight listed twice, a count list of another length than rows, a count that is not a positive
-    int (bool excluded), a total_dim that is not an int or sum_mu m(mu) |W mu| != total_dim.
+    the dict views dominant (in row order) and entries (in support() order), m[weight]'s lookup and
+    racah_decompose's result (attached by load_multiplicity_map) are built on first read.  NotDominant
+    unless every weight is dominant and of the rank; ValueError for a coordinate that is not an integer
+    or of |x| >= 2^31, a weight listed twice, a count list of another length than rows, a count that is
+    not a positive int (bool excluded), a total_dim that is not an int or sum_mu m(mu) |W mu| != total_dim.
     """
 
     def __init__(self, rs: RootSystemData, rows, counts: list, total_dim: int):
@@ -166,14 +167,6 @@ class MultiplicityMap:
             )
         lams.setflags(write=False)
         return IrrepDecomposition(lams, counts, dims)
-
-    @cached_property
-    def scaled_second_moment(self) -> int:
-        """sum_mu m(mu) |W mu| N(mu) over the dominant rows, N = scaled_norm: s^2 b_g / 2 times the
-        second moment sum_mu m(mu) (mu, mu) over every weight.  One int64 product |W mu| N(mu) per row
-        (_squared_norms), then one sum with the counts."""
-        norms = _squared_norms(self.rows, self.rs.pairing_rows)
-        return sum(map(mul, self.counts, (np.array(self.sizes, dtype=np.int64) * norms).tolist()))
 
     @cached_property
     def _find(self):
@@ -385,14 +378,16 @@ def _positions(rs: RootSystemData, nus: np.ndarray):
     """The function taking an (n, rank) array of nonnegative weights to their positions in the rows
     nus, len(nus) for a weight not among them.  The index is _levels under b, the coordinatewise max
     of den C^-1 nu over nus (its slots hold every nu >= 0 with den C^-1 nu <= b, nus among them), and
-    one array from slot to row of nus (len(nus) elsewhere); a weight walks down the levels by rank
-    gathers p <- starts_i[p] + x_i, absent once x_i >= counts_i[p].  TableCapExceeded as in _levels."""
+    one int32 array from slot to row of nus (len(nus) elsewhere), so the positions come as int32; a weight
+    walks down the levels by rank gathers p <- starts_i[p] + x_i, absent once x_i >= counts_i[p].
+    TableCapExceeded as in _levels."""
     b = (nus @ _scaled_inverse_cartan(rs.C)[0].T).max(axis=0, initial=0)
     levels, _ = _levels(rs, b, f"the weights nu >= 0 with den C^-1 nu <= {tuple(b.tolist())}")
     size, slot = len(nus), np.zeros(len(nus), dtype=np.int64)
     for (starts, _), x in zip(levels, nus.T):
         slot = starts[slot] + x
-    at = np.full(int(levels[-1][1].sum()), size)
+    # int32: every nu is a slot, and _levels caps the slots at MAX_TABLE_ROWS < 2^31
+    at = np.full(int(levels[-1][1].sum()), size, dtype=np.int32)
     at[slot] = np.arange(size)
 
     # find keeps the levels and at, not nus: a map that holds it keeps no second copy of its rows
@@ -471,7 +466,8 @@ def _miller_power(rs: RootSystemData, factors) -> MultiplicityMap:
         looks = [np.empty((len(block), 0), dtype=np.int64)]
         for lam_row, ws, _, offset, _ in steps:
             x = _dominant_rows(rs, (block[:, None, :] - ws).reshape(-1, r)) + lam_row
-            looks.append(find(x).reshape(len(block), len(ws)) + offset)
+            # find gives int32 rows; the offsets pass 2^31 for enough factors, so add them in int64
+            looks.append(find(x).astype(np.int64).reshape(len(block), len(ws)) + offset)
         owns = [(block >= lam_row).all(axis=1).tolist() for lam_row, *_ in steps]
         for i, (look, depth) in enumerate(zip(np.hstack(looks).tolist(), depths[a : a + block_rows].tolist())):
             vals = [quotients[j] for j in look]
@@ -539,26 +535,6 @@ def racah_decompose(rs: RootSystemData, m: MultiplicityMap) -> IrrepDecompositio
     """
     check_character(rs, m)
     return m._decomposition
-
-
-def trace_identity_check(rs: RootSystemData, lam, t) -> tuple[Fraction, Fraction]:
-    """Both sides of the quadratic trace identity for V_lam along direction t.
-
-    t is a rational vector in simple-root coordinates.  Returns
-    (sum_mu dim V_lam(mu) * (t, mu)^2,  (lam, lam+2rho) * dim V_lam / dim g * (t, t));
-    the two are equal for every lam and t.
-    """
-    lam = tuple(lam)
-    t = tuple(Fraction(x) for x in t)
-    check_length(rs, len(t), "direction")
-    m = irreducible_character(rs, lam)
-    lhs, (weights, counts) = Fraction(0), m.support()
-    for mu, c in zip(weights.tolist(), counts):
-        pairing = sum(ti * di * xi for ti, di, xi in zip(t, rs.d, mu))
-        lhs += c * pairing * pairing
-    tt = bilinear(t, rs.Cbar, t)
-    rhs = casimir_eigenvalue(rs, lam) * Fraction(m.total_dim, rs.dim_g) * tt
-    return lhs, rhs
 
 
 _FORMAT = 5
@@ -682,6 +658,7 @@ def _decomposition_section(rs: RootSystemData, head: dict, data: bytes, at: int)
     return IrrepDecomposition(lams, counts, dims), total_dim
 
 
+@lru_cache(maxsize=1)  # a whole read asks twice, for the table's check and then for the spec's
 def _casimir_trace(rs: RootSystemData, dec: IrrepDecomposition) -> int:
     """sum_lam c_lam dim V_lam (N(lam + rho) - N(rho)), N = scaled_norm: s^2 b_g / 2 times the trace of the
     Casimir on the sum of the components, sum_lam c_lam dim V_lam (lam, lam + 2 rho)."""
@@ -689,20 +666,30 @@ def _casimir_trace(rs: RootSystemData, dec: IrrepDecomposition) -> int:
     return sum(map(mul, dec.counts, map(mul, dec.dims, lifts)))
 
 
+def check_decomposition(rs: RootSystemData, dec: IrrepDecomposition, total_dim: int, factors) -> None:
+    """ValueError unless dec, whose components account for total_dim (as its reader checked), is the
+    decomposition of V = prod_l V_lam_l^(n_l), factors its (lam_l, n_l) pairs of rs's type: unless
+    total_dim is dim V = prod_l dim V_lam_l^n_l and the Casimir trace sum_lam c_lam dim V_lam (lam, lam +
+    2 rho) is dim V sum_l n_l (lam_l, lam_l + 2 rho), in the integers of scaled_norm.  The Casimir acts on
+    V_lam by (lam, lam + 2 rho) and on V as sum_l of its factors' Casimirs plus the cross terms Omega_ij,
+    each traceless, so both hold for every genuine decomposition; the trace catches a unit moved between
+    components of different Casimir, the total a dropped component.  Neither tells apart components
+    exchanged by a diagram automorphism, such as (a, b) and (b, a) on A2, which have the same dimension
+    and Casimir."""
+    factors = [(highest_weight(rs, lam), n) for lam, n in factors]
+    if total_dim != (dim := prod(weyl_dim(rs, lam) ** n for lam, n in factors)):
+        raise ValueError(f"the components account for dimension {total_dim}; V has dimension {dim}")
+    rho = scaled_norm(rs, rs.rho)
+    if _casimir_trace(rs, dec) != dim * sum(n * (scaled_norm(rs, [x + 1 for x in lam]) - rho) for lam, n in factors):
+        raise ValueError("the components' Casimir trace is not V's")
+
+
 def load_decomposition(path, rs: RootSystemData, factors) -> IrrepDecomposition:
     """The decomposition that save_multiplicity_map wrote to path, read from the header line and the
     decomposition section alone, checked as that of V = prod_l V_lam_l^(n_l), factors its (lam_l, n_l)
-    pairs, of rs's type.
-
-    ValueError for a bad header, a file of another type, a section the file does not hold, and each
-    check of _decomposition_section; then unless the stored total is dim V = prod_l dim V_lam_l^n_l and
-    the Casimir trace sum_lam c_lam dim V_lam (lam, lam + 2 rho) = dim V sum_l n_l (lam_l, lam_l + 2 rho)
-    holds, in the integers of scaled_norm.  The Casimir acts on V_lam by (lam, lam + 2 rho) and on V as
-    sum_l of its factors' Casimirs plus the cross terms Omega_ij, each traceless, so the trace holds for
-    every genuine decomposition; it catches a unit moved between components of different Casimir, and
-    the total a dropped component.  Like load_multiplicity_map's checks, it cannot tell apart components
-    exchanged by a diagram automorphism, such as (a, b) and (b, a) on A2, which have the same dimension
-    and Casimir.  The table section is neither read nor checked."""
+    pairs, of rs's type: ValueError for a bad header, a file of another type, a section the file does
+    not hold, each check of _decomposition_section and each of check_decomposition.  The table section
+    is neither read nor checked."""
     with open(path, "rb") as fh:
         head = _header(fh.readline())
         size = head["decomposition_bytes"] + _DIGEST
@@ -712,12 +699,7 @@ def load_decomposition(path, rs: RootSystemData, factors) -> IrrepDecomposition:
     if head["cartan_type"] != str(rs.cartan_type):
         raise ValueError(f"a decomposition of {head['cartan_type']}, not of {rs.cartan_type}")
     dec, total_dim = _decomposition_section(rs, head, section, 0)
-    factors = [(highest_weight(rs, lam), n) for lam, n in factors]
-    if total_dim != (dim := prod(weyl_dim(rs, lam) ** n for lam, n in factors)):
-        raise ValueError(f"the components account for dimension {total_dim}; V has dimension {dim}")
-    rho = scaled_norm(rs, rs.rho)
-    if _casimir_trace(rs, dec) != dim * sum(n * (scaled_norm(rs, [x + 1 for x in lam]) - rho) for lam, n in factors):
-        raise ValueError("the components' Casimir trace is not V's")
+    check_decomposition(rs, dec, total_dim, factors)
     return dec
 
 
@@ -728,12 +710,14 @@ def load_multiplicity_map(path) -> MultiplicityMap:
     The file is read once: ValueError for a bad header, a body of another
     size than its sections, and each check of _decomposition_section and _read_section (so a truncated
     or bit-flipped file is refused); UnsupportedType or WeylCapExceeded for its type.  The constructor's
-    checks run as for any map (ValueError, NotDominant).  Then, with N = scaled_norm, the components must
-    account for the table by the Casimir identity rank sum_lam c_lam dim V_lam (N(lam + rho) - N(rho)) =
-    dim g scaled_second_moment, in integers, or ValueError.  A unit moved between components of equal
-    dimension and different Casimir fails it.  The checks cannot tell apart components exchanged by a
-    diagram automorphism, such as (a, b) and (b, a) on A2, which have the same dimension and Casimir;
-    the digests guard against storage faults, not against a wrong writer."""
+    checks run as for any map (ValueError, NotDominant).  Then the components must account for the table
+    by the Casimir identity rank sum_lam c_lam dim V_lam (lam, lam + 2 rho) = dim g sum_mu m(mu) (mu, mu)
+    over every weight, or ValueError: in the integers of N = scaled_norm, rank _casimir_trace = dim g
+    sum_mu m(mu) |W mu| N(mu) over the dominant rows, one int64 product |W mu| N(mu) per row
+    (_squared_norms).  A unit moved between components of equal dimension and different Casimir fails
+    it; components exchanged by a diagram automorphism pass.  The digests guard against storage faults,
+    not against a wrong writer; the map is V's for a spec only once check_decomposition passes on its
+    decomposition."""
     with open(path, "rb") as fh:
         data = fh.read()
     line = data.partition(b"\n")[0]
@@ -746,7 +730,8 @@ def load_multiplicity_map(path) -> MultiplicityMap:
     dec, total_dim = _decomposition_section(rs, head, data, at)
     rows, counts = _read_section(data, table, head["table_bytes"], "table", head["rows"], rs.rank, head["rows"])
     m = MultiplicityMap(rs, rows, counts, total_dim)
-    if rs.rank * _casimir_trace(rs, dec) != rs.dim_g * m.scaled_second_moment:
+    moments = (np.array(m.sizes, dtype=np.int64) * _squared_norms(m.rows, rs.pairing_rows)).tolist()
+    if rs.rank * _casimir_trace(rs, dec) != rs.dim_g * sum(map(mul, m.counts, moments)):
         raise ValueError("the components' Casimir sum does not match the map's second moment")
     m._decomposition = dec
     return m

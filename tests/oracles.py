@@ -5,8 +5,10 @@ exact division of Weyl alternants or from the Freudenthal recursion, products
 of characters from the plain convolution sum, decompositions from peeling off highest weights, from
 Racah's sum over the full weight table with enumerated Weyl elements or from
 Racah's sum as the signed pushforward over every W-orbit point, rank-1
-tensor powers from the ballot closed form and A_{n-1} omega1 powers from
-Frobenius's formula for the number of standard Young tableaux, dominant weights by a search
+tensor powers from the ballot closed form and A_{n-1} omega1 powers by Schur-Weyl
+duality (their components from Frobenius's formula for the number of standard Young
+tableaux, their dominant rows from multinomials, eta with Weyl's GL_n dimensions), the quadratic trace
+identity of an irreducible summed one weight at a time, dominant weights by a search
 along positive roots, W-orbits and dominant points one scalar reflection at
 a time (orbit, and to_dominant, the reference for rootsys.to_dominant_rows), and
 the moments, the characteristic function and the
@@ -36,11 +38,11 @@ from tensorlimits.repchar import IrrepDecomposition, MultiplicityMap, _dominant_
 from tensorlimits.rootsys import (
     IntVector,
     _weyl_walk,
+    casimir_eigenvalue,
     check_length,
     highest_weight,
     is_dominant,
     orbit_rows,
-    check_length,
     scaled_norm,
     sums_by_row,
     to_dominant_rows,
@@ -349,17 +351,47 @@ def _partitions(total: int, parts: int, largest: int):
             yield (first, *rest)
 
 
+def _factorials(top: int) -> list:
+    """[0!, 1!, ..., top!], each one multiplication from the one before."""
+    out = [1]
+    for k in range(1, top + 1):
+        out.append(out[-1] * k)
+    return out
+
+
 def schur_weyl_components(n: int, N: int) -> dict:
     """[(C^n)^(tensor N) : V_lam] for A_{n-1} omega1^N by Schur-Weyl duality: f^lam, the number of
     standard Young tableaux of the partition lam of N into at most n parts, by Frobenius's formula
     f^lam = N! prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = lam_i + n - i (Fulton & Harris,
     Representation Theory, section 4.1); keyed by omega-coords a_i = lam_i - lam_(i+1)."""
-    out = {}
+    fact, out = _factorials(N + n - 1), {}
     for lam in _partitions(N, n, N):
         l = [x + n - 1 - i for i, x in enumerate(lam)]
-        num = math.factorial(N) * math.prod(l[i] - l[j] for i in range(n) for j in range(i + 1, n))
-        out[tuple(lam[i] - lam[i + 1] for i in range(n - 1))] = num // math.prod(map(math.factorial, l))
+        num = fact[N] * math.prod(l[i] - l[j] for i in range(n) for j in range(i + 1, n))
+        out[tuple(lam[i] - lam[i + 1] for i in range(n - 1))] = num // math.prod(fact[x] for x in l)
     return out
+
+
+def schur_weyl_weights(n: int, N: int) -> dict:
+    """The dominant weight multiplicities of (C^n)^(tensor N), A_{n-1} omega1^N: a weight is a choice of
+    k_i of the N factors in the i-th basis line, so the dominant weight of omega-coords k_i - k_(i+1),
+    k a partition of N into at most n parts, has the multinomial N! / prod_i k_i!."""
+    fact = _factorials(N)
+    return {
+        tuple(k[i] - k[i + 1] for i in range(n - 1)): fact[N] // math.prod(fact[x] for x in k)
+        for k in _partitions(N, n, N)
+    }
+
+
+def schur_weyl_eta(n: int, N: int) -> tuple[dict, int]:
+    """eta of A_{n-1} omega1^N, the Schur-Weyl measure: {omega-coords of lam: f^lam dim V_lam} and its
+    denominator n^N, f^lam from schur_weyl_components and dim V_lam = prod_{i<j} (l_i - l_j) / (j - i),
+    l_i = lam_i + n - i, Weyl's formula for GL_n (Fulton & Harris, Representation Theory, Theorem 6.3)."""
+    pairs, out = [(i, j) for i in range(n) for j in range(i + 1, n)], {}
+    for a, f in schur_weyl_components(n, N).items():
+        l = [sum(a[i:]) + n - 1 - i for i in range(n)]  # lam_n = 0: omega-coords fix lam up to a shift
+        out[a] = f * math.prod(l[i] - l[j] for i, j in pairs) // math.prod(j - i for i, j in pairs)
+    return out, n**N
 
 
 def second_moment_direct(entries: dict, pair_vec) -> Fraction:
@@ -369,6 +401,20 @@ def second_moment_direct(entries: dict, pair_vec) -> Fraction:
         p = sum(v * x for v, x in zip(pair_vec, mu))
         acc += c * p * p
     return acc
+
+
+def trace_identity_check(rs, lam, t) -> tuple[Fraction, Fraction]:
+    """Both sides of the quadratic trace identity for V_lam along the direction t, a rational vector in
+    simple-root coordinates: sum_mu dim V_lam(mu) (t, mu)^2 over the weights of
+    character_by_weyl_formula, one Fraction at a time, and (lam, lam + 2 rho) dim V_lam / dim g (t, t),
+    dim V_lam the sum of those multiplicities.  The two are equal for every lam and t: the one-factor
+    case of the Casimir trace that repchar.check_decomposition reads.  BasisMismatch for a t whose
+    length is not the rank, NotDominant for a lam that is not dominant."""
+    t = tuple(Fraction(x) for x in t)
+    check_length(rs, len(t), "direction")
+    entries = character_by_weyl_formula(rs, highest_weight(rs, lam))
+    lhs = second_moment_direct(entries, [ti * di for ti, di in zip(t, rs.d)])
+    return lhs, casimir_eigenvalue(rs, lam) * Fraction(sum(entries.values()), rs.dim_g) * bilinear(t, rs.Cbar, t)
 
 
 def mixed_moments(measure, max_order: int) -> dict:

@@ -320,9 +320,9 @@ def _swap_count_lists(parts):
 
 
 def _double_every_count(parts):
-    """Every count, component count and the total doubled: twice the character of V_N, which the
-    loader's checks and the second-moment check pass (the moment doubles with the total); only the
-    total of V_N refuses it."""
+    """Every count, component count and the total doubled: twice the character of V_N, which passes
+    the loader's checks (the components' Casimir trace doubles with the table's moment); the check
+    against the spec refuses its total."""
     for key in ("counts", "lam_counts"):
         parts[key] = [2 * c for c in parts[key]]
     parts["total_dim"] *= 2
@@ -1191,3 +1191,48 @@ def test_damaged_decomposition_is_a_miss_for_every_read(tmp_path, capsys, corrup
         path.write_bytes(corrupt(good))
         assert run(capsys, *argv, "--cache-dir", str(cache)) == cold and cold[0] == 0
         assert list(cache.iterdir()) == [path] and path.read_bytes() == good, argv
+
+
+@pytest.mark.parametrize("label, source, target", [("A2", (2, 1), (4, 0)), ("G2", (0, 3), (2, 0))], ids=["A2", "G2"])
+def test_each_link_of_the_cache_is_checked_on_its_own(tmp_path, capsys, label, source, target):
+    """V_omega1^4's file with its true decomposition section and, in its table section, another genuine
+    character of the same total: one unit moved from source to target, of the same dimension and a larger
+    Casimir (A2: 15, 32/3 and 56/3; G2: 77, 16 and 20), each sha256 that of its section.  The
+    decomposition is the spec's, so warm decompose, converge and measure eta are hits that print their
+    cold bytes and rewrite nothing; the table is not the decomposition's, so warm measure xi misses,
+    prints its cold bytes and rewrites the file."""
+    rs, cache = build_root_system(label), tmp_path / "cache"
+    spec = ["--type", label, "--factor", "1,0:1", "--N", "4"]
+    calls = [["decompose", *spec], ["converge", *spec], ["measure", "eta", *spec], ["measure", "xi", *spec]]
+    cold = [run(capsys, *argv, "--cache-dir", str(cache)) for argv in calls]
+    assert [c[0] for c in cold] == [0] * 4
+    (path,) = cache.iterdir()
+    good = path.read_bytes()
+    parts = cache_parts(good)
+    components = dict(zip(map(tuple, parts["lams"]), parts["lam_counts"]))
+    components[source] -= 1
+    components[target] += 1
+    dominant = {}
+    for lam, c in components.items():
+        for mu, k in irreducible_character(rs, lam).dominant.items():
+            dominant[mu] = dominant.get(mu, 0) + c * k
+    path.write_bytes(cache_file({**parts, "rows": list(dominant), "counts": list(dominant.values())}))
+    with pytest.raises(ValueError, match="does not match the map's second moment"):
+        repchar.load_multiplicity_map(path)
+    forged = _stamp(path)
+    assert [run(capsys, *argv, "--cache-dir", str(cache)) for argv in calls[:-1]] == cold[:-1]
+    assert _stamp(path) == forged
+    assert run(capsys, *calls[-1], "--cache-dir", str(cache)) == cold[-1]
+    assert list(cache.iterdir()) == [path] and path.read_bytes() == good
+
+
+def test_whole_read_forms_the_casimir_trace_once(tmp_path):
+    """measure xi's whole read checks the table against the decomposition and the decomposition against
+    the spec, both on the components' Casimir trace: it is formed once, and read again from the cache."""
+    spec = cli._build_spec("B2", [cli._parse_factor("0,1:1"), cli._parse_factor("1,0:1/2")])
+    path = tmp_path / "map.bin"
+    save_multiplicity_map(tensor_power_table(spec.rs, spec.factors, [8])[8], path)
+    repchar._casimir_trace.cache_clear()
+    assert cli._load_cached(spec, 8, str(path), whole=True) is not None
+    info = repchar._casimir_trace.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

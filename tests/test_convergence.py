@@ -29,7 +29,7 @@ from tensorlimits.measures import (
     eta_measure,
     xi_measure,
 )
-from tensorlimits.repchar import trace_identity_check, weyl_dim
+from tensorlimits.repchar import weyl_dim
 from tensorlimits.rootsys import CartanType, build_root_system
 
 import oracles
@@ -207,7 +207,7 @@ def test_histogram_tv_rejects_measure_of_another_rank():
 B2 = make_spec("B", 2)
 DIRECTION_FUNCTIONS = {
     "directional_second_moment": lambda t: directional_second_moment(B2.rs, xi_measure(B2, 4), t),
-    "trace_identity_check": lambda t: trace_identity_check(B2.rs, (1, 0), t),
+    "trace_identity_check": lambda t: oracles.trace_identity_check(B2.rs, (1, 0), t),
     "char_fn_xi": lambda t: char_fn_xi(B2, 4, [t]),
     "sup_char_error": lambda t: sup_char_error(B2, 4, [t]),
     "char_fn_limit_xi": lambda t: char_fn_limit_xi(B2.rs, t),

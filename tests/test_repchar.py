@@ -21,6 +21,7 @@ from tensorlimits.errors import (
     WeylCapExceeded,
 )
 from tensorlimits.repchar import (
+    IrrepDecomposition,
     MultiplicityMap,
     irreducible_character,
     load_decomposition,
@@ -29,10 +30,9 @@ from tensorlimits.repchar import (
     save_multiplicity_map,
     tensor_power_multiplicities,
     tensor_power_table,
-    trace_identity_check,
     weyl_dim,
 )
-from tensorlimits.measures import TensorSpec
+from tensorlimits.measures import TensorSpec, eta_measure
 from tensorlimits.rootsys import build_root_system, casimir_eigenvalue, weyl_group_order
 
 from oracles import (
@@ -50,8 +50,11 @@ from oracles import (
     racah_full_scan,
     racah_pushforward,
     schur_weyl_components,
+    schur_weyl_eta,
+    schur_weyl_weights,
     sl2_power_components,
     to_dominant,
+    trace_identity_check,
 )
 
 RS = {label: build_root_system(label) for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D2", "D3", "D4", "G2", "F4"]}
@@ -962,6 +965,62 @@ def test_schur_weyl_components_at_scale(tmp_path, label, n):
     path = tmp_path / "map.bin"
     save_multiplicity_map(m, path)
     assert load_decomposition(path, rs, [(omega1, n)]).components == want
+
+
+def _differing(got: dict, want: dict) -> list:
+    return sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+
+
+@pytest.mark.parametrize(
+    "label, fundamental, n",
+    [
+        ("A1", (1,), 2000),
+        ("A2", (1, 0), 256),
+        ("A2", (0, 1), 256),
+        ("A3", (1, 0, 0), 64),
+        ("A3", (0, 0, 1), 64),
+        ("A4", (1, 0, 0, 0), 24),
+        ("A4", (0, 0, 0, 1), 24),
+    ],
+    ids=["A1-2000", "A2-256", "A2-dual-256", "A3-64", "A3-dual-64", "A4-24", "A4-dual-24"],
+)
+def test_schur_weyl_weights_and_eta_at_scale(label, fundamental, n):
+    """(C^n)^(tensor N) at the paper's scale: every dominant row of Miller's table holds the multinomial
+    N! / prod k_i! (oracles.schur_weyl_weights), and eta's nums and den are f^lam dim V_lam and n^N
+    exactly (oracles.schur_weyl_eta), for omega1 and for its dual omega_(n-1), whose weights and
+    components are those of omega1 with their omega-coords reversed (-w0).  Two mutants are seen
+    exactly where they differ: one unit moved between two components (of equal dimension, past A1, so
+    that sum c dim stays n^N), and one row's count one higher, with one lower at a row of the same
+    orbit size, so that the map's total still holds."""
+    rs = build_root_system(label)
+    flip = (lambda key: key[::-1]) if fundamental[-1] else (lambda key: key)
+    rows = {flip(k): c for k, c in schur_weyl_weights(rs.rank + 1, n).items()}
+    nums, den = schur_weyl_eta(rs.rank + 1, n)
+    nums = {flip(k): c for k, c in nums.items()}
+    m = tensor_power_table(rs, [(fundamental, 1)], [n])[n]
+    assert m.dominant == rows
+    spec = TensorSpec(rs, ((fundamental, 1),))
+    eta = eta_measure(spec, n, m)
+    got = dict(zip(map(tuple, eta.weights.tolist()), eta.nums))
+    assert eta.den == den and got == nums
+    dec = racah_decompose(rs, m)
+    by_dim = {}
+    for i, d in enumerate(dec.dims):
+        by_dim.setdefault(d, []).append(i)
+    # of equal dimension, so that sum c dim stays n^N, where two are (all A1 dimensions differ)
+    a, b = next((pair for pair in by_dim.values() if len(pair) > 1), [0, 1])[:2]
+    counts = list(dec.counts)
+    counts[a], counts[b] = counts[a] - 1, counts[b] + 1
+    moved = eta_measure(spec, n, IrrepDecomposition(dec.rows, counts, dec.dims))
+    moved_at = _differing(dict(zip(map(tuple, moved.weights.tolist()), moved.nums)), nums)
+    assert moved_at == sorted(map(tuple, dec.rows[[a, b]].tolist()))
+    # row i one higher, |W mu_i| units of weight taken from a row j of |W mu_j| = |W mu_i|, one lower
+    sizes, mults = m.sizes, m.counts
+    i, j = next((i, j) for i in range(len(sizes)) for j in range(i) if sizes[i] == sizes[j] and mults[j] > 1)
+    off = list(m.counts)
+    off[i], off[j] = off[i] + 1, off[j] - 1
+    miller = MultiplicityMap(rs, m.rows, off, m.total_dim)
+    assert _differing(miller.dominant, rows) == sorted(map(tuple, m.rows[[i, j]].tolist()))
 
 
 # ------------------------------------------------------------------ trace identity
